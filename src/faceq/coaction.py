@@ -7,15 +7,14 @@ The same array serves either side; only the reading changes
 exactly what makes a transposed pair a literal array equality.
 """
 
-from fractions import Fraction
 from itertools import permutations
 
 from . import quiver as qv
 from . import wba
 from .errors import UnsupportedShapeError
-from .linalg import Echelon, span_contains
+from .linalg import Echelon, bump, span_contains
 
-_ONE = Fraction(1)
+_ONE = 1
 
 SIDES = ("left", "right")
 
@@ -23,14 +22,6 @@ SIDES = ("left", "right")
 def _require_side(side):
     if side not in SIDES:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def _bump(table, key, value):
-    s = table.get(key, 0) + value
-    if s:
-        table[key] = s
-    else:
-        table.pop(key, None)
 
 
 class CoactionSpec:
@@ -55,10 +46,6 @@ class CoactionSpec:
         self.arrow_endpoints = list(arrow_endpoints)
         if len(self.coefficients) > 1 and len(self.arrow_endpoints) != algebra.dim(1):
             raise ValueError("arrow endpoint list does not match the degree-1 basis")
-
-    @property
-    def algebra_basis_by_degree(self):
-        return self.algebra.labels
 
     def degrees(self):
         return len(self.coefficients) - 1
@@ -112,7 +99,7 @@ def check_comodule_algebra(c, host, algebra=None, max_degree=None):
                 for k in range(n):
                     for m, cm in y[d][j][k].items():
                         for nn, cn in y[d][k][l].items():
-                            _bump(rhs, (m, nn), cm * cn)
+                            bump(rhs, (m, nn), cm * cn)
                 if lhs != rhs:
                     coassoc_fails.append([algebra.label_of(d, j), algebra.label_of(d, l)])
                 ev = host.eps(d, y[d][j][l])
@@ -131,7 +118,7 @@ def check_comodule_algebra(c, host, algebra=None, max_degree=None):
                         for k in range(algebra.dim(f)):
                             src = y[f][m][k] if c.side == "left" else y[f][k][m]
                             for h, ch in src.items():
-                                _bump(lhs, (h, k), cm * ch)
+                                bump(lhs, (h, k), cm * ch)
                     rhs = {}
                     for k in range(algebra.dim(d)):
                         for kk in range(algebra.dim(e)):
@@ -143,7 +130,7 @@ def check_comodule_algebra(c, host, algebra=None, max_degree=None):
                                 continue
                             for m, cm in algebra.product_of(d, k, e, kk).items():
                                 for h, ch in coeff.items():
-                                    _bump(rhs, (h, m), cm * ch)
+                                    bump(rhs, (h, m), cm * ch)
                     if lhs != rhs:
                         mult_fails.append([algebra.label_of(d, j), algebra.label_of(e, l)])
 
@@ -155,7 +142,7 @@ def check_comodule_algebra(c, host, algebra=None, max_degree=None):
         for j, cj in algebra.unit.items():
             src = y[0][j][k] if c.side == "left" else y[0][k][j]
             for h, ch in src.items():
-                _bump(coeff, h, cj * ch)
+                bump(coeff, h, cj * ch)
         if coeff and not span_contains(counital, coeff):
             unit_fails.append([algebra.label_of(0, k)])
 
@@ -197,7 +184,7 @@ def verify_base_iso(c, host, candidate):
     image = {}
     for j, cj in algebra.unit.items():
         for h, ch in candidate[j].items():
-            _bump(image, h, cj * ch)
+            bump(image, h, cj * ch)
     if image != host.unit:
         algebra_fails.append(["unit"])
     for i in range(n0):
@@ -205,7 +192,7 @@ def verify_base_iso(c, host, candidate):
             lhs = {}
             for m, cm in algebra.product_of(0, i, 0, j).items():
                 for h, ch in candidate[m].items():
-                    _bump(lhs, h, cm * ch)
+                    bump(lhs, h, cm * ch)
             rhs = host.multiply(0, candidate[i], 0, candidate[j])
             if lhs != rhs:
                 algebra_fails.append([algebra.label_of(0, i), algebra.label_of(0, j)])
@@ -232,13 +219,13 @@ def verify_base_iso(c, host, candidate):
             for j in range(n0):
                 for m, cm in y0[k][j].items():
                     for h, ch in candidate[j].items():
-                        _bump(lhs, (m, h), cm * ch)
+                        bump(lhs, (m, h), cm * ch)
         else:
             # (phi (x) id) rho0(e_k) vs Delta(phi(e_k))
             for j in range(n0):
                 for m, cm in y0[j][k].items():
                     for h, ch in candidate[j].items():
-                        _bump(lhs, (h, m), cm * ch)
+                        bump(lhs, (h, m), cm * ch)
         rhs = host.delta(0, candidate[k])
         if lhs != rhs:
             intertwine_fails.append([algebra.label_of(0, k)])
@@ -320,7 +307,7 @@ def check_structure_lemmas(c, host):
                 for k in range(n):
                     for m, cm in mat[i][k].items():
                         for nn, cn in mat[k][j].items():
-                            _bump(rhs, (m, nn), cm * cn)
+                            bump(rhs, (m, nn), cm * cn)
                 if lhs != rhs:
                     comult_fails.append([algebra.label_of(d, i), algebra.label_of(d, j)])
                 if host.eps(d, mat[i][j]) != (_ONE if i == j else 0):
@@ -379,9 +366,9 @@ def check_structure_lemmas(c, host):
         theta = {}
         for i in range(n0):
             for h, ch in y0[i][j].items():
-                _bump(eta, h, ch)
+                bump(eta, h, ch)
             for h, ch in y0[j][i].items():
-                _bump(theta, h, ch)
+                bump(theta, h, ch)
         if host.multiply(0, eta, 0, eta) != eta:
             eta_fails.append([f"column {j}", "not idempotent"])
         if not span_contains(source_sub, eta):
@@ -395,7 +382,7 @@ def check_structure_lemmas(c, host):
     for i in range(n0):
         for j in range(n0):
             for h, ch in y0[i][j].items():
-                _bump(total, h, ch)
+                bump(total, h, ch)
     unit_fails = [] if total == host.unit else [["unit decomposition"]]
     rows.append(wba._row("unit-decomposition", unit_fails, key="check"))
 

@@ -2,7 +2,8 @@
 
 Multiplication concatenates componentwise (zero when either side fails to
 compose), the coproduct sums over middle paths of the shared length, and
-the counit is the diagonal indicator.  Everything is exact over Fraction.
+the counit is the diagonal indicator.  Coefficients are exact rationals,
+never floats.
 """
 
 from fractions import Fraction
@@ -152,14 +153,6 @@ class TensorElement:
                 and self.terms == other.terms)
 
 
-def tensor(x, y):
-    out = {}
-    for m, c in x.terms.items():
-        for n, d in y.terms.items():
-            out[(m, n)] = c * d
-    return TensorElement(x.quiver, out)
-
-
 def face_basis(q, degree):
     """Monomials x[a;b] over ordered path pairs of the given length."""
     paths = qv.enumerate_paths(q, degree)
@@ -264,9 +257,9 @@ def parse_path(q, text):
 def parse_element(q, text):
     """Parse the format_element text form back into a FaceElement.
 
-    Terms are joined by ' + '; each term is 'coeff * x[a;b]' with a Fraction
-    coefficient, which may be omitted when it is 1.  Both paths in a monomial
-    must have the same length.
+    Terms are joined by ' + '; each term is 'coeff * x[a;b]' with a rational
+    coefficient such as '2' or '-1/3', which may be omitted (with its ' * ')
+    when it is 1.  Both paths in a monomial must have the same length.
     """
     if not isinstance(text, str):
         raise ParseError("face element must be given as a string")
@@ -276,8 +269,8 @@ def parse_element(q, text):
     terms = []
     for part in body.split(" + "):
         part = part.strip()
-        if "*" in part:
-            coeff_text, _, mono_text = part.partition("*")
+        if " * " in part:
+            coeff_text, _, mono_text = part.partition(" * ")
             try:
                 coeff = Fraction(coeff_text.strip())
             except (ValueError, ZeroDivisionError):

@@ -1,42 +1,38 @@
 """Exact sparse linear algebra over the rationals.
 
 Everything downstream (ideal graded pieces, biideals, axiom checks) reduces
-to row reduction of sparse matrices with Fraction entries.  Vectors are
-sparse rows: plain dicts mapping column index to a nonzero Fraction.
-Subspaces are kept in reduced row echelon form, which is canonical, so two
-subspaces are equal iff their stored bases are identical.
+to row reduction of sparse matrices.  Scalars are exact rationals: a Python
+int where the value is integral and a Fraction otherwise, never a float.
+Vectors are sparse rows: plain dicts mapping column index to a nonzero
+scalar.  Subspaces are kept in reduced row echelon form, which is
+canonical, so two subspaces are equal iff their stored bases are identical.
 
 Internally, rows are scaled to integers and reduced by cross-multiplication
 (a fraction-free Gaussian elimination) with gcd cleanup after every step;
-Fractions only reappear when a finished basis is normalized to pivot 1.
+Fractions only reappear when a finished basis is normalized to pivot 1 and
+a lead does not divide its row.
 """
 
 from fractions import Fraction
 from math import gcd
 
-Scalar = Fraction
+
+def bump(table, key, value):
+    """Add value at key of a sparse dict, dropping the key if the sum cancels."""
+    s = table.get(key, 0) + value
+    if s:
+        table[key] = s
+    else:
+        table.pop(key, None)
 
 
-def vec_add(u, v):
-    """Sum of two sparse rows, dropping entries that cancel."""
-    w = dict(u)
-    for c, x in v.items():
-        y = w.get(c, 0) + x
-        if y:
-            w[c] = y
-        else:
-            w.pop(c, None)
-    return w
-
-
-def vec_sub(u, v):
-    return vec_add(u, {c: -x for c, x in v.items()})
-
-
-def vec_scale(a, u):
-    if not a:
-        return {}
-    return {c: a * x for c, x in u.items()}
+def mat_vec(columns, vec):
+    """Sparse matrix-vector product: the sum over c of vec[c] * columns[c]."""
+    out = {}
+    for c, x in vec.items():
+        for m, y in columns[c].items():
+            bump(out, m, x * y)
+    return out
 
 
 class SparseMatrix:
@@ -82,17 +78,14 @@ class SparseMatrix:
 
 def _int_row(row):
     """Clear denominators and divide out content, returning an int-valued dict."""
-    cleaned = {c: Fraction(x) for c, x in row.items() if x}
-    if not cleaned:
-        return {}
-    denom_lcm = 1
-    for x in cleaned.values():
-        d = x.denominator
-        denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
-    ints = {c: int(x * denom_lcm) for c, x in cleaned.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
+    ints = {c: x for c, x in row.items() if x}
+    if any(type(x) is not int for x in ints.values()):
+        denom_lcm = 1
+        for x in ints.values():
+            d = x.denominator
+            denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
+        ints = {c: int(x * denom_lcm) for c, x in ints.items()}
+    g = gcd(*ints.values())
     if g > 1:
         ints = {c: v // g for c, v in ints.items()}
     return ints
@@ -150,17 +143,6 @@ class Echelon:
             work = _combine(piv[col], work, work[col], piv)
         return False
 
-    def contains(self, row):
-        """Membership test without inserting."""
-        work = _int_row(row)
-        while work:
-            col = min(work)
-            piv = self.pivot_rows.get(col)
-            if piv is None:
-                return False
-            work = _combine(piv[col], work, work[col], piv)
-        return True
-
     def finalize(self):
         """Full Gauss-Jordan cleanup; returns the canonical Subspace."""
         pivots = sorted(self.pivot_rows)
@@ -176,20 +158,20 @@ class Echelon:
         basis = []
         for p in pivots:
             row = rows[p]
-            lead = Fraction(row[p])
-            basis.append({c: Fraction(v) / lead for c, v in row.items()})
+            lead = row[p]
+            basis.append({c: v // lead if v % lead == 0 else Fraction(v, lead)
+                          for c, v in row.items()})
         return Subspace(self.ambient_dim, basis, pivots)
 
 
 class Subspace:
     """A subspace of k^n held as a canonical reduced-echelon basis."""
 
-    def __init__(self, ambient_dim, basis_rows=(), pivots=None):
+    def __init__(self, ambient_dim, basis_rows, pivots):
         self.ambient_dim = ambient_dim
-        self.basis = tuple({c: Fraction(x) for c, x in row.items() if x} for row in basis_rows)
-        if pivots is None:
-            pivots = tuple(min(row) for row in self.basis)
+        self.basis = tuple(basis_rows)
         self.pivots = tuple(pivots)
+        self._residues = None
 
     @classmethod
     def from_rows(cls, ambient_dim, rows):
@@ -202,18 +184,27 @@ class Subspace:
     def dim(self):
         return len(self.basis)
 
+    def residues(self):
+        """Residue of each unit vector e_j, built on first use and then kept.
+
+        In reduced echelon form the residue of a pivot column e_p is minus
+        row p without its pivot entry; a non-pivot column is its own residue.
+        Callers read the entries and must not change them.
+        """
+        if self._residues is None:
+            table = [{j: 1} for j in range(self.ambient_dim)]
+            for p, row in zip(self.pivots, self.basis):
+                table[p] = {c: -x for c, x in row.items() if c != p}
+            self._residues = table
+        return self._residues
+
     def reduce(self, vec):
         """Canonical residue of vec modulo this subspace.
 
         The result is supported on non-pivot columns; it is zero iff
         vec lies in the subspace.
         """
-        work = {c: Fraction(x) for c, x in vec.items() if x}
-        for p, row in zip(self.pivots, self.basis):
-            coeff = work.get(p)
-            if coeff:
-                work = vec_sub(work, vec_scale(coeff, row))
-        return work
+        return mat_vec(self.residues(), vec)
 
     def contains(self, vec):
         return not self.reduce(vec)
@@ -243,7 +234,7 @@ def null_space(m):
     for free in range(m.cols):
         if free in pivot_set:
             continue
-        vec = {free: Fraction(1)}
+        vec = {free: 1}
         for p, row in zip(sub.pivots, sub.basis):
             coeff = row.get(free)
             if coeff:

@@ -9,7 +9,6 @@ maps and compare them exactly.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import coaction as co
 from . import face as fc
@@ -17,19 +16,9 @@ from . import pathalg as pa
 from . import quiver as qv
 from . import wba
 from .errors import UnsupportedShapeError, VerificationError
-from .linalg import Subspace, subspace_equal
-
-_ONE = Fraction(1)
+from .linalg import Subspace, bump, subspace_equal
 
 RESULT_SIDES = ("left", "right", "trans")
-
-
-def _bump(table, key, value):
-    s = table.get(key, 0) + value
-    if s:
-        table[key] = s
-    else:
-        table.pop(key, None)
 
 
 def coaction_relations(qd, side):
@@ -56,7 +45,7 @@ def coaction_relations(qd, side):
                         mono = fc.FaceMonomial(left_path, right_path)
                     else:
                         mono = fc.FaceMonomial(right_path, left_path)
-                    _bump(terms, mono, cij * dkl)
+                    bump(terms, mono, cij * dkl)
             elem = fc.FaceElement(q, terms)
             if not elem.is_zero():
                 gens.append(elem)
@@ -91,8 +80,8 @@ def _check_descent(q, ideal, host, pieces_h, algebra_pieces, sides, max_degree):
         paths = qv.enumerate_paths(q, d)
         face_index = {m: i for i, m in enumerate(fc.face_basis(q, d))}
         n = len(paths)
-        res_a = [piece_a.reduce({i: _ONE}) for i in range(n)]
-        res_h = [pieces_h[d].reduce({i: _ONE}) for i in range(host.dim(d))]
+        res_a = piece_a.residues()
+        res_h = pieces_h[d].residues()
         for r, row in enumerate(piece_a.basis):
             for side in sides:
                 image = {}
@@ -108,7 +97,7 @@ def _check_descent(q, ideal, host, pieces_h, algebra_pieces, sides, max_degree):
                             continue
                         for m, cm in hvec.items():
                             for k, ck in avec.items():
-                                _bump(image, (m, k), cp * cm * ck)
+                                bump(image, (m, k), cp * cm * ck)
                 if image:
                     fails[side].append(f"degree {d}, relation row {r}")
     return fails
@@ -120,11 +109,11 @@ def _induced_coaction(q, side, host, pieces_h, algebra, max_degree):
     The arrays stay indexed by the path basis (the shared coefficient family
     of a transposed pair); only the entries move to quotient coordinates.
     """
-    _, project_h = wba._quotient_maps(host, pieces_h)
+    _, residues = wba._quotient_maps(host, pieces_h)
     coefficients = []
     for d in range(max_degree + 1):
         n = len(qv.enumerate_paths(q, d))
-        mat = [[project_h(d, {r * n + c: _ONE}) for c in range(n)] for r in range(n)]
+        mat = [[residues[d][r * n + c] for c in range(n)] for r in range(n)]
         coefficients.append(mat)
     endpoints = [(a.source, a.target) for a in q.arrows]
     return co.CoactionSpec(side, algebra, coefficients, endpoints)

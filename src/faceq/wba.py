@@ -8,23 +8,12 @@ degree in both tensor legs (matrix coalgebras per degree), which is what
 face algebras and their biideal quotients provide.
 """
 
-from fractions import Fraction
-
 from . import face as fc
-from . import pathalg as pa
 from . import quiver as qv
 from .errors import VerificationError
-from .linalg import Echelon
+from .linalg import Echelon, bump, mat_vec
 
-_ONE = Fraction(1)
-
-
-def _bump(table, key, value):
-    s = table.get(key, 0) + value
-    if s:
-        table[key] = s
-    else:
-        table.pop(key, None)
+_ONE = 1
 
 
 class GradedAlgebra:
@@ -63,7 +52,7 @@ class GradedAlgebra:
                     continue
                 ab = a * b
                 for m, c in entry.items():
-                    _bump(out, m, ab * c)
+                    bump(out, m, ab * c)
         return out
 
 
@@ -72,30 +61,33 @@ class GradedWBA(GradedAlgebra):
 
     coproduct maps (d, i) to a dict {(j, k): scalar} describing a sum of
     u^d_j (x) u^d_k; counit maps (d, i) to its scalar value.  Both tables
-    store nonzero data only.
+    store nonzero data only.  The tables must not change once the object
+    is built: derived data such as the counital subalgebras is computed
+    once and kept in counital_subalgebras.
     """
 
     def __init__(self, max_degree, labels, product, unit, coproduct, counit):
         super().__init__(max_degree, labels, product, unit)
         self.coproduct = coproduct
         self.counit = counit
+        self.counital_subalgebras = {}
 
     def coproduct_of(self, d, i):
         return self.coproduct.get((d, i), {})
 
     def counit_of(self, d, i):
-        return self.counit.get((d, i), Fraction(0))
+        return self.counit.get((d, i), 0)
 
     def delta(self, d, u):
         """Coproduct of a coordinate dict, as {(j, k): scalar}."""
         out = {}
         for i, a in u.items():
             for pair, c in self.coproduct_of(d, i).items():
-                _bump(out, pair, a * c)
+                bump(out, pair, a * c)
         return out
 
     def eps(self, d, u):
-        total = Fraction(0)
+        total = 0
         for i, a in u.items():
             e = self.counit.get((d, i))
             if e:
@@ -146,41 +138,21 @@ def path_algebra_presentation(q, max_degree):
 
 
 def _quotient_maps(host, pieces):
-    """Coset bases and projection helpers for a list of per-degree subspaces."""
+    """Coset bases of per-degree subspaces and residues in coset coordinates.
+
+    nonpivot[d] lists the host columns kept in degree d; residues[d][m] is
+    the image of host basis vector m in the coset basis, so projecting a
+    coordinate dict is mat_vec(residues[d], vec).
+    """
     nonpivot = []
-    pos = []
+    residues = []
     for d in range(host.max_degree + 1):
         piv = set(pieces[d].pivots)
         cols = [m for m in range(host.dim(d)) if m not in piv]
+        pos = {m: i for i, m in enumerate(cols)}
         nonpivot.append(cols)
-        pos.append({m: i for i, m in enumerate(cols)})
-
-    def project(d, vec):
-        res = pieces[d].reduce(vec)
-        return {pos[d][m]: c for m, c in res.items()}
-
-    return nonpivot, project
-
-
-def quotient_algebra_presentation(ideal, max_degree):
-    """kQ/I on the coset basis of non-pivot paths per degree."""
-    host = path_algebra_presentation(ideal.quiver, max_degree)
-    pieces = [pa.ideal_graded_piece(ideal, d) for d in range(max_degree + 1)]
-    nonpivot, project = _quotient_maps(host, pieces)
-    labels = [[host.labels[d][m] for m in nonpivot[d]] for d in range(max_degree + 1)]
-    product = {}
-    for d in range(max_degree + 1):
-        for e in range(max_degree + 1 - d):
-            for i, mi in enumerate(nonpivot[d]):
-                for j, mj in enumerate(nonpivot[e]):
-                    entry = host.product_of(d, mi, e, mj)
-                    if not entry:
-                        continue
-                    img = project(d + e, entry)
-                    if img:
-                        product[(d, i, e, j)] = img
-    unit = project(0, host.unit)
-    return GradedAlgebra(max_degree, labels, product, unit)
+        residues.append([{pos[m]: c for m, c in r.items()} for r in pieces[d].residues()])
+    return nonpivot, residues
 
 
 def from_face_algebra(q, max_degree):
@@ -262,7 +234,7 @@ def _eps_matrices(w):
     """eps(u_i u_j) per degree pair, stored sparsely from the product table."""
     eps = {}
     for (d, i, e, j), entry in w.product.items():
-        val = Fraction(0)
+        val = 0
         for m, c in entry.items():
             ev = w.counit.get((d + e, m))
             if ev:
@@ -284,7 +256,7 @@ def _failures_delta_multiplicative(w):
                     lhs = {}
                     for m, c in w.product_of(d, i, e, j).items():
                         for pair, cc in w.coproduct_of(f, m).items():
-                            _bump(lhs, pair, c * cc)
+                            bump(lhs, pair, c * cc)
                     rhs = {}
                     for (p, qq), c1 in da.items():
                         for (r, s), c2 in db.items():
@@ -297,7 +269,7 @@ def _failures_delta_multiplicative(w):
                             c12 = c1 * c2
                             for m, cm in left.items():
                                 for n, cn in right.items():
-                                    _bump(rhs, (m, n), c12 * cm * cn)
+                                    bump(rhs, (m, n), c12 * cm * cn)
                     if lhs != rhs:
                         fails.append([w.label_of(d, i), w.label_of(e, j)])
     return fails
@@ -326,17 +298,17 @@ def _failures_counit_splits(w):
                     for a in range(w.dim(d)):
                         for m, cm in w.product_of(d, a, e, b).items():
                             for c, vc in e3row.get(m, ()):
-                                _bump(lhs, (a, c), cm * vc)
+                                bump(lhs, (a, c), cm * vc)
                     split = w.coproduct_of(e, b)
                     rhs12 = {}
                     rhs21 = {}
                     for (j, k), c0 in split.items():
                         for a, va in e1col.get(j, ()):
                             for c, vc in e2row.get(k, ()):
-                                _bump(rhs12, (a, c), c0 * va * vc)
+                                bump(rhs12, (a, c), c0 * va * vc)
                         for a, va in e1col.get(k, ()):
                             for c, vc in e2row.get(j, ()):
-                                _bump(rhs21, (a, c), c0 * va * vc)
+                                bump(rhs21, (a, c), c0 * va * vc)
                     if lhs != rhs12:
                         a, c = _first_mismatch(lhs, rhs12)
                         fails12.append([w.label_of(d, a), w.label_of(e, b), w.label_of(f, c)])
@@ -359,7 +331,7 @@ def _failures_unit_splits(w):
     lhs = {}
     for (i, k), c in d1.items():
         for (m, n), cc in w.coproduct_of(0, i).items():
-            _bump(lhs, (m, n, k), c * cc)
+            bump(lhs, (m, n, k), c * cc)
     right_one = [w.multiply(0, {i: _ONE}, 0, w.unit) for i in range(w.dim(0))]
     left_one = [w.multiply(0, w.unit, 0, {i: _ONE}) for i in range(w.dim(0))]
 
@@ -373,7 +345,7 @@ def _failures_unit_splits(w):
                 for n, cn in mid_of(j, k).items():
                     for a, ca in leg1.items():
                         for b, cb in leg3.items():
-                            _bump(out, (a, n, b), c12 * cn * ca * cb)
+                            bump(out, (a, n, b), c12 * cn * ca * cb)
         return out
 
     # (Delta(1) (x) 1)(1 (x) Delta(1)): legs u_i*1, u_j*u_k, 1*u_m
@@ -425,11 +397,11 @@ def check_coalgebra(w):
             lhs = {}
             for (j, k), c in split.items():
                 for (m, n), cc in w.coproduct_of(d, j).items():
-                    _bump(lhs, (m, n, k), c * cc)
+                    bump(lhs, (m, n, k), c * cc)
             rhs = {}
             for (j, k), c in split.items():
                 for (m, n), cc in w.coproduct_of(d, k).items():
-                    _bump(rhs, (j, m, n), c * cc)
+                    bump(rhs, (j, m, n), c * cc)
             if lhs != rhs:
                 fails.append([w.label_of(d, i), "coassociativity"])
             left_counit = {}
@@ -437,10 +409,10 @@ def check_coalgebra(w):
             for (j, k), c in split.items():
                 ev = w.counit.get((d, j))
                 if ev:
-                    _bump(left_counit, k, c * ev)
+                    bump(left_counit, k, c * ev)
                 ev = w.counit.get((d, k))
                 if ev:
-                    _bump(right_counit, j, c * ev)
+                    bump(right_counit, j, c * ev)
             if left_counit != {i: _ONE} or right_counit != {i: _ONE}:
                 fails.append([w.label_of(d, i), "counitality"])
     return fails
@@ -480,32 +452,41 @@ def check_associativity(w):
     return fails
 
 
-def counital_image(w, side, d, u):
-    """Apply the source or target counital map to a degree-d coordinate dict."""
-    if side not in ("source", "target"):
-        raise ValueError(f"side must be 'source' or 'target', got {side!r}")
+def counital_image(w, side, d, u, split):
+    """Apply the source or target counital map to a degree-d coordinate dict.
+
+    split is the coproduct of the unit, w.delta_one().
+    """
     out = {}
-    for (i, j), c in w.delta_one().items():
+    for (i, j), c in split.items():
         if side == "source":
             val = w.eps(d, w.multiply(d, u, 0, {j: _ONE}))
             if val:
-                _bump(out, i, c * val)
+                bump(out, i, c * val)
         else:
             val = w.eps(d, w.multiply(0, {i: _ONE}, d, u))
             if val:
-                _bump(out, j, c * val)
+                bump(out, j, c * val)
     return out
 
 
 def counital_subalgebra(w, side):
-    """Canonical degree-0 subspace spanned by counital images of all basis elements."""
-    ech = Echelon(w.dim(0))
-    for d in range(w.max_degree + 1):
-        for v in range(w.dim(d)):
-            vec = counital_image(w, side, d, {v: _ONE})
-            if vec:
-                ech.add(vec)
-    return ech.finalize()
+    """Canonical degree-0 subspace spanned by counital images of all basis elements.
+
+    Computed once per side and kept on w.
+    """
+    if side not in ("source", "target"):
+        raise ValueError(f"side must be 'source' or 'target', got {side!r}")
+    if side not in w.counital_subalgebras:
+        split = w.delta_one()
+        ech = Echelon(w.dim(0))
+        for d in range(w.max_degree + 1):
+            for v in range(w.dim(d)):
+                vec = counital_image(w, side, d, {v: _ONE}, split)
+                if vec:
+                    ech.add(vec)
+        w.counital_subalgebras[side] = ech.finalize()
+    return w.counital_subalgebras[side]
 
 
 class BiidealGens:
@@ -520,7 +501,7 @@ class BiidealGens:
         gens = []
         seen = set()
         for d, vec in generators:
-            vec = {i: Fraction(c) for i, c in vec.items() if c}
+            vec = {i: c for i, c in vec.items() if c}
             if not vec:
                 continue
             key = (d, tuple(sorted(vec.items())))
@@ -590,7 +571,7 @@ def check_biideal(b, max_degree):
         piece = pieces[d]
         if not piece.dim:
             continue
-        residues = [piece.reduce({j: _ONE}) for j in range(w.dim(d))]
+        residues = piece.residues()
         for r, row in enumerate(piece.basis):
             if w.eps(d, row):
                 eps_fails.append(f"degree {d}, piece row {r}")
@@ -603,7 +584,7 @@ def check_biideal(b, max_degree):
                 for m, cm in rj.items():
                     crm = c * cm
                     for n, cn in rk.items():
-                        _bump(image, (m, n), crm * cn)
+                        bump(image, (m, n), crm * cn)
             if image:
                 delta_fails.append(f"degree {d}, piece row {r}")
     rows = [
@@ -626,7 +607,7 @@ def quotient_wba(b, report=None):
         raise VerificationError("biideal verification failed; not a quotient weak bialgebra",
                                 report)
     pieces = [biideal_graded_pieces(b, d) for d in range(w.max_degree + 1)]
-    nonpivot, project = _quotient_maps(w, pieces)
+    nonpivot, residues = _quotient_maps(w, pieces)
     labels = [[w.labels[d][m] for m in nonpivot[d]] for d in range(w.max_degree + 1)]
     product = {}
     for d in range(w.max_degree + 1):
@@ -636,12 +617,10 @@ def quotient_wba(b, report=None):
                     entry = w.product_of(d, mi, e, mj)
                     if not entry:
                         continue
-                    img = project(d + e, entry)
+                    img = mat_vec(residues[d + e], entry)
                     if img:
                         product[(d, i, e, j)] = img
-    unit = project(0, w.unit)
-    residues = [[project(d, {m: _ONE}) for m in range(w.dim(d))]
-                for d in range(w.max_degree + 1)]
+    unit = mat_vec(residues[0], w.unit)
     coproduct = {}
     counit = {}
     for d in range(w.max_degree + 1):
@@ -653,7 +632,7 @@ def quotient_wba(b, report=None):
                 for m, cm in rj.items():
                     ccm = c * cm
                     for n, cn in rk.items():
-                        _bump(entry, (m, n), ccm * cn)
+                        bump(entry, (m, n), ccm * cn)
             if entry:
                 coproduct[(d, i)] = entry
             ev = w.counit_of(d, mi)

@@ -10,7 +10,7 @@ from faceq import quiver as qv
 from faceq.errors import ParseError
 from faceq.linalg import Subspace, subspace_equal
 
-from fleet import FLEET, one_loop, q_bullets, three_cycle, two_loop
+from fleet import FLEET, doubled_three_cycle, one_loop, q_bullets, three_cycle, two_loop
 
 
 def mono(q, left, right):
@@ -271,6 +271,8 @@ def test_parse_and_format_round_trip():
         assert fc.format_element(fc.parse_element(q, text)) == text
     bare = fc.parse_element(q, "x[p1;p2]")
     assert fc.format_element(bare) == "1 * x[p1;p2]"
+    starred = fc.parse_element(doubled_three_cycle(), "x[p1*;p2*]")
+    assert fc.format_element(starred) == "1 * x[p1*;p2*]"
 
 
 def test_parse_element_errors():

@@ -1,0 +1,93 @@
+"""Report bytes pinned for every subcommand on small fleet cases at degree 2.
+
+Each case runs the CLI in a fresh interpreter under two PYTHONHASHSEED
+values, and both runs must produce the recorded sha256.  A change in how a
+scalar is rendered (an int reaching the JSON report as a number where a
+string was written, say), or an output order that follows hashing, fails
+here.  The quantum-plane cases carry the non-integer coefficient -1/2, so
+the rational path is pinned as well as the integer one.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+THREE_CYCLE = {"vertices": ["1", "2", "3"], "arrows": [
+    {"name": "p1", "source": "1", "target": "2"},
+    {"name": "p2", "source": "2", "target": "3"},
+    {"name": "p3", "source": "3", "target": "1"}]}
+
+DOUBLED_THREE_CYCLE = {"vertices": ["1", "2", "3"], "arrows": THREE_CYCLE["arrows"] + [
+    {"name": "p1*", "source": "2", "target": "1"},
+    {"name": "p2*", "source": "3", "target": "2"},
+    {"name": "p3*", "source": "1", "target": "3"}]}
+
+TWO_LOOP = {"vertices": ["v"], "arrows": [
+    {"name": "t1", "source": "v", "target": "v"},
+    {"name": "t2", "source": "v", "target": "v"}]}
+
+KRONECKER = {"vertices": ["1", "2"], "arrows": [
+    {"name": "a", "source": "1", "target": "2"},
+    {"name": "b", "source": "1", "target": "2"}]}
+
+QUANTUM_PLANE = [[{"coeff": 1, "path": ["t1", "t2"]},
+                  {"coeff": "-1/2", "path": ["t2", "t1"]}]]
+
+COMMUTATOR = [[{"coeff": 1, "path": ["t1", "t2"]},
+               {"coeff": -1, "path": ["t2", "t1"]}]]
+
+# name: (subcommand, quiver, relations or None, extra options, sha256 of the report)
+CASES = {
+    "face-doubled-three-cycle": (
+        "face", DOUBLED_THREE_CYCLE, None, [],
+        "8b84db8b22d2704d0cdd5894bf361068840a4caa221c81d0ee633e21a4c50ad4"),
+    "coact-kronecker-trans": (
+        "coact", KRONECKER, None, ["--side", "trans"],
+        "0f1e72d7f1700728e618a39d0b29ee970571d5b742f13db6d9118adfed3a5cb5"),
+    "verify-three-cycle-human": (
+        "verify", THREE_CYCLE, None, ["--human"],
+        "6252d7da4749feadfc3b2089b3a961e9a71825de458a025aaee35884e2be73df"),
+    "uqsgd-quantum-plane-trans": (
+        "uqsgd", TWO_LOOP, QUANTUM_PLANE, ["--side", "trans"],
+        "3b1421b399d6e6d8891df19c74d1d9bf7eddd08a4864c6b1d2c987be3f285f61"),
+    "uqsgd-commutator-left": (
+        "uqsgd", TWO_LOOP, COMMUTATOR, ["--side", "left"],
+        "c508b474862078f37df88fd57094468cdcbb23b72d143152e8a17c0734a5817a"),
+    "dual-quantum-plane": (
+        "dual", TWO_LOOP, QUANTUM_PLANE, [],
+        "ff9d2586616b571ec6612fdf76280e3be4bdc0c774a1ec86944790f66a2a0401"),
+}
+
+
+def report_bytes(tmp_path, case, hashseed):
+    command, quiver, relations, extra, _ = CASES[case]
+    args = [sys.executable, "-m", "faceq.cli", command, "--max-degree", "2"]
+    qpath = tmp_path / "quiver.json"
+    qpath.write_text(json.dumps(quiver))
+    args += ["--quiver", str(qpath)]
+    if relations is not None:
+        rpath = tmp_path / "relations.json"
+        rpath.write_text(json.dumps(relations))
+        args += ["--relations", str(rpath)]
+    out = tmp_path / f"report-{hashseed}"
+    args += extra + ["--out", str(out)]
+    env = dict(os.environ, PYTHONHASHSEED=str(hashseed))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(args, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_bytes_are_pinned(tmp_path, case):
+    digests = {seed: hashlib.sha256(report_bytes(tmp_path, case, seed)).hexdigest()
+               for seed in (0, 12345)}
+    assert digests[0] == digests[12345], "report bytes depend on PYTHONHASHSEED"
+    assert digests[0] == CASES[case][-1]

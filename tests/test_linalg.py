@@ -179,3 +179,47 @@ def test_span_contains_row_combinations(m):
 @given(st.fractions(), st.fractions())
 def test_fraction_arithmetic_round_trips(a, b):
     assert (a + b) - b == a
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def rational_rows_and_vector(draw, max_cols=6, max_rows=6):
+    cols = draw(st.integers(min_value=1, max_value=max_cols))
+    entries = st.dictionaries(st.integers(min_value=0, max_value=cols - 1), rationals)
+    return cols, draw(st.lists(entries, max_size=max_rows)), draw(entries)
+
+
+def pivot_scan_reduce(sub, vec):
+    """Reference reduction: subtract a multiple of each pivot row in turn."""
+    work = {c: x for c, x in vec.items() if x}
+    for p, row in zip(sub.pivots, sub.basis):
+        coeff = work.get(p)
+        if coeff:
+            for c, x in row.items():
+                s = work.get(c, 0) - coeff * x
+                if s:
+                    work[c] = s
+                else:
+                    work.pop(c, None)
+    return work
+
+
+@given(rational_rows_and_vector())
+def test_residue_table_reduce_matches_pivot_scan(case):
+    cols, rows, vec = case
+    sub = Subspace.from_rows(cols, rows)
+    assert sub.reduce(vec) == pivot_scan_reduce(sub, vec)
+    for j in range(cols):
+        assert sub.reduce({j: 1}) == pivot_scan_reduce(sub, {j: 1})
+    assert not set(sub.reduce(vec)) & set(sub.pivots)
+
+
+@given(rational_rows_and_vector())
+def test_finalize_keeps_ints_where_integral(case):
+    cols, rows, _ = case
+    for row in Subspace.from_rows(cols, rows).basis:
+        for x in row.values():
+            assert type(x) in (int, Fraction)
+            assert (type(x) is int) == (x.denominator == 1)
