@@ -122,13 +122,16 @@ def check_comodule_algebra(c, host, algebra=None, max_degree=None):
                     rhs = {}
                     for k in range(algebra.dim(d)):
                         for kk in range(algebra.dim(e)):
+                            prod_k = algebra.product_of(d, k, e, kk)
+                            if not prod_k:
+                                continue
                             if c.side == "left":
                                 coeff = host.multiply(d, y[d][j][k], e, y[e][l][kk])
                             else:
                                 coeff = host.multiply(d, y[d][k][j], e, y[e][kk][l])
                             if not coeff:
                                 continue
-                            for m, cm in algebra.product_of(d, k, e, kk).items():
+                            for m, cm in prod_k.items():
                                 for h, ch in coeff.items():
                                     bump(rhs, (h, m), cm * ch)
                     if lhs != rhs:

@@ -27,10 +27,22 @@ class Path(NamedTuple):
         return len(self.arrows)
 
 
+def _check_name(kind, name):
+    """Reject names that would make path or face-monomial labels (e:v, a.b, x[a;b]) ambiguous."""
+    if (not isinstance(name, str) or not name or name.startswith("e:")
+            or any(ch in ".;[]" or ch.isspace() for ch in name)):
+        raise ParseError(f"bad {kind} name {name!r}: names must be nonempty, must not "
+                         "start with 'e:' and must not contain whitespace or . ; [ ]")
+
+
 class Quiver:
     def __init__(self, vertices, arrows):
         self.vertices = tuple(vertices)
         self.arrows = tuple(Arrow(*a) for a in arrows)
+        for v in self.vertices:
+            _check_name("vertex", v)
+        for a in self.arrows:
+            _check_name("arrow", a.name)
         if len(set(self.vertices)) != len(self.vertices):
             raise ParseError("duplicate vertex labels")
         names = [a.name for a in self.arrows]

@@ -103,17 +103,17 @@ def _check_descent(q, ideal, host, pieces_h, algebra_pieces, sides, max_degree):
     return fails
 
 
-def _induced_coaction(q, side, host, pieces_h, algebra, max_degree):
+def _induced_coaction(q, side, biideal, algebra, max_degree):
     """Canonical coefficients pushed through the biideal quotient projection.
 
     The arrays stay indexed by the path basis (the shared coefficient family
     of a transposed pair); only the entries move to quotient coordinates.
     """
-    _, residues = wba._quotient_maps(host, pieces_h)
     coefficients = []
     for d in range(max_degree + 1):
+        _, residues = wba.coset_table(biideal, d)
         n = len(qv.enumerate_paths(q, d))
-        mat = [[residues[d][r * n + c] for c in range(n)] for r in range(n)]
+        mat = [[residues[r * n + c] for c in range(n)] for r in range(n)]
         coefficients.append(mat)
     endpoints = [(a.source, a.target) for a in q.arrows]
     return co.CoactionSpec(side, algebra, coefficients, endpoints)
@@ -166,7 +166,7 @@ def build_uqsgd(q, ideal, side, max_degree):
     comodule_reports = {}
     lemma_reports = {}
     for s in gen_sides:
-        spec = _induced_coaction(q, s, host, pieces_h, algebra, max_degree)
+        spec = _induced_coaction(q, s, biideal, algebra, max_degree)
         induced[s] = spec
         comodule_reports[s] = co.check_comodule_algebra(spec, quotient, algebra,
                                                         max_degree)

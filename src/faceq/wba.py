@@ -6,9 +6,13 @@ quantifies only over identities whose intermediate terms stay inside the
 window, so all verdicts are exact.  The coproducts handled here preserve
 degree in both tensor legs (matrix coalgebras per degree), which is what
 face algebras and their biideal quotients provide.
+
+In degree d the face algebra's basis element x[a;b] has index i_a*n + i_b,
+where i_a and i_b index the n paths of length d in enumeration order.  The
+product table stores nonzero products only, and the axiom and counital
+checks visit only those: they still quantify over every basis pair.
 """
 
-from . import face as fc
 from . import quiver as qv
 from .errors import VerificationError
 from .linalg import Echelon, bump, mat_vec
@@ -20,7 +24,8 @@ class GradedAlgebra:
     """Structure constants of a graded algebra, truncated at max_degree.
 
     product maps (d, i, e, j) to the coordinate dict of u^d_i u^e_j in
-    degree d+e; pairs that multiply to zero are absent.  unit is a degree-0
+    degree d+e; pairs that multiply to zero are absent, and entries are
+    read-only (one may be shared by several keys).  unit is a degree-0
     coordinate dict.
     """
 
@@ -137,51 +142,46 @@ def path_algebra_presentation(q, max_degree):
     return GradedAlgebra(max_degree, labels, product, unit)
 
 
-def _quotient_maps(host, pieces):
-    """Coset bases of per-degree subspaces and residues in coset coordinates.
-
-    nonpivot[d] lists the host columns kept in degree d; residues[d][m] is
-    the image of host basis vector m in the coset basis, so projecting a
-    coordinate dict is mat_vec(residues[d], vec).
-    """
-    nonpivot = []
-    residues = []
-    for d in range(host.max_degree + 1):
-        piv = set(pieces[d].pivots)
-        cols = [m for m in range(host.dim(d)) if m not in piv]
-        pos = {m: i for i, m in enumerate(cols)}
-        nonpivot.append(cols)
-        residues.append([{pos[m]: c for m, c in r.items()} for r in pieces[d].residues()])
-    return nonpivot, residues
-
-
 def from_face_algebra(q, max_degree):
-    """The face algebra of a quiver, tabulated on the faceBasis order."""
-    bases = [fc.face_basis(q, d) for d in range(max_degree + 1)]
-    index = [{m: i for i, m in enumerate(b)} for b in bases]
-    labels = [[fc.monomial_label(q, m) for m in b] for b in bases]
+    """The face algebra of a quiver, tabulated on the faceBasis order.
+
+    Index arithmetic on x[a;b] -> i_a*n + i_b over one path-composition
+    table per degree pair, so only composable pairs are visited.
+    """
     paths = [qv.enumerate_paths(q, d) for d in range(max_degree + 1)]
+    sizes = [len(p) for p in paths]
+    # keys reuse one int object per basis index instead of a fresh int per key
+    ids = [list(range(n * n)) for n in sizes]
+    # products landing on one basis element share its (read-only) unit vector
+    units = [[{i: _ONE} for i in idd] for idd in ids]
+    labels = []
+    for d in range(max_degree + 1):
+        names = [q.path_label(p) for p in paths[d]]
+        labels.append([f"x[{a};{b}]" for a in names for b in names])
     product = {}
     for d in range(max_degree + 1):
         for e in range(max_degree + 1 - d):
-            tgt = index[d + e]
-            for i, m in enumerate(bases[d]):
-                for j, n in enumerate(bases[e]):
-                    prod = fc.monomial_product(q, m, n)
-                    if prod is not None:
-                        product[(d, i, e, j)] = {tgt[prod]: _ONE}
+            nd, ne, nf = sizes[d], sizes[e], sizes[d + e]
+            target = {p: i for i, p in enumerate(paths[d + e])}
+            # compose[a] lists (c, index of a.c) over the paths c that a composes with
+            compose = [[(c, target[ar]) for c, r in enumerate(paths[e])
+                        if (ar := qv.compose_paths(q, a, r)) is not None] for a in paths[d]]
+            for i in range(nd * nd):
+                left, right = compose[i // nd], compose[i % nd]
+                for c, ac in left:
+                    for k, bk in right:
+                        product[(d, ids[d][i], e, ids[e][c * ne + k])] = units[d + e][ac * nf + bk]
     coproduct = {}
     counit = {}
     for d in range(max_degree + 1):
-        idx = index[d]
-        for i, m in enumerate(bases[d]):
-            coproduct[(d, i)] = {
-                (idx[fc.FaceMonomial(m.left, mid)], idx[fc.FaceMonomial(mid, m.right)]): _ONE
-                for mid in paths[d]
-            }
-            if m.left == m.right:
-                counit[(d, i)] = _ONE
-    unit = {i: _ONE for i in range(len(bases[0]))}
+        n, idd = sizes[d], ids[d]
+        for a in range(n):
+            for b in range(n):
+                i = idd[a * n + b]
+                coproduct[(d, i)] = {(idd[a * n + m], idd[m * n + b]): _ONE for m in range(n)}
+                if a == b:
+                    counit[(d, i)] = _ONE
+    unit = {i: _ONE for i in ids[0]}
     return GradedWBA(max_degree, labels, product, unit, coproduct, counit)
 
 
@@ -245,32 +245,48 @@ def _eps_matrices(w):
 
 
 def _failures_delta_multiplicative(w):
+    """Basis pairs (u_i, u_j) with Delta(u_i u_j) != Delta(u_i) Delta(u_j).
+
+    Visits only nonzero products: per degree pair, Delta(u_i) Delta(u_j) is
+    built for all j at once, each nonzero first-leg product u_p u_r meeting
+    only the terms (r, s) of the coproducts Delta(u_j) whose first leg is r.
+    """
+    rows = {}
+    for (d, i, e, j), entry in w.product.items():
+        rows.setdefault((d, e), {}).setdefault(i, {})[j] = entry
     fails = []
     for d in range(w.max_degree + 1):
         for e in range(w.max_degree + 1 - d):
             f = d + e
+            prod = rows.get((d, e), {})
+            first_legs = {}
+            for j in range(w.dim(e)):
+                for (r, s), c in w.coproduct_of(e, j).items():
+                    first_legs.setdefault(r, []).append((j, s, c))
             for i in range(w.dim(d)):
-                da = w.coproduct_of(d, i)
-                for j in range(w.dim(e)):
-                    db = w.coproduct_of(e, j)
-                    lhs = {}
-                    for m, c in w.product_of(d, i, e, j).items():
-                        for pair, cc in w.coproduct_of(f, m).items():
-                            bump(lhs, pair, c * cc)
-                    rhs = {}
-                    for (p, qq), c1 in da.items():
-                        for (r, s), c2 in db.items():
-                            left = w.product.get((d, p, e, r))
-                            if not left:
-                                continue
-                            right = w.product.get((d, qq, e, s))
+                rhs = {}
+                for (p, qq), c1 in w.coproduct_of(d, i).items():
+                    left_row = prod.get(p)
+                    right_row = prod.get(qq)
+                    if not left_row or not right_row:
+                        continue
+                    for r, left in left_row.items():
+                        for j, s, c2 in first_legs.get(r, ()):
+                            right = right_row.get(s)
                             if not right:
                                 continue
+                            out = rhs.setdefault(j, {})
                             c12 = c1 * c2
                             for m, cm in left.items():
                                 for n, cn in right.items():
-                                    bump(rhs, (m, n), c12 * cm * cn)
-                    if lhs != rhs:
+                                    bump(out, (m, n), c12 * cm * cn)
+                row = prod.get(i, {})
+                for j in sorted(row.keys() | rhs.keys()):
+                    lhs = {}
+                    for m, c in row.get(j, {}).items():
+                        for pair, cc in w.coproduct_of(f, m).items():
+                            bump(lhs, pair, c * cc)
+                    if lhs != rhs.get(j, {}):
                         fails.append([w.label_of(d, i), w.label_of(e, j)])
     return fails
 
@@ -452,37 +468,28 @@ def check_associativity(w):
     return fails
 
 
-def counital_image(w, side, d, u, split):
-    """Apply the source or target counital map to a degree-d coordinate dict.
-
-    split is the coproduct of the unit, w.delta_one().
-    """
-    out = {}
-    for (i, j), c in split.items():
-        if side == "source":
-            val = w.eps(d, w.multiply(d, u, 0, {j: _ONE}))
-            if val:
-                bump(out, i, c * val)
-        else:
-            val = w.eps(d, w.multiply(0, {i: _ONE}, d, u))
-            if val:
-                bump(out, j, c * val)
-    return out
-
-
 def counital_subalgebra(w, side):
     """Canonical degree-0 subspace spanned by counital images of all basis elements.
 
-    Computed once per side and kept on w.
+    With Delta(1) = sum c u_i (x) u_j, the source image of u_v is
+    sum c eps(u_v u_j) u_i and the target image is sum c eps(u_i u_v) u_j,
+    read off the eps(u_a u_b) table.  Computed once per side and kept on w.
     """
     if side not in ("source", "target"):
         raise ValueError(f"side must be 'source' or 'target', got {side!r}")
     if side not in w.counital_subalgebras:
+        source = side == "source"
         split = w.delta_one()
+        eps = _eps_matrices(w)
         ech = Echelon(w.dim(0))
         for d in range(w.max_degree + 1):
-            for v in range(w.dim(d)):
-                vec = counital_image(w, side, d, {v: _ONE}, split)
+            table = eps.get((d, 0) if source else (0, d), {})
+            for v in sorted({key[0] if source else key[1] for key in table}):
+                vec = {}
+                for (i, j), c in split.items():
+                    val = table.get((v, j) if source else (i, v))
+                    if val:
+                        bump(vec, i if source else j, c * val)
                 if vec:
                     ech.add(vec)
         w.counital_subalgebras[side] = ech.finalize()
@@ -511,6 +518,7 @@ class BiidealGens:
             gens.append((d, vec))
         self.generators = tuple(gens)
         self._pieces = {}
+        self._cosets = {}
 
 
 def biideal_graded_pieces(b, d):
@@ -557,6 +565,22 @@ def biideal_graded_pieces(b, d):
     piece = ech.finalize()
     b._pieces[d] = piece
     return piece
+
+
+def coset_table(b, d):
+    """(nonpivot, residues) of the degree-d piece, computed once and kept on b.
+
+    nonpivot lists the host columns kept as the coset basis; residues[m] is
+    host basis vector m in coset coordinates, so projecting a coordinate
+    dict is mat_vec(residues, vec).
+    """
+    if d not in b._cosets:
+        piece = biideal_graded_pieces(b, d)
+        piv = set(piece.pivots)
+        cols = [m for m in range(b.host.dim(d)) if m not in piv]
+        pos = {m: i for i, m in enumerate(cols)}
+        b._cosets[d] = (cols, [{pos[m]: c for m, c in r.items()} for r in piece.residues()])
+    return b._cosets[d]
 
 
 def check_biideal(b, max_degree):
@@ -606,8 +630,7 @@ def quotient_wba(b, report=None):
     if not report["passed"]:
         raise VerificationError("biideal verification failed; not a quotient weak bialgebra",
                                 report)
-    pieces = [biideal_graded_pieces(b, d) for d in range(w.max_degree + 1)]
-    nonpivot, residues = _quotient_maps(w, pieces)
+    nonpivot, residues = zip(*(coset_table(b, d) for d in range(w.max_degree + 1)))
     labels = [[w.labels[d][m] for m in nonpivot[d]] for d in range(w.max_degree + 1)]
     product = {}
     for d in range(w.max_degree + 1):

@@ -73,6 +73,19 @@ def test_malformed_quiver_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("name", ["a.b", "", "x;y"])
+def test_ambiguous_arrow_name_exits_2(tmp_path, name):
+    doc = {"vertices": ["v"], "arrows": [
+        {"name": "a", "source": "v", "target": "v"},
+        {"name": "b", "source": "v", "target": "v"},
+        {"name": name, "source": "v", "target": "v"}]}
+    quiver = write_json(tmp_path / "q.json", doc)
+    code, out = run_doc(tmp_path, ["face", "--quiver", quiver, "--max-degree", "2"])
+    assert code == 2
+    assert out["passed"] is False
+    assert out["error"].startswith(f"bad arrow name {name!r}")
+
+
 def test_verify_three_cycle(tmp_path):
     quiver = write_json(tmp_path / "q.json", THREE_CYCLE_DOC)
     code, doc = run_doc(tmp_path, ["verify", "--quiver", quiver,

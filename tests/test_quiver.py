@@ -63,6 +63,30 @@ def test_parse_duplicate_arrow_name():
             {"name": "a", "source": "v", "target": "v"}]})
 
 
+BAD_NAMES = ["", "a.b", "x;y", "x[1", "y]", "a b", "a\tb", "e:a", 7]
+
+
+@pytest.mark.parametrize("name", BAD_NAMES, ids=repr)
+def test_parse_rejects_bad_arrow_names(name):
+    with pytest.raises(ParseError, match="bad arrow name"):
+        qv.parse_quiver({"vertices": ["v"], "arrows": [
+            {"name": name, "source": "v", "target": "v"}]})
+
+
+@pytest.mark.parametrize("name", BAD_NAMES, ids=repr)
+def test_parse_rejects_bad_vertex_names(name):
+    with pytest.raises(ParseError, match="bad vertex name|must be a list of strings"):
+        qv.parse_quiver({"vertices": [name], "arrows": []})
+
+
+def test_name_grammar_guards_the_constructor():
+    with pytest.raises(ParseError, match="bad arrow name"):
+        qv.Quiver(["v"], [("a.b", 0, 0)])
+    starred = qv.parse_quiver({"vertices": ["v", "e"], "arrows": [
+        {"name": "p1*", "source": "v", "target": "e"}]})
+    assert qv.double_quiver(starred).arrows[1].name == "p1**"
+
+
 def test_enumerate_two_loop_degree_three():
     assert len(qv.enumerate_paths(two_loop(), 3)) == 8
 

@@ -3,14 +3,17 @@
 from fractions import Fraction
 from math import comb
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from faceq import face as fc
+from faceq import quiver as qv
 from faceq import wba
 from faceq.errors import VerificationError
-from faceq.linalg import Subspace, subspace_equal
+from faceq.linalg import Echelon, Subspace, bump, subspace_equal
 
-from fleet import kronecker, one_loop, q_bullets, three_cycle, two_loop
+from fleet import FLEET, kronecker, one_loop, q_bullets, three_cycle, two_loop
 
 ONE = Fraction(1)
 
@@ -237,3 +240,209 @@ def test_check_biideal_rejects_degrees_beyond_truncation():
     b = wba.BiidealGens(host, [])
     with pytest.raises(ValueError):
         wba.check_biideal(b, 3)
+
+
+def face_tables(q, max_degree):
+    """h(Q) tables rebuilt from the object arithmetic of faceq.face, in
+    (d, i, e, j) order: the oracle for wba.from_face_algebra."""
+    bases = [fc.face_basis(q, d) for d in range(max_degree + 1)]
+    index = [{m: i for i, m in enumerate(b)} for b in bases]
+    labels = [[fc.monomial_label(q, m) for m in b] for b in bases]
+
+    def element(m):
+        return fc.FaceElement(q, {m: 1})
+
+    product = {}
+    for d in range(max_degree + 1):
+        for e in range(max_degree + 1 - d):
+            for i, m in enumerate(bases[d]):
+                for j, n in enumerate(bases[e]):
+                    prod = fc.face_multiply(element(m), element(n))
+                    if not prod.is_zero():
+                        product[(d, i, e, j)] = {index[d + e][k]: c
+                                                 for k, c in prod.terms.items()}
+    coproduct = {}
+    counit = {}
+    for d in range(max_degree + 1):
+        for i, m in enumerate(bases[d]):
+            coproduct[(d, i)] = {(index[d][a], index[d][b]): c for (a, b), c
+                                 in fc.face_coproduct(element(m)).terms.items()}
+            if fc.face_counit(element(m)):
+                counit[(d, i)] = fc.face_counit(element(m))
+    unit = {index[0][m]: c for m, c in fc.face_unit(q).terms.items()}
+    return labels, product, coproduct, counit, unit
+
+
+def oracle_window(q, cap=3, max_paths=36):
+    """Largest degree <= cap whose path counts stay small enough for the oracle."""
+    top = 0
+    while top < cap and qv.path_count(q, top + 1) <= max_paths:
+        top += 1
+    return top
+
+
+def fleet_variants():
+    for name, make in FLEET.items():
+        q = make()
+        yield name, q
+        yield f"{name}-opposite", qv.opposite_quiver(q)
+        if not any(a.name.endswith("*") for a in q.arrows):
+            yield f"{name}-double", qv.double_quiver(q)
+
+
+@pytest.mark.parametrize("q", [q for _, q in fleet_variants()],
+                         ids=[name for name, _ in fleet_variants()])
+def test_from_face_algebra_matches_object_arithmetic(q):
+    top = oracle_window(q)
+    labels, product, coproduct, counit, unit = face_tables(q, top)
+    for deg in range(top + 1):
+        w = wba.from_face_algebra(q, deg)
+        assert w.labels == labels[:deg + 1]
+        # item lists pin the (d, i, e, j) insertion order as well
+        assert list(w.product.items()) == [(k, v) for k, v in product.items()
+                                           if k[0] + k[2] <= deg]
+        assert list(w.coproduct.items()) == [(k, v) for k, v in coproduct.items()
+                                             if k[0] <= deg]
+        assert list(w.counit.items()) == [(k, v) for k, v in counit.items() if k[0] <= deg]
+        assert w.unit == unit
+
+
+def pairwise_delta_multiplicative(w):
+    """Every basis pair, every coproduct term pair: the reference loop."""
+    fails = []
+    for d in range(w.max_degree + 1):
+        for e in range(w.max_degree + 1 - d):
+            f = d + e
+            for i in range(w.dim(d)):
+                da = w.coproduct_of(d, i)
+                for j in range(w.dim(e)):
+                    db = w.coproduct_of(e, j)
+                    lhs = {}
+                    for m, c in w.product_of(d, i, e, j).items():
+                        for pair, cc in w.coproduct_of(f, m).items():
+                            bump(lhs, pair, c * cc)
+                    rhs = {}
+                    for (p, qq), c1 in da.items():
+                        for (r, s), c2 in db.items():
+                            left = w.product.get((d, p, e, r))
+                            if not left:
+                                continue
+                            right = w.product.get((d, qq, e, s))
+                            if not right:
+                                continue
+                            for m, cm in left.items():
+                                for n, cn in right.items():
+                                    bump(rhs, (m, n), c1 * c2 * cm * cn)
+                    if lhs != rhs:
+                        fails.append([w.label_of(d, i), w.label_of(e, j)])
+    return fails
+
+
+def counital_image(w, side, d, u, split):
+    """Source or target counital map of a degree-d coordinate dict, by
+    multiplying against each leg of split = w.delta_one(): the reference."""
+    out = {}
+    for (i, j), c in split.items():
+        if side == "source":
+            val = w.eps(d, w.multiply(d, u, 0, {j: ONE}))
+            if val:
+                bump(out, i, c * val)
+        else:
+            val = w.eps(d, w.multiply(0, {i: ONE}, d, u))
+            if val:
+                bump(out, j, c * val)
+    return out
+
+
+def counital_reference(w, side):
+    split = w.delta_one()
+    ech = Echelon(w.dim(0))
+    for d in range(w.max_degree + 1):
+        for v in range(w.dim(d)):
+            vec = counital_image(w, side, d, {v: ONE}, split)
+            if vec:
+                ech.add(vec)
+    return ech.finalize()
+
+
+SMALL_PRESENTATIONS = [
+    lambda: wba.from_face_algebra(one_loop(), 3),
+    lambda: wba.from_face_algebra(two_loop(), 2),
+    lambda: wba.from_face_algebra(q_bullets(), 1),
+    lambda: wba.from_face_algebra(kronecker(), 2),
+    lambda: wba.from_face_algebra(three_cycle(), 2),
+    lambda: wba.direct_sum(wba.bialgebra_d(1), wba.bialgebra_d(1)),
+]
+
+SCALARS = st.one_of(st.integers(-3, 3),
+                    st.fractions(min_value=-2, max_value=2, max_denominator=4))
+
+
+def _set_entry(table, key, sub, value):
+    entry = dict(table.get(key, {}))
+    if value:
+        entry[sub] = value
+    else:
+        entry.pop(sub, None)
+    if entry:
+        table[key] = entry
+    else:
+        table.pop(key, None)
+
+
+@st.composite
+def corrupted_presentations(draw):
+    """A small presentation with a few product or coproduct entries overwritten."""
+    w = draw(st.sampled_from(SMALL_PRESENTATIONS))()
+    top = w.max_degree
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.integers(0, top))
+        if draw(st.booleans()):
+            e = draw(st.integers(0, top - d))
+            if not (w.dim(d) and w.dim(e) and w.dim(d + e)):
+                continue
+            i = draw(st.integers(0, w.dim(d) - 1))
+            j = draw(st.integers(0, w.dim(e) - 1))
+            m = draw(st.integers(0, w.dim(d + e) - 1))
+            _set_entry(w.product, (d, i, e, j), m, draw(SCALARS))
+        else:
+            if not w.dim(d):
+                continue
+            i, j, k = (draw(st.integers(0, w.dim(d) - 1)) for _ in range(3))
+            _set_entry(w.coproduct, (d, i), (j, k), draw(SCALARS))
+    return w
+
+
+@settings(max_examples=80, deadline=None)
+@given(corrupted_presentations())
+def test_sparse_checks_match_pairwise_oracles(w):
+    assert wba._failures_delta_multiplicative(w) == pairwise_delta_multiplicative(w)
+    for side in ("source", "target"):
+        assert wba.counital_subalgebra(w, side) == counital_reference(w, side)
+
+
+def test_checks_match_oracles_on_fleet_hosts():
+    for make in FLEET.values():
+        w = wba.from_face_algebra(make(), 2)
+        assert wba._failures_delta_multiplicative(w) == pairwise_delta_multiplicative(w) == []
+        for side in ("source", "target"):
+            assert wba.counital_subalgebra(w, side) == counital_reference(w, side)
+
+
+def test_scaled_product_fails_delta_multiplicative():
+    w = wba.from_face_algebra(two_loop(), 2)
+    i = w.labels[1].index("x[t1;t2]")
+    j = w.labels[1].index("x[t2;t1]")
+    ((m, c),) = w.product[(1, i, 1, j)].items()
+    w.product[(1, i, 1, j)] = {m: 2 * c}
+    report = wba.check_axioms(w)
+    assert not report["passed"]
+    # the product lands off the diagonal, so only this row can see it
+    assert [row["status"] for row in report["checks"]] == ["fail"] + ["pass"] * 4
+    assert report["checks"][0] == {
+        "axiom": "delta-multiplicative",
+        "status": "fail",
+        "witnesses": [["x[t1;t1]", "x[t2;t1]"], ["x[t1;t1]", "x[t2;t2]"],
+                      ["x[t1;t2]", "x[t1;t1]"]],
+    }
+    assert len(wba._failures_delta_multiplicative(w)) == 7
