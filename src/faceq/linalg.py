@@ -8,9 +8,10 @@ scalar.  Subspaces are kept in reduced row echelon form, which is
 canonical, so two subspaces are equal iff their stored bases are identical.
 
 Internally, rows are scaled to integers and reduced by cross-multiplication
-(a fraction-free Gaussian elimination) with gcd cleanup after every step;
-Fractions only reappear when a finished basis is normalized to pivot 1 and
-a lead does not divide its row.
+(a fraction-free Gaussian elimination) with gcd cleanup after every step.
+Back-substitution runs from the last pivot to the first, so every row used
+to clear a pivot column is already clean.  Fractions only reappear when a
+finished basis is normalized to pivot 1 and a lead does not divide its row.
 """
 
 from fractions import Fraction
@@ -76,8 +77,8 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
 
 
-def _int_row(row):
-    """Clear denominators and divide out content, returning an int-valued dict."""
+def int_row(row):
+    """The primitive int-valued positive multiple of row, zero entries dropped."""
     ints = {c: x for c, x in row.items() if x}
     if any(type(x) is not int for x in ints.values()):
         denom_lcm = 1
@@ -131,7 +132,7 @@ class Echelon:
 
     def add(self, row):
         """Insert a sparse row (Fraction or int values). True iff rank grew."""
-        work = _int_row(row)
+        work = int_row(row)
         while work:
             col = min(work)
             piv = self.pivot_rows.get(col)
@@ -144,20 +145,22 @@ class Echelon:
         return False
 
     def finalize(self):
-        """Full Gauss-Jordan cleanup; returns the canonical Subspace."""
+        """Back-substitution, last pivot first; returns the canonical Subspace.
+
+        Each row clears the later pivot columns it holds with rows that are
+        already clean (pivot plus non-pivot columns), so none comes back.
+        """
         pivots = sorted(self.pivot_rows)
-        rows = dict(self.pivot_rows)
-        for p in pivots:
-            piv = rows[p]
-            for q in pivots:
-                if q == p:
-                    continue
-                other = rows[q]
-                if p in other:
-                    rows[q] = _combine(piv[p], other, other[p], piv)
+        clean = {}
+        for p in reversed(pivots):
+            row = self.pivot_rows[p]
+            for q in [c for c in row if c in clean]:
+                piv = clean[q]
+                row = _combine(piv[q], row, row[q], piv)
+            clean[p] = row
         basis = []
         for p in pivots:
-            row = rows[p]
+            row = clean[p]
             lead = row[p]
             basis.append({c: v // lead if v % lead == 0 else Fraction(v, lead)
                           for c, v in row.items()})

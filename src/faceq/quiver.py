@@ -28,11 +28,12 @@ class Path(NamedTuple):
 
 
 def _check_name(kind, name):
-    """Reject names that would make path or face-monomial labels (e:v, a.b, x[a;b]) ambiguous."""
-    if (not isinstance(name, str) or not name or name.startswith("e:")
+    """Reject names that would make path or face-monomial labels (e:v, a.b, x[a;b])
+    ambiguous, or a bare label '+' read as the ' + ' between 'coeff * label' terms."""
+    if (not isinstance(name, str) or name in ("", "+") or name.startswith("e:")
             or any(ch in ".;[]" or ch.isspace() for ch in name)):
-        raise ParseError(f"bad {kind} name {name!r}: names must be nonempty, must not "
-                         "start with 'e:' and must not contain whitespace or . ; [ ]")
+        raise ParseError(f"bad {kind} name {name!r}: names must be nonempty and not '+', must "
+                         "not start with 'e:' and must not contain whitespace or . ; [ ]")
 
 
 class Quiver:

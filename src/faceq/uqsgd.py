@@ -64,22 +64,19 @@ class UQSGdResult:
     quotient_dims: list = field(default_factory=list)
 
 
-def _face_coords(q, elem, degree, index=None):
-    if index is None:
-        index = {m: i for i, m in enumerate(fc.face_basis(q, degree))}
-    return {index[m]: c for m, c in elem.terms.items()}
+def _face_coords(path_index, elem):
+    """Face-element coordinates: x[a;b] has index i_a*n + i_b over n paths."""
+    n = len(path_index)
+    return {path_index[m.left] * n + path_index[m.right]: c for m, c in elem.terms.items()}
 
 
-def _check_descent(q, ideal, host, pieces_h, algebra_pieces, sides, max_degree):
+def _check_descent(pieces_h, algebra_pieces, sides):
     """The canonical coaction must kill ideal elements after both projections."""
     fails = {side: [] for side in sides}
-    for d in range(max_degree + 1):
-        piece_a = algebra_pieces[d]
+    for d, piece_a in enumerate(algebra_pieces):
         if not piece_a.dim:
             continue
-        paths = qv.enumerate_paths(q, d)
-        face_index = {m: i for i, m in enumerate(fc.face_basis(q, d))}
-        n = len(paths)
+        n = piece_a.ambient_dim
         res_a = piece_a.residues()
         res_h = pieces_h[d].residues()
         for r, row in enumerate(piece_a.basis):
@@ -87,10 +84,7 @@ def _check_descent(q, ideal, host, pieces_h, algebra_pieces, sides, max_degree):
                 image = {}
                 for p_idx, cp in row.items():
                     for c_idx in range(n):
-                        if side == "left":
-                            mono = face_index[fc.FaceMonomial(paths[p_idx], paths[c_idx])]
-                        else:
-                            mono = face_index[fc.FaceMonomial(paths[c_idx], paths[p_idx])]
+                        mono = p_idx * n + c_idx if side == "left" else c_idx * n + p_idx
                         hvec = res_h[mono]
                         avec = res_a[c_idx]
                         if not hvec or not avec:
@@ -131,13 +125,13 @@ def build_uqsgd(q, ideal, side, max_degree):
         raise ValueError(f"side must be one of {RESULT_SIDES}, got {side!r}")
     qd = pa.quadratic_data(ideal)
     host = wba.from_face_algebra(q, max_degree)
-    face2_index = {m: i for i, m in enumerate(fc.face_basis(q, 2))}
+    path2_index = {p: i for i, p in enumerate(qv.enumerate_paths(q, 2))}
 
     gen_sides = ("left", "right") if side == "trans" else (side,)
     generators = []
     for s in gen_sides:
         for elem in coaction_relations(qd, s):
-            generators.append((2, _face_coords(q, elem, 2, face2_index)))
+            generators.append((2, _face_coords(path2_index, elem)))
     biideal = wba.BiidealGens(host, generators)
 
     breport = wba.check_biideal(biideal, max_degree)
@@ -150,8 +144,7 @@ def build_uqsgd(q, ideal, side, max_degree):
 
     pieces_h = [wba.biideal_graded_pieces(biideal, d) for d in range(max_degree + 1)]
     algebra_pieces = [pa.ideal_graded_piece(ideal, d) for d in range(max_degree + 1)]
-    descent = _check_descent(q, ideal, host, pieces_h, algebra_pieces, gen_sides,
-                             max_degree)
+    descent = _check_descent(pieces_h, algebra_pieces, gen_sides)
     descent_report = {
         "passed": not any(descent.values()),
         "checks": [wba._row(f"coaction-descends-{s}", descent[s], key="check")
@@ -230,15 +223,17 @@ def check_quadratic_dualities(q, ideal, max_degree):
 
     pieces = {}
     dims = {}
+    ambient = {}
     for label, quiver, data in (("base", q, qd), ("dual", opp, qdual)):
         host = wba.from_face_algebra(quiver, max_degree)
-        index = {m: i for i, m in enumerate(fc.face_basis(quiver, 2))}
+        index = {p: i for i, p in enumerate(qv.enumerate_paths(quiver, 2))}
+        ambient[label] = len(index) ** 2
         for side in RESULT_SIDES:
             gen_sides = ("left", "right") if side == "trans" else (side,)
             gens = []
             for s in gen_sides:
                 gens.extend(coaction_relations(data, s))
-            b = wba.BiidealGens(host, [(2, _face_coords(quiver, g, 2, index))
+            b = wba.BiidealGens(host, [(2, _face_coords(index, g))
                                        for g in gens])
             per_degree = [wba.biideal_graded_pieces(b, d) for d in range(max_degree + 1)]
             pieces[(side, label)] = per_degree[2]
@@ -247,11 +242,8 @@ def check_quadratic_dualities(q, ideal, max_degree):
 
     star = _star_index_map(q)
     swap = _swap_index_map(q)
-    ambient_dual = len(fc.face_basis(opp, 2))
-    ambient_base = len(fc.face_basis(q, 2))
-
-    def transported_equal(src, mapping, ambient, dst):
-        return subspace_equal(_transport(src, mapping, ambient), dst)
+    def transported_equal(src, mapping, target, dst):
+        return subspace_equal(_transport(src, mapping, ambient[target]), dst)
 
     rows = []
 
@@ -261,22 +253,22 @@ def check_quadratic_dualities(q, ideal, max_degree):
                      else [detail]})
 
     add_row("a-star-left-onto-dual-right",
-            transported_equal(pieces[("left", "base")], star, ambient_dual,
+            transported_equal(pieces[("left", "base")], star, "dual",
                               pieces[("right", "dual")]),
             dims[("left", "base")] == dims[("right", "dual")],
             "left piece of the base vs right piece of the dual")
     add_row("b-star-right-onto-dual-left",
-            transported_equal(pieces[("right", "base")], star, ambient_dual,
+            transported_equal(pieces[("right", "base")], star, "dual",
                               pieces[("left", "dual")]),
             dims[("right", "base")] == dims[("left", "dual")],
             "right piece of the base vs left piece of the dual")
     add_row("c-swap-left-onto-right",
-            transported_equal(pieces[("left", "base")], swap, ambient_base,
+            transported_equal(pieces[("left", "base")], swap, "base",
                               pieces[("right", "base")]),
             dims[("left", "base")] == dims[("right", "base")],
             "left piece vs right piece under swap")
     add_row("d-star-trans-onto-dual-trans",
-            transported_equal(pieces[("trans", "base")], star, ambient_dual,
+            transported_equal(pieces[("trans", "base")], star, "dual",
                               pieces[("trans", "dual")]),
             dims[("trans", "base")] == dims[("trans", "dual")],
             "transposed piece of the base vs transposed piece of the dual")

@@ -15,7 +15,7 @@ checks visit only those: they still quantify over every basis pair.
 
 from . import quiver as qv
 from .errors import VerificationError
-from .linalg import Echelon, bump, mat_vec
+from .linalg import Echelon, bump, int_row, mat_vec
 
 _ONE = 1
 
@@ -525,9 +525,11 @@ def biideal_graded_pieces(b, d):
     """Degree-d piece of the two-sided ideal generated by b, as a Subspace.
 
     One-step spanning from degree d-1 by all degree-1 basis elements on both
-    sides, plus degree-d generators, then two-sided saturation by degree-0
-    basis elements until the rank stabilizes.  Complete because the hosts
-    here are generated in degrees 0 and 1.
+    sides, plus degree-d generators; complete because the hosts here are
+    generated in degrees 0 and 1.  Two-sided saturation by degree-0 basis
+    elements runs only in degrees with generators: elsewhere the piece
+    H_1 I_{d-1} + I_{d-1} H_1 is already H_0-stable, as z(ar) = (za)r and
+    z(ra) = (zr)a with za in H_1 and zr in I_{d-1}, and likewise on the right.
     """
     if d in b._pieces:
         return b._pieces[d]
@@ -535,12 +537,12 @@ def biideal_graded_pieces(b, d):
     if d > w.max_degree:
         raise ValueError(f"degree {d} exceeds the host truncation {w.max_degree}")
     ech = Echelon(w.dim(d))
-    for gd, vec in b.generators:
-        if gd == d:
-            ech.add(vec)
+    gens = [vec for gd, vec in b.generators if gd == d]
+    for vec in gens:
+        ech.add(vec)
     if d >= 1:
         prev = biideal_graded_pieces(b, d - 1)
-        for row in prev.basis:
+        for row in map(int_row, prev.basis):
             for a in range(w.dim(1)):
                 arrow = {a: _ONE}
                 left = w.multiply(1, arrow, d - 1, row)
@@ -549,7 +551,7 @@ def biideal_graded_pieces(b, d):
                 right = w.multiply(d - 1, row, 1, arrow)
                 if right:
                     ech.add(right)
-    while True:
+    while gens:
         before = ech.rank
         for row in ech.rows():
             for z in range(w.dim(0)):

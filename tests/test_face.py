@@ -3,9 +3,12 @@
 from fractions import Fraction
 import random
 
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 import pytest
 
 from faceq import face as fc
+from faceq import pathalg as pa
 from faceq import quiver as qv
 from faceq.errors import ParseError
 from faceq.linalg import Subspace, subspace_equal
@@ -287,3 +290,78 @@ def test_parse_element_errors():
         fc.parse_element(q, "two * x[p1;p1]")
     with pytest.raises(ParseError, match="must be given as a string"):
         fc.parse_element(q, 7)
+
+
+# Short names over characters the name grammar allows inside a name, with
+# '*', '+', ':' and '/' among them; the constructor rejects the rest ('+'
+# alone, an 'e:' prefix), so every quiver it builds must round-trip.
+NAME_CHARS = "abex019*+:/-_é"
+names = st.text(alphabet=NAME_CHARS, min_size=1, max_size=4)
+
+
+@st.composite
+def named_quivers(draw):
+    vertices = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+    ends = st.integers(min_value=0, max_value=len(vertices) - 1)
+    arrows = [(name, draw(ends), draw(ends))
+              for name in draw(st.lists(names, max_size=4, unique=True))]
+    try:
+        return qv.Quiver(vertices, arrows)
+    except ParseError:
+        reject()
+
+
+def codec_variants(q):
+    """q, its opposite and, unless a reversed name clashes, its double."""
+    yield q
+    yield qv.opposite_quiver(q)
+    names = {a.name for a in q.arrows}
+    if not any(a.name + "*" in names for a in q.arrows):
+        yield qv.double_quiver(q)
+
+
+nonzero_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(named_quivers(), st.data())
+def test_face_text_round_trips_on_random_quivers(q, data):
+    for v in codec_variants(q):
+        monos = [fc.FaceMonomial(a, b) for d in range(3)
+                 for a in qv.enumerate_paths(v, d) for b in qv.enumerate_paths(v, d)]
+        picks = st.sampled_from(monos)
+        x = fc.FaceElement(v, data.draw(st.dictionaries(picks, nonzero_rationals, max_size=4)))
+        text = fc.format_element(x)
+        assert fc.parse_element(v, text) == x
+        assert fc.format_element(fc.parse_element(v, text)) == text
+        m = data.draw(picks)
+        assert fc.parse_element(v, fc.monomial_label(v, m)) == fc.FaceElement(v, {m: 1})
+
+
+def parse_path_text(q, text):
+    """Read format_path_element's 'coeff * label' terms back with parse_path."""
+    if text == "0":
+        return pa.PathElement(q, {})
+    terms = []
+    for part in text.split(" + "):
+        coeff, _, label = part.partition(" * ")
+        terms.append((fc.parse_path(q, label), Fraction(coeff)))
+    return pa.PathElement(q, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(named_quivers(), st.data())
+def test_path_text_round_trips_on_random_quivers(q, data):
+    for v in codec_variants(q):
+        paths = [p for d in range(3) for p in qv.enumerate_paths(v, d)]
+        for p in paths:
+            assert fc.parse_path(v, v.path_label(p)) == p
+        x = pa.PathElement(v, data.draw(st.dictionaries(st.sampled_from(paths),
+                                                        nonzero_rationals, max_size=4)))
+        text = pa.format_path_element(x)
+        assert parse_path_text(v, text) == x
+        assert pa.format_path_element(parse_path_text(v, text)) == text
+        # the relations document the CLI reads spells the same paths step by step
+        doc = [[{"coeff": str(c), "path": v.path_label(p).split(".")}
+                for p, c in x.terms.items()]]
+        assert pa.parse_relations(doc, v) == [x]

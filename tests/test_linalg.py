@@ -1,6 +1,7 @@
 """Exact sparse linear algebra: echelon forms, null spaces, canonical subspaces."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -223,3 +224,92 @@ def test_finalize_keeps_ints_where_integral(case):
         for x in row.values():
             assert type(x) in (int, Fraction)
             assert (type(x) is int) == (x.denominator == 1)
+
+
+def _int_combine(a, row, b, piv):
+    """a*row - b*piv over ints, divided by the gcd of its entries."""
+    out = {c: a * v for c, v in row.items()}
+    for c, v in piv.items():
+        w = out.get(c, 0) - b * v
+        if w:
+            out[c] = w
+        else:
+            out.pop(c, None)
+    g = gcd(*out.values()) if out else 0
+    return {c: v // g for c, v in out.items()} if g > 1 else out
+
+
+def ascending_gauss_jordan(ech):
+    """Reference back-substitution: every (p, q) pivot pair in ascending
+    order, clearing column p from row q with row p as it stands, then pivots
+    normalized to 1.  Returns (basis, pivots) as finalize() should."""
+    pivots = sorted(ech.pivot_rows)
+    rows = dict(ech.pivot_rows)
+    for p in pivots:
+        piv = rows[p]
+        for q in pivots:
+            if q != p and p in rows[q]:
+                rows[q] = _int_combine(piv[p], rows[q], rows[q][p], piv)
+    basis = []
+    for p in pivots:
+        lead = rows[p][p]
+        basis.append({c: v // lead if v % lead == 0 else Fraction(v, lead)
+                      for c, v in rows[p].items()})
+    return tuple(basis), tuple(pivots)
+
+
+def entry_types(basis):
+    return [{c: type(x) for c, x in row.items()} for row in basis]
+
+
+int_or_fraction = st.one_of(st.integers(min_value=-6, max_value=6),
+                            st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@st.composite
+def echelon_inputs(draw, max_cols=10, max_rows=8):
+    """Sparse int and Fraction rows, rows dense from some column on (they carry
+    many later pivot columns), and dependent rows combined from earlier ones."""
+    cols = draw(st.integers(min_value=1, max_value=max_cols))
+    sparse = st.dictionaries(st.integers(min_value=0, max_value=cols - 1),
+                             int_or_fraction, max_size=4)
+    tail = st.integers(min_value=0, max_value=cols - 1).flatmap(
+        lambda start: st.lists(int_or_fraction, min_size=cols - start,
+                               max_size=cols - start).map(
+            lambda vals: {start + k: v for k, v in enumerate(vals)}))
+    rows = draw(st.lists(st.one_of(sparse, tail), max_size=max_rows))
+    for _ in range(draw(st.integers(min_value=0, max_value=3)) if rows else 0):
+        picks = draw(st.lists(st.tuples(st.integers(min_value=0, max_value=len(rows) - 1),
+                                        int_or_fraction), min_size=1, max_size=3))
+        combo = {}
+        for i, s in picks:
+            for c, x in rows[i].items():
+                combo[c] = combo.get(c, 0) + s * x
+        rows.append(combo)
+    return cols, rows
+
+
+def _finalize_against_oracle(cols, rows):
+    ech = Echelon(cols)
+    for row in rows:
+        ech.add(row)
+    basis, pivots = ascending_gauss_jordan(ech)
+    sub = ech.finalize()
+    assert sub.pivots == pivots
+    assert sub.basis == basis
+    assert entry_types(sub.basis) == entry_types(basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(echelon_inputs())
+def test_finalize_matches_ascending_gauss_jordan(case):
+    _finalize_against_oracle(*case)
+
+
+def test_finalize_matches_oracle_when_rows_hold_every_later_pivot():
+    n = 9
+    rows = [{j: Fraction(j + 1, i + 2) if (i + j) % 3 else j - i + 1 for j in range(i, n)}
+            for i in range(n)]
+    _finalize_against_oracle(n, rows)
+    wide = [{**row, **{n + k: k - i for k in range(3)}} for i, row in enumerate(rows)]
+    _finalize_against_oracle(n + 3, wide)

@@ -63,7 +63,7 @@ def test_parse_duplicate_arrow_name():
             {"name": "a", "source": "v", "target": "v"}]})
 
 
-BAD_NAMES = ["", "a.b", "x;y", "x[1", "y]", "a b", "a\tb", "e:a", 7]
+BAD_NAMES = ["", "a.b", "x;y", "x[1", "y]", "a b", "a\tb", "e:a", "+", 7]
 
 
 @pytest.mark.parametrize("name", BAD_NAMES, ids=repr)

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 import pytest
 
 from faceq import face as fc
+from faceq import pathalg as pa
 from faceq import quiver as qv
+from faceq import uqsgd as uq
 from faceq import wba
 from faceq.errors import VerificationError
 from faceq.linalg import Echelon, Subspace, bump, subspace_equal
 
-from fleet import FLEET, kronecker, one_loop, q_bullets, three_cycle, two_loop
+from conftest import commutator_ideal
+from fleet import FLEET, kronecker, one_loop, q_bullets, three_cycle, three_loop, two_loop
 
 ONE = Fraction(1)
 
@@ -446,3 +449,104 @@ def test_scaled_product_fails_delta_multiplicative():
                       ["x[t1;t2]", "x[t1;t1]"]],
     }
     assert len(wba._failures_delta_multiplicative(w)) == 7
+
+
+def saturated_pieces(b, max_degree):
+    """Reference biideal pieces: one-step spanning as in biideal_graded_pieces,
+    followed in every degree by two-sided saturation with degree-0 basis
+    elements until the rank stabilizes."""
+    w = b.host
+    pieces = []
+    for d in range(max_degree + 1):
+        ech = Echelon(w.dim(d))
+        for gd, vec in b.generators:
+            if gd == d:
+                ech.add(vec)
+        if d >= 1:
+            for row in pieces[d - 1].basis:
+                for a in range(w.dim(1)):
+                    ech.add(w.multiply(1, {a: 1}, d - 1, row))
+                    ech.add(w.multiply(d - 1, row, 1, {a: 1}))
+        while True:
+            before = ech.rank
+            for row in ech.rows():
+                for z in range(w.dim(0)):
+                    ech.add(w.multiply(0, {z: 1}, d, row))
+                    ech.add(w.multiply(d, row, 0, {z: 1}))
+            if ech.rank == before:
+                break
+        pieces.append(ech.finalize())
+    return pieces
+
+
+def assert_pieces_match(b, max_degree):
+    for d, expect in enumerate(saturated_pieces(b, max_degree)):
+        piece = wba.biideal_graded_pieces(b, d)
+        assert piece.pivots == expect.pivots, d
+        assert piece.basis == expect.basis, d
+        assert ([{c: type(x) for c, x in row.items()} for row in piece.basis]
+                 == [{c: type(x) for c, x in row.items()} for row in expect.basis]), d
+
+
+# Host truncation per fleet quiver for the saturation oracle; the wider
+# quivers stop at degree 2, where random generators keep the pieces small.
+PIECE_ORACLE_DEGREE = {"three-loop": 2, "doubled-three-cycle": 2}
+
+
+@st.composite
+def random_biideals(draw):
+    """Generators in degrees 0-3 with int and Fraction coefficients, one to
+    four per biideal, each in a degree where the fleet host is nonzero."""
+    name = draw(st.sampled_from(sorted(FLEET)))
+    host = wba.from_face_algebra(FLEET[name](), PIECE_ORACLE_DEGREE.get(name, 3))
+    degrees = [d for d in range(host.max_degree + 1) if host.dim(d)]
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.sampled_from(degrees))
+        vec = draw(st.dictionaries(st.integers(0, host.dim(d) - 1), SCALARS,
+                                   min_size=1, max_size=3))
+        gens.append((d, vec))
+    return wba.BiidealGens(host, gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_biideals())
+def test_biideal_pieces_match_saturate_every_degree(b):
+    assert_pieces_match(b, b.host.max_degree)
+
+
+def test_biideal_pieces_match_oracle_on_mixed_degree_generators():
+    q = three_cycle()
+    host = wba.from_face_algebra(q, 3)
+    split = fc.FaceElement(q, {fc.FaceMonomial(q.arrow_path(0), q.arrow_path(1)): 1,
+                               fc.FaceMonomial(q.arrow_path(1), q.arrow_path(2)): Fraction(-2, 3)})
+    idem = fc.FaceElement(q, {fc.FaceMonomial(q.trivial_path(0), q.trivial_path(1)): 3,
+                              fc.FaceMonomial(q.trivial_path(2), q.trivial_path(2)): 1})
+    b = wba.BiidealGens(host, [(1, face_coords(q, split, 1)), (0, face_coords(q, idem, 0))])
+    assert_pieces_match(b, 3)
+    assert wba.biideal_graded_pieces(b, 0).dim == 2
+
+
+def test_three_loop_commutator_biideal_add_count(monkeypatch):
+    """Saturation runs only in degree 2, the one degree with generators."""
+    q = three_loop()
+    qd = pa.quadratic_data(commutator_ideal(q))
+    host = wba.from_face_algebra(q, 3)
+    gens = [(2, face_coords(q, g, 2)) for side in ("left", "right")
+            for g in uq.coaction_relations(qd, side)]
+    calls = []
+    add = Echelon.add
+
+    def counted(self, row):
+        calls.append(row)
+        return add(self, row)
+
+    monkeypatch.setattr(Echelon, "add", counted)
+    b = wba.BiidealGens(host, gens)
+    assert [wba.biideal_graded_pieces(b, d).dim for d in range(4)] == [0, 0, 36, 564]
+    # 36 generators, 36 rows times 9 arrows on both sides, one saturation
+    # pass of the 36 rows by the unit on both sides
+    assert len(gens) == 36
+    assert len(calls) == 36 + 36 * 9 * 2 + 36 * 2 == 756
+    monkeypatch.undo()
+    assert_pieces_match(wba.BiidealGens(host, gens), 3)
