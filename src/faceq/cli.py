@@ -13,7 +13,7 @@ checks pass, 1 a verification failed, 2 malformed input or options,
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import coaction as co
@@ -32,15 +32,12 @@ EXIT_PARSE = 2
 EXIT_SHAPE = 3
 
 
-@dataclass
-class JobConfig:
-    command: str
-    quiver_path: str
-    relations_path: str = None
-    side: str = "trans"
-    max_degree: int = 4
-    out_path: str = None
-    human: bool = False
+class JobConfig(namedtuple("JobConfig", ["command", "quiver_path", "relations_path", "side",
+                                         "max_degree", "out_path", "human"],
+                           defaults=(None, "trans", 4, None, False))):
+    """One CLI job: the subcommand, its input paths and its options."""
+
+    __slots__ = ()
 
     def validate(self):
         if self.command not in COMMANDS:

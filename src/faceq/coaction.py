@@ -5,6 +5,10 @@ square array per degree whose entries are degree-matching host elements.
 The same array serves either side; only the reading changes
 (left: v_j ↦ Σ_k y[j][k] ⊗ v_k, right: v_j ↦ Σ_k v_k ⊗ y[k][j]), which is
 exactly what makes a transposed pair a literal array equality.
+
+The comodule-algebra check, like the axiom checks in wba, visits only
+nonzero data: nonzero coefficient entries, algebra products and host
+products, joined through indexes rather than scanned pair by pair.
 """
 
 from itertools import permutations
@@ -75,7 +79,9 @@ def check_comodule_algebra(c, host, algebra=None, max_degree=None):
     Verifies coassociativity and counitality per degree, multiplicativity
     over all algebra basis pairs inside the window, and the unit condition
     (membership of the unit's coefficients in the appropriate counital
-    subalgebra).
+    subalgebra).  Only nonzero data is visited: per basis element j both
+    sides are built for every partner l at once, from the nonzero
+    coefficients, algebra products and host products.
     """
     if algebra is None:
         algebra = c.algebra
@@ -87,54 +93,79 @@ def check_comodule_algebra(c, host, algebra=None, max_degree=None):
         if algebra.dim(d) != len(c.coefficients[d]):
             raise ValueError(f"degree-{d} dimensions disagree between coaction and algebra")
     y = c.coefficients
+    degrees = range(max_degree + 1)
+    # entries[d][j] lists (k, y_jk) over the nonzero entries of row j; coact[d][j]
+    # lists (k, coefficient) over the nonzero terms of the coaction of v_j
+    entries = [[[(k, ent) for k, ent in enumerate(row) if ent] for row in y[d]] for d in degrees]
+    coact = entries
+    if c.side == "right":
+        coact = [[[] for _ in y[d]] for d in degrees]
+        for d in degrees:
+            for j, row in enumerate(entries[d]):
+                for k, ent in row:
+                    coact[d][k].append((j, ent))
 
     coassoc_fails = []
     counit_fails = []
-    for d in range(max_degree + 1):
-        n = algebra.dim(d)
-        for j in range(n):
-            for l in range(n):
-                lhs = host.delta(d, y[d][j][l])
-                rhs = {}
-                for k in range(n):
-                    for m, cm in y[d][j][k].items():
-                        for nn, cn in y[d][k][l].items():
-                            bump(rhs, (m, nn), cm * cn)
-                if lhs != rhs:
+    for d in degrees:
+        for j, row in enumerate(y[d]):
+            rhs = {}
+            for k, yjk in entries[d][j]:
+                for l, ykl in entries[d][k]:
+                    out = rhs.setdefault(l, {})
+                    for m, cm in yjk.items():
+                        for nn, cn in ykl.items():
+                            bump(out, (m, nn), cm * cn)
+            for l, yjl in enumerate(row):
+                if host.delta(d, yjl) != rhs.get(l, {}):
                     coassoc_fails.append([algebra.label_of(d, j), algebra.label_of(d, l)])
-                ev = host.eps(d, y[d][j][l])
-                if ev != (_ONE if j == l else 0):
+                if host.eps(d, yjl) != (_ONE if j == l else 0):
                     counit_fails.append([algebra.label_of(d, j), algebra.label_of(d, l)])
 
+    alg_rows = wba.products_by_left(algebra.product, max_degree)
+    host_rows = wba.products_by_left(host.product, max_degree)
+    # by_host[e][b] lists (l, kk, c) over the terms c u_b of the coaction of v_l
+    by_host = []
+    for e in degrees:
+        index = {}
+        for l, terms in enumerate(coact[e]):
+            for kk, ent in terms:
+                for b, cb in ent.items():
+                    index.setdefault(b, []).append((l, kk, cb))
+        by_host.append(index)
+
     mult_fails = []
-    for d in range(max_degree + 1):
+    for d in degrees:
         for e in range(max_degree + 1 - d):
-            f = d + e
+            alg = alg_rows.get((d, e), {})
+            hst = host_rows.get((d, e), {})
             for j in range(algebra.dim(d)):
-                for l in range(algebra.dim(e)):
-                    prod = algebra.product_of(d, j, e, l)
+                # the coaction of v_j times that of every v_l
+                rhs = {}
+                for k, ent in coact[d][j]:
+                    alg_k = alg.get(k)
+                    if not alg_k:
+                        continue
+                    for a, ca in ent.items():
+                        for b, hab in hst.get(a, {}).items():
+                            for l, kk, cb in by_host[e].get(b, ()):
+                                prod_k = alg_k.get(kk)
+                                if not prod_k:
+                                    continue
+                                out = rhs.setdefault(l, {})
+                                cab = ca * cb
+                                for h, ch in hab.items():
+                                    for m, cm in prod_k.items():
+                                        bump(out, (h, m), cab * ch * cm)
+                row = alg.get(j, {})
+                for l in sorted(row.keys() | rhs.keys()):
+                    # the coaction of v_j v_l
                     lhs = {}
-                    for m, cm in prod.items():
-                        for k in range(algebra.dim(f)):
-                            src = y[f][m][k] if c.side == "left" else y[f][k][m]
-                            for h, ch in src.items():
+                    for m, cm in row.get(l, {}).items():
+                        for k, ent in coact[d + e][m]:
+                            for h, ch in ent.items():
                                 bump(lhs, (h, k), cm * ch)
-                    rhs = {}
-                    for k in range(algebra.dim(d)):
-                        for kk in range(algebra.dim(e)):
-                            prod_k = algebra.product_of(d, k, e, kk)
-                            if not prod_k:
-                                continue
-                            if c.side == "left":
-                                coeff = host.multiply(d, y[d][j][k], e, y[e][l][kk])
-                            else:
-                                coeff = host.multiply(d, y[d][k][j], e, y[e][kk][l])
-                            if not coeff:
-                                continue
-                            for m, cm in prod_k.items():
-                                for h, ch in coeff.items():
-                                    bump(rhs, (h, m), cm * ch)
-                    if lhs != rhs:
+                    if lhs != rhs.get(l, {}):
                         mult_fails.append([algebra.label_of(d, j), algebra.label_of(e, l)])
 
     unit_fails = []

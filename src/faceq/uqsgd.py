@@ -8,8 +8,6 @@ Duality checks transport degree-2 biideal pieces along the star and swap
 maps and compare them exactly.
 """
 
-from dataclasses import dataclass, field
-
 from . import coaction as co
 from . import face as fc
 from . import pathalg as pa
@@ -52,22 +50,29 @@ def coaction_relations(qd, side):
     return gens
 
 
-@dataclass
 class UQSGdResult:
-    side: str
-    quiver: object
-    relation_space: object
-    biideal: object
-    quotient: object
-    induced_coactions: dict
-    verification: dict
-    quotient_dims: list = field(default_factory=list)
+    """One verified UQSGd presentation and the objects it was built from."""
+
+    def __init__(self, side, quiver, relation_space, biideal, quotient,
+                 induced_coactions, verification, quotient_dims=None):
+        self.side = side
+        self.quiver = quiver
+        self.relation_space = relation_space
+        self.biideal = biideal
+        self.quotient = quotient
+        self.induced_coactions = induced_coactions
+        self.verification = verification
+        self.quotient_dims = [] if quotient_dims is None else quotient_dims
 
 
 def _face_coords(path_index, elem):
-    """Face-element coordinates: x[a;b] has index i_a*n + i_b over n paths."""
+    """Face-element coordinates: x[a;b] has index i_a*n + i_b over n paths.
+
+    Integral coefficients come back as int, the rest as Fraction.
+    """
     n = len(path_index)
-    return {path_index[m.left] * n + path_index[m.right]: c for m, c in elem.terms.items()}
+    return {path_index[m.left] * n + path_index[m.right]:
+            c.numerator if c.denominator == 1 else c for m, c in elem.terms.items()}
 
 
 def _check_descent(pieces_h, algebra_pieces, sides):

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -234,3 +235,15 @@ def test_subprocess_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    """Importing the CLI pulls in neither dataclasses nor, through it,
+    inspect, ast, dis and tokenize; -S keeps site packages out."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import faceq.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

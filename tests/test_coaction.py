@@ -1,16 +1,21 @@
 """Coaction verification: comodule algebra axioms, transposedness, base isos."""
 
 from fractions import Fraction
+from functools import lru_cache
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from faceq import coaction as co
 from faceq import face as fc
+from faceq import uqsgd as uq
 from faceq import wba
 from faceq.errors import UnsupportedShapeError
+from faceq.linalg import bump, span_contains
 
-from conftest import dd_coaction
-from fleet import kronecker, q_bullets, three_cycle, two_loop
+from conftest import dd_coaction, quantum_plane_ideal
+from fleet import FLEET, doubled_three_cycle, kronecker, q_bullets, three_cycle, two_loop
 
 ONE = Fraction(1)
 
@@ -189,3 +194,204 @@ def test_coaction_spec_validates_shapes():
         co.CoactionSpec("left", algebra, [[[{0: ONE}]]], [])
     with pytest.raises(ValueError, match="side must be"):
         co.CoactionSpec("middle", algebra, [[[{0: ONE}, {}], [{}, {0: ONE}]]], [])
+
+
+def dense_comodule_algebra(c, host, algebra=None, max_degree=None):
+    """check_comodule_algebra over every basis pair and quadruple: the
+    reference loop.
+
+    Verifies coassociativity and counitality per degree, multiplicativity
+    over all algebra basis pairs inside the window, and the unit condition
+    (membership of the unit's coefficients in the appropriate counital
+    subalgebra).
+    """
+    if algebra is None:
+        algebra = c.algebra
+    if max_degree is None:
+        max_degree = min(host.max_degree, algebra.max_degree, c.degrees())
+    if max_degree > c.degrees() or max_degree > algebra.max_degree:
+        raise ValueError("coaction does not cover the requested degree window")
+    for d in range(max_degree + 1):
+        if algebra.dim(d) != len(c.coefficients[d]):
+            raise ValueError(f"degree-{d} dimensions disagree between coaction and algebra")
+    y = c.coefficients
+
+    coassoc_fails = []
+    counit_fails = []
+    for d in range(max_degree + 1):
+        n = algebra.dim(d)
+        for j in range(n):
+            for l in range(n):
+                lhs = host.delta(d, y[d][j][l])
+                rhs = {}
+                for k in range(n):
+                    for m, cm in y[d][j][k].items():
+                        for nn, cn in y[d][k][l].items():
+                            bump(rhs, (m, nn), cm * cn)
+                if lhs != rhs:
+                    coassoc_fails.append([algebra.label_of(d, j), algebra.label_of(d, l)])
+                ev = host.eps(d, y[d][j][l])
+                if ev != (1 if j == l else 0):
+                    counit_fails.append([algebra.label_of(d, j), algebra.label_of(d, l)])
+
+    mult_fails = []
+    for d in range(max_degree + 1):
+        for e in range(max_degree + 1 - d):
+            f = d + e
+            for j in range(algebra.dim(d)):
+                for l in range(algebra.dim(e)):
+                    prod = algebra.product_of(d, j, e, l)
+                    lhs = {}
+                    for m, cm in prod.items():
+                        for k in range(algebra.dim(f)):
+                            src = y[f][m][k] if c.side == "left" else y[f][k][m]
+                            for h, ch in src.items():
+                                bump(lhs, (h, k), cm * ch)
+                    rhs = {}
+                    for k in range(algebra.dim(d)):
+                        for kk in range(algebra.dim(e)):
+                            prod_k = algebra.product_of(d, k, e, kk)
+                            if not prod_k:
+                                continue
+                            if c.side == "left":
+                                coeff = host.multiply(d, y[d][j][k], e, y[e][l][kk])
+                            else:
+                                coeff = host.multiply(d, y[d][k][j], e, y[e][kk][l])
+                            if not coeff:
+                                continue
+                            for m, cm in prod_k.items():
+                                for h, ch in coeff.items():
+                                    bump(rhs, (h, m), cm * ch)
+                    if lhs != rhs:
+                        mult_fails.append([algebra.label_of(d, j), algebra.label_of(e, l)])
+
+    unit_fails = []
+    counital = wba.counital_subalgebra(host, "source" if c.side == "left" else "target")
+    n0 = algebra.dim(0)
+    for k in range(n0):
+        coeff = {}
+        for j, cj in algebra.unit.items():
+            src = y[0][j][k] if c.side == "left" else y[0][k][j]
+            for h, ch in src.items():
+                bump(coeff, h, cj * ch)
+        if coeff and not span_contains(counital, coeff):
+            unit_fails.append([algebra.label_of(0, k)])
+
+    rows = [
+        wba._row("coassociative", coassoc_fails, key="check"),
+        wba._row("counital", counit_fails, key="check"),
+        wba._row("multiplicative", mult_fails, key="check"),
+        wba._row("unit-membership", unit_fails, key="check"),
+    ]
+    return {"passed": all(r["status"] == "pass" for r in rows), "checks": rows}
+
+
+# Coaction truncation per fleet quiver for the dense oracle; the wider
+# quivers stop at degree 2.
+ORACLE_DEGREE = {"three-loop": 2, "doubled-three-cycle": 2}
+
+
+def corrupt(draw, host, spec):
+    """Copies of host and spec with one to three coefficient entries
+    replaced by {}, a Fraction multiple or a sum of two host basis
+    elements, and sometimes one host product overwritten."""
+    host = wba.GradedWBA(host.max_degree, host.labels, dict(host.product), host.unit,
+                         host.coproduct, host.counit)
+    coefficients = [[list(row) for row in mat] for mat in spec.coefficients]
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(0, spec.degrees()))
+        n = spec.algebra.dim(d)
+        if not n:
+            continue
+        j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(("zero", "multiple", "sum")))
+        if kind == "zero":
+            coefficients[d][j][k] = {}
+        elif kind == "multiple":
+            scale = draw(st.fractions(min_value=-2, max_value=2, max_denominator=4)
+                         .filter(bool))
+            coefficients[d][j][k] = {h: scale * c for h, c in coefficients[d][j][k].items()}
+        else:
+            a, b = (draw(st.integers(0, host.dim(d) - 1)) for _ in range(2))
+            entry = {}
+            bump(entry, a, 1)
+            bump(entry, b, 1)
+            coefficients[d][j][k] = entry
+    if host.product and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(host.product)))
+        m = draw(st.integers(0, host.dim(key[0] + key[2]) - 1))
+        host.product[key] = {m: draw(st.sampled_from((1, -1, Fraction(1, 2))))}
+    return host, co.CoactionSpec(spec.side, spec.algebra, coefficients, spec.arrow_endpoints)
+
+
+@st.composite
+def corrupted_canonical_coactions(draw):
+    name = draw(st.sampled_from(sorted(FLEET)))
+    host, lam, rho = canonical_pair(FLEET[name](), ORACLE_DEGREE.get(name, 3))
+    return corrupt(draw, host, draw(st.sampled_from((lam, rho))))
+
+
+@lru_cache(maxsize=None)
+def quantum_plane_result():
+    q = two_loop()
+    return uq.build_uqsgd(q, quantum_plane_ideal(q), "trans", 3)
+
+
+@st.composite
+def corrupted_induced_coactions(draw):
+    result = quantum_plane_result()
+    spec = result.induced_coactions[draw(st.sampled_from(("left", "right")))]
+    return corrupt(draw, result.quotient, spec)
+
+
+def assert_reports_match(*args):
+    """The report and every failure list, in order, not only the first
+    three witnesses, equal the dense oracle's."""
+    assert co.check_comodule_algebra(*args) == dense_comodule_algebra(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wba, "_row", lambda name, failures, key: {
+            key: name, "status": "fail" if failures else "pass", "witnesses": list(failures)})
+        assert co.check_comodule_algebra(*args) == dense_comodule_algebra(*args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corrupted_canonical_coactions())
+def test_comodule_check_matches_dense_oracle(case):
+    host, spec = case
+    assert_reports_match(spec, host)
+
+
+@settings(max_examples=30, deadline=None)
+@given(corrupted_induced_coactions())
+def test_comodule_check_matches_dense_oracle_on_induced_coactions(case):
+    host, spec = case
+    assert_reports_match(spec, host, spec.algebra, 3)
+
+
+def test_induced_coactions_match_dense_oracle():
+    result = quantum_plane_result()
+    host = result.quotient
+    for spec in result.induced_coactions.values():
+        # the residue coefficients are multi-term, with Fraction values
+        assert any(len(ent) > 1 for row in spec.coefficients[2] for ent in row)
+        assert co.check_comodule_algebra(spec, host, spec.algebra, 3)["passed"]
+        assert_reports_match(spec, host, spec.algebra, 3)
+
+
+def test_checks_visit_only_nonzero_structure_constants(monkeypatch):
+    """product_of and multiply calls made by the axiom check and both
+    comodule checks on the doubled three-cycle at degree 3.  The loops over
+    every basis pair made 83,826 and 16,920; what is left is the unit-split
+    check, whose Delta(1) has 27 terms: 2 * 27**2 products and 2 * 9
+    multiplications by the unit."""
+    host, lam, rho = canonical_pair(doubled_three_cycle(), 3)
+    calls = {"product_of": 0, "multiply": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(wba.GradedAlgebra, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(wba.GradedAlgebra, name, counted)
+    assert wba.check_axioms(host)["passed"]
+    assert co.check_comodule_algebra(lam, host)["passed"]
+    assert co.check_comodule_algebra(rho, host)["passed"]
+    assert calls == {"product_of": 1458, "multiply": 18}

@@ -70,6 +70,70 @@ def test_face_algebra_axioms_pass():
     assert all(row["status"] == "pass" for row in report["checks"])
 
 
+def check_coalgebra(w):
+    """Coassociativity and counitality of the stored coproduct, per basis element."""
+    fails = []
+    for d in range(w.max_degree + 1):
+        for i in range(w.dim(d)):
+            split = w.coproduct_of(d, i)
+            lhs = {}
+            for (j, k), c in split.items():
+                for (m, n), cc in w.coproduct_of(d, j).items():
+                    bump(lhs, (m, n, k), c * cc)
+            rhs = {}
+            for (j, k), c in split.items():
+                for (m, n), cc in w.coproduct_of(d, k).items():
+                    bump(rhs, (j, m, n), c * cc)
+            if lhs != rhs:
+                fails.append([w.label_of(d, i), "coassociativity"])
+            left_counit = {}
+            right_counit = {}
+            for (j, k), c in split.items():
+                ev = w.counit.get((d, j))
+                if ev:
+                    bump(left_counit, k, c * ev)
+                ev = w.counit.get((d, k))
+                if ev:
+                    bump(right_counit, j, c * ev)
+            if left_counit != {i: 1} or right_counit != {i: 1}:
+                fails.append([w.label_of(d, i), "counitality"])
+    return fails
+
+
+def check_unit_identity(w):
+    """The unit must be a two-sided identity on every stored degree."""
+    fails = []
+    for d in range(w.max_degree + 1):
+        for i in range(w.dim(d)):
+            vec = {i: 1}
+            if w.multiply(0, w.unit, d, vec) != vec:
+                fails.append([w.label_of(d, i), "left-unit"])
+            if w.multiply(d, vec, 0, w.unit) != vec:
+                fails.append([w.label_of(d, i), "right-unit"])
+    return fails
+
+
+def check_associativity(w):
+    """Associativity on basis triples within the window."""
+    fails = []
+    for d in range(w.max_degree + 1):
+        for e in range(w.max_degree + 1 - d):
+            for f in range(w.max_degree + 1 - d - e):
+                for i in range(w.dim(d)):
+                    u = {i: 1}
+                    for j in range(w.dim(e)):
+                        uv = w.product_of(d, i, e, j)
+                        v = {j: 1}
+                        for m in range(w.dim(f)):
+                            vw = w.product_of(e, j, f, m)
+                            lhs = w.multiply(d + e, uv, f, {m: 1})
+                            rhs = w.multiply(d, u, e + f, vw)
+                            if lhs != rhs:
+                                fails.append([w.label_of(d, i), w.label_of(e, j),
+                                              w.label_of(f, m)])
+    return fails
+
+
 def test_coalgebra_and_unit_invariants():
     hosts = [
         wba.from_face_algebra(three_cycle(), 3),
@@ -77,9 +141,9 @@ def test_coalgebra_and_unit_invariants():
         wba.direct_sum(wba.bialgebra_d(2), wba.bialgebra_d(2)),
     ]
     for w in hosts:
-        assert wba.check_coalgebra(w) == []
-        assert wba.check_unit_identity(w) == []
-        assert wba.check_associativity(w) == []
+        assert check_coalgebra(w) == []
+        assert check_unit_identity(w) == []
+        assert check_associativity(w) == []
 
 
 def test_bialgebra_d_tables():
@@ -341,6 +405,51 @@ def pairwise_delta_multiplicative(w):
     return fails
 
 
+def pairwise_counit_splits(w):
+    """Both counit-split failure lists, every left factor scanned through
+    product_of for each right factor: the reference loop."""
+    eps = wba._eps_matrices(w)
+    by_col = {}
+    by_row = {}
+    for (d, e), mat in eps.items():
+        col = by_col.setdefault((d, e), {})
+        row = by_row.setdefault((d, e), {})
+        for (i, j), val in mat.items():
+            col.setdefault(j, []).append((i, val))
+            row.setdefault(i, []).append((j, val))
+    fails12 = []
+    fails21 = []
+    for d in range(w.max_degree + 1):
+        for e in range(w.max_degree + 1 - d):
+            for f in range(w.max_degree + 1 - d - e):
+                e1col = by_col.get((d, e), {})
+                e2row = by_row.get((e, f), {})
+                e3row = by_row.get((d + e, f), {})
+                for b in range(w.dim(e)):
+                    lhs = {}
+                    for a in range(w.dim(d)):
+                        for m, cm in w.product_of(d, a, e, b).items():
+                            for c, vc in e3row.get(m, ()):
+                                bump(lhs, (a, c), cm * vc)
+                    split = w.coproduct_of(e, b)
+                    rhs12 = {}
+                    rhs21 = {}
+                    for (j, k), c0 in split.items():
+                        for a, va in e1col.get(j, ()):
+                            for c, vc in e2row.get(k, ()):
+                                bump(rhs12, (a, c), c0 * va * vc)
+                        for a, va in e1col.get(k, ()):
+                            for c, vc in e2row.get(j, ()):
+                                bump(rhs21, (a, c), c0 * va * vc)
+                    if lhs != rhs12:
+                        a, c = wba._first_mismatch(lhs, rhs12)
+                        fails12.append([w.label_of(d, a), w.label_of(e, b), w.label_of(f, c)])
+                    if lhs != rhs21:
+                        a, c = wba._first_mismatch(lhs, rhs21)
+                        fails21.append([w.label_of(d, a), w.label_of(e, b), w.label_of(f, c)])
+    return fails12, fails21
+
+
 def counital_image(w, side, d, u, split):
     """Source or target counital map of a degree-d coordinate dict, by
     multiplying against each leg of split = w.delta_one(): the reference."""
@@ -420,6 +529,7 @@ def corrupted_presentations(draw):
 @given(corrupted_presentations())
 def test_sparse_checks_match_pairwise_oracles(w):
     assert wba._failures_delta_multiplicative(w) == pairwise_delta_multiplicative(w)
+    assert wba._failures_counit_splits(w) == pairwise_counit_splits(w)
     for side in ("source", "target"):
         assert wba.counital_subalgebra(w, side) == counital_reference(w, side)
 
@@ -428,6 +538,7 @@ def test_checks_match_oracles_on_fleet_hosts():
     for make in FLEET.values():
         w = wba.from_face_algebra(make(), 2)
         assert wba._failures_delta_multiplicative(w) == pairwise_delta_multiplicative(w) == []
+        assert wba._failures_counit_splits(w) == pairwise_counit_splits(w) == ([], [])
         for side in ("source", "target"):
             assert wba.counital_subalgebra(w, side) == counital_reference(w, side)
 
