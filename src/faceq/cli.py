@@ -237,7 +237,7 @@ def _parse_coaction_doc(doc, q, cap):
         if (not isinstance(mat, list) or len(mat) != n
                 or any(not isinstance(row, list) or len(row) != n for row in mat)):
             raise ParseError(f"degree-{d} coefficient matrix must be {n}x{n}")
-        face_index = {mono: i for i, mono in enumerate(fc.face_basis(q, d))}
+        path_index = {p: i for i, p in enumerate(qv.enumerate_paths(q, d))}
         out = []
         for row in mat:
             out_row = []
@@ -248,7 +248,7 @@ def _parse_coaction_doc(doc, q, cap):
                     if fc.monomial_degree(mono) != d:
                         raise ParseError(
                             f"degree-{d} entry holds a degree-{fc.monomial_degree(mono)} term")
-                    coords[face_index[mono]] = coeff
+                    coords[path_index[mono.left] * n + path_index[mono.right]] = coeff
                 out_row.append(coords)
             out.append(out_row)
         coefficients.append(out)

@@ -1,11 +1,13 @@
 """Exact sparse linear algebra over the rationals.
 
-Everything downstream (ideal graded pieces, biideals, axiom checks) reduces
-to row reduction of sparse matrices.  Scalars are exact rationals: a Python
-int where the value is integral and a Fraction otherwise, never a float.
-Vectors are sparse rows: plain dicts mapping column index to a nonzero
-scalar.  Subspaces are kept in reduced row echelon form, which is
-canonical, so two subspaces are equal iff their stored bases are identical.
+Everything downstream (ideal graded pieces, biideals, quadratic duals, axiom
+checks) reduces to one type, the Subspace, built by row reduction.  Scalars
+are exact rationals: a Python int where the value is integral and a Fraction
+otherwise, never a float.  Vectors are sparse rows: plain dicts mapping
+column index to a nonzero scalar.  Subspaces are kept in reduced row echelon
+form, which is canonical, so two subspaces are equal iff their stored bases
+are identical.  A subspace's residue table gives reduction and membership,
+and read by free column it spans the orthogonal complement.
 
 Internally, rows are scaled to integers and reduced by cross-multiplication
 (a fraction-free Gaussian elimination) with gcd cleanup after every step.
@@ -34,47 +36,6 @@ def mat_vec(columns, vec):
         for m, y in columns[c].items():
             bump(out, m, x * y)
     return out
-
-
-class SparseMatrix:
-    """Immutable sparse matrix keyed by (row, col); absent entries are zero."""
-
-    def __init__(self, rows, cols, entries=()):
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        self.rows = rows
-        self.cols = cols
-        data = {}
-        items = entries.items() if isinstance(entries, dict) else entries
-        for key, val in items:
-            r, c = key
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry index {key} out of range for {rows}x{cols} matrix")
-            val = Fraction(val)
-            if val:
-                data[(r, c)] = val
-        self.entries = data
-
-    @classmethod
-    def from_row_dicts(cls, row_dicts, cols):
-        entries = {}
-        for r, row in enumerate(row_dicts):
-            for c, val in row.items():
-                entries[(r, c)] = val
-        return cls(len(row_dicts), cols, entries)
-
-    def row_dicts(self):
-        out = [dict() for _ in range(self.rows)]
-        for (r, c), val in self.entries.items():
-            out[r][c] = val
-        return out
-
-    def __eq__(self, other):
-        return (isinstance(other, SparseMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __repr__(self):
-        return f"SparseMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
 
 
 def int_row(row):
@@ -218,43 +179,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
-
-
-def reduced_echelon(m):
-    """Reduced row echelon form of a SparseMatrix.
-
-    Returns (SparseMatrix in RREF with zero rows dropped, pivot column list).
-    """
-    sub = Subspace.from_rows(m.cols, m.row_dicts())
-    return SparseMatrix.from_row_dicts(sub.basis, m.cols), list(sub.pivots)
-
-
-def null_space(m):
-    """Canonical basis of the right null space {v : m v = 0}."""
-    sub = Subspace.from_rows(m.cols, m.row_dicts())
-    pivot_set = set(sub.pivots)
-    kernel = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        vec = {free: 1}
-        for p, row in zip(sub.pivots, sub.basis):
-            coeff = row.get(free)
-            if coeff:
-                vec[p] = -coeff
-        kernel.append(vec)
-    return Subspace.from_rows(m.cols, kernel)
-
-
-def span_contains(s, vec):
-    """True iff the coefficient row vec lies in the subspace s."""
-    if isinstance(vec, dict):
-        row = vec
-    else:
-        if len(vec) != s.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        row = {c: x for c, x in enumerate(vec) if x}
-    return s.contains(row)
 
 
 def subspace_equal(a, b):

@@ -8,7 +8,7 @@ and returned as canonical subspaces over the fixed path basis.
 from fractions import Fraction
 
 from .errors import ParseError, UnsupportedShapeError
-from .linalg import Echelon, Subspace, SparseMatrix, null_space
+from .linalg import Echelon, Subspace
 from . import quiver as qv
 
 
@@ -115,9 +115,6 @@ class HomogeneousIdeal:
         self.generators = tuple(gens)
         self._piece_cache = {}
 
-    def generator_degrees(self):
-        return sorted({g.degree() for g in self.generators})
-
 
 def _path_index(q, d):
     paths = qv.enumerate_paths(q, d)
@@ -150,19 +147,17 @@ def ideal_graded_piece(ideal, d):
             if g.degree() == d:
                 ech.add(element_row(g, index))
         if d > 2:
+            # distinct paths stay distinct after one arrow, so nothing cancels
             prev_paths = qv.enumerate_paths(q, d - 1)
-            prev = ideal_graded_piece(ideal, d - 1)
             arrows = [q.arrow_path(i) for i in range(len(q.arrows))]
-            for row in prev.basis:
-                elem = row_element(q, row, prev_paths)
+            for row in ideal_graded_piece(ideal, d - 1).basis:
+                terms = [(prev_paths[i], c) for i, c in row.items()]
                 for arr in arrows:
-                    arr_elem = PathElement(q, {arr: 1})
-                    left = multiply_path_elements(arr_elem, elem)
-                    if not left.is_zero():
-                        ech.add(element_row(left, index))
-                    right = multiply_path_elements(elem, arr_elem)
-                    if not right.is_zero():
-                        ech.add(element_row(right, index))
+                    for image in ([(qv.compose_paths(q, arr, p), c) for p, c in terms],
+                                  [(qv.compose_paths(q, p, arr), c) for p, c in terms]):
+                        image_row = {index[r]: c for r, c in image if r is not None}
+                        if image_row:
+                            ech.add(image_row)
     piece = ech.finalize()
     ideal._piece_cache[d] = piece
     return piece
@@ -216,11 +211,17 @@ def quadratic_data(ideal):
 def quadratic_dual_rows(qd):
     """Canonical basis of the orthogonal complement of R inside kQ_2.
 
-    Rows stay on the composable-pair coordinates of the original quiver;
-    quadratic_dual transports them to the opposite quiver.
+    Each free column f of R's echelon basis spans one kernel vector, e_f
+    plus the column-f entries of the pivot residues.  Rows stay on the
+    composable-pair coordinates of the original quiver; quadratic_dual
+    transports them to the opposite quiver.
     """
-    mat = SparseMatrix.from_row_dicts(qd.relation_space.basis, qd.ambient_dim)
-    return null_space(mat).basis
+    rel = qd.relation_space
+    residues = rel.residues()
+    pivots = set(rel.pivots)
+    kernel = [{f: 1, **{p: residues[p][f] for p in rel.pivots if f in residues[p]}}
+              for f in range(rel.ambient_dim) if f not in pivots]
+    return Subspace.from_rows(rel.ambient_dim, kernel).basis
 
 
 def quadratic_dual(qd):
@@ -322,7 +323,7 @@ def parse_relations(doc, q):
                     if label not in q.vertex_index:
                         raise ParseError(f"relation #{rel_no}: unknown vertex {label!r}")
                     nxt = q.trivial_path(q.vertex_index[label])
-                elif step in q.arrow_index:
+                elif isinstance(step, str) and step in q.arrow_index:
                     nxt = q.arrow_path(q.arrow_index[step])
                 else:
                     raise ParseError(f"relation #{rel_no}: unknown arrow {step!r}")

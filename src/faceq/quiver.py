@@ -104,22 +104,26 @@ def parse_quiver(doc):
         dup = next(v for i, v in enumerate(vertices) if v in vertices[:i])
         raise ParseError(f"duplicate vertex label {dup!r}")
     index = {v: i for i, v in enumerate(vertices)}
+    entries = doc.get("arrows", [])
+    if not isinstance(entries, list):
+        raise ParseError("'arrows' must be a list of objects")
     arrows = []
     seen = set()
-    for entry in doc.get("arrows", []):
+    for entry in entries:
         if not isinstance(entry, dict):
             raise ParseError("each arrow must be an object with name/source/target")
         try:
             name, source, target = entry["name"], entry["source"], entry["target"]
         except KeyError as missing:
             raise ParseError(f"arrow entry is missing key {missing}") from None
+        if not isinstance(name, str):  # the rest of the grammar is checked by Quiver
+            _check_name("arrow", name)
         if name in seen:
             raise ParseError(f"duplicate arrow name {name!r}")
         seen.add(name)
-        if source not in index:
-            raise ParseError(f"arrow {name!r} references unknown source vertex {source!r}")
-        if target not in index:
-            raise ParseError(f"arrow {name!r} references unknown target vertex {target!r}")
+        for role, label in (("source", source), ("target", target)):
+            if not isinstance(label, str) or label not in index:
+                raise ParseError(f"arrow {name!r} references unknown {role} vertex {label!r}")
         arrows.append((name, index[source], index[target]))
     return Quiver(vertices, arrows)
 

@@ -9,7 +9,6 @@ maps and compare them exactly.
 """
 
 from . import coaction as co
-from . import face as fc
 from . import pathalg as pa
 from . import quiver as qv
 from . import wba
@@ -20,33 +19,27 @@ RESULT_SIDES = ("left", "right", "trans")
 
 
 def coaction_relations(qd, side):
-    """Degree-2 face elements whose vanishing makes the coaction descend.
+    """Degree-2 face coordinates whose vanishing makes the coaction descend.
 
     One generator per (relation, complement functional) pair, alpha-major
     over the canonical bases; zero results are dropped.  Both index pairs
     run over composable arrow pairs, so every term survives concatenation.
+    Over the n degree-2 paths, x[a;b] has index i_a*n + i_b; integral
+    coefficients are ints, the rest Fractions.
     """
     co._require_side(side)
-    q = qd.quiver
-    paths2 = qv.enumerate_paths(q, 2)
-    c_rows = qd.relation_space.basis
+    n = qd.ambient_dim
     d_rows = pa.quadratic_dual_rows(qd)
     gens = []
-    for crow in c_rows:
+    for crow in qd.relation_space.basis:
         for drow in d_rows:
             terms = {}
             for ij, cij in crow.items():
-                left_path = paths2[ij]
                 for kl, dkl in drow.items():
-                    right_path = paths2[kl]
-                    if side == "left":
-                        mono = fc.FaceMonomial(left_path, right_path)
-                    else:
-                        mono = fc.FaceMonomial(right_path, left_path)
-                    bump(terms, mono, cij * dkl)
-            elem = fc.FaceElement(q, terms)
-            if not elem.is_zero():
-                gens.append(elem)
+                    bump(terms, ij * n + kl if side == "left" else kl * n + ij, cij * dkl)
+            if terms:
+                gens.append({m: c.numerator if c.denominator == 1 else c
+                             for m, c in terms.items()})
     return gens
 
 
@@ -63,16 +56,6 @@ class UQSGdResult:
         self.induced_coactions = induced_coactions
         self.verification = verification
         self.quotient_dims = [] if quotient_dims is None else quotient_dims
-
-
-def _face_coords(path_index, elem):
-    """Face-element coordinates: x[a;b] has index i_a*n + i_b over n paths.
-
-    Integral coefficients come back as int, the rest as Fraction.
-    """
-    n = len(path_index)
-    return {path_index[m.left] * n + path_index[m.right]:
-            c.numerator if c.denominator == 1 else c for m, c in elem.terms.items()}
 
 
 def _check_descent(pieces_h, algebra_pieces, sides):
@@ -130,14 +113,9 @@ def build_uqsgd(q, ideal, side, max_degree):
         raise ValueError(f"side must be one of {RESULT_SIDES}, got {side!r}")
     qd = pa.quadratic_data(ideal)
     host = wba.from_face_algebra(q, max_degree)
-    path2_index = {p: i for i, p in enumerate(qv.enumerate_paths(q, 2))}
-
     gen_sides = ("left", "right") if side == "trans" else (side,)
-    generators = []
-    for s in gen_sides:
-        for elem in coaction_relations(qd, s):
-            generators.append((2, _face_coords(path2_index, elem)))
-    biideal = wba.BiidealGens(host, generators)
+    biideal = wba.BiidealGens(host, [(2, g) for s in gen_sides
+                                     for g in coaction_relations(qd, s)])
 
     breport = wba.check_biideal(biideal, max_degree)
     if not breport["passed"]:
@@ -231,15 +209,11 @@ def check_quadratic_dualities(q, ideal, max_degree):
     ambient = {}
     for label, quiver, data in (("base", q, qd), ("dual", opp, qdual)):
         host = wba.from_face_algebra(quiver, max_degree)
-        index = {p: i for i, p in enumerate(qv.enumerate_paths(quiver, 2))}
-        ambient[label] = len(index) ** 2
+        ambient[label] = host.dim(2)
         for side in RESULT_SIDES:
             gen_sides = ("left", "right") if side == "trans" else (side,)
-            gens = []
-            for s in gen_sides:
-                gens.extend(coaction_relations(data, s))
-            b = wba.BiidealGens(host, [(2, _face_coords(index, g))
-                                       for g in gens])
+            b = wba.BiidealGens(host, [(2, g) for s in gen_sides
+                                       for g in coaction_relations(data, s)])
             per_degree = [wba.biideal_graded_pieces(b, d) for d in range(max_degree + 1)]
             pieces[(side, label)] = per_degree[2]
             dims[(side, label)] = [host.dim(d) - per_degree[d].dim

@@ -10,6 +10,7 @@ from faceq import pathalg as pa
 from faceq import quiver as qv
 from faceq import uqsgd as uq
 from faceq import wba
+from faceq.linalg import Subspace
 
 from fleet import FLEET, HOST_DEGREE, doubled_three_cycle, q_bullets, three_cycle, three_loop, two_loop
 
@@ -29,6 +30,55 @@ def quantum_plane_ideal(q, scale=2):
     gen = pa.PathElement(q, {qv.compose_paths(q, a, b): 1,
                              qv.compose_paths(q, b, a): Fraction(-scale)})
     return pa.HomogeneousIdeal(q, [gen])
+
+
+def q_commutator_ideal(q, scales):
+    """Generators t_i t_j + q_ij t_j t_i over the arrow pairs i < j, with
+    q_ij read in order from scales."""
+    gens = []
+    pairs = [(i, j) for i in range(len(q.arrows)) for j in range(i + 1, len(q.arrows))]
+    for (i, j), scale in zip(pairs, scales):
+        a, b = q.arrow_path(i), q.arrow_path(j)
+        gens.append(pa.PathElement(q, {qv.compose_paths(q, a, b): 1,
+                                       qv.compose_paths(q, b, a): Fraction(scale)}))
+    return pa.HomogeneousIdeal(q, gens)
+
+
+def null_space_oracle(cols, rows):
+    """The kernel built from scratch: the rows coerced to Fraction and
+    eliminated, then one vector per free column from the echelon rows."""
+    sub = Subspace.from_rows(cols, [{c: Fraction(x) for c, x in row.items() if x}
+                                    for row in rows])
+    pivot_set = set(sub.pivots)
+    vectors = []
+    for free in range(cols):
+        if free in pivot_set:
+            continue
+        vec = {free: 1}
+        for p, row in zip(sub.pivots, sub.basis):
+            coeff = row.get(free)
+            if coeff:
+                vec[p] = -coeff
+        vectors.append(vec)
+    return Subspace.from_rows(cols, vectors)
+
+
+def face_coaction_relations(qd, side):
+    """The coaction relations as face elements, alpha-major over the bases
+    of R and of its null space: the reference for uqsgd.coaction_relations."""
+    q = qd.quiver
+    paths2 = qv.enumerate_paths(q, 2)
+    dual = null_space_oracle(qd.ambient_dim, qd.relation_space.basis).basis
+    gens = []
+    for crow in qd.relation_space.basis:
+        for drow in dual:
+            elem = fc.FaceElement(q, [
+                (fc.FaceMonomial(paths2[ij], paths2[kl]) if side == "left"
+                 else fc.FaceMonomial(paths2[kl], paths2[ij]), cij * dkl)
+                for ij, cij in crow.items() for kl, dkl in drow.items()])
+            if not elem.is_zero():
+                gens.append(elem)
+    return gens
 
 
 def loop_face(q, i, j):
@@ -172,10 +222,10 @@ def duality_biideals():
             host = wba.from_face_algebra(quiver, cap)
             for side in ("left", "right", "trans"):
                 if side == "trans":
-                    gens = (uq.coaction_relations(data, "left")
-                            + uq.coaction_relations(data, "right"))
+                    gens = (face_coaction_relations(data, "left")
+                            + face_coaction_relations(data, "right"))
                 else:
-                    gens = uq.coaction_relations(data, side)
+                    gens = face_coaction_relations(data, side)
                 coords = [(2, face_coords(quiver, g, 2)) for g in gens]
                 cases.append((f"{name}-{label}-{side}",
                               wba.BiidealGens(host, coords), cap))

@@ -74,6 +74,27 @@ def test_malformed_quiver_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("quiver_doc, relations_doc", [
+    ({"vertices": ["v"], "arrows": 5}, None),
+    ({"vertices": ["v"], "arrows": None}, None),
+    ({"vertices": ["v"], "arrows": [{"name": "a", "source": ["v"], "target": "v"}]}, None),
+    ({"vertices": ["v"], "arrows": [{"name": "a", "source": "v", "target": ["v"]}]}, None),
+    ({"vertices": ["v"], "arrows": [{"name": ["a"], "source": "v", "target": "v"}]}, None),
+    (TWO_LOOP_DOC, [[{"coeff": 1, "path": [["t1"], "t2"]}]]),
+], ids=["arrows-int", "arrows-null", "source-list", "target-list", "name-list",
+        "relation-step-list"])
+def test_malformed_document_exits_2(tmp_path, quiver_doc, relations_doc):
+    args = ["--quiver", write_json(tmp_path / "q.json", quiver_doc), "--max-degree", "2"]
+    if relations_doc is None:
+        args = ["face"] + args
+    else:
+        args = ["uqsgd"] + args + ["--relations", write_json(tmp_path / "r.json", relations_doc)]
+    code, out = run_doc(tmp_path, args)
+    assert code == 2
+    assert out["passed"] is False
+    assert out["error"]
+
+
 @pytest.mark.parametrize("name", ["a.b", "", "x;y"])
 def test_ambiguous_arrow_name_exits_2(tmp_path, name):
     doc = {"vertices": ["v"], "arrows": [

@@ -12,7 +12,7 @@ from faceq import face as fc
 from faceq import uqsgd as uq
 from faceq import wba
 from faceq.errors import UnsupportedShapeError
-from faceq.linalg import bump, span_contains
+from faceq.linalg import bump
 
 from conftest import dd_coaction, quantum_plane_ideal
 from fleet import FLEET, doubled_three_cycle, kronecker, q_bullets, three_cycle, two_loop
@@ -178,6 +178,54 @@ def test_structure_lemmas_fail_on_scaled_coefficient():
     assert "column-orthogonality" in failed
 
 
+DEGREE0_COMULT = [["e:1", "e:2"], ["e:2", "e:1"], ["e:2", "e:2"], ["e:2", "e:3"], ["e:3", "e:2"]]
+DEGREE1_COMULT = [["p1", "p1"], ["p1", "p2"], ["p1", "p3"], ["p2", "p3"], ["p3", "p3"]]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("kind, degree0_counit, degree1_counit", [
+    ("zero", [["e:2", "e:2"]], []),
+    ("double", [["e:2", "e:2"]], []),
+    ("sum", [["e:2", "e:2"]], [["p1", "p3"]]),
+])
+def test_structure_lemma_matrix_rows_on_corrupted_coefficients(side, kind, degree0_counit,
+                                                               degree1_counit):
+    """The degree-0 and degree-1 comultiplicative and counit rows, every
+    failure in order, after the diagonal entry y0[1][1] and the off-diagonal
+    entry y1[0][2] of a canonical coaction on the three-cycle are set to {},
+    doubled, or given the extra term x[e:1;e:1] (resp. x[p1;p1])."""
+    q = three_cycle()
+    host = wba.from_face_algebra(q, 1)
+    spec = co.canonical_coaction(q, side, 1)
+    mats = [[[dict(e) for e in row] for row in mat] for mat in spec.coefficients]
+    for d, j, k in ((0, 1, 1), (1, 0, 2)):
+        if kind == "zero":
+            mats[d][j][k] = {}
+        elif kind == "double":
+            mats[d][j][k] = {h: 2 * c for h, c in mats[d][j][k].items()}
+        else:
+            mats[d][j][k] = {**mats[d][j][k], 0: 1}
+    spec = co.CoactionSpec(side, spec.algebra, mats, spec.arrow_endpoints)
+    expected = [
+        ("degree0-comultiplicative", DEGREE0_COMULT),
+        ("degree0-counit", degree0_counit),
+        ("degree1-comultiplicative", DEGREE1_COMULT),
+        ("degree1-counit", degree1_counit),
+    ]
+
+    def matrix_rows():
+        return [row for row in co.check_structure_lemmas(spec, host)["checks"]
+                if row["check"].startswith("degree")]
+
+    assert matrix_rows() == [{"check": name, "status": "fail" if fails else "pass",
+                              "witnesses": fails[:3]} for name, fails in expected]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wba, "_row", lambda name, failures, key: {
+            key: name, "status": "fail" if failures else "pass", "witnesses": list(failures)})
+        assert matrix_rows() == [{"check": name, "status": "fail" if fails else "pass",
+                                  "witnesses": fails} for name, fails in expected]
+
+
 def test_search_base_iso_needs_idempotent_basis():
     host = wba.bialgebra_d(0)
     algebra = wba.GradedAlgebra(0, [["u"]], {(0, 0, 0, 0): {0: Fraction(2)}},
@@ -274,7 +322,7 @@ def dense_comodule_algebra(c, host, algebra=None, max_degree=None):
             src = y[0][j][k] if c.side == "left" else y[0][k][j]
             for h, ch in src.items():
                 bump(coeff, h, cj * ch)
-        if coeff and not span_contains(counital, coeff):
+        if coeff and not counital.contains(coeff):
             unit_fails.append([algebra.label_of(0, k)])
 
     rows = [

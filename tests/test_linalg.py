@@ -1,4 +1,4 @@
-"""Exact sparse linear algebra: echelon forms, null spaces, canonical subspaces."""
+"""Exact sparse linear algebra: echelon forms, kernels, canonical subspaces."""
 
 from fractions import Fraction
 from math import gcd
@@ -7,76 +7,67 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from faceq.linalg import (
-    Echelon,
-    SparseMatrix,
-    Subspace,
-    null_space,
-    reduced_echelon,
-    span_contains,
-    subspace_equal,
-)
+from faceq import pathalg as pa
+from faceq.linalg import Echelon, Subspace, subspace_equal
+
+from conftest import null_space_oracle
 
 
-def dense(rows, cols=None):
-    if cols is None:
-        cols = max((len(r) for r in rows), default=0)
-    dicts = [{j: Fraction(v) for j, v in enumerate(r) if v} for r in rows]
-    return SparseMatrix.from_row_dicts(dicts, cols)
+def dense(rows):
+    """Sparse row dicts of a dense integer matrix."""
+    return [{j: v for j, v in enumerate(r) if v} for r in rows]
 
 
-def row_lists(m):
-    out = []
-    for row in m.row_dicts():
-        out.append([row.get(j, Fraction(0)) for j in range(m.cols)])
-    return out
+def row_lists(sub):
+    return [[row.get(j, 0) for j in range(sub.ambient_dim)] for row in sub.basis]
+
+
+def kernel(cols, rows):
+    """Basis of {v : r . v = 0 for every row r}, as the quadratic dual reads it."""
+    return pa.quadratic_dual_rows(pa.QuadraticData(None, Subspace.from_rows(cols, rows)))
 
 
 def test_reduced_echelon_diagonal():
-    ech, pivots = reduced_echelon(dense([[2, 0], [0, 3]]))
-    assert row_lists(ech) == [[1, 0], [0, 1]]
-    assert pivots == [0, 1]
+    sub = Subspace.from_rows(2, dense([[2, 0], [0, 3]]))
+    assert row_lists(sub) == [[1, 0], [0, 1]]
+    assert sub.pivots == (0, 1)
 
 
 def test_reduced_echelon_rank_one():
-    ech, pivots = reduced_echelon(dense([[1, 1], [1, 1]]))
-    assert row_lists(ech) == [[1, 1]]
-    assert pivots == [0]
+    sub = Subspace.from_rows(2, dense([[1, 1], [1, 1]]))
+    assert row_lists(sub) == [[1, 1]]
+    assert sub.pivots == (0,)
 
 
 def test_reduced_echelon_zero_matrix():
-    ech, pivots = reduced_echelon(dense([[0, 0]]))
-    assert row_lists(ech) == []
-    assert pivots == []
+    sub = Subspace.from_rows(2, dense([[0, 0]]))
+    assert row_lists(sub) == []
+    assert sub.pivots == ()
 
 
 def test_null_space_identity():
-    assert null_space(dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])).dim == 0
+    assert kernel(3, dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == ()
 
 
 def test_null_space_one_equation():
-    ns = null_space(dense([[1, 1]]))
-    assert ns.dim == 1
-    assert ns.basis == ({0: Fraction(1), 1: Fraction(-1)},)
+    assert kernel(2, dense([[1, 1]])) == ({0: 1, 1: -1},)
 
 
 def test_null_space_two_by_three():
-    ns = null_space(dense([[1, -1, 0], [0, 1, -1]]))
-    assert ns.dim == 1
-    assert ns.basis == ({0: Fraction(1), 1: Fraction(1), 2: Fraction(1)},)
+    assert kernel(3, dense([[1, -1, 0], [0, 1, -1]])) == ({0: 1, 1: 1, 2: 1},)
 
 
 def test_span_contains_scaled_vector():
     s = Subspace.from_rows(2, [{0: Fraction(1)}])
-    assert span_contains(s, [2, 0])
-    assert not span_contains(s, [0, 1])
+    assert s.contains({0: 2})
+    assert not s.contains({1: 1})
 
 
 def test_span_contains_full_space():
     s = Subspace.from_rows(2, [{0: Fraction(1), 1: Fraction(1)},
                                {0: Fraction(1), 1: Fraction(-1)}])
-    assert span_contains(s, [3, 7])
-    assert span_contains(s, [-1, 5])
+    assert s.contains({0: 3, 1: 7})
+    assert s.contains({0: -1, 1: 5})
 
 
 def test_subspace_equal_different_spanning_sets():
@@ -102,8 +93,7 @@ def test_subspace_equal_ambient_mismatch():
 
 
 def test_empty_ambient_dimension():
-    ns = null_space(SparseMatrix.from_row_dicts([], 0))
-    assert ns.dim == 0
+    assert kernel(0, []) == ()
     assert Echelon(0).finalize().dim == 0
 
 
@@ -111,39 +101,41 @@ small_entries = st.integers(min_value=-5, max_value=5)
 
 
 def matrices(max_rows=5, max_cols=5):
+    """(cols, sparse rows) of small dense integer matrices."""
     return st.integers(min_value=1, max_value=max_cols).flatmap(
         lambda cols: st.lists(
             st.lists(small_entries, min_size=cols, max_size=cols),
             min_size=1, max_size=max_rows,
-        ).map(lambda rows: dense(rows, cols))
+        ).map(lambda rows: (cols, dense(rows)))
     )
 
 
 @given(matrices())
 def test_rank_nullity(m):
-    _, pivots = reduced_echelon(m)
-    assert len(pivots) + null_space(m).dim == m.cols
+    cols, rows = m
+    assert Subspace.from_rows(cols, rows).dim + len(kernel(cols, rows)) == cols
 
 
 @given(matrices())
 def test_null_space_vectors_annihilate(m):
-    rows = m.row_dicts()
-    for v in null_space(m).basis:
+    cols, rows = m
+    for v in kernel(cols, rows):
         for row in rows:
             assert sum((row.get(j, 0) * c for j, c in v.items()), Fraction(0)) == 0
 
 
 @given(matrices())
 def test_reduced_echelon_idempotent(m):
-    ech, pivots = reduced_echelon(m)
-    again, pivots2 = reduced_echelon(ech)
-    assert row_lists(again) == row_lists(ech)
-    assert pivots2 == pivots
+    cols, rows = m
+    sub = Subspace.from_rows(cols, rows)
+    again = Subspace.from_rows(cols, sub.basis)
+    assert row_lists(again) == row_lists(sub)
+    assert again.pivots == sub.pivots
 
 
 @given(matrices(), st.randoms(use_true_random=False))
 def test_echelon_canonical_under_row_operations(m, rng):
-    rows = m.row_dicts()
+    cols, rows = m
     mixed = [dict(r) for r in rows]
     for _ in range(3):
         i = rng.randrange(len(mixed))
@@ -158,9 +150,9 @@ def test_echelon_canonical_under_row_operations(m, rng):
             else:
                 mixed[i].pop(col, None)
     rng.shuffle(mixed)
-    a = Subspace.from_rows(m.cols, rows)
-    b = Subspace.from_rows(m.cols, mixed)
-    assert span_contains(a, next(iter(mixed), {})) or not mixed
+    a = Subspace.from_rows(cols, rows)
+    b = Subspace.from_rows(cols, mixed)
+    assert a.contains(next(iter(mixed), {})) or not mixed
     assert b.dim <= a.dim
     for row in mixed:
         assert a.contains(row)
@@ -168,13 +160,14 @@ def test_echelon_canonical_under_row_operations(m, rng):
 
 @given(matrices())
 def test_span_contains_row_combinations(m):
-    s = Subspace.from_rows(m.cols, m.row_dicts())
+    cols, rows = m
+    s = Subspace.from_rows(cols, rows)
     combo = {}
-    for k, row in enumerate(m.row_dicts()):
+    for k, row in enumerate(rows):
         for j, v in row.items():
             combo[j] = combo.get(j, Fraction(0)) + (k + 1) * v
     combo = {j: v for j, v in combo.items() if v}
-    assert span_contains(s, combo)
+    assert s.contains(combo)
 
 
 @given(st.fractions(), st.fractions())
@@ -313,3 +306,16 @@ def test_finalize_matches_oracle_when_rows_hold_every_later_pivot():
     _finalize_against_oracle(n, rows)
     wide = [{**row, **{n + k: k - i for k in range(3)}} for i, row in enumerate(rows)]
     _finalize_against_oracle(n + 3, wide)
+
+
+@settings(max_examples=150, deadline=None)
+@given(echelon_inputs())
+def test_null_space_matches_oracle(case):
+    """Reading the kernel off the residue table gives the oracle's basis,
+    pivots and entry types, on int and Fraction rows alike."""
+    cols, rows = case
+    oracle = null_space_oracle(cols, rows)
+    basis = kernel(cols, rows)
+    assert basis == oracle.basis
+    assert Subspace.from_rows(cols, basis).pivots == oracle.pivots
+    assert entry_types(basis) == entry_types(oracle.basis)

@@ -1,6 +1,7 @@
 """Quotient constructions for quadratic relation spaces and their dualities."""
 
 import json
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -13,9 +14,9 @@ from faceq import wba
 from faceq.errors import UnsupportedShapeError
 from faceq.linalg import Subspace, subspace_equal
 
-from conftest import (bracket, commutator_ideal, face_coords, loop_face,
-                      polynomial_families, preprojective_families,
-                      quantum_plane_ideal)
+from conftest import (bracket, commutator_ideal, face_coaction_relations, face_coords,
+                      loop_face, polynomial_families, preprojective_families,
+                      q_commutator_ideal, quantum_plane_ideal)
 from fleet import kronecker, three_cycle, three_loop, two_loop
 
 
@@ -33,12 +34,41 @@ def test_coaction_relations_polynomial_examples():
     qd = pa.quadratic_data(commutator_ideal(q))
     gens = uq.coaction_relations(qd, "left")
     assert len(gens) == 3
-    assert gens[0] == bracket(loop_face(q, 0, 0), loop_face(q, 1, 0))
-    assert gens[1] == (bracket(loop_face(q, 0, 0), loop_face(q, 1, 1))
-                       + bracket(loop_face(q, 0, 1), loop_face(q, 1, 0)))
-    assert gens[2] == bracket(loop_face(q, 0, 1), loop_face(q, 1, 1))
+    assert gens[0] == face_coords(q, bracket(loop_face(q, 0, 0), loop_face(q, 1, 0)), 2)
+    assert gens[1] == face_coords(q, bracket(loop_face(q, 0, 0), loop_face(q, 1, 1))
+                                  + bracket(loop_face(q, 0, 1), loop_face(q, 1, 0)), 2)
+    assert gens[2] == face_coords(q, bracket(loop_face(q, 0, 1), loop_face(q, 1, 1)), 2)
     rights = uq.coaction_relations(qd, "right")
-    assert rights[0] == bracket(loop_face(q, 0, 0), loop_face(q, 0, 1))
+    assert rights[0] == face_coords(q, bracket(loop_face(q, 0, 0), loop_face(q, 0, 1)), 2)
+
+
+ORACLE_IDEALS = {
+    "commutator": lambda: commutator_ideal(two_loop()),
+    "quantum-plane-half": lambda: quantum_plane_ideal(two_loop(), Fraction(1, 2)),
+    "q-commutator": lambda: q_commutator_ideal(three_loop(),
+                                               [-2, Fraction(1, 2), Fraction(-3, 4)]),
+    "preprojective": lambda: pa.preprojective_relations(three_cycle()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_IDEALS))
+def test_coaction_relations_match_face_element_oracle(name):
+    """Generator order, term order and values equal the face-element
+    construction on each algebra and its quadratic dual; integral values
+    are ints, so no integral Fraction reaches a generator."""
+    qd = pa.quadratic_data(ORACLE_IDEALS[name]())
+    fractions = 0
+    for data in (qd, pa.quadratic_dual(qd)):
+        for side in ("left", "right"):
+            gens = uq.coaction_relations(data, side)
+            oracle = [face_coords(data.quiver, g, 2)
+                      for g in face_coaction_relations(data, side)]
+            assert [list(g.items()) for g in gens] == [list(g.items()) for g in oracle]
+            for g in gens:
+                for c in g.values():
+                    assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+                    fractions += type(c) is Fraction
+    assert bool(fractions) == (name in ("quantum-plane-half", "q-commutator"))
 
 
 def test_coaction_relations_counts():

@@ -15,7 +15,7 @@ from faceq import wba
 from faceq.errors import VerificationError
 from faceq.linalg import Echelon, Subspace, bump, subspace_equal
 
-from conftest import commutator_ideal
+from conftest import commutator_ideal, face_coaction_relations
 from fleet import FLEET, kronecker, one_loop, q_bullets, three_cycle, three_loop, two_loop
 
 ONE = Fraction(1)
@@ -644,7 +644,9 @@ def test_three_loop_commutator_biideal_add_count(monkeypatch):
     qd = pa.quadratic_data(commutator_ideal(q))
     host = wba.from_face_algebra(q, 3)
     gens = [(2, face_coords(q, g, 2)) for side in ("left", "right")
-            for g in uq.coaction_relations(qd, side)]
+            for g in face_coaction_relations(qd, side)]
+    assert [g for _, g in gens] == [g for side in ("left", "right")
+                                    for g in uq.coaction_relations(qd, side)]
     calls = []
     add = Echelon.add
 
