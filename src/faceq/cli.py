@@ -327,7 +327,7 @@ def run_dual(cfg):
     dual_relations = [pa.format_path_element(pa.row_element(opp, row, paths2))
                       for row in qdual.relation_space.basis]
     dual_ideal = pa.quadratic_ideal(qdual)
-    report = uq.check_quadratic_dualities(q, ideal, cfg.max_degree)
+    report = uq.check_quadratic_dualities(qd, qdual, cfg.max_degree)
     return {
         "formatVersion": FORMAT_VERSION,
         "command": "dual",

@@ -175,10 +175,17 @@ class QuadraticData:
     def __init__(self, q, relation_space):
         self.quiver = q
         self.relation_space = relation_space
+        self._dual_rows = None
 
     @property
     def ambient_dim(self):
         return self.relation_space.ambient_dim
+
+    def dual_rows(self):
+        """quadratic_dual_rows(self), computed on the first request and then kept."""
+        if self._dual_rows is None:
+            self._dual_rows = quadratic_dual_rows(self)
+        return self._dual_rows
 
 
 def composable_pairs(q):
@@ -240,7 +247,7 @@ def quadratic_dual(qd):
     # Q-pair (i, j) -> opposite pair (j, i); arrow indices are shared.
     transport = [opp_index[(j, i)] for (i, j) in pairs]
     moved = [{transport[c]: x for c, x in row.items()}
-             for row in quadratic_dual_rows(qd)]
+             for row in qd.dual_rows()]
     return QuadraticData(opp, Subspace.from_rows(len(opp_pairs), moved))
 
 

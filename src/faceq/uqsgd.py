@@ -29,7 +29,7 @@ def coaction_relations(qd, side):
     """
     co._require_side(side)
     n = qd.ambient_dim
-    d_rows = pa.quadratic_dual_rows(qd)
+    d_rows = qd.dual_rows()
     gens = []
     for crow in qd.relation_space.basis:
         for drow in d_rows:
@@ -190,34 +190,38 @@ def _transport(subspace, mapping, ambient):
     return Subspace.from_rows(ambient, rows)
 
 
-def check_quadratic_dualities(q, ideal, max_degree):
+def check_quadratic_dualities(qd, qdual, max_degree):
     """Transport checks for the four duality statements, plus dimension laws.
 
+    qd is the quadratic data of kQ/I and qdual = pa.quadratic_dual(qd).
     (a) star carries the left biideal piece of kQ/I onto the right piece of
     the quadratic dual; (b) the mirror; (c) swap exchanges left and right on
     the same algebra; (d) star matches the transposed sides.  Each row also
     compares graded quotient dimensions up to max_degree.
+
+    Only products are read, so the hosts come from wba.face_algebra, with no
+    coproduct or counit tables.  The transported degree-2 pieces are
+    canonical Subspaces; the dimensions come from wba.biideal_rank, so the
+    top degree is never finalized (lower degrees are, as spreading reads
+    their bases).
     """
     if max_degree < 2:
         raise ValueError("duality checks need max_degree >= 2")
-    qd = pa.quadratic_data(ideal)
-    qdual = pa.quadratic_dual(qd)
-    opp = qdual.quiver
+    q = qd.quiver
 
     pieces = {}
     dims = {}
     ambient = {}
-    for label, quiver, data in (("base", q, qd), ("dual", opp, qdual)):
-        host = wba.from_face_algebra(quiver, max_degree)
+    for label, data in (("base", qd), ("dual", qdual)):
+        host = wba.face_algebra(data.quiver, max_degree)
         ambient[label] = host.dim(2)
         for side in RESULT_SIDES:
             gen_sides = ("left", "right") if side == "trans" else (side,)
             b = wba.BiidealGens(host, [(2, g) for s in gen_sides
                                        for g in coaction_relations(data, s)])
-            per_degree = [wba.biideal_graded_pieces(b, d) for d in range(max_degree + 1)]
-            pieces[(side, label)] = per_degree[2]
-            dims[(side, label)] = [host.dim(d) - per_degree[d].dim
+            dims[(side, label)] = [host.dim(d) - wba.biideal_rank(b, d)
                                    for d in range(max_degree + 1)]
+            pieces[(side, label)] = wba.biideal_graded_pieces(b, 2)
 
     star = _star_index_map(q)
     swap = _swap_index_map(q)

@@ -15,6 +15,8 @@ or right factor, coproduct terms by first leg): they still quantify over
 every basis pair.
 """
 
+from math import isqrt
+
 from . import quiver as qv
 from .errors import VerificationError
 from .linalg import Echelon, bump, int_row, mat_vec
@@ -69,8 +71,9 @@ class GradedWBA(GradedAlgebra):
     coproduct maps (d, i) to a dict {(j, k): scalar} describing a sum of
     u^d_j (x) u^d_k; counit maps (d, i) to its scalar value.  Both tables
     store nonzero data only.  The tables must not change once the object
-    is built: derived data such as the counital subalgebras is computed
-    once and kept in counital_subalgebras.
+    is built: derived data is computed once and kept, the counital
+    subalgebras in counital_subalgebras and the eps(u_i u_j) table behind
+    eps_products().
     """
 
     def __init__(self, max_degree, labels, product, unit, coproduct, counit):
@@ -78,6 +81,7 @@ class GradedWBA(GradedAlgebra):
         self.coproduct = coproduct
         self.counit = counit
         self.counital_subalgebras = {}
+        self._eps_products = None
 
     def coproduct_of(self, d, i):
         return self.coproduct.get((d, i), {})
@@ -110,6 +114,16 @@ class GradedWBA(GradedAlgebra):
 
     def delta_one(self):
         return self.delta(0, self.unit)
+
+    def eps_products(self):
+        """eps(u_i u_j) per degree pair, from one pass over the product table.
+
+        The table is {(d, e): {(i, j): scalar}} with nonzero values only,
+        built on the first request and then kept; callers must not change it.
+        """
+        if self._eps_products is None:
+            self._eps_products = _eps_matrices(self)
+        return self._eps_products
 
 
 def to_doc(w):
@@ -151,11 +165,12 @@ def path_algebra_presentation(q, max_degree):
     return GradedAlgebra(max_degree, labels, product, unit)
 
 
-def from_face_algebra(q, max_degree):
-    """The face algebra of a quiver, tabulated on the faceBasis order.
+def face_algebra(q, max_degree):
+    """The face algebra's labels, product and unit on the faceBasis order.
 
     Index arithmetic on x[a;b] -> i_a*n + i_b over one path-composition
-    table per degree pair, so only composable pairs are visited.
+    table per degree pair, so only composable pairs are visited.  For the
+    coproduct and counit as well, use from_face_algebra.
     """
     paths = [qv.enumerate_paths(q, d) for d in range(max_degree + 1)]
     sizes = [len(p) for p in paths]
@@ -180,18 +195,30 @@ def from_face_algebra(q, max_degree):
                 for c, ac in left:
                     for k, bk in right:
                         product[(d, ids[d][i], e, ids[e][c * ne + k])] = units[d + e][ac * nf + bk]
+    unit = {i: _ONE for i in ids[0]}
+    return GradedAlgebra(max_degree, labels, product, unit)
+
+
+def from_face_algebra(q, max_degree):
+    """The face algebra of a quiver as a weak bialgebra.
+
+    face_algebra's labels, product and unit, plus the matrix coproduct
+    Delta(x[a;b]) = sum_m x[a;m] (x) x[m;b] and the counit
+    eps(x[a;b]) = delta_ab, both by index arithmetic.
+    """
+    alg = face_algebra(q, max_degree)
     coproduct = {}
     counit = {}
     for d in range(max_degree + 1):
-        n, idd = sizes[d], ids[d]
+        n = isqrt(alg.dim(d))
+        idd = list(range(n * n))  # one int object per basis index, as in face_algebra
         for a in range(n):
             for b in range(n):
                 i = idd[a * n + b]
                 coproduct[(d, i)] = {(idd[a * n + m], idd[m * n + b]): _ONE for m in range(n)}
                 if a == b:
                     counit[(d, i)] = _ONE
-    unit = {i: _ONE for i in ids[0]}
-    return GradedWBA(max_degree, labels, product, unit, coproduct, counit)
+    return GradedWBA(max_degree, alg.labels, alg.product, alg.unit, coproduct, counit)
 
 
 def bialgebra_d(max_degree):
@@ -306,7 +333,7 @@ def _failures_delta_multiplicative(w):
 
 
 def _failures_counit_splits(w):
-    eps = _eps_matrices(w)
+    eps = w.eps_products()
     by_col = {}
     by_row = {}
     for (d, e), mat in eps.items():
@@ -428,14 +455,14 @@ def counital_subalgebra(w, side):
 
     With Delta(1) = sum c u_i (x) u_j, the source image of u_v is
     sum c eps(u_v u_j) u_i and the target image is sum c eps(u_i u_v) u_j,
-    read off the eps(u_a u_b) table.  The first request computes both sides
-    from one Delta(1) and one table and keeps them on w.
+    read off w.eps_products().  The first request computes both sides from
+    one Delta(1) and keeps them on w.
     """
     if side not in ("source", "target"):
         raise ValueError(f"side must be 'source' or 'target', got {side!r}")
     if side not in w.counital_subalgebras:
         split = w.delta_one()
-        eps = _eps_matrices(w)
+        eps = w.eps_products()
         for source in (True, False):
             ech = Echelon(w.dim(0))
             for d in range(w.max_degree + 1):
@@ -456,7 +483,9 @@ class BiidealGens:
     """Homogeneous generators of a prospective biideal inside a host presentation.
 
     Generators are (degree, coordinate dict) pairs; zero and repeated
-    generators are dropped.
+    generators are dropped.  Graded pieces and ranks need only the host's
+    product (a GradedAlgebra will do); check_biideal and quotient_wba need
+    a GradedWBA.
     """
 
     def __init__(self, host, generators):
@@ -474,21 +503,18 @@ class BiidealGens:
             gens.append((d, vec))
         self.generators = tuple(gens)
         self._pieces = {}
+        self._echelons = {}  # forward-reduced pieces not yet finalized
         self._cosets = {}
 
 
-def biideal_graded_pieces(b, d):
-    """Degree-d piece of the two-sided ideal generated by b, as a Subspace.
+def _spread(b, d):
+    """The degree-d piece as a forward-reduced Echelon, kept on b until finalized.
 
-    One-step spanning from degree d-1 by all degree-1 basis elements on both
-    sides, plus degree-d generators; complete because the hosts here are
-    generated in degrees 0 and 1.  Two-sided saturation by degree-0 basis
-    elements runs only in degrees with generators: elsewhere the piece
-    H_1 I_{d-1} + I_{d-1} H_1 is already H_0-stable, as z(ar) = (za)r and
-    z(ra) = (zr)a with za in H_1 and zr in I_{d-1}, and likewise on the right.
+    Spreads the finalized degree-(d-1) basis, as biideal_graded_pieces
+    describes.
     """
-    if d in b._pieces:
-        return b._pieces[d]
+    if d in b._echelons:
+        return b._echelons[d]
     w = b.host
     if d > w.max_degree:
         raise ValueError(f"degree {d} exceeds the host truncation {w.max_degree}")
@@ -520,9 +546,38 @@ def biideal_graded_pieces(b, d):
                     ech.add(right)
         if ech.rank == before:
             break
-    piece = ech.finalize()
-    b._pieces[d] = piece
-    return piece
+    b._echelons[d] = ech
+    return ech
+
+
+def biideal_rank(b, d):
+    """Dimension of the degree-d piece, from forward elimination alone.
+
+    The Echelon stays on b, so a later biideal_graded_pieces(b, d)
+    finalizes it instead of eliminating again.  Degrees below d are
+    finalized, since spreading reads their canonical bases.
+    """
+    if d in b._pieces:
+        return b._pieces[d].dim
+    return _spread(b, d).rank
+
+
+def biideal_graded_pieces(b, d):
+    """Degree-d piece of the two-sided ideal generated by b, as a Subspace.
+
+    One-step spanning from the finalized degree-(d-1) basis by all degree-1
+    basis elements on both sides, plus degree-d generators; complete because
+    the hosts here are generated in degrees 0 and 1.  Two-sided saturation
+    by degree-0 basis elements runs only in degrees with generators:
+    elsewhere the piece H_1 I_{d-1} + I_{d-1} H_1 is already H_0-stable, as
+    z(ar) = (za)r and z(ra) = (zr)a with za in H_1 and zr in I_{d-1}, and
+    likewise on the right.  Finalizes the Echelon that biideal_rank(b, d)
+    left on b, if there is one, and keeps the piece on b.
+    """
+    if d not in b._pieces:
+        b._pieces[d] = _spread(b, d).finalize()
+        del b._echelons[d]
+    return b._pieces[d]
 
 
 def coset_table(b, d):

@@ -154,7 +154,8 @@ def test_09_duality_transport_checks_pass():
         ("preprojective", prep.quiver, prep, 2),
     ]
     for name, q, ideal, degree in instances:
-        report = uq.check_quadratic_dualities(q, ideal, degree)
+        qd = pa.quadratic_data(ideal)
+        report = uq.check_quadratic_dualities(qd, pa.quadratic_dual(qd), degree)
         assert report["passed"], (name, report)
         assert {row["check"]: row["status"] for row in report["checks"]} == {
             "a-star-left-onto-dual-right": "pass",

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from faceq import cli
+from faceq import pathalg as pa
+from faceq import wba
 
 
 THREE_CYCLE_DOC = {"vertices": ["1", "2", "3"], "arrows": [
@@ -219,6 +221,48 @@ def test_dual_polynomial_ring(tmp_path):
         "1 * t2*.t2*",
     ]
     assert doc["dualities"]["passed"] is True
+
+
+def test_dual_computes_each_complement_once(tmp_path, monkeypatch):
+    """R-perp is computed once for the relations and once for the dual
+    relations, though the job reads it ten times."""
+    calls = []
+    rows = pa.quadratic_dual_rows
+
+    def counted(qd):
+        calls.append(qd)
+        return rows(qd)
+
+    monkeypatch.setattr(pa, "quadratic_dual_rows", counted)
+    quiver = write_json(tmp_path / "q.json", TWO_LOOP_DOC)
+    rels = write_json(tmp_path / "r.json", COMMUTATOR_DOC)
+    code, _ = run_doc(tmp_path, ["dual", "--quiver", quiver,
+                                 "--relations", rels, "--max-degree", "3"])
+    assert code == 0
+    assert len(calls) == 2
+    assert calls[0].quiver is not calls[1].quiver
+
+
+@pytest.mark.parametrize("command, relations", [
+    ("face", None), ("verify", None), ("uqsgd", COMMUTATOR_DOC)])
+def test_one_eps_table_per_presentation(tmp_path, monkeypatch, command, relations):
+    """The counit splits and both counital subalgebras share one pass over
+    the product table."""
+    seen = []
+    eps_matrices = wba._eps_matrices
+
+    def counted(w):
+        seen.append(w)
+        return eps_matrices(w)
+
+    monkeypatch.setattr(wba, "_eps_matrices", counted)
+    args = [command, "--quiver", write_json(tmp_path / "q.json", TWO_LOOP_DOC),
+            "--max-degree", "2"]
+    if relations is not None:
+        args += ["--relations", write_json(tmp_path / "r.json", relations)]
+    code, _ = run_doc(tmp_path, args)
+    assert code == 0
+    assert len(seen) == 1
 
 
 def test_output_bytes_identical_across_runs(tmp_path):

@@ -1,11 +1,15 @@
-"""Report bytes pinned for every subcommand on small fleet cases at degree 2.
+"""Report bytes pinned for every subcommand on small fleet cases at degree 2,
+and for dual on the three-loop q-commutators at degree 4.
 
 Each case runs the CLI in a fresh interpreter under two PYTHONHASHSEED
 values, and both runs must produce the recorded sha256.  A change in how a
 scalar is rendered (an int reaching the JSON report as a number where a
 string was written, say), or an output order that follows hashing, fails
 here.  The quantum-plane cases carry the non-integer coefficient -1/2, so
-the rational path is pinned as well as the integer one.
+the rational path is pinned as well as the integer one.  At degree 4 the
+dual's degree-3 biideal pieces are both spread from and finalized, while
+degree 4 is only ranked.  A case's extra options come after the default
+--max-degree 2 and override it.
 """
 
 import hashlib
@@ -43,6 +47,14 @@ QUANTUM_PLANE = [[{"coeff": 1, "path": ["t1", "t2"]},
 COMMUTATOR = [[{"coeff": 1, "path": ["t1", "t2"]},
                {"coeff": -1, "path": ["t2", "t1"]}]]
 
+THREE_LOOP = {"vertices": ["v"], "arrows": [
+    {"name": f"t{i}", "source": "v", "target": "v"} for i in (1, 2, 3)]}
+
+# t_i t_j + q_ij t_j t_i with (q12, q13, q23) = (-2, 1/2, -3/4)
+Q_COMMUTATORS = [[{"coeff": 1, "path": [f"t{i}", f"t{j}"]},
+                  {"coeff": q, "path": [f"t{j}", f"t{i}"]}]
+                 for (i, j), q in (((1, 2), "-2"), ((1, 3), "1/2"), ((2, 3), "-3/4"))]
+
 # name: (subcommand, quiver, relations or None, extra options, sha256 of the report)
 CASES = {
     "face-doubled-three-cycle": (
@@ -63,6 +75,9 @@ CASES = {
     "dual-quantum-plane": (
         "dual", TWO_LOOP, QUANTUM_PLANE, [],
         "ff9d2586616b571ec6612fdf76280e3be4bdc0c774a1ec86944790f66a2a0401"),
+    "dual-three-loop-q-commutators-degree-4": (
+        "dual", THREE_LOOP, Q_COMMUTATORS, ["--max-degree", "4"],
+        "170b76f6f198a844b8a9de47fee66b371622605643296aa9d8d10e79954a4f14"),
 }
 
 

@@ -24,6 +24,11 @@ def piece2(result):
     return wba.biideal_graded_pieces(result.biideal, 2)
 
 
+def dualities(ideal, degree):
+    qd = pa.quadratic_data(ideal)
+    return uq.check_quadratic_dualities(qd, pa.quadratic_dual(qd), degree)
+
+
 def family_span(q, host, elems):
     rows = [face_coords(q, r, 2) for r in elems]
     return Subspace.from_rows(host.dim(2), rows)
@@ -181,7 +186,7 @@ def test_build_rejects_bad_inputs():
 
 def test_quadratic_dualities_polynomial():
     q = two_loop()
-    report = uq.check_quadratic_dualities(q, commutator_ideal(q), 3)
+    report = dualities(commutator_ideal(q), 3)
     assert report["passed"]
     names = [row["check"] for row in report["checks"]]
     assert names == [
@@ -194,19 +199,31 @@ def test_quadratic_dualities_polynomial():
 
 def test_quadratic_dualities_quantum_plane():
     q = two_loop()
-    report = uq.check_quadratic_dualities(q, quantum_plane_ideal(q), 3)
+    report = dualities(quantum_plane_ideal(q), 3)
     assert report["passed"], report
 
 
 def test_quadratic_dualities_preprojective():
     prep = pa.preprojective_relations(three_cycle())
-    report = uq.check_quadratic_dualities(prep.quiver, prep, 2)
+    report = dualities(prep, 2)
+    assert report["passed"], report
+
+
+def test_quadratic_dualities_build_no_coproduct_tables(monkeypatch):
+    """The transports read only products: no GradedWBA, so no coproduct or
+    counit table, is built."""
+    def refuse(*args):
+        raise AssertionError("a coproduct table was built")
+
+    monkeypatch.setattr(wba.GradedWBA, "__init__", refuse)
+    q = three_loop()
+    report = dualities(q_commutator_ideal(q, ["-2", "1/2", "-3/4"]), 3)
     assert report["passed"], report
 
 
 def test_quadratic_dualities_free_algebra():
     q = kronecker()
-    report = uq.check_quadratic_dualities(q, pa.HomogeneousIdeal(q, []), 2)
+    report = dualities(pa.HomogeneousIdeal(q, []), 2)
     assert report["passed"]
     with pytest.raises(ValueError):
-        uq.check_quadratic_dualities(q, pa.HomogeneousIdeal(q, []), 1)
+        dualities(pa.HomogeneousIdeal(q, []), 1)

@@ -3,6 +3,8 @@
 from fractions import Fraction
 from math import comb
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -372,6 +374,12 @@ def test_from_face_algebra_matches_object_arithmetic(q):
                                              if k[0] <= deg]
         assert list(w.counit.items()) == [(k, v) for k, v in counit.items() if k[0] <= deg]
         assert w.unit == unit
+        # the product-only build is the same tables without the coalgebra
+        alg = wba.face_algebra(q, deg)
+        assert type(alg) is wba.GradedAlgebra
+        assert alg.labels == w.labels
+        assert list(alg.product.items()) == list(w.product.items())
+        assert list(alg.unit.items()) == list(w.unit.items())
 
 
 def pairwise_delta_multiplicative(w):
@@ -624,6 +632,24 @@ def random_biideals(draw):
 @given(random_biideals())
 def test_biideal_pieces_match_saturate_every_degree(b):
     assert_pieces_match(b, b.host.max_degree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_biideals(), st.data())
+def test_biideal_rank_is_the_dim_of_the_finalized_piece(b, data):
+    top = data.draw(st.integers(0, b.host.max_degree))
+    rank = wba.biideal_rank(b, top)
+    # spreading finalized every degree below top; top is forward-reduced only
+    assert sorted(b._pieces) == list(range(top))
+    assert list(b._echelons) == [top]
+    with mock.patch.object(Echelon, "add", side_effect=AssertionError("eliminated again")):
+        piece = wba.biideal_graded_pieces(b, top)
+    assert piece.dim == rank
+    assert not b._echelons
+    fresh = wba.BiidealGens(b.host, b.generators)
+    assert [wba.biideal_rank(b, d) for d in range(top + 1)] == \
+        [wba.biideal_graded_pieces(fresh, d).dim for d in range(top + 1)]
+    assert piece == wba.biideal_graded_pieces(fresh, top)
 
 
 def test_biideal_pieces_match_oracle_on_mixed_degree_generators():
