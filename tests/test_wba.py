@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 from math import comb
-
 from unittest import mock
 
 from hypothesis import given, settings
