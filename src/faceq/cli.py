@@ -296,8 +296,6 @@ def run_uqsgd(cfg):
     host = result.biideal.host
     gens = [_coords_text(host.labels[d], coords)
             for d, coords in result.biideal.generators]
-    algebra_dims = [pa.quotient_dimension(ideal, d)
-                    for d in range(cfg.max_degree + 1)]
     return {
         "formatVersion": FORMAT_VERSION,
         "command": "uqsgd",
@@ -307,7 +305,7 @@ def run_uqsgd(cfg):
         "relations": [pa.format_path_element(g) for g in ideal.generators],
         "biidealGenerators": gens,
         "quotientDims": result.quotient_dims,
-        "algebraDims": algebra_dims,
+        "algebraDims": result.algebra_dims,
         "inducedCoactions": {
             s: _coaction_doc(spec, result.quotient)
             for s, spec in result.induced_coactions.items()
@@ -320,25 +318,20 @@ def run_uqsgd(cfg):
 def run_dual(cfg):
     q = _load_quiver(cfg)
     ideal = _load_ideal(cfg, q)
+    m = cfg.max_degree
     qd = pa.quadratic_data(ideal)
     qdual = pa.quadratic_dual(qd)
-    opp = qdual.quiver
-    paths2 = qv.enumerate_paths(opp, 2)
-    dual_relations = [pa.format_path_element(pa.row_element(opp, row, paths2))
-                      for row in qdual.relation_space.basis]
-    dual_ideal = pa.quadratic_ideal(qdual)
-    report = uq.check_quadratic_dualities(qd, qdual, cfg.max_degree)
+    dual_ideal = pa.quadratic_ideal(qdual, m)
+    report = uq.check_quadratic_dualities(qd, qdual, m)
     return {
         "formatVersion": FORMAT_VERSION,
         "command": "dual",
         "quiver": _quiver_doc(q),
-        "maxDegree": cfg.max_degree,
-        "dualQuiver": _quiver_doc(opp),
-        "dualRelations": dual_relations,
-        "primalDims": [pa.quotient_dimension(ideal, d)
-                       for d in range(cfg.max_degree + 1)],
-        "dualDims": [pa.quotient_dimension(dual_ideal, d)
-                     for d in range(cfg.max_degree + 1)],
+        "maxDegree": m,
+        "dualQuiver": _quiver_doc(qdual.quiver),
+        "dualRelations": _subspace_text(dual_ideal.host.labels[2], qdual.relation_space),
+        "primalDims": wba.quotient_dims(pa.quadratic_ideal(qd, m), m),
+        "dualDims": wba.quotient_dims(dual_ideal, m),
         "dualities": report,
         "passed": report["passed"],
     }

@@ -1,15 +1,17 @@
 """Graded path algebra elements, homogeneous ideals, quadratic data.
 
-An ideal here is always homogeneous with generators of degree >= 2; its
-graded pieces are computed by one-step spanning from the previous degree
-and returned as canonical subspaces over the fixed path basis.
+An ideal here is always homogeneous with generators of degree >= 2.  Its
+graded pieces are those of a wba.BiidealGens over kQ (the path algebra as
+a wba.GradedAlgebra): canonical subspaces over the fixed path basis, spread
+up the grading by the arrows and saturated by the vertex idempotents.
 """
 
 from fractions import Fraction
 
 from .errors import ParseError, UnsupportedShapeError
-from .linalg import Echelon, Subspace
+from .linalg import Subspace
 from . import quiver as qv
+from . import wba
 
 
 class PathElement:
@@ -113,12 +115,6 @@ class HomogeneousIdeal:
             seen.append(g.terms)
             gens.append(g)
         self.generators = tuple(gens)
-        self._piece_cache = {}
-
-
-def _path_index(q, d):
-    paths = qv.enumerate_paths(q, d)
-    return paths, {p: i for i, p in enumerate(paths)}
 
 
 def element_row(elem, index):
@@ -126,51 +122,24 @@ def element_row(elem, index):
     return {index[p]: c for p, c in elem.terms.items()}
 
 
-def row_element(q, row, paths):
-    return PathElement(q, {paths[i]: c for i, c in row.items()})
-
-
 def ideal_graded_piece(ideal, d):
     """Canonical subspace I_d inside kQ_d.
 
-    Built as span(degree-d generators) + kQ1 * I_{d-1} + I_{d-1} * kQ1,
-    memoized upward from degree 2.  Valid because every monomial sandwich
-    around a generator factors through a length-one extension.
+    The degree-d piece of the BiidealGens over kQ truncated at d (see
+    wba.path_algebra_presentation) generated by the ideal's generators of
+    degree at most d; wba.biideal_graded_pieces spreads it up the grading
+    and saturates it by the vertex idempotents.
     """
-    if d in ideal._piece_cache:
-        return ideal._piece_cache[d]
     q = ideal.quiver
-    paths, index = _path_index(q, d)
-    ech = Echelon(len(paths))
-    if d >= 2:
-        for g in ideal.generators:
-            if g.degree() == d:
-                ech.add(element_row(g, index))
-        if d > 2:
-            # distinct paths stay distinct after one arrow, so nothing cancels
-            prev_paths = qv.enumerate_paths(q, d - 1)
-            arrows = [q.arrow_path(i) for i in range(len(q.arrows))]
-            for row in ideal_graded_piece(ideal, d - 1).basis:
-                terms = [(prev_paths[i], c) for i, c in row.items()]
-                for arr in arrows:
-                    for image in ([(qv.compose_paths(q, arr, p), c) for p, c in terms],
-                                  [(qv.compose_paths(q, p, arr), c) for p, c in terms]):
-                        image_row = {index[r]: c for r, c in image if r is not None}
-                        if image_row:
-                            ech.add(image_row)
-    piece = ech.finalize()
-    ideal._piece_cache[d] = piece
-    return piece
-
-
-def quotient_dimension(ideal, d):
-    """dim kQ_d - dim I_d."""
-    total = len(qv.enumerate_paths(ideal.quiver, d))
-    return total - ideal_graded_piece(ideal, d).dim
+    index = [{p: i for i, p in enumerate(qv.enumerate_paths(q, e))} for e in range(d + 1)]
+    gens = [(g.degree(), element_row(g, index[g.degree()]))
+            for g in ideal.generators if g.degree() <= d]
+    b = wba.BiidealGens(wba.path_algebra_presentation(q, d), gens)
+    return wba.biideal_graded_pieces(b, d)
 
 
 class QuadraticData:
-    """A relation space R inside kQ_2 over the composable-arrow-pair basis."""
+    """A relation space R inside kQ_2, over the degree-2 path basis."""
 
     def __init__(self, q, relation_space):
         self.quiver = q
@@ -188,31 +157,19 @@ class QuadraticData:
         return self._dual_rows
 
 
-def composable_pairs(q):
-    """Ordered basis of kQ_2 as arrow-index pairs, lex in (first, second).
-
-    This coincides with the degree-2 path enumeration order.
-    """
-    pairs = []
-    for i, a in enumerate(q.arrows):
-        for j in q.out_arrows[a.target]:
-            pairs.append((i, j))
-    return pairs
-
-
 def quadratic_data(ideal):
-    """Relation space spanned by the (degree-2 only) generators."""
+    """R = I_2, the degree-2 piece of an ideal with degree-2 generators only.
+
+    As a piece of a two-sided ideal, R is a kQ_0-bimodule, which quadratic
+    duality needs: a relation joining different endpoints, like ab + cc with
+    ab from u to w and the loop cc at w, puts e_u(ab + cc) = ab and
+    e_w(ab + cc) = cc into R separately.
+    """
     for g in ideal.generators:
         if g.degree() != 2:
             raise UnsupportedShapeError(
                 f"quadratic data requires degree-2 generators, found degree {g.degree()}")
-    q = ideal.quiver
-    pairs = composable_pairs(q)
-    pair_index = {pair: i for i, pair in enumerate(pairs)}
-    rows = []
-    for g in ideal.generators:
-        rows.append({pair_index[(p.arrows[0], p.arrows[1])]: c for p, c in g.terms.items()})
-    return QuadraticData(q, Subspace.from_rows(len(pairs), rows))
+    return QuadraticData(ideal.quiver, ideal_graded_piece(ideal, 2))
 
 
 def quadratic_dual_rows(qd):
@@ -220,8 +177,8 @@ def quadratic_dual_rows(qd):
 
     Each free column f of R's echelon basis spans one kernel vector, e_f
     plus the column-f entries of the pivot residues.  Rows stay on the
-    composable-pair coordinates of the original quiver; quadratic_dual
-    transports them to the opposite quiver.
+    degree-2 paths of the original quiver; quadratic_dual transports them
+    to the opposite quiver.
     """
     rel = qd.relation_space
     residues = rel.residues()
@@ -235,28 +192,20 @@ def quadratic_dual(qd):
     """Quadratic dual relation space, living on the opposite quiver.
 
     The pairing identifies the opposite path (pq)* = q* p* with the dual
-    basis vector of pq, so a Q-pair (i, j) corresponds to the opposite-quiver
-    pair (j, i); the dual space is the null space of the relation matrix,
-    transported along that index bijection.
+    basis vector of pq, so the dual space is the null space of the relation
+    matrix, moved along path reversal (quiver.star_indices).
     """
     q = qd.quiver
-    opp = qv.opposite_quiver(q)
-    pairs = composable_pairs(q)
-    opp_pairs = composable_pairs(opp)
-    opp_index = {pair: n for n, pair in enumerate(opp_pairs)}
-    # Q-pair (i, j) -> opposite pair (j, i); arrow indices are shared.
-    transport = [opp_index[(j, i)] for (i, j) in pairs]
-    moved = [{transport[c]: x for c, x in row.items()}
-             for row in qd.dual_rows()]
-    return QuadraticData(opp, Subspace.from_rows(len(opp_pairs), moved))
+    star = qv.star_indices(q, 2)
+    moved = [{star[c]: x for c, x in row.items()} for row in qd.dual_rows()]
+    return QuadraticData(qv.opposite_quiver(q), Subspace.from_rows(len(star), moved))
 
 
-def quadratic_ideal(qd):
-    """The HomogeneousIdeal generated by a relation space's basis."""
-    q = qd.quiver
-    paths = qv.enumerate_paths(q, 2)
-    gens = [row_element(q, row, paths) for row in qd.relation_space.basis]
-    return HomogeneousIdeal(q, gens)
+def quadratic_ideal(qd, max_degree):
+    """The ideal of kQ generated by R, as a wba.BiidealGens over kQ
+    truncated at max_degree; its pieces come from wba.biideal_graded_pieces."""
+    algebra = wba.path_algebra_presentation(qd.quiver, max_degree)
+    return wba.BiidealGens(algebra, [(2, row) for row in qd.relation_space.basis])
 
 
 def preprojective_relations(q):

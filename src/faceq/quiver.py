@@ -176,6 +176,13 @@ def star_path(q, p):
     return Path(q.path_target(p), tuple(reversed(p.arrows)))
 
 
+def star_indices(q, length):
+    """star[i] is the index of a* among the opposite quiver's paths of the
+    given length, where a is the i-th path of q of that length."""
+    index = {p: i for i, p in enumerate(enumerate_paths(opposite_quiver(q), length))}
+    return [index[star_path(q, p)] for p in enumerate_paths(q, length)]
+
+
 def adjacency_matrix(q):
     n = len(q.vertices)
     mat = [[0] * n for _ in range(n)]

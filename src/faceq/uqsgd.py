@@ -12,7 +12,7 @@ from . import coaction as co
 from . import pathalg as pa
 from . import quiver as qv
 from . import wba
-from .errors import UnsupportedShapeError, VerificationError
+from .errors import VerificationError
 from .linalg import Subspace, bump, subspace_equal
 
 RESULT_SIDES = ("left", "right", "trans")
@@ -47,7 +47,7 @@ class UQSGdResult:
     """One verified UQSGd presentation and the objects it was built from."""
 
     def __init__(self, side, quiver, relation_space, biideal, quotient,
-                 induced_coactions, verification, quotient_dims=None):
+                 induced_coactions, verification, quotient_dims, algebra_dims):
         self.side = side
         self.quiver = quiver
         self.relation_space = relation_space
@@ -55,7 +55,18 @@ class UQSGdResult:
         self.quotient = quotient
         self.induced_coactions = induced_coactions
         self.verification = verification
-        self.quotient_dims = [] if quotient_dims is None else quotient_dims
+        self.quotient_dims = quotient_dims
+        self.algebra_dims = algebra_dims
+
+
+def _relation_biideal(host, qd, side):
+    """(coaction sides, BiidealGens of host generated by their coaction relations).
+
+    The transposed side takes the union of the left and right relations.
+    """
+    sides = co.SIDES if side == "trans" else (side,)
+    return sides, wba.BiidealGens(host, [(2, g) for s in sides
+                                         for g in coaction_relations(qd, s)])
 
 
 def _check_descent(pieces_h, algebra_pieces, sides):
@@ -107,15 +118,14 @@ def build_uqsgd(q, ideal, side, max_degree):
     Builds the degree-2 biideal from the coaction relations (the transposed
     side takes the union of both), quotients the face algebra, induces the
     canonical coaction(s) on the quotient of kQ/I, and bundles all checks.
+    kQ/I is pa.quadratic_ideal of the relation space: its pieces feed the
+    descent check and its host is the algebra the coactions act on.
     Raises when the ideal is not quadratic or when a soundness check fails.
     """
     if side not in RESULT_SIDES:
         raise ValueError(f"side must be one of {RESULT_SIDES}, got {side!r}")
     qd = pa.quadratic_data(ideal)
-    host = wba.from_face_algebra(q, max_degree)
-    gen_sides = ("left", "right") if side == "trans" else (side,)
-    biideal = wba.BiidealGens(host, [(2, g) for s in gen_sides
-                                     for g in coaction_relations(qd, s)])
+    gen_sides, biideal = _relation_biideal(wba.from_face_algebra(q, max_degree), qd, side)
 
     breport = wba.check_biideal(biideal, max_degree)
     if not breport["passed"]:
@@ -126,7 +136,8 @@ def build_uqsgd(q, ideal, side, max_degree):
         raise VerificationError("quotient failed the weak bialgebra axioms", axioms)
 
     pieces_h = [wba.biideal_graded_pieces(biideal, d) for d in range(max_degree + 1)]
-    algebra_pieces = [pa.ideal_graded_piece(ideal, d) for d in range(max_degree + 1)]
+    kq_ideal = pa.quadratic_ideal(qd, max_degree)
+    algebra_pieces = [wba.biideal_graded_pieces(kq_ideal, d) for d in range(max_degree + 1)]
     descent = _check_descent(pieces_h, algebra_pieces, gen_sides)
     descent_report = {
         "passed": not any(descent.values()),
@@ -137,15 +148,14 @@ def build_uqsgd(q, ideal, side, max_degree):
         raise VerificationError("coaction does not descend to the quotient",
                                 descent_report)
 
-    algebra = wba.path_algebra_presentation(q, max_degree)
+    algebra = kq_ideal.host
     induced = {}
     comodule_reports = {}
     lemma_reports = {}
     for s in gen_sides:
         spec = _induced_coaction(q, s, biideal, algebra, max_degree)
         induced[s] = spec
-        comodule_reports[s] = co.check_comodule_algebra(spec, quotient, algebra,
-                                                        max_degree)
+        comodule_reports[s] = co.check_comodule_algebra(spec, quotient)
         lemma_reports[s] = co.check_structure_lemmas(spec, quotient)
     verification = {
         "biideal": breport,
@@ -157,31 +167,21 @@ def build_uqsgd(q, ideal, side, max_degree):
     if side == "trans":
         verification["transposed"] = co.check_transposed(induced["left"],
                                                          induced["right"])
-    dims = quotient.dims()
     return UQSGdResult(side=side, quiver=q, relation_space=qd, biideal=biideal,
                        quotient=quotient, induced_coactions=induced,
-                       verification=verification, quotient_dims=dims)
+                       verification=verification, quotient_dims=quotient.dims(),
+                       algebra_dims=wba.quotient_dims(kq_ideal, max_degree))
 
 
-def _star_index_map(q, degree=2):
-    """Index permutation of face bases induced by path reversal, Q -> Q^op."""
-    opp = qv.opposite_quiver(q)
-    paths = qv.enumerate_paths(q, degree)
-    opp_paths = qv.enumerate_paths(opp, degree)
-    opp_index = {p: i for i, p in enumerate(opp_paths)}
-    star = [opp_index[qv.star_path(q, p)] for p in paths]
-    n = len(paths)
-    n_opp = len(opp_paths)
-    mapping = {}
-    for a in range(n):
-        for b in range(n):
-            mapping[a * n + b] = star[a] * n_opp + star[b]
-    return mapping
+def _star_index_map(q):
+    """Index permutation of degree-2 face bases induced by path reversal, Q -> Q^op."""
+    star = qv.star_indices(q, 2)
+    n = len(star)
+    return {a * n + b: star[a] * n + star[b] for a in range(n) for b in range(n)}
 
 
-def _swap_index_map(q, degree=2):
-    paths = qv.enumerate_paths(q, degree)
-    n = len(paths)
+def _swap_index_map(q):
+    n = len(qv.enumerate_paths(q, 2))
     return {a * n + b: b * n + a for a in range(n) for b in range(n)}
 
 
@@ -201,7 +201,7 @@ def check_quadratic_dualities(qd, qdual, max_degree):
 
     Only products are read, so the hosts come from wba.face_algebra, with no
     coproduct or counit tables.  The transported degree-2 pieces are
-    canonical Subspaces; the dimensions come from wba.biideal_rank, so the
+    canonical Subspaces; the dimensions come from wba.quotient_dims, so the
     top degree is never finalized (lower degrees are, as spreading reads
     their bases).
     """
@@ -216,11 +216,8 @@ def check_quadratic_dualities(qd, qdual, max_degree):
         host = wba.face_algebra(data.quiver, max_degree)
         ambient[label] = host.dim(2)
         for side in RESULT_SIDES:
-            gen_sides = ("left", "right") if side == "trans" else (side,)
-            b = wba.BiidealGens(host, [(2, g) for s in gen_sides
-                                       for g in coaction_relations(data, s)])
-            dims[(side, label)] = [host.dim(d) - wba.biideal_rank(b, d)
-                                   for d in range(max_degree + 1)]
+            _, b = _relation_biideal(host, data, side)
+            dims[(side, label)] = wba.quotient_dims(b, max_degree)
             pieces[(side, label)] = wba.biideal_graded_pieces(b, 2)
 
     star = _star_index_map(q)

@@ -562,6 +562,11 @@ def biideal_rank(b, d):
     return _spread(b, d).rank
 
 
+def quotient_dims(b, max_degree):
+    """dim H_d - dim I_d for d = 0..max_degree, from biideal_rank."""
+    return [b.host.dim(d) - biideal_rank(b, d) for d in range(max_degree + 1)]
+
+
 def biideal_graded_pieces(b, d):
     """Degree-d piece of the two-sided ideal generated by b, as a Subspace.
 

@@ -31,6 +31,16 @@ COMMUTATOR_DOC = [[{"coeff": 1, "path": ["t1", "t2"]},
 
 CUBIC_DOC = [[{"coeff": 1, "path": ["t1", "t1", "t1"]}]]
 
+# u -a-> v -b-> w with a loop c at w; ab + cc joins the endpoints u and w,
+# so the vertex idempotents split it into ab and cc
+ENDPOINT_MIXING_DOC = {"vertices": ["u", "v", "w"], "arrows": [
+    {"name": "a", "source": "u", "target": "v"},
+    {"name": "b", "source": "v", "target": "w"},
+    {"name": "c", "source": "w", "target": "w"}]}
+
+ENDPOINT_MIXING_RELATIONS = [[{"coeff": 1, "path": ["a", "b"]},
+                              {"coeff": 1, "path": ["c", "c"]}]]
+
 
 def write_json(path, doc):
     path.write_text(json.dumps(doc))
@@ -221,6 +231,31 @@ def test_dual_polynomial_ring(tmp_path):
         "1 * t2*.t2*",
     ]
     assert doc["dualities"]["passed"] is True
+
+
+def endpoint_mixing_args(tmp_path, command):
+    return [command, "--quiver", write_json(tmp_path / "q.json", ENDPOINT_MIXING_DOC),
+            "--relations", write_json(tmp_path / "r.json", ENDPOINT_MIXING_RELATIONS),
+            "--max-degree", "3"]
+
+
+def test_dual_endpoint_mixing_relation(tmp_path):
+    code, doc = run_doc(tmp_path, endpoint_mixing_args(tmp_path, "dual"))
+    assert code == 0
+    assert doc["primalDims"] == [3, 3, 1, 0]
+    assert doc["dualRelations"] == ["1 * c*.b*"]
+    assert doc["dualDims"] == [3, 3, 2, 1]
+    assert doc["dualities"]["passed"] is True
+
+
+def test_uqsgd_endpoint_mixing_relation(tmp_path):
+    code, doc = run_doc(tmp_path, endpoint_mixing_args(tmp_path, "uqsgd"))
+    assert code == 0
+    assert doc["side"] == "trans"
+    assert doc["relations"] == ["1 * a.b + 1 * c.c"]
+    assert doc["algebraDims"] == [3, 3, 1, 0]
+    assert doc["quotientDims"] == [9, 9, 5, 3]
+    assert doc["passed"] is True
 
 
 def test_dual_computes_each_complement_once(tmp_path, monkeypatch):

@@ -8,10 +8,11 @@ import pytest
 
 from faceq import pathalg as pa
 from faceq import quiver as qv
+from faceq import wba
 from faceq.errors import ParseError, UnsupportedShapeError
 from faceq.linalg import Echelon, Subspace, subspace_equal
 
-from conftest import commutator_ideal, quantum_plane_ideal
+from conftest import commutator_ideal, q_commutator_ideal, quantum_plane_ideal
 from fleet import kronecker, three_cycle, three_loop, two_loop
 
 
@@ -45,6 +46,22 @@ def exterior_ideal(q):
         pa.PathElement(q, {sq(t2): 1}),
         pa.PathElement(q, mixed),
     ])
+
+
+def endpoint_mixing_ideal():
+    """u -a-> v -b-> w with a loop c at w, and the one relation ab + cc.
+
+    ab runs from u to w and cc from w to w, so e_u(ab + cc) = ab and
+    e_w(ab + cc) = cc: I_2 is spanned by ab and cc."""
+    q = qv.Quiver(["u", "v", "w"], [("a", 0, 1), ("b", 1, 2), ("c", 2, 2)])
+    a, b, c = (q.arrow_path(i) for i in range(3))
+    return pa.HomogeneousIdeal(q, [pa.PathElement(q, {qv.compose_paths(q, a, b): 1,
+                                                      qv.compose_paths(q, c, c): 1})])
+
+
+def quotient_dims(ideal, top):
+    """dim kQ_d - dim I_d for d = 0..top, through the quadratic data."""
+    return wba.quotient_dims(pa.quadratic_ideal(pa.quadratic_data(ideal), top), top)
 
 
 def test_multiply_unit_decomposition():
@@ -96,18 +113,16 @@ def test_zero_ideal_pieces_vanish():
 
 def test_quotient_dimension_examples():
     q = two_loop()
-    assert pa.quotient_dimension(commutator_ideal(q), 2) == 3
+    assert quotient_dims(commutator_ideal(q), 2)[2] == 3
     zero = pa.HomogeneousIdeal(q, [])
-    for d in range(5):
-        assert pa.quotient_dimension(zero, d) == len(qv.enumerate_paths(q, d))
-    assert pa.quotient_dimension(exterior_ideal(q), 2) == 1
+    assert quotient_dims(zero, 4) == [len(qv.enumerate_paths(q, d)) for d in range(5)]
+    assert quotient_dims(exterior_ideal(q), 2)[2] == 1
 
 
 def test_commutator_quotient_dims_are_monomial_counts():
     for n, make in ((2, two_loop), (3, three_loop)):
         ideal = commutator_ideal(make())
-        for d in range(5):
-            assert pa.quotient_dimension(ideal, d) == comb(n + d - 1, d)
+        assert quotient_dims(ideal, 4) == [comb(n + d - 1, d) for d in range(5)]
 
 
 def test_graded_pieces_match_sandwich_oracle():
@@ -117,6 +132,7 @@ def test_graded_pieces_match_sandwich_oracle():
         exterior_ideal(q2),
         quantum_plane_ideal(q2),
         commutator_ideal(three_loop()),
+        endpoint_mixing_ideal(),
     ]
     for ideal in cases:
         for d in range(5):
@@ -126,6 +142,25 @@ def test_graded_pieces_match_sandwich_oracle():
     for d in range(4):
         assert subspace_equal(pa.ideal_graded_piece(prep, d),
                               brute_force_piece(prep, d))
+
+
+def test_ideal_pieces_match_the_quadratic_ideal():
+    """ideal_graded_piece on the generators and biideal_graded_pieces on the
+    BiidealGens that quadratic_ideal builds from R = I_2 agree."""
+    q2, q3 = two_loop(), three_loop()
+    cases = [
+        commutator_ideal(q2),
+        commutator_ideal(q3),
+        quantum_plane_ideal(q2),
+        q_commutator_ideal(q3, ["-2", "1/2", "-3/4"]),
+        pa.preprojective_relations(three_cycle()),
+        endpoint_mixing_ideal(),
+    ]
+    for ideal in cases:
+        kq_ideal = pa.quadratic_ideal(pa.quadratic_data(ideal), 4)
+        for d in range(5):
+            assert subspace_equal(pa.ideal_graded_piece(ideal, d),
+                                  wba.biideal_graded_pieces(kq_ideal, d))
 
 
 def test_inhomogeneous_generator_rejected():
@@ -160,14 +195,6 @@ def test_quadratic_data_rejects_cubic():
         pa.quadratic_data(pa.HomogeneousIdeal(q, [cubic]))
 
 
-def test_composable_pair_order_matches_path_order():
-    for make in (two_loop, three_loop, three_cycle):
-        q = make()
-        pairs = pa.composable_pairs(q)
-        paths = qv.enumerate_paths(q, 2)
-        assert [qv.Path(q.arrows[i].source, (i, j)) for i, j in pairs] == paths
-
-
 def test_quadratic_dual_of_polynomial_ring():
     qd = pa.quadratic_data(commutator_ideal(two_loop()))
     dual = pa.quadratic_dual(qd)
@@ -179,8 +206,7 @@ def test_quadratic_dual_of_polynomial_ring():
         {3: Fraction(1)},
     ])
     assert subspace_equal(dual.relation_space, expected)
-    dual_ideal = pa.quadratic_ideal(dual)
-    assert [pa.quotient_dimension(dual_ideal, d) for d in range(4)] == [1, 2, 1, 0]
+    assert wba.quotient_dims(pa.quadratic_ideal(dual, 3), 3) == [1, 2, 1, 0]
 
 
 def test_quadratic_dual_of_zero_is_full():
@@ -196,8 +222,7 @@ def test_dual_dimension_law_and_double_dual():
                lambda: qv.double_quiver(three_cycle())]
     for seed in range(20):
         q = quivers[rng.randrange(len(quivers))]()
-        pairs = pa.composable_pairs(q)
-        ambient = len(pairs)
+        ambient = len(qv.enumerate_paths(q, 2))
         rows = []
         for _ in range(rng.randrange(ambient + 1)):
             row = {i: Fraction(rng.randint(-3, 3)) for i in range(ambient)

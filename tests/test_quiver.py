@@ -224,3 +224,17 @@ def test_star_in_random_quivers(q, length):
         back = qv.star_path(opp, qv.star_path(q, p))
         assert back == p
         assert opp.path_source(qv.star_path(q, p)) == q.path_target(p)
+
+
+def test_star_indices_reverse_arrow_pairs():
+    """On degree-2 paths the star permutation sends the path with arrows
+    (i, j) to the opposite path with arrows (j, i), and applied twice it is
+    the identity; checked on every fleet quiver."""
+    for make in FLEET.values():
+        q = make()
+        opp = qv.opposite_quiver(q)
+        paths, opp_paths = qv.enumerate_paths(q, 2), qv.enumerate_paths(opp, 2)
+        star = qv.star_indices(q, 2)
+        assert [opp_paths[s].arrows for s in star] == [p.arrows[::-1] for p in paths]
+        back = qv.star_indices(opp, 2)
+        assert [back[s] for s in star] == list(range(len(paths)))
