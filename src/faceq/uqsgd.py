@@ -105,7 +105,7 @@ def _induced_coaction(q, side, biideal, algebra, max_degree):
     coefficients = []
     for d in range(max_degree + 1):
         _, residues = wba.coset_table(biideal, d)
-        n = len(qv.enumerate_paths(q, d))
+        n = algebra.dim(d)
         mat = [[residues[r * n + c] for c in range(n)] for r in range(n)]
         coefficients.append(mat)
     endpoints = [(a.source, a.target) for a in q.arrows]
