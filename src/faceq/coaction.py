@@ -8,7 +8,10 @@ exactly what makes a transposed pair a literal array equality.
 
 The comodule-algebra check, like the axiom checks in wba, visits only
 nonzero data: nonzero coefficient entries, algebra products and host
-products, joined through indexes rather than scanned pair by pair.
+products, joined through indexes rather than scanned pair by pair.  The
+coassociativity and counit rows of one degree's array are computed once
+per host and array content, so the two sides of a transposed pair, which
+share one coefficient family, and the structure lemmas read one result.
 """
 
 from itertools import permutations
@@ -73,9 +76,10 @@ def canonical_coaction(q, side, max_degree):
     return CoactionSpec(side, algebra, coefficients, endpoints)
 
 
-def _matrix_failures(host, algebra, d, mat):
-    """Witnesses of Δ(y_jl) = Σ_k y_jk ⊗ y_kl and of ε(y_jl) = δ_jl on one
-    degree's coefficient array; the sum visits only nonzero entries."""
+def _matrix_failures(host, d, mat):
+    """Index pairs (j, l) failing Δ(y_jl) = Σ_k y_jk ⊗ y_kl, and those failing
+    ε(y_jl) = δ_jl, on one degree's coefficient array; the sum visits only
+    nonzero entries."""
     entries = [[(k, ent) for k, ent in enumerate(row) if ent] for row in mat]
     coassoc_fails = []
     counit_fails = []
@@ -89,10 +93,25 @@ def _matrix_failures(host, algebra, d, mat):
                         bump(out, (m, nn), cm * cn)
         for l, yjl in enumerate(row):
             if host.delta(d, yjl) != rhs.get(l, {}):
-                coassoc_fails.append([algebra.label_of(d, j), algebra.label_of(d, l)])
+                coassoc_fails.append((j, l))
             if host.eps(d, yjl) != (_ONE if j == l else 0):
-                counit_fails.append([algebra.label_of(d, j), algebra.label_of(d, l)])
+                counit_fails.append((j, l))
     return coassoc_fails, counit_fails
+
+
+def _coalgebra_rows(host, algebra, d, mat):
+    """_matrix_failures of one degree's array, as pairs of algebra labels.
+
+    The index pairs are kept in host.coalgebra_rows under the degree and
+    the array's content, so an equal array, on either side, is not checked
+    again.
+    """
+    key = (d, tuple(tuple(frozenset(ent.items()) for ent in row) for row in mat))
+    found = host.coalgebra_rows.get(key)
+    if found is None:
+        found = host.coalgebra_rows[key] = _matrix_failures(host, d, mat)
+    labels = algebra.labels[d]
+    return tuple([[labels[j], labels[l]] for j, l in fails] for fails in found)
 
 
 def check_comodule_algebra(c, host):
@@ -123,12 +142,12 @@ def check_comodule_algebra(c, host):
     coassoc_fails = []
     counit_fails = []
     for d in degrees:
-        coassoc, counit = _matrix_failures(host, algebra, d, y[d])
+        coassoc, counit = _coalgebra_rows(host, algebra, d, y[d])
         coassoc_fails += coassoc
         counit_fails += counit
 
-    alg_rows = wba.products_by_left(algebra.product, max_degree)
-    host_rows = wba.products_by_left(host.product, max_degree)
+    alg_rows = algebra.products_by_left()
+    host_rows = host.products_by_left()
     # by_host[e][b] lists (l, kk, c) over the terms c u_b of the coaction of v_l
     by_host = []
     for e in degrees:
@@ -335,7 +354,7 @@ def check_structure_lemmas(c, host):
     rows = []
 
     for d in range(min(c.degrees(), 1) + 1):
-        comult_fails, counit_fails = _matrix_failures(host, algebra, d, c.coefficients[d])
+        comult_fails, counit_fails = _coalgebra_rows(host, algebra, d, c.coefficients[d])
         rows.append(wba._row(f"degree{d}-comultiplicative", comult_fails, key="check"))
         rows.append(wba._row(f"degree{d}-counit", counit_fails, key="check"))
 

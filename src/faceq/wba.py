@@ -30,7 +30,9 @@ class GradedAlgebra:
     product maps (d, i, e, j) to the coordinate dict of u^d_i u^e_j in
     degree d+e; pairs that multiply to zero are absent, and entries are
     read-only (one may be shared by several keys).  unit is a degree-0
-    coordinate dict.
+    coordinate dict.  The product table must not change once the object
+    is built: its index by left factor, products_by_left(), is built on
+    the first request and then kept.
     """
 
     def __init__(self, max_degree, labels, product, unit):
@@ -38,6 +40,7 @@ class GradedAlgebra:
         self.labels = [list(row) for row in labels]
         self.product = product
         self.unit = dict(unit)
+        self._by_left = None
 
     def dim(self, d):
         return len(self.labels[d])
@@ -64,6 +67,15 @@ class GradedAlgebra:
                     bump(out, m, ab * c)
         return out
 
+    def products_by_left(self):
+        """The product table as {(d, e): {i: {j: entry}}}, built once and kept.
+
+        Callers must not change it.
+        """
+        if self._by_left is None:
+            self._by_left = _products_by_left(self.product)
+        return self._by_left
+
 
 class GradedWBA(GradedAlgebra):
     """A graded algebra plus degree-preserving coproduct and counit tables.
@@ -72,8 +84,10 @@ class GradedWBA(GradedAlgebra):
     u^d_j (x) u^d_k; counit maps (d, i) to its scalar value.  Both tables
     store nonzero data only.  The tables must not change once the object
     is built: derived data is computed once and kept, the counital
-    subalgebras in counital_subalgebras and the eps(u_i u_j) table behind
-    eps_products().
+    subalgebras in counital_subalgebras, the eps(u_i u_j) table behind
+    eps_products(), and in coalgebra_rows the coassociativity and counit
+    witnesses of coaction coefficient arrays, which the coaction checks
+    key by degree and array content.
     """
 
     def __init__(self, max_degree, labels, product, unit, coproduct, counit):
@@ -81,6 +95,7 @@ class GradedWBA(GradedAlgebra):
         self.coproduct = coproduct
         self.counit = counit
         self.counital_subalgebras = {}
+        self.coalgebra_rows = {}
         self._eps_products = None
 
     def coproduct_of(self, d, i):
@@ -280,12 +295,11 @@ def _eps_matrices(w):
     return eps
 
 
-def products_by_left(product, max_degree):
-    """A product table as {(d, e): {i: {j: entry}}}, up to degree max_degree."""
+def _products_by_left(product):
+    """A product table as {(d, e): {i: {j: entry}}}."""
     rows = {}
     for (d, i, e, j), entry in product.items():
-        if d + e <= max_degree:
-            rows.setdefault((d, e), {}).setdefault(i, {})[j] = entry
+        rows.setdefault((d, e), {}).setdefault(i, {})[j] = entry
     return rows
 
 
@@ -295,24 +309,29 @@ def _failures_delta_multiplicative(w):
     Visits only nonzero products: per degree pair, Delta(u_i) Delta(u_j) is
     built for all j at once, each nonzero first-leg product u_p u_r meeting
     only the terms (r, s) of the coproducts Delta(u_j) whose first leg is r.
-    A product that is one basis element u_m is compared with the stored
-    Delta(u_m) as it is.
+    Product entries and coproduct terms are flattened to tuples once per
+    degree pair.  A product that is one basis element u_m is compared with
+    the stored Delta(u_m) as it is.
     """
-    rows = products_by_left(w.product, w.max_degree)
+    rows = w.products_by_left()
     fails = []
     for d in range(w.max_degree + 1):
+        terms = [tuple(w.coproduct_of(d, i).items()) for i in range(w.dim(d))]
         for e in range(w.max_degree + 1 - d):
             f = d + e
             prod = rows.get((d, e), {})
+            # flat[p] maps r to the terms of u_p u_r as (m, c) pairs
+            flat = {p: {r: tuple(entry.items()) for r, entry in row.items()}
+                    for p, row in prod.items()}
             first_legs = {}
             for j in range(w.dim(e)):
                 for (r, s), c in w.coproduct_of(e, j).items():
                     first_legs.setdefault(r, []).append((j, s, c))
             for i in range(w.dim(d)):
                 rhs = {}
-                for (p, qq), c1 in w.coproduct_of(d, i).items():
-                    left_row = prod.get(p)
-                    right_row = prod.get(qq)
+                for (p, qq), c1 in terms[i]:
+                    left_row = flat.get(p)
+                    right_row = flat.get(qq)
                     if not left_row or not right_row:
                         continue
                     for r, left in left_row.items():
@@ -322,12 +341,17 @@ def _failures_delta_multiplicative(w):
                                 continue
                             out = rhs.setdefault(j, {})
                             c12 = c1 * c2
-                            for m, cm in left.items():
-                                for n, cn in right.items():
-                                    bump(out, (m, n), c12 * cm * cn)
+                            for m, cm in left:
+                                c12m = c12 * cm
+                                for n, cn in right:
+                                    key = (m, n)
+                                    out[key] = out.get(key, 0) + c12m * cn
                 row = prod.get(i, {})
                 for j in sorted(row.keys() | rhs.keys()):
-                    if w.delta(f, row.get(j, {})) != rhs.get(j, {}):
+                    out = rhs.get(j, {})
+                    if not all(out.values()):
+                        out = {key: c for key, c in out.items() if c}
+                    if w.delta(f, row.get(j, {})) != out:
                         fails.append([w.label_of(d, i), w.label_of(e, j)])
     return fails
 
@@ -617,17 +641,21 @@ def check_biideal(b, max_degree):
         for r, row in enumerate(piece.basis):
             if w.eps(d, row):
                 eps_fails.append(f"degree {d}, piece row {r}")
+            # the projection of Delta(row), term by term of the stored coproducts
             image = {}
-            for (j, k), c in w.delta(d, row).items():
-                rj = residues[j]
-                rk = residues[k]
-                if not rj or not rk:
-                    continue
-                for m, cm in rj.items():
-                    crm = c * cm
-                    for n, cn in rk.items():
-                        bump(image, (m, n), crm * cn)
-            if image:
+            for i, a in row.items():
+                for (j, k), c in w.coproduct_of(d, i).items():
+                    rj = residues[j]
+                    rk = residues[k]
+                    if not rj or not rk:
+                        continue
+                    ac = a * c
+                    for m, cm in rj.items():
+                        crm = ac * cm
+                        for n, cn in rk.items():
+                            key = (m, n)
+                            image[key] = image.get(key, 0) + crm * cn
+            if any(image.values()):
                 delta_fails.append(f"degree {d}, piece row {r}")
     rows = [
         _row("counit-vanishes", eps_fails, key="check"),

@@ -10,7 +10,7 @@ from faceq import pathalg as pa
 from faceq import quiver as qv
 from faceq import uqsgd as uq
 from faceq import wba
-from faceq.linalg import Subspace
+from faceq.linalg import Subspace, bump
 
 from fleet import FLEET, HOST_DEGREE, doubled_three_cycle, q_bullets, three_cycle, three_loop, two_loop
 
@@ -61,6 +61,68 @@ def null_space_oracle(cols, rows):
                 vec[p] = -coeff
         vectors.append(vec)
     return Subspace.from_rows(cols, vectors)
+
+
+def matrix_failures_oracle(host, algebra, d, mat):
+    """Witnesses of Δ(y_jl) = Σ_k y_jk ⊗ y_kl and of ε(y_jl) = δ_jl on one
+    degree's coefficient array, computed afresh on every call: the
+    reference for the coalgebra rows the coaction checks share."""
+    entries = [[(k, ent) for k, ent in enumerate(row) if ent] for row in mat]
+    coassoc_fails = []
+    counit_fails = []
+    for j, row in enumerate(mat):
+        rhs = {}
+        for k, yjk in entries[j]:
+            for l, ykl in entries[k]:
+                out = rhs.setdefault(l, {})
+                for m, cm in yjk.items():
+                    for nn, cn in ykl.items():
+                        bump(out, (m, nn), cm * cn)
+        for l, yjl in enumerate(row):
+            if host.delta(d, yjl) != rhs.get(l, {}):
+                coassoc_fails.append([algebra.label_of(d, j), algebra.label_of(d, l)])
+            if host.eps(d, yjl) != (1 if j == l else 0):
+                counit_fails.append([algebra.label_of(d, j), algebra.label_of(d, l)])
+    return coassoc_fails, counit_fails
+
+
+def check_biideal_oracle(b, max_degree):
+    """check_biideal with each piece row's coproduct materialized as
+    Delta(row) before it is projected: the reference for the streamed check."""
+    w = b.host
+    eps_fails = []
+    delta_fails = []
+    for d in range(max_degree + 1):
+        piece = wba.biideal_graded_pieces(b, d)
+        if not piece.dim:
+            continue
+        residues = piece.residues()
+        for r, row in enumerate(piece.basis):
+            if w.eps(d, row):
+                eps_fails.append(f"degree {d}, piece row {r}")
+            image = {}
+            for (j, k), c in w.delta(d, row).items():
+                rj = residues[j]
+                rk = residues[k]
+                if not rj or not rk:
+                    continue
+                for m, cm in rj.items():
+                    crm = c * cm
+                    for n, cn in rk.items():
+                        bump(image, (m, n), crm * cn)
+            if image:
+                delta_fails.append(f"degree {d}, piece row {r}")
+    rows = [
+        wba._row("counit-vanishes", eps_fails, key="check"),
+        wba._row("coproduct-descends", delta_fails, key="check"),
+    ]
+    return {"passed": not (eps_fails or delta_fails), "checks": rows}
+
+
+def full_witness_rows(mp):
+    """Make wba._row keep every witness, in order, under the MonkeyPatch mp."""
+    mp.setattr(wba, "_row", lambda name, failures, key="axiom": {
+        key: name, "status": "fail" if failures else "pass", "witnesses": list(failures)})
 
 
 def face_coaction_relations(qd, side):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from faceq import cli
+from faceq import coaction as co
 from faceq import pathalg as pa
 from faceq import wba
 
@@ -20,6 +21,18 @@ THREE_CYCLE_DOC = {"vertices": ["1", "2", "3"], "arrows": [
 TWO_LOOP_DOC = {"vertices": ["v"], "arrows": [
     {"name": "t1", "source": "v", "target": "v"},
     {"name": "t2", "source": "v", "target": "v"}]}
+
+DOUBLED_THREE_CYCLE_DOC = {"vertices": ["1", "2", "3"], "arrows": THREE_CYCLE_DOC["arrows"] + [
+    {"name": "p1*", "source": "2", "target": "1"},
+    {"name": "p2*", "source": "3", "target": "2"},
+    {"name": "p3*", "source": "1", "target": "3"}]}
+
+THREE_LOOP_DOC = {"vertices": ["v"], "arrows": [
+    {"name": f"t{i}", "source": "v", "target": "v"} for i in (1, 2, 3)]}
+
+THREE_LOOP_COMMUTATORS_DOC = [[{"coeff": 1, "path": [f"t{i}", f"t{j}"]},
+                               {"coeff": -1, "path": [f"t{j}", f"t{i}"]}]
+                              for i, j in ((1, 2), (1, 3), (2, 3))]
 
 ONE_LOOP_DOC = {"vertices": ["v"], "arrows": [
     {"name": "t1", "source": "v", "target": "v"}]}
@@ -298,6 +311,42 @@ def test_one_eps_table_per_presentation(tmp_path, monkeypatch, command, relation
     code, _ = run_doc(tmp_path, args)
     assert code == 0
     assert len(seen) == 1
+
+
+@pytest.mark.parametrize("command, quiver, relations, extra, presentations", [
+    ("verify", DOUBLED_THREE_CYCLE_DOC, None, [], 3),
+    ("uqsgd", THREE_LOOP_DOC, THREE_LOOP_COMMUTATORS_DOC, ["--side", "trans"], 2)])
+def test_coalgebra_rows_and_product_index_built_once(tmp_path, monkeypatch, command, quiver,
+                                                     relations, extra, presentations):
+    """At degree 3 the two coaction sides share one coefficient family, so
+    their comodule checks and structure lemmas read one coassociativity and
+    counit run per degree: 4 runs where unshared checks made 12.  Each
+    presentation indexes its products once: the face algebra (verify) or
+    the quotient (uqsgd), and the algebra each coaction acts on."""
+    runs = []
+    indexed = []
+    matrix_failures = co._matrix_failures
+    products_by_left = wba._products_by_left
+
+    def counted_runs(host, d, mat):
+        runs.append(d)
+        return matrix_failures(host, d, mat)
+
+    def counted_index(product):
+        indexed.append(product)
+        return products_by_left(product)
+
+    monkeypatch.setattr(co, "_matrix_failures", counted_runs)
+    monkeypatch.setattr(wba, "_products_by_left", counted_index)
+    args = [command, "--quiver", write_json(tmp_path / "q.json", quiver),
+            "--max-degree", "3"] + extra
+    if relations is not None:
+        args += ["--relations", write_json(tmp_path / "r.json", relations)]
+    code, doc = run_doc(tmp_path, args)
+    assert code == 0
+    assert doc["passed"] is True
+    assert runs == [0, 1, 2, 3]
+    assert len(indexed) == len({id(product) for product in indexed}) == presentations
 
 
 def test_output_bytes_identical_across_runs(tmp_path):

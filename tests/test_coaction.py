@@ -14,7 +14,7 @@ from faceq import wba
 from faceq.errors import UnsupportedShapeError
 from faceq.linalg import bump
 
-from conftest import dd_coaction, quantum_plane_ideal
+from conftest import dd_coaction, full_witness_rows, matrix_failures_oracle, quantum_plane_ideal
 from fleet import FLEET, doubled_three_cycle, kronecker, q_bullets, three_cycle, two_loop
 
 ONE = Fraction(1)
@@ -220,8 +220,7 @@ def test_structure_lemma_matrix_rows_on_corrupted_coefficients(side, kind, degre
     assert matrix_rows() == [{"check": name, "status": "fail" if fails else "pass",
                               "witnesses": fails[:3]} for name, fails in expected]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(wba, "_row", lambda name, failures, key: {
-            key: name, "status": "fail" if failures else "pass", "witnesses": list(failures)})
+        full_witness_rows(mp)
         assert matrix_rows() == [{"check": name, "status": "fail" if fails else "pass",
                                   "witnesses": fails} for name, fails in expected]
 
@@ -390,8 +389,7 @@ def assert_reports_match(*args):
     three witnesses, equal the dense oracle's."""
     assert co.check_comodule_algebra(*args) == dense_comodule_algebra(*args)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(wba, "_row", lambda name, failures, key: {
-            key: name, "status": "fail" if failures else "pass", "witnesses": list(failures)})
+        full_witness_rows(mp)
         assert co.check_comodule_algebra(*args) == dense_comodule_algebra(*args)
 
 
@@ -417,6 +415,57 @@ def test_induced_coactions_match_dense_oracle():
         assert any(len(ent) > 1 for row in spec.coefficients[2] for ent in row)
         assert co.check_comodule_algebra(spec, host)["passed"]
         assert_reports_match(spec, host)
+
+
+def coalgebra_reports(spec, host):
+    """The comodule report and the structure-lemma report, every witness kept."""
+    with pytest.MonkeyPatch.context() as mp:
+        full_witness_rows(mp)
+        return co.check_comodule_algebra(spec, host), co.check_structure_lemmas(spec, host)
+
+
+@st.composite
+def coalgebra_row_cases(draw):
+    """A canonical left coaction and a copy with one entry set to {} or
+    scaled (by 1 too, which gives equal content)."""
+    name = draw(st.sampled_from(sorted(FLEET)))
+    q = FLEET[name]()
+    degree = ORACLE_DEGREE.get(name, 3)
+    lam = co.canonical_coaction(q, "left", degree)
+    d = draw(st.sampled_from([d for d in range(degree + 1) if lam.algebra.dim(d)]))
+    n = lam.algebra.dim(d)
+    j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    mats = [[[dict(e) for e in row] for row in mat] for mat in lam.coefficients]
+    if draw(st.booleans()):
+        mats[d][j][k] = {}
+    else:
+        scale = draw(st.fractions(min_value=-2, max_value=2, max_denominator=4).filter(bool))
+        mats[d][j][k] = {h: scale * c for h, c in mats[d][j][k].items()}
+    copy = co.CoactionSpec("left", lam.algebra, mats, lam.arrow_endpoints)
+    return q, degree, lam, copy
+
+
+@settings(max_examples=30, deadline=None)
+@given(coalgebra_row_cases())
+def test_coalgebra_rows_are_shared_by_array_content(case):
+    """One host checks the canonical coaction and its altered copy: each
+    gets the coassociative, counital and degree{0,1} rows that a run on a
+    host of its own gives, and that the oracle loop gives."""
+    q, degree, lam, copy = case
+    host = wba.from_face_algebra(q, degree)
+    shared = [coalgebra_reports(spec, host) for spec in (lam, copy)]
+    for spec, (comodule, lemmas) in zip((lam, copy), shared):
+        assert (comodule, lemmas) == coalgebra_reports(spec, wba.from_face_algebra(q, degree))
+        fails = [matrix_failures_oracle(host, spec.algebra, d, spec.coefficients[d])
+                 for d in range(degree + 1)]
+        assert comodule["checks"][0]["witnesses"] == [w for f in fails for w in f[0]]
+        assert comodule["checks"][1]["witnesses"] == [w for f in fails for w in f[1]]
+        assert [row["witnesses"] for row in lemmas["checks"][:4]] == \
+            [w for f in fails[:2] for w in f]
+    # one entry per degree and distinct array: a copy scaled by 1 shares the original's
+    distinct = sum(1 if lam.coefficients[d] == copy.coefficients[d] else 2
+                   for d in range(degree + 1))
+    assert len(host.coalgebra_rows) == distinct
 
 
 def test_checks_visit_only_nonzero_structure_constants(monkeypatch):

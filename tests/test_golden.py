@@ -1,15 +1,19 @@
 """Report bytes pinned for every subcommand on small fleet cases at degree 2,
-and for dual on the three-loop q-commutators at degree 4.
+for verify on the doubled three-cycle and uqsgd --side trans on the
+three-loop commutators at degree 3, and for dual on the three-loop
+q-commutators at degree 4.
 
 Each case runs the CLI in a fresh interpreter under two PYTHONHASHSEED
 values, and both runs must produce the recorded sha256.  A change in how a
 scalar is rendered (an int reaching the JSON report as a number where a
 string was written, say), or an output order that follows hashing, fails
-here.  The quantum-plane cases carry the non-integer coefficient -1/2, so
-the rational path is pinned as well as the integer one.  At degree 4 the
-dual's degree-3 biideal pieces are both spread from and finalized, while
-degree 4 is only ranked.  A case's extra options come after the default
---max-degree 2 and override it.
+here.  The degree-3 verify and uqsgd cases run the comodule checks of two
+coactions that share one coefficient family, and uqsgd also checks its
+biideal on degree-3 pieces.  The quantum-plane cases carry the non-integer
+coefficient -1/2, so the rational path is pinned as well as the integer
+one.  At degree 4 the dual's degree-3 biideal pieces are both spread from
+and finalized, while degree 4 is only ranked.  A case's extra options come
+after the default --max-degree 2 and override it.
 """
 
 import hashlib
@@ -50,6 +54,11 @@ COMMUTATOR = [[{"coeff": 1, "path": ["t1", "t2"]},
 THREE_LOOP = {"vertices": ["v"], "arrows": [
     {"name": f"t{i}", "source": "v", "target": "v"} for i in (1, 2, 3)]}
 
+# t_i t_j - t_j t_i over the arrow pairs i < j: kQ/I = k[t1, t2, t3]
+THREE_LOOP_COMMUTATORS = [[{"coeff": 1, "path": [f"t{i}", f"t{j}"]},
+                           {"coeff": -1, "path": [f"t{j}", f"t{i}"]}]
+                          for i, j in ((1, 2), (1, 3), (2, 3))]
+
 # t_i t_j + q_ij t_j t_i with (q12, q13, q23) = (-2, 1/2, -3/4)
 Q_COMMUTATORS = [[{"coeff": 1, "path": [f"t{i}", f"t{j}"]},
                   {"coeff": q, "path": [f"t{j}", f"t{i}"]}]
@@ -75,6 +84,12 @@ CASES = {
     "dual-quantum-plane": (
         "dual", TWO_LOOP, QUANTUM_PLANE, [],
         "ff9d2586616b571ec6612fdf76280e3be4bdc0c774a1ec86944790f66a2a0401"),
+    "verify-doubled-three-cycle-degree-3": (
+        "verify", DOUBLED_THREE_CYCLE, None, ["--max-degree", "3"],
+        "4b567384f3291850106d117af241ecce7ac6dd3c7121d991a9c13afdb8f8ad4f"),
+    "uqsgd-three-loop-commutators-trans-degree-3": (
+        "uqsgd", THREE_LOOP, THREE_LOOP_COMMUTATORS, ["--side", "trans", "--max-degree", "3"],
+        "3d609c04e4651afa5b6495f82e1f52b788c1857d0d234a8e9c78d36b8d96e864"),
     "dual-three-loop-q-commutators-degree-4": (
         "dual", THREE_LOOP, Q_COMMUTATORS, ["--max-degree", "4"],
         "170b76f6f198a844b8a9de47fee66b371622605643296aa9d8d10e79954a4f14"),

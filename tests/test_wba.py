@@ -16,7 +16,8 @@ from faceq import wba
 from faceq.errors import VerificationError
 from faceq.linalg import Echelon, Subspace, bump, subspace_equal
 
-from conftest import commutator_ideal, face_coaction_relations
+from conftest import (check_biideal_oracle, commutator_ideal, face_coaction_relations,
+                      full_witness_rows)
 from fleet import FLEET, kronecker, one_loop, q_bullets, three_cycle, three_loop, two_loop
 
 ONE = Fraction(1)
@@ -550,6 +551,15 @@ def test_checks_match_oracles_on_fleet_hosts():
             assert wba.counital_subalgebra(w, side) == counital_reference(w, side)
 
 
+def test_delta_multiplicative_terms_that_cancel():
+    """u0 u0 = 0 while Delta(u0) Delta(u0), with Delta(u0) = u1 (x) u1 - u2 (x) u1
+    and u1 u1 = u2 u1 = u1, sums to u1 (x) u1 - u1 (x) u1: no failure."""
+    product = {(0, 1, 0, 1): {1: ONE}, (0, 2, 0, 1): {1: ONE}}
+    coproduct = {(0, 0): {(1, 1): ONE, (2, 1): -ONE}}
+    w = wba.GradedWBA(0, [["u0", "u1", "u2"]], product, {1: ONE}, coproduct, {})
+    assert wba._failures_delta_multiplicative(w) == pairwise_delta_multiplicative(w) == []
+
+
 def test_scaled_product_fails_delta_multiplicative():
     w = wba.from_face_algebra(two_loop(), 2)
     i = w.labels[1].index("x[t1;t2]")
@@ -649,6 +659,42 @@ def test_biideal_rank_is_the_dim_of_the_finalized_piece(b, data):
     assert [wba.biideal_rank(b, d) for d in range(top + 1)] == \
         [wba.biideal_graded_pieces(fresh, d).dim for d in range(top + 1)]
     assert piece == wba.biideal_graded_pieces(fresh, top)
+
+
+def assert_biideal_report_matches_oracle(b):
+    """Both rows, every witness in order, equal the materializing oracle's."""
+    top = b.host.max_degree
+    assert wba.check_biideal(b, top) == check_biideal_oracle(b, top)
+    with pytest.MonkeyPatch.context() as mp:
+        full_witness_rows(mp)
+        assert wba.check_biideal(b, top) == check_biideal_oracle(b, top)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_biideals())
+def test_streamed_biideal_check_matches_oracle(b):
+    assert_biideal_report_matches_oracle(b)
+
+
+def test_streamed_biideal_check_matches_oracle_on_each_verdict():
+    """A biideal that passes, one failing counit-vanishes only and one
+    failing coproduct-descends only, on the two-loop.  All of degree 1
+    generates everything above degree 0, so nothing is left to descend to,
+    while eps(x[t1;t1]) = 1."""
+    q = two_loop()
+    host = wba.from_face_algebra(q, 3)
+    loop = lambda i, j: fc.FaceElement(q, {fc.FaceMonomial(q.arrow_path(i), q.arrow_path(j)): 1})
+    cases = {
+        "pass": face_commutator_biideal(host, q),
+        "counit-vanishes": wba.BiidealGens(host, [(1, {i: 1}) for i in range(host.dim(1))]),
+        "coproduct-descends": wba.BiidealGens(
+            host, [(1, face_coords(q, loop(0, 0) - loop(1, 1), 1))]),
+    }
+    for failing, b in cases.items():
+        report = wba.check_biideal(b, 3)
+        assert [row["check"] for row in report["checks"] if row["status"] == "fail"] == \
+            ([] if failing == "pass" else [failing])
+        assert_biideal_report_matches_oracle(b)
 
 
 def test_biideal_pieces_match_oracle_on_mixed_degree_generators():
