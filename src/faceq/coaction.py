@@ -6,9 +6,10 @@ The same array serves either side; only the reading changes
 (left: v_j ↦ Σ_k y[j][k] ⊗ v_k, right: v_j ↦ Σ_k v_k ⊗ y[k][j]), which is
 exactly what makes a transposed pair a literal array equality.
 
-The comodule-algebra check, like the axiom checks in wba, visits only
-nonzero data: nonzero coefficient entries, algebra products and host
-products, joined through indexes rather than scanned pair by pair.  The
+Multiplicativity of a coaction is the identity that makes Delta
+multiplicative, so the comodule-algebra check runs wba.multiplicative_failures,
+the one join over nonzero coefficient entries, algebra products and host
+products, on the coaction's images with the host leg first.  The
 coassociativity and counit rows of one degree's array are computed once
 per host and array content, so the two sides of a transposed pair, which
 share one coefficient family, and the structure lemmas read one result.
@@ -120,77 +121,29 @@ def check_comodule_algebra(c, host):
     Verifies coassociativity and counitality per degree, multiplicativity
     over all algebra basis pairs inside the window, and the unit condition
     (membership of the unit's coefficients in the appropriate counital
-    subalgebra).  Only nonzero data is visited: per basis element j both
-    sides are built for every partner l at once, from the nonzero
-    coefficients, algebra products and host products.
+    subalgebra).  Multiplicativity is wba.multiplicative_failures of the
+    coaction, host leg first, so only nonzero coefficients, algebra
+    products and host products are visited.
     """
     algebra = c.algebra
     max_degree = min(host.max_degree, algebra.max_degree, c.degrees())
     y = c.coefficients
-    degrees = range(max_degree + 1)
-    # entries[d][j] lists (k, y_jk) over the nonzero entries of row j; coact[d][j]
-    # lists (k, coefficient) over the nonzero terms of the coaction of v_j
-    entries = [[[(k, ent) for k, ent in enumerate(row) if ent] for row in y[d]] for d in degrees]
-    coact = entries
-    if c.side == "right":
-        coact = [[[] for _ in y[d]] for d in degrees]
-        for d in degrees:
-            for j, row in enumerate(entries[d]):
-                for k, ent in row:
-                    coact[d][k].append((j, ent))
 
     coassoc_fails = []
     counit_fails = []
-    for d in degrees:
+    for d in range(max_degree + 1):
         coassoc, counit = _coalgebra_rows(host, algebra, d, y[d])
         coassoc_fails += coassoc
         counit_fails += counit
 
-    alg_rows = algebra.products_by_left()
-    host_rows = host.products_by_left()
-    # by_host[e][b] lists (l, kk, c) over the terms c u_b of the coaction of v_l
-    by_host = []
-    for e in degrees:
-        index = {}
-        for l, terms in enumerate(coact[e]):
-            for kk, ent in terms:
-                for b, cb in ent.items():
-                    index.setdefault(b, []).append((l, kk, cb))
-        by_host.append(index)
-
-    mult_fails = []
-    for d in degrees:
-        for e in range(max_degree + 1 - d):
-            alg = alg_rows.get((d, e), {})
-            hst = host_rows.get((d, e), {})
-            for j in range(algebra.dim(d)):
-                # the coaction of v_j times that of every v_l
-                rhs = {}
-                for k, ent in coact[d][j]:
-                    alg_k = alg.get(k)
-                    if not alg_k:
-                        continue
-                    for a, ca in ent.items():
-                        for b, hab in hst.get(a, {}).items():
-                            for l, kk, cb in by_host[e].get(b, ()):
-                                prod_k = alg_k.get(kk)
-                                if not prod_k:
-                                    continue
-                                out = rhs.setdefault(l, {})
-                                cab = ca * cb
-                                for h, ch in hab.items():
-                                    for m, cm in prod_k.items():
-                                        bump(out, (h, m), cab * ch * cm)
-                row = alg.get(j, {})
-                for l in sorted(row.keys() | rhs.keys()):
-                    # the coaction of v_j v_l
-                    lhs = {}
-                    for m, cm in row.get(l, {}).items():
-                        for k, ent in coact[d + e][m]:
-                            for h, ch in ent.items():
-                                bump(lhs, (h, k), cm * ch)
-                    if lhs != rhs.get(l, {}):
-                        mult_fails.append([algebra.label_of(d, j), algebra.label_of(e, l)])
+    # images[d][j] is the coaction of v_j as {(h, k): c}, the term c u_h (x) v_k:
+    # sum_k y_jk (x) v_k on the left, sum_k y_kj (x) v_k on the right
+    left = c.side == "left"
+    images = [[{(h, k): ch for k in range(len(mat))
+                for h, ch in (mat[j][k] if left else mat[k][j]).items() if ch}
+               for j in range(len(mat))] for mat in y[:max_degree + 1]]
+    mult_fails = wba.multiplicative_failures(algebra, lambda d, j: images[d][j], host,
+                                             algebra, max_degree)
 
     unit_fails = []
     counital = wba.counital_subalgebra(host, "source" if c.side == "left" else "target")

@@ -70,7 +70,12 @@ def _relation_biideal(host, qd, side):
 
 
 def _check_descent(pieces_h, algebra_pieces, sides):
-    """The canonical coaction must kill ideal elements after both projections."""
+    """The canonical coaction must kill ideal elements after both projections.
+
+    On the path basis of degree d, the left coaction is p -> sum_c x[p;c] (x) c
+    and the right one p -> sum_c x[c;p] (x) c, host leg first; each relation
+    row's image is projected onto the two quotients by wba.project_image.
+    """
     fails = {side: [] for side in sides}
     for d, piece_a in enumerate(algebra_pieces):
         if not piece_a.dim:
@@ -78,20 +83,11 @@ def _check_descent(pieces_h, algebra_pieces, sides):
         n = piece_a.ambient_dim
         res_a = piece_a.residues()
         res_h = pieces_h[d].residues()
-        for r, row in enumerate(piece_a.basis):
-            for side in sides:
-                image = {}
-                for p_idx, cp in row.items():
-                    for c_idx in range(n):
-                        mono = p_idx * n + c_idx if side == "left" else c_idx * n + p_idx
-                        hvec = res_h[mono]
-                        avec = res_a[c_idx]
-                        if not hvec or not avec:
-                            continue
-                        for m, cm in hvec.items():
-                            for k, ck in avec.items():
-                                bump(image, (m, k), cp * cm * ck)
-                if image:
+        for side in sides:
+            lam = [{(p * n + c if side == "left" else c * n + p, c): 1 for c in range(n)}
+                   for p in range(n)]
+            for r, row in enumerate(piece_a.basis):
+                if wba.project_image(lambda _, p: lam[p], d, row, res_h, res_a):
                     fails[side].append(f"degree {d}, relation row {r}")
     return fails
 

@@ -13,6 +13,12 @@ product table stores nonzero products only, and the axiom and counital
 checks visit only those, reaching them through indexes (products by left
 or right factor, coproduct terms by first leg): they still quantify over
 every basis pair.
+
+Two identities are written once, for any degree-preserving map f into a
+tensor product of two graded algebras, given by its images f(u_i):
+multiplicative_failures checks f(uv) = f(u)f(v), for the coproduct here and
+for a coaction in coaction, and project_image computes (pi (x) pi')f(u), for
+the biideal check, the quotient's coproduct and the descent of a coaction.
 """
 
 from math import isqrt
@@ -105,19 +111,8 @@ class GradedWBA(GradedAlgebra):
         return self.counit.get((d, i), 0)
 
     def delta(self, d, u):
-        """Coproduct of a coordinate dict, as a read-only {(j, k): scalar}.
-
-        A lone basis element with coefficient 1 gets its stored table entry.
-        """
-        if len(u) == 1:
-            (i, a), = u.items()
-            if a == 1:
-                return self.coproduct_of(d, i)
-        out = {}
-        for i, a in u.items():
-            for pair, c in self.coproduct_of(d, i).items():
-                bump(out, pair, a * c)
-        return out
+        """Coproduct of a coordinate dict, as a read-only {(j, k): scalar}."""
+        return image_of(self.coproduct_of, d, u)
 
     def eps(self, d, u):
         total = 0
@@ -139,27 +134,6 @@ class GradedWBA(GradedAlgebra):
         if self._eps_products is None:
             self._eps_products = _eps_matrices(self)
         return self._eps_products
-
-
-def to_doc(w):
-    """Deterministic presentation dump: labels plus nonzero structure constants."""
-    doc = {
-        "maxDegree": w.max_degree,
-        "dims": w.dims(),
-        "basis": [list(row) for row in w.labels],
-        "unit": [[i, str(c)] for i, c in sorted(w.unit.items())],
-        "product": [
-            [d, i, e, j, [[m, str(c)] for m, c in sorted(entry.items())]]
-            for (d, i, e, j), entry in sorted(w.product.items())
-        ],
-    }
-    if isinstance(w, GradedWBA):
-        doc["coproduct"] = [
-            [d, i, [[j, k, str(c)] for (j, k), c in sorted(entry.items())]]
-            for (d, i), entry in sorted(w.coproduct.items())
-        ]
-        doc["counit"] = [[d, i, str(c)] for (d, i), c in sorted(w.counit.items())]
-    return doc
 
 
 def path_algebra_presentation(q, max_degree):
@@ -303,47 +277,75 @@ def _products_by_left(product):
     return rows
 
 
-def _failures_delta_multiplicative(w):
-    """Basis pairs (u_i, u_j) with Delta(u_i u_j) != Delta(u_i) Delta(u_j).
+def image_of(image, d, u):
+    """f(u) for a coordinate dict u of degree d, as a read-only {(p, q): scalar}.
 
-    Visits only nonzero products: per degree pair, Delta(u_i) Delta(u_j) is
-    built for all j at once, each nonzero first-leg product u_p u_r meeting
-    only the terms (r, s) of the coproducts Delta(u_j) whose first leg is r.
-    Product entries and coproduct terms are flattened to tuples once per
-    degree pair.  A product that is one basis element u_m is compared with
-    the stored Delta(u_m) as it is.
+    f maps degree d into a tensor product of two degree-d pieces, and
+    image(d, i) is f(u_i) with nonzero terms only.  A lone basis element
+    with coefficient 1 gets image(d, i) itself.
     """
-    rows = w.products_by_left()
+    if len(u) == 1:
+        (i, a), = u.items()
+        if a == 1:
+            return image(d, i)
+    out = {}
+    for i, a in u.items():
+        for pair, c in image(d, i).items():
+            bump(out, pair, a * c)
+    return out
+
+
+def _flatten(rows):
+    """products_by_left rows with each product entry as a tuple of (m, c) pairs."""
+    return {p: {r: tuple(entry.items()) for r, entry in row.items()} for p, row in rows.items()}
+
+
+def multiplicative_failures(src, image, left, right, max_degree):
+    """Basis pairs (u_i, u_j) of src with f(u_i u_j) != f(u_i) f(u_j).
+
+    f is a degree-preserving map from src into left (x) right, given by
+    image as in image_of: Delta is (w, w.coproduct_of, w, w), a coaction
+    is (algebra, its images with the host leg first, host, algebra).
+    Visits only nonzero products: per degree pair, f(u_i) f(u_j) is built
+    for all j at once, each nonzero left-leg product u_p u_r meeting only
+    the terms (r, s) of the images f(u_j) whose left leg is r.  Product
+    entries of both legs (of one, when right is left) and image terms are
+    flattened to tuples once per degree pair, and cancelled terms are
+    dropped before the comparison with image_of(f(u_i u_j)).
+    """
+    src_rows = src.products_by_left()
+    left_rows = left.products_by_left()
+    right_rows = right.products_by_left()
     fails = []
-    for d in range(w.max_degree + 1):
-        terms = [tuple(w.coproduct_of(d, i).items()) for i in range(w.dim(d))]
-        for e in range(w.max_degree + 1 - d):
+    for d in range(max_degree + 1):
+        terms = [tuple(image(d, i).items()) for i in range(src.dim(d))]
+        for e in range(max_degree + 1 - d):
             f = d + e
-            prod = rows.get((d, e), {})
-            # flat[p] maps r to the terms of u_p u_r as (m, c) pairs
-            flat = {p: {r: tuple(entry.items()) for r, entry in row.items()}
-                    for p, row in prod.items()}
+            prod = src_rows.get((d, e), {})
+            # flat_l[p] maps r to the terms of u_p u_r in left as (m, c) pairs
+            flat_l = _flatten(left_rows.get((d, e), {}))
+            flat_r = flat_l if right is left else _flatten(right_rows.get((d, e), {}))
             first_legs = {}
-            for j in range(w.dim(e)):
-                for (r, s), c in w.coproduct_of(e, j).items():
+            for j in range(src.dim(e)):
+                for (r, s), c in image(e, j).items():
                     first_legs.setdefault(r, []).append((j, s, c))
-            for i in range(w.dim(d)):
+            for i in range(src.dim(d)):
                 rhs = {}
                 for (p, qq), c1 in terms[i]:
-                    left_row = flat.get(p)
-                    right_row = flat.get(qq)
+                    left_row = flat_l.get(p)
+                    right_row = flat_r.get(qq)
                     if not left_row or not right_row:
                         continue
-                    for r, left in left_row.items():
+                    for r, lterms in left_row.items():
                         for j, s, c2 in first_legs.get(r, ()):
-                            right = right_row.get(s)
-                            if not right:
+                            rterms = right_row.get(s)
+                            if not rterms:
                                 continue
                             out = rhs.setdefault(j, {})
                             c12 = c1 * c2
-                            for m, cm in left:
+                            for m, cm in lterms:
                                 c12m = c12 * cm
-                                for n, cn in right:
+                                for n, cn in rterms:
                                     key = (m, n)
                                     out[key] = out.get(key, 0) + c12m * cn
                 row = prod.get(i, {})
@@ -351,9 +353,35 @@ def _failures_delta_multiplicative(w):
                     out = rhs.get(j, {})
                     if not all(out.values()):
                         out = {key: c for key, c in out.items() if c}
-                    if w.delta(f, row.get(j, {})) != out:
-                        fails.append([w.label_of(d, i), w.label_of(e, j)])
+                    if image_of(image, f, row.get(j, {})) != out:
+                        fails.append([src.label_of(d, i), src.label_of(e, j)])
     return fails
+
+
+def project_image(image, d, u, left_res, right_res):
+    """(pi (x) pi')f(u) for a coordinate dict u of degree d, cancelled terms dropped.
+
+    f is given by image as in image_of; left_res and right_res are the
+    residue tables of the two legs' projections (left_res[j] is basis
+    vector j in coset coordinates).  Sums the terms of the images term by
+    term, without building f(u).
+    """
+    out = {}
+    for i, a in u.items():
+        for (j, k), c in image(d, i).items():
+            rj = left_res[j]
+            rk = right_res[k]
+            if not rj or not rk:
+                continue
+            ac = a * c
+            for m, cm in rj.items():
+                acm = ac * cm
+                for n, cn in rk.items():
+                    key = (m, n)
+                    out[key] = out.get(key, 0) + acm * cn
+    if not all(out.values()):
+        out = {key: c for key, c in out.items() if c}
+    return out
 
 
 def _failures_counit_splits(w):
@@ -457,7 +485,8 @@ def check_axioms(w):
     f12, f21 = _failures_counit_splits(w)
     g12, g21 = _failures_unit_splits(w)
     rows = [
-        _row("delta-multiplicative", _failures_delta_multiplicative(w)),
+        _row("delta-multiplicative",
+             multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)),
         _row("counit-product-split-12", f12),
         _row("counit-product-split-21", f21),
         _row("unit-coproduct-split-12", g12),
@@ -641,21 +670,7 @@ def check_biideal(b, max_degree):
         for r, row in enumerate(piece.basis):
             if w.eps(d, row):
                 eps_fails.append(f"degree {d}, piece row {r}")
-            # the projection of Delta(row), term by term of the stored coproducts
-            image = {}
-            for i, a in row.items():
-                for (j, k), c in w.coproduct_of(d, i).items():
-                    rj = residues[j]
-                    rk = residues[k]
-                    if not rj or not rk:
-                        continue
-                    ac = a * c
-                    for m, cm in rj.items():
-                        crm = ac * cm
-                        for n, cn in rk.items():
-                            key = (m, n)
-                            image[key] = image.get(key, 0) + crm * cn
-            if any(image.values()):
+            if project_image(w.coproduct_of, d, row, residues, residues):
                 delta_fails.append(f"degree {d}, piece row {r}")
     rows = [
         _row("counit-vanishes", eps_fails, key="check"),
@@ -694,14 +709,7 @@ def quotient_wba(b, report=None):
     counit = {}
     for d in range(w.max_degree + 1):
         for i, mi in enumerate(nonpivot[d]):
-            entry = {}
-            for (j, k), c in w.coproduct_of(d, mi).items():
-                rj = residues[d][j]
-                rk = residues[d][k]
-                for m, cm in rj.items():
-                    ccm = c * cm
-                    for n, cn in rk.items():
-                        bump(entry, (m, n), ccm * cn)
+            entry = project_image(w.coproduct_of, d, {mi: _ONE}, residues[d], residues[d])
             if entry:
                 coproduct[(d, i)] = entry
             ev = w.counit_of(d, mi)

@@ -119,6 +119,57 @@ def check_biideal_oracle(b, max_degree):
     return {"passed": not (eps_fails or delta_fails), "checks": rows}
 
 
+def check_descent_oracle(pieces_h, algebra_pieces, sides):
+    """uqsgd._check_descent with lambda(row) built term by term, x[p;c] (x) c
+    on the left and x[c;p] (x) c on the right, before it is projected: the
+    reference for the shared two-leg projection."""
+    fails = {side: [] for side in sides}
+    for d, piece_a in enumerate(algebra_pieces):
+        if not piece_a.dim:
+            continue
+        n = piece_a.ambient_dim
+        res_a = piece_a.residues()
+        res_h = pieces_h[d].residues()
+        for r, row in enumerate(piece_a.basis):
+            for side in sides:
+                image = {}
+                for p_idx, cp in row.items():
+                    for c_idx in range(n):
+                        mono = p_idx * n + c_idx if side == "left" else c_idx * n + p_idx
+                        hvec = res_h[mono]
+                        avec = res_a[c_idx]
+                        if not hvec or not avec:
+                            continue
+                        for m, cm in hvec.items():
+                            for k, ck in avec.items():
+                                bump(image, (m, k), cp * cm * ck)
+                if image:
+                    fails[side].append(f"degree {d}, relation row {r}")
+    return fails
+
+
+def quotient_coalgebra_oracle(b):
+    """The quotient's coproduct and counit tables from dense projections:
+    Delta(u_m) of every non-pivot m, materialized and pushed through the
+    coset residues of both legs; the reference for wba.quotient_wba."""
+    w = b.host
+    coproduct = {}
+    counit = {}
+    for d in range(w.max_degree + 1):
+        nonpivot, residues = wba.coset_table(b, d)
+        for i, m in enumerate(nonpivot):
+            entry = {}
+            for (j, k), c in w.delta(d, {m: 1}).items():
+                for jj, cj in residues[j].items():
+                    for kk, ck in residues[k].items():
+                        bump(entry, (jj, kk), c * cj * ck)
+            if entry:
+                coproduct[(d, i)] = entry
+            if w.counit_of(d, m):
+                counit[(d, i)] = w.counit_of(d, m)
+    return coproduct, counit
+
+
 def full_witness_rows(mp):
     """Make wba._row keep every witness, in order, under the MonkeyPatch mp."""
     mp.setattr(wba, "_row", lambda name, failures, key="axiom": {

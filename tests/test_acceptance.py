@@ -5,7 +5,6 @@ fleet or on the session-built quotients, so `pytest -v` gives a one-line
 verdict per criterion.
 """
 
-import json
 import random
 import time
 from fractions import Fraction
@@ -103,8 +102,9 @@ def test_05_structure_lemmas_hold_for_canonical_and_induced_coactions(
 def test_06_zero_ideal_build_reproduces_face_algebra(trivial_results):
     for name, (q, degree, res) in trivial_results.items():
         assert len(res.biideal.generators) == 0, name
-        expected = json.dumps(wba.to_doc(wba.from_face_algebra(q, degree)))
-        assert json.dumps(wba.to_doc(res.quotient)) == expected, name
+        host = wba.from_face_algebra(q, degree)
+        for field in ("max_degree", "labels", "product", "unit", "coproduct", "counit"):
+            assert getattr(res.quotient, field) == getattr(host, field), (name, field)
 
 
 def test_07_commutative_polynomial_quotients_match_matrix_coordinates(built_results):

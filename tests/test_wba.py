@@ -17,7 +17,7 @@ from faceq.errors import VerificationError
 from faceq.linalg import Echelon, Subspace, bump, subspace_equal
 
 from conftest import (check_biideal_oracle, commutator_ideal, face_coaction_relations,
-                      full_witness_rows)
+                      full_witness_rows, quantum_plane_ideal, quotient_coalgebra_oracle)
 from fleet import FLEET, kronecker, one_loop, q_bullets, three_cycle, three_loop, two_loop
 
 ONE = Fraction(1)
@@ -293,7 +293,19 @@ def test_coproduct_check_fails_on_idempotent_difference():
 def test_quotient_by_zero_biideal_is_host():
     host = wba.from_face_algebra(three_cycle(), 3)
     quo = wba.quotient_wba(wba.BiidealGens(host, []))
-    assert wba.to_doc(quo) == wba.to_doc(host)
+    for field in ("max_degree", "labels", "product", "unit", "coproduct", "counit"):
+        assert getattr(quo, field) == getattr(host, field), field
+
+
+@pytest.mark.parametrize("ideal", [lambda q: quantum_plane_ideal(q, Fraction(1, 2)),
+                                   commutator_ideal], ids=["rational", "integer"])
+def test_quotient_coalgebra_tables_match_dense_oracle(ideal):
+    q = two_loop()
+    host = wba.from_face_algebra(q, 3)
+    _, b = uq._relation_biideal(host, pa.quadratic_data(ideal(q)), "trans")
+    quo = wba.quotient_wba(b)
+    assert quo.dims() != host.dims()
+    assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
 
 
 def test_commutator_quotient_dims():
@@ -536,7 +548,8 @@ def corrupted_presentations(draw):
 @settings(max_examples=80, deadline=None)
 @given(corrupted_presentations())
 def test_sparse_checks_match_pairwise_oracles(w):
-    assert wba._failures_delta_multiplicative(w) == pairwise_delta_multiplicative(w)
+    assert (wba.multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)
+            == pairwise_delta_multiplicative(w))
     assert wba._failures_counit_splits(w) == pairwise_counit_splits(w)
     for side in ("source", "target"):
         assert wba.counital_subalgebra(w, side) == counital_reference(w, side)
@@ -545,7 +558,8 @@ def test_sparse_checks_match_pairwise_oracles(w):
 def test_checks_match_oracles_on_fleet_hosts():
     for make in FLEET.values():
         w = wba.from_face_algebra(make(), 2)
-        assert wba._failures_delta_multiplicative(w) == pairwise_delta_multiplicative(w) == []
+        assert (wba.multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)
+                == pairwise_delta_multiplicative(w) == [])
         assert wba._failures_counit_splits(w) == pairwise_counit_splits(w) == ([], [])
         for side in ("source", "target"):
             assert wba.counital_subalgebra(w, side) == counital_reference(w, side)
@@ -557,7 +571,8 @@ def test_delta_multiplicative_terms_that_cancel():
     product = {(0, 1, 0, 1): {1: ONE}, (0, 2, 0, 1): {1: ONE}}
     coproduct = {(0, 0): {(1, 1): ONE, (2, 1): -ONE}}
     w = wba.GradedWBA(0, [["u0", "u1", "u2"]], product, {1: ONE}, coproduct, {})
-    assert wba._failures_delta_multiplicative(w) == pairwise_delta_multiplicative(w) == []
+    assert (wba.multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)
+            == pairwise_delta_multiplicative(w) == [])
 
 
 def test_scaled_product_fails_delta_multiplicative():
@@ -576,7 +591,7 @@ def test_scaled_product_fails_delta_multiplicative():
         "witnesses": [["x[t1;t1]", "x[t2;t1]"], ["x[t1;t1]", "x[t2;t2]"],
                       ["x[t1;t2]", "x[t1;t1]"]],
     }
-    assert len(wba._failures_delta_multiplicative(w)) == 7
+    assert len(wba.multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)) == 7
 
 
 def saturated_pieces(b, max_degree):
