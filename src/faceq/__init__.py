@@ -19,7 +19,7 @@ from .wba import (
 )
 from .coaction import (
     CoactionSpec,
-    canonical_coaction,
+    canonical_coactions,
     check_comodule_algebra,
     check_structure_lemmas,
     check_transposed,
@@ -54,7 +54,7 @@ __all__ = [
     "from_face_algebra",
     "quotient_wba",
     "CoactionSpec",
-    "canonical_coaction",
+    "canonical_coactions",
     "check_comodule_algebra",
     "check_structure_lemmas",
     "check_transposed",

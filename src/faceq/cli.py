@@ -198,10 +198,9 @@ def run_verify(cfg):
     axioms = wba.check_axioms(w)
     source_dim = wba.counital_subalgebra(w, "source").dim
     target_dim = wba.counital_subalgebra(w, "target").dim
-    lam = co.canonical_coaction(q, "left", m)
-    rho = co.canonical_coaction(q, "right", m)
-    sections = {"left": _coaction_section(lam, w), "right": _coaction_section(rho, w)}
-    transposed = co.check_transposed(lam, rho)
+    specs = co.canonical_coactions(q, co.SIDES, m)
+    sections = {s: _coaction_section(specs[s], w) for s in co.SIDES}
+    transposed = co.check_transposed(specs["left"], specs["right"])
     passed = (axioms["passed"] and transposed
               and source_dim == target_dim == len(q.vertices)
               and all(s["passed"] for s in sections.values()))
@@ -269,7 +268,7 @@ def run_coact(cfg):
         m = cfg.max_degree
         host = wba.from_face_algebra(q, m)
         sides = ("left", "right") if cfg.side == "trans" else (cfg.side,)
-        specs = {s: co.canonical_coaction(q, s, m) for s in sides}
+        specs = co.canonical_coactions(q, sides, m)
         sections = {s: _coaction_section(specs[s], host) for s in sides}
         transposed = (co.check_transposed(specs["left"], specs["right"])
                       if cfg.side == "trans" else None)
@@ -319,7 +318,7 @@ def run_dual(cfg):
     q = _load_quiver(cfg)
     ideal = _load_ideal(cfg, q)
     m = cfg.max_degree
-    qd = pa.quadratic_data(ideal)
+    qd = pa.quadratic_data(ideal, m)
     qdual = pa.quadratic_dual(qd)
     dual_ideal = pa.quadratic_ideal(qdual, m)
     report = uq.check_quadratic_dualities(qd, qdual, m)
@@ -330,7 +329,7 @@ def run_dual(cfg):
         "maxDegree": m,
         "dualQuiver": _quiver_doc(qdual.quiver),
         "dualRelations": _subspace_text(dual_ideal.host.labels[2], qdual.relation_space),
-        "primalDims": wba.quotient_dims(pa.quadratic_ideal(qd, m), m),
+        "primalDims": wba.quotient_dims(qd.ideal, m),
         "dualDims": wba.quotient_dims(dual_ideal, m),
         "dualities": report,
         "passed": report["passed"],

@@ -59,14 +59,14 @@ class CoactionSpec:
         return len(self.coefficients) - 1
 
 
-def canonical_coaction(q, side, max_degree):
-    """Coaction of the face algebra on the path algebra, on path bases.
+def canonical_coactions(q, sides, max_degree):
+    """Coactions of the face algebra on the path algebra, on path bases, by side.
 
-    Degree-0 and degree-1 coefficients are the defining ones; every higher
-    degree is their multiplicative consequence, which on path bases is again
-    a single face monomial per entry.
+    The sides share one kQ presentation and one coefficient family, as a
+    transposed pair does.  Degree-0 and degree-1 coefficients are the
+    defining ones; every higher degree is their multiplicative consequence,
+    which on path bases is again a single face monomial per entry.
     """
-    _require_side(side)
     algebra = wba.path_algebra_presentation(q, max_degree)
     coefficients = []
     for d in range(max_degree + 1):
@@ -74,7 +74,7 @@ def canonical_coaction(q, side, max_degree):
         mat = [[{r * n + c: _ONE} for c in range(n)] for r in range(n)]
         coefficients.append(mat)
     endpoints = [(a.source, a.target) for a in q.arrows]
-    return CoactionSpec(side, algebra, coefficients, endpoints)
+    return {side: CoactionSpec(side, algebra, coefficients, endpoints) for side in sides}
 
 
 def _matrix_failures(host, d, mat):

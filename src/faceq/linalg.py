@@ -6,18 +6,21 @@ are exact rationals: a Python int where the value is integral and a Fraction
 otherwise, never a float.  Vectors are sparse rows: plain dicts mapping
 column index to a nonzero scalar.  Subspaces are kept in reduced row echelon
 form, which is canonical, so two subspaces are equal iff their stored bases
-are identical.  A subspace's residue table gives reduction and membership,
-and read by free column it spans the orthogonal complement.
+are identical.
 
 Internally, rows are scaled to integers and reduced by cross-multiplication
-(a fraction-free Gaussian elimination) with gcd cleanup after every step.
-Back-substitution runs from the last pivot to the first, so every row used
-to clear a pivot column is already clean.  Fractions only reappear when a
-finished basis is normalized to pivot 1 and a lead does not divide its row.
+(a fraction-free Gaussian elimination) with gcd cleanup after every step;
+int rows enter by add_ints, without the Fraction scan.  Back-substitution
+runs from the last pivot to the first, so every row used to clear a pivot
+column is already clean.  Fractions only reappear when a finished basis is
+normalized to pivot 1 and a lead does not divide its row.  A subspace's
+Projection onto its cosets (reduction, membership and, read by free column,
+the orthogonal complement) holds int rows over one denominator D: a zero
+test never divides, and a value divides once per output key.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def bump(table, key, value):
@@ -38,19 +41,20 @@ def mat_vec(columns, vec):
     return out
 
 
+def divided(table, denom):
+    """table with each value divided by denom, ints where integral; table itself if denom is 1."""
+    if denom == 1:
+        return table
+    quotients = {key: Fraction(v, denom) for key, v in table.items()}
+    return {key: x.numerator if x.denominator == 1 else x for key, x in quotients.items()}
+
+
 def int_row(row):
-    """The primitive int-valued positive multiple of row, zero entries dropped."""
-    ints = {c: x for c, x in row.items() if x}
-    if any(type(x) is not int for x in ints.values()):
-        denom_lcm = 1
-        for x in ints.values():
-            d = x.denominator
-            denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
-        ints = {c: int(x * denom_lcm) for c, x in ints.items()}
-    g = gcd(*ints.values())
-    if g > 1:
-        ints = {c: v // g for c, v in ints.items()}
-    return ints
+    """row times the lcm of its denominators, an int row, zero entries dropped."""
+    if all(type(x) is int for x in row.values()):
+        return {c: x for c, x in row.items() if x}
+    scale = lcm(*(x.denominator for x in row.values()))
+    return {c: int(x * scale) for c, x in row.items() if x}
 
 
 def _combine(a, row, b, piv):
@@ -93,7 +97,12 @@ class Echelon:
 
     def add(self, row):
         """Insert a sparse row (Fraction or int values). True iff rank grew."""
-        work = int_row(row)
+        return self.add_ints(int_row(row))
+
+    def add_ints(self, row):
+        """add() for a row of nonzero ints, which the echelon may keep as it is."""
+        g = gcd(*row.values())
+        work = {c: v // g for c, v in row.items()} if g > 1 else row
         while work:
             col = min(work)
             piv = self.pivot_rows.get(col)
@@ -135,7 +144,7 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.basis = tuple(basis_rows)
         self.pivots = tuple(pivots)
-        self._residues = None
+        self._projection = None
 
     @classmethod
     def from_rows(cls, ambient_dim, rows):
@@ -148,19 +157,11 @@ class Subspace:
     def dim(self):
         return len(self.basis)
 
-    def residues(self):
-        """Residue of each unit vector e_j, built on first use and then kept.
-
-        In reduced echelon form the residue of a pivot column e_p is minus
-        row p without its pivot entry; a non-pivot column is its own residue.
-        Callers read the entries and must not change them.
-        """
-        if self._residues is None:
-            table = [{j: 1} for j in range(self.ambient_dim)]
-            for p, row in zip(self.pivots, self.basis):
-                table[p] = {c: -x for c, x in row.items() if c != p}
-            self._residues = table
-        return self._residues
+    def projection(self):
+        """The Projection onto the cosets of this subspace, built on first use and then kept."""
+        if self._projection is None:
+            self._projection = Projection(self)
+        return self._projection
 
     def reduce(self, vec):
         """Canonical residue of vec modulo this subspace.
@@ -168,10 +169,11 @@ class Subspace:
         The result is supported on non-pivot columns; it is zero iff
         vec lies in the subspace.
         """
-        return mat_vec(self.residues(), vec)
+        proj = self.projection()
+        return {proj.cols[k]: x for k, x in proj.image(vec).items()}
 
     def contains(self, vec):
-        return not self.reduce(vec)
+        return not mat_vec(self.projection().rows, vec)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
@@ -179,6 +181,27 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
+
+
+class Projection:
+    """The projection of k^n onto the cosets of a subspace, in coset coordinates.
+
+    cols lists the non-pivot columns, the coset basis; denom is the lcm of
+    the basis's denominators, and rows[m] the int row denom * pi(e_m), which
+    for a pivot m is -denom times row m without its pivot entry.  Read-only."""
+
+    def __init__(self, subspace):
+        piv = dict(zip(subspace.pivots, subspace.basis))
+        self.cols = [m for m in range(subspace.ambient_dim) if m not in piv]
+        pos = {m: k for k, m in enumerate(self.cols)}
+        denom = lcm(1, *{x.denominator for row in subspace.basis for x in row.values()})
+        self.rows = [{pos[c]: int(-x * denom) for c, x in piv[m].items() if c != m} if m in piv
+                     else {pos[m]: denom} for m in range(subspace.ambient_dim)]
+        self.denom = denom
+
+    def image(self, vec):
+        """The exact coset coordinates of vec."""
+        return divided(mat_vec(self.rows, vec), self.denom)
 
 
 def subspace_equal(a, b):

@@ -139,11 +139,12 @@ def ideal_graded_piece(ideal, d):
 
 
 class QuadraticData:
-    """A relation space R inside kQ_2, over the degree-2 path basis."""
+    """A relation space R in kQ_2 (path basis) and the wba.BiidealGens it was read from, if any."""
 
-    def __init__(self, q, relation_space):
+    def __init__(self, q, relation_space, ideal=None):
         self.quiver = q
         self.relation_space = relation_space
+        self.ideal = ideal
         self._dual_rows = None
 
     @property
@@ -157,34 +158,37 @@ class QuadraticData:
         return self._dual_rows
 
 
-def quadratic_data(ideal):
+def quadratic_data(ideal, max_degree=2):
     """R = I_2, the degree-2 piece of an ideal with degree-2 generators only.
 
     As a piece of a two-sided ideal, R is a kQ_0-bimodule, which quadratic
     duality needs: a relation joining different endpoints, like ab + cc with
     ab from u to w and the loop cc at w, puts e_u(ab + cc) = ab and
-    e_w(ab + cc) = cc into R separately.
+    e_w(ab + cc) = cc into R separately.  R is read from the ideal's
+    BiidealGens over kQ truncated at max_degree, kept as the result's ideal.
     """
     for g in ideal.generators:
         if g.degree() != 2:
             raise UnsupportedShapeError(
                 f"quadratic data requires degree-2 generators, found degree {g.degree()}")
-    return QuadraticData(ideal.quiver, ideal_graded_piece(ideal, 2))
+    index = {p: i for i, p in enumerate(qv.enumerate_paths(ideal.quiver, 2))}
+    b = wba.BiidealGens(wba.path_algebra_presentation(ideal.quiver, max_degree),
+                        [(2, element_row(g, index)) for g in ideal.generators])
+    return QuadraticData(ideal.quiver, wba.biideal_graded_pieces(b, 2), b)
 
 
 def quadratic_dual_rows(qd):
     """Canonical basis of the orthogonal complement of R inside kQ_2.
 
     Each free column f of R's echelon basis spans one kernel vector, e_f
-    plus the column-f entries of the pivot residues.  Rows stay on the
-    degree-2 paths of the original quiver; quadratic_dual transports them
-    to the opposite quiver.
+    plus the column-f entries of the pivot rows' projections, scaled by D.
+    Rows stay on the degree-2 paths of the original quiver; quadratic_dual
+    transports them to the opposite quiver.
     """
     rel = qd.relation_space
-    residues = rel.residues()
-    pivots = set(rel.pivots)
-    kernel = [{f: 1, **{p: residues[p][f] for p in rel.pivots if f in residues[p]}}
-              for f in range(rel.ambient_dim) if f not in pivots]
+    proj = rel.projection()
+    kernel = [{f: proj.denom, **{p: proj.rows[p][k] for p in rel.pivots if k in proj.rows[p]}}
+              for k, f in enumerate(proj.cols)]
     return Subspace.from_rows(rel.ambient_dim, kernel).basis
 
 

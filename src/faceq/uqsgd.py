@@ -13,7 +13,7 @@ from . import pathalg as pa
 from . import quiver as qv
 from . import wba
 from .errors import VerificationError
-from .linalg import Subspace, bump, subspace_equal
+from .linalg import Subspace, bump, divided, int_row, subspace_equal
 
 RESULT_SIDES = ("left", "right", "trans")
 
@@ -81,13 +81,14 @@ def _check_descent(pieces_h, algebra_pieces, sides):
         if not piece_a.dim:
             continue
         n = piece_a.ambient_dim
-        res_a = piece_a.residues()
-        res_h = pieces_h[d].residues()
+        proj_a = piece_a.projection()
+        proj_h = pieces_h[d].projection()
+        rows = piece_a.basis if proj_a.denom == 1 else [int_row(row) for row in piece_a.basis]
         for side in sides:
             lam = [{(p * n + c if side == "left" else c * n + p, c): 1 for c in range(n)}
                    for p in range(n)]
-            for r, row in enumerate(piece_a.basis):
-                if wba.project_image(lambda _, p: lam[p], d, row, res_h, res_a):
+            for r, row in enumerate(rows):
+                if wba.project_image(lambda _, p: lam[p], d, row, proj_h, proj_a)[0]:
                     fails[side].append(f"degree {d}, relation row {r}")
     return fails
 
@@ -100,9 +101,9 @@ def _induced_coaction(q, side, biideal, algebra, max_degree):
     """
     coefficients = []
     for d in range(max_degree + 1):
-        _, residues = wba.coset_table(biideal, d)
+        proj = wba.biideal_graded_pieces(biideal, d).projection()
         n = algebra.dim(d)
-        mat = [[residues[r * n + c] for c in range(n)] for r in range(n)]
+        mat = [[divided(proj.rows[r * n + c], proj.denom) for c in range(n)] for r in range(n)]
         coefficients.append(mat)
     endpoints = [(a.source, a.target) for a in q.arrows]
     return co.CoactionSpec(side, algebra, coefficients, endpoints)
@@ -114,13 +115,13 @@ def build_uqsgd(q, ideal, side, max_degree):
     Builds the degree-2 biideal from the coaction relations (the transposed
     side takes the union of both), quotients the face algebra, induces the
     canonical coaction(s) on the quotient of kQ/I, and bundles all checks.
-    kQ/I is pa.quadratic_ideal of the relation space: its pieces feed the
-    descent check and its host is the algebra the coactions act on.
+    kQ/I is the ideal that pa.quadratic_data reads R from: its pieces feed
+    the descent check and its host is the algebra the coactions act on.
     Raises when the ideal is not quadratic or when a soundness check fails.
     """
     if side not in RESULT_SIDES:
         raise ValueError(f"side must be one of {RESULT_SIDES}, got {side!r}")
-    qd = pa.quadratic_data(ideal)
+    qd = pa.quadratic_data(ideal, max_degree)
     gen_sides, biideal = _relation_biideal(wba.from_face_algebra(q, max_degree), qd, side)
 
     breport = wba.check_biideal(biideal, max_degree)
@@ -132,7 +133,7 @@ def build_uqsgd(q, ideal, side, max_degree):
         raise VerificationError("quotient failed the weak bialgebra axioms", axioms)
 
     pieces_h = [wba.biideal_graded_pieces(biideal, d) for d in range(max_degree + 1)]
-    kq_ideal = pa.quadratic_ideal(qd, max_degree)
+    kq_ideal = qd.ideal
     algebra_pieces = [wba.biideal_graded_pieces(kq_ideal, d) for d in range(max_degree + 1)]
     descent = _check_descent(pieces_h, algebra_pieces, gen_sides)
     descent_report = {
@@ -199,7 +200,7 @@ def check_quadratic_dualities(qd, qdual, max_degree):
     coproduct or counit tables.  The transported degree-2 pieces are
     canonical Subspaces; the dimensions come from wba.quotient_dims, so the
     top degree is never finalized (lower degrees are, as spreading reads
-    their bases).
+    their bases).  The transposed side's pieces sum the one-sided ones.
     """
     if max_degree < 2:
         raise ValueError("duality checks need max_degree >= 2")
@@ -211,10 +212,13 @@ def check_quadratic_dualities(qd, qdual, max_degree):
     for label, data in (("base", qd), ("dual", qdual)):
         host = wba.face_algebra(data.quiver, max_degree)
         ambient[label] = host.dim(2)
-        for side in RESULT_SIDES:
-            _, b = _relation_biideal(host, data, side)
+        one_sided = [_relation_biideal(host, data, side)[1] for side in co.SIDES]
+        for side, b in zip(co.SIDES, one_sided):
             dims[(side, label)] = wba.quotient_dims(b, max_degree)
             pieces[(side, label)] = wba.biideal_graded_pieces(b, 2)
+        sums = wba.sum_of_pieces(one_sided, max_degree)
+        dims[("trans", label)] = [host.dim(d) - ech.rank for d, ech in enumerate(sums)]
+        pieces[("trans", label)] = sums[2].finalize()
 
     star = _star_index_map(q)
     swap = _swap_index_map(q)

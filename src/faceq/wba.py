@@ -25,7 +25,7 @@ from math import isqrt
 
 from . import quiver as qv
 from .errors import VerificationError
-from .linalg import Echelon, bump, int_row, mat_vec
+from .linalg import Echelon, bump, divided, int_row
 
 _ONE = 1
 
@@ -38,7 +38,7 @@ class GradedAlgebra:
     read-only (one may be shared by several keys).  unit is a degree-0
     coordinate dict.  The product table must not change once the object
     is built: its index by left factor, products_by_left(), is built on
-    the first request and then kept.
+    the first request and then kept, and so is int_products().
     """
 
     def __init__(self, max_degree, labels, product, unit):
@@ -47,6 +47,7 @@ class GradedAlgebra:
         self.product = product
         self.unit = dict(unit)
         self._by_left = None
+        self._int_products = None
 
     def dim(self, d):
         return len(self.labels[d])
@@ -81,6 +82,12 @@ class GradedAlgebra:
         if self._by_left is None:
             self._by_left = _products_by_left(self.product)
         return self._by_left
+
+    def int_products(self):
+        """True iff every product constant is an int; found once and then kept."""
+        if self._int_products is None:
+            self._int_products = {type(c) for e in self.product.values() for c in e.values()} <= {int}
+        return self._int_products
 
 
 class GradedWBA(GradedAlgebra):
@@ -358,19 +365,22 @@ def multiplicative_failures(src, image, left, right, max_degree):
     return fails
 
 
-def project_image(image, d, u, left_res, right_res):
-    """(pi (x) pi')f(u) for a coordinate dict u of degree d, cancelled terms dropped.
+def project_image(image, d, u, left, right):
+    """(pi (x) pi')f(u) for a coordinate dict u of degree d, as (table, denom).
 
-    f is given by image as in image_of; left_res and right_res are the
-    residue tables of the two legs' projections (left_res[j] is basis
-    vector j in coset coordinates).  Sums the terms of the images term by
-    term, without building f(u).
+    f is given by image as in image_of; left and right are the two legs'
+    linalg.Projection objects.  The projection is table / denom, with
+    denom the product of the legs' denominators and cancelled terms
+    dropped: a zero test reads table alone, in ints when u and the images
+    are, and linalg.divided gives the values.  Sums the terms of the images
+    term by term, without building f(u).
     """
+    left_rows, right_rows = left.rows, right.rows
     out = {}
     for i, a in u.items():
         for (j, k), c in image(d, i).items():
-            rj = left_res[j]
-            rk = right_res[k]
+            rj = left_rows[j]
+            rk = right_rows[k]
             if not rj or not rk:
                 continue
             ac = a * c
@@ -381,7 +391,7 @@ def project_image(image, d, u, left_res, right_res):
                     out[key] = out.get(key, 0) + acm * cn
     if not all(out.values()):
         out = {key: c for key, c in out.items() if c}
-    return out
+    return out, left.denom * right.denom
 
 
 def _failures_counit_splits(w):
@@ -557,14 +567,14 @@ class BiidealGens:
         self.generators = tuple(gens)
         self._pieces = {}
         self._echelons = {}  # forward-reduced pieces not yet finalized
-        self._cosets = {}
 
 
 def _spread(b, d):
     """The degree-d piece as a forward-reduced Echelon, kept on b until finalized.
 
     Spreads the finalized degree-(d-1) basis, as biideal_graded_pieces
-    describes.
+    describes.  On a host with int constants, products of int rows enter
+    by Echelon.add_ints; a saturation product z r equal to r is skipped.
     """
     if d in b._echelons:
         return b._echelons[d]
@@ -572,6 +582,7 @@ def _spread(b, d):
     if d > w.max_degree:
         raise ValueError(f"degree {d} exceeds the host truncation {w.max_degree}")
     ech = Echelon(w.dim(d))
+    add = ech.add_ints if w.int_products() else ech.add
     gens = [vec for gd, vec in b.generators if gd == d]
     for vec in gens:
         ech.add(vec)
@@ -582,21 +593,21 @@ def _spread(b, d):
                 arrow = {a: _ONE}
                 left = w.multiply(1, arrow, d - 1, row)
                 if left:
-                    ech.add(left)
+                    add(left)
                 right = w.multiply(d - 1, row, 1, arrow)
                 if right:
-                    ech.add(right)
+                    add(right)
     while gens:
         before = ech.rank
         for row in ech.rows():
             for z in range(w.dim(0)):
                 zvec = {z: _ONE}
                 left = w.multiply(0, zvec, d, row)
-                if left:
-                    ech.add(left)
+                if left and left != row:
+                    add(left)
                 right = w.multiply(d, row, 0, zvec)
-                if right:
-                    ech.add(right)
+                if right and right != row:
+                    add(right)
         if ech.rank == before:
             break
     b._echelons[d] = ech
@@ -638,20 +649,17 @@ def biideal_graded_pieces(b, d):
     return b._pieces[d]
 
 
-def coset_table(b, d):
-    """(nonpivot, residues) of the degree-d piece, computed once and kept on b.
-
-    nonpivot lists the host columns kept as the coset basis; residues[m] is
-    host basis vector m in coset coordinates, so projecting a coordinate
-    dict is mat_vec(residues, vec).
-    """
-    if d not in b._cosets:
-        piece = biideal_graded_pieces(b, d)
-        piv = set(piece.pivots)
-        cols = [m for m in range(b.host.dim(d)) if m not in piv]
-        pos = {m: i for i, m in enumerate(cols)}
-        b._cosets[d] = (cols, [{pos[m]: c for m, c in r.items()} for r in piece.residues()])
-    return b._cosets[d]
+def sum_of_pieces(biideals, max_degree):
+    """Echelons, degrees 0..max_degree, of the ideal that the biideals'
+    generators generate together in their one host: each the sum of their
+    pieces as each biideal holds them, finalized or only ranked."""
+    sums = [Echelon(biideals[0].host.dim(d)) for d in range(max_degree + 1)]
+    for b in biideals:
+        for d, ech in enumerate(sums):
+            add = ech.add if d in b._pieces else ech.add_ints  # ranked pieces hold int rows
+            for row in b._pieces[d].basis if d in b._pieces else _spread(b, d).rows():
+                add(row)
+    return sums
 
 
 def check_biideal(b, max_degree):
@@ -666,11 +674,12 @@ def check_biideal(b, max_degree):
         piece = pieces[d]
         if not piece.dim:
             continue
-        residues = piece.residues()
+        proj = piece.projection()
         for r, row in enumerate(piece.basis):
             if w.eps(d, row):
                 eps_fails.append(f"degree {d}, piece row {r}")
-            if project_image(w.coproduct_of, d, row, residues, residues):
+            urow = row if proj.denom == 1 else int_row(row)  # same zero test, in ints
+            if project_image(w.coproduct_of, d, urow, proj, proj)[0]:
                 delta_fails.append(f"degree {d}, piece row {r}")
     rows = [
         _row("counit-vanishes", eps_fails, key="check"),
@@ -691,25 +700,25 @@ def quotient_wba(b, report=None):
     if not report["passed"]:
         raise VerificationError("biideal verification failed; not a quotient weak bialgebra",
                                 report)
-    nonpivot, residues = zip(*(coset_table(b, d) for d in range(w.max_degree + 1)))
-    labels = [[w.labels[d][m] for m in nonpivot[d]] for d in range(w.max_degree + 1)]
+    projs = [biideal_graded_pieces(b, d).projection() for d in range(w.max_degree + 1)]
+    labels = [[w.labels[d][m] for m in projs[d].cols] for d in range(w.max_degree + 1)]
     product = {}
     for d in range(w.max_degree + 1):
         for e in range(w.max_degree + 1 - d):
-            for i, mi in enumerate(nonpivot[d]):
-                for j, mj in enumerate(nonpivot[e]):
+            for i, mi in enumerate(projs[d].cols):
+                for j, mj in enumerate(projs[e].cols):
                     entry = w.product_of(d, mi, e, mj)
                     if not entry:
                         continue
-                    img = mat_vec(residues[d + e], entry)
+                    img = projs[d + e].image(entry)
                     if img:
                         product[(d, i, e, j)] = img
-    unit = mat_vec(residues[0], w.unit)
+    unit = projs[0].image(w.unit)
     coproduct = {}
     counit = {}
     for d in range(w.max_degree + 1):
-        for i, mi in enumerate(nonpivot[d]):
-            entry = project_image(w.coproduct_of, d, {mi: _ONE}, residues[d], residues[d])
+        for i, mi in enumerate(projs[d].cols):
+            entry = divided(*project_image(w.coproduct_of, d, {mi: _ONE}, projs[d], projs[d]))
             if entry:
                 coproduct[(d, i)] = entry
             ev = w.counit_of(d, mi)

@@ -10,7 +10,7 @@ from faceq import pathalg as pa
 from faceq import quiver as qv
 from faceq import uqsgd as uq
 from faceq import wba
-from faceq.linalg import Subspace, bump
+from faceq.linalg import Subspace, bump, mat_vec
 
 from fleet import FLEET, HOST_DEGREE, doubled_three_cycle, q_bullets, three_cycle, three_loop, two_loop
 
@@ -86,6 +86,25 @@ def matrix_failures_oracle(host, algebra, d, mat):
     return coassoc_fails, counit_fails
 
 
+def residue_table(piece):
+    """Residue of each unit vector e_j modulo a canonical Subspace, in host
+    columns, term by term in Fractions: minus row p without its pivot entry
+    for a pivot column p, e_j itself otherwise.  The reference for
+    linalg.Projection, which holds int rows over one denominator."""
+    table = [{j: 1} for j in range(piece.ambient_dim)]
+    for p, row in zip(piece.pivots, piece.basis):
+        table[p] = {c: -x for c, x in row.items() if c != p}
+    return table
+
+
+def coset_table_oracle(piece):
+    """(non-pivot columns, residue_table in coset coordinates)."""
+    piv = set(piece.pivots)
+    cols = [m for m in range(piece.ambient_dim) if m not in piv]
+    pos = {m: i for i, m in enumerate(cols)}
+    return cols, [{pos[m]: c for m, c in r.items()} for r in residue_table(piece)]
+
+
 def check_biideal_oracle(b, max_degree):
     """check_biideal with each piece row's coproduct materialized as
     Delta(row) before it is projected: the reference for the streamed check."""
@@ -96,7 +115,7 @@ def check_biideal_oracle(b, max_degree):
         piece = wba.biideal_graded_pieces(b, d)
         if not piece.dim:
             continue
-        residues = piece.residues()
+        residues = residue_table(piece)
         for r, row in enumerate(piece.basis):
             if w.eps(d, row):
                 eps_fails.append(f"degree {d}, piece row {r}")
@@ -128,8 +147,8 @@ def check_descent_oracle(pieces_h, algebra_pieces, sides):
         if not piece_a.dim:
             continue
         n = piece_a.ambient_dim
-        res_a = piece_a.residues()
-        res_h = pieces_h[d].residues()
+        res_a = residue_table(piece_a)
+        res_h = residue_table(pieces_h[d])
         for r, row in enumerate(piece_a.basis):
             for side in sides:
                 image = {}
@@ -156,7 +175,7 @@ def quotient_coalgebra_oracle(b):
     coproduct = {}
     counit = {}
     for d in range(w.max_degree + 1):
-        nonpivot, residues = wba.coset_table(b, d)
+        nonpivot, residues = coset_table_oracle(wba.biideal_graded_pieces(b, d))
         for i, m in enumerate(nonpivot):
             entry = {}
             for (j, k), c in w.delta(d, {m: 1}).items():
@@ -168,6 +187,33 @@ def quotient_coalgebra_oracle(b):
             if w.counit_of(d, m):
                 counit[(d, i)] = w.counit_of(d, m)
     return coproduct, counit
+
+
+def quotient_algebra_oracle(b):
+    """The quotient's product and unit tables through the coset residues;
+    the reference for wba.quotient_wba's algebra half."""
+    w = b.host
+    tables = [coset_table_oracle(wba.biideal_graded_pieces(b, d)) for d in range(w.max_degree + 1)]
+    product = {}
+    for d in range(w.max_degree + 1):
+        for e in range(w.max_degree + 1 - d):
+            for i, mi in enumerate(tables[d][0]):
+                for j, mj in enumerate(tables[e][0]):
+                    img = mat_vec(tables[d + e][1], w.product_of(d, mi, e, mj))
+                    if img:
+                        product[(d, i, e, j)] = img
+    return product, mat_vec(tables[0][1], w.unit)
+
+
+def induced_coefficients_oracle(b, algebra, max_degree):
+    """The canonical coefficients x[r;c] pushed through the coset residues of
+    each degree; the reference for uqsgd._induced_coaction."""
+    out = []
+    for d in range(max_degree + 1):
+        residues = coset_table_oracle(wba.biideal_graded_pieces(b, d))[1]
+        n = algebra.dim(d)
+        out.append([[residues[r * n + c] for c in range(n)] for r in range(n)])
+    return out
 
 
 def full_witness_rows(mp):

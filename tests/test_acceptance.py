@@ -33,9 +33,8 @@ def fleet_hosts():
     for name, make in FLEET.items():
         q = make()
         host = wba.from_face_algebra(q, 3)
-        lam = co.canonical_coaction(q, "left", 3)
-        rho = co.canonical_coaction(q, "right", 3)
-        out[name] = (q, host, lam, rho)
+        specs = co.canonical_coactions(q, co.SIDES, 3)
+        out[name] = (q, host, specs["left"], specs["right"])
     return out
 
 

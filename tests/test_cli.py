@@ -314,7 +314,7 @@ def test_one_eps_table_per_presentation(tmp_path, monkeypatch, command, relation
 
 
 @pytest.mark.parametrize("command, quiver, relations, extra, presentations", [
-    ("verify", DOUBLED_THREE_CYCLE_DOC, None, [], 3),
+    ("verify", DOUBLED_THREE_CYCLE_DOC, None, [], 2),
     ("uqsgd", THREE_LOOP_DOC, THREE_LOOP_COMMUTATORS_DOC, ["--side", "trans"], 2)])
 def test_coalgebra_rows_and_product_index_built_once(tmp_path, monkeypatch, command, quiver,
                                                      relations, extra, presentations):
@@ -322,7 +322,7 @@ def test_coalgebra_rows_and_product_index_built_once(tmp_path, monkeypatch, comm
     their comodule checks and structure lemmas read one coassociativity and
     counit run per degree: 4 runs where unshared checks made 12.  Each
     presentation indexes its products once: the face algebra (verify) or
-    the quotient (uqsgd), and the algebra each coaction acts on."""
+    the quotient (uqsgd), and the one algebra both coactions act on."""
     runs = []
     indexed = []
     matrix_failures = co._matrix_failures
@@ -347,6 +347,30 @@ def test_coalgebra_rows_and_product_index_built_once(tmp_path, monkeypatch, comm
     assert doc["passed"] is True
     assert runs == [0, 1, 2, 3]
     assert len(indexed) == len({id(product) for product in indexed}) == presentations
+
+
+@pytest.mark.parametrize("command, relations, presentations", [
+    ("verify", None, 1), ("uqsgd", COMMUTATOR_DOC, 1), ("dual", COMMUTATOR_DOC, 2)])
+def test_one_path_algebra_per_quiver(tmp_path, monkeypatch, command, relations, presentations):
+    """verify's two canonical coactions share one kQ; uqsgd and dual read R
+    from the ideal of kQ truncated at the job's degree, so R is eliminated
+    once, and dual adds kQ^op for the quadratic dual."""
+    built = []
+    presentation = wba.path_algebra_presentation
+
+    def counted(q, max_degree):
+        built.append(max_degree)
+        return presentation(q, max_degree)
+
+    monkeypatch.setattr(wba, "path_algebra_presentation", counted)
+    args = [command, "--quiver", write_json(tmp_path / "q.json", TWO_LOOP_DOC),
+            "--max-degree", "3"]
+    if relations is not None:
+        args += ["--relations", write_json(tmp_path / "r.json", relations)]
+    code, doc = run_doc(tmp_path, args)
+    assert code == 0
+    assert doc["passed"] is True
+    assert built == [3] * presentations
 
 
 def test_output_bytes_identical_across_runs(tmp_path):

@@ -27,9 +27,8 @@ def face_coords(q, elem, degree):
 
 def canonical_pair(q, max_degree):
     host = wba.from_face_algebra(q, max_degree)
-    lam = co.canonical_coaction(q, "left", max_degree)
-    rho = co.canonical_coaction(q, "right", max_degree)
-    return host, lam, rho
+    specs = co.canonical_coactions(q, co.SIDES, max_degree)
+    return host, specs["left"], specs["right"]
 
 
 def test_canonical_coactions_pass():
@@ -196,7 +195,7 @@ def test_structure_lemma_matrix_rows_on_corrupted_coefficients(side, kind, degre
     doubled, or given the extra term x[e:1;e:1] (resp. x[p1;p1])."""
     q = three_cycle()
     host = wba.from_face_algebra(q, 1)
-    spec = co.canonical_coaction(q, side, 1)
+    spec = co.canonical_coactions(q, (side,), 1)[side]
     mats = [[[dict(e) for e in row] for row in mat] for mat in spec.coefficients]
     for d, j, k in ((0, 1, 1), (1, 0, 2)):
         if kind == "zero":
@@ -431,7 +430,7 @@ def coalgebra_row_cases(draw):
     name = draw(st.sampled_from(sorted(FLEET)))
     q = FLEET[name]()
     degree = ORACLE_DEGREE.get(name, 3)
-    lam = co.canonical_coaction(q, "left", degree)
+    lam = co.canonical_coactions(q, ("left",), degree)["left"]
     d = draw(st.sampled_from([d for d in range(degree + 1) if lam.algebra.dim(d)]))
     n = lam.algebra.dim(d)
     j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))

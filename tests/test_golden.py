@@ -1,7 +1,7 @@
 """Report bytes pinned for every subcommand on small fleet cases at degree 2,
 for verify on the doubled three-cycle and uqsgd --side trans on the
-three-loop commutators at degree 3, and for dual on the three-loop
-q-commutators at degree 4.
+three-loop commutators and q-commutators at degree 3, and for dual on the
+three-loop q-commutators at degree 4.
 
 Each case runs the CLI in a fresh interpreter under two PYTHONHASHSEED
 values, and both runs must produce the recorded sha256.  A change in how a
@@ -11,8 +11,10 @@ here.  The degree-3 verify and uqsgd cases run the comodule checks of two
 coactions that share one coefficient family, and uqsgd also checks its
 biideal on degree-3 pieces.  The quantum-plane cases carry the non-integer
 coefficient -1/2, so the rational path is pinned as well as the integer
-one.  At degree 4 the dual's degree-3 biideal pieces are both spread from
-and finalized, while degree 4 is only ranked.  A case's extra options come
+one.  The three-loop q-commutators at degree 3 give uqsgd pieces whose
+projections have denominators, so the int-row projection over a common
+denominator is pinned too.  At degree 4 the dual's degree-3 biideal pieces
+are both spread from and finalized, while degree 4 is only ranked.  A case's extra options come
 after the default --max-degree 2 and override it.
 """
 
@@ -90,6 +92,9 @@ CASES = {
     "uqsgd-three-loop-commutators-trans-degree-3": (
         "uqsgd", THREE_LOOP, THREE_LOOP_COMMUTATORS, ["--side", "trans", "--max-degree", "3"],
         "3d609c04e4651afa5b6495f82e1f52b788c1857d0d234a8e9c78d36b8d96e864"),
+    "uqsgd-three-loop-q-commutators-trans-degree-3": (
+        "uqsgd", THREE_LOOP, Q_COMMUTATORS, ["--side", "trans", "--max-degree", "3"],
+        "a0092e8aa951735a00b954dde1d9b99a2d4d58dad6c6986a57ff18317730a084"),
     "dual-three-loop-q-commutators-degree-4": (
         "dual", THREE_LOOP, Q_COMMUTATORS, ["--max-degree", "4"],
         "170b76f6f198a844b8a9de47fee66b371622605643296aa9d8d10e79954a4f14"),

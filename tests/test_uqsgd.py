@@ -3,21 +3,25 @@
 from fractions import Fraction
 from math import comb
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from faceq import coaction as co
 from faceq import face as fc
 from faceq import pathalg as pa
+from faceq import quiver as qv
 from faceq import uqsgd as uq
 from faceq import wba
 from faceq.errors import UnsupportedShapeError
 from faceq.linalg import Subspace, subspace_equal
 
-from conftest import (bracket, check_descent_oracle, commutator_ideal,
-                      face_coaction_relations, face_coords,
-                      loop_face, polynomial_families, preprojective_families,
-                      q_commutator_ideal, quantum_plane_ideal)
-from fleet import kronecker, three_cycle, three_loop, two_loop
+from conftest import (bracket, check_biideal_oracle, check_descent_oracle, commutator_ideal,
+                      face_coaction_relations, face_coords, full_witness_rows,
+                      induced_coefficients_oracle, loop_face, polynomial_families,
+                      preprojective_families, q_commutator_ideal, quantum_plane_ideal,
+                      quotient_algebra_oracle, quotient_coalgebra_oracle)
+from fleet import FLEET, HOST_DEGREE, kronecker, three_cycle, three_loop, two_loop
 
 
 def piece2(result):
@@ -162,7 +166,7 @@ def test_trivial_ideal_reproduces_face_algebra(trivial_results):
             assert getattr(res.quotient, field) == getattr(host, field), (name, field)
         assert len(res.biideal.generators) == 0
         for side, spec in res.induced_coactions.items():
-            canonical = co.canonical_coaction(q, side, degree)
+            canonical = co.canonical_coactions(q, (side,), degree)[side]
             assert spec.coefficients == canonical.coefficients
 
 
@@ -227,6 +231,128 @@ def test_quadratic_dualities_free_algebra():
     assert report["passed"]
     with pytest.raises(ValueError):
         dualities(pa.HomogeneousIdeal(q, []), 1)
+
+
+def rational_relations(q):
+    """p_0 - 2 p_1, p_2 + 1/2 p_3 and p_4 - 3/4 p_5 over the degree-2 paths
+    p_i of q, as far as they go; a lone last path takes the scale alone."""
+    paths = qv.enumerate_paths(q, 2)
+    gens = []
+    for k, scale in enumerate((Fraction(-2), Fraction(1, 2), Fraction(-3, 4))):
+        terms = {p: c for p, c in zip(paths[2 * k:2 * k + 2], (1, scale))}
+        if len(terms) == 1:
+            terms = {p: scale for p in terms}
+        if terms:
+            gens.append(pa.PathElement(q, terms))
+    return pa.HomogeneousIdeal(q, gens)
+
+
+@pytest.mark.parametrize("name", sorted(FLEET))
+def test_transposed_pieces_are_the_sum_of_the_one_sided_ones(name):
+    """The sum that check_quadratic_dualities takes for the transposed side
+    equals spreading the union of both sides' relations: the ranks in every
+    degree and the canonical degree-2 piece, for the base and the dual."""
+    q = FLEET[name]()
+    degree = min(3, HOST_DEGREE[name])
+    qd = pa.quadratic_data(rational_relations(q), degree)
+    for data in (qd, pa.quadratic_dual(qd)):
+        host = wba.face_algebra(data.quiver, degree)
+        one_sided = [uq._relation_biideal(host, data, side)[1] for side in co.SIDES]
+        for b in one_sided:
+            wba.quotient_dims(b, degree)
+            wba.biideal_graded_pieces(b, 2)
+        sums = wba.sum_of_pieces(one_sided, degree)
+        _, union = uq._relation_biideal(host, data, "trans")
+        assert [ech.rank for ech in sums] == [wba.biideal_rank(union, d)
+                                              for d in range(degree + 1)]
+        piece = sums[2].finalize()
+        assert piece == wba.biideal_graded_pieces(union, 2)
+        assert piece.pivots == wba.biideal_graded_pieces(union, 2).pivots
+
+
+# Small fleet quivers with degree-2 paths, and the host truncation for each.
+RELATION_DEGREE = {"one-loop": 3, "two-loop": 3, "three-cycle": 3, "doubled-three-cycle": 2}
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@st.composite
+def rational_relation_biideals(draw):
+    """Random rational quadratic relations on a small fleet quiver, a result
+    side, and the coaction-relation biideal of that side over h(Q)."""
+    name = draw(st.sampled_from(sorted(RELATION_DEGREE)))
+    q = FLEET[name]()
+    degree = RELATION_DEGREE[name]
+    paths = qv.enumerate_paths(q, 2)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, len(paths) - 1), RATIONALS,
+                                         min_size=1, max_size=3), min_size=1, max_size=2))
+    ideal = pa.HomogeneousIdeal(q, [pa.PathElement(q, {paths[i]: c for i, c in row.items()})
+                                    for row in rows])
+    qd = pa.quadratic_data(ideal, degree)
+    side = draw(st.sampled_from(uq.RESULT_SIDES))
+    sides, b = uq._relation_biideal(wba.from_face_algebra(q, degree), qd, side)
+    return q, qd, sides, b
+
+
+def typed(table):
+    return {key: (x, type(x)) for key, x in table.items()}
+
+
+def policy_typed(table):
+    """The values with the type the scalar policy gives them, an int where
+    integral: the Fraction oracle can sum Fraction terms to an integral
+    Fraction, where the projections divide once and give an int."""
+    return {key: (x, int if x.denominator == 1 else Fraction) for key, x in table.items()}
+
+
+def corrupted(host, d, i, scale):
+    """host with the first term of the coproduct of u^d_i scaled."""
+    coproduct = dict(host.coproduct)
+    entry = dict(coproduct[(d, i)])
+    first = next(iter(entry))
+    entry[first] *= scale
+    coproduct[(d, i)] = entry
+    return wba.GradedWBA(host.max_degree, host.labels, host.product, host.unit, coproduct,
+                         host.counit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_relation_biideals(), st.data())
+def test_projections_match_the_fraction_oracle(case, data):
+    """The int projections over a common denominator against the Fraction
+    projection they replace: the biideal check, on the biideal and on a
+    host with a corrupted rational coproduct entry, and the descent check,
+    failure lists in order; the quotient tables and the induced
+    coefficients value by value and by int/Fraction type."""
+    q, qd, sides, b = case
+    host, top = b.host, b.host.max_degree
+    pieces_h = [wba.biideal_graded_pieces(b, d) for d in range(top + 1)]
+    algebra_pieces = [wba.biideal_graded_pieces(qd.ideal, d) for d in range(top + 1)]
+    assert uq._check_descent(pieces_h, algebra_pieces, co.SIDES) == \
+        check_descent_oracle(pieces_h, algebra_pieces, co.SIDES)
+
+    d = data.draw(st.integers(1, top))
+    i = data.draw(st.integers(0, host.dim(d) - 1))
+    bad = wba.BiidealGens(corrupted(host, d, i, data.draw(RATIONALS.filter(lambda x: x != 1))),
+                          b.generators)
+    with pytest.MonkeyPatch.context() as mp:
+        full_witness_rows(mp)
+        for biideal in (b, bad):
+            assert wba.check_biideal(biideal, top) == check_biideal_oracle(biideal, top)
+
+    quo = wba.quotient_wba(b)
+    product, unit = quotient_algebra_oracle(b)
+    coproduct, counit = quotient_coalgebra_oracle(b)
+    for new, old in ((quo.product, product), (quo.coproduct, coproduct)):
+        assert new.keys() == old.keys()
+        for key, entry in new.items():
+            assert typed(entry) == policy_typed(old[key]), key
+    assert typed(quo.unit) == policy_typed(unit)
+    assert quo.counit == counit
+    oracle = induced_coefficients_oracle(b, qd.ideal.host, top)
+    for side in sides:
+        spec = uq._induced_coaction(q, side, b, qd.ideal.host, top)
+        assert [[[typed(e) for e in row] for row in mat] for mat in spec.coefficients] == \
+            [[[policy_typed(e) for e in row] for row in mat] for mat in oracle]
 
 
 def descent_fails(biideal, qd, degree):

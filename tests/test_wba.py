@@ -666,7 +666,9 @@ def test_biideal_rank_is_the_dim_of_the_finalized_piece(b, data):
     # spreading finalized every degree below top; top is forward-reduced only
     assert sorted(b._pieces) == list(range(top))
     assert list(b._echelons) == [top]
-    with mock.patch.object(Echelon, "add", side_effect=AssertionError("eliminated again")):
+    again = AssertionError("eliminated again")
+    with mock.patch.object(Echelon, "add", side_effect=again), \
+            mock.patch.object(Echelon, "add_ints", side_effect=again):
         piece = wba.biideal_graded_pieces(b, top)
     assert piece.dim == rank
     assert not b._echelons
@@ -724,8 +726,63 @@ def test_biideal_pieces_match_oracle_on_mixed_degree_generators():
     assert wba.biideal_graded_pieces(b, 0).dim == 2
 
 
+@pytest.fixture(scope="module")
+def fraction_host():
+    """The quotient of the two-loop h(Q) by the quantum plane at -1/2 (the
+    relation t1 t2 - 1/2 t2 t1), truncated at 3: a host with Fraction
+    products."""
+    q = two_loop()
+    _, b = uq._relation_biideal(wba.from_face_algebra(q, 3),
+                                pa.quadratic_data(quantum_plane_ideal(q, Fraction(1, 2))), "trans")
+    return wba.quotient_wba(b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_biideal_over_a_fraction_host_matches_saturation(fraction_host, data):
+    """Products over a host with Fraction constants enter by add, never
+    straight by add_ints, and the pieces match the saturation oracle."""
+    host = fraction_host
+    assert not host.int_products()
+    degrees = [d for d in range(host.max_degree + 1) if host.dim(d)]
+    gens = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        d = data.draw(st.sampled_from(degrees))
+        gens.append((d, data.draw(st.dictionaries(st.integers(0, host.dim(d) - 1), SCALARS,
+                                                  min_size=1, max_size=3))))
+    b = wba.BiidealGens(host, gens)
+    calls = {"add": 0, "add_ints": 0}
+
+    def counted(name):
+        insert = getattr(Echelon, name)
+
+        def run(self, row):
+            calls[name] += 1
+            return insert(self, row)
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(Echelon, name, counted(name))
+        wba.biideal_graded_pieces(b, host.max_degree)
+    assert calls["add_ints"] == calls["add"]
+    assert_pieces_match(b, host.max_degree)
+
+
+def test_int_products_of_the_presentations(fraction_host):
+    q = three_cycle()
+    for host in (wba.from_face_algebra(q, 2), wba.face_algebra(q, 2),
+                 wba.path_algebra_presentation(q, 2), wba.bialgebra_d(1)):
+        assert host.int_products()
+    assert not fraction_host.int_products()
+
+
 def test_three_loop_commutator_biideal_add_count(monkeypatch):
-    """Saturation runs only in degree 2, the one degree with generators."""
+    """Saturation runs only in degree 2, the one degree with generators.
+    Every insertion ends in add_ints, which the Fraction generators reach
+    through add and the int products of the int host directly; on the
+    one-vertex quiver the unit fixes every row, so the saturation products
+    are skipped."""
     q = three_loop()
     qd = pa.quadratic_data(commutator_ideal(q))
     host = wba.from_face_algebra(q, 3)
@@ -733,19 +790,35 @@ def test_three_loop_commutator_biideal_add_count(monkeypatch):
             for g in face_coaction_relations(qd, side)]
     assert [g for _, g in gens] == [g for side in ("left", "right")
                                     for g in uq.coaction_relations(qd, side)]
-    calls = []
-    add = Echelon.add
+    calls = {"add": [], "add_ints": []}
+    saturation = []
+    multiply = wba.GradedAlgebra.multiply
 
-    def counted(self, row):
-        calls.append(row)
-        return add(self, row)
+    def counted(name):
+        insert = getattr(Echelon, name)
 
-    monkeypatch.setattr(Echelon, "add", counted)
+        def run(self, row):
+            calls[name].append(row)
+            return insert(self, row)
+        return run
+
+    def recorded(self, d, u, e, v):
+        out = multiply(self, d, u, e, v)
+        if d == 0 or e == 0:
+            saturation.append(out == (v if d == 0 else u))
+        return out
+
+    for name in calls:
+        monkeypatch.setattr(Echelon, name, counted(name))
+    monkeypatch.setattr(wba.GradedAlgebra, "multiply", recorded)
     b = wba.BiidealGens(host, gens)
     assert [wba.biideal_graded_pieces(b, d).dim for d in range(4)] == [0, 0, 36, 564]
-    # 36 generators, 36 rows times 9 arrows on both sides, one saturation
-    # pass of the 36 rows by the unit on both sides
+    # 36 generators, 36 rows times 9 arrows on both sides; the one saturation
+    # pass of the 36 rows by the unit on both sides makes 72 products equal
+    # to their rows, which are not inserted
     assert len(gens) == 36
-    assert len(calls) == 36 + 36 * 9 * 2 + 36 * 2 == 756
+    assert len(calls["add"]) == 36
+    assert len(calls["add_ints"]) == 36 + 36 * 9 * 2 == 684
+    assert saturation == [True] * 36 * 2
     monkeypatch.undo()
     assert_pieces_match(wba.BiidealGens(host, gens), 3)
