@@ -3,7 +3,7 @@
 from .errors import ParseError, UnsupportedShapeError, VerificationError
 from .quiver import Quiver, parse_quiver
 from .pathalg import HomogeneousIdeal, parse_relations, quadratic_data, quadratic_dual
-from .face import FaceElement, face_basis, format_element, parse_element
+from .face import face_basis, format_coords, parse_element
 from .wba import (
     GradedAlgebra,
     GradedWBA,
@@ -12,8 +12,6 @@ from .wba import (
     check_axioms,
     check_biideal,
     counital_subalgebra,
-    direct_sum,
-    bialgebra_d,
     from_face_algebra,
     quotient_wba,
 )
@@ -38,9 +36,8 @@ __all__ = [
     "parse_relations",
     "quadratic_data",
     "quadratic_dual",
-    "FaceElement",
     "face_basis",
-    "format_element",
+    "format_coords",
     "parse_element",
     "GradedAlgebra",
     "GradedWBA",
@@ -49,8 +46,6 @@ __all__ = [
     "check_axioms",
     "check_biideal",
     "counital_subalgebra",
-    "direct_sum",
-    "bialgebra_d",
     "from_face_algebra",
     "quotient_wba",
     "CoactionSpec",

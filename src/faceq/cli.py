@@ -120,21 +120,15 @@ def _quiver_doc(q):
     }
 
 
-def _coords_text(labels_d, coords):
-    if not coords:
-        return "0"
-    return " + ".join(f"{coords[i]} * {labels_d[i]}" for i in sorted(coords))
-
-
 def _subspace_text(labels_d, subspace):
-    return [_coords_text(labels_d, row) for row in subspace.basis]
+    return [fc.format_coords(labels_d, row) for row in subspace.basis]
 
 
 def _coaction_doc(cspec, host):
     return {
         "side": cspec.side,
         "coefficients": [
-            [[_coords_text(host.labels[d], entry) for entry in row] for row in mat]
+            [[fc.format_coords(host.labels[d], entry) for entry in row] for row in mat]
             for d, mat in enumerate(cspec.coefficients)
         ],
     }
@@ -147,7 +141,7 @@ def _base_iso_section(cspec, host):
     verification = co.verify_base_iso(cspec, host, found)
     section = {
         "found": True,
-        "images": [_coords_text(host.labels[0], v) for v in found],
+        "images": [fc.format_coords(host.labels[0], v) for v in found],
         "verification": verification,
     }
     return section, verification["passed"]
@@ -175,7 +169,7 @@ def run_face(cfg):
         sub = wba.counital_subalgebra(w, side)
         counital[side] = {"dim": sub.dim, "basis": _subspace_text(w.labels[0], sub)}
     idempotents = {
-        side: [fc.format_element(e) for e in fc.face_idempotents(q, side)]
+        side: [fc.format_coords(w.labels[0], e) for e in fc.face_idempotents(q, side)]
         for side in ("source", "target")
     }
     return {
@@ -236,21 +230,9 @@ def _parse_coaction_doc(doc, q, cap):
         if (not isinstance(mat, list) or len(mat) != n
                 or any(not isinstance(row, list) or len(row) != n for row in mat)):
             raise ParseError(f"degree-{d} coefficient matrix must be {n}x{n}")
-        path_index = {p: i for i, p in enumerate(qv.enumerate_paths(q, d))}
-        out = []
-        for row in mat:
-            out_row = []
-            for cell in row:
-                elem = fc.parse_element(q, cell)
-                coords = {}
-                for mono, coeff in elem.terms.items():
-                    if fc.monomial_degree(mono) != d:
-                        raise ParseError(
-                            f"degree-{d} entry holds a degree-{fc.monomial_degree(mono)} term")
-                    coords[path_index[mono.left] * n + path_index[mono.right]] = coeff
-                out_row.append(coords)
-            out.append(out_row)
-        coefficients.append(out)
+        index = {p: i for i, p in enumerate(qv.enumerate_paths(q, d))}
+        coefficients.append([[fc.parse_element(q, cell, d, index) for cell in row]
+                             for row in mat])
     endpoints = [(a.source, a.target) for a in q.arrows]
     return co.CoactionSpec(side, algebra, coefficients, endpoints), window
 
@@ -293,15 +275,18 @@ def run_uqsgd(cfg):
     ideal = _load_ideal(cfg, q)
     result = uq.build_uqsgd(q, ideal, cfg.side, cfg.max_degree)
     host = result.biideal.host
-    gens = [_coords_text(host.labels[d], coords)
+    gens = [fc.format_coords(host.labels[d], coords)
             for d, coords in result.biideal.generators]
+    kq_ideal = result.relation_space.ideal
+    relations = [fc.format_coords(kq_ideal.host.labels[d], coords)
+                 for d, coords in kq_ideal.generators]
     return {
         "formatVersion": FORMAT_VERSION,
         "command": "uqsgd",
         "quiver": _quiver_doc(q),
         "side": cfg.side,
         "maxDegree": cfg.max_degree,
-        "relations": [pa.format_path_element(g) for g in ideal.generators],
+        "relations": relations,
         "biidealGenerators": gens,
         "quotientDims": result.quotient_dims,
         "algebraDims": result.algebra_dims,
@@ -319,8 +304,7 @@ def run_dual(cfg):
     ideal = _load_ideal(cfg, q)
     m = cfg.max_degree
     qd = pa.quadratic_data(ideal, m)
-    qdual = pa.quadratic_dual(qd)
-    dual_ideal = pa.quadratic_ideal(qdual, m)
+    qdual = pa.quadratic_dual(qd, m)
     report = uq.check_quadratic_dualities(qd, qdual, m)
     return {
         "formatVersion": FORMAT_VERSION,
@@ -328,9 +312,9 @@ def run_dual(cfg):
         "quiver": _quiver_doc(q),
         "maxDegree": m,
         "dualQuiver": _quiver_doc(qdual.quiver),
-        "dualRelations": _subspace_text(dual_ideal.host.labels[2], qdual.relation_space),
+        "dualRelations": _subspace_text(qdual.ideal.host.labels[2], qdual.relation_space),
         "primalDims": wba.quotient_dims(qd.ideal, m),
-        "dualDims": wba.quotient_dims(dual_ideal, m),
+        "dualDims": wba.quotient_dims(qdual.ideal, m),
         "dualities": report,
         "passed": report["passed"],
     }

@@ -221,22 +221,17 @@ def verify_base_iso(c, host, candidate):
     if counital.dim != n0:
         bijective_fails.append([f"counital dimension {counital.dim} != base dimension {n0}"])
 
+    # left: (id (x) psi) lambda0(e_k) vs Delta(psi(e_k));
+    # right: (phi (x) id) rho0(e_k) vs Delta(phi(e_k))
     intertwine_fails = []
     y0 = c.coefficients[0]
+    left = c.side == "left"
     for k in range(n0):
         lhs = {}
-        if c.side == "left":
-            # (id (x) psi) lambda0(e_k) vs Delta(psi(e_k))
-            for j in range(n0):
-                for m, cm in y0[k][j].items():
-                    for h, ch in candidate[j].items():
-                        bump(lhs, (m, h), cm * ch)
-        else:
-            # (phi (x) id) rho0(e_k) vs Delta(phi(e_k))
-            for j in range(n0):
-                for m, cm in y0[j][k].items():
-                    for h, ch in candidate[j].items():
-                        bump(lhs, (h, m), cm * ch)
+        for j in range(n0):
+            for m, cm in (y0[k][j] if left else y0[j][k]).items():
+                for h, ch in candidate[j].items():
+                    bump(lhs, (m, h) if left else (h, m), cm * ch)
         rhs = host.delta(0, candidate[k])
         if lhs != rhs:
             intertwine_fails.append([algebra.label_of(0, k)])
@@ -311,27 +306,18 @@ def check_structure_lemmas(c, host):
         rows.append(wba._row(f"degree{d}-comultiplicative", comult_fails, key="check"))
         rows.append(wba._row(f"degree{d}-counit", counit_fails, key="check"))
 
+    # left, shared column: y_{i,k} y_{j,k} = delta_{i,j} y_{i,k};
+    # right, shared row: y_{k,i} y_{k,j} = delta_{i,j} y_{k,i}
+    shared_column = c.side == "left"
     ortho_fails = []
-    if c.side == "left":
-        # shared column: y_{i,k} y_{j,k} = delta_{i,j} y_{i,k}
-        for k in range(n0):
-            for i in range(n0):
-                for j in range(n0):
-                    prod = host.multiply(0, y0[i][k], 0, y0[j][k])
-                    want = y0[i][k] if i == j else {}
-                    if prod != want:
-                        ortho_fails.append([f"({i},{k})", f"({j},{k})"])
-        rows.append(wba._row("column-orthogonality", ortho_fails, key="check"))
-    else:
-        # shared row: y_{k,i} y_{k,j} = delta_{i,j} y_{k,i}
-        for k in range(n0):
-            for i in range(n0):
-                for j in range(n0):
-                    prod = host.multiply(0, y0[k][i], 0, y0[k][j])
-                    want = y0[k][i] if i == j else {}
-                    if prod != want:
-                        ortho_fails.append([f"({k},{i})", f"({k},{j})"])
-        rows.append(wba._row("row-orthogonality", ortho_fails, key="check"))
+    for k in range(n0):
+        for i in range(n0):
+            for j in range(n0):
+                (a, b), (r, s) = ((i, k), (j, k)) if shared_column else ((k, i), (k, j))
+                if host.multiply(0, y0[a][b], 0, y0[r][s]) != (y0[a][b] if i == j else {}):
+                    ortho_fails.append([f"({a},{b})", f"({r},{s})"])
+    rows.append(wba._row("column-orthogonality" if shared_column else "row-orthogonality",
+                         ortho_fails, key="check"))
 
     absorb_fails = []
     if c.degrees() >= 1:

@@ -15,7 +15,8 @@ from . import wba
 
 
 class PathElement:
-    """A k-linear combination of paths of one quiver."""
+    """A k-linear combination of paths of one quiver, as HomogeneousIdeal takes
+    its generators; repeated paths are summed and zero sums dropped."""
 
     def __init__(self, q, terms=()):
         self.quiver = q
@@ -37,60 +38,15 @@ class PathElement:
     def is_zero(self):
         return not self.terms
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, Fraction(0)) + c
-        return PathElement(self.quiver, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        return PathElement(self.quiver, {p: Fraction(scalar) * c for p, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, PathElement):
-            return multiply_path_elements(self, other)
-        return NotImplemented
-
     def __eq__(self, other):
         return (isinstance(other, PathElement) and self.quiver == other.quiver
                 and self.terms == other.terms)
-
-    def _check(self, other):
-        if self.quiver != other.quiver:
-            raise ValueError("path elements live over different quivers")
 
     def __repr__(self):
         if not self.terms:
             return "PathElement(0)"
         bits = " + ".join(f"{c}*{self.quiver.path_label(p)}" for p, c in self.terms.items())
         return f"PathElement({bits})"
-
-
-def path_unit(q):
-    """1 = sum of all trivial paths."""
-    return PathElement(q, {q.trivial_path(v): 1 for v in range(len(q.vertices))})
-
-
-def multiply_path_elements(a, b):
-    """Bilinear extension of path concatenation; incomposable pairs give 0."""
-    a._check(b)
-    out = {}
-    for p, cp in a.terms.items():
-        for r, cr in b.terms.items():
-            pr = qv.compose_paths(a.quiver, p, r)
-            if pr is None:
-                continue
-            c = out.get(pr, Fraction(0)) + cp * cr
-            if c:
-                out[pr] = c
-            else:
-                out.pop(pr, None)
-    return PathElement(a.quiver, out)
 
 
 class HomogeneousIdeal:
@@ -139,7 +95,10 @@ def ideal_graded_piece(ideal, d):
 
 
 class QuadraticData:
-    """A relation space R in kQ_2 (path basis) and the wba.BiidealGens it was read from, if any."""
+    """A relation space R in kQ_2 (path basis) and the wba.BiidealGens it was read from, if any.
+
+    R must be a kQ_0-bimodule, as I_2 of any ideal is; quadratic_dual relies on it.
+    """
 
     def __init__(self, q, relation_space, ideal=None):
         self.quiver = q
@@ -192,24 +151,23 @@ def quadratic_dual_rows(qd):
     return Subspace.from_rows(rel.ambient_dim, kernel).basis
 
 
-def quadratic_dual(qd):
-    """Quadratic dual relation space, living on the opposite quiver.
+def quadratic_dual(qd, max_degree=2):
+    """Quadratic dual relation space R^!, on the opposite quiver.
 
     The pairing identifies the opposite path (pq)* = q* p* with the dual
-    basis vector of pq, so the dual space is the null space of the relation
-    matrix, moved along path reversal (quiver.star_indices).
+    basis vector of pq, so R^! is the complement R^⊥ (qd.dual_rows()) moved
+    along path reversal (quiver.star_indices).  As in quadratic_data, R^!
+    is read as the degree-2 piece of the wba.BiidealGens its rows generate
+    over kQ^op truncated at max_degree, kept as the result's ideal.  R is a
+    kQ_0-bimodule, so R^⊥ is one too and the saturation adds nothing.
     """
     q = qd.quiver
+    opp = qv.opposite_quiver(q)
     star = qv.star_indices(q, 2)
     moved = [{star[c]: x for c, x in row.items()} for row in qd.dual_rows()]
-    return QuadraticData(qv.opposite_quiver(q), Subspace.from_rows(len(star), moved))
-
-
-def quadratic_ideal(qd, max_degree):
-    """The ideal of kQ generated by R, as a wba.BiidealGens over kQ
-    truncated at max_degree; its pieces come from wba.biideal_graded_pieces."""
-    algebra = wba.path_algebra_presentation(qd.quiver, max_degree)
-    return wba.BiidealGens(algebra, [(2, row) for row in qd.relation_space.basis])
+    b = wba.BiidealGens(wba.path_algebra_presentation(opp, max_degree),
+                        [(2, row) for row in moved])
+    return QuadraticData(opp, wba.biideal_graded_pieces(b, 2), b)
 
 
 def preprojective_relations(q):
@@ -235,17 +193,6 @@ def preprojective_relations(q):
     return HomogeneousIdeal(dbl, gens)
 
 
-def format_path_element(elem):
-    """Text form matching the face-element convention: 'coeff * label' terms."""
-    q = elem.quiver
-    if elem.is_zero():
-        return "0"
-    parts = []
-    for p in sorted(elem.terms, key=lambda p: (p.length, p.arrows, p.start)):
-        parts.append(f"{elem.terms[p]} * {q.path_label(p)}")
-    return " + ".join(parts)
-
-
 def parse_scalar(value):
     """Accept ints and 'a/b' strings; reject floats (exactness contract)."""
     if isinstance(value, bool) or isinstance(value, float):
@@ -268,7 +215,7 @@ def parse_relations(doc, q):
     for rel_no, rel in enumerate(doc):
         if not isinstance(rel, list):
             raise ParseError(f"relation #{rel_no} must be a list of terms")
-        total = PathElement(q, {})
+        terms = []
         for term in rel:
             if not isinstance(term, dict) or "coeff" not in term or "path" not in term:
                 raise ParseError(f"relation #{rel_no}: each term needs 'coeff' and 'path'")
@@ -293,6 +240,6 @@ def parse_relations(doc, q):
                     path = qv.compose_paths(q, path, nxt)
                     if path is None:
                         raise ParseError(f"relation #{rel_no}: path {steps!r} is not composable")
-            total = total + PathElement(q, {path: coeff})
-        relations.append(total)
+            terms.append((path, coeff))
+        relations.append(PathElement(q, terms))
     return relations

@@ -222,35 +222,20 @@ def check_quadratic_dualities(qd, qdual, max_degree):
 
     star = _star_index_map(q)
     swap = _swap_index_map(q)
-    def transported_equal(src, mapping, target, dst):
-        return subspace_equal(_transport(src, mapping, ambient[target]), dst)
-
+    # (row, source piece, map, target piece, witness); the map lands on the target's host
+    table = (
+        ("a-star-left-onto-dual-right", ("left", "base"), star, ("right", "dual"),
+         "left piece of the base vs right piece of the dual"),
+        ("b-star-right-onto-dual-left", ("right", "base"), star, ("left", "dual"),
+         "right piece of the base vs left piece of the dual"),
+        ("c-swap-left-onto-right", ("left", "base"), swap, ("right", "base"),
+         "left piece vs right piece under swap"),
+        ("d-star-trans-onto-dual-trans", ("trans", "base"), star, ("trans", "dual"),
+         "transposed piece of the base vs transposed piece of the dual"),
+    )
     rows = []
-
-    def add_row(name, piece_ok, dims_ok, detail):
-        status = "pass" if piece_ok and dims_ok else "fail"
-        rows.append({"check": name, "status": status, "witnesses": [] if status == "pass"
-                     else [detail]})
-
-    add_row("a-star-left-onto-dual-right",
-            transported_equal(pieces[("left", "base")], star, "dual",
-                              pieces[("right", "dual")]),
-            dims[("left", "base")] == dims[("right", "dual")],
-            "left piece of the base vs right piece of the dual")
-    add_row("b-star-right-onto-dual-left",
-            transported_equal(pieces[("right", "base")], star, "dual",
-                              pieces[("left", "dual")]),
-            dims[("right", "base")] == dims[("left", "dual")],
-            "right piece of the base vs left piece of the dual")
-    add_row("c-swap-left-onto-right",
-            transported_equal(pieces[("left", "base")], swap, "base",
-                              pieces[("right", "base")]),
-            dims[("left", "base")] == dims[("right", "base")],
-            "left piece vs right piece under swap")
-    add_row("d-star-trans-onto-dual-trans",
-            transported_equal(pieces[("trans", "base")], star, "dual",
-                              pieces[("trans", "dual")]),
-            dims[("trans", "base")] == dims[("trans", "dual")],
-            "transposed piece of the base vs transposed piece of the dual")
-
+    for name, src, mapping, dst, detail in table:
+        moved = _transport(pieces[src], mapping, ambient[dst[1]])
+        ok = subspace_equal(moved, pieces[dst]) and dims[src] == dims[dst]
+        rows.append(wba._row(name, [] if ok else [detail], key="check"))
     return {"passed": all(r["status"] == "pass" for r in rows), "checks": rows}

@@ -217,51 +217,6 @@ def from_face_algebra(q, max_degree):
     return GradedWBA(max_degree, alg.labels, alg.product, alg.unit, coproduct, counit)
 
 
-def bialgebra_d(max_degree):
-    """The two-dimensional bialgebra on idempotents x, y with xy = yx = 0.
-
-    Concentrated in degree 0; higher degrees are empty.
-    """
-    labels = [["x", "y"]] + [[] for _ in range(max_degree)]
-    product = {(0, 0, 0, 0): {0: _ONE}, (0, 1, 0, 1): {1: _ONE}}
-    unit = {0: _ONE, 1: _ONE}
-    coproduct = {
-        (0, 0): {(0, 0): _ONE, (1, 1): _ONE},
-        (0, 1): {(0, 1): _ONE, (1, 0): _ONE},
-    }
-    counit = {(0, 0): _ONE}
-    return GradedWBA(max_degree, labels, product, unit, coproduct, counit)
-
-
-def direct_sum(h, k):
-    """Componentwise product, summed unit, blockwise coproduct and counit."""
-    if h.max_degree != k.max_degree:
-        raise ValueError("direct sum requires equal truncation degrees")
-    md = h.max_degree
-    labels = [[f"({lbl},0)" for lbl in h.labels[d]] + [f"(0,{lbl})" for lbl in k.labels[d]]
-              for d in range(md + 1)]
-    off = [h.dim(d) for d in range(md + 1)]
-    product = {}
-    for (d, i, e, j), entry in h.product.items():
-        product[(d, i, e, j)] = dict(entry)
-    for (d, i, e, j), entry in k.product.items():
-        product[(d, i + off[d], e, j + off[e])] = {m + off[d + e]: c for m, c in entry.items()}
-    unit = dict(h.unit)
-    for i, c in k.unit.items():
-        unit[i + off[0]] = c
-    coproduct = {}
-    for (d, i), entry in h.coproduct.items():
-        coproduct[(d, i)] = dict(entry)
-    for (d, i), entry in k.coproduct.items():
-        coproduct[(d, i + off[d])] = {(j + off[d], m + off[d]): c for (j, m), c in entry.items()}
-    counit = {}
-    for (d, i), c in h.counit.items():
-        counit[(d, i)] = c
-    for (d, i), c in k.counit.items():
-        counit[(d, i + off[d])] = c
-    return GradedWBA(md, labels, product, unit, coproduct, counit)
-
-
 def _eps_matrices(w):
     """eps(u_i u_j) per degree pair, stored sparsely from the product table."""
     eps = {}

@@ -13,6 +13,7 @@ from faceq import wba
 from faceq.linalg import Subspace, bump, mat_vec
 
 from fleet import FLEET, HOST_DEGREE, doubled_three_cycle, q_bullets, three_cycle, three_loop, two_loop
+from oracle import FaceElement, bialgebra_d, direct_sum, face_multiply
 
 
 def commutator_ideal(q):
@@ -84,6 +85,25 @@ def matrix_failures_oracle(host, algebra, d, mat):
             if host.eps(d, yjl) != (1 if j == l else 0):
                 counit_fails.append([algebra.label_of(d, j), algebra.label_of(d, l)])
     return coassoc_fails, counit_fails
+
+
+def quadratic_ideal_oracle(qd, max_degree):
+    """The ideal of kQ generated by R's canonical basis, as a wba.BiidealGens
+    over kQ truncated at max_degree: how a relation space given as a
+    subspace, such as the quadratic dual's, was made an ideal."""
+    algebra = wba.path_algebra_presentation(qd.quiver, max_degree)
+    return wba.BiidealGens(algebra, [(2, row) for row in qd.relation_space.basis])
+
+
+def quadratic_dual_oracle(qd, max_degree):
+    """(R^!, its ideal) by the former three eliminations: the complement rows
+    finalized, finalized again after the move along path reversal, and
+    added once more as the generators of quadratic_ideal_oracle; the
+    reference for pathalg.quadratic_dual."""
+    star = qv.star_indices(qd.quiver, 2)
+    moved = [{star[c]: x for c, x in row.items()} for row in pa.quadratic_dual_rows(qd)]
+    qdual = pa.QuadraticData(qv.opposite_quiver(qd.quiver), Subspace.from_rows(len(star), moved))
+    return qdual.relation_space, quadratic_ideal_oracle(qdual, max_degree)
 
 
 def residue_table(piece):
@@ -231,7 +251,7 @@ def face_coaction_relations(qd, side):
     gens = []
     for crow in qd.relation_space.basis:
         for drow in dual:
-            elem = fc.FaceElement(q, [
+            elem = FaceElement(q, [
                 (fc.FaceMonomial(paths2[ij], paths2[kl]) if side == "left"
                  else fc.FaceMonomial(paths2[kl], paths2[ij]), cij * dkl)
                 for ij, cij in crow.items() for kl, dkl in drow.items()])
@@ -242,11 +262,11 @@ def face_coaction_relations(qd, side):
 
 def loop_face(q, i, j):
     """The degree-1 monomial x[t_i;t_j] of an n-loop quiver, 0-indexed."""
-    return fc.FaceElement(q, {fc.FaceMonomial(q.arrow_path(i), q.arrow_path(j)): 1})
+    return FaceElement(q, {fc.FaceMonomial(q.arrow_path(i), q.arrow_path(j)): 1})
 
 
 def bracket(u, v):
-    return fc.face_multiply(u, v) - fc.face_multiply(v, u)
+    return face_multiply(u, v) - face_multiply(v, u)
 
 
 def polynomial_families(q, side):
@@ -296,12 +316,12 @@ def preprojective_families(q, side):
         return q.arrow_path(n + (i % n))
 
     def x(a, b):
-        return fc.FaceElement(q, {fc.FaceMonomial(a, b): 1})
+        return FaceElement(q, {fc.FaceMonomial(a, b): 1})
 
     def prod(*factors):
         out = factors[0]
         for f in factors[1:]:
-            out = fc.face_multiply(out, f)
+            out = face_multiply(out, f)
         return out
 
     rows = []
@@ -335,7 +355,7 @@ def face_coords(q, elem, degree):
 
 def dd_coaction(side):
     """Two copies of the 2-idempotent bialgebra coacting on the 2-point base."""
-    dd = wba.direct_sum(wba.bialgebra_d(0), wba.bialgebra_d(0))
+    dd = direct_sum(bialgebra_d(0), bialgebra_d(0))
     algebra = wba.path_algebra_presentation(q_bullets(), 0)
     x, y = {0: Fraction(1)}, {1: Fraction(1)}
     mat = [[x, y], [y, x]]

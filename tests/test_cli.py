@@ -202,6 +202,27 @@ def test_coact_document_shape_errors(tmp_path):
     assert cli.main(["coact", "--quiver", quiver2, "--relations", cpath2]) == 2
 
 
+@pytest.mark.parametrize("cell, error", [
+    ("two * x[p1;p1]", "bad coefficient 'two'"),
+    ("1 * x[zz;p1]", "unknown arrow 'zz'"),
+    ("x[p1.p3;p1.p2]", "arrows 'p1' and 'p3' do not compose"),
+    ("x[p1;p1.p2]", "paths in 'x[p1;p1.p2]' have different lengths"),
+    ("1 * x[e:1;e:1] + 1 * x[p1;p2]", "degree-0 entry holds a degree-1 term"),
+], ids=["bad-coefficient", "unknown-arrow", "not-composable", "different-lengths",
+        "wrong-degree"])
+def test_coact_document_reader_errors(tmp_path, cell, error):
+    """Each error of the entry reader exits 2 with its own message, read
+    from the first entry of a degree-0 document on the three-cycle."""
+    mat = [[f"1 * x[e:{r};e:{c}]" for c in "123"] for r in "123"]
+    mat[0][0] = cell
+    quiver = write_json(tmp_path / "q.json", THREE_CYCLE_DOC)
+    cpath = write_json(tmp_path / "c.json", {"side": "left", "coefficients": [mat]})
+    code, doc = run_doc(tmp_path, ["coact", "--quiver", quiver, "--relations", cpath])
+    assert code == 2
+    assert doc == {"formatVersion": "faceq/1", "command": "coact", "passed": False,
+                   "error": error}
+
+
 def test_uqsgd_requires_relations_and_degree(tmp_path):
     quiver = write_json(tmp_path / "q.json", TWO_LOOP_DOC)
     assert cli.main(["uqsgd", "--quiver", quiver]) == 2

@@ -16,13 +16,9 @@ from faceq.linalg import bump
 
 from conftest import dd_coaction, full_witness_rows, matrix_failures_oracle, quantum_plane_ideal
 from fleet import FLEET, doubled_three_cycle, kronecker, q_bullets, three_cycle, two_loop
+from oracle import bialgebra_d
 
 ONE = Fraction(1)
-
-
-def face_coords(q, elem, degree):
-    index = {m: i for i, m in enumerate(fc.face_basis(q, degree))}
-    return {index[m]: c for m, c in elem.terms.items()}
 
 
 def canonical_pair(q, max_degree):
@@ -92,31 +88,36 @@ def test_transposed_rejects_mismatched_pairs():
 def test_verify_base_iso_vertex_idempotents():
     q = three_cycle()
     host, lam, rho = canonical_pair(q, 2)
-    target = [face_coords(q, a, 0) for a in fc.face_idempotents(q, "target")]
-    source = [face_coords(q, a, 0) for a in fc.face_idempotents(q, "source")]
+    target = fc.face_idempotents(q, "target")
+    source = fc.face_idempotents(q, "source")
     assert co.verify_base_iso(lam, host, target)["passed"]
     assert co.verify_base_iso(rho, host, source)["passed"]
 
 
 def test_verify_base_iso_rejects_swapped_candidate():
+    """Either side's idempotents with the first two swapped intertwine at no
+    vertex; the other rows pass."""
     q = three_cycle()
-    host, lam, _ = canonical_pair(q, 1)
-    idems = [face_coords(q, a, 0) for a in fc.face_idempotents(q, "target")]
-    swapped = [idems[1], idems[0], idems[2]]
-    report = co.verify_base_iso(lam, host, swapped)
-    assert not report["passed"]
-    failed = {row["check"] for row in report["checks"] if row["status"] == "fail"}
-    assert failed == {"intertwines-coaction"}
+    host, lam, rho = canonical_pair(q, 1)
+    for spec, side in ((lam, "target"), (rho, "source")):
+        idems = fc.face_idempotents(q, side)
+        swapped = [idems[1], idems[0], idems[2]]
+        with pytest.MonkeyPatch.context() as mp:
+            full_witness_rows(mp)
+            report = co.verify_base_iso(spec, host, swapped)
+        assert not report["passed"]
+        assert [(row["check"], row["witnesses"]) for row in report["checks"]
+                if row["status"] == "fail"] == [("intertwines-coaction",
+                                                 [["e:1"], ["e:2"], ["e:3"]])]
 
 
 def test_search_base_iso_finds_vertex_map():
     q = three_cycle()
     host, lam, rho = canonical_pair(q, 2)
     found = co.search_base_iso(lam, host)
-    assert found == [face_coords(q, a, 0) for a in fc.face_idempotents(q, "target")]
+    assert found == fc.face_idempotents(q, "target")
     found_right = co.search_base_iso(rho, host)
-    assert found_right == [face_coords(q, a, 0)
-                           for a in fc.face_idempotents(q, "source")]
+    assert found_right == fc.face_idempotents(q, "source")
 
 
 def test_search_base_iso_single_vertex():
@@ -177,6 +178,30 @@ def test_structure_lemmas_fail_on_scaled_coefficient():
     assert "column-orthogonality" in failed
 
 
+@pytest.mark.parametrize("side, entry, extra, name, witnesses", [
+    ("left", (0, 1), 7, "column-orthogonality", [["(0,1)", "(2,1)"], ["(2,1)", "(0,1)"]]),
+    ("right", (1, 0), 5, "row-orthogonality", [["(1,0)", "(1,2)"], ["(1,2)", "(1,0)"]]),
+])
+def test_orthogonality_witnesses_name_the_shared_column_or_row(side, entry, extra, name,
+                                                               witnesses):
+    """On the three-cycle, the degree-0 entry x[e:1;e:2] of the left
+    coaction gains x[e:3;e:2] (index 7), from its shared column, and the
+    entry x[e:2;e:1] of the right one gains x[e:2;e:3] (index 5), from its
+    shared row: each side's orthogonality row fails on that pair of
+    entries, both ways round, as (row,column) labels."""
+    q = three_cycle()
+    host = wba.from_face_algebra(q, 0)
+    spec = co.canonical_coactions(q, (side,), 0)[side]
+    mat = [[dict(e) for e in row] for row in spec.coefficients[0]]
+    r, c = entry
+    mat[r][c] = {**mat[r][c], extra: 1}
+    spec = co.CoactionSpec(side, spec.algebra, [mat], [])
+    with pytest.MonkeyPatch.context() as mp:
+        full_witness_rows(mp)
+        rows = {row["check"]: row for row in co.check_structure_lemmas(spec, host)["checks"]}
+    assert rows[name]["witnesses"] == witnesses
+
+
 DEGREE0_COMULT = [["e:1", "e:2"], ["e:2", "e:1"], ["e:2", "e:2"], ["e:2", "e:3"], ["e:3", "e:2"]]
 DEGREE1_COMULT = [["p1", "p1"], ["p1", "p2"], ["p1", "p3"], ["p2", "p3"], ["p3", "p3"]]
 
@@ -225,7 +250,7 @@ def test_structure_lemma_matrix_rows_on_corrupted_coefficients(side, kind, degre
 
 
 def test_search_base_iso_needs_idempotent_basis():
-    host = wba.bialgebra_d(0)
+    host = bialgebra_d(0)
     algebra = wba.GradedAlgebra(0, [["u"]], {(0, 0, 0, 0): {0: Fraction(2)}},
                                 {0: ONE})
     spec = co.CoactionSpec("left", algebra, [[[{0: ONE}]]], [])

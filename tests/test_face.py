@@ -1,4 +1,10 @@
-"""Face algebra of a quiver: basis, product, coproduct, counit, idempotents."""
+"""Face algebra of a quiver: basis, product, coproduct, counit, idempotents,
+and the element text form.
+
+The product, coproduct, counit and counital maps are those of the object
+oracle (tests/oracle.py), checked against their closed forms here; the
+library's tables are checked against the oracle in test_wba.py.
+"""
 
 from fractions import Fraction
 import random
@@ -10,10 +16,14 @@ import pytest
 from faceq import face as fc
 from faceq import pathalg as pa
 from faceq import quiver as qv
+from faceq import wba
 from faceq.errors import ParseError
 from faceq.linalg import Subspace, subspace_equal
 
 from fleet import FLEET, doubled_three_cycle, one_loop, q_bullets, three_cycle, two_loop
+from oracle import (FaceElement, counital_map, face_coproduct, face_counit, face_element,
+                    face_multiply, face_unit, format_element, monomial_degree, monomial_label,
+                    parse_face_element, path_text)
 
 
 def mono(q, left, right):
@@ -21,7 +31,7 @@ def mono(q, left, right):
 
 
 def elem(q, text):
-    return fc.parse_element(q, text)
+    return parse_face_element(q, text)
 
 
 def all_monomials(q, max_degree):
@@ -48,11 +58,11 @@ def test_product_on_vertex_monomials():
     q = q_bullets()
     for i in range(2):
         for j in range(2):
-            x_ij = fc.FaceElement(q, {mono(q, f"e:{i+1}", f"e:{j+1}"): 1})
+            x_ij = FaceElement(q, {mono(q, f"e:{i+1}", f"e:{j+1}"): 1})
             for k in range(2):
                 for l in range(2):
-                    x_kl = fc.FaceElement(q, {mono(q, f"e:{k+1}", f"e:{l+1}"): 1})
-                    prod = fc.face_multiply(x_ij, x_kl)
+                    x_kl = FaceElement(q, {mono(q, f"e:{k+1}", f"e:{l+1}"): 1})
+                    prod = face_multiply(x_ij, x_kl)
                     if (i, j) == (k, l):
                         assert prod == x_ij
                     else:
@@ -62,13 +72,13 @@ def test_product_on_vertex_monomials():
 def test_product_with_target_idempotent():
     q = three_cycle()
     x = elem(q, "x[p1;p2]")
-    target = fc.FaceElement(q, {mono(q, "e:2", "e:3"): 1})
-    assert fc.face_multiply(x, target) == x
+    target = FaceElement(q, {mono(q, "e:2", "e:3"): 1})
+    assert face_multiply(x, target) == x
 
 
 def test_product_incomposable_vanishes():
     q = three_cycle()
-    assert fc.face_multiply(elem(q, "x[p1;p1]"), elem(q, "x[p3;p3]")).is_zero()
+    assert face_multiply(elem(q, "x[p1;p1]"), elem(q, "x[p3;p3]")).is_zero()
 
 
 def test_product_rule_exhaustive():
@@ -77,41 +87,40 @@ def test_product_rule_exhaustive():
     monos = all_monomials(q, 2)
     for m in monos:
         for n in monos:
-            if fc.monomial_degree(m) + fc.monomial_degree(n) > 3:
+            if monomial_degree(m) + monomial_degree(n) > 3:
                 continue
-            prod = fc.face_multiply(fc.FaceElement(q, {m: 1}),
-                                    fc.FaceElement(q, {n: 1}))
+            prod = face_multiply(FaceElement(q, {m: 1}), FaceElement(q, {n: 1}))
             left = qv.compose_paths(q, m.left, n.left)
             right = qv.compose_paths(q, m.right, n.right)
             if left is None or right is None:
                 assert prod.is_zero()
             else:
-                assert prod == fc.FaceElement(q, {fc.FaceMonomial(left, right): 1})
+                assert prod == FaceElement(q, {fc.FaceMonomial(left, right): 1})
 
 
 def test_face_unit_forms():
-    assert fc.face_unit(one_loop()) == elem(one_loop(), "x[e:v;e:v]")
+    assert face_unit(one_loop()) == elem(one_loop(), "x[e:v;e:v]")
     q = q_bullets()
-    assert fc.face_unit(q) == elem(
+    assert face_unit(q) == elem(
         q, "x[e:1;e:1] + x[e:1;e:2] + x[e:2;e:1] + x[e:2;e:2]")
 
 
 def test_face_unit_acts_as_identity():
     q = three_cycle()
-    unit = fc.face_unit(q)
+    unit = face_unit(q)
     for m in all_monomials(q, 3):
-        x = fc.FaceElement(q, {m: 1})
-        assert fc.face_multiply(unit, x) == x
-        assert fc.face_multiply(x, unit) == x
+        x = FaceElement(q, {m: 1})
+        assert face_multiply(unit, x) == x
+        assert face_multiply(x, unit) == x
 
 
 def test_coproduct_examples():
     q1 = one_loop()
     x0 = mono(q1, "e:v", "e:v")
-    assert fc.face_coproduct(fc.FaceElement(q1, {x0: 1})).terms == {
+    assert face_coproduct(FaceElement(q1, {x0: 1})).terms == {
         (x0, x0): Fraction(1)}
     q = two_loop()
-    delta = fc.face_coproduct(elem(q, "x[t1;t2]"))
+    delta = face_coproduct(elem(q, "x[t1;t2]"))
     assert delta.terms == {
         (mono(q, "t1", "t1"), mono(q, "t1", "t2")): Fraction(1),
         (mono(q, "t1", "t2"), mono(q, "t2", "t2")): Fraction(1),
@@ -119,7 +128,7 @@ def test_coproduct_examples():
 
 
 def coproduct_of_monomial(q, m):
-    return fc.face_coproduct(fc.FaceElement(q, {m: 1}))
+    return face_coproduct(FaceElement(q, {m: 1}))
 
 
 def test_coassociativity_exhaustive():
@@ -141,14 +150,14 @@ def test_coassociativity_exhaustive():
 def test_counitality_exhaustive():
     q = three_cycle()
     for m in all_monomials(q, 3):
-        x = fc.FaceElement(q, {m: 1})
-        applied_left = fc.FaceElement(q, {})
-        applied_right = fc.FaceElement(q, {})
-        for (m1, m2), c in fc.face_coproduct(x).terms.items():
+        x = FaceElement(q, {m: 1})
+        applied_left = FaceElement(q, {})
+        applied_right = FaceElement(q, {})
+        for (m1, m2), c in face_coproduct(x).terms.items():
             applied_left = applied_left + (
-                c * fc.face_counit(fc.FaceElement(q, {m1: 1}))) * fc.FaceElement(q, {m2: 1})
+                c * face_counit(FaceElement(q, {m1: 1}))) * FaceElement(q, {m2: 1})
             applied_right = applied_right + (
-                c * fc.face_counit(fc.FaceElement(q, {m2: 1}))) * fc.FaceElement(q, {m1: 1})
+                c * face_counit(FaceElement(q, {m2: 1}))) * FaceElement(q, {m1: 1})
         assert applied_left == x
         assert applied_right == x
 
@@ -158,20 +167,20 @@ def test_coproduct_multiplicative_exhaustive():
     monos = all_monomials(q, 2)
     for m in monos:
         for n in monos:
-            if fc.monomial_degree(m) + fc.monomial_degree(n) > 3:
+            if monomial_degree(m) + monomial_degree(n) > 3:
                 continue
-            u = fc.FaceElement(q, {m: 1})
-            v = fc.FaceElement(q, {n: 1})
-            lhs = fc.face_coproduct(fc.face_multiply(u, v))
-            rhs = fc.face_coproduct(u) * fc.face_coproduct(v)
+            u = FaceElement(q, {m: 1})
+            v = FaceElement(q, {n: 1})
+            lhs = face_coproduct(face_multiply(u, v))
+            rhs = face_coproduct(u) * face_coproduct(v)
             assert lhs.terms == rhs.terms
 
 
 def test_counit_examples():
     q = three_cycle()
-    assert fc.face_counit(elem(q, "x[p1.p2;p1.p2]")) == 1
-    assert fc.face_counit(elem(q, "x[p1;p2]")) == 0
-    assert fc.face_counit(fc.face_unit(q_bullets())) == 2
+    assert face_counit(elem(q, "x[p1.p2;p1.p2]")) == 1
+    assert face_counit(elem(q, "x[p1;p2]")) == 0
+    assert face_counit(face_unit(q_bullets())) == 2
 
 
 def test_counit_product_of_deltas_formula():
@@ -185,29 +194,29 @@ def test_counit_product_of_deltas_formula():
             start = rng.randrange(3)
             ps = [(start + i) % 3 for i in range(k)]
         qs = [p if rng.random() < 0.7 else rng.randrange(3) for p in ps]
-        product = fc.face_unit(q)
+        product = face_unit(q)
         for p, r in zip(ps, qs):
-            factor = fc.FaceElement(q, {fc.FaceMonomial(q.arrow_path(p),
+            factor = FaceElement(q, {fc.FaceMonomial(q.arrow_path(p),
                                                         q.arrow_path(r)): 1})
-            product = fc.face_multiply(product, factor)
+            product = face_multiply(product, factor)
         p_chain = all(q.arrows[a].target == q.arrows[b].source
                       for a, b in zip(ps, ps[1:]))
         q_chain = all(q.arrows[a].target == q.arrows[b].source
                       for a, b in zip(qs, qs[1:]))
         deltas = all(a == b for a, b in zip(ps, qs))
         expected = Fraction(1 if (p_chain and q_chain and deltas) else 0)
-        assert fc.face_counit(product) == expected
+        assert face_counit(product) == expected
 
 
 def test_counital_map_closed_forms():
     q = three_cycle()
     x = elem(q, "x[p1.p2;p1.p2]")
-    assert fc.counital_map(x, "source") == elem(
+    assert counital_map(x, "source") == elem(
         q, "x[e:1;e:3] + x[e:2;e:3] + x[e:3;e:3]")
-    assert fc.counital_map(x, "target") == elem(
+    assert counital_map(x, "target") == elem(
         q, "x[e:1;e:1] + x[e:1;e:2] + x[e:1;e:3]")
-    assert fc.counital_map(elem(q, "x[p1;p2]"), "source").is_zero()
-    assert fc.counital_map(elem(q, "x[p1;p2]"), "target").is_zero()
+    assert counital_map(elem(q, "x[p1;p2]"), "source").is_zero()
+    assert counital_map(elem(q, "x[p1;p2]"), "target").is_zero()
 
 
 def test_counital_map_idempotent_on_random_elements():
@@ -215,16 +224,16 @@ def test_counital_map_idempotent_on_random_elements():
     rng = random.Random(552)
     monos = all_monomials(q, 2)
     for _ in range(20):
-        x = fc.FaceElement(q, {m: rng.randint(-3, 3) for m in monos
+        x = FaceElement(q, {m: rng.randint(-3, 3) for m in monos
                                if rng.random() < 0.3})
         for side in ("source", "target"):
-            once = fc.counital_map(x, side)
-            assert fc.counital_map(once, side) == once
+            once = counital_map(x, side)
+            assert counital_map(once, side) == once
 
 
 def test_counital_map_rejects_bad_side():
     with pytest.raises(ValueError, match="side must be"):
-        fc.counital_map(fc.face_unit(two_loop()), "middle")
+        counital_map(face_unit(two_loop()), "middle")
 
 
 def idempotent_coords(q, elements):
@@ -238,15 +247,15 @@ def idempotent_coords(q, elements):
 def test_face_idempotents_orthogonal_and_complete():
     for q in (q_bullets(), three_cycle()):
         for side in ("source", "target"):
-            idems = fc.face_idempotents(q, side)
-            total = fc.FaceElement(q, {})
+            idems = [face_element(q, 0, a) for a in fc.face_idempotents(q, side)]
+            total = FaceElement(q, {})
             for a in idems:
                 total = total + a
-            assert total == fc.face_unit(q)
+            assert total == face_unit(q)
             for j, a in enumerate(idems):
                 for k, b in enumerate(idems):
-                    prod = fc.face_multiply(a, b)
-                    assert prod == (a if j == k else fc.FaceElement(q, {}))
+                    prod = face_multiply(a, b)
+                    assert prod == (a if j == k else FaceElement(q, {}))
 
 
 def test_idempotents_span_counital_image():
@@ -255,10 +264,11 @@ def test_idempotents_span_counital_image():
     for side in ("source", "target"):
         images = []
         for m in all_monomials(q, 2):
-            out = fc.counital_map(fc.FaceElement(q, {m: 1}), side)
+            out = counital_map(FaceElement(q, {m: 1}), side)
             images.append(out)
         image_space = idempotent_coords(q, images)
-        idem_space = idempotent_coords(q, fc.face_idempotents(q, side))
+        idem_space = idempotent_coords(
+            q, [face_element(q, 0, a) for a in fc.face_idempotents(q, side)])
         assert len(index) == 9
         assert subspace_equal(image_space, idem_space)
 
@@ -271,25 +281,33 @@ def test_parse_and_format_round_trip():
         "2 * x[e:1;e:2] + -1/3 * x[p1.p2;p1.p2]",
     ]
     for text in samples:
-        assert fc.format_element(fc.parse_element(q, text)) == text
-    bare = fc.parse_element(q, "x[p1;p2]")
-    assert fc.format_element(bare) == "1 * x[p1;p2]"
-    starred = fc.parse_element(doubled_three_cycle(), "x[p1*;p2*]")
-    assert fc.format_element(starred) == "1 * x[p1*;p2*]"
+        assert format_element(parse_face_element(q, text)) == text
+    bare = parse_face_element(q, "x[p1;p2]")
+    assert format_element(bare) == "1 * x[p1;p2]"
+    starred = parse_face_element(doubled_three_cycle(), "x[p1*;p2*]")
+    assert format_element(starred) == "1 * x[p1*;p2*]"
+
+
+def read(q, text, d):
+    """parse_element of a degree-d face element."""
+    index = {p: i for i, p in enumerate(qv.enumerate_paths(q, d))}
+    return fc.parse_element(q, text, d, index)
 
 
 def test_parse_element_errors():
     q = three_cycle()
     with pytest.raises(ParseError, match="unknown arrow"):
-        fc.parse_element(q, "x[zz;p1]")
+        read(q, "x[zz;p1]", 1)
     with pytest.raises(ParseError, match="different lengths"):
-        fc.parse_element(q, "x[p1;p1.p2]")
+        read(q, "x[p1;p1.p2]", 1)
     with pytest.raises(ParseError, match="do not compose"):
-        fc.parse_element(q, "x[p1.p3;p1.p2]")
+        read(q, "x[p1.p3;p1.p2]", 2)
     with pytest.raises(ParseError, match="bad coefficient"):
-        fc.parse_element(q, "two * x[p1;p1]")
+        read(q, "two * x[p1;p1]", 1)
     with pytest.raises(ParseError, match="must be given as a string"):
-        fc.parse_element(q, 7)
+        read(q, 7, 1)
+    with pytest.raises(ParseError, match="degree-2 entry holds a degree-1 term"):
+        read(q, "x[p1.p2;p1.p2] + x[p1;p1]", 2)
 
 
 # Short names over characters the name grammar allows inside a name, with
@@ -330,16 +348,33 @@ def test_face_text_round_trips_on_random_quivers(q, data):
         monos = [fc.FaceMonomial(a, b) for d in range(3)
                  for a in qv.enumerate_paths(v, d) for b in qv.enumerate_paths(v, d)]
         picks = st.sampled_from(monos)
-        x = fc.FaceElement(v, data.draw(st.dictionaries(picks, nonzero_rationals, max_size=4)))
-        text = fc.format_element(x)
-        assert fc.parse_element(v, text) == x
-        assert fc.format_element(fc.parse_element(v, text)) == text
+        x = FaceElement(v, data.draw(st.dictionaries(picks, nonzero_rationals, max_size=4)))
+        text = format_element(x)
+        assert parse_face_element(v, text) == x
+        assert format_element(parse_face_element(v, text)) == text
         m = data.draw(picks)
-        assert fc.parse_element(v, fc.monomial_label(v, m)) == fc.FaceElement(v, {m: 1})
+        assert parse_face_element(v, monomial_label(v, m)) == FaceElement(v, {m: 1})
+
+
+@settings(max_examples=100, deadline=None)
+@given(named_quivers(), st.data())
+def test_coordinate_text_round_trips_on_random_quivers(q, data):
+    """The one codec: format_coords over the face labels that the reports
+    use, read back by parse_element, on q, its opposite and its double."""
+    for v in codec_variants(q):
+        labels = wba.face_algebra(v, 2).labels
+        d = data.draw(st.sampled_from([d for d in range(3) if labels[d]]))
+        coords = data.draw(st.dictionaries(st.integers(0, len(labels[d]) - 1),
+                                           nonzero_rationals, max_size=4))
+        text = fc.format_coords(labels[d], coords)
+        assert read(v, text, d) == coords
+        assert fc.format_coords(labels[d], read(v, text, d)) == text
+        i = data.draw(st.integers(0, len(labels[d]) - 1))
+        assert read(v, labels[d][i], d) == {i: 1}
 
 
 def parse_path_text(q, text):
-    """Read format_path_element's 'coeff * label' terms back with parse_path."""
+    """Read path_text's 'coeff * label' terms back with parse_path."""
     if text == "0":
         return pa.PathElement(q, {})
     terms = []
@@ -358,9 +393,9 @@ def test_path_text_round_trips_on_random_quivers(q, data):
             assert fc.parse_path(v, v.path_label(p)) == p
         x = pa.PathElement(v, data.draw(st.dictionaries(st.sampled_from(paths),
                                                         nonzero_rationals, max_size=4)))
-        text = pa.format_path_element(x)
+        text = path_text(x)
         assert parse_path_text(v, text) == x
-        assert pa.format_path_element(parse_path_text(v, text)) == text
+        assert path_text(parse_path_text(v, text)) == text
         # the relations document the CLI reads spells the same paths step by step
         doc = [[{"coeff": str(c), "path": v.path_label(p).split(".")}
                 for p, c in x.terms.items()]]

@@ -1,7 +1,9 @@
 """Report bytes pinned for every subcommand on small fleet cases at degree 2,
 for verify on the doubled three-cycle and uqsgd --side trans on the
 three-loop commutators and q-commutators at degree 3, and for dual on the
-three-loop q-commutators at degree 4.
+three-loop q-commutators at degree 4.  A coact case reads a coaction
+document whose entries are written unreduced (a bare monomial, a split
+coefficient, a sum with a repeated monomial), which pins the entry reader.
 
 Each case runs the CLI in a fresh interpreter under two PYTHONHASHSEED
 values, and both runs must produce the recorded sha256.  A change in how a
@@ -66,7 +68,22 @@ Q_COMMUTATORS = [[{"coeff": 1, "path": [f"t{i}", f"t{j}"]},
                   {"coeff": q, "path": [f"t{j}", f"t{i}"]}]
                  for (i, j), q in (((1, 2), "-2"), ((1, 3), "1/2"), ((2, 3), "-3/4"))]
 
-# name: (subcommand, quiver, relations or None, extra options, sha256 of the report)
+
+
+def two_loop_right_coaction():
+    """The canonical coefficients x[p_r;p_c] of the two-loop through degree 2,
+    as a right coaction document, with three entries written unreduced: a
+    bare monomial, a split coefficient and a sum with a repeated monomial."""
+    paths = [["e:v"], ["t1", "t2"], ["t1.t1", "t1.t2", "t2.t1", "t2.t2"]]
+    mats = [[[f"1 * x[{a};{b}]" for b in row] for a in row] for row in paths]
+    mats[1][0][0] = "x[t1;t1]"
+    mats[1][1][1] = "1/2 * x[t2;t2] + 1/2 * x[t2;t2]"
+    mats[2][0][3] = "2 * x[t1.t1;t2.t2] + -1 * x[t1.t1;t2.t2]"
+    return {"side": "right", "coefficients": mats}
+
+
+# name: (subcommand, quiver, relations or None, extra options, sha256 of the report);
+# for coact the relations slot holds the coaction document
 CASES = {
     "face-doubled-three-cycle": (
         "face", DOUBLED_THREE_CYCLE, None, [],
@@ -95,6 +112,9 @@ CASES = {
     "uqsgd-three-loop-q-commutators-trans-degree-3": (
         "uqsgd", THREE_LOOP, Q_COMMUTATORS, ["--side", "trans", "--max-degree", "3"],
         "a0092e8aa951735a00b954dde1d9b99a2d4d58dad6c6986a57ff18317730a084"),
+    "coact-two-loop-right-document": (
+        "coact", TWO_LOOP, two_loop_right_coaction(), [],
+        "6880ba62f5d40e3fb2748959ff034831302d419405aaa4f03098a6ddcb76c1c0"),
     "dual-three-loop-q-commutators-degree-4": (
         "dual", THREE_LOOP, Q_COMMUTATORS, ["--max-degree", "4"],
         "170b76f6f198a844b8a9de47fee66b371622605643296aa9d8d10e79954a4f14"),

@@ -12,8 +12,10 @@ from faceq import wba
 from faceq.errors import ParseError, UnsupportedShapeError
 from faceq.linalg import Echelon, Subspace, subspace_equal
 
-from conftest import commutator_ideal, q_commutator_ideal, quantum_plane_ideal
+from conftest import (commutator_ideal, q_commutator_ideal, quadratic_dual_oracle,
+                      quadratic_ideal_oracle, quantum_plane_ideal)
 from fleet import kronecker, three_cycle, three_loop, two_loop
+from oracle import PathElement, multiply_path_elements, path_text, path_unit
 
 
 def brute_force_piece(ideal, d):
@@ -29,9 +31,7 @@ def brute_force_piece(ideal, d):
         for dl in range(rest + 1):
             for left in qv.enumerate_paths(q, dl):
                 for right in qv.enumerate_paths(q, rest - dl):
-                    sandwich = pa.multiply_path_elements(
-                        pa.multiply_path_elements(pa.PathElement(q, {left: 1}), g),
-                        pa.PathElement(q, {right: 1}))
+                    sandwich = PathElement(q, {left: 1}) * g * PathElement(q, {right: 1})
                     if not sandwich.is_zero():
                         ech.add(pa.element_row(sandwich, index))
     return ech.finalize()
@@ -61,31 +61,31 @@ def endpoint_mixing_ideal():
 
 def quotient_dims(ideal, top):
     """dim kQ_d - dim I_d for d = 0..top, through the quadratic data."""
-    return wba.quotient_dims(pa.quadratic_ideal(pa.quadratic_data(ideal), top), top)
+    return wba.quotient_dims(pa.quadratic_data(ideal, top).ideal, top)
 
 
 def test_multiply_unit_decomposition():
     q = kronecker()
     p = pa.PathElement(q, {q.arrow_path(0): 1})
-    unit = pa.path_unit(q)
-    assert pa.multiply_path_elements(unit, p) == p
-    assert pa.multiply_path_elements(p, unit) == p
+    unit = path_unit(q)
+    assert multiply_path_elements(unit, p) == p
+    assert multiply_path_elements(p, unit) == p
 
 
 def test_multiply_incomposable_is_zero():
     q = three_cycle()
     p1 = pa.PathElement(q, {q.arrow_path(0): 1})
     p3 = pa.PathElement(q, {q.arrow_path(2): 1})
-    assert pa.multiply_path_elements(p1, p3).is_zero()
+    assert multiply_path_elements(p1, p3).is_zero()
 
 
 def test_multiply_commutator_by_generator():
     q = two_loop()
     t1, t2 = q.arrow_path(0), q.arrow_path(1)
-    comm = pa.PathElement(q, {qv.compose_paths(q, t1, t2): 1,
-                              qv.compose_paths(q, t2, t1): -1})
-    out = pa.multiply_path_elements(comm, pa.PathElement(q, {t1: 1}))
-    assert pa.format_path_element(out) == "1 * t1.t2.t1 + -1 * t2.t1.t1"
+    comm = (PathElement(q, {qv.compose_paths(q, t1, t2): 1})
+            - PathElement(q, {qv.compose_paths(q, t2, t1): 1}))
+    out = comm * PathElement(q, {t1: 1})
+    assert path_text(out) == "1 * t1.t2.t1 + -1 * t2.t1.t1"
 
 
 def test_multiply_degree_adds():
@@ -94,7 +94,7 @@ def test_multiply_degree_adds():
         for db in range(3):
             for a in qv.enumerate_paths(q, da):
                 for b in qv.enumerate_paths(q, db):
-                    prod = pa.multiply_path_elements(
+                    prod = multiply_path_elements(
                         pa.PathElement(q, {a: 1}), pa.PathElement(q, {b: 1}))
                     assert prod.is_zero() or prod.degree() == da + db
 
@@ -146,7 +146,7 @@ def test_graded_pieces_match_sandwich_oracle():
 
 def test_ideal_pieces_match_the_quadratic_ideal():
     """ideal_graded_piece on the generators and biideal_graded_pieces on the
-    BiidealGens that quadratic_ideal builds from R = I_2 agree."""
+    BiidealGens that quadratic_ideal_oracle builds from R = I_2 agree."""
     q2, q3 = two_loop(), three_loop()
     cases = [
         commutator_ideal(q2),
@@ -157,7 +157,7 @@ def test_ideal_pieces_match_the_quadratic_ideal():
         endpoint_mixing_ideal(),
     ]
     for ideal in cases:
-        kq_ideal = pa.quadratic_ideal(pa.quadratic_data(ideal), 4)
+        kq_ideal = quadratic_ideal_oracle(pa.quadratic_data(ideal), 4)
         for d in range(5):
             assert subspace_equal(pa.ideal_graded_piece(ideal, d),
                                   wba.biideal_graded_pieces(kq_ideal, d))
@@ -197,7 +197,7 @@ def test_quadratic_data_rejects_cubic():
 
 def test_quadratic_dual_of_polynomial_ring():
     qd = pa.quadratic_data(commutator_ideal(two_loop()))
-    dual = pa.quadratic_dual(qd)
+    dual = pa.quadratic_dual(qd, 3)
     opp = dual.quiver
     assert [a.name for a in opp.arrows] == ["t1*", "t2*"]
     expected = Subspace.from_rows(4, [
@@ -206,7 +206,7 @@ def test_quadratic_dual_of_polynomial_ring():
         {3: Fraction(1)},
     ])
     assert subspace_equal(dual.relation_space, expected)
-    assert wba.quotient_dims(pa.quadratic_ideal(dual, 3), 3) == [1, 2, 1, 0]
+    assert wba.quotient_dims(dual.ideal, 3) == [1, 2, 1, 0]
 
 
 def test_quadratic_dual_of_zero_is_full():
@@ -215,23 +215,29 @@ def test_quadratic_dual_of_zero_is_full():
     assert dual.relation_space.dim == 9
 
 
+def random_quadratic_ideal(rng, q):
+    """Up to dim kQ_2 random rational relations on the degree-2 paths of q."""
+    paths = qv.enumerate_paths(q, 2)
+    gens = []
+    for _ in range(rng.randrange(len(paths) + 1)):
+        terms = {p: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 for p in paths if rng.random() < 0.4}
+        gens.append(pa.PathElement(q, terms))
+    return pa.HomogeneousIdeal(q, gens)
+
+
 def test_dual_dimension_law_and_double_dual():
-    """dim R + dim R^! = dim kQ2, and the double dual restores R (20 seeds)."""
+    """dim R + dim R^! = dim kQ2, and the double dual restores R (20 seeds).
+
+    R is I_2 of an ideal generated by random relations, so a kQ_0-bimodule
+    even where a relation joins different endpoints."""
     rng = random.Random(20260825)
     quivers = [two_loop, three_loop, three_cycle,
                lambda: qv.double_quiver(three_cycle())]
     for seed in range(20):
         q = quivers[rng.randrange(len(quivers))]()
         ambient = len(qv.enumerate_paths(q, 2))
-        rows = []
-        for _ in range(rng.randrange(ambient + 1)):
-            row = {i: Fraction(rng.randint(-3, 3)) for i in range(ambient)
-                   if rng.random() < 0.4}
-            row = {i: c for i, c in row.items() if c}
-            if row:
-                rows.append(row)
-        space = Subspace.from_rows(ambient, rows)
-        qd = pa.QuadraticData(q, space)
+        qd = pa.quadratic_data(random_quadratic_ideal(rng, q))
         dual = pa.quadratic_dual(qd)
         assert qd.relation_space.dim + dual.relation_space.dim == ambient
         double = pa.quadratic_dual(dual)
@@ -239,9 +245,37 @@ def test_dual_dimension_law_and_double_dual():
         assert subspace_equal(double.relation_space, qd.relation_space)
 
 
+def test_quadratic_dual_matches_the_former_three_eliminations():
+    """R^!, its canonical basis and the graded dimensions of its ideal through
+    degree 3 equal those of the former path, which eliminated the complement
+    rows again after the move to kQ^op and once more as an ideal's
+    generators: on the loop-quiver commutators and q-commutators, the
+    preprojective relations, ab + cc and 40 random rational ideals."""
+    q2, q3 = two_loop(), three_loop()
+    ideals = [
+        commutator_ideal(q2),
+        commutator_ideal(q3),
+        q_commutator_ideal(q3, ["-2", "1/2", "-3/4"]),
+        exterior_ideal(q2),
+        pa.preprojective_relations(three_cycle()),
+        endpoint_mixing_ideal(),
+    ]
+    rng = random.Random(5021)
+    quivers = [two_loop, three_loop, three_cycle, kronecker,
+               lambda: qv.double_quiver(three_cycle())]
+    ideals += [random_quadratic_ideal(rng, quivers[k % len(quivers)]()) for k in range(40)]
+    for ideal in ideals:
+        qd = pa.quadratic_data(ideal, 3)
+        dual = pa.quadratic_dual(qd, 3)
+        space, old_ideal = quadratic_dual_oracle(qd, 3)
+        assert dual.relation_space == space
+        assert dual.relation_space.pivots == space.pivots
+        assert wba.quotient_dims(dual.ideal, 3) == wba.quotient_dims(old_ideal, 3)
+
+
 def test_preprojective_relations_display():
     prep = pa.preprojective_relations(three_cycle())
-    texts = [pa.format_path_element(g) for g in prep.generators]
+    texts = [path_text(g) for g in prep.generators]
     assert texts == [
         "1 * p1.p1* + -1 * p3*.p3",
         "1 * p2.p2* + -1 * p1*.p1",
@@ -269,7 +303,7 @@ def test_parse_relations_round_trip():
             {"coeff": "-1/1", "path": ["t2", "t1"]}]]
     rels = pa.parse_relations(doc, q)
     assert len(rels) == 1
-    assert pa.format_path_element(rels[0]) == "1 * t1.t2 + -1 * t2.t1"
+    assert path_text(rels[0]) == "1 * t1.t2 + -1 * t2.t1"
 
 
 def test_parse_relations_errors():
@@ -287,4 +321,4 @@ def test_parse_relations_errors():
 def test_parse_relations_trivial_path_terms():
     q = three_cycle()
     rels = pa.parse_relations([[{"coeff": 2, "path": ["e:1", "p1", "p2"]}]], q)
-    assert pa.format_path_element(rels[0]) == "2 * p1.p2"
+    assert path_text(rels[0]) == "2 * p1.p2"

@@ -19,8 +19,8 @@ from faceq.linalg import Subspace, subspace_equal
 from conftest import (bracket, check_biideal_oracle, check_descent_oracle, commutator_ideal,
                       face_coaction_relations, face_coords, full_witness_rows,
                       induced_coefficients_oracle, loop_face, polynomial_families,
-                      preprojective_families, q_commutator_ideal, quantum_plane_ideal,
-                      quotient_algebra_oracle, quotient_coalgebra_oracle)
+                      preprojective_families, q_commutator_ideal, quadratic_ideal_oracle,
+                      quantum_plane_ideal, quotient_algebra_oracle, quotient_coalgebra_oracle)
 from fleet import FLEET, HOST_DEGREE, kronecker, three_cycle, three_loop, two_loop
 
 
@@ -213,6 +213,25 @@ def test_quadratic_dualities_preprojective():
     assert report["passed"], report
 
 
+def test_quadratic_dualities_fail_against_another_dual():
+    """The polynomial ring's relations checked against the dual of the
+    quantum plane: every row that reads the dual fails with its witness,
+    and the swap row, which reads only the base, passes."""
+    q = two_loop()
+    qd = pa.quadratic_data(commutator_ideal(q))
+    other = pa.quadratic_dual(pa.quadratic_data(quantum_plane_ideal(q)))
+    report = uq.check_quadratic_dualities(qd, other, 3)
+    assert report == {"passed": False, "checks": [
+        {"check": "a-star-left-onto-dual-right", "status": "fail",
+         "witnesses": ["left piece of the base vs right piece of the dual"]},
+        {"check": "b-star-right-onto-dual-left", "status": "fail",
+         "witnesses": ["right piece of the base vs left piece of the dual"]},
+        {"check": "c-swap-left-onto-right", "status": "pass", "witnesses": []},
+        {"check": "d-star-trans-onto-dual-trans", "status": "fail",
+         "witnesses": ["transposed piece of the base vs transposed piece of the dual"]},
+    ]}
+
+
 def test_quadratic_dualities_build_no_coproduct_tables(monkeypatch):
     """The transports read only products: no GradedWBA, so no coproduct or
     counit table, is built."""
@@ -358,7 +377,7 @@ def test_projections_match_the_fraction_oracle(case, data):
 def descent_fails(biideal, qd, degree):
     """_check_descent of biideal's pieces against kQ/I, both sides, beside the oracle's."""
     pieces_h = [wba.biideal_graded_pieces(biideal, d) for d in range(degree + 1)]
-    kq_ideal = pa.quadratic_ideal(qd, degree)
+    kq_ideal = quadratic_ideal_oracle(qd, degree)
     algebra_pieces = [wba.biideal_graded_pieces(kq_ideal, d) for d in range(degree + 1)]
     return (uq._check_descent(pieces_h, algebra_pieces, co.SIDES),
             check_descent_oracle(pieces_h, algebra_pieces, co.SIDES), algebra_pieces)
