@@ -95,12 +95,12 @@ def ideal_graded_piece(ideal, d):
 
 
 class QuadraticData:
-    """A relation space R in kQ_2 (path basis) and the wba.BiidealGens it was read from, if any.
+    """A relation space R in kQ_2 (path basis) and the wba.BiidealGens it was read from.
 
-    R must be a kQ_0-bimodule, as I_2 of any ideal is; quadratic_dual relies on it.
+    quadratic_dual needs R to be a kQ_0-bimodule, as I_2 of any ideal is.
     """
 
-    def __init__(self, q, relation_space, ideal=None):
+    def __init__(self, q, relation_space, ideal):
         self.quiver = q
         self.relation_space = relation_space
         self.ideal = ideal
@@ -158,8 +158,11 @@ def quadratic_dual(qd, max_degree=2):
     basis vector of pq, so R^! is the complement R^⊥ (qd.dual_rows()) moved
     along path reversal (quiver.star_indices).  As in quadratic_data, R^!
     is read as the degree-2 piece of the wba.BiidealGens its rows generate
-    over kQ^op truncated at max_degree, kept as the result's ideal.  R is a
-    kQ_0-bimodule, so R^⊥ is one too and the saturation adds nothing.
+    over kQ^op truncated at max_degree, kept as the result's ideal.  The
+    vertex idempotents act on kQ_2 by self-adjoint coordinate projections,
+    so R^⊥ is a kQ_0-bimodule exactly when R is; then the saturation adds
+    nothing, and otherwise the piece outgrows the independent moved rows
+    and UnsupportedShapeError is raised.
     """
     q = qd.quiver
     opp = qv.opposite_quiver(q)
@@ -167,7 +170,12 @@ def quadratic_dual(qd, max_degree=2):
     moved = [{star[c]: x for c, x in row.items()} for row in qd.dual_rows()]
     b = wba.BiidealGens(wba.path_algebra_presentation(opp, max_degree),
                         [(2, row) for row in moved])
-    return QuadraticData(opp, wba.biideal_graded_pieces(b, 2), b)
+    piece = wba.biideal_graded_pieces(b, 2)
+    if piece.dim != len(moved):
+        raise UnsupportedShapeError(
+            "quadratic dual requires a relation space that is a kQ_0-bimodule, "
+            "as I_2 of an ideal is")
+    return QuadraticData(opp, piece, b)
 
 
 def preprojective_relations(q):

@@ -102,8 +102,23 @@ def quadratic_dual_oracle(qd, max_degree):
     reference for pathalg.quadratic_dual."""
     star = qv.star_indices(qd.quiver, 2)
     moved = [{star[c]: x for c, x in row.items()} for row in pa.quadratic_dual_rows(qd)]
-    qdual = pa.QuadraticData(qv.opposite_quiver(qd.quiver), Subspace.from_rows(len(star), moved))
+    qdual = pa.QuadraticData(qv.opposite_quiver(qd.quiver), Subspace.from_rows(len(star), moved),
+                             None)
     return qdual.relation_space, quadratic_ideal_oracle(qdual, max_degree)
+
+
+def is_vertex_bimodule(q, space):
+    """Whether a subspace of kQ_2 (path basis) is a kQ_0-bimodule: each basis
+    row's part on the paths from u to w lies in it, for all vertices u, w."""
+    paths = qv.enumerate_paths(q, 2)
+    for row in space.basis:
+        blocks = {}
+        for c, x in row.items():
+            p = paths[c]
+            blocks.setdefault((q.path_source(p), q.path_target(p)), {})[c] = x
+        if not all(space.contains(block) for block in blocks.values()):
+            return False
+    return True
 
 
 def residue_table(piece):

@@ -24,7 +24,7 @@ def row_lists(sub):
 
 def kernel(cols, rows):
     """Basis of {v : r . v = 0 for every row r}, as the quadratic dual reads it."""
-    return pa.quadratic_dual_rows(pa.QuadraticData(None, Subspace.from_rows(cols, rows)))
+    return pa.quadratic_dual_rows(pa.QuadraticData(None, Subspace.from_rows(cols, rows), None))
 
 
 def test_reduced_echelon_diagonal():

@@ -12,8 +12,8 @@ from faceq import wba
 from faceq.errors import ParseError, UnsupportedShapeError
 from faceq.linalg import Echelon, Subspace, subspace_equal
 
-from conftest import (commutator_ideal, q_commutator_ideal, quadratic_dual_oracle,
-                      quadratic_ideal_oracle, quantum_plane_ideal)
+from conftest import (commutator_ideal, is_vertex_bimodule, q_commutator_ideal,
+                      quadratic_dual_oracle, quadratic_ideal_oracle, quantum_plane_ideal)
 from fleet import kronecker, three_cycle, three_loop, two_loop
 from oracle import PathElement, multiply_path_elements, path_text, path_unit
 
@@ -227,22 +227,36 @@ def random_quadratic_ideal(rng, q):
 
 
 def test_dual_dimension_law_and_double_dual():
-    """dim R + dim R^! = dim kQ2, and the double dual restores R (20 seeds).
-
-    R is I_2 of an ideal generated by random relations, so a kQ_0-bimodule
-    even where a relation joins different endpoints."""
+    """dim R + dim R^! = dim kQ2, and the double dual restores R, for random
+    R that are kQ_0-bimodules; R whose rows mix endpoint blocks are refused
+    (20 seeds, both cases drawn)."""
     rng = random.Random(20260825)
     quivers = [two_loop, three_loop, three_cycle,
                lambda: qv.double_quiver(three_cycle())]
+    refused = 0
     for seed in range(20):
         q = quivers[rng.randrange(len(quivers))]()
         ambient = len(qv.enumerate_paths(q, 2))
-        qd = pa.quadratic_data(random_quadratic_ideal(rng, q))
+        rows = []
+        for _ in range(rng.randrange(ambient + 1)):
+            row = {i: Fraction(rng.randint(-3, 3)) for i in range(ambient)
+                   if rng.random() < 0.4}
+            row = {i: c for i, c in row.items() if c}
+            if row:
+                rows.append(row)
+        space = Subspace.from_rows(ambient, rows)
+        qd = pa.QuadraticData(q, space, None)
+        if not is_vertex_bimodule(q, space):
+            refused += 1
+            with pytest.raises(UnsupportedShapeError, match="kQ_0-bimodule"):
+                pa.quadratic_dual(qd)
+            continue
         dual = pa.quadratic_dual(qd)
         assert qd.relation_space.dim + dual.relation_space.dim == ambient
         double = pa.quadratic_dual(dual)
         assert double.quiver == qv.opposite_quiver(qv.opposite_quiver(q))
         assert subspace_equal(double.relation_space, qd.relation_space)
+    assert 0 < refused < 20
 
 
 def test_quadratic_dual_matches_the_former_three_eliminations():
