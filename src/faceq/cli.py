@@ -79,14 +79,11 @@ def _build_parser():
     return parser
 
 
-def _jsonable(value):
+def _fraction_text(value):
+    """json.dumps default: a Fraction as its text; any other type is an error."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _load_json(path):
@@ -124,14 +121,9 @@ def _subspace_text(labels_d, subspace):
     return [fc.format_coords(labels_d, row) for row in subspace.basis]
 
 
-def _coaction_doc(cspec, host):
-    return {
-        "side": cspec.side,
-        "coefficients": [
-            [[fc.format_coords(host.labels[d], entry) for entry in row] for row in mat]
-            for d, mat in enumerate(cspec.coefficients)
-        ],
-    }
+def _coefficients_text(coefficients, host):
+    return [[[fc.format_coords(host.labels[d], entry) for entry in row] for row in mat]
+            for d, mat in enumerate(coefficients)]
 
 
 def _base_iso_section(cspec, host):
@@ -280,6 +272,13 @@ def run_uqsgd(cfg):
     kq_ideal = result.relation_space.ideal
     relations = [fc.format_coords(kq_ideal.host.labels[d], coords)
                  for d, coords in kq_ideal.generators]
+    # the sides of a transposed pair share one coefficient family: its text is written once
+    induced = {}
+    written = None
+    for s, spec in result.induced_coactions.items():
+        if written is None or written[0] != spec.coefficients:
+            written = (spec.coefficients, _coefficients_text(spec.coefficients, result.quotient))
+        induced[s] = {"side": spec.side, "coefficients": written[1]}
     return {
         "formatVersion": FORMAT_VERSION,
         "command": "uqsgd",
@@ -290,10 +289,7 @@ def run_uqsgd(cfg):
         "biidealGenerators": gens,
         "quotientDims": result.quotient_dims,
         "algebraDims": result.algebra_dims,
-        "inducedCoactions": {
-            s: _coaction_doc(spec, result.quotient)
-            for s, spec in result.induced_coactions.items()
-        },
+        "inducedCoactions": induced,
         "verification": result.verification,
         "passed": True,
     }
@@ -345,11 +341,11 @@ def _human_text(doc):
             if "status" in node and name is not None:
                 lines.append(f"{path}{name}: {node['status']}")
                 for w in node.get("witnesses", []):
-                    lines.append(f"  witness: {json.dumps(w)}")
+                    lines.append(f"  witness: {json.dumps(w, default=_fraction_text)}")
                 return
             for k in sorted(node):
                 walk(node[k], f"{path}{k}.")
-        elif isinstance(node, list):
+        elif isinstance(node, (list, tuple)):
             for item in node:
                 walk(item, path)
 
@@ -359,11 +355,10 @@ def _human_text(doc):
 
 
 def _emit(cfg, doc):
-    doc = _jsonable(doc)
     if cfg.human:
         text = _human_text(doc)
     else:
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(doc, sort_keys=True, indent=2, default=_fraction_text) + "\n"
     if cfg.out_path:
         with open(cfg.out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -79,21 +79,28 @@ def canonical_coactions(q, sides, max_degree):
 
 def _matrix_failures(host, d, mat):
     """Index pairs (j, l) failing Δ(y_jl) = Σ_k y_jk ⊗ y_kl, and those failing
-    ε(y_jl) = δ_jl, on one degree's coefficient array; the sum visits only
-    nonzero entries."""
-    entries = [[(k, ent) for k, ent in enumerate(row) if ent] for row in mat]
+    ε(y_jl) = δ_jl, on one degree's coefficient array.  The sum visits only
+    nonzero entries, flattened to (m, c) tuples once, and drops cancelled
+    terms once, before the comparison."""
+    entries = [[(k, tuple(ent.items())) for k, ent in enumerate(row) if ent] for row in mat]
     coassoc_fails = []
     counit_fails = []
     for j, row in enumerate(mat):
         rhs = {}
         for k, yjk in entries[j]:
             for l, ykl in entries[k]:
-                out = rhs.setdefault(l, {})
-                for m, cm in yjk.items():
-                    for nn, cn in ykl.items():
-                        bump(out, (m, nn), cm * cn)
+                out = rhs.get(l)
+                if out is None:
+                    out = rhs[l] = {}
+                for m, cm in yjk:
+                    for nn, cn in ykl:
+                        key = (m, nn)
+                        out[key] = out.get(key, 0) + cm * cn
         for l, yjl in enumerate(row):
-            if host.delta(d, yjl) != rhs.get(l, {}):
+            out = rhs.get(l, {})
+            if not all(out.values()):
+                out = {key: c for key, c in out.items() if c}
+            if host.delta(d, yjl) != out:
                 coassoc_fails.append((j, l))
             if host.eps(d, yjl) != (_ONE if j == l else 0):
                 counit_fails.append((j, l))

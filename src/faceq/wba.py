@@ -208,10 +208,13 @@ def from_face_algebra(q, max_degree):
     for d in range(max_degree + 1):
         n = isqrt(alg.dim(d))
         idd = list(range(n * n))  # one int object per basis index, as in face_algebra
+        # rows[a] lists x[a;m] and cols[b] lists x[m;b], over m in order
+        rows = [idd[a * n:(a + 1) * n] for a in range(n)]
+        cols = [idd[b::n] for b in range(n)]
         for a in range(n):
             for b in range(n):
                 i = idd[a * n + b]
-                coproduct[(d, i)] = {(idd[a * n + m], idd[m * n + b]): _ONE for m in range(n)}
+                coproduct[(d, i)] = dict.fromkeys(zip(rows[a], cols[b]), _ONE)
                 if a == b:
                     counit[(d, i)] = _ONE
     return GradedWBA(max_degree, alg.labels, alg.product, alg.unit, coproduct, counit)
@@ -503,7 +506,8 @@ class BiidealGens:
     Generators are (degree, coordinate dict) pairs; zero and repeated
     generators are dropped.  Graded pieces and ranks need only the host's
     product (a GradedAlgebra will do); check_biideal and quotient_wba need
-    a GradedWBA.
+    a GradedWBA, and share the projected coproducts of the coset columns
+    (see _coset_coproduct).
     """
 
     def __init__(self, host, generators):
@@ -522,6 +526,7 @@ class BiidealGens:
         self.generators = tuple(gens)
         self._pieces = {}
         self._echelons = {}  # forward-reduced pieces not yet finalized
+        self._coset_coproducts = {}  # degree -> {coset column m: (pi (x) pi)Delta(u_m)}
 
 
 def _spread(b, d):
@@ -617,12 +622,35 @@ def sum_of_pieces(biideals, max_degree):
     return sums
 
 
+def _coset_coproduct(b, d, m):
+    """(pi (x) pi)Delta(u_m) for a coset column m of the degree-d piece, times D*D.
+
+    D is the piece's projection denominator, and the table is project_image's,
+    in ints on an int host.  Projected on the first request and then kept on
+    b, so check_biideal and quotient_wba project each coset column once.
+    """
+    memo = b._coset_coproducts.setdefault(d, {})
+    table = memo.get(m)
+    if table is None:
+        proj = biideal_graded_pieces(b, d).projection()
+        table = memo[m] = project_image(b.host.coproduct_of, d, {m: _ONE}, proj, proj)[0]
+    return table
+
+
 def check_biideal(b, max_degree):
-    """Counit vanishing and coproduct descent for every graded piece ≤ max_degree."""
+    """Counit vanishing and coproduct descent for every graded piece ≤ max_degree.
+
+    A canonical row, scaled by int_row to a_p e_p + sum_m a_m e_m with pivot
+    p and coset columns m, descends iff a_p P_p = -sum_m a_m P_m, where P_i
+    is (pi (x) pi)Delta(u_i) times D*D: an exact comparison of int tables.
+    Each P_m comes from _coset_coproduct; P_p is projected here, once, since
+    every pivot belongs to one row.
+    """
     w = b.host
     if max_degree > w.max_degree:
         raise ValueError(f"cannot check beyond the host truncation {w.max_degree}")
     pieces = [biideal_graded_pieces(b, d) for d in range(max_degree + 1)]
+    coset = lambda d, m: _coset_coproduct(b, d, m)
     eps_fails = []
     delta_fails = []
     for d in range(max_degree + 1):
@@ -630,11 +658,13 @@ def check_biideal(b, max_degree):
         if not piece.dim:
             continue
         proj = piece.projection()
-        for r, row in enumerate(piece.basis):
+        for r, (p, row) in enumerate(zip(piece.pivots, piece.basis)):
             if w.eps(d, row):
                 eps_fails.append(f"degree {d}, piece row {r}")
-            urow = row if proj.denom == 1 else int_row(row)  # same zero test, in ints
-            if project_image(w.coproduct_of, d, urow, proj, proj)[0]:
+            rest = int_row(row)
+            lead = {p: rest.pop(p)}
+            if (project_image(w.coproduct_of, d, lead, proj, proj)[0]
+                    != image_of(coset, d, {m: -a for m, a in rest.items()})):
                 delta_fails.append(f"degree {d}, piece row {r}")
     rows = [
         _row("counit-vanishes", eps_fails, key="check"),
@@ -647,7 +677,8 @@ def quotient_wba(b, report=None):
     """Quotient presentation on the non-pivot coset basis of each graded piece.
 
     Refuses (with the failing report attached) unless the biideal check
-    passes up to the host truncation.  Labels name coset representatives.
+    passes up to the host truncation.  Labels name coset representatives;
+    the coproduct divides _coset_coproduct's tables, which the check filled.
     """
     w = b.host
     if report is None:
@@ -672,8 +703,9 @@ def quotient_wba(b, report=None):
     coproduct = {}
     counit = {}
     for d in range(w.max_degree + 1):
+        denom = projs[d].denom
         for i, mi in enumerate(projs[d].cols):
-            entry = divided(*project_image(w.coproduct_of, d, {mi: _ONE}, projs[d], projs[d]))
+            entry = divided(_coset_coproduct(b, d, mi), denom * denom)
             if entry:
                 coproduct[(d, i)] = entry
             ev = w.counit_of(d, mi)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from faceq import cli
 from faceq import coaction as co
 from faceq import pathalg as pa
+from faceq import uqsgd as uq
 from faceq import wba
 
 
@@ -251,6 +253,47 @@ def test_uqsgd_commutators_trans(tmp_path):
     assert set(doc["inducedCoactions"]) == {"left", "right"}
 
 
+def test_uqsgd_writes_a_shared_coefficient_family_once(tmp_path, monkeypatch):
+    """The transposed pair's equal arrays are formatted once and written on
+    both sides; when the right array differs (one entry doubled after the
+    build), each side gets the text of its own array."""
+    quiver = write_json(tmp_path / "q.json", TWO_LOOP_DOC)
+    rels = write_json(tmp_path / "r.json", COMMUTATOR_DOC)
+    args = ["uqsgd", "--quiver", quiver, "--relations", rels, "--max-degree", "2"]
+    formatted = []
+    coefficients_text = cli._coefficients_text
+
+    def counted(coefficients, host):
+        formatted.append(coefficients)
+        return coefficients_text(coefficients, host)
+
+    monkeypatch.setattr(cli, "_coefficients_text", counted)
+    code, same = run_doc(tmp_path, args)
+    assert code == 0 and len(formatted) == 1
+    left, right = (same["inducedCoactions"][s] for s in ("left", "right"))
+    assert (left["side"], right["side"]) == ("left", "right")
+    assert left["coefficients"] == right["coefficients"]
+
+    build_uqsgd = uq.build_uqsgd
+
+    def altered(*build_args):
+        result = build_uqsgd(*build_args)
+        right_spec = result.induced_coactions["right"]
+        right_spec.coefficients[1][0][1] = {m: 2 * c for m, c in
+                                            right_spec.coefficients[1][0][1].items()}
+        return result
+
+    monkeypatch.setattr(uq, "build_uqsgd", altered)
+    formatted.clear()
+    code, differ = run_doc(tmp_path, args)
+    assert code == 0 and len(formatted) == 2
+    left, right = (differ["inducedCoactions"][s]["coefficients"] for s in ("left", "right"))
+    assert left == same["inducedCoactions"]["left"]["coefficients"]
+    assert (left[1][0][1], right[1][0][1]) == ("1 * x[t1;t2]", "2 * x[t1;t2]")
+    right[1][0][1] = left[1][0][1]
+    assert right == left
+
+
 def test_dual_polynomial_ring(tmp_path):
     quiver = write_json(tmp_path / "q.json", TWO_LOOP_DOC)
     rels = write_json(tmp_path / "r.json", COMMUTATOR_DOC)
@@ -411,6 +454,18 @@ def test_human_rendering_deterministic(tmp_path):
                          "--human", "--out", str(out)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert "passed: yes" in out1.read_text()
+
+
+def test_emit_writes_fractions_as_text_and_refuses_other_objects(tmp_path):
+    out = tmp_path / "out.json"
+    cfg = cli.JobConfig(command="face", quiver_path="q.json", out_path=str(out))
+    cli._emit(cfg, {"value": Fraction(-3, 4), "pair": ("a", 1), "passed": True})
+    assert json.loads(out.read_text()) == {"value": "-3/4", "pair": ["a", 1], "passed": True}
+    cli._emit(cfg._replace(human=True), {"command": "face", "dims": [1, Fraction(1, 2)],
+                                          "passed": True})
+    assert out.read_text() == "faceq face report\ndims: 1 1/2\npassed: yes\n"
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        cli._emit(cfg, {"value": {1, 2}})
 
 
 def test_stdout_emission(tmp_path, capsys):

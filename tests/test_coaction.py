@@ -492,6 +492,30 @@ def test_coalgebra_rows_are_shared_by_array_content(case):
     assert len(host.coalgebra_rows) == distinct
 
 
+def test_coalgebra_rows_drop_terms_that_cancel():
+    """The two-loop's degree-1 canonical array conjugated by P = [[1, 1], [0, 1]]:
+    y' = P y P^-1 = [[x11 + x21, x12 + x22 - x11 - x21], [x21, x22 - x21]]
+    is again a matrix coalgebra, but Σ_k y'_0k ⊗ y'_k0 meets x11 ⊗ x21 with
+    coefficients 1 and -1, so it holds only once that key is dropped.  One
+    entry scaled by 2 breaks it.  Both arrays get the oracle's witnesses."""
+    q = two_loop()
+    host = wba.from_face_algebra(q, 1)
+    algebra = wba.path_algebra_presentation(q, 1)
+    x11, x12, x21, x22 = range(4)  # x[a;b] has index 2 * i_a + i_b
+    conjugated = [[{x11: 1, x21: 1}, {x12: 1, x22: 1, x11: -1, x21: -1}],
+                  [{x21: 1}, {x22: 1, x21: -1}]]
+    raw = [(m, n) for yjk, ykl in ((conjugated[0][0], conjugated[0][0]),
+                                   (conjugated[0][1], conjugated[1][0]))
+           for m in yjk for n in ykl]
+    assert raw.count((x11, x21)) == 2
+    scaled = [row[:] for row in conjugated]
+    scaled[1][0] = {x21: 2}
+    for mat, passes in ((conjugated, True), (scaled, False)):
+        found = co._coalgebra_rows(host, algebra, 1, mat)
+        assert found == matrix_failures_oracle(host, algebra, 1, mat)
+        assert (found == ([], [])) is passes
+
+
 def test_checks_visit_only_nonzero_structure_constants(monkeypatch):
     """product_of and multiply calls made by the axiom check and both
     comodule checks on the doubled three-cycle at degree 3.  The loops over

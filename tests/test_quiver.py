@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import pytest
 
 from faceq import quiver as qv
-from faceq.errors import ParseError
+from faceq.errors import ParseError, UnsupportedShapeError
 
 from fleet import FLEET, q_bullets, three_cycle, two_loop
 
@@ -170,6 +170,17 @@ def test_double_quiver():
     one = qv.Quiver(["v"], [("t1", 0, 0)])
     assert len(qv.double_quiver(one).arrows) == 2
     assert qv.double_quiver(q_bullets()) == q_bullets()
+
+
+@pytest.mark.parametrize("arrows, name", [
+    ([("a", 0, 0), ("a*", 0, 0)], "a"),
+    ([("b*", 0, 0), ("c", 0, 0), ("b**", 0, 0)], "b*"),
+])
+def test_double_quiver_refuses_a_reversed_name_that_is_taken(arrows, name):
+    with pytest.raises(UnsupportedShapeError) as err:
+        qv.double_quiver(qv.Quiver(["v"], arrows))
+    assert str(err.value) == (f"cannot double the quiver: the reverse of arrow {name!r} "
+                              f"would be named {name + '*'!r}, which is already an arrow")
 
 
 def test_star_path_basics():

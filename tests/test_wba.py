@@ -14,7 +14,7 @@ from faceq import quiver as qv
 from faceq import uqsgd as uq
 from faceq import wba
 from faceq.errors import VerificationError
-from faceq.linalg import Echelon, Subspace, bump, subspace_equal
+from faceq.linalg import Echelon, Subspace, bump, int_row, subspace_equal
 
 from conftest import (check_biideal_oracle, commutator_ideal, face_coaction_relations,
                       full_witness_rows, quantum_plane_ideal, quotient_coalgebra_oracle)
@@ -713,6 +713,141 @@ def test_streamed_biideal_check_matches_oracle_on_each_verdict():
         assert [row["check"] for row in report["checks"] if row["status"] == "fail"] == \
             ([] if failing == "pass" else [failing])
         assert_biideal_report_matches_oracle(b)
+
+
+def mixed_relation_biideal(side="trans"):
+    """The biideal of the coaction relations of kQ/(t1 t1, t1 t2 - 1/2 t2 t1)
+    on the two-loop, in a fresh h(Q) truncated at 3.  Its canonical rows
+    include lone pivots, rows with several coset terms, and rows whose
+    int_row pivot coefficient is not 1; it passes the check."""
+    q = two_loop()
+    a, b = q.arrow_path(0), q.arrow_path(1)
+    ideal = pa.HomogeneousIdeal(q, [
+        pa.PathElement(q, {qv.compose_paths(q, a, a): 1}),
+        pa.PathElement(q, {qv.compose_paths(q, a, b): 1, qv.compose_paths(q, b, a): Fraction(-1, 2)})])
+    return uq._relation_biideal(wba.from_face_algebra(q, 3), pa.quadratic_data(ideal), side)[1]
+
+
+def row_shapes(b):
+    """Which row shapes the check meets: a lone pivot, several coset terms,
+    an int_row pivot coefficient other than 1."""
+    shapes = set()
+    for d in range(b.host.max_degree + 1):
+        piece = wba.biideal_graded_pieces(b, d)
+        for p, row in zip(piece.pivots, piece.basis):
+            scaled = int_row(row)
+            shapes.add("lone" if len(scaled) == 1 else "multi" if len(scaled) > 2 else "binomial")
+            if scaled[p] != 1:
+                shapes.add("scaled-pivot")
+    return shapes
+
+
+def test_coset_coproduct_check_matches_oracle_on_each_verdict():
+    """The mixed relation biideal as built, with the counit of a lone row's
+    pivot set to 1, and with a term u_m (x) u_m added to Delta(u_m) for a
+    coset column m of a degree-2 row: each fails only its own row, and
+    every witness equals the materializing oracle's."""
+    assert row_shapes(mixed_relation_biideal()) >= {"lone", "multi", "binomial", "scaled-pivot"}
+
+    def lone_pivot(b):
+        return next((d, p) for d in range(4)
+                    for p, row in zip(wba.biideal_graded_pieces(b, d).pivots,
+                                      wba.biideal_graded_pieces(b, d).basis) if len(row) == 1)
+
+    def coset_term(b):
+        piece = wba.biideal_graded_pieces(b, 2)
+        return next(m for p, row in zip(piece.pivots, piece.basis) for m in row if m != p)
+
+    counit_case = mixed_relation_biideal()
+    d, p = lone_pivot(counit_case)
+    counit_case.host.counit[(d, p)] = 1
+    coproduct_case = mixed_relation_biideal()
+    m = coset_term(coproduct_case)
+    _set_entry(coproduct_case.host.coproduct, (2, m), (m, m),
+               coproduct_case.host.coproduct_of(2, m).get((m, m), 0) + 1)
+    cases = {"pass": mixed_relation_biideal(), "counit-vanishes": counit_case,
+             "coproduct-descends": coproduct_case}
+    for failing, b in cases.items():
+        report = wba.check_biideal(b, 3)
+        assert [row["check"] for row in report["checks"] if row["status"] == "fail"] == \
+            ([] if failing == "pass" else [failing])
+        assert_biideal_report_matches_oracle(b)
+
+
+@st.composite
+def corrupted_biideals(draw):
+    """random_biideals or a relation biideal with lone-pivot rows, with up
+    to two coproduct or counit entries of its host overwritten before
+    anything is checked."""
+    if draw(st.booleans()):
+        b = draw(random_biideals())
+    else:
+        b = mixed_relation_biideal(draw(st.sampled_from(["left", "right", "trans"])))
+    w = b.host
+    degrees = [d for d in range(w.max_degree + 1) if w.dim(d)]
+    for _ in range(draw(st.integers(0, 2))):
+        d = draw(st.sampled_from(degrees))
+        i, j, k = (draw(st.integers(0, w.dim(d) - 1)) for _ in range(3))
+        if draw(st.booleans()):
+            _set_entry(w.coproduct, (d, i), (j, k), draw(SCALARS))
+        else:
+            w.counit[(d, i)] = draw(SCALARS)
+            if not w.counit[(d, i)]:
+                del w.counit[(d, i)]
+    return b
+
+
+@settings(max_examples=60, deadline=None)
+@given(corrupted_biideals())
+def test_coset_coproduct_check_matches_oracle_on_corrupted_hosts(b):
+    """check_biideal compares int_row-scaled pivot images with the coset
+    columns' memoized ones; the oracle projects Delta(row) in Fractions.
+    When the check passes, the quotient's coalgebra tables, divided from
+    the same memo, equal the dense oracle's."""
+    assert_biideal_report_matches_oracle(b)
+    if wba.check_biideal(b, b.host.max_degree)["passed"]:
+        quo = wba.quotient_wba(b)
+        assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
+
+
+def test_coset_coproducts_are_projected_once():
+    """quotient_wba with no report runs the check, and the two project each
+    host basis element once: every pivot in the check, every coset column
+    in the memo that the quotient's coproduct then reads.  Given a report,
+    the quotient projects only the coset columns that no checked row
+    holds: all of degrees 0 and 1, whose pieces are zero.  Both match the
+    dense oracle."""
+    project_image = wba.project_image
+    calls = []
+
+    def counted(image, d, u, left, right):
+        calls.append((d, tuple(u)))
+        return project_image(image, d, u, left, right)
+
+    for side in ("left", "trans"):
+        b = mixed_relation_biideal(side)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wba, "project_image", counted)
+            calls.clear()
+            quo = wba.quotient_wba(b)
+        host = b.host
+        assert sorted(calls) == [(d, (i,)) for d in range(4) for i in range(host.dim(d))]
+        for d in range(4):
+            assert set(b._coset_coproducts[d]) == set(wba.biideal_graded_pieces(b, d).projection().cols)
+        assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
+
+        b = mixed_relation_biideal(side)
+        report = wba.check_biideal(b, 3)
+        held = {(d, m) for d, memo in b._coset_coproducts.items() for m in memo}
+        assert held and all(d >= 2 for d, _ in held)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wba, "project_image", counted)
+            calls.clear()
+            quo = wba.quotient_wba(b, report=report)
+        assert calls == [(d, (m,)) for d in range(4)
+                         for m in wba.biideal_graded_pieces(b, d).projection().cols
+                         if (d, m) not in held]
+        assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
 
 
 def test_biideal_pieces_match_oracle_on_mixed_degree_generators():
