@@ -2,7 +2,7 @@
 
 from .errors import ParseError, UnsupportedShapeError, VerificationError
 from .quiver import Quiver, parse_quiver
-from .pathalg import HomogeneousIdeal, parse_relations, quadratic_data, quadratic_dual
+from .pathalg import parse_relations, quadratic_data, quadratic_dual
 from .face import face_basis, format_coords, parse_element
 from .wba import (
     GradedAlgebra,
@@ -32,7 +32,6 @@ __all__ = [
     "VerificationError",
     "Quiver",
     "parse_quiver",
-    "HomogeneousIdeal",
     "parse_relations",
     "quadratic_data",
     "quadratic_dual",

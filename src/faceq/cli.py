@@ -92,21 +92,12 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, an overlong int, deep nesting
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _load_quiver(cfg):
     return qv.parse_quiver(_load_json(cfg.quiver_path))
-
-
-def _load_ideal(cfg, q):
-    doc = _load_json(cfg.relations_path)
-    relations = pa.parse_relations(doc, q)
-    try:
-        return pa.HomogeneousIdeal(q, relations)
-    except ValueError as exc:
-        raise UnsupportedShapeError(str(exc)) from None
 
 
 def _quiver_doc(q):
@@ -264,14 +255,14 @@ def run_coact(cfg):
 
 def run_uqsgd(cfg):
     q = _load_quiver(cfg)
-    ideal = _load_ideal(cfg, q)
-    result = uq.build_uqsgd(q, ideal, cfg.side, cfg.max_degree)
+    relations = pa.parse_relations(_load_json(cfg.relations_path), q)
+    result = uq.build_uqsgd(q, relations, cfg.side, cfg.max_degree)
     host = result.biideal.host
     gens = [fc.format_coords(host.labels[d], coords)
             for d, coords in result.biideal.generators]
     kq_ideal = result.relation_space.ideal
-    relations = [fc.format_coords(kq_ideal.host.labels[d], coords)
-                 for d, coords in kq_ideal.generators]
+    relation_text = [fc.format_coords(kq_ideal.host.labels[d], coords)
+                     for d, coords in kq_ideal.generators]
     # the sides of a transposed pair share one coefficient family: its text is written once
     induced = {}
     written = None
@@ -285,7 +276,7 @@ def run_uqsgd(cfg):
         "quiver": _quiver_doc(q),
         "side": cfg.side,
         "maxDegree": cfg.max_degree,
-        "relations": relations,
+        "relations": relation_text,
         "biidealGenerators": gens,
         "quotientDims": result.quotient_dims,
         "algebraDims": result.algebra_dims,
@@ -297,9 +288,9 @@ def run_uqsgd(cfg):
 
 def run_dual(cfg):
     q = _load_quiver(cfg)
-    ideal = _load_ideal(cfg, q)
     m = cfg.max_degree
-    qd = pa.quadratic_data(ideal, m)
+    relations = pa.parse_relations(_load_json(cfg.relations_path), q)
+    qd = pa.quadratic_data(q, relations, m)
     qdual = pa.quadratic_dual(qd, m)
     report = uq.check_quadratic_dualities(qd, qdual, m)
     return {

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from . import quiver as qv
 from .errors import ParseError
-from .linalg import bump
+from .linalg import bump, int_where_integral
 from .quiver import Path
 
 
@@ -98,7 +98,8 @@ def parse_element(q, text, d, index):
 
     index maps each path of length d to its position i in enumeration
     order, so x[a;b] has index i_a*n + i_b.  Repeated monomials are summed
-    and zero sums dropped; every term left must have degree d.
+    and zero sums dropped; every term left must have degree d.  Values are
+    ints where integral.
     """
     summed = {}
     for mono, coeff in parse_terms(q, text):
@@ -108,7 +109,7 @@ def parse_element(q, text, d, index):
     for (left, right), coeff in summed.items():
         if left.length != d:
             raise ParseError(f"degree-{d} entry holds a degree-{left.length} term")
-        coords[index[left] * n + index[right]] = coeff
+        coords[index[left] * n + index[right]] = int_where_integral(coeff)
     return coords
 
 

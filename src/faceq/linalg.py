@@ -41,12 +41,16 @@ def mat_vec(columns, vec):
     return out
 
 
+def int_where_integral(x):
+    """An int or Fraction x as the scalar policy holds it: an int where integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def divided(table, denom):
     """table with each value divided by denom, ints where integral; table itself if denom is 1."""
     if denom == 1:
         return table
-    quotients = {key: Fraction(v, denom) for key, v in table.items()}
-    return {key: x.numerator if x.denominator == 1 else x for key, x in quotients.items()}
+    return {key: int_where_integral(Fraction(v, denom)) for key, v in table.items()}
 
 
 def int_row(row):

@@ -1,96 +1,31 @@
-"""Graded path algebra elements, homogeneous ideals, quadratic data.
+"""Relations of kQ as coordinate rows, homogeneous ideals, quadratic data.
 
-An ideal here is always homogeneous with generators of degree >= 2.  Its
-graded pieces are those of a wba.BiidealGens over kQ (the path algebra as
-a wba.GradedAlgebra): canonical subspaces over the fixed path basis, spread
-up the grading by the arrows and saturated by the vertex idempotents.
+Relations are (degree, coordinate dict) rows on kQ's path basis of that
+degree, homogeneous of degree >= 2, as parse_relations reads them.  The
+ideal they generate is a wba.BiidealGens over kQ (the path algebra as a
+wba.GradedAlgebra): its graded pieces are canonical subspaces over the
+fixed path basis, spread up the grading by the arrows and saturated by the
+vertex idempotents.
 """
 
 from fractions import Fraction
 
 from .errors import ParseError, UnsupportedShapeError
-from .linalg import Subspace
+from .linalg import Subspace, bump, int_where_integral
 from . import quiver as qv
 from . import wba
 
 
-class PathElement:
-    """A k-linear combination of paths of one quiver, as HomogeneousIdeal takes
-    its generators; repeated paths are summed and zero sums dropped."""
-
-    def __init__(self, q, terms=()):
-        self.quiver = q
-        data = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for path, coeff in items:
-            coeff = Fraction(coeff)
-            if coeff:
-                data[path] = data.get(path, Fraction(0)) + coeff
-                if not data[path]:
-                    del data[path]
-        self.terms = data
-
-    def degree(self):
-        """Common path length, or None for 0 or inhomogeneous elements."""
-        lengths = {p.length for p in self.terms}
-        return lengths.pop() if len(lengths) == 1 else None
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, PathElement) and self.quiver == other.quiver
-                and self.terms == other.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "PathElement(0)"
-        bits = " + ".join(f"{c}*{self.quiver.path_label(p)}" for p, c in self.terms.items())
-        return f"PathElement({bits})"
-
-
-class HomogeneousIdeal:
-    """Two-sided graded ideal given by homogeneous generators of degree >= 2."""
-
-    def __init__(self, q, generators):
-        self.quiver = q
-        gens = []
-        seen = []
-        for g in generators:
-            if g.quiver != q:
-                raise ValueError("generator lives over a different quiver")
-            if g.is_zero():
-                continue
-            d = g.degree()
-            if d is None:
-                raise ValueError("ideal generators must be homogeneous")
-            if d < 2:
-                raise ValueError(f"ideal generators must have degree >= 2, got degree {d}")
-            if g.terms in seen:
-                continue
-            seen.append(g.terms)
-            gens.append(g)
-        self.generators = tuple(gens)
-
-
-def element_row(elem, index):
-    """Coefficient row of a homogeneous element over an indexed path basis."""
-    return {index[p]: c for p, c in elem.terms.items()}
-
-
-def ideal_graded_piece(ideal, d):
+def ideal_graded_piece(q, relations, d):
     """Canonical subspace I_d inside kQ_d.
 
     The degree-d piece of the BiidealGens over kQ truncated at d (see
-    wba.path_algebra_presentation) generated by the ideal's generators of
-    degree at most d; wba.biideal_graded_pieces spreads it up the grading
-    and saturates it by the vertex idempotents.
+    wba.path_algebra_presentation) generated by the relations of degree at
+    most d; wba.biideal_graded_pieces spreads it up the grading and
+    saturates it by the vertex idempotents.
     """
-    q = ideal.quiver
-    index = [{p: i for i, p in enumerate(qv.enumerate_paths(q, e))} for e in range(d + 1)]
-    gens = [(g.degree(), element_row(g, index[g.degree()]))
-            for g in ideal.generators if g.degree() <= d]
-    b = wba.BiidealGens(wba.path_algebra_presentation(q, d), gens)
+    b = wba.BiidealGens(wba.path_algebra_presentation(q, d),
+                        [(e, row) for e, row in relations if e <= d])
     return wba.biideal_graded_pieces(b, d)
 
 
@@ -117,23 +52,21 @@ class QuadraticData:
         return self._dual_rows
 
 
-def quadratic_data(ideal, max_degree=2):
-    """R = I_2, the degree-2 piece of an ideal with degree-2 generators only.
+def quadratic_data(q, relations, max_degree=2):
+    """R = I_2, the degree-2 piece of the ideal of degree-2 relations.
 
     As a piece of a two-sided ideal, R is a kQ_0-bimodule, which quadratic
     duality needs: a relation joining different endpoints, like ab + cc with
     ab from u to w and the loop cc at w, puts e_u(ab + cc) = ab and
-    e_w(ab + cc) = cc into R separately.  R is read from the ideal's
+    e_w(ab + cc) = cc into R separately.  R is read from the relations'
     BiidealGens over kQ truncated at max_degree, kept as the result's ideal.
     """
-    for g in ideal.generators:
-        if g.degree() != 2:
+    for d, _ in relations:
+        if d != 2:
             raise UnsupportedShapeError(
-                f"quadratic data requires degree-2 generators, found degree {g.degree()}")
-    index = {p: i for i, p in enumerate(qv.enumerate_paths(ideal.quiver, 2))}
-    b = wba.BiidealGens(wba.path_algebra_presentation(ideal.quiver, max_degree),
-                        [(2, element_row(g, index)) for g in ideal.generators])
-    return QuadraticData(ideal.quiver, wba.biideal_graded_pieces(b, 2), b)
+                f"quadratic data requires degree-2 generators, found degree {d}")
+    b = wba.BiidealGens(wba.path_algebra_presentation(q, max_degree), relations)
+    return QuadraticData(q, wba.biideal_graded_pieces(b, 2), b)
 
 
 def quadratic_dual_rows(qd):
@@ -182,7 +115,8 @@ def preprojective_relations(q):
     """Vertex-local preprojective relations p_i p_i* - p_{i-1}* p_{i-1}.
 
     Expects a cyclic quiver on n >= 3 vertices whose i-th arrow runs from
-    vertex i to vertex i+1 (mod n); the relations live on the double quiver.
+    vertex i to vertex i+1 (mod n); returns (double quiver, relation rows
+    on its degree-2 paths).
     """
     n = len(q.vertices)
     if n < 3 or len(q.arrows) != n:
@@ -192,13 +126,13 @@ def preprojective_relations(q):
             raise UnsupportedShapeError(
                 f"arrow {a.name} does not follow the cycle pattern i -> i+1 (mod {n})")
     dbl = qv.double_quiver(q)
-    gens = []
+    relations = []
     for i in range(n):
         j = (i - 1) % n
         pos = qv.compose_paths(dbl, dbl.arrow_path(i), dbl.arrow_path(n + i))
         neg = qv.compose_paths(dbl, dbl.arrow_path(n + j), dbl.arrow_path(j))
-        gens.append(PathElement(dbl, {pos: 1, neg: -1}))
-    return HomogeneousIdeal(dbl, gens)
+        relations.append((2, {qv.path_index(dbl, pos): 1, qv.path_index(dbl, neg): -1}))
+    return dbl, relations
 
 
 def parse_scalar(value):
@@ -212,18 +146,24 @@ def parse_scalar(value):
 
 
 def parse_relations(doc, q):
-    """Read a relations document: a list of relations, each a list of terms.
+    """Read a relations document as (degree, coordinate dict) rows on kQ's path bases.
 
-    Each term is an object with 'coeff' and 'path'; the path is an ordered
-    list of arrow names, with trivial paths written 'e:<label>'.
+    The document is a list of relations, each a list of terms.  Each term
+    is an object with 'coeff' and 'path'; the path is an ordered list of
+    arrow names, with trivial paths written 'e:<label>'.  Repeated paths
+    are summed; zero coefficients, cancelled sums and zero relations are
+    dropped, and values are ints where integral.  Every ParseError comes
+    before any shape error: once the whole document is read, a relation
+    that is not homogeneous of degree >= 2 raises UnsupportedShapeError.
+    Repeated relations stay; wba.BiidealGens drops them.
     """
     if not isinstance(doc, list):
         raise ParseError("relations document must be a list of relations")
-    relations = []
+    sums = []
     for rel_no, rel in enumerate(doc):
         if not isinstance(rel, list):
             raise ParseError(f"relation #{rel_no} must be a list of terms")
-        terms = []
+        summed = {}
         for term in rel:
             if not isinstance(term, dict) or "coeff" not in term or "path" not in term:
                 raise ParseError(f"relation #{rel_no}: each term needs 'coeff' and 'path'")
@@ -248,6 +188,16 @@ def parse_relations(doc, q):
                     path = qv.compose_paths(q, path, nxt)
                     if path is None:
                         raise ParseError(f"relation #{rel_no}: path {steps!r} is not composable")
-            terms.append((path, coeff))
-        relations.append(PathElement(q, terms))
+            bump(summed, path, coeff)
+        sums.append(summed)
+    relations = []
+    for summed in filter(None, sums):
+        degrees = {p.length for p in summed}
+        if len(degrees) > 1:
+            raise UnsupportedShapeError("ideal generators must be homogeneous")
+        d = degrees.pop()
+        if d < 2:
+            raise UnsupportedShapeError(f"ideal generators must have degree >= 2, got degree {d}")
+        relations.append((d, {qv.path_index(q, p): int_where_integral(c)
+                              for p, c in summed.items()}))
     return relations

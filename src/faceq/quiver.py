@@ -148,6 +148,32 @@ def enumerate_paths(q, length):
     return paths
 
 
+def _paths_from(q, length):
+    """ways[k][v], the number of paths of length k that start at v, for k = 0..length."""
+    ways = [[1] * len(q.vertices)]
+    for _ in range(length):
+        ways.append([sum(ways[-1][q.arrows[b].target] for b in q.out_arrows[v])
+                     for v in range(len(q.vertices))])
+    return ways
+
+
+def path_count(q, length):
+    """Number of paths of a given length, counted without enumerating."""
+    return sum(_paths_from(q, length)[-1])
+
+
+def path_index(q, p):
+    """Position of p in enumerate_paths(q, p.length), counted without enumerating."""
+    if not p.arrows:
+        return p.start
+    ways = _paths_from(q, p.length - 1)
+    index = 0
+    for i, a in enumerate(p.arrows):
+        earlier = range(a) if i == 0 else [b for b in q.out_arrows[q.arrows[a].source] if b < a]
+        index += sum(ways[p.length - 1 - i][q.arrows[b].target] for b in earlier)
+    return index
+
+
 def compose_paths(q, a, b):
     """Concatenation ab when t(a) = s(b), else None."""
     if q.path_target(a) != q.path_source(b):
@@ -191,24 +217,3 @@ def star_indices(q, length):
     given length, where a is the i-th path of q of that length."""
     index = {p: i for i, p in enumerate(enumerate_paths(opposite_quiver(q), length))}
     return [index[star_path(q, p)] for p in enumerate_paths(q, length)]
-
-
-def adjacency_matrix(q):
-    n = len(q.vertices)
-    mat = [[0] * n for _ in range(n)]
-    for a in q.arrows:
-        mat[a.source][a.target] += 1
-    return mat
-
-
-def path_count(q, length):
-    """Number of paths of a given length via adjacency matrix powers."""
-    n = len(q.vertices)
-    if length == 0:
-        return n
-    mat = adjacency_matrix(q)
-    power = [row[:] for row in mat]
-    for _ in range(length - 1):
-        power = [[sum(power[i][k] * mat[k][j] for k in range(n)) for j in range(n)]
-                 for i in range(n)]
-    return sum(sum(row) for row in power)

@@ -13,7 +13,7 @@ from . import pathalg as pa
 from . import quiver as qv
 from . import wba
 from .errors import VerificationError
-from .linalg import Subspace, bump, divided, int_row, subspace_equal
+from .linalg import Subspace, bump, divided, int_row, int_where_integral, subspace_equal
 
 RESULT_SIDES = ("left", "right", "trans")
 
@@ -38,8 +38,7 @@ def coaction_relations(qd, side):
                 for kl, dkl in drow.items():
                     bump(terms, ij * n + kl if side == "left" else kl * n + ij, cij * dkl)
             if terms:
-                gens.append({m: c.numerator if c.denominator == 1 else c
-                             for m, c in terms.items()})
+                gens.append({m: int_where_integral(c) for m, c in terms.items()})
     return gens
 
 
@@ -109,19 +108,19 @@ def _induced_coaction(q, side, biideal, algebra, max_degree):
     return co.CoactionSpec(side, algebra, coefficients, endpoints)
 
 
-def build_uqsgd(q, ideal, side, max_degree):
-    """Construct and verify one UQSGd presentation of kQ/I.
+def build_uqsgd(q, relations, side, max_degree):
+    """Construct and verify one UQSGd presentation of kQ/I, I generated by relation rows.
 
     Builds the degree-2 biideal from the coaction relations (the transposed
     side takes the union of both), quotients the face algebra, induces the
     canonical coaction(s) on the quotient of kQ/I, and bundles all checks.
     kQ/I is the ideal that pa.quadratic_data reads R from: its pieces feed
     the descent check and its host is the algebra the coactions act on.
-    Raises when the ideal is not quadratic or when a soundness check fails.
+    Raises when a relation is not quadratic or when a soundness check fails.
     """
     if side not in RESULT_SIDES:
         raise ValueError(f"side must be one of {RESULT_SIDES}, got {side!r}")
-    qd = pa.quadratic_data(ideal, max_degree)
+    qd = pa.quadratic_data(q, relations, max_degree)
     gen_sides, biideal = _relation_biideal(wba.from_face_algebra(q, max_degree), qd, side)
 
     breport = wba.check_biideal(biideal, max_degree)

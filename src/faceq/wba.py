@@ -503,8 +503,9 @@ def counital_subalgebra(w, side):
 class BiidealGens:
     """Homogeneous generators of a prospective biideal inside a host presentation.
 
-    Generators are (degree, coordinate dict) pairs; zero and repeated
-    generators are dropped.  Graded pieces and ranks need only the host's
+    Generators are (degree, coordinate dict) pairs on the host's basis of
+    that degree, or ValueError; zero and repeated generators are dropped,
+    in first-seen order.  Graded pieces and ranks need only the host's
     product (a GradedAlgebra will do); check_biideal and quotient_wba need
     a GradedWBA, and share the projected coproducts of the coset columns
     (see _coset_coproduct).
@@ -518,6 +519,8 @@ class BiidealGens:
             vec = {i: c for i, c in vec.items() if c}
             if not vec:
                 continue
+            if not (0 <= d <= host.max_degree and all(0 <= i < host.dim(d) for i in vec)):
+                raise ValueError(f"generator {vec} is not a degree-{d} coordinate row of the host")
             key = (d, tuple(sorted(vec.items())))
             if key in seen:
                 continue
@@ -627,7 +630,8 @@ def _coset_coproduct(b, d, m):
 
     D is the piece's projection denominator, and the table is project_image's,
     in ints on an int host.  Projected on the first request and then kept on
-    b, so check_biideal and quotient_wba project each coset column once.
+    b, so check_biideal and quotient_wba project each coset column once;
+    quotient_wba drops a degree's tables once it has divided them.
     """
     memo = b._coset_coproducts.setdefault(d, {})
     table = memo.get(m)
@@ -678,7 +682,8 @@ def quotient_wba(b, report=None):
 
     Refuses (with the failing report attached) unless the biideal check
     passes up to the host truncation.  Labels name coset representatives;
-    the coproduct divides _coset_coproduct's tables, which the check filled.
+    the coproduct divides _coset_coproduct's tables, which the check filled,
+    and then drops them from b: with D = 1 they are the quotient's own.
     """
     w = b.host
     if report is None:
@@ -711,4 +716,5 @@ def quotient_wba(b, report=None):
             ev = w.counit_of(d, mi)
             if ev:
                 counit[(d, i)] = ev
+        b._coset_coproducts.pop(d, None)
     return GradedWBA(w.max_degree, labels, product, unit, coproduct, counit)

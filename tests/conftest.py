@@ -10,39 +10,66 @@ from faceq import pathalg as pa
 from faceq import quiver as qv
 from faceq import uqsgd as uq
 from faceq import wba
+from faceq.errors import ParseError, UnsupportedShapeError
 from faceq.linalg import Subspace, bump, mat_vec
 
 from fleet import FLEET, HOST_DEGREE, doubled_three_cycle, q_bullets, three_cycle, three_loop, two_loop
-from oracle import FaceElement, bialgebra_d, direct_sum, face_multiply
+from oracle import (FaceElement, PathElement, bialgebra_d, direct_sum, element_rows, face_multiply,
+                    read_relations_oracle)
 
 
-def commutator_ideal(q):
-    gens = []
+def relation_rows(q, elems):
+    """The relation rows of homogeneous path-keyed dicts, as the oracle's
+    path elements write them (Fraction values)."""
+    return element_rows([PathElement(q, terms) for terms in elems])
+
+
+def commutator_relations(q):
+    rels = []
     for i in range(len(q.arrows)):
         for j in range(i + 1, len(q.arrows)):
             a, b = q.arrow_path(i), q.arrow_path(j)
-            gens.append(pa.PathElement(q, {qv.compose_paths(q, a, b): 1,
-                                           qv.compose_paths(q, b, a): -1}))
-    return pa.HomogeneousIdeal(q, gens)
+            rels.append({qv.compose_paths(q, a, b): 1, qv.compose_paths(q, b, a): -1})
+    return relation_rows(q, rels)
 
 
-def quantum_plane_ideal(q, scale=2):
+def quantum_plane_relations(q, scale=2):
     a, b = q.arrow_path(0), q.arrow_path(1)
-    gen = pa.PathElement(q, {qv.compose_paths(q, a, b): 1,
-                             qv.compose_paths(q, b, a): Fraction(-scale)})
-    return pa.HomogeneousIdeal(q, [gen])
+    return relation_rows(q, [{qv.compose_paths(q, a, b): 1,
+                              qv.compose_paths(q, b, a): Fraction(-scale)}])
 
 
-def q_commutator_ideal(q, scales):
-    """Generators t_i t_j + q_ij t_j t_i over the arrow pairs i < j, with
+def q_commutator_relations(q, scales):
+    """Relations t_i t_j + q_ij t_j t_i over the arrow pairs i < j, with
     q_ij read in order from scales."""
-    gens = []
+    rels = []
     pairs = [(i, j) for i in range(len(q.arrows)) for j in range(i + 1, len(q.arrows))]
     for (i, j), scale in zip(pairs, scales):
         a, b = q.arrow_path(i), q.arrow_path(j)
-        gens.append(pa.PathElement(q, {qv.compose_paths(q, a, b): 1,
-                                       qv.compose_paths(q, b, a): Fraction(scale)}))
-    return pa.HomogeneousIdeal(q, gens)
+        rels.append({qv.compose_paths(q, a, b): 1, qv.compose_paths(q, b, a): Fraction(scale)})
+    return relation_rows(q, rels)
+
+
+def assert_reader_matches_oracle(doc, q):
+    """pathalg.parse_relations against read_relations_oracle: the same rows
+    once repeated relations are dropped in first-seen order, as
+    wba.BiidealGens drops them, with ints wherever the value is integral;
+    or the same exception type and message.  Returns the rows as read."""
+    def outcome(read):
+        try:
+            return read(doc, q)
+        except (ParseError, UnsupportedShapeError) as exc:
+            return type(exc), str(exc)
+
+    rows, old = outcome(pa.parse_relations), outcome(read_relations_oracle)
+    if isinstance(rows, list):
+        for _, row in rows:
+            assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+                       for c in row.values()), row
+        assert [r for k, r in enumerate(rows) if r not in rows[:k]] == old
+    else:
+        assert rows == old
+    return rows
 
 
 def null_space_oracle(cols, rows):
@@ -382,17 +409,16 @@ def built_results():
     """Every nonzero-ideal UQSGd the suite constructs, keyed by instance."""
     results = {}
     q2 = two_loop()
-    comm2 = commutator_ideal(q2)
+    comm2 = commutator_relations(q2)
     for side in ("left", "right", "trans"):
         results[f"two-loop-commutator-{side}"] = uq.build_uqsgd(q2, comm2, side, 4)
     q3 = three_loop()
-    comm3 = commutator_ideal(q3)
+    comm3 = commutator_relations(q3)
     results["three-loop-commutator-trans"] = uq.build_uqsgd(q3, comm3, "trans", 3)
     results["three-loop-commutator-left"] = uq.build_uqsgd(q3, comm3, "left", 3)
-    results["quantum-plane-trans"] = uq.build_uqsgd(q2, quantum_plane_ideal(q2),
+    results["quantum-plane-trans"] = uq.build_uqsgd(q2, quantum_plane_relations(q2),
                                                     "trans", 4)
-    prep = pa.preprojective_relations(three_cycle())
-    dbl = prep.quiver
+    dbl, prep = pa.preprojective_relations(three_cycle())
     for side in ("left", "right"):
         results[f"preprojective-{side}"] = uq.build_uqsgd(dbl, prep, side, 3)
     return results
@@ -403,14 +429,14 @@ def duality_biideals():
     """The biideals behind the duality transport checks, rebuilt explicitly
     so the soundness sweep can cover them; (label, biideal, cap) triples."""
     cases = []
-    prep = pa.preprojective_relations(three_cycle())
+    dbl, prep = pa.preprojective_relations(three_cycle())
     instances = [
-        ("polynomial", two_loop(), commutator_ideal(two_loop()), 4),
-        ("quantum-plane", two_loop(), quantum_plane_ideal(two_loop()), 4),
-        ("preprojective", prep.quiver, prep, 3),
+        ("polynomial", two_loop(), commutator_relations(two_loop()), 4),
+        ("quantum-plane", two_loop(), quantum_plane_relations(two_loop()), 4),
+        ("preprojective", dbl, prep, 3),
     ]
-    for name, q, ideal, cap in instances:
-        qd = pa.quadratic_data(ideal)
+    for name, q, relations, cap in instances:
+        qd = pa.quadratic_data(q, relations)
         qdual = pa.quadratic_dual(qd)
         for label, quiver, data in (("base", q, qd), ("dual", qdual.quiver, qdual)):
             host = wba.from_face_algebra(quiver, cap)
@@ -433,6 +459,6 @@ def trivial_results():
     for name, make in FLEET.items():
         q = make()
         degree = min(3, HOST_DEGREE[name])
-        result = uq.build_uqsgd(q, pa.HomogeneousIdeal(q, []), "trans", degree)
+        result = uq.build_uqsgd(q, [], "trans", degree)
         out[name] = (q, degree, result)
     return out

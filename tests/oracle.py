@@ -5,9 +5,10 @@ multiplies them through structure-constant tables.  This module keeps the
 second, independent implementation the tests compare those tables with:
 face elements as sums of monomials x[a;b], multiplied by concatenating
 paths componentwise, with the coproduct Δ(x[a;b]) = Σ_m x[a;m] ⊗ x[m;b],
-the counit and the counital maps; path elements with their products; and
-two small weak bialgebras built by hand, the two-idempotent bialgebra D
-and direct sums.  Coefficients are Fractions.
+the counit and the counital maps; path elements with their products, and
+the former reading of a relations document through them; and two small
+weak bialgebras built by hand, the two-idempotent bialgebra D and direct
+sums.  Coefficients are Fractions.
 """
 
 from fractions import Fraction
@@ -16,6 +17,7 @@ from faceq import face as fc
 from faceq import pathalg as pa
 from faceq import quiver as qv
 from faceq import wba
+from faceq.errors import ParseError, UnsupportedShapeError
 from faceq.face import FaceMonomial
 
 _ONE = 1
@@ -241,8 +243,40 @@ def counital_map(elem, side):
     return out
 
 
-class PathElement(pa.PathElement):
-    """A path element with the linear operations and the path product."""
+class PathElement:
+    """A k-linear combination of paths of one quiver, in Fractions, with the
+    linear operations and the path product; repeated paths are summed and
+    zero sums dropped."""
+
+    def __init__(self, q, terms=()):
+        self.quiver = q
+        data = {}
+        items = terms.items() if isinstance(terms, dict) else terms
+        for path, coeff in items:
+            coeff = Fraction(coeff)
+            if coeff:
+                data[path] = data.get(path, Fraction(0)) + coeff
+                if not data[path]:
+                    del data[path]
+        self.terms = data
+
+    def degree(self):
+        """Common path length, or None for 0 or inhomogeneous elements."""
+        lengths = {p.length for p in self.terms}
+        return lengths.pop() if len(lengths) == 1 else None
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        return (isinstance(other, PathElement) and self.quiver == other.quiver
+                and self.terms == other.terms)
+
+    def __repr__(self):
+        if not self.terms:
+            return "PathElement(0)"
+        bits = " + ".join(f"{c}*{self.quiver.path_label(p)}" for p, c in self.terms.items())
+        return f"PathElement({bits})"
 
     def __add__(self, other):
         self._check(other)
@@ -259,13 +293,86 @@ class PathElement(pa.PathElement):
         return PathElement(self.quiver, {p: Fraction(scalar) * c for p, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, pa.PathElement):
+        if isinstance(other, PathElement):
             return multiply_path_elements(self, other)
         return NotImplemented
 
     def _check(self, other):
         if self.quiver != other.quiver:
             raise ValueError("path elements live over different quivers")
+
+
+def homogeneous_generators(elems):
+    """The generators of the ideal the path elements generate, by the former
+    ideal type's rules: zero elements dropped, ValueError for one that is
+    not homogeneous of degree >= 2, repeats dropped in first-seen order."""
+    gens = []
+    for g in elems:
+        if g.is_zero():
+            continue
+        d = g.degree()
+        if d is None:
+            raise ValueError("ideal generators must be homogeneous")
+        if d < 2:
+            raise ValueError(f"ideal generators must have degree >= 2, got degree {d}")
+        if all(g.terms != h.terms for h in gens):
+            gens.append(g)
+    return gens
+
+
+def element_rows(elems):
+    """(degree, coordinate dict) rows of homogeneous path elements on the
+    path basis of their degree, with the elements' Fraction values."""
+    rows = []
+    for g in elems:
+        index = {p: i for i, p in enumerate(qv.enumerate_paths(g.quiver, g.degree()))}
+        rows.append((g.degree(), {index[p]: c for p, c in g.terms.items()}))
+    return rows
+
+
+def read_relations_oracle(doc, q):
+    """A relations document read the former way: each relation a path
+    element built term by term, then the generators of homogeneous_generators,
+    whose ValueError the command line raised as UnsupportedShapeError, as
+    element_rows; the reference for pathalg.parse_relations, which also
+    keeps repeated relations."""
+    if not isinstance(doc, list):
+        raise ParseError("relations document must be a list of relations")
+    elems = []
+    for rel_no, rel in enumerate(doc):
+        if not isinstance(rel, list):
+            raise ParseError(f"relation #{rel_no} must be a list of terms")
+        terms = []
+        for term in rel:
+            if not isinstance(term, dict) or "coeff" not in term or "path" not in term:
+                raise ParseError(f"relation #{rel_no}: each term needs 'coeff' and 'path'")
+            coeff = pa.parse_scalar(term["coeff"])
+            steps = term["path"]
+            if not isinstance(steps, list) or not steps:
+                raise ParseError(f"relation #{rel_no}: 'path' must be a nonempty list")
+            path = None
+            for step in steps:
+                if isinstance(step, str) and step.startswith("e:"):
+                    label = step[2:]
+                    if label not in q.vertex_index:
+                        raise ParseError(f"relation #{rel_no}: unknown vertex {label!r}")
+                    nxt = q.trivial_path(q.vertex_index[label])
+                elif isinstance(step, str) and step in q.arrow_index:
+                    nxt = q.arrow_path(q.arrow_index[step])
+                else:
+                    raise ParseError(f"relation #{rel_no}: unknown arrow {step!r}")
+                if path is None:
+                    path = nxt
+                else:
+                    path = qv.compose_paths(q, path, nxt)
+                    if path is None:
+                        raise ParseError(f"relation #{rel_no}: path {steps!r} is not composable")
+            terms.append((path, coeff))
+        elems.append(PathElement(q, terms))
+    try:
+        return element_rows(homogeneous_generators(elems))
+    except ValueError as exc:
+        raise UnsupportedShapeError(str(exc)) from None
 
 
 def path_unit(q):

@@ -21,9 +21,9 @@ from faceq import wba
 from faceq.errors import UnsupportedShapeError
 from faceq.linalg import Subspace, subspace_equal
 
-from conftest import (commutator_ideal, dd_coaction, face_coords, is_vertex_bimodule,
+from conftest import (commutator_relations, dd_coaction, face_coords, is_vertex_bimodule,
                       polynomial_families, preprojective_families,
-                      quantum_plane_ideal)
+                      quantum_plane_relations)
 from fleet import FLEET, three_cycle, three_loop, two_loop
 
 
@@ -122,7 +122,7 @@ def test_07_commutative_polynomial_quotients_match_matrix_coordinates(built_resu
 
 
 def test_08_quadratic_dual_gives_exterior_algebra_and_is_involutive():
-    dual = pa.quadratic_dual(pa.quadratic_data(commutator_ideal(two_loop())), 3)
+    dual = pa.quadratic_dual(pa.quadratic_data(two_loop(), commutator_relations(two_loop())), 3)
     assert wba.quotient_dims(dual.ideal, 3) == [1, 2, 1, 0]
 
     rng = random.Random(917)
@@ -153,14 +153,14 @@ def test_08_quadratic_dual_gives_exterior_algebra_and_is_involutive():
 
 
 def test_09_duality_transport_checks_pass():
-    prep = pa.preprojective_relations(three_cycle())
+    dbl, prep = pa.preprojective_relations(three_cycle())
     instances = [
-        ("polynomial", two_loop(), commutator_ideal(two_loop()), 3),
-        ("quantum-plane", two_loop(), quantum_plane_ideal(two_loop()), 3),
-        ("preprojective", prep.quiver, prep, 2),
+        ("polynomial", two_loop(), commutator_relations(two_loop()), 3),
+        ("quantum-plane", two_loop(), quantum_plane_relations(two_loop()), 3),
+        ("preprojective", dbl, prep, 2),
     ]
-    for name, q, ideal, degree in instances:
-        qd = pa.quadratic_data(ideal)
+    for name, q, relations, degree in instances:
+        qd = pa.quadratic_data(q, relations)
         report = uq.check_quadratic_dualities(qd, pa.quadratic_dual(qd), degree)
         assert report["passed"], (name, report)
         assert {row["check"]: row["status"] for row in report["checks"]} == {
@@ -172,8 +172,7 @@ def test_09_duality_transport_checks_pass():
 
 
 def test_10_preprojective_biideal_matches_displayed_families(built_results):
-    prep = pa.preprojective_relations(three_cycle())
-    dbl = prep.quiver
+    dbl, _ = pa.preprojective_relations(three_cycle())
     for side in ("left", "right"):
         res = built_results[f"preprojective-{side}"]
         fam = preprojective_families(dbl, side)

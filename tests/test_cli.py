@@ -101,6 +101,23 @@ def test_malformed_quiver_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("content", [
+    b'{"vertices": ["\xff\xfe"]}',
+    b'{"vertices": [' + b"9" * 5000 + b"]}",
+    b"[" * 100000 + b"]" * 100000,
+], ids=["invalid-utf8", "overlong-int", "deep-nesting"])
+def test_unreadable_json_exits_2(tmp_path, content):
+    """Bytes that are not UTF-8, an integer literal past the interpreter's
+    digit limit and arrays nested past its recursion limit are malformed
+    input, reported with the file's path."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out = run_doc(tmp_path, ["face", "--quiver", str(bad)])
+    assert code == 2
+    assert out["passed"] is False
+    assert out["error"].startswith(f"{bad} is not valid JSON: ")
+
+
 @pytest.mark.parametrize("quiver_doc, relations_doc", [
     ({"vertices": ["v"], "arrows": 5}, None),
     ({"vertices": ["v"], "arrows": None}, None),
@@ -237,6 +254,33 @@ def test_uqsgd_rejects_cubic_relations(tmp_path):
     quiver = write_json(tmp_path / "q.json", TWO_LOOP_DOC)
     rels = write_json(tmp_path / "r.json", CUBIC_DOC)
     assert cli.main(["uqsgd", "--quiver", quiver, "--relations", rels]) == 3
+
+
+@pytest.mark.parametrize("relations_doc, code, error", [
+    ([[{"coeff": 1, "path": [["t1"], "t2"]}]], 2, "relation #0: unknown arrow ['t1']"),
+    ([[{"coeff": 1, "path": ["t1", "t2"]}, {"coeff": 1, "path": ["t1"]}]], 3,
+     "ideal generators must be homogeneous"),
+    ([[{"coeff": 1, "path": ["t1"]}]], 3, "ideal generators must have degree >= 2, got degree 1"),
+    ([[{"coeff": 1, "path": ["t1", "t2"]}, {"coeff": 1, "path": ["t1"]},
+       {"coeff": -1, "path": ["t1"]}], [{"coeff": "1/2", "path": ["t2", "t1"]},
+                                        {"coeff": "-1/2", "path": ["t2", "t1"]}]], 0, None),
+    (CUBIC_DOC, 3, "quadratic data requires degree-2 generators, found degree 3"),
+    ([[{"coeff": 1, "path": ["t1"]}], [{"coeff": 1, "path": ["t3"]}]], 2,
+     "relation #1: unknown arrow 't3'"),
+], ids=["malformed", "inhomogeneous", "degree-1", "cancelling", "cubic", "shape-then-parse"])
+@pytest.mark.parametrize("command", ["uqsgd", "dual"])
+def test_relations_document_exit_codes(tmp_path, command, relations_doc, code, error):
+    """Each kind of relations document keeps its exit code and error text;
+    a malformed relation after an unsupported one is still malformed input.
+    Relations whose terms cancel leave what is left: t1.t2, and nothing of
+    the second."""
+    args = [command, "--quiver", write_json(tmp_path / "q.json", TWO_LOOP_DOC),
+            "--relations", write_json(tmp_path / "r.json", relations_doc), "--max-degree", "2"]
+    got, out = run_doc(tmp_path, args)
+    assert got == code
+    assert out.get("error") == error
+    if command == "uqsgd" and code == 0:
+        assert out["relations"] == ["1 * t1.t2"]
 
 
 def test_uqsgd_commutators_trans(tmp_path):

@@ -14,7 +14,7 @@ from faceq import wba
 from faceq.errors import UnsupportedShapeError
 from faceq.linalg import bump
 
-from conftest import dd_coaction, full_witness_rows, matrix_failures_oracle, quantum_plane_ideal
+from conftest import dd_coaction, full_witness_rows, matrix_failures_oracle, quantum_plane_relations
 from fleet import FLEET, doubled_three_cycle, kronecker, q_bullets, three_cycle, two_loop
 from oracle import bialgebra_d
 
@@ -398,7 +398,7 @@ def corrupted_canonical_coactions(draw):
 @lru_cache(maxsize=None)
 def quantum_plane_result():
     q = two_loop()
-    return uq.build_uqsgd(q, quantum_plane_ideal(q), "trans", 3)
+    return uq.build_uqsgd(q, quantum_plane_relations(q), "trans", 3)
 
 
 @st.composite

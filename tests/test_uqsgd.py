@@ -16,11 +16,12 @@ from faceq import wba
 from faceq.errors import UnsupportedShapeError
 from faceq.linalg import Subspace, subspace_equal
 
-from conftest import (bracket, check_biideal_oracle, check_descent_oracle, commutator_ideal,
+from conftest import (bracket, check_biideal_oracle, check_descent_oracle, commutator_relations,
                       face_coaction_relations, face_coords, full_witness_rows,
                       induced_coefficients_oracle, loop_face, polynomial_families,
-                      preprojective_families, q_commutator_ideal, quadratic_ideal_oracle,
-                      quantum_plane_ideal, quotient_algebra_oracle, quotient_coalgebra_oracle)
+                      preprojective_families, q_commutator_relations, quadratic_ideal_oracle,
+                      quantum_plane_relations, quotient_algebra_oracle, quotient_coalgebra_oracle,
+                      relation_rows)
 from fleet import FLEET, HOST_DEGREE, kronecker, three_cycle, three_loop, two_loop
 
 
@@ -28,8 +29,8 @@ def piece2(result):
     return wba.biideal_graded_pieces(result.biideal, 2)
 
 
-def dualities(ideal, degree):
-    qd = pa.quadratic_data(ideal)
+def dualities(q, relations, degree):
+    qd = pa.quadratic_data(q, relations)
     return uq.check_quadratic_dualities(qd, pa.quadratic_dual(qd), degree)
 
 
@@ -40,7 +41,7 @@ def family_span(q, host, elems):
 
 def test_coaction_relations_polynomial_examples():
     q = two_loop()
-    qd = pa.quadratic_data(commutator_ideal(q))
+    qd = pa.quadratic_data(q, commutator_relations(q))
     gens = uq.coaction_relations(qd, "left")
     assert len(gens) == 3
     assert gens[0] == face_coords(q, bracket(loop_face(q, 0, 0), loop_face(q, 1, 0)), 2)
@@ -52,10 +53,10 @@ def test_coaction_relations_polynomial_examples():
 
 
 ORACLE_IDEALS = {
-    "commutator": lambda: commutator_ideal(two_loop()),
-    "quantum-plane-half": lambda: quantum_plane_ideal(two_loop(), Fraction(1, 2)),
-    "q-commutator": lambda: q_commutator_ideal(three_loop(),
-                                               [-2, Fraction(1, 2), Fraction(-3, 4)]),
+    "commutator": lambda: (two_loop(), commutator_relations(two_loop())),
+    "quantum-plane-half": lambda: (two_loop(), quantum_plane_relations(two_loop(), Fraction(1, 2))),
+    "q-commutator": lambda: (three_loop(), q_commutator_relations(
+        three_loop(), [-2, Fraction(1, 2), Fraction(-3, 4)])),
     "preprojective": lambda: pa.preprojective_relations(three_cycle()),
 }
 
@@ -65,7 +66,7 @@ def test_coaction_relations_match_face_element_oracle(name):
     """Generator order, term order and values equal the face-element
     construction on each algebra and its quadratic dual; integral values
     are ints, so no integral Fraction reaches a generator."""
-    qd = pa.quadratic_data(ORACLE_IDEALS[name]())
+    qd = pa.quadratic_data(*ORACLE_IDEALS[name]())
     fractions = 0
     for data in (qd, pa.quadratic_dual(qd)):
         for side in ("left", "right"):
@@ -82,11 +83,11 @@ def test_coaction_relations_match_face_element_oracle(name):
 
 def test_coaction_relations_counts():
     q = two_loop()
-    qd = pa.quadratic_data(commutator_ideal(q))
+    qd = pa.quadratic_data(q, commutator_relations(q))
     assert len(uq.coaction_relations(qd, "left")) == 1 * (4 - 1)
-    prep = pa.quadratic_data(pa.preprojective_relations(three_cycle()))
+    prep = pa.quadratic_data(*pa.preprojective_relations(three_cycle()))
     assert len(uq.coaction_relations(prep, "left")) == 3 * (12 - 3)
-    empty = pa.quadratic_data(pa.HomogeneousIdeal(q, []))
+    empty = pa.quadratic_data(q, [])
     assert uq.coaction_relations(empty, "left") == []
     assert uq.coaction_relations(empty, "right") == []
 
@@ -133,8 +134,7 @@ def test_quantum_plane_build(built_results):
 
 
 def test_preprojective_pieces_match_displayed_families(built_results):
-    prep = pa.preprojective_relations(three_cycle())
-    dbl = prep.quiver
+    dbl, _ = pa.preprojective_relations(three_cycle())
     for side in ("left", "right"):
         res = built_results[f"preprojective-{side}"]
         fam = preprojective_families(dbl, side)
@@ -179,18 +179,16 @@ def test_induced_coactions_transposed_for_trans(built_results):
 def test_build_rejects_bad_inputs():
     q = two_loop()
     with pytest.raises(ValueError, match="side"):
-        uq.build_uqsgd(q, commutator_ideal(q), "middle", 2)
+        uq.build_uqsgd(q, commutator_relations(q), "middle", 2)
     t1 = q.arrow_path(0)
-    from faceq import quiver as qv
-    cubic_path = qv.compose_paths(q, qv.compose_paths(q, t1, t1), t1)
-    cubic = pa.HomogeneousIdeal(q, [pa.PathElement(q, {cubic_path: 1})])
+    cubic = relation_rows(q, [{qv.compose_paths(q, qv.compose_paths(q, t1, t1), t1): 1}])
     with pytest.raises(UnsupportedShapeError, match="degree-2"):
         uq.build_uqsgd(q, cubic, "left", 2)
 
 
 def test_quadratic_dualities_polynomial():
     q = two_loop()
-    report = dualities(commutator_ideal(q), 3)
+    report = dualities(q, commutator_relations(q), 3)
     assert report["passed"]
     names = [row["check"] for row in report["checks"]]
     assert names == [
@@ -203,13 +201,12 @@ def test_quadratic_dualities_polynomial():
 
 def test_quadratic_dualities_quantum_plane():
     q = two_loop()
-    report = dualities(quantum_plane_ideal(q), 3)
+    report = dualities(q, quantum_plane_relations(q), 3)
     assert report["passed"], report
 
 
 def test_quadratic_dualities_preprojective():
-    prep = pa.preprojective_relations(three_cycle())
-    report = dualities(prep, 2)
+    report = dualities(*pa.preprojective_relations(three_cycle()), 2)
     assert report["passed"], report
 
 
@@ -218,8 +215,8 @@ def test_quadratic_dualities_fail_against_another_dual():
     quantum plane: every row that reads the dual fails with its witness,
     and the swap row, which reads only the base, passes."""
     q = two_loop()
-    qd = pa.quadratic_data(commutator_ideal(q))
-    other = pa.quadratic_dual(pa.quadratic_data(quantum_plane_ideal(q)))
+    qd = pa.quadratic_data(q, commutator_relations(q))
+    other = pa.quadratic_dual(pa.quadratic_data(q, quantum_plane_relations(q)))
     report = uq.check_quadratic_dualities(qd, other, 3)
     assert report == {"passed": False, "checks": [
         {"check": "a-star-left-onto-dual-right", "status": "fail",
@@ -240,16 +237,16 @@ def test_quadratic_dualities_build_no_coproduct_tables(monkeypatch):
 
     monkeypatch.setattr(wba.GradedWBA, "__init__", refuse)
     q = three_loop()
-    report = dualities(q_commutator_ideal(q, ["-2", "1/2", "-3/4"]), 3)
+    report = dualities(q, q_commutator_relations(q, ["-2", "1/2", "-3/4"]), 3)
     assert report["passed"], report
 
 
 def test_quadratic_dualities_free_algebra():
     q = kronecker()
-    report = dualities(pa.HomogeneousIdeal(q, []), 2)
+    report = dualities(q, [], 2)
     assert report["passed"]
     with pytest.raises(ValueError):
-        dualities(pa.HomogeneousIdeal(q, []), 1)
+        dualities(q, [], 1)
 
 
 def rational_relations(q):
@@ -262,8 +259,8 @@ def rational_relations(q):
         if len(terms) == 1:
             terms = {p: scale for p in terms}
         if terms:
-            gens.append(pa.PathElement(q, terms))
-    return pa.HomogeneousIdeal(q, gens)
+            gens.append(terms)
+    return relation_rows(q, gens)
 
 
 @pytest.mark.parametrize("name", sorted(FLEET))
@@ -273,7 +270,7 @@ def test_transposed_pieces_are_the_sum_of_the_one_sided_ones(name):
     degree and the canonical degree-2 piece, for the base and the dual."""
     q = FLEET[name]()
     degree = min(3, HOST_DEGREE[name])
-    qd = pa.quadratic_data(rational_relations(q), degree)
+    qd = pa.quadratic_data(q, rational_relations(q), degree)
     for data in (qd, pa.quadratic_dual(qd)):
         host = wba.face_algebra(data.quiver, degree)
         one_sided = [uq._relation_biideal(host, data, side)[1] for side in co.SIDES]
@@ -304,9 +301,7 @@ def rational_relation_biideals(draw):
     paths = qv.enumerate_paths(q, 2)
     rows = draw(st.lists(st.dictionaries(st.integers(0, len(paths) - 1), RATIONALS,
                                          min_size=1, max_size=3), min_size=1, max_size=2))
-    ideal = pa.HomogeneousIdeal(q, [pa.PathElement(q, {paths[i]: c for i, c in row.items()})
-                                    for row in rows])
-    qd = pa.quadratic_data(ideal, degree)
+    qd = pa.quadratic_data(q, [(2, row) for row in rows], degree)
     side = draw(st.sampled_from(uq.RESULT_SIDES))
     sides, b = uq._relation_biideal(wba.from_face_algebra(q, degree), qd, side)
     return q, qd, sides, b
@@ -387,7 +382,7 @@ def test_descent_fails_on_the_side_the_relations_do_not_cover():
     """The left coaction relations of the quantum plane give a biideal that
     the left coaction descends to and the right one does not."""
     q = two_loop()
-    qd = pa.quadratic_data(quantum_plane_ideal(q))
+    qd = pa.quadratic_data(q, quantum_plane_relations(q))
     _, biideal = uq._relation_biideal(wba.from_face_algebra(q, 3), qd, "left")
     fails, oracle, _ = descent_fails(biideal, qd, 3)
     assert fails == oracle
@@ -397,7 +392,7 @@ def test_descent_fails_on_the_side_the_relations_do_not_cover():
 
 def test_descent_fails_on_every_row_for_the_zero_biideal():
     q = two_loop()
-    qd = pa.quadratic_data(quantum_plane_ideal(q))
+    qd = pa.quadratic_data(q, quantum_plane_relations(q))
     fails, oracle, algebra_pieces = descent_fails(
         wba.BiidealGens(wba.from_face_algebra(q, 3), []), qd, 3)
     every_row = [f"degree {d}, relation row {r}"

@@ -16,8 +16,9 @@ from faceq import wba
 from faceq.errors import VerificationError
 from faceq.linalg import Echelon, Subspace, bump, int_row, subspace_equal
 
-from conftest import (check_biideal_oracle, commutator_ideal, face_coaction_relations,
-                      full_witness_rows, quantum_plane_ideal, quotient_coalgebra_oracle)
+from conftest import (check_biideal_oracle, commutator_relations, face_coaction_relations,
+                      full_witness_rows, quantum_plane_relations, quotient_coalgebra_oracle,
+                      relation_rows)
 from fleet import FLEET, kronecker, one_loop, q_bullets, three_cycle, three_loop, two_loop
 from oracle import (FaceElement, bialgebra_d, direct_sum, face_coproduct, face_counit,
                     face_multiply, face_unit, monomial_label)
@@ -291,6 +292,22 @@ def test_coproduct_check_fails_on_idempotent_difference():
     assert err.value.report["passed"] is False
 
 
+def test_biideal_gens_refuse_rows_off_the_host_basis():
+    """A generator must be a coordinate row of the host in its degree: an
+    index past the basis, as a row built on a larger quiver's basis has, or
+    a degree past the truncation is refused."""
+    q = two_loop()
+    host = wba.path_algebra_presentation(q, 2)
+    for gen in [(2, {8: 1}), (2, {-1: 1}), (3, {0: 1}), (-1, {0: 1})]:
+        with pytest.raises(ValueError, match="is not a degree-.* coordinate row of the host"):
+            wba.BiidealGens(host, [(2, {0: 1}), gen])
+    q3 = three_loop()
+    t3 = q3.arrow_path(2)
+    with pytest.raises(ValueError, match="coordinate row"):
+        pa.quadratic_data(q, relation_rows(q3, [{qv.compose_paths(q3, t3, t3): 1}]))
+    assert wba.BiidealGens(host, [(2, {3: 1}), (1, {0: 0})]).generators == ((2, {3: 1}),)
+
+
 def test_quotient_by_zero_biideal_is_host():
     host = wba.from_face_algebra(three_cycle(), 3)
     quo = wba.quotient_wba(wba.BiidealGens(host, []))
@@ -298,12 +315,12 @@ def test_quotient_by_zero_biideal_is_host():
         assert getattr(quo, field) == getattr(host, field), field
 
 
-@pytest.mark.parametrize("ideal", [lambda q: quantum_plane_ideal(q, Fraction(1, 2)),
-                                   commutator_ideal], ids=["rational", "integer"])
+@pytest.mark.parametrize("ideal", [lambda q: quantum_plane_relations(q, Fraction(1, 2)),
+                                   commutator_relations], ids=["rational", "integer"])
 def test_quotient_coalgebra_tables_match_dense_oracle(ideal):
     q = two_loop()
     host = wba.from_face_algebra(q, 3)
-    _, b = uq._relation_biideal(host, pa.quadratic_data(ideal(q)), "trans")
+    _, b = uq._relation_biideal(host, pa.quadratic_data(q, ideal(q)), "trans")
     quo = wba.quotient_wba(b)
     assert quo.dims() != host.dims()
     assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
@@ -722,10 +739,11 @@ def mixed_relation_biideal(side="trans"):
     int_row pivot coefficient is not 1; it passes the check."""
     q = two_loop()
     a, b = q.arrow_path(0), q.arrow_path(1)
-    ideal = pa.HomogeneousIdeal(q, [
-        pa.PathElement(q, {qv.compose_paths(q, a, a): 1}),
-        pa.PathElement(q, {qv.compose_paths(q, a, b): 1, qv.compose_paths(q, b, a): Fraction(-1, 2)})])
-    return uq._relation_biideal(wba.from_face_algebra(q, 3), pa.quadratic_data(ideal), side)[1]
+    relations = relation_rows(q, [{qv.compose_paths(q, a, a): 1},
+                                  {qv.compose_paths(q, a, b): 1,
+                                   qv.compose_paths(q, b, a): Fraction(-1, 2)}])
+    return uq._relation_biideal(wba.from_face_algebra(q, 3), pa.quadratic_data(q, relations),
+                                side)[1]
 
 
 def row_shapes(b):
@@ -813,7 +831,7 @@ def test_coset_coproduct_check_matches_oracle_on_corrupted_hosts(b):
 def test_coset_coproducts_are_projected_once():
     """quotient_wba with no report runs the check, and the two project each
     host basis element once: every pivot in the check, every coset column
-    in the memo that the quotient's coproduct then reads.  Given a report,
+    in the memo that the quotient's coproduct then reads and releases.  Given a report,
     the quotient projects only the coset columns that no checked row
     holds: all of degrees 0 and 1, whose pieces are zero.  Both match the
     dense oracle."""
@@ -832,8 +850,7 @@ def test_coset_coproducts_are_projected_once():
             quo = wba.quotient_wba(b)
         host = b.host
         assert sorted(calls) == [(d, (i,)) for d in range(4) for i in range(host.dim(d))]
-        for d in range(4):
-            assert set(b._coset_coproducts[d]) == set(wba.biideal_graded_pieces(b, d).projection().cols)
+        assert b._coset_coproducts == {}
         assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
 
         b = mixed_relation_biideal(side)
@@ -848,6 +865,26 @@ def test_coset_coproducts_are_projected_once():
                          for m in wba.biideal_graded_pieces(b, d).projection().cols
                          if (d, m) not in held]
         assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
+
+
+def test_quotient_releases_the_coset_coproducts():
+    """After quotient_wba divides a degree's projected coproducts it drops
+    them from the biideal; on rational input (D > 1) the quotient's tables
+    are new dicts, so the memo's would be held twice.  A second check
+    projects again and gives the same report."""
+    b = mixed_relation_biideal()
+    assert any(wba.biideal_graded_pieces(b, d).projection().denom > 1 for d in range(4))
+    with pytest.MonkeyPatch.context() as mp:
+        full_witness_rows(mp)
+        report = wba.check_biideal(b, 3)
+        assert b._coset_coproducts
+        quo = wba.quotient_wba(b, report=report)
+        assert b._coset_coproducts == {}
+        assert report["passed"] and wba.check_biideal(b, 3) == report
+    assert b._coset_coproducts
+    assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
+    assert wba.quotient_wba(b).coproduct == quo.coproduct
+    assert b._coset_coproducts == {}
 
 
 def test_biideal_pieces_match_oracle_on_mixed_degree_generators():
@@ -869,7 +906,8 @@ def fraction_host():
     products."""
     q = two_loop()
     _, b = uq._relation_biideal(wba.from_face_algebra(q, 3),
-                                pa.quadratic_data(quantum_plane_ideal(q, Fraction(1, 2))), "trans")
+                                pa.quadratic_data(q, quantum_plane_relations(q, Fraction(1, 2))),
+                                "trans")
     return wba.quotient_wba(b)
 
 
@@ -920,7 +958,7 @@ def test_three_loop_commutator_biideal_add_count(monkeypatch):
     one-vertex quiver the unit fixes every row, so the saturation products
     are skipped."""
     q = three_loop()
-    qd = pa.quadratic_data(commutator_ideal(q))
+    qd = pa.quadratic_data(q, commutator_relations(q))
     host = wba.from_face_algebra(q, 3)
     gens = [(2, face_coords(q, g, 2)) for side in ("left", "right")
             for g in face_coaction_relations(qd, side)]
