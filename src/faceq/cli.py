@@ -13,7 +13,6 @@ checks pass, 1 a verification failed, 2 malformed input or options,
 import argparse
 import json
 import sys
-from collections import namedtuple
 from fractions import Fraction
 
 from . import coaction as co
@@ -25,30 +24,21 @@ from . import wba
 from .errors import ParseError, UnsupportedShapeError, VerificationError
 
 FORMAT_VERSION = "faceq/1"
-COMMANDS = ("face", "verify", "coact", "uqsgd", "dual")
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_SHAPE = 3
 
 
-class JobConfig(namedtuple("JobConfig", ["command", "quiver_path", "relations_path", "side",
-                                         "max_degree", "out_path", "human"],
-                           defaults=(None, "trans", 4, None, False))):
-    """One CLI job: the subcommand, its input paths and its options."""
-
-    __slots__ = ()
-
-    def validate(self):
-        if self.command not in COMMANDS:
-            raise ParseError(f"unknown command {self.command!r}")
-        if self.max_degree < 0:
-            raise ParseError("--max-degree must be nonnegative")
-        if self.command in ("uqsgd", "dual"):
-            if self.relations_path is None:
-                raise ParseError(f"{self.command} requires --relations")
-            if self.max_degree < 2:
-                raise ParseError(f"{self.command} requires --max-degree at least 2")
+def validate(args):
+    """Refuse option values the parser accepts but the command cannot use."""
+    if args.max_degree < 0:
+        raise ParseError("--max-degree must be nonnegative")
+    if args.command in ("uqsgd", "dual"):
+        if args.relations is None:
+            raise ParseError(f"{args.command} requires --relations")
+        if args.max_degree < 2:
+            raise ParseError(f"{args.command} requires --max-degree at least 2")
 
 
 def _build_parser():
@@ -62,7 +52,7 @@ def _build_parser():
                         help="path to a relations document (or a coaction document for coact)")
     common.add_argument("--side", choices=("left", "right", "trans"), default="trans",
                         help="which coaction side to build or verify")
-    common.add_argument("--max-degree", type=int, default=4, dest="max_degree",
+    common.add_argument("--max-degree", type=int, default=4,
                         help="truncation degree for all graded computations")
     common.add_argument("--out", help="write the report to this file instead of stdout")
     common.add_argument("--human", action="store_true",
@@ -96,8 +86,8 @@ def _load_json(path):
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _load_quiver(cfg):
-    return qv.parse_quiver(_load_json(cfg.quiver_path))
+def _load_quiver(args):
+    return qv.parse_quiver(_load_json(args.quiver))
 
 
 def _quiver_doc(q):
@@ -117,24 +107,16 @@ def _coefficients_text(coefficients, host):
             for d, mat in enumerate(coefficients)]
 
 
-def _base_iso_section(cspec, host):
-    found = co.search_base_iso(cspec, host)
-    if found is None:
-        return {"found": False}, False
-    verification = co.verify_base_iso(cspec, host, found)
-    section = {
-        "found": True,
-        "images": [fc.format_coords(host.labels[0], v) for v in found],
-        "verification": verification,
-    }
-    return section, verification["passed"]
-
-
 def _coaction_section(cspec, host):
     comodule = co.check_comodule_algebra(cspec, host)
     lemmas = co.check_structure_lemmas(cspec, host)
-    iso, iso_ok = _base_iso_section(cspec, host)
-    passed = comodule["passed"] and lemmas["passed"] and iso_ok
+    # the first base isomorphism the search finds comes with its (passing) verification
+    found = co.search_base_iso(cspec, host)
+    iso = {"found": found is not None}
+    if found is not None:
+        iso["images"] = [fc.format_coords(host.labels[0], v) for v in found[0]]
+        iso["verification"] = found[1]
+    passed = comodule["passed"] and lemmas["passed"] and iso["found"]
     return {
         "comodule": comodule,
         "structureLemmas": lemmas,
@@ -143,9 +125,9 @@ def _coaction_section(cspec, host):
     }
 
 
-def run_face(cfg):
-    q = _load_quiver(cfg)
-    w = wba.from_face_algebra(q, cfg.max_degree)
+def run_face(args):
+    q = _load_quiver(args)
+    w = wba.from_face_algebra(q, args.max_degree)
     axioms = wba.check_axioms(w)
     counital = {}
     for side in ("source", "target"):
@@ -159,7 +141,7 @@ def run_face(cfg):
         "formatVersion": FORMAT_VERSION,
         "command": "face",
         "quiver": _quiver_doc(q),
-        "maxDegree": cfg.max_degree,
+        "maxDegree": args.max_degree,
         "dims": w.dims(),
         "counital": counital,
         "faceIdempotents": idempotents,
@@ -168,9 +150,9 @@ def run_face(cfg):
     }
 
 
-def run_verify(cfg):
-    q = _load_quiver(cfg)
-    m = cfg.max_degree
+def run_verify(args):
+    q = _load_quiver(args)
+    m = args.max_degree
     w = wba.from_face_algebra(q, m)
     axioms = wba.check_axioms(w)
     source_dim = wba.counital_subalgebra(w, "source").dim
@@ -213,33 +195,29 @@ def _parse_coaction_doc(doc, q, cap):
         if (not isinstance(mat, list) or len(mat) != n
                 or any(not isinstance(row, list) or len(row) != n for row in mat)):
             raise ParseError(f"degree-{d} coefficient matrix must be {n}x{n}")
-        index = {p: i for i, p in enumerate(qv.enumerate_paths(q, d))}
-        coefficients.append([[fc.parse_element(q, cell, d, index) for cell in row]
-                             for row in mat])
+        coefficients.append([[fc.parse_element(q, cell, d) for cell in row] for row in mat])
     endpoints = [(a.source, a.target) for a in q.arrows]
     return co.CoactionSpec(side, algebra, coefficients, endpoints), window
 
 
-def run_coact(cfg):
-    q = _load_quiver(cfg)
-    if cfg.relations_path is not None:
-        cspec, window = _parse_coaction_doc(_load_json(cfg.relations_path), q,
-                                            cfg.max_degree)
+def run_coact(args):
+    q = _load_quiver(args)
+    if args.relations is not None:
+        cspec, window = _parse_coaction_doc(_load_json(args.relations), q,
+                                            args.max_degree)
         host = wba.from_face_algebra(q, window)
         sections = {cspec.side: _coaction_section(cspec, host)}
         transposed = None
         m = window
     else:
-        m = cfg.max_degree
+        m = args.max_degree
         host = wba.from_face_algebra(q, m)
-        sides = ("left", "right") if cfg.side == "trans" else (cfg.side,)
+        sides = ("left", "right") if args.side == "trans" else (args.side,)
         specs = co.canonical_coactions(q, sides, m)
         sections = {s: _coaction_section(specs[s], host) for s in sides}
         transposed = (co.check_transposed(specs["left"], specs["right"])
-                      if cfg.side == "trans" else None)
-    passed = all(s["passed"] for s in sections.values())
-    if transposed is not None:
-        passed = passed and transposed
+                      if args.side == "trans" else None)
+    passed = transposed is not False and all(s["passed"] for s in sections.values())
     doc = {
         "formatVersion": FORMAT_VERSION,
         "command": "coact",
@@ -253,10 +231,10 @@ def run_coact(cfg):
     return doc
 
 
-def run_uqsgd(cfg):
-    q = _load_quiver(cfg)
-    relations = pa.parse_relations(_load_json(cfg.relations_path), q)
-    result = uq.build_uqsgd(q, relations, cfg.side, cfg.max_degree)
+def run_uqsgd(args):
+    q = _load_quiver(args)
+    relations = pa.parse_relations(_load_json(args.relations), q)
+    result = uq.build_uqsgd(q, relations, args.side, args.max_degree)
     host = result.biideal.host
     gens = [fc.format_coords(host.labels[d], coords)
             for d, coords in result.biideal.generators]
@@ -274,8 +252,8 @@ def run_uqsgd(cfg):
         "formatVersion": FORMAT_VERSION,
         "command": "uqsgd",
         "quiver": _quiver_doc(q),
-        "side": cfg.side,
-        "maxDegree": cfg.max_degree,
+        "side": args.side,
+        "maxDegree": args.max_degree,
         "relations": relation_text,
         "biidealGenerators": gens,
         "quotientDims": result.quotient_dims,
@@ -286,10 +264,10 @@ def run_uqsgd(cfg):
     }
 
 
-def run_dual(cfg):
-    q = _load_quiver(cfg)
-    m = cfg.max_degree
-    relations = pa.parse_relations(_load_json(cfg.relations_path), q)
+def run_dual(args):
+    q = _load_quiver(args)
+    m = args.max_degree
+    relations = pa.parse_relations(_load_json(args.relations), q)
     qd = pa.quadratic_data(q, relations, m)
     qdual = pa.quadratic_dual(qd, m)
     report = uq.check_quadratic_dualities(qd, qdual, m)
@@ -345,21 +323,21 @@ def _human_text(doc):
     return "\n".join(lines) + "\n"
 
 
-def _emit(cfg, doc):
-    if cfg.human:
+def _emit(args, doc):
+    if args.human:
         text = _human_text(doc)
     else:
         text = json.dumps(doc, sort_keys=True, indent=2, default=_fraction_text) + "\n"
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _finish(cfg, doc, code):
+def _finish(args, doc, code):
     try:
-        _emit(cfg, doc)
+        _emit(args, doc)
     except OSError as exc:
         sys.stderr.write(f"cannot write report: {exc}\n")
         return EXIT_PARSE
@@ -369,24 +347,20 @@ def _finish(cfg, doc, code):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = JobConfig(command=args.command, quiver_path=args.quiver,
-                    relations_path=args.relations, side=args.side,
-                    max_degree=args.max_degree, out_path=args.out,
-                    human=args.human)
-    base = {"formatVersion": FORMAT_VERSION, "command": cfg.command, "passed": False}
+    base = {"formatVersion": FORMAT_VERSION, "command": args.command, "passed": False}
     try:
-        cfg.validate()
-        doc = RUNNERS[cfg.command](cfg)
+        validate(args)
+        doc = RUNNERS[args.command](args)
     except ParseError as exc:
-        return _finish(cfg, dict(base, error=str(exc)), EXIT_PARSE)
+        return _finish(args, dict(base, error=str(exc)), EXIT_PARSE)
     except UnsupportedShapeError as exc:
-        return _finish(cfg, dict(base, error=str(exc)), EXIT_SHAPE)
+        return _finish(args, dict(base, error=str(exc)), EXIT_SHAPE)
     except VerificationError as exc:
         doc = dict(base, error=str(exc))
         if exc.report is not None:
             doc["report"] = exc.report
-        return _finish(cfg, doc, EXIT_FAIL)
-    return _finish(cfg, doc, EXIT_PASS if doc["passed"] else EXIT_FAIL)
+        return _finish(args, doc, EXIT_FAIL)
+    return _finish(args, doc, EXIT_PASS if doc["passed"] else EXIT_FAIL)
 
 
 if __name__ == "__main__":

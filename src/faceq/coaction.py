@@ -17,10 +17,9 @@ share one coefficient family, and the structure lemmas read one result.
 
 from itertools import permutations
 
-from . import quiver as qv
 from . import wba
 from .errors import UnsupportedShapeError
-from .linalg import Echelon, bump
+from .linalg import Echelon, bump, mat_vec
 
 _ONE = 1
 
@@ -70,7 +69,7 @@ def canonical_coactions(q, sides, max_degree):
     algebra = wba.path_algebra_presentation(q, max_degree)
     coefficients = []
     for d in range(max_degree + 1):
-        n = len(qv.enumerate_paths(q, d))
+        n = algebra.dim(d)
         mat = [[{r * n + c: _ONE} for c in range(n)] for r in range(n)]
         coefficients.append(mat)
     endpoints = [(a.source, a.target) for a in q.arrows]
@@ -153,14 +152,9 @@ def check_comodule_algebra(c, host):
                                              algebra, max_degree)
 
     unit_fails = []
-    counital = wba.counital_subalgebra(host, "source" if c.side == "left" else "target")
-    n0 = algebra.dim(0)
-    for k in range(n0):
-        coeff = {}
-        for j, cj in algebra.unit.items():
-            src = y[0][j][k] if c.side == "left" else y[0][k][j]
-            for h, ch in src.items():
-                bump(coeff, h, cj * ch)
+    counital = wba.counital_subalgebra(host, "source" if left else "target")
+    for k in range(algebra.dim(0)):
+        coeff = mat_vec([row[k] for row in y[0]] if left else y[0][k], algebra.unit)
         if coeff and not counital.contains(coeff):
             unit_fails.append([algebra.label_of(0, k)])
 
@@ -199,18 +193,11 @@ def verify_base_iso(c, host, candidate):
     candidate = [dict(v) for v in candidate]
 
     algebra_fails = []
-    image = {}
-    for j, cj in algebra.unit.items():
-        for h, ch in candidate[j].items():
-            bump(image, h, cj * ch)
-    if image != host.unit:
+    if mat_vec(candidate, algebra.unit) != host.unit:
         algebra_fails.append(["unit"])
     for i in range(n0):
         for j in range(n0):
-            lhs = {}
-            for m, cm in algebra.product_of(0, i, 0, j).items():
-                for h, ch in candidate[m].items():
-                    bump(lhs, h, cm * ch)
+            lhs = mat_vec(candidate, algebra.product_of(0, i, 0, j))
             rhs = host.multiply(0, candidate[i], 0, candidate[j])
             if lhs != rhs:
                 algebra_fails.append([algebra.label_of(0, i), algebra.label_of(0, j)])
@@ -251,10 +238,10 @@ def verify_base_iso(c, host, candidate):
     return {"passed": all(r["status"] == "pass" for r in rows), "checks": rows}
 
 
-def _orthogonal_idempotent_rows(host, rows):
+def _orthogonal_idempotent_rows(alg, rows):
     for i, u in enumerate(rows):
         for j, v in enumerate(rows):
-            prod = host.multiply(0, u, 0, v)
+            prod = alg.multiply(0, u, 0, v)
             want = u if i == j else {}
             if prod != want:
                 return False
@@ -267,17 +254,14 @@ def search_base_iso(c, host):
     Requires both the degree-0 algebra basis and the canonical basis of the
     counital subalgebra to consist of orthogonal idempotents (true for every
     split base handled here); returns the first passing candidate under the
-    deterministic permutation order, or None.
+    deterministic permutation order with its verify_base_iso report, as
+    (candidate, verification), or None.
     """
     algebra = c.algebra
     n0 = algebra.dim(0)
-    for i in range(n0):
-        for j in range(n0):
-            prod = algebra.product_of(0, i, 0, j)
-            want = {i: _ONE} if i == j else {}
-            if prod != want:
-                raise UnsupportedShapeError(
-                    "degree-0 algebra basis is not a family of orthogonal idempotents")
+    if not _orthogonal_idempotent_rows(algebra, [{i: _ONE} for i in range(n0)]):
+        raise UnsupportedShapeError(
+            "degree-0 algebra basis is not a family of orthogonal idempotents")
     side_name = "target" if c.side == "left" else "source"
     counital = wba.counital_subalgebra(host, side_name)
     basis = [dict(row) for row in counital.basis]
@@ -288,8 +272,9 @@ def search_base_iso(c, host):
         return None
     for perm in permutations(range(n0)):
         candidate = [basis[perm[k]] for k in range(n0)]
-        if verify_base_iso(c, host, candidate)["passed"]:
-            return candidate
+        verification = verify_base_iso(c, host, candidate)
+        if verification["passed"]:
+            return candidate, verification
     return None
 
 
@@ -344,16 +329,13 @@ def check_structure_lemmas(c, host):
 
     source_sub = wba.counital_subalgebra(host, "source")
     target_sub = wba.counital_subalgebra(host, "target")
+    ones = dict.fromkeys(range(n0), _ONE)
+    # eta_j = sum_i y_ij (column sums), theta_j = sum_i y_ji (row sums)
+    thetas = [mat_vec(row, ones) for row in y0]
     eta_fails = []
     theta_fails = []
-    for j in range(n0):
-        eta = {}
-        theta = {}
-        for i in range(n0):
-            for h, ch in y0[i][j].items():
-                bump(eta, h, ch)
-            for h, ch in y0[j][i].items():
-                bump(theta, h, ch)
+    for j, theta in enumerate(thetas):
+        eta = mat_vec([row[j] for row in y0], ones)
         if host.multiply(0, eta, 0, eta) != eta:
             eta_fails.append([f"column {j}", "not idempotent"])
         if not source_sub.contains(eta):
@@ -363,12 +345,7 @@ def check_structure_lemmas(c, host):
     rows.append(wba._row("column-sums-idempotent-in-source", eta_fails, key="check"))
     rows.append(wba._row("row-sums-in-target", theta_fails, key="check"))
 
-    total = {}
-    for i in range(n0):
-        for j in range(n0):
-            for h, ch in y0[i][j].items():
-                bump(total, h, ch)
-    unit_fails = [] if total == host.unit else [["unit decomposition"]]
+    unit_fails = [] if mat_vec(thetas, ones) == host.unit else [["unit decomposition"]]
     rows.append(wba._row("unit-decomposition", unit_fails, key="check"))
 
     full_ortho_fails = []

@@ -12,6 +12,7 @@ are exact rationals, never floats.
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import pathalg as pa
 from . import quiver as qv
 from .errors import ParseError
 from .linalg import bump, int_where_integral
@@ -61,8 +62,9 @@ def parse_terms(q, text):
     """Read the text form of a face element as (FaceMonomial, coefficient) terms.
 
     Terms are joined by ' + '; each term is 'coeff * x[a;b]' with a rational
-    coefficient such as '2' or '-1/3', which may be omitted (with its ' * ')
-    when it is 1.  Both paths in a monomial must have the same length.
+    coefficient such as '2' or '-1/3', read by pathalg.parse_scalar (so
+    '1e3' is refused), which may be omitted (with its ' * ') when it is 1.
+    Both paths in a monomial must have the same length.
     """
     if not isinstance(text, str):
         raise ParseError("face element must be given as a string")
@@ -75,8 +77,8 @@ def parse_terms(q, text):
         if " * " in part:
             coeff_text, _, mono_text = part.partition(" * ")
             try:
-                coeff = Fraction(coeff_text.strip())
-            except (ValueError, ZeroDivisionError):
+                coeff = pa.parse_scalar(coeff_text.strip())
+            except ParseError:
                 raise ParseError(f"bad coefficient {coeff_text.strip()!r}") from None
         else:
             coeff, mono_text = Fraction(1), part
@@ -93,23 +95,23 @@ def parse_terms(q, text):
     return terms
 
 
-def parse_element(q, text, d, index):
+def parse_element(q, text, d):
     """Read a face element of degree d as a coordinate dict on the degree-d face basis.
 
-    index maps each path of length d to its position i in enumeration
-    order, so x[a;b] has index i_a*n + i_b.  Repeated monomials are summed
-    and zero sums dropped; every term left must have degree d.  Values are
-    ints where integral.
+    Over the n paths of length d, x[a;b] has index i_a*n + i_b, with i_a
+    the position of a in enumeration order (quiver.path_index).  Repeated
+    monomials are summed and zero sums dropped; every term left must have
+    degree d.  Values are ints where integral.
     """
     summed = {}
     for mono, coeff in parse_terms(q, text):
         bump(summed, mono, coeff)
-    n = len(index)
+    n = qv.path_count(q, d)
     coords = {}
     for (left, right), coeff in summed.items():
         if left.length != d:
             raise ParseError(f"degree-{d} entry holds a degree-{left.length} term")
-        coords[index[left] * n + index[right]] = int_where_integral(coeff)
+        coords[qv.path_index(q, left) * n + qv.path_index(q, right)] = int_where_integral(coeff)
     return coords
 
 

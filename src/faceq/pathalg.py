@@ -136,9 +136,12 @@ def preprojective_relations(q):
 
 
 def parse_scalar(value):
-    """Accept ints and 'a/b' strings; reject floats (exactness contract)."""
+    """Accept ints and 'a/b' strings; reject floats (exactness contract) and
+    exponents, which would make Fraction build 10**k from a few bytes."""
     if isinstance(value, bool) or isinstance(value, float):
         raise ParseError(f"coefficients must be integers or rational strings, got {value!r}")
+    if isinstance(value, str) and "e" in value.lower():
+        raise ParseError(f"cannot read coefficient {value!r}: exponents are not accepted")
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:

@@ -92,11 +92,12 @@ def _check_descent(pieces_h, algebra_pieces, sides):
     return fails
 
 
-def _induced_coaction(q, side, biideal, algebra, max_degree):
+def _induced_coefficients(biideal, algebra, max_degree):
     """Canonical coefficients pushed through the biideal quotient projection.
 
-    The arrays stay indexed by the path basis (the shared coefficient family
-    of a transposed pair); only the entries move to quotient coordinates.
+    The arrays stay indexed by the path basis, so they are the one
+    coefficient family of every side; only the entries move to quotient
+    coordinates.
     """
     coefficients = []
     for d in range(max_degree + 1):
@@ -104,8 +105,7 @@ def _induced_coaction(q, side, biideal, algebra, max_degree):
         n = algebra.dim(d)
         mat = [[divided(proj.rows[r * n + c], proj.denom) for c in range(n)] for r in range(n)]
         coefficients.append(mat)
-    endpoints = [(a.source, a.target) for a in q.arrows]
-    return co.CoactionSpec(side, algebra, coefficients, endpoints)
+    return coefficients
 
 
 def build_uqsgd(q, relations, side, max_degree):
@@ -145,12 +145,13 @@ def build_uqsgd(q, relations, side, max_degree):
                                 descent_report)
 
     algebra = kq_ideal.host
+    coefficients = _induced_coefficients(biideal, algebra, max_degree)
+    endpoints = [(a.source, a.target) for a in q.arrows]
     induced = {}
     comodule_reports = {}
     lemma_reports = {}
     for s in gen_sides:
-        spec = _induced_coaction(q, s, biideal, algebra, max_degree)
-        induced[s] = spec
+        spec = induced[s] = co.CoactionSpec(s, algebra, coefficients, endpoints)
         comodule_reports[s] = co.check_comodule_algebra(spec, quotient)
         lemma_reports[s] = co.check_structure_lemmas(spec, quotient)
     verification = {

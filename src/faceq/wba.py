@@ -224,11 +224,7 @@ def _eps_matrices(w):
     """eps(u_i u_j) per degree pair, stored sparsely from the product table."""
     eps = {}
     for (d, i, e, j), entry in w.product.items():
-        val = 0
-        for m, c in entry.items():
-            ev = w.counit.get((d + e, m))
-            if ev:
-                val += c * ev
+        val = w.eps(d + e, entry)
         if val:
             eps.setdefault((d, e), {})[(i, j)] = val
     return eps

@@ -269,7 +269,7 @@ def quotient_algebra_oracle(b):
 
 def induced_coefficients_oracle(b, algebra, max_degree):
     """The canonical coefficients x[r;c] pushed through the coset residues of
-    each degree; the reference for uqsgd._induced_coaction."""
+    each degree; the reference for uqsgd._induced_coefficients."""
     out = []
     for d in range(max_degree + 1):
         residues = coset_table_oracle(wba.biideal_graded_pieces(b, d))[1]

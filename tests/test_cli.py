@@ -223,12 +223,13 @@ def test_coact_document_shape_errors(tmp_path):
 
 @pytest.mark.parametrize("cell, error", [
     ("two * x[p1;p1]", "bad coefficient 'two'"),
+    ("1e0 * x[e:1;e:1]", "bad coefficient '1e0'"),
     ("1 * x[zz;p1]", "unknown arrow 'zz'"),
     ("x[p1.p3;p1.p2]", "arrows 'p1' and 'p3' do not compose"),
     ("x[p1;p1.p2]", "paths in 'x[p1;p1.p2]' have different lengths"),
     ("1 * x[e:1;e:1] + 1 * x[p1;p2]", "degree-0 entry holds a degree-1 term"),
-], ids=["bad-coefficient", "unknown-arrow", "not-composable", "different-lengths",
-        "wrong-degree"])
+], ids=["bad-coefficient", "exponent-coefficient", "unknown-arrow", "not-composable",
+        "different-lengths", "wrong-degree"])
 def test_coact_document_reader_errors(tmp_path, cell, error):
     """Each error of the entry reader exits 2 with its own message, read
     from the first entry of a degree-0 document on the three-cycle."""
@@ -267,7 +268,10 @@ def test_uqsgd_rejects_cubic_relations(tmp_path):
     (CUBIC_DOC, 3, "quadratic data requires degree-2 generators, found degree 3"),
     ([[{"coeff": 1, "path": ["t1"]}], [{"coeff": 1, "path": ["t3"]}]], 2,
      "relation #1: unknown arrow 't3'"),
-], ids=["malformed", "inhomogeneous", "degree-1", "cancelling", "cubic", "shape-then-parse"])
+    ([[{"coeff": "1e3", "path": ["t1", "t2"]}, {"coeff": -1, "path": ["t2", "t1"]}]], 2,
+     "cannot read coefficient '1e3': exponents are not accepted"),
+], ids=["malformed", "inhomogeneous", "degree-1", "cancelling", "cubic", "shape-then-parse",
+        "exponent"])
 @pytest.mark.parametrize("command", ["uqsgd", "dual"])
 def test_relations_document_exit_codes(tmp_path, command, relations_doc, code, error):
     """Each kind of relations document keeps its exit code and error text;
@@ -295,6 +299,47 @@ def test_uqsgd_commutators_trans(tmp_path):
     assert doc["biidealGenerators"]
     assert doc["verification"]["transposed"] is True
     assert set(doc["inducedCoactions"]) == {"left", "right"}
+
+
+def test_verify_verifies_each_found_base_iso_once(tmp_path, monkeypatch):
+    """search_base_iso returns the verification of the candidate it found,
+    and the report carries that one: verify on the three-cycle runs
+    verify_base_iso once per side."""
+    calls = []
+    verify_base_iso = co.verify_base_iso
+
+    def counted(cspec, host, candidate):
+        calls.append(cspec.side)
+        return verify_base_iso(cspec, host, candidate)
+
+    monkeypatch.setattr(co, "verify_base_iso", counted)
+    quiver = write_json(tmp_path / "q.json", THREE_CYCLE_DOC)
+    code, doc = run_doc(tmp_path, ["verify", "--quiver", quiver, "--max-degree", "2"])
+    assert code == 0
+    assert calls == ["left", "right"]
+    for section in doc["coactions"].values():
+        assert section["baseIso"]["found"] and section["baseIso"]["verification"]["passed"]
+
+
+def test_uqsgd_divides_the_induced_coefficients_once_per_transposed_pair(tmp_path,
+                                                                         monkeypatch):
+    """Both sides of uqsgd --side trans read one induced coefficient family:
+    on the two-loop commutator at degree 2 that is 1 + 4 + 16 entries, each
+    divided once."""
+    calls = []
+    divided = uq.divided
+
+    def counted(table, denom):
+        calls.append(denom)
+        return divided(table, denom)
+
+    monkeypatch.setattr(uq, "divided", counted)
+    quiver = write_json(tmp_path / "q.json", TWO_LOOP_DOC)
+    rels = write_json(tmp_path / "r.json", COMMUTATOR_DOC)
+    code, doc = run_doc(tmp_path, ["uqsgd", "--quiver", quiver, "--relations", rels,
+                                   "--side", "trans", "--max-degree", "2"])
+    assert code == 0 and doc["verification"]["transposed"] is True
+    assert len(calls) == 21
 
 
 def test_uqsgd_writes_a_shared_coefficient_family_once(tmp_path, monkeypatch):
@@ -502,14 +547,15 @@ def test_human_rendering_deterministic(tmp_path):
 
 def test_emit_writes_fractions_as_text_and_refuses_other_objects(tmp_path):
     out = tmp_path / "out.json"
-    cfg = cli.JobConfig(command="face", quiver_path="q.json", out_path=str(out))
-    cli._emit(cfg, {"value": Fraction(-3, 4), "pair": ("a", 1), "passed": True})
+    args = cli._build_parser().parse_args(["face", "--quiver", "q.json", "--out", str(out)])
+    cli._emit(args, {"value": Fraction(-3, 4), "pair": ("a", 1), "passed": True})
     assert json.loads(out.read_text()) == {"value": "-3/4", "pair": ["a", 1], "passed": True}
-    cli._emit(cfg._replace(human=True), {"command": "face", "dims": [1, Fraction(1, 2)],
-                                          "passed": True})
+    args.human = True
+    cli._emit(args, {"command": "face", "dims": [1, Fraction(1, 2)], "passed": True})
     assert out.read_text() == "faceq face report\ndims: 1 1/2\npassed: yes\n"
+    args.human = False
     with pytest.raises(TypeError, match="set is not JSON serializable"):
-        cli._emit(cfg, {"value": {1, 2}})
+        cli._emit(args, {"value": {1, 2}})
 
 
 def test_stdout_emission(tmp_path, capsys):

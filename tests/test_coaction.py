@@ -114,17 +114,21 @@ def test_verify_base_iso_rejects_swapped_candidate():
 def test_search_base_iso_finds_vertex_map():
     q = three_cycle()
     host, lam, rho = canonical_pair(q, 2)
-    found = co.search_base_iso(lam, host)
+    found, verification = co.search_base_iso(lam, host)
     assert found == fc.face_idempotents(q, "target")
-    found_right = co.search_base_iso(rho, host)
+    assert verification == co.verify_base_iso(lam, host, found)
+    assert verification["passed"]
+    found_right, verification = co.search_base_iso(rho, host)
     assert found_right == fc.face_idempotents(q, "source")
+    assert verification == co.verify_base_iso(rho, host, found_right)
 
 
 def test_search_base_iso_single_vertex():
     q = two_loop()
     host, lam, _ = canonical_pair(q, 1)
-    found = co.search_base_iso(lam, host)
+    found, verification = co.search_base_iso(lam, host)
     assert found == [dict(host.unit)]
+    assert verification["passed"]
 
 
 def test_dd_comodule_algebra_passes():

@@ -288,26 +288,25 @@ def test_parse_and_format_round_trip():
     assert format_element(starred) == "1 * x[p1*;p2*]"
 
 
-def read(q, text, d):
-    """parse_element of a degree-d face element."""
-    index = {p: i for i, p in enumerate(qv.enumerate_paths(q, d))}
-    return fc.parse_element(q, text, d, index)
-
-
 def test_parse_element_errors():
     q = three_cycle()
     with pytest.raises(ParseError, match="unknown arrow"):
-        read(q, "x[zz;p1]", 1)
+        fc.parse_element(q, "x[zz;p1]", 1)
     with pytest.raises(ParseError, match="different lengths"):
-        read(q, "x[p1;p1.p2]", 1)
+        fc.parse_element(q, "x[p1;p1.p2]", 1)
     with pytest.raises(ParseError, match="do not compose"):
-        read(q, "x[p1.p3;p1.p2]", 2)
+        fc.parse_element(q, "x[p1.p3;p1.p2]", 2)
     with pytest.raises(ParseError, match="bad coefficient"):
-        read(q, "two * x[p1;p1]", 1)
+        fc.parse_element(q, "two * x[p1;p1]", 1)
     with pytest.raises(ParseError, match="must be given as a string"):
-        read(q, 7, 1)
+        fc.parse_element(q, 7, 1)
     with pytest.raises(ParseError, match="degree-2 entry holds a degree-1 term"):
-        read(q, "x[p1.p2;p1.p2] + x[p1;p1]", 2)
+        fc.parse_element(q, "x[p1.p2;p1.p2] + x[p1;p1]", 2)
+    for coeff in ("1e0", "1E3", "2.5e-1"):
+        with pytest.raises(ParseError, match=f"bad coefficient '{coeff}'"):
+            fc.parse_element(q, f"{coeff} * x[p1;p1]", 1)
+    assert fc.parse_element(q, "0.25 * x[p1;p2] + -3/6 * x[p3;p3]", 1) == \
+        {1: Fraction(1, 4), 8: Fraction(-1, 2)}
 
 
 # Short names over characters the name grammar allows inside a name, with
@@ -368,12 +367,13 @@ def test_coordinate_text_round_trips_on_random_quivers(q, data):
         coords = data.draw(st.dictionaries(st.integers(0, len(labels[d]) - 1),
                                            nonzero_rationals, max_size=4))
         text = fc.format_coords(labels[d], coords)
-        assert read(v, text, d) == coords
-        assert all(type(c) is int or c.denominator != 1 for c in read(v, text, d).values())
-        assert fc.format_coords(labels[d], read(v, text, d)) == text
+        back = fc.parse_element(v, text, d)
+        assert back == coords
+        assert all(type(c) is int or c.denominator != 1 for c in back.values())
+        assert fc.format_coords(labels[d], back) == text
         i = data.draw(st.integers(0, len(labels[d]) - 1))
-        assert read(v, labels[d][i], d) == {i: 1}
-        assert type(read(v, labels[d][i], d)[i]) is int
+        assert fc.parse_element(v, labels[d][i], d) == {i: 1}
+        assert type(fc.parse_element(v, labels[d][i], d)[i]) is int
 
 
 def parse_path_text(q, text):

@@ -4,6 +4,9 @@ three-loop commutators and q-commutators at degree 3, and for dual on the
 three-loop q-commutators at degree 4.  A coact case reads a coaction
 document whose entries are written unreduced (a bare monomial, a split
 coefficient, a sum with a repeated monomial), which pins the entry reader.
+Another reads a left coaction document of the three-cycle with one extra
+degree-0 term: it exits 1, and its report pins the failing rows of the
+comodule checks and the structure lemmas and a base isomorphism not found.
 
 Each case runs the CLI in a fresh interpreter under two PYTHONHASHSEED
 values, and both runs must produce the recorded sha256.  A change in how a
@@ -82,6 +85,15 @@ def two_loop_right_coaction():
     return {"side": "right", "coefficients": mats}
 
 
+def three_cycle_left_coaction_off_by_one_term():
+    """The canonical left coaction of the three-cycle through degree 1, as a
+    document whose degree-0 entry (0,1) carries the extra term x[e:3;e:2]."""
+    paths = [["e:1", "e:2", "e:3"], ["p1", "p2", "p3"]]
+    mats = [[[f"1 * x[{a};{b}]" for b in row] for a in row] for row in paths]
+    mats[0][0][1] += " + 1 * x[e:3;e:2]"
+    return {"side": "left", "coefficients": mats}
+
+
 # name: (subcommand, quiver, relations or None, extra options, sha256 of the report);
 # for coact the relations slot holds the coaction document
 CASES = {
@@ -118,7 +130,13 @@ CASES = {
     "dual-three-loop-q-commutators-degree-4": (
         "dual", THREE_LOOP, Q_COMMUTATORS, ["--max-degree", "4"],
         "170b76f6f198a844b8a9de47fee66b371622605643296aa9d8d10e79954a4f14"),
+    "coact-three-cycle-left-document-failing": (
+        "coact", THREE_CYCLE, three_cycle_left_coaction_off_by_one_term(), [],
+        "f72525df7b0271835dd47850abac5a8f3c5147ff3aedf92f60e132f1b82288aa"),
 }
+
+# the exit code of each case whose report records a failed verification; the rest exit 0
+EXIT_CODES = {"coact-three-cycle-left-document-failing": 1}
 
 
 def report_bytes(tmp_path, case, hashseed):
@@ -136,7 +154,7 @@ def report_bytes(tmp_path, case, hashseed):
     env = dict(os.environ, PYTHONHASHSEED=str(hashseed))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(args, env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == EXIT_CODES.get(case, 0), proc.stderr
     return out.read_bytes()
 
 

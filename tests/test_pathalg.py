@@ -342,6 +342,17 @@ def test_parse_relations_errors():
         pa.parse_relations({"coeff": 1}, q)
 
 
+def test_parse_scalar_refuses_exponents_and_keeps_the_other_forms():
+    """An exponent would have Fraction build 10**k from a few bytes, so
+    coefficient text with e or E is refused; ints, 'p/q' and decimal
+    strings still read as before."""
+    for text in ("1e3", "1E3", "2.5e-1", "-1e0"):
+        with pytest.raises(ParseError, match=f"cannot read coefficient '{text}': exponents"):
+            pa.parse_scalar(text)
+    assert [pa.parse_scalar(v) for v in (3, "-1/2", " 4/6 ", "0.25", "7")] == \
+        [3, Fraction(-1, 2), Fraction(2, 3), Fraction(1, 4), 7]
+
+
 def test_parse_relations_trivial_path_terms():
     q = three_cycle()
     rels = pa.parse_relations([[{"coeff": 2, "path": ["e:1", "p1", "p2"]}]], q)
