@@ -7,7 +7,7 @@ semigroupoid of a quadratic quotient), dual (quadratic dual presentation
 and duality transports).  Inputs are JSON documents; reports are JSON with
 a formatVersion field, rendered deterministically.  Exit codes: 0 all
 checks pass, 1 a verification failed, 2 malformed input or options,
-3 unsupported input shape.
+3 unsupported input shape, a window too large for the quiver among them.
 """
 
 import argparse
@@ -28,6 +28,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_SHAPE = 3
+MAX_TABLE_CELLS = 2_000_000
 
 
 def validate(args):
@@ -39,6 +40,28 @@ def validate(args):
             raise ParseError(f"{args.command} requires --relations")
         if args.max_degree < 2:
             raise ParseError(f"{args.command} requires --max-degree at least 2")
+
+
+def check_window(q, m):
+    """Refuse, before any table is built, a window up to degree m whose
+    tables would hold more than MAX_TABLE_CELLS cells.
+
+    Counts one cell per degree triple d + e + f <= m, as the counit checks
+    visit them, plus h(Q)'s product entries, (d+1) n_d^2 in degree d, and
+    its coproduct terms, n_d^3, with n_d the number of paths of length d.
+    The count stops once it passes the bound.
+    """
+    cells = (m + 1) * (m + 2) * (m + 3) // 6
+    if cells <= MAX_TABLE_CELLS:
+        for d, ways in enumerate(qv._paths_from(q, m)):
+            n = sum(ways)
+            cells += (d + 1) * n * n + n ** 3
+            if cells > MAX_TABLE_CELLS:
+                break
+    if cells > MAX_TABLE_CELLS:
+        raise UnsupportedShapeError(
+            f"a window up to degree {m} is too large for this quiver: its tables "
+            f"would hold more than {MAX_TABLE_CELLS} cells")
 
 
 def _build_parser():
@@ -87,7 +110,11 @@ def _load_json(path):
 
 
 def _load_quiver(args):
-    return qv.parse_quiver(_load_json(args.quiver))
+    """The quiver, its window checked unless a coaction document sets the window."""
+    q = qv.parse_quiver(_load_json(args.quiver))
+    if args.command != "coact" or args.relations is None:
+        check_window(q, args.max_degree)
+    return q
 
 
 def _quiver_doc(q):
@@ -187,6 +214,7 @@ def _parse_coaction_doc(doc, q, cap):
     if not isinstance(mats, list) or not mats:
         raise ParseError("coaction document needs a nonempty 'coefficients' list")
     window = min(len(mats) - 1, cap)
+    check_window(q, window)
     algebra = wba.path_algebra_presentation(q, window)
     coefficients = []
     for d in range(window + 1):

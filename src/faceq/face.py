@@ -9,8 +9,8 @@ basis's labels and parse_element reads a face element back.  Coefficients
 are exact rationals, never floats.
 """
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import pathalg as pa
 from . import quiver as qv
@@ -19,9 +19,9 @@ from .linalg import bump, int_where_integral
 from .quiver import Path
 
 
-class FaceMonomial(NamedTuple):
-    left: Path
-    right: Path
+class FaceMonomial(namedtuple("FaceMonomial", "left right")):
+    """x[a;b] for two paths a and b of one length."""
+    __slots__ = ()
 
 
 def face_basis(q, degree):

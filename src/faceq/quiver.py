@@ -6,21 +6,19 @@ Path enumeration is lexicographic in the arrow index sequence (and by
 vertex index in length zero), which fixes every basis order downstream.
 """
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import ParseError, UnsupportedShapeError
 
 
-class Arrow(NamedTuple):
-    name: str
-    source: int
-    target: int
+class Arrow(namedtuple("Arrow", "name source target")):
+    """An arrow: its name and the indices of its source and target vertices."""
+    __slots__ = ()
 
 
-class Path(NamedTuple):
+class Path(namedtuple("Path", "start arrows")):
     """A path: start vertex plus the sequence of arrow indices."""
-    start: int
-    arrows: tuple
+    __slots__ = ()
 
     @property
     def length(self):

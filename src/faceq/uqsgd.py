@@ -200,7 +200,9 @@ def check_quadratic_dualities(qd, qdual, max_degree):
     coproduct or counit tables.  The transported degree-2 pieces are
     canonical Subspaces; the dimensions come from wba.quotient_dims, so the
     top degree is never finalized (lower degrees are, as spreading reads
-    their bases).  The transposed side's pieces sum the one-sided ones.
+    their bases).  Every side's biideal is _relation_biideal's, as in
+    build_uqsgd: the transposed one spreads the union of both sides'
+    coaction relations.
     """
     if max_degree < 2:
         raise ValueError("duality checks need max_degree >= 2")
@@ -212,13 +214,10 @@ def check_quadratic_dualities(qd, qdual, max_degree):
     for label, data in (("base", qd), ("dual", qdual)):
         host = wba.face_algebra(data.quiver, max_degree)
         ambient[label] = host.dim(2)
-        one_sided = [_relation_biideal(host, data, side)[1] for side in co.SIDES]
-        for side, b in zip(co.SIDES, one_sided):
+        for side in RESULT_SIDES:
+            b = _relation_biideal(host, data, side)[1]
             dims[(side, label)] = wba.quotient_dims(b, max_degree)
             pieces[(side, label)] = wba.biideal_graded_pieces(b, 2)
-        sums = wba.sum_of_pieces(one_sided, max_degree)
-        dims[("trans", label)] = [host.dim(d) - ech.rank for d, ech in enumerate(sums)]
-        pieces[("trans", label)] = sums[2].finalize()
 
     star = _star_index_map(q)
     swap = _swap_index_map(q)

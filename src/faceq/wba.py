@@ -608,19 +608,6 @@ def biideal_graded_pieces(b, d):
     return b._pieces[d]
 
 
-def sum_of_pieces(biideals, max_degree):
-    """Echelons, degrees 0..max_degree, of the ideal that the biideals'
-    generators generate together in their one host: each the sum of their
-    pieces as each biideal holds them, finalized or only ranked."""
-    sums = [Echelon(biideals[0].host.dim(d)) for d in range(max_degree + 1)]
-    for b in biideals:
-        for d, ech in enumerate(sums):
-            add = ech.add if d in b._pieces else ech.add_ints  # ranked pieces hold int rows
-            for row in b._pieces[d].basis if d in b._pieces else _spread(b, d).rows():
-                add(row)
-    return sums
-
-
 def _coset_coproduct(b, d, m):
     """(pi (x) pi)Delta(u_m) for a coset column m of the degree-d piece, times D*D.
 

@@ -8,7 +8,9 @@ paths componentwise, with the coproduct Δ(x[a;b]) = Σ_m x[a;m] ⊗ x[m;b],
 the counit and the counital maps; path elements with their products, and
 the former reading of a relations document through them; and two small
 weak bialgebras built by hand, the two-idempotent bialgebra D and direct
-sums.  Coefficients are Fractions.
+sums; and the sum of several biideals' graded pieces, the reference for
+the transposed biideal that spreads both sides' relations together.
+Coefficients are Fractions.
 """
 
 from fractions import Fraction
@@ -19,6 +21,7 @@ from faceq import quiver as qv
 from faceq import wba
 from faceq.errors import ParseError, UnsupportedShapeError
 from faceq.face import FaceMonomial
+from faceq.linalg import Echelon
 
 _ONE = 1
 
@@ -454,3 +457,16 @@ def direct_sum(h, k):
     for (d, i), c in k.counit.items():
         counit[(d, i + off[d])] = c
     return wba.GradedWBA(md, labels, product, unit, coproduct, counit)
+
+
+def sum_of_pieces(biideals, max_degree):
+    """Echelons, degrees 0..max_degree, of the ideal that the biideals'
+    generators generate together in their one host: each the sum of their
+    pieces as each biideal holds them, finalized or only ranked."""
+    sums = [Echelon(biideals[0].host.dim(d)) for d in range(max_degree + 1)]
+    for b in biideals:
+        for d, ech in enumerate(sums):
+            add = ech.add if d in b._pieces else ech.add_ints  # ranked pieces hold int rows
+            for row in b._pieces[d].basis if d in b._pieces else wba._spread(b, d).rows():
+                add(row)
+    return sums

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -249,6 +250,62 @@ def test_uqsgd_requires_relations_and_degree(tmp_path):
     rels = write_json(tmp_path / "r.json", COMMUTATOR_DOC)
     assert cli.main(["uqsgd", "--quiver", quiver, "--relations", rels,
                      "--max-degree", "1"]) == 2
+
+
+def window_error(m):
+    return (f"a window up to degree {m} is too large for this quiver: its tables "
+            f"would hold more than {cli.MAX_TABLE_CELLS} cells")
+
+
+@pytest.mark.parametrize("quiver_doc, degree", [
+    (THREE_LOOP_DOC, 9), (ONE_LOOP_DOC, 10 ** 12), (Q_BULLETS_DOC, 10 ** 12),
+    (Q_BULLETS_DOC, 300)], ids=["three-loop-9", "one-loop-huge", "arrowless-huge",
+                                "arrowless-300"])
+def test_window_too_large_exits_3(tmp_path, quiver_doc, degree):
+    """The size guard refuses before any table is built, at once.  Degree
+    triples count too, so an arrowless quiver cannot ask for a window whose
+    degree loops alone grow with the cube of the degree."""
+    quiver = write_json(tmp_path / "q.json", quiver_doc)
+    start = time.perf_counter()
+    code, doc = run_doc(tmp_path, ["face", "--quiver", quiver, "--max-degree", str(degree)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert doc == {"formatVersion": "faceq/1", "command": "face", "passed": False,
+                   "error": window_error(degree)}
+
+
+@pytest.mark.parametrize("command", ["verify", "coact", "uqsgd", "dual"])
+def test_every_command_checks_its_window(tmp_path, command):
+    """Three-loop at degree 9 exits 3 in every command, before the relations
+    are read."""
+    args = [command, "--quiver", write_json(tmp_path / "q.json", THREE_LOOP_DOC),
+            "--max-degree", "9"]
+    if command in ("uqsgd", "dual"):
+        args += ["--relations", write_json(tmp_path / "r.json", THREE_LOOP_COMMUTATORS_DOC)]
+    start = time.perf_counter()
+    code, doc = run_doc(tmp_path, args)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert doc["error"] == window_error(9)
+
+
+def test_coaction_document_sets_the_checked_window(tmp_path):
+    """coact checks the window a coaction document sets: a degree-1 document
+    runs under --max-degree 9, and a ten-matrix one is refused at degree 9
+    before its entries are read."""
+    quiver = write_json(tmp_path / "q.json", THREE_LOOP_DOC)
+    names = [["e:v"], ["t1", "t2", "t3"]]
+    mats = [[[f"1 * x[{a};{b}]" for b in row] for a in row] for row in names]
+    small = write_json(tmp_path / "small.json", {"side": "left", "coefficients": mats})
+    code, doc = run_doc(tmp_path, ["coact", "--quiver", quiver, "--relations", small,
+                                   "--max-degree", "9"])
+    assert code == 0
+    assert doc["maxDegree"] == 1
+    large = write_json(tmp_path / "large.json", {"side": "left", "coefficients": [[]] * 10})
+    code, doc = run_doc(tmp_path, ["coact", "--quiver", quiver, "--relations", large,
+                                   "--max-degree", "9"])
+    assert code == 3
+    assert doc["error"] == window_error(9)
 
 
 def test_uqsgd_rejects_cubic_relations(tmp_path):
@@ -578,10 +635,11 @@ def test_subprocess_entry_point(tmp_path):
 
 def test_import_leaves_dataclasses_and_inspect_unloaded():
     """Importing the CLI pulls in neither dataclasses nor, through it,
-    inspect, ast, dis and tokenize; -S keeps site packages out."""
+    inspect, ast, dis and tokenize, nor typing: the library's record types
+    are collections.namedtuple subclasses.  -S keeps site packages out."""
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import faceq.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code, src],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

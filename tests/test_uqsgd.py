@@ -9,6 +9,7 @@ import pytest
 
 from faceq import coaction as co
 from faceq import face as fc
+from faceq import linalg
 from faceq import pathalg as pa
 from faceq import quiver as qv
 from faceq import uqsgd as uq
@@ -23,6 +24,8 @@ from conftest import (bracket, check_biideal_oracle, check_descent_oracle, commu
                       quantum_plane_relations, quotient_algebra_oracle, quotient_coalgebra_oracle,
                       relation_rows)
 from fleet import FLEET, HOST_DEGREE, kronecker, three_cycle, three_loop, two_loop
+from oracle import sum_of_pieces
+from test_golden import Q_COMMUTATORS, THREE_LOOP
 
 
 def piece2(result):
@@ -241,6 +244,29 @@ def test_quadratic_dualities_build_no_coproduct_tables(monkeypatch):
     assert report["passed"], report
 
 
+def test_three_loop_q_commutator_dualities_combine_count(monkeypatch):
+    """Elimination steps of the duality checks on the golden three-loop
+    q-commutator documents at degree 4, a degree no benchmark workload
+    reaches.  Each side's biideal spreads its own coaction relations, the
+    transposed one their union.  With the transposed pieces taken as the
+    oracle's sum of the one-sided ones, the checks take 122,546 steps: the
+    one-sided top-degree rows are only forward-reduced, and they fill in
+    when eliminated against each other."""
+    q = qv.parse_quiver(THREE_LOOP)
+    qd = pa.quadratic_data(q, pa.parse_relations(Q_COMMUTATORS, q), 4)
+    qdual = pa.quadratic_dual(qd, 4)
+    calls = [0]
+    combine = linalg._combine
+
+    def counted(a, row, b, piv):
+        calls[0] += 1
+        return combine(a, row, b, piv)
+
+    monkeypatch.setattr(linalg, "_combine", counted)
+    assert uq.check_quadratic_dualities(qd, qdual, 4)["passed"]
+    assert calls[0] == 71009
+
+
 def test_quadratic_dualities_free_algebra():
     q = kronecker()
     report = dualities(q, [], 2)
@@ -265,9 +291,11 @@ def rational_relations(q):
 
 @pytest.mark.parametrize("name", sorted(FLEET))
 def test_transposed_pieces_are_the_sum_of_the_one_sided_ones(name):
-    """The sum that check_quadratic_dualities takes for the transposed side
-    equals spreading the union of both sides' relations: the ranks in every
-    degree and the canonical degree-2 piece, for the base and the dual."""
+    """The transposed biideal, which spreads the union of both sides'
+    relations, is the oracle's sum of the one-sided pieces: the ranks in
+    every degree and the canonical degree-2 piece, for the base and the
+    dual.  The one-sided pieces enter as check_quadratic_dualities leaves
+    them, finalized below the top degree and only ranked in it."""
     q = FLEET[name]()
     degree = min(3, HOST_DEGREE[name])
     qd = pa.quadratic_data(q, rational_relations(q), degree)
@@ -277,7 +305,7 @@ def test_transposed_pieces_are_the_sum_of_the_one_sided_ones(name):
         for b in one_sided:
             wba.quotient_dims(b, degree)
             wba.biideal_graded_pieces(b, 2)
-        sums = wba.sum_of_pieces(one_sided, degree)
+        sums = sum_of_pieces(one_sided, degree)
         _, union = uq._relation_biideal(host, data, "trans")
         assert [ech.rank for ech in sums] == [wba.biideal_rank(union, d)
                                               for d in range(degree + 1)]
