@@ -13,7 +13,6 @@ checks pass, 1 a verification failed, 2 malformed input or options,
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import coaction as co
 from . import face as fc
@@ -46,9 +45,11 @@ def check_window(q, m):
     """Refuse, before any table is built, a window up to degree m whose
     tables would hold more than MAX_TABLE_CELLS cells.
 
-    Counts one cell per degree triple d + e + f <= m, as the counit checks
-    visit them, plus h(Q)'s product entries, (d+1) n_d^2 in degree d, and
-    its coproduct terms, n_d^3, with n_d the number of paths of length d.
+    Counts one cell per degree triple d + e + f <= m, a margin over the
+    degree-pair loops of the tables and the product checks, which visit
+    the empty degrees too, plus h(Q)'s product entries, (d+1) n_d^2 in
+    degree d, and its coproduct terms, n_d^3, with n_d the number of paths
+    of length d.
     The count stops once it passes the bound.
     """
     cells = (m + 1) * (m + 2) * (m + 3) // 6
@@ -90,13 +91,6 @@ def _build_parser():
     ):
         sub.add_parser(name, parents=[common], help=text)
     return parser
-
-
-def _fraction_text(value):
-    """json.dumps default: a Fraction as its text; any other type is an error."""
-    if isinstance(value, Fraction):
-        return str(value)
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _load_json(path):
@@ -338,7 +332,7 @@ def _human_text(doc):
             if "status" in node and name is not None:
                 lines.append(f"{path}{name}: {node['status']}")
                 for w in node.get("witnesses", []):
-                    lines.append(f"  witness: {json.dumps(w, default=_fraction_text)}")
+                    lines.append(f"  witness: {json.dumps(w)}")
                 return
             for k in sorted(node):
                 walk(node[k], f"{path}{k}.")
@@ -355,7 +349,7 @@ def _emit(args, doc):
     if args.human:
         text = _human_text(doc)
     else:
-        text = json.dumps(doc, sort_keys=True, indent=2, default=_fraction_text) + "\n"
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -15,8 +15,6 @@ per host and array content, so the two sides of a transposed pair, which
 share one coefficient family, and the structure lemmas read one result.
 """
 
-from itertools import permutations
-
 from . import wba
 from .errors import UnsupportedShapeError
 from .linalg import Echelon, bump, mat_vec
@@ -249,33 +247,71 @@ def _orthogonal_idempotent_rows(alg, rows):
 
 
 def search_base_iso(c, host):
-    """Exhaustive base-isomorphism search over primitive idempotent bijections.
+    """Base-isomorphism search over primitive idempotent bijections.
 
     Requires both the degree-0 algebra basis and the canonical basis of the
-    counital subalgebra to consist of orthogonal idempotents (true for every
-    split base handled here); returns the first passing candidate under the
-    deterministic permutation order with its verify_base_iso report, as
-    (candidate, verification), or None.
+    counital subalgebra to consist of orthogonal idempotents, the latter
+    with pairwise disjoint supports (true for every split base handled
+    here).  Then intertwining splits into one block per pair (k, j) of
+    degree-0 basis elements: y0[k][j] (x) psi(e_j) (y0[j][k] on the right)
+    against the terms of Delta(psi(e_k)) whose counital leg lies in the
+    support of psi(e_j).  Vertices are assigned depth first, each to the
+    lowest free counital basis row, so complete candidates come in
+    lexicographic order; an assignment is dropped once a block among its
+    assigned vertices fails, and verify_base_iso runs on each complete
+    survivor.  Returns the first passing candidate with its verify_base_iso
+    report, as (candidate, verification), or None.
     """
     algebra = c.algebra
     n0 = algebra.dim(0)
     if not _orthogonal_idempotent_rows(algebra, [{i: _ONE} for i in range(n0)]):
         raise UnsupportedShapeError(
             "degree-0 algebra basis is not a family of orthogonal idempotents")
-    side_name = "target" if c.side == "left" else "source"
-    counital = wba.counital_subalgebra(host, side_name)
+    left = c.side == "left"
+    counital = wba.counital_subalgebra(host, "target" if left else "source")
     basis = [dict(row) for row in counital.basis]
     if not _orthogonal_idempotent_rows(host, basis):
         raise UnsupportedShapeError(
             "counital subalgebra basis is not a family of orthogonal idempotents")
+    supports = [set(row) for row in basis]
+    if sum(map(len, supports)) != len(set().union(*supports)):
+        raise UnsupportedShapeError(
+            "counital subalgebra basis rows do not have disjoint supports")
     if counital.dim != n0:
         return None
-    for perm in permutations(range(n0)):
-        candidate = [basis[perm[k]] for k in range(n0)]
-        verification = verify_base_iso(c, host, candidate)
-        if verification["passed"]:
-            return candidate, verification
-    return None
+    y0 = c.coefficients[0]
+    deltas = [host.delta(0, row) for row in basis]
+    leg = 1 if left else 0
+
+    def block_holds(k, j, a, b):
+        # vertex k sent to basis row a and vertex j to row b
+        lhs = {}
+        for m, cm in (y0[k][j] if left else y0[j][k]).items():
+            for h, ch in basis[b].items():
+                bump(lhs, (m, h) if left else (h, m), cm * ch)
+        return lhs == {key: x for key, x in deltas[a].items() if key[leg] in supports[b]}
+
+    assigned = []
+
+    def extend():
+        t = len(assigned)
+        if t == n0:
+            candidate = [basis[a] for a in assigned]
+            verification = verify_base_iso(c, host, candidate)
+            return (candidate, verification) if verification["passed"] else None
+        for a in range(n0):
+            if a in assigned:
+                continue
+            assigned.append(a)
+            if all(block_holds(k, t, b, a) and block_holds(t, k, a, b)
+                   for k, b in enumerate(assigned)):
+                found = extend()
+                if found is not None:
+                    return found
+            assigned.pop()
+        return None
+
+    return extend()
 
 
 def check_structure_lemmas(c, host):

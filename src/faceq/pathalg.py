@@ -111,37 +111,16 @@ def quadratic_dual(qd, max_degree=2):
     return QuadraticData(opp, piece, b)
 
 
-def preprojective_relations(q):
-    """Vertex-local preprojective relations p_i p_i* - p_{i-1}* p_{i-1}.
-
-    Expects a cyclic quiver on n >= 3 vertices whose i-th arrow runs from
-    vertex i to vertex i+1 (mod n); returns (double quiver, relation rows
-    on its degree-2 paths).
-    """
-    n = len(q.vertices)
-    if n < 3 or len(q.arrows) != n:
-        raise UnsupportedShapeError("preprojective relations need a cyclic quiver with >= 3 vertices")
-    for i, a in enumerate(q.arrows):
-        if a.source != i or a.target != (i + 1) % n:
-            raise UnsupportedShapeError(
-                f"arrow {a.name} does not follow the cycle pattern i -> i+1 (mod {n})")
-    dbl = qv.double_quiver(q)
-    relations = []
-    for i in range(n):
-        j = (i - 1) % n
-        pos = qv.compose_paths(dbl, dbl.arrow_path(i), dbl.arrow_path(n + i))
-        neg = qv.compose_paths(dbl, dbl.arrow_path(n + j), dbl.arrow_path(j))
-        relations.append((2, {qv.path_index(dbl, pos): 1, qv.path_index(dbl, neg): -1}))
-    return dbl, relations
-
-
 def parse_scalar(value):
-    """Accept ints and 'a/b' strings; reject floats (exactness contract) and
-    exponents, which would make Fraction build 10**k from a few bytes."""
+    """Accept ints and 'a/b' strings; reject floats (exactness contract),
+    exponents, which would make Fraction build 10**k from a few bytes, and
+    '_' digit separators, which Fraction reads only from Python 3.11 on."""
     if isinstance(value, bool) or isinstance(value, float):
         raise ParseError(f"coefficients must be integers or rational strings, got {value!r}")
     if isinstance(value, str) and "e" in value.lower():
         raise ParseError(f"cannot read coefficient {value!r}: exponents are not accepted")
+    if isinstance(value, str) and "_" in value:
+        raise ParseError(f"cannot read coefficient {value!r}: digit separators are not accepted")
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:

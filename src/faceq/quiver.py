@@ -8,7 +8,7 @@ vertex index in length zero), which fixes every basis order downstream.
 
 from collections import namedtuple
 
-from .errors import ParseError, UnsupportedShapeError
+from .errors import ParseError
 
 
 class Arrow(namedtuple("Arrow", "name source target")):
@@ -182,23 +182,6 @@ def compose_paths(q, a, b):
 def opposite_quiver(q):
     """Same vertices; every arrow reversed and renamed with a '*' suffix."""
     return Quiver(q.vertices, [(a.name + "*", a.target, a.source) for a in q.arrows])
-
-
-def double_quiver(q):
-    """Original arrows followed by their reverses p*.
-
-    A quiver that already has an arrow named p* next to p cannot be doubled
-    this way: UnsupportedShapeError names the two arrows.
-    """
-    names = set(q.arrow_index)
-    for a in q.arrows:
-        if a.name + "*" in names:
-            raise UnsupportedShapeError(
-                f"cannot double the quiver: the reverse of arrow {a.name!r} would be named "
-                f"{a.name + '*'!r}, which is already an arrow")
-    arrows = [tuple(a) for a in q.arrows]
-    arrows += [(a.name + "*", a.target, a.source) for a in q.arrows]
-    return Quiver(q.vertices, arrows)
 
 
 def star_path(q, p):

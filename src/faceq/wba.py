@@ -364,10 +364,16 @@ def _failures_counit_splits(w):
         by_right.setdefault((d, e), {}).setdefault(b, []).append((a, entry))
     fails12 = []
     fails21 = []
-    for d in range(w.max_degree + 1):
-        for e in range(w.max_degree + 1 - d):
+    # a degree with no basis elements has nothing to check at any place of a triple
+    degrees = [d for d in range(w.max_degree + 1) if w.dim(d)]
+    for d in degrees:
+        for e in degrees:
+            if d + e > w.max_degree:
+                break
             products = by_right.get((d, e), {})
-            for f in range(w.max_degree + 1 - d - e):
+            for f in degrees:
+                if d + e + f > w.max_degree:
+                    break
                 e1col = by_col.get((d, e), {})
                 e2row = by_row.get((e, f), {})
                 e3row = by_row.get((d + e, f), {})

@@ -15,7 +15,7 @@ from faceq.linalg import Subspace, bump, mat_vec
 
 from fleet import FLEET, HOST_DEGREE, doubled_three_cycle, q_bullets, three_cycle, three_loop, two_loop
 from oracle import (FaceElement, PathElement, bialgebra_d, direct_sum, element_rows, face_multiply,
-                    read_relations_oracle)
+                    preprojective_relations, read_relations_oracle)
 
 
 def relation_rows(q, elems):
@@ -418,7 +418,7 @@ def built_results():
     results["three-loop-commutator-left"] = uq.build_uqsgd(q3, comm3, "left", 3)
     results["quantum-plane-trans"] = uq.build_uqsgd(q2, quantum_plane_relations(q2),
                                                     "trans", 4)
-    dbl, prep = pa.preprojective_relations(three_cycle())
+    dbl, prep = preprojective_relations(three_cycle())
     for side in ("left", "right"):
         results[f"preprojective-{side}"] = uq.build_uqsgd(dbl, prep, side, 3)
     return results
@@ -429,7 +429,7 @@ def duality_biideals():
     """The biideals behind the duality transport checks, rebuilt explicitly
     so the soundness sweep can cover them; (label, biideal, cap) triples."""
     cases = []
-    dbl, prep = pa.preprojective_relations(three_cycle())
+    dbl, prep = preprojective_relations(three_cycle())
     instances = [
         ("polynomial", two_loop(), commutator_relations(two_loop()), 4),
         ("quantum-plane", two_loop(), quantum_plane_relations(two_loop()), 4),

@@ -2,6 +2,8 @@
 
 from faceq import quiver as qv
 
+from oracle import double_quiver
+
 
 def one_loop():
     return qv.Quiver(["v"], [("t1", 0, 0)])
@@ -28,7 +30,7 @@ def three_cycle():
 
 
 def doubled_three_cycle():
-    return qv.double_quiver(three_cycle())
+    return double_quiver(three_cycle())
 
 
 FLEET = {

@@ -9,12 +9,19 @@ the counit and the counital maps; path elements with their products, and
 the former reading of a relations document through them; and two small
 weak bialgebras built by hand, the two-idempotent bialgebra D and direct
 sums; and the sum of several biideals' graded pieces, the reference for
-the transposed biideal that spreads both sides' relations together.
-Coefficients are Fractions.
+the transposed biideal that spreads both sides' relations together.  It
+also keeps the exhaustive base-isomorphism search, the reference for the
+pruned one in coaction.search_base_iso, and the double quiver and the
+preprojective relations of a cycle, which the tests build and the command
+line reads as plain quiver and relations documents.  Coefficients are
+Fractions.
 """
+
+from itertools import permutations
 
 from fractions import Fraction
 
+from faceq import coaction as co
 from faceq import face as fc
 from faceq import pathalg as pa
 from faceq import quiver as qv
@@ -470,3 +477,63 @@ def sum_of_pieces(biideals, max_degree):
             for row in b._pieces[d].basis if d in b._pieces else wba._spread(b, d).rows():
                 add(row)
     return sums
+
+
+def search_base_iso_exhaustive(c, host):
+    """coaction.search_base_iso without pruning: verify_base_iso on every
+    bijection of the degree-0 basis onto the counital basis, in
+    itertools.permutations order, and the first that passes as
+    (candidate, verification), or None."""
+    n0 = c.algebra.dim(0)
+    side_name = "target" if c.side == "left" else "source"
+    counital = wba.counital_subalgebra(host, side_name)
+    if counital.dim != n0:
+        return None
+    basis = [dict(row) for row in counital.basis]
+    for perm in permutations(range(n0)):
+        candidate = [basis[perm[k]] for k in range(n0)]
+        verification = co.verify_base_iso(c, host, candidate)
+        if verification["passed"]:
+            return candidate, verification
+    return None
+
+
+def double_quiver(q):
+    """Original arrows followed by their reverses p*.
+
+    A quiver that already has an arrow named p* next to p cannot be doubled
+    this way: UnsupportedShapeError names the two arrows.
+    """
+    names = set(q.arrow_index)
+    for a in q.arrows:
+        if a.name + "*" in names:
+            raise UnsupportedShapeError(
+                f"cannot double the quiver: the reverse of arrow {a.name!r} would be named "
+                f"{a.name + '*'!r}, which is already an arrow")
+    arrows = [tuple(a) for a in q.arrows]
+    arrows += [(a.name + "*", a.target, a.source) for a in q.arrows]
+    return qv.Quiver(q.vertices, arrows)
+
+
+def preprojective_relations(q):
+    """Vertex-local preprojective relations p_i p_i* - p_{i-1}* p_{i-1}.
+
+    Expects a cyclic quiver on n >= 3 vertices whose i-th arrow runs from
+    vertex i to vertex i+1 (mod n); returns (double quiver, relation rows
+    on its degree-2 paths).
+    """
+    n = len(q.vertices)
+    if n < 3 or len(q.arrows) != n:
+        raise UnsupportedShapeError("preprojective relations need a cyclic quiver with >= 3 vertices")
+    for i, a in enumerate(q.arrows):
+        if a.source != i or a.target != (i + 1) % n:
+            raise UnsupportedShapeError(
+                f"arrow {a.name} does not follow the cycle pattern i -> i+1 (mod {n})")
+    dbl = double_quiver(q)
+    relations = []
+    for i in range(n):
+        j = (i - 1) % n
+        pos = qv.compose_paths(dbl, dbl.arrow_path(i), dbl.arrow_path(n + i))
+        neg = qv.compose_paths(dbl, dbl.arrow_path(n + j), dbl.arrow_path(j))
+        relations.append((2, {qv.path_index(dbl, pos): 1, qv.path_index(dbl, neg): -1}))
+    return dbl, relations

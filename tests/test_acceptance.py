@@ -25,6 +25,7 @@ from conftest import (commutator_relations, dd_coaction, face_coords, is_vertex_
                       polynomial_families, preprojective_families,
                       quantum_plane_relations)
 from fleet import FLEET, three_cycle, three_loop, two_loop
+from oracle import double_quiver, preprojective_relations
 
 
 @pytest.fixture(scope="session")
@@ -127,7 +128,7 @@ def test_08_quadratic_dual_gives_exterior_algebra_and_is_involutive():
 
     rng = random.Random(917)
     quivers = [two_loop, three_loop, three_cycle,
-               lambda: qv.double_quiver(three_cycle())]
+               lambda: double_quiver(three_cycle())]
     refused = 0
     for _ in range(20):
         q = quivers[rng.randrange(len(quivers))]()
@@ -153,7 +154,7 @@ def test_08_quadratic_dual_gives_exterior_algebra_and_is_involutive():
 
 
 def test_09_duality_transport_checks_pass():
-    dbl, prep = pa.preprojective_relations(three_cycle())
+    dbl, prep = preprojective_relations(three_cycle())
     instances = [
         ("polynomial", two_loop(), commutator_relations(two_loop()), 3),
         ("quantum-plane", two_loop(), quantum_plane_relations(two_loop()), 3),
@@ -172,7 +173,7 @@ def test_09_duality_transport_checks_pass():
 
 
 def test_10_preprojective_biideal_matches_displayed_families(built_results):
-    dbl, _ = pa.preprojective_relations(three_cycle())
+    dbl, _ = preprojective_relations(three_cycle())
     for side in ("left", "right"):
         res = built_results[f"preprojective-{side}"]
         fam = preprojective_families(dbl, side)

@@ -15,6 +15,8 @@ from faceq import pathalg as pa
 from faceq import uqsgd as uq
 from faceq import wba
 
+from oracle import search_base_iso_exhaustive
+from test_golden import cycle, cycle_left_coaction_off_by_one_term
 
 THREE_CYCLE_DOC = {"vertices": ["1", "2", "3"], "arrows": [
     {"name": "p1", "source": "1", "target": "2"},
@@ -225,11 +227,14 @@ def test_coact_document_shape_errors(tmp_path):
 @pytest.mark.parametrize("cell, error", [
     ("two * x[p1;p1]", "bad coefficient 'two'"),
     ("1e0 * x[e:1;e:1]", "bad coefficient '1e0'"),
+    ("1_000 * x[e:1;e:1]", "bad coefficient '1_000'"),
+    ("1_0/3 * x[e:1;e:1]", "bad coefficient '1_0/3'"),
     ("1 * x[zz;p1]", "unknown arrow 'zz'"),
     ("x[p1.p3;p1.p2]", "arrows 'p1' and 'p3' do not compose"),
     ("x[p1;p1.p2]", "paths in 'x[p1;p1.p2]' have different lengths"),
     ("1 * x[e:1;e:1] + 1 * x[p1;p2]", "degree-0 entry holds a degree-1 term"),
-], ids=["bad-coefficient", "exponent-coefficient", "unknown-arrow", "not-composable",
+], ids=["bad-coefficient", "exponent-coefficient", "separator-coefficient",
+        "separator-fraction-coefficient", "unknown-arrow", "not-composable",
         "different-lengths", "wrong-degree"])
 def test_coact_document_reader_errors(tmp_path, cell, error):
     """Each error of the entry reader exits 2 with its own message, read
@@ -327,8 +332,12 @@ def test_uqsgd_rejects_cubic_relations(tmp_path):
      "relation #1: unknown arrow 't3'"),
     ([[{"coeff": "1e3", "path": ["t1", "t2"]}, {"coeff": -1, "path": ["t2", "t1"]}]], 2,
      "cannot read coefficient '1e3': exponents are not accepted"),
+    ([[{"coeff": "1_000", "path": ["t1", "t2"]}, {"coeff": -1, "path": ["t2", "t1"]}]], 2,
+     "cannot read coefficient '1_000': digit separators are not accepted"),
+    ([[{"coeff": "1_0/3", "path": ["t1", "t2"]}, {"coeff": -1, "path": ["t2", "t1"]}]], 2,
+     "cannot read coefficient '1_0/3': digit separators are not accepted"),
 ], ids=["malformed", "inhomogeneous", "degree-1", "cancelling", "cubic", "shape-then-parse",
-        "exponent"])
+        "exponent", "separator", "separator-fraction"])
 @pytest.mark.parametrize("command", ["uqsgd", "dual"])
 def test_relations_document_exit_codes(tmp_path, command, relations_doc, code, error):
     """Each kind of relations document keeps its exit code and error text;
@@ -376,6 +385,46 @@ def test_verify_verifies_each_found_base_iso_once(tmp_path, monkeypatch):
     assert calls == ["left", "right"]
     for section in doc["coactions"].values():
         assert section["baseIso"]["found"] and section["baseIso"]["verification"]["passed"]
+
+
+def failing_cycle_args(tmp_path, n):
+    return ["coact", "--quiver", write_json(tmp_path / "q.json", cycle(n)),
+            "--relations", write_json(tmp_path / "c.json", cycle_left_coaction_off_by_one_term(n))]
+
+
+def test_failing_cycle_document_prunes_every_candidate(tmp_path, monkeypatch):
+    """On the 7-cycle document with one extra degree-0 term, every partial
+    vertex assignment already fails intertwining on the assigned vertices,
+    so verify_base_iso never runs; trying each of the 7! bijections ran it
+    5,040 times."""
+    calls = []
+    verify_base_iso = co.verify_base_iso
+
+    def counted(cspec, host, candidate):
+        calls.append(cspec.side)
+        return verify_base_iso(cspec, host, candidate)
+
+    monkeypatch.setattr(co, "verify_base_iso", counted)
+    code, doc = run_doc(tmp_path, failing_cycle_args(tmp_path, 7))
+    assert code == 1
+    assert doc["coactions"]["left"]["baseIso"] == {"found": False}
+    assert calls == []
+
+
+def test_failing_ten_cycle_document_finishes_at_once(tmp_path):
+    start = time.perf_counter()
+    code, doc = run_doc(tmp_path, failing_cycle_args(tmp_path, 10))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert doc["coactions"]["left"]["baseIso"] == {"found": False}
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_pruned_search_keeps_the_failing_cycle_reports(tmp_path, monkeypatch, n):
+    code, pruned = run_doc(tmp_path, failing_cycle_args(tmp_path, n))
+    monkeypatch.setattr(co, "search_base_iso", search_base_iso_exhaustive)
+    assert run_doc(tmp_path, failing_cycle_args(tmp_path, n)) == (code, pruned)
+    assert code == 1
 
 
 def test_uqsgd_divides_the_induced_coefficients_once_per_transposed_pair(tmp_path,
@@ -603,16 +652,23 @@ def test_human_rendering_deterministic(tmp_path):
 
 
 def test_emit_writes_fractions_as_text_and_refuses_other_objects(tmp_path):
+    """Reports carry rationals as text (see test_golden's walk over every
+    report), so _emit writes JSON's own types and json.dumps refuses any
+    other object, a Fraction included, in a report and in a witness."""
     out = tmp_path / "out.json"
     args = cli._build_parser().parse_args(["face", "--quiver", "q.json", "--out", str(out)])
-    cli._emit(args, {"value": Fraction(-3, 4), "pair": ("a", 1), "passed": True})
+    cli._emit(args, {"value": "-3/4", "pair": ("a", 1), "passed": True})
     assert json.loads(out.read_text()) == {"value": "-3/4", "pair": ["a", 1], "passed": True}
     args.human = True
     cli._emit(args, {"command": "face", "dims": [1, Fraction(1, 2)], "passed": True})
     assert out.read_text() == "faceq face report\ndims: 1 1/2\npassed: yes\n"
+    with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+        cli._emit(args, {"axioms": [{"check": "c", "status": "fail",
+                                     "witnesses": [[Fraction(1, 2)]]}]})
     args.human = False
-    with pytest.raises(TypeError, match="set is not JSON serializable"):
-        cli._emit(args, {"value": {1, 2}})
+    for value, name in ((Fraction(-3, 4), "Fraction"), ({1, 2}, "set")):
+        with pytest.raises(TypeError, match=f"{name} is not JSON serializable"):
+            cli._emit(args, {"value": value})
 
 
 def test_stdout_emission(tmp_path, capsys):

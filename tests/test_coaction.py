@@ -12,11 +12,11 @@ from faceq import face as fc
 from faceq import uqsgd as uq
 from faceq import wba
 from faceq.errors import UnsupportedShapeError
-from faceq.linalg import bump
+from faceq.linalg import Subspace, bump
 
 from conftest import dd_coaction, full_witness_rows, matrix_failures_oracle, quantum_plane_relations
 from fleet import FLEET, doubled_three_cycle, kronecker, q_bullets, three_cycle, two_loop
-from oracle import bialgebra_d
+from oracle import bialgebra_d, search_base_iso_exhaustive
 
 ONE = Fraction(1)
 
@@ -259,6 +259,54 @@ def test_search_base_iso_needs_idempotent_basis():
                                 {0: ONE})
     spec = co.CoactionSpec("left", algebra, [[[{0: ONE}]]], [])
     with pytest.raises(UnsupportedShapeError, match="orthogonal idempotents"):
+        co.search_base_iso(spec, host)
+
+
+def base_iso_cases(built_results):
+    """(name, coaction, host) for every host the suite searches: each fleet
+    h(Q) with its canonical pair, each UQSGd quotient with its induced
+    coactions, and D + D with its two coactions."""
+    for name, make in FLEET.items():
+        host, lam, rho = canonical_pair(make(), 1)
+        yield name, lam, host
+        yield name, rho, host
+    for name, res in built_results.items():
+        for spec in res.induced_coactions.values():
+            yield name, spec, res.quotient
+    for side in co.SIDES:
+        dd, spec = dd_coaction(side)
+        yield "dd", spec, dd
+
+
+def test_pruned_search_finds_the_exhaustive_candidate(built_results):
+    for name, spec, host in base_iso_cases(built_results):
+        assert co.search_base_iso(spec, host) == search_base_iso_exhaustive(spec, host), \
+            (name, spec.side)
+
+
+def test_counital_bases_have_disjoint_supports(built_results):
+    """The pruned search needs counital basis rows with pairwise disjoint
+    supports; every host the suite builds has them, D included."""
+    hosts = [host for _, _, host in base_iso_cases(built_results)] + [bialgebra_d(0)]
+    for host in hosts:
+        for side in ("source", "target"):
+            supports = [set(row) for row in wba.counital_subalgebra(host, side).basis]
+            assert sum(map(len, supports)) == len(set().union(*supports)), (host.labels, side)
+
+
+def test_search_base_iso_refuses_overlapping_supports():
+    """k^3 with primitive idempotents a, b, c, on the basis (a - c, b, c):
+    the counital rows a and b + c are orthogonal idempotents that share the
+    basis element c, so the search cannot split intertwining by supports."""
+    product = {(0, 0, 0, 0): {0: ONE, 2: 2 * ONE}, (0, 0, 0, 2): {2: -ONE},
+               (0, 2, 0, 0): {2: -ONE}, (0, 1, 0, 1): {1: ONE}, (0, 2, 0, 2): {2: ONE}}
+    host = wba.GradedWBA(0, [["a-c", "b", "c"]], product, {0: ONE, 1: ONE, 2: 2 * ONE}, {}, {})
+    rows = ({0: ONE, 2: ONE}, {1: ONE, 2: ONE})
+    host.counital_subalgebras["target"] = Subspace.from_rows(3, rows)
+    assert wba.counital_subalgebra(host, "target").basis == rows
+    algebra = wba.path_algebra_presentation(q_bullets(), 0)
+    spec = co.CoactionSpec("left", algebra, [[[{}, {}], [{}, {}]]], [])
+    with pytest.raises(UnsupportedShapeError, match="disjoint supports"):
         co.search_base_iso(spec, host)
 
 

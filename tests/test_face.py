@@ -21,9 +21,10 @@ from faceq.linalg import Subspace, subspace_equal
 
 from conftest import assert_reader_matches_oracle
 from fleet import FLEET, doubled_three_cycle, one_loop, q_bullets, three_cycle, two_loop
-from oracle import (FaceElement, PathElement, counital_map, element_rows, face_coproduct,
-                    face_counit, face_element, face_multiply, face_unit, format_element,
-                    monomial_degree, monomial_label, parse_face_element, path_text)
+from oracle import (FaceElement, PathElement, counital_map, double_quiver, element_rows,
+                    face_coproduct, face_counit, face_element, face_multiply, face_unit,
+                    format_element, monomial_degree, monomial_label, parse_face_element,
+                    path_text)
 
 
 def mono(q, left, right):
@@ -334,7 +335,7 @@ def codec_variants(q):
     yield qv.opposite_quiver(q)
     names = {a.name for a in q.arrows}
     if not any(a.name + "*" in names for a in q.arrows):
-        yield qv.double_quiver(q)
+        yield double_quiver(q)
 
 
 nonzero_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)

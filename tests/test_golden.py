@@ -1,9 +1,11 @@
 """Report bytes pinned for every subcommand on small fleet cases at degree 2,
 for verify on the doubled three-cycle and uqsgd --side trans on the
-three-loop commutators and q-commutators at degree 3, and for dual on the
-three-loop q-commutators at degree 4.  A coact case reads a coaction
-document whose entries are written unreduced (a bare monomial, a split
-coefficient, a sum with a repeated monomial), which pins the entry reader.
+three-loop commutators and q-commutators at degree 3, for dual on the
+three-loop q-commutators at degree 4, and for uqsgd --side trans and dual
+on the preprojective algebra of the three-cycle at degree 3.  A coact case
+reads a coaction document whose entries are written unreduced (a bare
+monomial, a split coefficient, a sum with a repeated monomial), which pins
+the entry reader.
 Another reads a left coaction document of the three-cycle with one extra
 degree-0 term: it exits 1, and its report pins the failing rows of the
 comodule checks and the structure lemmas and a base isomorphism not found.
@@ -19,8 +21,15 @@ coefficient -1/2, so the rational path is pinned as well as the integer
 one.  The three-loop q-commutators at degree 3 give uqsgd pieces whose
 projections have denominators, so the int-row projection over a common
 denominator is pinned too.  At degree 4 the dual's degree-3 biideal pieces
-are both spread from and finalized, while degree 4 is only ranked.  A case's extra options come
-after the default --max-degree 2 and override it.
+are both spread from and finalized, while degree 4 is only ranked.  The
+preprojective cases read a plain relations document on the doubled
+three-cycle, one relation per vertex, and run the checks on a quotient of
+a multi-vertex quiver.  A case's extra options come after the default
+--max-degree 2 and override it.
+
+Every report is also built in-process through cli.RUNNERS, and must hold
+only JSON's own types (dict, list, tuple, str, int, bool, None): reports
+write rationals as text, so json.dumps needs no default.
 """
 
 import hashlib
@@ -31,6 +40,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from faceq import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -72,6 +83,11 @@ Q_COMMUTATORS = [[{"coeff": 1, "path": [f"t{i}", f"t{j}"]},
                  for (i, j), q in (((1, 2), "-2"), ((1, 3), "1/2"), ((2, 3), "-3/4"))]
 
 
+# p_i p_i* - p_{i-1}* p_{i-1} at each vertex i of the three-cycle, indices mod 3
+PREPROJECTIVE_THREE_CYCLE = [[{"coeff": 1, "path": [f"p{i}", f"p{i}*"]},
+                              {"coeff": -1, "path": [f"p{j}*", f"p{j}"]}]
+                             for i, j in ((1, 3), (2, 1), (3, 2))]
+
 
 def two_loop_right_coaction():
     """The canonical coefficients x[p_r;p_c] of the two-loop through degree 2,
@@ -85,10 +101,19 @@ def two_loop_right_coaction():
     return {"side": "right", "coefficients": mats}
 
 
-def three_cycle_left_coaction_off_by_one_term():
-    """The canonical left coaction of the three-cycle through degree 1, as a
-    document whose degree-0 entry (0,1) carries the extra term x[e:3;e:2]."""
-    paths = [["e:1", "e:2", "e:3"], ["p1", "p2", "p3"]]
+def cycle(n):
+    """The n-cycle 1 -> 2 -> ... -> n -> 1, its i-th arrow p<i> leaving vertex i."""
+    vertices = [str(i) for i in range(1, n + 1)]
+    return {"vertices": vertices, "arrows": [
+        {"name": f"p{i}", "source": vertices[i - 1], "target": vertices[i % n]}
+        for i in range(1, n + 1)]}
+
+
+def cycle_left_coaction_off_by_one_term(n):
+    """The canonical left coaction of the n-cycle (n >= 3) through degree 1,
+    as a document whose degree-0 entry (0,1) carries the extra term
+    x[e:3;e:2]."""
+    paths = [[f"e:{i}" for i in range(1, n + 1)], [f"p{i}" for i in range(1, n + 1)]]
     mats = [[[f"1 * x[{a};{b}]" for b in row] for a in row] for row in paths]
     mats[0][0][1] += " + 1 * x[e:3;e:2]"
     return {"side": "left", "coefficients": mats}
@@ -131,17 +156,25 @@ CASES = {
         "dual", THREE_LOOP, Q_COMMUTATORS, ["--max-degree", "4"],
         "170b76f6f198a844b8a9de47fee66b371622605643296aa9d8d10e79954a4f14"),
     "coact-three-cycle-left-document-failing": (
-        "coact", THREE_CYCLE, three_cycle_left_coaction_off_by_one_term(), [],
+        "coact", THREE_CYCLE, cycle_left_coaction_off_by_one_term(3), [],
         "f72525df7b0271835dd47850abac5a8f3c5147ff3aedf92f60e132f1b82288aa"),
+    "uqsgd-preprojective-three-cycle-trans-degree-3": (
+        "uqsgd", DOUBLED_THREE_CYCLE, PREPROJECTIVE_THREE_CYCLE,
+        ["--side", "trans", "--max-degree", "3"],
+        "8d4bfdd1ee15ad8b81d122397c12b43e0924f32d6246c4c18d6442bee478e461"),
+    "dual-preprojective-three-cycle-degree-3": (
+        "dual", DOUBLED_THREE_CYCLE, PREPROJECTIVE_THREE_CYCLE, ["--max-degree", "3"],
+        "3b9171798b57ddb922385f2196d80ccdf0f0936b641e5fe3ffed7b0951d8ce1f"),
 }
 
 # the exit code of each case whose report records a failed verification; the rest exit 0
 EXIT_CODES = {"coact-three-cycle-left-document-failing": 1}
 
 
-def report_bytes(tmp_path, case, hashseed):
+def cli_args(tmp_path, case):
+    """The case's command line after the program name, its documents written to tmp_path."""
     command, quiver, relations, extra, _ = CASES[case]
-    args = [sys.executable, "-m", "faceq.cli", command, "--max-degree", "2"]
+    args = [command, "--max-degree", "2"]
     qpath = tmp_path / "quiver.json"
     qpath.write_text(json.dumps(quiver))
     args += ["--quiver", str(qpath)]
@@ -149,8 +182,12 @@ def report_bytes(tmp_path, case, hashseed):
         rpath = tmp_path / "relations.json"
         rpath.write_text(json.dumps(relations))
         args += ["--relations", str(rpath)]
+    return args + extra
+
+
+def report_bytes(tmp_path, case, hashseed):
     out = tmp_path / f"report-{hashseed}"
-    args += extra + ["--out", str(out)]
+    args = [sys.executable, "-m", "faceq.cli"] + cli_args(tmp_path, case) + ["--out", str(out)]
     env = dict(os.environ, PYTHONHASHSEED=str(hashseed))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(args, env=env, capture_output=True, text=True)
@@ -164,3 +201,20 @@ def test_report_bytes_are_pinned(tmp_path, case):
                for seed in (0, 12345)}
     assert digests[0] == digests[12345], "report bytes depend on PYTHONHASHSEED"
     assert digests[0] == CASES[case][-1]
+
+
+def holds_only_json_types(node):
+    if type(node) is dict:
+        return all(type(k) is str and holds_only_json_types(v) for k, v in node.items())
+    if type(node) in (list, tuple):
+        return all(holds_only_json_types(v) for v in node)
+    return node is None or type(node) in (str, int, bool)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_reports_hold_only_json_types(tmp_path, case):
+    """No report field holds a Fraction or any other object json.dumps
+    would need a default for."""
+    args = cli._build_parser().parse_args(cli_args(tmp_path, case))
+    cli.validate(args)
+    assert holds_only_json_types(cli.RUNNERS[args.command](args))

@@ -20,8 +20,8 @@ from conftest import (assert_reader_matches_oracle, commutator_relations, is_ver
                       q_commutator_relations, quadratic_dual_oracle, quadratic_ideal_oracle,
                       quantum_plane_relations, relation_rows)
 from fleet import kronecker, three_cycle, three_loop, two_loop
-from oracle import (PathElement, element_rows, homogeneous_generators, multiply_path_elements,
-                    path_text, path_unit)
+from oracle import (PathElement, double_quiver, element_rows, homogeneous_generators,
+                    multiply_path_elements, path_text, path_unit, preprojective_relations)
 
 
 def brute_force_piece(q, relations, d):
@@ -140,7 +140,7 @@ def test_graded_pieces_match_sandwich_oracle():
         for d in range(5):
             assert subspace_equal(pa.ideal_graded_piece(q, relations, d),
                                   brute_force_piece(q, relations, d))
-    dbl, prep = pa.preprojective_relations(three_cycle())
+    dbl, prep = preprojective_relations(three_cycle())
     for d in range(4):
         assert subspace_equal(pa.ideal_graded_piece(dbl, prep, d),
                               brute_force_piece(dbl, prep, d))
@@ -155,7 +155,7 @@ def test_ideal_pieces_match_the_quadratic_ideal():
         (q3, commutator_relations(q3)),
         (q2, quantum_plane_relations(q2)),
         (q3, q_commutator_relations(q3, ["-2", "1/2", "-3/4"])),
-        pa.preprojective_relations(three_cycle()),
+        preprojective_relations(three_cycle()),
         endpoint_mixing(),
     ]
     for q, relations in cases:
@@ -189,7 +189,7 @@ def test_quadratic_data_commutators():
 
 def test_quadratic_data_zero_and_preprojective():
     assert pa.quadratic_data(two_loop(), []).relation_space.dim == 0
-    prep = pa.quadratic_data(*pa.preprojective_relations(three_cycle()))
+    prep = pa.quadratic_data(*preprojective_relations(three_cycle()))
     assert prep.relation_space.dim == 3
 
 
@@ -238,7 +238,7 @@ def test_dual_dimension_law_and_double_dual():
     (20 seeds, both cases drawn)."""
     rng = random.Random(20260825)
     quivers = [two_loop, three_loop, three_cycle,
-               lambda: qv.double_quiver(three_cycle())]
+               lambda: double_quiver(three_cycle())]
     refused = 0
     for seed in range(20):
         q = quivers[rng.randrange(len(quivers))]()
@@ -277,12 +277,12 @@ def test_quadratic_dual_matches_the_former_three_eliminations():
         (q3, commutator_relations(q3)),
         (q3, q_commutator_relations(q3, ["-2", "1/2", "-3/4"])),
         (q2, exterior_relations(q2)),
-        pa.preprojective_relations(three_cycle()),
+        preprojective_relations(three_cycle()),
         endpoint_mixing(),
     ]
     rng = random.Random(5021)
     quivers = [two_loop, three_loop, three_cycle, kronecker,
-               lambda: qv.double_quiver(three_cycle())]
+               lambda: double_quiver(three_cycle())]
     ideals += [random_quadratic_relations(rng, quivers[k % len(quivers)]()) for k in range(40)]
     for q, relations in ideals:
         qd = pa.quadratic_data(q, relations, 3)
@@ -294,7 +294,7 @@ def test_quadratic_dual_matches_the_former_three_eliminations():
 
 
 def test_preprojective_relations_display():
-    dbl, prep = pa.preprojective_relations(three_cycle())
+    dbl, prep = preprojective_relations(three_cycle())
     paths = qv.enumerate_paths(dbl, 2)
     texts = [path_text(PathElement(dbl, {paths[i]: c for i, c in row.items()}))
              for _, row in prep]
@@ -308,15 +308,15 @@ def test_preprojective_relations_display():
 def test_preprojective_four_cycle():
     four = qv.Quiver(["1", "2", "3", "4"],
                      [("p1", 0, 1), ("p2", 1, 2), ("p3", 2, 3), ("p4", 3, 0)])
-    assert len(pa.preprojective_relations(four)[1]) == 4
+    assert len(preprojective_relations(four)[1]) == 4
 
 
 def test_preprojective_rejects_two_cycle():
     two = qv.Quiver(["1", "2"], [("p1", 0, 1), ("p2", 1, 0)])
     with pytest.raises(UnsupportedShapeError):
-        pa.preprojective_relations(two)
+        preprojective_relations(two)
     with pytest.raises(UnsupportedShapeError):
-        pa.preprojective_relations(two_loop())
+        preprojective_relations(two_loop())
 
 
 def test_parse_relations_round_trip():
@@ -344,10 +344,14 @@ def test_parse_relations_errors():
 
 def test_parse_scalar_refuses_exponents_and_keeps_the_other_forms():
     """An exponent would have Fraction build 10**k from a few bytes, so
-    coefficient text with e or E is refused; ints, 'p/q' and decimal
-    strings still read as before."""
+    coefficient text with e or E is refused; so is a '_' digit separator,
+    which Fraction reads on some supported Pythons and not on others; ints,
+    'p/q' and decimal strings still read as before."""
     for text in ("1e3", "1E3", "2.5e-1", "-1e0"):
         with pytest.raises(ParseError, match=f"cannot read coefficient '{text}': exponents"):
+            pa.parse_scalar(text)
+    for text in ("1_000", "1_0/3"):
+        with pytest.raises(ParseError, match=f"cannot read coefficient '{text}': digit separators"):
             pa.parse_scalar(text)
     assert [pa.parse_scalar(v) for v in (3, "-1/2", " 4/6 ", "0.25", "7")] == \
         [3, Fraction(-1, 2), Fraction(2, 3), Fraction(1, 4), 7]

@@ -24,7 +24,7 @@ from conftest import (bracket, check_biideal_oracle, check_descent_oracle, commu
                       quantum_plane_relations, quotient_algebra_oracle, quotient_coalgebra_oracle,
                       relation_rows)
 from fleet import FLEET, HOST_DEGREE, kronecker, three_cycle, three_loop, two_loop
-from oracle import sum_of_pieces
+from oracle import preprojective_relations, sum_of_pieces
 from test_golden import Q_COMMUTATORS, THREE_LOOP
 
 
@@ -60,7 +60,7 @@ ORACLE_IDEALS = {
     "quantum-plane-half": lambda: (two_loop(), quantum_plane_relations(two_loop(), Fraction(1, 2))),
     "q-commutator": lambda: (three_loop(), q_commutator_relations(
         three_loop(), [-2, Fraction(1, 2), Fraction(-3, 4)])),
-    "preprojective": lambda: pa.preprojective_relations(three_cycle()),
+    "preprojective": lambda: preprojective_relations(three_cycle()),
 }
 
 
@@ -88,7 +88,7 @@ def test_coaction_relations_counts():
     q = two_loop()
     qd = pa.quadratic_data(q, commutator_relations(q))
     assert len(uq.coaction_relations(qd, "left")) == 1 * (4 - 1)
-    prep = pa.quadratic_data(*pa.preprojective_relations(three_cycle()))
+    prep = pa.quadratic_data(*preprojective_relations(three_cycle()))
     assert len(uq.coaction_relations(prep, "left")) == 3 * (12 - 3)
     empty = pa.quadratic_data(q, [])
     assert uq.coaction_relations(empty, "left") == []
@@ -137,7 +137,7 @@ def test_quantum_plane_build(built_results):
 
 
 def test_preprojective_pieces_match_displayed_families(built_results):
-    dbl, _ = pa.preprojective_relations(three_cycle())
+    dbl, _ = preprojective_relations(three_cycle())
     for side in ("left", "right"):
         res = built_results[f"preprojective-{side}"]
         fam = preprojective_families(dbl, side)
@@ -209,7 +209,7 @@ def test_quadratic_dualities_quantum_plane():
 
 
 def test_quadratic_dualities_preprojective():
-    report = dualities(*pa.preprojective_relations(three_cycle()), 2)
+    report = dualities(*preprojective_relations(three_cycle()), 2)
     assert report["passed"], report
 
 

@@ -20,8 +20,8 @@ from conftest import (check_biideal_oracle, commutator_relations, face_coaction_
                       full_witness_rows, quantum_plane_relations, quotient_coalgebra_oracle,
                       relation_rows)
 from fleet import FLEET, kronecker, one_loop, q_bullets, three_cycle, three_loop, two_loop
-from oracle import (FaceElement, bialgebra_d, direct_sum, face_coproduct, face_counit,
-                    face_multiply, face_unit, monomial_label)
+from oracle import (FaceElement, bialgebra_d, direct_sum, double_quiver, face_coproduct,
+                    face_counit, face_multiply, face_unit, monomial_label)
 
 ONE = Fraction(1)
 
@@ -386,7 +386,7 @@ def fleet_variants():
         yield name, q
         yield f"{name}-opposite", qv.opposite_quiver(q)
         if not any(a.name.endswith("*") for a in q.arrows):
-            yield f"{name}-double", qv.double_quiver(q)
+            yield f"{name}-double", double_quiver(q)
 
 
 @pytest.mark.parametrize("q", [q for _, q in fleet_variants()],
@@ -581,6 +581,18 @@ def test_checks_match_oracles_on_fleet_hosts():
         assert wba._failures_counit_splits(w) == pairwise_counit_splits(w) == ([], [])
         for side in ("source", "target"):
             assert wba.counital_subalgebra(w, side) == counital_reference(w, side)
+
+
+def test_counit_splits_visit_only_degrees_with_basis_elements(monkeypatch):
+    """On an arrowless quiver only degree 0 has basis elements, so the
+    counit splits read each of its 4 coproducts once; a loop over every
+    degree triple up to 200 read them 81,204 times."""
+    w = wba.from_face_algebra(q_bullets(), 200)
+    calls = []
+    coproduct_of = w.coproduct_of
+    monkeypatch.setattr(w, "coproduct_of", lambda d, i: calls.append((d, i)) or coproduct_of(d, i))
+    assert wba._failures_counit_splits(w) == ([], [])
+    assert sorted(calls) == [(0, i) for i in range(4)]
 
 
 def test_delta_multiplicative_terms_that_cancel():
