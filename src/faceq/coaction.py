@@ -334,6 +334,11 @@ def check_structure_lemmas(c, host):
         rows.append(wba._row(f"degree{d}-comultiplicative", comult_fails, key="check"))
         rows.append(wba._row(f"degree{d}-counit", counit_fails, key="check"))
 
+    # orthogonal[(i, j), (k, m)]: whether y_ij y_km = delta_ik delta_jm y_ij,
+    # each product taken once for both orthogonality rows
+    orthogonal = {((i, j), (k, m)): host.multiply(0, y0[i][j], 0, y0[k][m])
+                  == (y0[i][j] if (i, j) == (k, m) else {})
+                  for i in range(n0) for j in range(n0) for k in range(n0) for m in range(n0)}
     # left, shared column: y_{i,k} y_{j,k} = delta_{i,j} y_{i,k};
     # right, shared row: y_{k,i} y_{k,j} = delta_{i,j} y_{k,i}
     shared_column = c.side == "left"
@@ -342,7 +347,7 @@ def check_structure_lemmas(c, host):
         for i in range(n0):
             for j in range(n0):
                 (a, b), (r, s) = ((i, k), (j, k)) if shared_column else ((k, i), (k, j))
-                if host.multiply(0, y0[a][b], 0, y0[r][s]) != (y0[a][b] if i == j else {}):
+                if not orthogonal[(a, b), (r, s)]:
                     ortho_fails.append([f"({a},{b})", f"({r},{s})"])
     rows.append(wba._row("column-orthogonality" if shared_column else "row-orthogonality",
                          ortho_fails, key="check"))
@@ -384,15 +389,8 @@ def check_structure_lemmas(c, host):
     unit_fails = [] if mat_vec(thetas, ones) == host.unit else [["unit decomposition"]]
     rows.append(wba._row("unit-decomposition", unit_fails, key="check"))
 
-    full_ortho_fails = []
-    for i in range(n0):
-        for j in range(n0):
-            for k in range(n0):
-                for m in range(n0):
-                    prod = host.multiply(0, y0[i][j], 0, y0[k][m])
-                    want = y0[i][j] if (i == k and j == m) else {}
-                    if prod != want:
-                        full_ortho_fails.append([f"({i},{j})", f"({k},{m})"])
+    full_ortho_fails = [[f"({i},{j})", f"({k},{m})"]
+                        for ((i, j), (k, m)), ok in orthogonal.items() if not ok]
     rows.append(wba._row("coefficient-orthogonality", full_ortho_fails, key="check"))
 
     return {"passed": all(r["status"] == "pass" for r in rows), "checks": rows}

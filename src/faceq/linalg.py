@@ -95,10 +95,6 @@ class Echelon:
     def rank(self):
         return len(self.pivot_rows)
 
-    def rows(self):
-        """Snapshot of the current (forward-reduced) rows as plain dicts."""
-        return [dict(row) for row in self.pivot_rows.values()]
-
     def add(self, row):
         """Insert a sparse row (Fraction or int values). True iff rank grew."""
         return self.add_ints(int_row(row))

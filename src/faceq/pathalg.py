@@ -4,8 +4,8 @@ Relations are (degree, coordinate dict) rows on kQ's path basis of that
 degree, homogeneous of degree >= 2, as parse_relations reads them.  The
 ideal they generate is a wba.BiidealGens over kQ (the path algebra as a
 wba.GradedAlgebra): its graded pieces are canonical subspaces over the
-fixed path basis, spread up the grading by the arrows and saturated by the
-vertex idempotents.
+fixed path basis, spanned by the products e_u r e_w of the relations r
+with vertex idempotents and spread up the grading by the arrows.
 """
 
 from fractions import Fraction
@@ -21,8 +21,8 @@ def ideal_graded_piece(q, relations, d):
 
     The degree-d piece of the BiidealGens over kQ truncated at d (see
     wba.path_algebra_presentation) generated by the relations of degree at
-    most d; wba.biideal_graded_pieces spreads it up the grading and
-    saturates it by the vertex idempotents.
+    most d; wba.biideal_graded_pieces spreads the products e_u r e_w of the
+    relations with vertex idempotents up the grading by the arrows.
     """
     b = wba.BiidealGens(wba.path_algebra_presentation(q, d),
                         [(e, row) for e, row in relations if e <= d])
@@ -32,24 +32,19 @@ def ideal_graded_piece(q, relations, d):
 class QuadraticData:
     """A relation space R in kQ_2 (path basis) and the wba.BiidealGens it was read from.
 
-    quadratic_dual needs R to be a kQ_0-bimodule, as I_2 of any ideal is.
+    dual_rows is R^⊥, quadratic_dual_rows(R), computed when the data is
+    built.  quadratic_dual needs R to be a kQ_0-bimodule, as I_2 is.
     """
 
     def __init__(self, q, relation_space, ideal):
         self.quiver = q
         self.relation_space = relation_space
         self.ideal = ideal
-        self._dual_rows = None
+        self.dual_rows = quadratic_dual_rows(relation_space)
 
     @property
     def ambient_dim(self):
         return self.relation_space.ambient_dim
-
-    def dual_rows(self):
-        """quadratic_dual_rows(self), computed on the first request and then kept."""
-        if self._dual_rows is None:
-            self._dual_rows = quadratic_dual_rows(self)
-        return self._dual_rows
 
 
 def quadratic_data(q, relations, max_degree=2):
@@ -69,15 +64,14 @@ def quadratic_data(q, relations, max_degree=2):
     return QuadraticData(q, wba.biideal_graded_pieces(b, 2), b)
 
 
-def quadratic_dual_rows(qd):
-    """Canonical basis of the orthogonal complement of R inside kQ_2.
+def quadratic_dual_rows(rel):
+    """Canonical basis of the orthogonal complement of a relation space R inside kQ_2.
 
     Each free column f of R's echelon basis spans one kernel vector, e_f
     plus the column-f entries of the pivot rows' projections, scaled by D.
     Rows stay on the degree-2 paths of the original quiver; quadratic_dual
     transports them to the opposite quiver.
     """
-    rel = qd.relation_space
     proj = rel.projection()
     kernel = [{f: proj.denom, **{p: proj.rows[p][k] for p in rel.pivots if k in proj.rows[p]}}
               for k, f in enumerate(proj.cols)]
@@ -88,19 +82,19 @@ def quadratic_dual(qd, max_degree=2):
     """Quadratic dual relation space R^!, on the opposite quiver.
 
     The pairing identifies the opposite path (pq)* = q* p* with the dual
-    basis vector of pq, so R^! is the complement R^⊥ (qd.dual_rows()) moved
+    basis vector of pq, so R^! is the complement R^⊥ (qd.dual_rows) moved
     along path reversal (quiver.star_indices).  As in quadratic_data, R^!
     is read as the degree-2 piece of the wba.BiidealGens its rows generate
     over kQ^op truncated at max_degree, kept as the result's ideal.  The
     vertex idempotents act on kQ_2 by self-adjoint coordinate projections,
-    so R^⊥ is a kQ_0-bimodule exactly when R is; then the saturation adds
-    nothing, and otherwise the piece outgrows the independent moved rows
-    and UnsupportedShapeError is raised.
+    so R^⊥ is a kQ_0-bimodule exactly when R is; then the products with
+    them add nothing, and otherwise the piece outgrows the independent
+    moved rows and UnsupportedShapeError is raised.
     """
     q = qd.quiver
     opp = qv.opposite_quiver(q)
     star = qv.star_indices(q, 2)
-    moved = [{star[c]: x for c, x in row.items()} for row in qd.dual_rows()]
+    moved = [{star[c]: x for c, x in row.items()} for row in qd.dual_rows]
     b = wba.BiidealGens(wba.path_algebra_presentation(opp, max_degree),
                         [(2, row) for row in moved])
     piece = wba.biideal_graded_pieces(b, 2)

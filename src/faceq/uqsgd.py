@@ -29,10 +29,9 @@ def coaction_relations(qd, side):
     """
     co._require_side(side)
     n = qd.ambient_dim
-    d_rows = qd.dual_rows()
     gens = []
     for crow in qd.relation_space.basis:
-        for drow in d_rows:
+        for drow in qd.dual_rows:
             terms = {}
             for ij, cij in crow.items():
                 for kl, dkl in drow.items():

@@ -144,13 +144,14 @@ class GradedWBA(GradedAlgebra):
 
 
 def path_algebra_presentation(q, max_degree):
-    """kQ as a graded algebra on the per-degree path bases."""
+    """kQ as a graded algebra on the per-degree path bases, degrees without paths skipped."""
     bases = [qv.enumerate_paths(q, d) for d in range(max_degree + 1)]
     index = [{p: i for i, p in enumerate(b)} for b in bases]
     labels = [[q.path_label(p) for p in b] for b in bases]
     product = {}
-    for d in range(max_degree + 1):
-        for e in range(max_degree + 1 - d):
+    degrees = [d for d in range(max_degree + 1) if bases[d]]
+    for d in degrees:
+        for e in [e for e in degrees if d + e <= max_degree]:
             tgt = index[d + e]
             for i, p in enumerate(bases[d]):
                 for j, r in enumerate(bases[e]):
@@ -164,9 +165,9 @@ def path_algebra_presentation(q, max_degree):
 def face_algebra(q, max_degree):
     """The face algebra's labels, product and unit on the faceBasis order.
 
-    Index arithmetic on x[a;b] -> i_a*n + i_b over one path-composition
-    table per degree pair, so only composable pairs are visited.  For the
-    coproduct and counit as well, use from_face_algebra.
+    Index arithmetic on x[a;b] -> i_a*n + i_b over one path-composition table
+    per pair of degrees that have paths, so only composable pairs are visited.
+    For the coproduct and counit as well, use from_face_algebra.
     """
     paths = [qv.enumerate_paths(q, d) for d in range(max_degree + 1)]
     sizes = [len(p) for p in paths]
@@ -179,8 +180,9 @@ def face_algebra(q, max_degree):
         names = [q.path_label(p) for p in paths[d]]
         labels.append([f"x[{a};{b}]" for a in names for b in names])
     product = {}
-    for d in range(max_degree + 1):
-        for e in range(max_degree + 1 - d):
+    degrees = [d for d in range(max_degree + 1) if sizes[d]]
+    for d in degrees:
+        for e in [e for e in degrees if d + e <= max_degree]:
             nd, ne, nf = sizes[d], sizes[e], sizes[d + e]
             target = {p: i for i, p in enumerate(paths[d + e])}
             # compose[a] lists (c, index of a.c) over the paths c that a composes with
@@ -267,20 +269,22 @@ def multiplicative_failures(src, image, left, right, max_degree):
     f is a degree-preserving map from src into left (x) right, given by
     image as in image_of: Delta is (w, w.coproduct_of, w, w), a coaction
     is (algebra, its images with the host leg first, host, algebra).
-    Visits only nonzero products: per degree pair, f(u_i) f(u_j) is built
-    for all j at once, each nonzero left-leg product u_p u_r meeting only
-    the terms (r, s) of the images f(u_j) whose left leg is r.  Product
-    entries of both legs (of one, when right is left) and image terms are
-    flattened to tuples once per degree pair, and cancelled terms are
-    dropped before the comparison with image_of(f(u_i u_j)).
+    Visits only nonzero products, in the degrees where src has a basis: per
+    degree pair, f(u_i) f(u_j) is built for all j at once, each nonzero
+    left-leg product u_p u_r meeting only the terms (r, s) of the images
+    f(u_j) whose left leg is r.  Product entries of both legs (of one, when
+    right is left) and image terms are flattened to tuples once per degree
+    pair, and cancelled terms are dropped before the comparison with
+    image_of(f(u_i u_j)).
     """
     src_rows = src.products_by_left()
     left_rows = left.products_by_left()
     right_rows = right.products_by_left()
     fails = []
-    for d in range(max_degree + 1):
+    degrees = [d for d in range(max_degree + 1) if src.dim(d)]
+    for d in degrees:
         terms = [tuple(image(d, i).items()) for i in range(src.dim(d))]
-        for e in range(max_degree + 1 - d):
+        for e in [e for e in degrees if d + e <= max_degree]:
             f = d + e
             prod = src_rows.get((d, e), {})
             # flat_l[p] maps r to the terms of u_p u_r in left as (m, c) pairs
@@ -537,9 +541,10 @@ class BiidealGens:
 def _spread(b, d):
     """The degree-d piece as a forward-reduced Echelon, kept on b until finalized.
 
-    Spreads the finalized degree-(d-1) basis, as biideal_graded_pieces
-    describes.  On a host with int constants, products of int rows enter
-    by Echelon.add_ints; a saturation product z r equal to r is skipped.
+    Adds the closure products z g z' of the degree-d generators and spreads
+    the finalized degree-(d-1) basis, as biideal_graded_pieces describes.
+    Each generator is scaled by int_row first, so on a host with int
+    constants every product is an int row and enters by Echelon.add_ints.
     """
     if d in b._echelons:
         return b._echelons[d]
@@ -548,9 +553,16 @@ def _spread(b, d):
         raise ValueError(f"degree {d} exceeds the host truncation {w.max_degree}")
     ech = Echelon(w.dim(d))
     add = ech.add_ints if w.int_products() else ech.add
-    gens = [vec for gd, vec in b.generators if gd == d]
-    for vec in gens:
-        ech.add(vec)
+    basis0 = [{z: _ONE} for z in range(w.dim(0))]
+    for g in [int_row(vec) for gd, vec in b.generators if gd == d]:
+        for z in basis0:
+            zg = w.multiply(0, z, d, g)
+            if not zg:
+                continue
+            for z2 in basis0:
+                zgz = w.multiply(d, zg, 0, z2)
+                if zgz:
+                    add(zgz)
     if d >= 1:
         prev = biideal_graded_pieces(b, d - 1)
         for row in map(int_row, prev.basis):
@@ -562,19 +574,6 @@ def _spread(b, d):
                 right = w.multiply(d - 1, row, 1, arrow)
                 if right:
                     add(right)
-    while gens:
-        before = ech.rank
-        for row in ech.rows():
-            for z in range(w.dim(0)):
-                zvec = {z: _ONE}
-                left = w.multiply(0, zvec, d, row)
-                if left and left != row:
-                    add(left)
-                right = w.multiply(d, row, 0, zvec)
-                if right and right != row:
-                    add(right)
-        if ech.rank == before:
-            break
     b._echelons[d] = ech
     return ech
 
@@ -599,14 +598,15 @@ def quotient_dims(b, max_degree):
 def biideal_graded_pieces(b, d):
     """Degree-d piece of the two-sided ideal generated by b, as a Subspace.
 
-    One-step spanning from the finalized degree-(d-1) basis by all degree-1
-    basis elements on both sides, plus degree-d generators; complete because
-    the hosts here are generated in degrees 0 and 1.  Two-sided saturation
-    by degree-0 basis elements runs only in degrees with generators:
-    elsewhere the piece H_1 I_{d-1} + I_{d-1} H_1 is already H_0-stable, as
-    z(ar) = (za)r and z(ra) = (zr)a with za in H_1 and zr in I_{d-1}, and
-    likewise on the right.  Finalizes the Echelon that biideal_rank(b, d)
-    left on b, if there is one, and keeps the piece on b.
+    The span of H_0 g H_0 over the degree-d generators g, plus one-step
+    spanning from the finalized degree-(d-1) basis by all degree-1 basis
+    elements on both sides; complete because the hosts here are generated
+    in degrees 0 and 1.  The unit lies in H_0, so H_0 g H_0 is the span of
+    the products z g z' over the degree-0 basis, taken once each, and it
+    contains g.  The spread part H_1 I_{d-1} + I_{d-1} H_1 is already
+    H_0-stable, as z(ar) = (za)r and z(ra) = (zr)a with za in H_1 and zr in
+    I_{d-1}, and likewise on the right.  Finalizes the Echelon that
+    biideal_rank(b, d) left on b, if there is one, and keeps the piece on b.
     """
     if d not in b._pieces:
         b._pieces[d] = _spread(b, d).finalize()

@@ -128,7 +128,8 @@ def quadratic_dual_oracle(qd, max_degree):
     added once more as the generators of quadratic_ideal_oracle; the
     reference for pathalg.quadratic_dual."""
     star = qv.star_indices(qd.quiver, 2)
-    moved = [{star[c]: x for c, x in row.items()} for row in pa.quadratic_dual_rows(qd)]
+    moved = [{star[c]: x for c, x in row.items()}
+             for row in pa.quadratic_dual_rows(qd.relation_space)]
     qdual = pa.QuadraticData(qv.opposite_quiver(qd.quiver), Subspace.from_rows(len(star), moved),
                              None)
     return qdual.relation_space, quadratic_ideal_oracle(qdual, max_degree)

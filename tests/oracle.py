@@ -473,8 +473,11 @@ def sum_of_pieces(biideals, max_degree):
     sums = [Echelon(biideals[0].host.dim(d)) for d in range(max_degree + 1)]
     for b in biideals:
         for d, ech in enumerate(sums):
-            add = ech.add if d in b._pieces else ech.add_ints  # ranked pieces hold int rows
-            for row in b._pieces[d].basis if d in b._pieces else wba._spread(b, d).rows():
+            if d in b._pieces:
+                rows, add = b._pieces[d].basis, ech.add
+            else:  # a ranked piece holds int rows
+                rows, add = list(wba._spread(b, d).pivot_rows.values()), ech.add_ints
+            for row in rows:
                 add(row)
     return sums
 

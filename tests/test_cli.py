@@ -279,6 +279,21 @@ def test_window_too_large_exits_3(tmp_path, quiver_doc, degree):
                    "error": window_error(degree)}
 
 
+def test_face_visits_only_degrees_with_basis_elements(tmp_path, monkeypatch):
+    """On an arrowless quiver at degree 200 only degree 0 has basis
+    elements, so coproduct multiplicativity flattens one degree pair's
+    products; a loop over every degree pair flattened 20,301."""
+    calls = []
+    flatten = wba._flatten
+    monkeypatch.setattr(wba, "_flatten", lambda rows: calls.append(rows) or flatten(rows))
+    quiver = write_json(tmp_path / "q.json", Q_BULLETS_DOC)
+    code, doc = run_doc(tmp_path, ["face", "--quiver", quiver, "--max-degree", "200"])
+    assert code == 0
+    assert doc["dims"] == [4] + [0] * 200
+    assert doc["axioms"]["passed"] is True
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("command", ["verify", "coact", "uqsgd", "dual"])
 def test_every_command_checks_its_window(tmp_path, command):
     """Three-loop at degree 9 exits 3 in every command, before the relations
@@ -531,14 +546,14 @@ def test_uqsgd_endpoint_mixing_relation(tmp_path):
 
 
 def test_dual_computes_each_complement_once(tmp_path, monkeypatch):
-    """R-perp is computed once for the relations and once for the dual
-    relations, though the job reads it ten times."""
+    """R-perp is computed once per relation space, for the relations and
+    for the dual relations, though the job reads it ten times."""
     calls = []
     rows = pa.quadratic_dual_rows
 
-    def counted(qd):
-        calls.append(qd)
-        return rows(qd)
+    def counted(rel):
+        calls.append(rel)
+        return rows(rel)
 
     monkeypatch.setattr(pa, "quadratic_dual_rows", counted)
     quiver = write_json(tmp_path / "q.json", TWO_LOOP_DOC)
@@ -547,7 +562,7 @@ def test_dual_computes_each_complement_once(tmp_path, monkeypatch):
                                  "--relations", rels, "--max-degree", "3"])
     assert code == 0
     assert len(calls) == 2
-    assert calls[0].quiver is not calls[1].quiver
+    assert calls[0] is not calls[1]
 
 
 @pytest.mark.parametrize("command, relations", [

@@ -642,7 +642,7 @@ def saturated_pieces(b, max_degree):
                     ech.add(w.multiply(d - 1, row, 1, {a: 1}))
         while True:
             before = ech.rank
-            for row in ech.rows():
+            for row in list(ech.pivot_rows.values()):
                 for z in range(w.dim(0)):
                     ech.add(w.multiply(0, {z: 1}, d, row))
                     ech.add(w.multiply(d, row, 0, {z: 1}))
@@ -964,11 +964,11 @@ def test_int_products_of_the_presentations(fraction_host):
 
 
 def test_three_loop_commutator_biideal_add_count(monkeypatch):
-    """Saturation runs only in degree 2, the one degree with generators.
-    Every insertion ends in add_ints, which the Fraction generators reach
-    through add and the int products of the int host directly; on the
-    one-vertex quiver the unit fixes every row, so the saturation products
-    are skipped."""
+    """Closure products are taken only in degree 2, the one degree with
+    generators.  The Fraction generators are scaled by int_row before they
+    are multiplied, so every insertion is an int product of the int host
+    and enters by add_ints; on the one-vertex quiver the unit fixes every
+    generator, so its one closure product z g z' is the scaled g."""
     q = three_loop()
     qd = pa.quadratic_data(q, commutator_relations(q))
     host = wba.from_face_algebra(q, 3)
@@ -999,12 +999,12 @@ def test_three_loop_commutator_biideal_add_count(monkeypatch):
     monkeypatch.setattr(wba.GradedAlgebra, "multiply", recorded)
     b = wba.BiidealGens(host, gens)
     assert [wba.biideal_graded_pieces(b, d).dim for d in range(4)] == [0, 0, 36, 564]
-    # 36 generators, 36 rows times 9 arrows on both sides; the one saturation
-    # pass of the 36 rows by the unit on both sides makes 72 products equal
-    # to their rows, which are not inserted
+    # 36 closure products, one per generator, then 36 rows times 9 arrows on
+    # both sides; z g and (z g) z' are 72 products equal to their factor
     assert len(gens) == 36
-    assert len(calls["add"]) == 36
+    assert calls["add"] == []
     assert len(calls["add_ints"]) == 36 + 36 * 9 * 2 == 684
+    assert calls["add_ints"][:36] == [int_row(g) for _, g in gens]
     assert saturation == [True] * 36 * 2
     monkeypatch.undo()
     assert_pieces_match(wba.BiidealGens(host, gens), 3)
