@@ -34,6 +34,8 @@ def validate(args):
     """Refuse option values the parser accepts but the command cannot use."""
     if args.max_degree < 0:
         raise ParseError("--max-degree must be nonnegative")
+    if args.command in ("face", "verify") and args.relations is not None:
+        raise ParseError(f"{args.command} takes no --relations")
     if args.command in ("uqsgd", "dual"):
         if args.relations is None:
             raise ParseError(f"{args.command} requires --relations")
@@ -198,12 +200,15 @@ def run_verify(args):
     }
 
 
-def _parse_coaction_doc(doc, q, cap):
+def _parse_coaction_doc(doc, q, cap, side_option):
     if not isinstance(doc, dict):
         raise ParseError("coaction document must be an object")
     side = doc.get("side")
     if side not in ("left", "right"):
         raise ParseError("coaction document needs a side of 'left' or 'right'")
+    if side_option not in ("trans", side):
+        raise ParseError(f"--side {side_option} names the other side than the "
+                         f"coaction document's {side!r}")
     mats = doc.get("coefficients")
     if not isinstance(mats, list) or not mats:
         raise ParseError("coaction document needs a nonempty 'coefficients' list")
@@ -226,7 +231,7 @@ def run_coact(args):
     q = _load_quiver(args)
     if args.relations is not None:
         cspec, window = _parse_coaction_doc(_load_json(args.relations), q,
-                                            args.max_degree)
+                                            args.max_degree, args.side)
         host = wba.from_face_algebra(q, window)
         sections = {cspec.side: _coaction_section(cspec, host)}
         transposed = None

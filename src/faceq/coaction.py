@@ -77,22 +77,24 @@ def canonical_coactions(q, sides, max_degree):
 def _matrix_failures(host, d, mat):
     """Index pairs (j, l) failing Δ(y_jl) = Σ_k y_jk ⊗ y_kl, and those failing
     ε(y_jl) = δ_jl, on one degree's coefficient array.  The sum visits only
-    nonzero entries, flattened to (m, c) tuples once, and drops cancelled
-    terms once, before the comparison."""
+    nonzero entries, flattened to (m, c) tuples once: each term c u_m of
+    y_jk is joined once with row k's entries, and cancelled terms are
+    dropped once, before the comparison."""
     entries = [[(k, tuple(ent.items())) for k, ent in enumerate(row) if ent] for row in mat]
     coassoc_fails = []
     counit_fails = []
     for j, row in enumerate(mat):
         rhs = {}
-        for k, yjk in entries[j]:
-            for l, ykl in entries[k]:
+        # each term cm u_m of y_jk, joined with row k's entries
+        terms = [(m, cm, entries[k]) for k, ent in enumerate(row) for m, cm in ent.items()]
+        for m, cm, row_k in terms:
+            for l, ykl in row_k:
                 out = rhs.get(l)
                 if out is None:
                     out = rhs[l] = {}
-                for m, cm in yjk:
-                    for nn, cn in ykl:
-                        key = (m, nn)
-                        out[key] = out.get(key, 0) + cm * cn
+                for nn, cn in ykl:
+                    key = (m, nn)
+                    out[key] = out.get(key, 0) + cm * cn
         for l, yjl in enumerate(row):
             out = rhs.get(l, {})
             if not all(out.values()):

@@ -19,6 +19,9 @@ tensor product of two graded algebras, given by its images f(u_i):
 multiplicative_failures checks f(uv) = f(u)f(v), for the coproduct here and
 for a coaction in coaction, and project_image computes (pi (x) pi')f(u), for
 the biideal check, the quotient's coproduct and the descent of a coaction.
+multiplicative_failures pre-joins its legs inside each call: every term of
+a left-leg product is paired once with the image terms that start at its
+right factor, so the inner loop is one membership test per miss.
 """
 
 from math import isqrt
@@ -270,12 +273,17 @@ def multiplicative_failures(src, image, left, right, max_degree):
     image as in image_of: Delta is (w, w.coproduct_of, w, w), a coaction
     is (algebra, its images with the host leg first, host, algebra).
     Visits only nonzero products, in the degrees where src has a basis: per
-    degree pair, f(u_i) f(u_j) is built for all j at once, each nonzero
-    left-leg product u_p u_r meeting only the terms (r, s) of the images
-    f(u_j) whose left leg is r.  Product entries of both legs (of one, when
-    right is left) and image terms are flattened to tuples once per degree
-    pair, and cancelled terms are dropped before the comparison with
-    image_of(f(u_i u_j)).
+    degree pair, f(u_i) f(u_j) is built for all j at once, and the legs are
+    pre-joined first: the image terms (r, s) of degree e are indexed by
+    first leg r, and each term c u_m of a left-leg product u_p u_r is paired
+    with the index's list for r.  So a term c1 of f(u_i) meets each image
+    term (r, s) of f(u_j) once per m, c1 c is multiplied once per term
+    rather than once per hit, a miss is one membership test on the
+    right-leg products of its second leg, and a hit adds to the accumulator
+    of f(u_i) f(u_j).  Right-leg product entries are flattened to tuples
+    once per degree pair, and cancelled terms are dropped before the
+    comparison with image_of(f(u_i u_j)).  Each index lives for one degree
+    pair, and nothing is kept on the presentations.
     """
     src_rows = src.products_by_left()
     left_rows = left.products_by_left()
@@ -287,32 +295,35 @@ def multiplicative_failures(src, image, left, right, max_degree):
         for e in [e for e in degrees if d + e <= max_degree]:
             f = d + e
             prod = src_rows.get((d, e), {})
-            # flat_l[p] maps r to the terms of u_p u_r in left as (m, c) pairs
-            flat_l = _flatten(left_rows.get((d, e), {}))
-            flat_r = flat_l if right is left else _flatten(right_rows.get((d, e), {}))
-            first_legs = {}
+            # legs[r] lists (j, s, c) over the terms c u_r (x) u_s of the images f(u_j)
+            legs = {}
             for j in range(src.dim(e)):
                 for (r, s), c in image(e, j).items():
-                    first_legs.setdefault(r, []).append((j, s, c))
+                    legs.setdefault(r, []).append((j, s, c))
+            # lrows[p] lists (m, c, legs[r]) over the terms c u_m of the products u_p u_r
+            lrows = {p: [(m, c, legs[r]) for r, entry in row.items() if r in legs
+                         for m, c in entry.items()]
+                     for p, row in left_rows.get((d, e), {}).items()}
+            flat_r = _flatten(right_rows.get((d, e), {}))
             for i in range(src.dim(d)):
                 rhs = {}
                 for (p, qq), c1 in terms[i]:
-                    left_row = flat_l.get(p)
+                    lrow = lrows.get(p)
                     right_row = flat_r.get(qq)
-                    if not left_row or not right_row:
+                    if not lrow or not right_row:
                         continue
-                    for r, lterms in left_row.items():
-                        for j, s, c2 in first_legs.get(r, ()):
-                            rterms = right_row.get(s)
-                            if not rterms:
+                    for m, c, leg in lrow:
+                        c1c = c1 * c
+                        for j, s, c2 in leg:
+                            if s not in right_row:
                                 continue
-                            out = rhs.setdefault(j, {})
-                            c12 = c1 * c2
-                            for m, cm in lterms:
-                                c12m = c12 * cm
-                                for n, cn in rterms:
-                                    key = (m, n)
-                                    out[key] = out.get(key, 0) + c12m * cn
+                            out = rhs.get(j)
+                            if out is None:
+                                out = rhs[j] = {}
+                            c12 = c1c * c2
+                            for n, cn in right_row[s]:
+                                key = (m, n)
+                                out[key] = out.get(key, 0) + c12 * cn
                 row = prod.get(i, {})
                 for j in sorted(row.keys() | rhs.keys()):
                     out = rhs.get(j, {})

@@ -249,6 +249,35 @@ def test_coact_document_reader_errors(tmp_path, cell, error):
                    "error": error}
 
 
+@pytest.mark.parametrize("command", ["face", "verify"])
+def test_face_and_verify_refuse_relations(tmp_path, command):
+    """face and verify never read --relations, so passing it exits 2 before
+    the quiver is read."""
+    rels = write_json(tmp_path / "r.json", COMMUTATOR_DOC)
+    code, doc = run_doc(tmp_path, [command, "--quiver", str(tmp_path / "missing.json"),
+                                   "--relations", rels])
+    assert code == 2
+    assert doc == {"formatVersion": "faceq/1", "command": command, "passed": False,
+                   "error": f"{command} takes no --relations"}
+
+
+@pytest.mark.parametrize("side, code", [("left", 0), ("trans", 0), ("right", 2)])
+def test_coact_document_side_option(tmp_path, side, code):
+    """--side left or trans runs a left coaction document; --side right
+    names the other side and exits 2."""
+    quiver = write_json(tmp_path / "q.json", Q_BULLETS_DOC)
+    cpath = write_json(tmp_path / "c.json", {"side": "left", "coefficients": [[
+        ["1 * x[e:1;e:1]", "1 * x[e:1;e:2]"], ["1 * x[e:2;e:1]", "1 * x[e:2;e:2]"]]]})
+    got, doc = run_doc(tmp_path, ["coact", "--quiver", quiver, "--relations", cpath,
+                                  "--side", side])
+    assert got == code
+    if code:
+        assert doc["error"] == ("--side right names the other side than the "
+                                "coaction document's 'left'")
+    else:
+        assert set(doc["coactions"]) == {"left"}
+
+
 def test_uqsgd_requires_relations_and_degree(tmp_path):
     quiver = write_json(tmp_path / "q.json", TWO_LOOP_DOC)
     assert cli.main(["uqsgd", "--quiver", quiver]) == 2
@@ -292,6 +321,21 @@ def test_face_visits_only_degrees_with_basis_elements(tmp_path, monkeypatch):
     assert doc["dims"] == [4] + [0] * 200
     assert doc["axioms"]["passed"] is True
     assert len(calls) == 1
+
+
+def test_multiplicativity_flattens_right_legs_only(tmp_path, monkeypatch):
+    """A degree-3 verify of the doubled three-cycle runs three
+    multiplicativity joins over the 10 degree pairs d + e <= 3 (Delta and the
+    two coactions) and flattens only each pair's right-leg products: 30
+    calls, where flattening the left legs too made 50."""
+    calls = []
+    flatten = wba._flatten
+    monkeypatch.setattr(wba, "_flatten", lambda rows: calls.append(rows) or flatten(rows))
+    quiver = write_json(tmp_path / "q.json", DOUBLED_THREE_CYCLE_DOC)
+    code, doc = run_doc(tmp_path, ["verify", "--quiver", quiver, "--max-degree", "3"])
+    assert code == 0
+    assert doc["passed"] is True
+    assert len(calls) == 30
 
 
 @pytest.mark.parametrize("command", ["verify", "coact", "uqsgd", "dual"])

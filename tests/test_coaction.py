@@ -407,16 +407,34 @@ def dense_comodule_algebra(c, host):
 ORACLE_DEGREE = {"three-loop": 2, "doubled-three-cycle": 2}
 
 
+def overwrite_product(draw, alg):
+    """Add one or two terms to one entry of alg's product table, kept or
+    cleared first, so the entry may come out with two terms; an entry that
+    cancels is removed, as zero products are absent."""
+    key = draw(st.sampled_from(sorted(alg.product)))
+    entry = dict(alg.product[key]) if draw(st.booleans()) else {}
+    for m in draw(st.lists(st.integers(0, alg.dim(key[0] + key[2]) - 1),
+                           min_size=1, max_size=2, unique=True)):
+        bump(entry, m, draw(st.sampled_from((1, -1, Fraction(1, 2)))))
+    if entry:
+        alg.product[key] = entry
+    else:
+        del alg.product[key]
+
+
 def corrupt(draw, host, spec):
     """Copies of host and spec with one to three coefficient entries
     replaced by {}, a Fraction multiple or a sum of two host basis
-    elements, and sometimes one host product overwritten."""
+    elements, and sometimes one host product and one algebra product
+    overwritten (see overwrite_product)."""
     host = wba.GradedWBA(host.max_degree, host.labels, dict(host.product), host.unit,
                          host.coproduct, host.counit)
+    algebra = wba.GradedAlgebra(spec.algebra.max_degree, spec.algebra.labels,
+                                dict(spec.algebra.product), spec.algebra.unit)
     coefficients = [[list(row) for row in mat] for mat in spec.coefficients]
     for _ in range(draw(st.integers(1, 3))):
         d = draw(st.integers(0, spec.degrees()))
-        n = spec.algebra.dim(d)
+        n = algebra.dim(d)
         if not n:
             continue
         j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -433,11 +451,10 @@ def corrupt(draw, host, spec):
             bump(entry, a, 1)
             bump(entry, b, 1)
             coefficients[d][j][k] = entry
-    if host.product and draw(st.booleans()):
-        key = draw(st.sampled_from(sorted(host.product)))
-        m = draw(st.integers(0, host.dim(key[0] + key[2]) - 1))
-        host.product[key] = {m: draw(st.sampled_from((1, -1, Fraction(1, 2))))}
-    return host, co.CoactionSpec(spec.side, spec.algebra, coefficients, spec.arrow_endpoints)
+    for alg in (host, algebra):
+        if alg.product and draw(st.booleans()):
+            overwrite_product(draw, alg)
+    return host, co.CoactionSpec(spec.side, algebra, coefficients, spec.arrow_endpoints)
 
 
 @st.composite
