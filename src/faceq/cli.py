@@ -8,9 +8,11 @@ and duality transports).  Inputs are JSON documents; reports are JSON with
 a formatVersion field, rendered deterministically.  Exit codes: 0 all
 checks pass, 1 a verification failed, 2 malformed input or options,
 3 unsupported input shape, a window too large for the quiver among them.
+A run makes no cyclic garbage, so main keeps the cycle collector off.
 """
 
 import argparse
+import gc
 import json
 import sys
 
@@ -31,11 +33,17 @@ MAX_TABLE_CELLS = 2_000_000
 
 
 def validate(args):
-    """Refuse option values the parser accepts but the command cannot use."""
+    """Refuse option values the parser accepts but the command cannot use,
+    and give coact and uqsgd the side trans when --side is left out."""
     if args.max_degree < 0:
         raise ParseError("--max-degree must be nonnegative")
     if args.command in ("face", "verify") and args.relations is not None:
         raise ParseError(f"{args.command} takes no --relations")
+    if args.command in ("coact", "uqsgd"):
+        if args.side is None:
+            args.side = "trans"
+    elif args.side is not None:
+        raise ParseError(f"{args.command} takes no --side")
     if args.command in ("uqsgd", "dual"):
         if args.relations is None:
             raise ParseError(f"{args.command} requires --relations")
@@ -76,8 +84,9 @@ def _build_parser():
                         help="path to the quiver JSON document")
     common.add_argument("--relations",
                         help="path to a relations document (or a coaction document for coact)")
-    common.add_argument("--side", choices=("left", "right", "trans"), default="trans",
-                        help="which coaction side to build or verify")
+    common.add_argument("--side", choices=("left", "right", "trans"),
+                        help="which coaction side to build or verify (coact and uqsgd; "
+                             "default trans)")
     common.add_argument("--max-degree", type=int, default=4,
                         help="truncation degree for all graded computations")
     common.add_argument("--out", help="write the report to this file instead of stdout")
@@ -372,6 +381,17 @@ def _finish(args, doc, code):
 
 
 def main(argv=None):
+    """Run one command with the cycle collector off, restoring its state on exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv):
     parser = _build_parser()
     args = parser.parse_args(argv)
     base = {"formatVersion": FORMAT_VERSION, "command": args.command, "passed": False}

@@ -313,7 +313,10 @@ def search_base_iso(c, host):
             assigned.pop()
         return None
 
-    return extend()
+    try:
+        return extend()
+    finally:
+        del extend  # the recursive closure refers to itself: break the cycle
 
 
 def check_structure_lemmas(c, host):

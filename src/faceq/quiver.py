@@ -143,6 +143,7 @@ def enumerate_paths(q, length):
 
     for first in range(len(q.arrows)):
         extend([first], q.arrows[first].target)
+    del extend  # the recursive closure refers to itself: break the cycle
     return paths
 
 

@@ -11,7 +11,7 @@ In degree d the face algebra's basis element x[a;b] has index i_a*n + i_b,
 where i_a and i_b index the n paths of length d in enumeration order.  The
 product table stores nonzero products only, and the axiom and counital
 checks visit only those, reaching them through indexes (products by left
-or right factor, coproduct terms by first leg): they still quantify over
+factor, coproduct terms by first or second leg): they still quantify over
 every basis pair.
 
 Two identities are written once, for any degree-preserving map f into a
@@ -21,7 +21,10 @@ for a coaction in coaction, and project_image computes (pi (x) pi')f(u), for
 the biideal check, the quotient's coproduct and the descent of a coaction.
 multiplicative_failures pre-joins its legs inside each call: every term of
 a left-leg product is paired once with the image terms that start at its
-right factor, so the inner loop is one membership test per miss.
+right factor, so the inner loop is one membership test per miss.  The
+weak-counit and weak-unit splits are joins too: the counit splits read
+each basis element's coproduct once, and both pair only the terms that an
+eps table or a nonzero product reads.
 """
 
 from math import isqrt
@@ -364,57 +367,99 @@ def project_image(image, d, u, left, right):
 
 
 def _failures_counit_splits(w):
+    """Both weak-counit split failure lists, witnesses in (d, e, f, b) order.
+
+    Over basis triples (u_a, u_b, u_c) of degrees (d, e, f), compares
+    eps(u_a u_b u_c) with eps(u_a u_j) eps(u_k u_c) (split 12) and with
+    eps(u_a u_k) eps(u_j u_c) (split 21), summed over the terms
+    u_j (x) u_k of Delta(u_b).  A join: per degree e one pass over the
+    coproducts keeps the terms whose legs the eps tables read, indexed by
+    first leg for split 12 and by second leg for split 21.  Each degree
+    triple then walks the eps columns of degree e against those lists,
+    takes eps(u_a u_b u_c) from products_by_left(), and compares only the
+    u_b that have a term on some side.
+    """
     eps = w.eps_products()
     by_col = {}
     by_row = {}
+    # read_right[e] holds the u_j of degree e that some eps(u_a u_j) reads,
+    # read_left[e] those that some eps(u_j u_c) reads
+    read_right = {}
+    read_left = {}
     for (d, e), mat in eps.items():
         col = by_col.setdefault((d, e), {})
         row = by_row.setdefault((d, e), {})
         for (i, j), val in mat.items():
             col.setdefault(j, []).append((i, val))
             row.setdefault(i, []).append((j, val))
-    # by_right[(d, e)][b] lists (a, u_a u_b) over the nonzero products
-    by_right = {}
-    for (d, a, e, b), entry in w.product.items():
-        by_right.setdefault((d, e), {}).setdefault(b, []).append((a, entry))
-    fails12 = []
-    fails21 = []
+        read_right.setdefault(e, set()).update(col)
+        read_left.setdefault(d, set()).update(row)
+    by_left = w.products_by_left()
     # a degree with no basis elements has nothing to check at any place of a triple
     degrees = [d for d in range(w.max_degree + 1) if w.dim(d)]
+    # first[e][j] lists (b, k, c) over the terms c u_j (x) u_k of Delta(u_b) that split 12
+    # reads, second[e][k] lists (b, j, c) over those that split 21 reads
+    first = {}
+    second = {}
+    for e in degrees:
+        right, left = read_right.get(e, ()), read_left.get(e, ())
+        by_first = first[e] = {}
+        by_second = second[e] = {}
+        for b in range(w.dim(e)):
+            for (j, k), c in w.coproduct_of(e, b).items():
+                if j in right and k in left:
+                    by_first.setdefault(j, []).append((b, k, c))
+                if k in right and j in left:
+                    by_second.setdefault(k, []).append((b, j, c))
+    fails12 = []
+    fails21 = []
     for d in degrees:
         for e in degrees:
             if d + e > w.max_degree:
                 break
-            products = by_right.get((d, e), {})
+            rows = by_left.get((d, e), {})
+            e1col = by_col.get((d, e), {})
             for f in degrees:
                 if d + e + f > w.max_degree:
                     break
-                e1col = by_col.get((d, e), {})
                 e2row = by_row.get((e, f), {})
                 e3row = by_row.get((d + e, f), {})
-                for b in range(w.dim(e)):
-                    lhs = {}
-                    for a, entry in products.get(b, ()):
+                # lhs[b][(a, c)] = eps(u_a u_b u_c)
+                lhs = {}
+                for a, row in rows.items():
+                    for b, entry in row.items():
                         for m, cm in entry.items():
-                            for c, vc in e3row.get(m, ()):
-                                bump(lhs, (a, c), cm * vc)
-                    split = w.coproduct_of(e, b)
-                    rhs12 = {}
-                    rhs21 = {}
-                    for (j, k), c0 in split.items():
-                        for a, va in e1col.get(j, ()):
-                            for c, vc in e2row.get(k, ()):
-                                bump(rhs12, (a, c), c0 * va * vc)
-                        for a, va in e1col.get(k, ()):
-                            for c, vc in e2row.get(j, ()):
-                                bump(rhs21, (a, c), c0 * va * vc)
-                    if lhs != rhs12:
-                        a, c = _first_mismatch(lhs, rhs12)
-                        fails12.append([w.label_of(d, a), w.label_of(e, b), w.label_of(f, c)])
-                    if lhs != rhs21:
-                        a, c = _first_mismatch(lhs, rhs21)
-                        fails21.append([w.label_of(d, a), w.label_of(e, b), w.label_of(f, c)])
+                            crow = e3row.get(m)
+                            if crow:
+                                out = lhs.setdefault(b, {})
+                                for c, vc in crow:
+                                    bump(out, (a, c), cm * vc)
+                rhs12 = _split_sums(e1col, first[e], e2row)
+                rhs21 = _split_sums(e1col, second[e], e2row)
+                for b in sorted(lhs.keys() | rhs12.keys() | rhs21.keys()):
+                    out = lhs.get(b, {})
+                    for rhs, fails in ((rhs12, fails12), (rhs21, fails21)):
+                        split = rhs.get(b, {})
+                        if out != split:
+                            a, c = _first_mismatch(out, split)
+                            fails.append([w.label_of(d, a), w.label_of(e, b), w.label_of(f, c)])
     return fails12, fails21
+
+
+def _split_sums(e1col, legs, e2row):
+    """{b: {(a, c): sum of c0 eps(u_a u_j) eps(u_k u_c)}} over legs[j] = [(b, k, c0), ...]."""
+    sums = {}
+    for j, acol in e1col.items():
+        for b, k, c0 in legs.get(j, ()):
+            crow = e2row.get(k)
+            if not crow:
+                continue
+            out = sums.setdefault(b, {})
+            for a, va in acol:
+                c0va = c0 * va
+                for c, vc in crow:
+                    bump(out, (a, c), c0va * vc)
+    return sums
 
 
 def _first_mismatch(lhs, rhs):
@@ -426,6 +471,12 @@ def _first_mismatch(lhs, rhs):
 
 
 def _failures_unit_splits(w):
+    """Both weak-unit split failure lists: (Delta (x) id)Delta(1) against
+    (Delta(1) (x) 1)(1 (x) Delta(1)) (split 12) and (1 (x) Delta(1))(Delta(1) (x) 1)
+    (split 21).  A join: each term of Delta(1) meets, through
+    products_by_left(), only the terms of the other copy whose middle
+    product is nonzero.
+    """
     d1 = w.delta_one()
     lhs = {}
     for (i, k), c in d1.items():
@@ -433,28 +484,33 @@ def _failures_unit_splits(w):
             bump(lhs, (m, n, k), c * cc)
     right_one = [w.multiply(0, {i: _ONE}, 0, w.unit) for i in range(w.dim(0))]
     left_one = [w.multiply(0, w.unit, 0, {i: _ONE}) for i in range(w.dim(0))]
+    rows = w.products_by_left().get((0, 0), {})
+    # by_first[k] lists (m, c) over the terms c u_k (x) u_m of Delta(1), by_second[m] (k, c)
+    by_first = {}
+    by_second = {}
+    for (k, m), c in d1.items():
+        by_first.setdefault(k, []).append((m, c))
+        by_second.setdefault(m, []).append((k, c))
 
-    def _triple(leg1_of, mid_of, leg3_of):
-        out = {}
-        for (i, j), c1 in d1.items():
-            for (k, m), c2 in d1.items():
-                c12 = c1 * c2
-                leg1 = leg1_of(i)
-                leg3 = leg3_of(m)
-                for n, cn in mid_of(j, k).items():
-                    for a, ca in leg1.items():
-                        for b, cb in leg3.items():
-                            bump(out, (a, n, b), c12 * cn * ca * cb)
-        return out
+    def add(out, leg1, mid, leg3, c12):
+        for n, cn in mid.items():
+            for a, ca in leg1.items():
+                for b, cb in leg3.items():
+                    bump(out, (a, n, b), c12 * cn * ca * cb)
 
-    # (Delta(1) (x) 1)(1 (x) Delta(1)): legs u_i*1, u_j*u_k, 1*u_m
-    split12 = _triple(lambda i: right_one[i],
-                      lambda j, k: w.product_of(0, j, 0, k),
-                      lambda m: left_one[m])
-    # (1 (x) Delta(1))(Delta(1) (x) 1): legs 1*u_i, u_k*u_j, u_m*1
-    split21 = _triple(lambda i: left_one[i],
-                      lambda j, k: w.product_of(0, k, 0, j),
-                      lambda m: right_one[m])
+    # (Delta(1) (x) 1)(1 (x) Delta(1)) over the terms c1 u_i (x) u_j and c2 u_k (x) u_m:
+    # legs u_i*1, u_j*u_k, 1*u_m
+    split12 = {}
+    for (i, j), c1 in d1.items():
+        for k, mid in rows.get(j, {}).items():
+            for m, c2 in by_first.get(k, ()):
+                add(split12, right_one[i], mid, left_one[m], c1 * c2)
+    # (1 (x) Delta(1))(Delta(1) (x) 1) over the same terms: legs 1*u_i, u_k*u_j, u_m*1
+    split21 = {}
+    for (k, m), c2 in d1.items():
+        for j, mid in rows.get(k, {}).items():
+            for i, c1 in by_second.get(j, ()):
+                add(split21, left_one[i], mid, right_one[m], c1 * c2)
     fails12 = [] if lhs == split12 else [["1"]]
     fails21 = [] if lhs == split21 else [["1"]]
     return fails12, fails21

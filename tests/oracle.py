@@ -11,10 +11,11 @@ weak bialgebras built by hand, the two-idempotent bialgebra D and direct
 sums; and the sum of several biideals' graded pieces, the reference for
 the transposed biideal that spreads both sides' relations together.  It
 also keeps the exhaustive base-isomorphism search, the reference for the
-pruned one in coaction.search_base_iso, and the double quiver and the
-preprojective relations of a cycle, which the tests build and the command
-line reads as plain quiver and relations documents.  Coefficients are
-Fractions.
+pruned one in coaction.search_base_iso; the scans of both weak-counit
+and both weak-unit splits that wba's joins replaced, the reference for
+them; and the double quiver and the preprojective relations of a cycle,
+which the tests build and the command line reads as plain quiver and
+relations documents.  Coefficients are Fractions.
 """
 
 from itertools import permutations
@@ -28,7 +29,7 @@ from faceq import quiver as qv
 from faceq import wba
 from faceq.errors import ParseError, UnsupportedShapeError
 from faceq.face import FaceMonomial
-from faceq.linalg import Echelon
+from faceq.linalg import Echelon, bump
 
 _ONE = 1
 
@@ -499,6 +500,100 @@ def search_base_iso_exhaustive(c, host):
         if verification["passed"]:
             return candidate, verification
     return None
+
+
+def counit_splits_scan(w):
+    """Both weak-counit split failure lists of wba.check_axioms, by a scan:
+    per degree triple and right factor u_b, every term of Delta(u_b) and
+    every left factor of u_b.  The reference for wba's counit-split join."""
+    eps = w.eps_products()
+    by_col = {}
+    by_row = {}
+    for (d, e), mat in eps.items():
+        col = by_col.setdefault((d, e), {})
+        row = by_row.setdefault((d, e), {})
+        for (i, j), val in mat.items():
+            col.setdefault(j, []).append((i, val))
+            row.setdefault(i, []).append((j, val))
+    # by_right[(d, e)][b] lists (a, u_a u_b) over the nonzero products
+    by_right = {}
+    for (d, a, e, b), entry in w.product.items():
+        by_right.setdefault((d, e), {}).setdefault(b, []).append((a, entry))
+    fails12 = []
+    fails21 = []
+    degrees = [d for d in range(w.max_degree + 1) if w.dim(d)]
+    for d in degrees:
+        for e in degrees:
+            if d + e > w.max_degree:
+                break
+            products = by_right.get((d, e), {})
+            for f in degrees:
+                if d + e + f > w.max_degree:
+                    break
+                e1col = by_col.get((d, e), {})
+                e2row = by_row.get((e, f), {})
+                e3row = by_row.get((d + e, f), {})
+                for b in range(w.dim(e)):
+                    lhs = {}
+                    for a, entry in products.get(b, ()):
+                        for m, cm in entry.items():
+                            for c, vc in e3row.get(m, ()):
+                                bump(lhs, (a, c), cm * vc)
+                    split = w.coproduct_of(e, b)
+                    rhs12 = {}
+                    rhs21 = {}
+                    for (j, k), c0 in split.items():
+                        for a, va in e1col.get(j, ()):
+                            for c, vc in e2row.get(k, ()):
+                                bump(rhs12, (a, c), c0 * va * vc)
+                        for a, va in e1col.get(k, ()):
+                            for c, vc in e2row.get(j, ()):
+                                bump(rhs21, (a, c), c0 * va * vc)
+                    if lhs != rhs12:
+                        a, c = wba._first_mismatch(lhs, rhs12)
+                        fails12.append([w.label_of(d, a), w.label_of(e, b), w.label_of(f, c)])
+                    if lhs != rhs21:
+                        a, c = wba._first_mismatch(lhs, rhs21)
+                        fails21.append([w.label_of(d, a), w.label_of(e, b), w.label_of(f, c)])
+    return fails12, fails21
+
+
+def unit_splits_scan(w):
+    """Both weak-unit split failure lists of wba.check_axioms, by a scan
+    over every pair of terms of Delta(1).  The reference for wba's
+    unit-split join."""
+    d1 = w.delta_one()
+    lhs = {}
+    for (i, k), c in d1.items():
+        for (m, n), cc in w.coproduct_of(0, i).items():
+            bump(lhs, (m, n, k), c * cc)
+    right_one = [w.multiply(0, {i: _ONE}, 0, w.unit) for i in range(w.dim(0))]
+    left_one = [w.multiply(0, w.unit, 0, {i: _ONE}) for i in range(w.dim(0))]
+
+    def _triple(leg1_of, mid_of, leg3_of):
+        out = {}
+        for (i, j), c1 in d1.items():
+            for (k, m), c2 in d1.items():
+                c12 = c1 * c2
+                leg1 = leg1_of(i)
+                leg3 = leg3_of(m)
+                for n, cn in mid_of(j, k).items():
+                    for a, ca in leg1.items():
+                        for b, cb in leg3.items():
+                            bump(out, (a, n, b), c12 * cn * ca * cb)
+        return out
+
+    # (Delta(1) (x) 1)(1 (x) Delta(1)): legs u_i*1, u_j*u_k, 1*u_m
+    split12 = _triple(lambda i: right_one[i],
+                      lambda j, k: w.product_of(0, j, 0, k),
+                      lambda m: left_one[m])
+    # (1 (x) Delta(1))(Delta(1) (x) 1): legs 1*u_i, u_k*u_j, u_m*1
+    split21 = _triple(lambda i: left_one[i],
+                      lambda j, k: w.product_of(0, k, 0, j),
+                      lambda m: right_one[m])
+    fails12 = [] if lhs == split12 else [["1"]]
+    fails21 = [] if lhs == split21 else [["1"]]
+    return fails12, fails21
 
 
 def double_quiver(q):

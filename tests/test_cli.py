@@ -1,5 +1,6 @@
 """Command-line front end: documents, exit codes, determinism."""
 
+import gc
 import json
 import subprocess
 import sys
@@ -259,6 +260,47 @@ def test_face_and_verify_refuse_relations(tmp_path, command):
     assert code == 2
     assert doc == {"formatVersion": "faceq/1", "command": command, "passed": False,
                    "error": f"{command} takes no --relations"}
+
+
+@pytest.mark.parametrize("side", ["left", "right", "trans"])
+@pytest.mark.parametrize("command", ["face", "verify", "dual"])
+def test_commands_without_a_side_refuse_side(tmp_path, command, side):
+    """face, verify and dual build no coaction side, so --side, trans
+    included, exits 2 before the quiver is read."""
+    args = [command, "--quiver", str(tmp_path / "missing.json"), "--side", side]
+    if command == "dual":
+        args += ["--relations", write_json(tmp_path / "r.json", COMMUTATOR_DOC)]
+    code, doc = run_doc(tmp_path, args)
+    assert code == 2
+    assert doc == {"formatVersion": "faceq/1", "command": command, "passed": False,
+                   "error": f"{command} takes no --side"}
+
+
+@pytest.mark.parametrize("command, side", [
+    ("face", None), ("verify", None), ("dual", None), ("coact", "trans"), ("uqsgd", "trans")])
+def test_side_default(command, side):
+    """validate gives coact and uqsgd the side trans when --side is left
+    out; the other commands keep no side."""
+    argv = [command, "--quiver", "q.json"]
+    if command in ("uqsgd", "dual"):
+        argv += ["--relations", "r.json"]
+    args = cli._build_parser().parse_args(argv)
+    assert args.side is None
+    cli.validate(args)
+    assert args.side == side
+
+
+@pytest.mark.parametrize("command, relations", [("coact", None), ("uqsgd", COMMUTATOR_DOC)])
+def test_default_side_writes_the_trans_report(tmp_path, command, relations):
+    """coact and uqsgd without --side write the bytes of --side trans."""
+    args = [command, "--quiver", write_json(tmp_path / "q.json", TWO_LOOP_DOC),
+            "--max-degree", "2"]
+    if relations is not None:
+        args += ["--relations", write_json(tmp_path / "r.json", relations)]
+    default = run(tmp_path, args)
+    trans = run(tmp_path, args + ["--side", "trans"])
+    assert default == trans
+    assert default[0] == 0
 
 
 @pytest.mark.parametrize("side, code", [("left", 0), ("trans", 0), ("right", 2)])
@@ -759,3 +801,34 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["face", "--max-degree", "1"], 0),
+    (["face", "--side", "left"], 2),
+    (["face", "--max-degree", "x"], None),
+], ids=["pass", "refused-option", "parser-exit"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_main_restores_the_cycle_collector_state(tmp_path, monkeypatch, argv, code, enabled):
+    """main runs a command with the cycle collector off and leaves
+    gc.isenabled() as the caller had it: after a passing run, after an
+    option validate refuses (exit 2) and after the parser's own exit."""
+    seen = []
+    run_face = cli.RUNNERS["face"]
+    monkeypatch.setitem(cli.RUNNERS, "face",
+                        lambda args: seen.append(gc.isenabled()) or run_face(args))
+    argv = argv + ["--quiver", write_json(tmp_path / "q.json", Q_BULLETS_DOC),
+                   "--out", str(tmp_path / "out.json")]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if code is None:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+        else:
+            assert cli.main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == ([False] if code == 0 else [])

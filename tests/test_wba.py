@@ -1,6 +1,7 @@
 """Truncated weak bialgebra presentations, axiom checks, biideals, quotients."""
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 from unittest import mock
 
@@ -19,9 +20,11 @@ from faceq.linalg import Echelon, Subspace, bump, int_row, subspace_equal
 from conftest import (check_biideal_oracle, commutator_relations, face_coaction_relations,
                       full_witness_rows, quantum_plane_relations, quotient_coalgebra_oracle,
                       relation_rows)
-from fleet import FLEET, kronecker, one_loop, q_bullets, three_cycle, three_loop, two_loop
-from oracle import (FaceElement, bialgebra_d, direct_sum, double_quiver, face_coproduct,
-                    face_counit, face_multiply, face_unit, monomial_label)
+from fleet import (FLEET, doubled_three_cycle, kronecker, one_loop, q_bullets, three_cycle,
+                   three_loop, two_loop)
+from oracle import (FaceElement, bialgebra_d, counit_splits_scan, direct_sum, double_quiver,
+                    face_coproduct, face_counit, face_multiply, face_unit, monomial_label,
+                    unit_splits_scan)
 
 ONE = Fraction(1)
 
@@ -593,6 +596,71 @@ def test_counit_splits_visit_only_degrees_with_basis_elements(monkeypatch):
     monkeypatch.setattr(w, "coproduct_of", lambda d, i: calls.append((d, i)) or coproduct_of(d, i))
     assert wba._failures_counit_splits(w) == ([], [])
     assert sorted(calls) == [(0, i) for i in range(4)]
+
+
+@cache
+def split_hosts():
+    """Fleet h(Q) hosts at degree 2 and the UQSGd quotient of the two-loop
+    commutator at degree 2, whose tables corrupted_split_hosts copies."""
+    hosts = [wba.from_face_algebra(make(), 2) for make in FLEET.values()]
+    q = two_loop()
+    hosts.append(uq.build_uqsgd(q, commutator_relations(q), "trans", 2).quotient)
+    return hosts
+
+
+@st.composite
+def corrupted_split_hosts(draw):
+    """A copy of a split host with a few counit, coproduct or product entries
+    overwritten; the copy builds its own derived tables."""
+    w = draw(st.sampled_from(split_hosts()))
+    w = wba.GradedWBA(w.max_degree, w.labels, dict(w.product), w.unit,
+                      dict(w.coproduct), dict(w.counit))
+    top = w.max_degree
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.integers(0, top))
+        if not w.dim(d):
+            continue
+        i = draw(st.integers(0, w.dim(d) - 1))
+        table = draw(st.sampled_from(["counit", "coproduct", "product"]))
+        if table == "counit":
+            value = draw(SCALARS)
+            if value:
+                w.counit[(d, i)] = value
+            else:
+                w.counit.pop((d, i), None)
+        elif table == "coproduct":
+            j, k = (draw(st.integers(0, w.dim(d) - 1)) for _ in range(2))
+            _set_entry(w.coproduct, (d, i), (j, k), draw(SCALARS))
+        else:
+            e = draw(st.integers(0, top - d))
+            if not (w.dim(e) and w.dim(d + e)):
+                continue
+            j = draw(st.integers(0, w.dim(e) - 1))
+            m = draw(st.integers(0, w.dim(d + e) - 1))
+            _set_entry(w.product, (d, i, e, j), m, draw(SCALARS))
+    return w
+
+
+@settings(max_examples=120, deadline=None)
+@given(corrupted_split_hosts())
+def test_split_joins_match_the_scans(w):
+    """Both witness lists of the counit-split and unit-split joins, order
+    included, are those of the scans they replaced."""
+    assert wba._failures_counit_splits(w) == counit_splits_scan(w)
+    assert wba._failures_unit_splits(w) == unit_splits_scan(w)
+
+
+def test_counit_splits_read_each_coproduct_once(monkeypatch):
+    """On the doubled three-cycle at degree 3 the counit splits read the
+    coproduct of each of the 9 + 36 + 144 + 576 = 765 basis elements once;
+    a pass per degree triple and right factor read 1,314."""
+    w = wba.from_face_algebra(doubled_three_cycle(), 3)
+    calls = []
+    coproduct_of = w.coproduct_of
+    monkeypatch.setattr(w, "coproduct_of", lambda d, i: calls.append((d, i)) or coproduct_of(d, i))
+    assert wba._failures_counit_splits(w) == ([], [])
+    assert len(calls) == 765
+    assert sorted(calls) == [(d, i) for d in range(4) for i in range(w.dim(d))]
 
 
 def test_delta_multiplicative_terms_that_cancel():
