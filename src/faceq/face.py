@@ -9,6 +9,7 @@ basis's labels and parse_element reads a face element back.  Coefficients
 are exact rationals, never floats.
 """
 
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -32,10 +33,19 @@ def face_basis(q, degree):
 
 def format_coords(labels, coords):
     """Text form of a coordinate dict over a basis with these labels:
-    'coeff * label' terms in index order joined by ' + ', or '0'."""
+    'coeff * label' terms in index order joined by ' + ', or '0'.  Values of
+    any size print in full: the interpreter's int-to-text digit limit, where
+    it has one, is lifted while they are written and then restored."""
     if not coords:
         return "0"
-    return " + ".join(f"{coords[i]} * {labels[i]}" for i in sorted(coords))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return " + ".join(f"{coords[i]} * {labels[i]}" for i in sorted(coords))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def parse_path(q, text):

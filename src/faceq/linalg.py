@@ -41,6 +41,28 @@ def mat_vec(columns, vec):
     return out
 
 
+def apply_legs(element, left, right):
+    """(L (x) R)(t) for a tensor element t = {(x, y): c}, as {(m, n): scalar}.
+
+    left and right map an index to a sparse row, read with .get; a missing
+    or empty row counts as zero.  Cancelled terms are dropped.
+    """
+    lget, rget = left.get, right.get
+    out = {}
+    for (x, y), c in element.items():
+        lx, ry = lget(x), rget(y)
+        if not lx or not ry:
+            continue
+        for m, cm in lx.items():
+            ccm = c * cm
+            for n, cn in ry.items():
+                key = (m, n)
+                out[key] = out.get(key, 0) + ccm * cn
+    if not all(out.values()):
+        out = {key: v for key, v in out.items() if v}
+    return out
+
+
 def int_where_integral(x):
     """An int or Fraction x as the scalar policy holds it: an int where integral."""
     return x.numerator if x.denominator == 1 else x
@@ -187,16 +209,16 @@ class Projection:
     """The projection of k^n onto the cosets of a subspace, in coset coordinates.
 
     cols lists the non-pivot columns, the coset basis; denom is the lcm of
-    the basis's denominators, and rows[m] the int row denom * pi(e_m), which
-    for a pivot m is -denom times row m without its pivot entry.  Read-only."""
+    the basis's denominators; rows is {m: int row denom * pi(e_m)} over all
+    m, for a pivot m -denom times row m without its pivot entry.  Read-only."""
 
     def __init__(self, subspace):
         piv = dict(zip(subspace.pivots, subspace.basis))
         self.cols = [m for m in range(subspace.ambient_dim) if m not in piv]
         pos = {m: k for k, m in enumerate(self.cols)}
         denom = lcm(1, *{x.denominator for row in subspace.basis for x in row.values()})
-        self.rows = [{pos[c]: int(-x * denom) for c, x in piv[m].items() if c != m} if m in piv
-                     else {pos[m]: denom} for m in range(subspace.ambient_dim)]
+        self.rows = {m: {pos[c]: int(-x * denom) for c, x in piv[m].items() if c != m} if m in piv
+                     else {pos[m]: denom} for m in range(subspace.ambient_dim)}
         self.denom = denom
 
     def image(self, vec):

@@ -13,7 +13,8 @@ from . import pathalg as pa
 from . import quiver as qv
 from . import wba
 from .errors import VerificationError
-from .linalg import Subspace, bump, divided, int_row, int_where_integral, subspace_equal
+from .linalg import (Subspace, apply_legs, bump, divided, int_row, int_where_integral,
+                     subspace_equal)
 
 RESULT_SIDES = ("left", "right", "trans")
 
@@ -72,7 +73,7 @@ def _check_descent(pieces_h, algebra_pieces, sides):
 
     On the path basis of degree d, the left coaction is p -> sum_c x[p;c] (x) c
     and the right one p -> sum_c x[c;p] (x) c, host leg first; each relation
-    row's image is projected onto the two quotients by wba.project_image.
+    row's image is projected onto the two quotients by apply_legs.
     """
     fails = {side: [] for side in sides}
     for d, piece_a in enumerate(algebra_pieces):
@@ -83,10 +84,10 @@ def _check_descent(pieces_h, algebra_pieces, sides):
         proj_h = pieces_h[d].projection()
         rows = piece_a.basis if proj_a.denom == 1 else [int_row(row) for row in piece_a.basis]
         for side in sides:
-            lam = [{(p * n + c if side == "left" else c * n + p, c): 1 for c in range(n)}
-                   for p in range(n)]
             for r, row in enumerate(rows):
-                if wba.project_image(lambda _, p: lam[p], d, row, proj_h, proj_a)[0]:
+                image = {(p * n + c if side == "left" else c * n + p, c): a
+                         for p, a in row.items() for c in range(n)}
+                if apply_legs(image, proj_h.rows, proj_a.rows):
                     fails[side].append(f"degree {d}, relation row {r}")
     return fails
 

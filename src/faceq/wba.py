@@ -14,24 +14,23 @@ checks visit only those, reaching them through indexes (products by left
 factor, coproduct terms by first or second leg): they still quantify over
 every basis pair.
 
-Two identities are written once, for any degree-preserving map f into a
+One identity is written once, for any degree-preserving map f into a
 tensor product of two graded algebras, given by its images f(u_i):
 multiplicative_failures checks f(uv) = f(u)f(v), for the coproduct here and
-for a coaction in coaction, and project_image computes (pi (x) pi')f(u), for
-the biideal check, the quotient's coproduct and the descent of a coaction.
-multiplicative_failures pre-joins its legs inside each call: every term of
-a left-leg product is paired once with the image terms that start at its
-right factor, so the inner loop is one membership test per miss.  The
-weak-counit and weak-unit splits are joins too: the counit splits read
-each basis element's coproduct once, and both pair only the terms that an
-eps table or a nonzero product reads.
+for a coaction in coaction.  It pre-joins its legs inside each call: every
+term of a left-leg product is paired once with the image terms that start
+at its right factor, so the inner loop is one membership test per miss.
+Two-leg maps (L (x) R)(t) go through linalg.apply_legs: the projected
+coproducts (pi (x) pi)Delta of the biideal check and the quotient, and the
+weak-counit splits, which read each basis element's coproduct once.  The
+weak-unit splits are a join that pairs only terms with a nonzero product.
 """
 
 from math import isqrt
 
 from . import quiver as qv
 from .errors import VerificationError
-from .linalg import Echelon, bump, divided, int_row
+from .linalg import Echelon, apply_legs, bump, divided, int_row
 
 _ONE = 1
 
@@ -337,47 +336,18 @@ def multiplicative_failures(src, image, left, right, max_degree):
     return fails
 
 
-def project_image(image, d, u, left, right):
-    """(pi (x) pi')f(u) for a coordinate dict u of degree d, as (table, denom).
-
-    f is given by image as in image_of; left and right are the two legs'
-    linalg.Projection objects.  The projection is table / denom, with
-    denom the product of the legs' denominators and cancelled terms
-    dropped: a zero test reads table alone, in ints when u and the images
-    are, and linalg.divided gives the values.  Sums the terms of the images
-    term by term, without building f(u).
-    """
-    left_rows, right_rows = left.rows, right.rows
-    out = {}
-    for i, a in u.items():
-        for (j, k), c in image(d, i).items():
-            rj = left_rows[j]
-            rk = right_rows[k]
-            if not rj or not rk:
-                continue
-            ac = a * c
-            for m, cm in rj.items():
-                acm = ac * cm
-                for n, cn in rk.items():
-                    key = (m, n)
-                    out[key] = out.get(key, 0) + acm * cn
-    if not all(out.values()):
-        out = {key: c for key, c in out.items() if c}
-    return out, left.denom * right.denom
-
-
 def _failures_counit_splits(w):
     """Both weak-counit split failure lists, witnesses in (d, e, f, b) order.
 
     Over basis triples (u_a, u_b, u_c) of degrees (d, e, f), compares
     eps(u_a u_b u_c) with eps(u_a u_j) eps(u_k u_c) (split 12) and with
     eps(u_a u_k) eps(u_j u_c) (split 21), summed over the terms
-    u_j (x) u_k of Delta(u_b).  A join: per degree e one pass over the
-    coproducts keeps the terms whose legs the eps tables read, indexed by
-    first leg for split 12 and by second leg for split 21.  Each degree
-    triple then walks the eps columns of degree e against those lists,
-    takes eps(u_a u_b u_c) from products_by_left(), and compares only the
-    u_b that have a term on some side.
+    u_j (x) u_k of Delta(u_b).  Per degree e one pass over the coproducts
+    keeps, for each u_b, the terms whose legs the eps tables read, with the
+    legs swapped for split 21.  Each degree triple then takes
+    eps(u_a u_b u_c) from products_by_left() and each split from
+    apply_legs over the eps columns of (d, e) and the eps rows of (e, f),
+    and compares only the u_b that have a term on some side.
     """
     eps = w.eps_products()
     by_col = {}
@@ -390,27 +360,27 @@ def _failures_counit_splits(w):
         col = by_col.setdefault((d, e), {})
         row = by_row.setdefault((d, e), {})
         for (i, j), val in mat.items():
-            col.setdefault(j, []).append((i, val))
-            row.setdefault(i, []).append((j, val))
+            col.setdefault(j, {})[i] = val
+            row.setdefault(i, {})[j] = val
         read_right.setdefault(e, set()).update(col)
         read_left.setdefault(d, set()).update(row)
     by_left = w.products_by_left()
     # a degree with no basis elements has nothing to check at any place of a triple
     degrees = [d for d in range(w.max_degree + 1) if w.dim(d)]
-    # first[e][j] lists (b, k, c) over the terms c u_j (x) u_k of Delta(u_b) that split 12
-    # reads, second[e][k] lists (b, j, c) over those that split 21 reads
-    first = {}
-    second = {}
+    # kept[e][b] is (split 12's terms c u_j (x) u_k of Delta(u_b), split 21's as c u_k (x) u_j)
+    kept = {}
     for e in degrees:
         right, left = read_right.get(e, ()), read_left.get(e, ())
-        by_first = first[e] = {}
-        by_second = second[e] = {}
+        kept_e = kept[e] = {}
         for b in range(w.dim(e)):
+            legs12, legs21 = {}, {}
             for (j, k), c in w.coproduct_of(e, b).items():
                 if j in right and k in left:
-                    by_first.setdefault(j, []).append((b, k, c))
+                    legs12[(j, k)] = c
                 if k in right and j in left:
-                    by_second.setdefault(k, []).append((b, j, c))
+                    legs21[(k, j)] = c
+            if legs12 or legs21:
+                kept_e[b] = (legs12, legs21)
     fails12 = []
     fails21 = []
     for d in degrees:
@@ -432,34 +402,16 @@ def _failures_counit_splits(w):
                             crow = e3row.get(m)
                             if crow:
                                 out = lhs.setdefault(b, {})
-                                for c, vc in crow:
+                                for c, vc in crow.items():
                                     bump(out, (a, c), cm * vc)
-                rhs12 = _split_sums(e1col, first[e], e2row)
-                rhs21 = _split_sums(e1col, second[e], e2row)
-                for b in sorted(lhs.keys() | rhs12.keys() | rhs21.keys()):
+                for b in sorted(lhs.keys() | kept[e].keys()):
                     out = lhs.get(b, {})
-                    for rhs, fails in ((rhs12, fails12), (rhs21, fails21)):
-                        split = rhs.get(b, {})
+                    for legs, fails in zip(kept[e].get(b, ({}, {})), (fails12, fails21)):
+                        split = apply_legs(legs, e1col, e2row)
                         if out != split:
                             a, c = _first_mismatch(out, split)
                             fails.append([w.label_of(d, a), w.label_of(e, b), w.label_of(f, c)])
     return fails12, fails21
-
-
-def _split_sums(e1col, legs, e2row):
-    """{b: {(a, c): sum of c0 eps(u_a u_j) eps(u_k u_c)}} over legs[j] = [(b, k, c0), ...]."""
-    sums = {}
-    for j, acol in e1col.items():
-        for b, k, c0 in legs.get(j, ()):
-            crow = e2row.get(k)
-            if not crow:
-                continue
-            out = sums.setdefault(b, {})
-            for a, va in acol:
-                c0va = c0 * va
-                for c, vc in crow:
-                    bump(out, (a, c), c0va * vc)
-    return sums
 
 
 def _first_mismatch(lhs, rhs):
@@ -684,16 +636,16 @@ def biideal_graded_pieces(b, d):
 def _coset_coproduct(b, d, m):
     """(pi (x) pi)Delta(u_m) for a coset column m of the degree-d piece, times D*D.
 
-    D is the piece's projection denominator, and the table is project_image's,
-    in ints on an int host.  Projected on the first request and then kept on
-    b, so check_biideal and quotient_wba project each coset column once;
-    quotient_wba drops a degree's tables once it has divided them.
+    D is the piece's projection denominator; apply_legs over its rows on both
+    legs gives ints on an int host.  Projected on the first request and then
+    kept on b, so check_biideal and quotient_wba project each coset column
+    once; quotient_wba drops a degree's tables once it has divided them.
     """
     memo = b._coset_coproducts.setdefault(d, {})
     table = memo.get(m)
     if table is None:
-        proj = biideal_graded_pieces(b, d).projection()
-        table = memo[m] = project_image(b.host.coproduct_of, d, {m: _ONE}, proj, proj)[0]
+        rows = biideal_graded_pieces(b, d).projection().rows
+        table = memo[m] = apply_legs(b.host.coproduct_of(d, m), rows, rows)
     return table
 
 
@@ -717,13 +669,13 @@ def check_biideal(b, max_degree):
         piece = pieces[d]
         if not piece.dim:
             continue
-        proj = piece.projection()
+        rows = piece.projection().rows
         for r, (p, row) in enumerate(zip(piece.pivots, piece.basis)):
             if w.eps(d, row):
                 eps_fails.append(f"degree {d}, piece row {r}")
             rest = int_row(row)
             lead = {p: rest.pop(p)}
-            if (project_image(w.coproduct_of, d, lead, proj, proj)[0]
+            if (apply_legs(w.delta(d, lead), rows, rows)
                     != image_of(coset, d, {m: -a for m, a in rest.items()})):
                 delta_fails.append(f"degree {d}, piece row {r}")
     rows = [

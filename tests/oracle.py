@@ -13,9 +13,10 @@ the transposed biideal that spreads both sides' relations together.  It
 also keeps the exhaustive base-isomorphism search, the reference for the
 pruned one in coaction.search_base_iso; the scans of both weak-counit
 and both weak-unit splits that wba's joins replaced, the reference for
-them; and the double quiver and the preprojective relations of a cycle,
-which the tests build and the command line reads as plain quiver and
-relations documents.  Coefficients are Fractions.
+them; the dense two-leg map, the reference for linalg.apply_legs; and
+the double quiver and the preprojective relations of a cycle, which the
+tests build and the command line reads as plain quiver and relations
+documents.  Coefficients are Fractions.
 """
 
 from itertools import permutations
@@ -500,6 +501,21 @@ def search_base_iso_exhaustive(c, host):
         if verification["passed"]:
             return candidate, verification
     return None
+
+
+def apply_legs_dense(element, left, right, out_dims):
+    """(L (x) R)(t) entry by entry: for every (m, n) below out_dims, the sum
+    of c L[x][m] R[y][n] over all terms c (x, y) of t, a missing leg or
+    entry read as 0, and only nonzero sums kept.  The reference for
+    linalg.apply_legs."""
+    out = {}
+    for m in range(out_dims[0]):
+        for n in range(out_dims[1]):
+            total = sum((c * left.get(x, {}).get(m, 0) * right.get(y, {}).get(n, 0)
+                         for (x, y), c in element.items()), Fraction(0))
+            if total:
+                out[(m, n)] = total
+    return out
 
 
 def counit_splits_scan(w):

@@ -12,7 +12,9 @@ import pytest
 
 from faceq import cli
 from faceq import coaction as co
+from faceq import face as fc
 from faceq import pathalg as pa
+from faceq import quiver as qv
 from faceq import uqsgd as uq
 from faceq import wba
 
@@ -452,6 +454,70 @@ def test_relations_document_exit_codes(tmp_path, command, relations_doc, code, e
     assert out.get("error") == error
     if command == "uqsgd" and code == 0:
         assert out["relations"] == ["1 * t1.t2"]
+
+
+def _binomial_doc(coeff):
+    """The relation t1 t2 + coeff t2 t1 on the two-loop quiver."""
+    return [[{"coeff": 1, "path": ["t1", "t2"]}, {"coeff": coeff, "path": ["t2", "t1"]}]]
+
+
+def _int_digit_limit():
+    """The interpreter's int-to-text digit limit, 0 where it has none (before 3.10.7)."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
+@pytest.mark.parametrize("coeff", ["1/" + "3" * 2200, int("7" * 4000)],
+                         ids=["rational-2200-digits", "integer-4000-digits"])
+def test_coefficients_of_any_size_are_written_exactly(tmp_path, coeff):
+    """Derived values can pass the interpreter's int-to-text digit limit
+    (4,300 digits from Python 3.10.7 on) when the input does not: the
+    biideal generators here have terms of about 4,400 digits.  uqsgd still
+    exits 0, every face coefficient in the report reads back through
+    face.parse_element to the exact value built in process, the relation
+    text to the relation's, and the caller's limit is left as it was."""
+    limit = _int_digit_limit()
+    q = qv.parse_quiver(TWO_LOOP_DOC)
+    args = ["uqsgd", "--quiver", write_json(tmp_path / "q.json", TWO_LOOP_DOC),
+            "--relations", write_json(tmp_path / "r.json", _binomial_doc(coeff)),
+            "--max-degree", "2"]
+    code, doc = run_doc(tmp_path, args)
+    assert code == 0 and doc["passed"]
+    assert _int_digit_limit() == limit
+    result = uq.build_uqsgd(q, pa.parse_relations(_binomial_doc(coeff), q), "trans", 2)
+    longest = 0
+    if limit:
+        sys.set_int_max_str_digits(0)  # the reader keeps the limit, so the test lifts it to read back
+    try:
+        gens = result.biideal.generators
+        assert [fc.parse_element(q, text, d) for text, (d, _) in zip(doc["biidealGenerators"], gens)
+                ] == [coords for _, coords in gens]
+        longest = max(len(text) for text in doc["biidealGenerators"])
+        for side, spec in result.induced_coactions.items():
+            written = doc["inducedCoactions"][side]["coefficients"]
+            for d, mat in enumerate(spec.coefficients):
+                cols = wba.biideal_graded_pieces(result.biideal, d).projection().cols
+                assert [[fc.parse_element(q, text, d) for text in row] for row in written[d]] == [
+                    [{cols[k]: x for k, x in entry.items()} for entry in row] for row in mat]
+        (d, relation), = result.relation_space.ideal.generators
+        assert [Fraction(term.partition(" * ")[0]) for term in doc["relations"][0].split(" + ")
+                ] == [relation[i] for i in sorted(relation)]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert longest > 4300
+
+
+def test_json_integer_over_the_digit_limit_exits_2(tmp_path):
+    """The reader keeps its bound: a 5,000-digit JSON integer coefficient is
+    refused as malformed input, on interpreters with a digit limit."""
+    if not _int_digit_limit():
+        pytest.skip("the interpreter has no int-to-text digit limit")
+    relations = tmp_path / "r.json"
+    relations.write_text(json.dumps(_binomial_doc(0)).replace(": 0,", ": " + "7" * 5000 + ","))
+    code, doc = run_doc(tmp_path, ["uqsgd", "--quiver", write_json(tmp_path / "q.json", TWO_LOOP_DOC),
+                                   "--relations", str(relations), "--max-degree", "2"])
+    assert code == 2
+    assert "is not valid JSON" in doc["error"]
 
 
 def test_uqsgd_commutators_trans(tmp_path):

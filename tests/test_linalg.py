@@ -3,14 +3,15 @@
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
 from faceq import pathalg as pa
-from faceq.linalg import Echelon, Subspace, subspace_equal
+from faceq.linalg import Echelon, Subspace, apply_legs, subspace_equal
 
 from conftest import null_space_oracle
+from oracle import apply_legs_dense
 
 
 def dense(rows):
@@ -319,3 +320,53 @@ def test_null_space_matches_oracle(case):
     assert basis == oracle.basis
     assert Subspace.from_rows(cols, basis).pivots == oracle.pivots
     assert entry_types(basis) == entry_types(oracle.basis)
+
+
+leg_scalars = st.one_of(small_entries, rationals).filter(bool)
+
+
+@st.composite
+def tensors_and_legs(draw, n_in=4, n_out=3):
+    """(t, L, R) over indices below n_in, rows over columns below n_out.
+
+    Legs may be missing or empty.  On request one term c (x, y) gets a
+    partner -c (x', y) whose x' has x's left row, so the two cancel."""
+    rows = st.dictionaries(st.integers(0, n_out - 1), leg_scalars, max_size=n_out)
+    legs = st.dictionaries(st.integers(0, n_in - 1), rows, max_size=n_in)
+    left, right = draw(legs), draw(legs)
+    element = draw(st.dictionaries(st.tuples(st.integers(0, n_in - 1), st.integers(0, n_in - 1)),
+                                   leg_scalars, max_size=8))
+    if element and draw(st.booleans()):
+        x, y = draw(st.sampled_from(sorted(element)))
+        if x in left:
+            left[n_in] = dict(left[x])
+        element[(n_in, y)] = -element[(x, y)]
+    return element, left, right
+
+
+@settings(max_examples=200, deadline=None)
+@given(tensors_and_legs())
+@example(({(0, 0): 2, (1, 0): -1, (2, 1): 5, (3, 2): 1},
+          {0: {0: 1, 1: Fraction(1, 2)}, 1: {0: 2, 1: 1}, 3: {}},
+          {0: {2: 3}, 1: {0: 1}}))
+def test_apply_legs_matches_dense_oracle(case):
+    """apply_legs equals the dense sum over every output pair: the first
+    two terms of the example cancel, index 2 has no left leg and index 3 an
+    empty one.  Cancelled entries are dropped, and int input stays int."""
+    element, left, right = case
+    got = apply_legs(element, left, right)
+    assert got == apply_legs_dense(element, left, right, (3, 3))
+    assert all(got.values())
+    values = [c for row in (*left.values(), *right.values()) for c in row.values()]
+    if all(type(c) is int for c in [*element.values(), *values]):
+        assert all(type(v) is int for v in got.values())
+
+
+@given(rational_rows_and_vector())
+def test_projection_rows_cover_every_column(case):
+    """Projection.rows holds a row at every ambient column, the pivots'
+    included, so apply_legs reads no column as missing."""
+    cols, rows, _ = case
+    proj = Subspace.from_rows(cols, rows).projection()
+    assert sorted(proj.rows) == list(range(cols))
+    assert all(proj.rows[m] == {k: proj.denom} for k, m in enumerate(proj.cols))

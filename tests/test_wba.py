@@ -914,22 +914,33 @@ def test_coset_coproducts_are_projected_once():
     in the memo that the quotient's coproduct then reads and releases.  Given a report,
     the quotient projects only the coset columns that no checked row
     holds: all of degrees 0 and 1, whose pieces are zero.  Both match the
-    dense oracle."""
-    project_image = wba.project_image
+    dense oracle.  A projection is a call of wba.apply_legs; it is traced
+    back to (d, i) by the degree whose projection rows it applies and the
+    host coproduct Delta(u_i) whose terms it reads (on h(Q) the terms of
+    Delta(x[a;b]) name a and b)."""
+    apply_legs = wba.apply_legs
     calls = []
 
-    def counted(image, d, u, left, right):
-        calls.append((d, tuple(u)))
-        return project_image(image, d, u, left, right)
+    def counted(element, left, right):
+        calls.append((element, left))
+        return apply_legs(element, left, right)
+
+    def projected(b):
+        host = b.host
+        degree = {id(wba.biideal_graded_pieces(b, d).projection().rows): d for d in range(4)}
+        basis = {(d, frozenset(host.coproduct_of(d, i))): i
+                 for d in range(4) for i in range(host.dim(d))}
+        return [(d, basis[(d, frozenset(element))])
+                for element, left in calls for d in [degree[id(left)]]]
 
     for side in ("left", "trans"):
         b = mixed_relation_biideal(side)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(wba, "project_image", counted)
+            mp.setattr(wba, "apply_legs", counted)
             calls.clear()
             quo = wba.quotient_wba(b)
         host = b.host
-        assert sorted(calls) == [(d, (i,)) for d in range(4) for i in range(host.dim(d))]
+        assert sorted(projected(b)) == [(d, i) for d in range(4) for i in range(host.dim(d))]
         assert b._coset_coproducts == {}
         assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
 
@@ -938,12 +949,12 @@ def test_coset_coproducts_are_projected_once():
         held = {(d, m) for d, memo in b._coset_coproducts.items() for m in memo}
         assert held and all(d >= 2 for d, _ in held)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(wba, "project_image", counted)
+            mp.setattr(wba, "apply_legs", counted)
             calls.clear()
             quo = wba.quotient_wba(b, report=report)
-        assert calls == [(d, (m,)) for d in range(4)
-                         for m in wba.biideal_graded_pieces(b, d).projection().cols
-                         if (d, m) not in held]
+        assert projected(b) == [(d, m) for d in range(4)
+                                for m in wba.biideal_graded_pieces(b, d).projection().cols
+                                if (d, m) not in held]
         assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
 
 
