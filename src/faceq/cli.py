@@ -7,7 +7,8 @@ semigroupoid of a quadratic quotient), dual (quadratic dual presentation
 and duality transports).  Inputs are JSON documents; reports are JSON with
 a formatVersion field, rendered deterministically.  Exit codes: 0 all
 checks pass, 1 a verification failed, 2 malformed input or options,
-3 unsupported input shape, a window too large for the quiver among them.
+3 unsupported input shape, a window too large for the quiver among them,
+4 an internal error (any other exception, its traceback on stderr).
 A run makes no cyclic garbage, so main keeps the cycle collector off.
 """
 
@@ -29,6 +30,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_SHAPE = 3
+EXIT_INTERNAL = 4
 MAX_TABLE_CELLS = 2_000_000
 
 
@@ -170,8 +172,6 @@ def run_face(args):
         for side in ("source", "target")
     }
     return {
-        "formatVersion": FORMAT_VERSION,
-        "command": "face",
         "quiver": _quiver_doc(q),
         "maxDegree": args.max_degree,
         "dims": w.dims(),
@@ -196,8 +196,6 @@ def run_verify(args):
               and source_dim == target_dim == len(q.vertices)
               and all(s["passed"] for s in sections.values()))
     return {
-        "formatVersion": FORMAT_VERSION,
-        "command": "verify",
         "quiver": _quiver_doc(q),
         "maxDegree": m,
         "dims": w.dims(),
@@ -255,8 +253,6 @@ def run_coact(args):
                       if args.side == "trans" else None)
     passed = transposed is not False and all(s["passed"] for s in sections.values())
     doc = {
-        "formatVersion": FORMAT_VERSION,
-        "command": "coact",
         "quiver": _quiver_doc(q),
         "maxDegree": m,
         "coactions": sections,
@@ -285,8 +281,6 @@ def run_uqsgd(args):
             written = (spec.coefficients, _coefficients_text(spec.coefficients, result.quotient))
         induced[s] = {"side": spec.side, "coefficients": written[1]}
     return {
-        "formatVersion": FORMAT_VERSION,
-        "command": "uqsgd",
         "quiver": _quiver_doc(q),
         "side": args.side,
         "maxDegree": args.max_degree,
@@ -308,8 +302,6 @@ def run_dual(args):
     qdual = pa.quadratic_dual(qd, m)
     report = uq.check_quadratic_dualities(qd, qdual, m)
     return {
-        "formatVersion": FORMAT_VERSION,
-        "command": "dual",
         "quiver": _quiver_doc(q),
         "maxDegree": m,
         "dualQuiver": _quiver_doc(qdual.quiver),
@@ -397,7 +389,7 @@ def _run(argv):
     base = {"formatVersion": FORMAT_VERSION, "command": args.command, "passed": False}
     try:
         validate(args)
-        doc = RUNNERS[args.command](args)
+        doc = {**base, **RUNNERS[args.command](args)}
     except ParseError as exc:
         return _finish(args, dict(base, error=str(exc)), EXIT_PARSE)
     except UnsupportedShapeError as exc:
@@ -407,6 +399,11 @@ def _run(argv):
         if exc.report is not None:
             doc["report"] = exc.report
         return _finish(args, doc, EXIT_FAIL)
+    except Exception as exc:  # a fault of the program, never read as a verdict
+        import traceback  # only a crash needs it, so a run does not import it
+        traceback.print_exc()
+        error = f"internal error: {type(exc).__name__}: {exc}"
+        return _finish(args, dict(base, error=error), EXIT_INTERNAL)
     return _finish(args, doc, EXIT_PASS if doc["passed"] else EXIT_FAIL)
 
 

@@ -158,13 +158,12 @@ def check_comodule_algebra(c, host):
         if coeff and not counital.contains(coeff):
             unit_fails.append([algebra.label_of(0, k)])
 
-    rows = [
-        wba._row("coassociative", coassoc_fails, key="check"),
-        wba._row("counital", counit_fails, key="check"),
-        wba._row("multiplicative", mult_fails, key="check"),
-        wba._row("unit-membership", unit_fails, key="check"),
-    ]
-    return {"passed": all(r["status"] == "pass" for r in rows), "checks": rows}
+    return wba.report([
+        ("coassociative", coassoc_fails),
+        ("counital", counit_fails),
+        ("multiplicative", mult_fails),
+        ("unit-membership", unit_fails),
+    ])
 
 
 def check_transposed(lam, rho):
@@ -230,22 +229,17 @@ def verify_base_iso(c, host, candidate):
         if lhs != rhs:
             intertwine_fails.append([algebra.label_of(0, k)])
 
-    rows = [
-        wba._row("algebra-map", algebra_fails, key="check"),
-        wba._row("bijective-onto-counital", bijective_fails, key="check"),
-        wba._row("intertwines-coaction", intertwine_fails, key="check"),
-    ]
-    return {"passed": all(r["status"] == "pass" for r in rows), "checks": rows}
+    return wba.report([
+        ("algebra-map", algebra_fails),
+        ("bijective-onto-counital", bijective_fails),
+        ("intertwines-coaction", intertwine_fails),
+    ])
 
 
-def _orthogonal_idempotent_rows(alg, rows):
-    for i, u in enumerate(rows):
-        for j, v in enumerate(rows):
-            prod = alg.multiply(0, u, 0, v)
-            want = u if i == j else {}
-            if prod != want:
-                return False
-    return True
+def _orthogonality(alg, rows):
+    """{(i, j): whether u_i u_j = delta_ij u_i} over the degree-0 elements rows."""
+    return {(i, j): alg.multiply(0, u, 0, v) == (u if i == j else {})
+            for i, u in enumerate(rows) for j, v in enumerate(rows)}
 
 
 def search_base_iso(c, host):
@@ -266,13 +260,13 @@ def search_base_iso(c, host):
     """
     algebra = c.algebra
     n0 = algebra.dim(0)
-    if not _orthogonal_idempotent_rows(algebra, [{i: _ONE} for i in range(n0)]):
+    if not all(_orthogonality(algebra, [{i: _ONE} for i in range(n0)]).values()):
         raise UnsupportedShapeError(
             "degree-0 algebra basis is not a family of orthogonal idempotents")
     left = c.side == "left"
     counital = wba.counital_subalgebra(host, "target" if left else "source")
     basis = [dict(row) for row in counital.basis]
-    if not _orthogonal_idempotent_rows(host, basis):
+    if not all(_orthogonality(host, basis).values()):
         raise UnsupportedShapeError(
             "counital subalgebra basis is not a family of orthogonal idempotents")
     supports = [set(row) for row in basis]
@@ -336,14 +330,12 @@ def check_structure_lemmas(c, host):
 
     for d in range(min(c.degrees(), 1) + 1):
         comult_fails, counit_fails = _coalgebra_rows(host, algebra, d, c.coefficients[d])
-        rows.append(wba._row(f"degree{d}-comultiplicative", comult_fails, key="check"))
-        rows.append(wba._row(f"degree{d}-counit", counit_fails, key="check"))
+        rows.append((f"degree{d}-comultiplicative", comult_fails))
+        rows.append((f"degree{d}-counit", counit_fails))
 
-    # orthogonal[(i, j), (k, m)]: whether y_ij y_km = delta_ik delta_jm y_ij,
+    # orthogonal[i n0 + j, k n0 + m]: whether y_ij y_km = delta_ik delta_jm y_ij,
     # each product taken once for both orthogonality rows
-    orthogonal = {((i, j), (k, m)): host.multiply(0, y0[i][j], 0, y0[k][m])
-                  == (y0[i][j] if (i, j) == (k, m) else {})
-                  for i in range(n0) for j in range(n0) for k in range(n0) for m in range(n0)}
+    orthogonal = _orthogonality(host, [entry for row in y0 for entry in row])
     # left, shared column: y_{i,k} y_{j,k} = delta_{i,j} y_{i,k};
     # right, shared row: y_{k,i} y_{k,j} = delta_{i,j} y_{k,i}
     shared_column = c.side == "left"
@@ -352,10 +344,9 @@ def check_structure_lemmas(c, host):
         for i in range(n0):
             for j in range(n0):
                 (a, b), (r, s) = ((i, k), (j, k)) if shared_column else ((k, i), (k, j))
-                if not orthogonal[(a, b), (r, s)]:
+                if not orthogonal[a * n0 + b, r * n0 + s]:
                     ortho_fails.append([f"({a},{b})", f"({r},{s})"])
-    rows.append(wba._row("column-orthogonality" if shared_column else "row-orthogonality",
-                         ortho_fails, key="check"))
+    rows.append(("column-orthogonality" if shared_column else "row-orthogonality", ortho_fails))
 
     absorb_fails = []
     if c.degrees() >= 1:
@@ -371,7 +362,7 @@ def check_structure_lemmas(c, host):
                 right = host.multiply(1, y1[p][q], 0, y0[tp][tq])
                 if right != y1[p][q]:
                     absorb_fails.append(["target", f"({p},{q})"])
-    rows.append(wba._row("endpoint-absorption", absorb_fails, key="check"))
+    rows.append(("endpoint-absorption", absorb_fails))
 
     source_sub = wba.counital_subalgebra(host, "source")
     target_sub = wba.counital_subalgebra(host, "target")
@@ -388,14 +379,14 @@ def check_structure_lemmas(c, host):
             eta_fails.append([f"column {j}", "outside source subalgebra"])
         if not target_sub.contains(theta):
             theta_fails.append([f"row {j}", "outside target subalgebra"])
-    rows.append(wba._row("column-sums-idempotent-in-source", eta_fails, key="check"))
-    rows.append(wba._row("row-sums-in-target", theta_fails, key="check"))
+    rows.append(("column-sums-idempotent-in-source", eta_fails))
+    rows.append(("row-sums-in-target", theta_fails))
 
     unit_fails = [] if mat_vec(thetas, ones) == host.unit else [["unit decomposition"]]
-    rows.append(wba._row("unit-decomposition", unit_fails, key="check"))
+    rows.append(("unit-decomposition", unit_fails))
 
-    full_ortho_fails = [[f"({i},{j})", f"({k},{m})"]
-                        for ((i, j), (k, m)), ok in orthogonal.items() if not ok]
-    rows.append(wba._row("coefficient-orthogonality", full_ortho_fails, key="check"))
+    full_ortho_fails = [[f"({a // n0},{a % n0})", f"({b // n0},{b % n0})"]
+                        for (a, b), ok in orthogonal.items() if not ok]
+    rows.append(("coefficient-orthogonality", full_ortho_fails))
 
-    return {"passed": all(r["status"] == "pass" for r in rows), "checks": rows}
+    return wba.report(rows)

@@ -224,9 +224,3 @@ class Projection:
     def image(self, vec):
         """The exact coset coordinates of vec."""
         return divided(mat_vec(self.rows, vec), self.denom)
-
-
-def subspace_equal(a, b):
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("subspaces live in different ambient dimensions")
-    return a == b

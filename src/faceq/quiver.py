@@ -42,11 +42,11 @@ class Quiver:
             _check_name("vertex", v)
         for a in self.arrows:
             _check_name("arrow", a.name)
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ParseError("duplicate vertex labels")
         names = [a.name for a in self.arrows]
-        if len(set(names)) != len(names):
-            raise ParseError("duplicate arrow names")
+        for kind, seq in (("vertex label", self.vertices), ("arrow name", names)):
+            if len(set(seq)) != len(seq):
+                dup = next(x for i, x in enumerate(seq) if x in seq[:i])
+                raise ParseError(f"duplicate {kind} {dup!r}")
         for a in self.arrows:
             if not (0 <= a.source < len(self.vertices) and 0 <= a.target < len(self.vertices)):
                 raise ParseError(f"arrow {a.name} has an endpoint outside the vertex list")
@@ -88,8 +88,8 @@ class Quiver:
 def parse_quiver(doc):
     """Build a Quiver from a parsed document (dict with vertices/arrows lists).
 
-    Vertex and arrow order is preserved exactly as listed.  Duplicates and
-    dangling endpoint references raise ParseError naming the offender.
+    Vertex and arrow order is preserved exactly as listed.  Dangling endpoint
+    references raise ParseError naming the offender; Quiver checks the names.
     """
     if not isinstance(doc, dict):
         raise ParseError("quiver document must be an object")
@@ -98,15 +98,11 @@ def parse_quiver(doc):
     vertices = doc["vertices"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise ParseError("'vertices' must be a list of strings")
-    if len(set(vertices)) != len(vertices):
-        dup = next(v for i, v in enumerate(vertices) if v in vertices[:i])
-        raise ParseError(f"duplicate vertex label {dup!r}")
     index = {v: i for i, v in enumerate(vertices)}
     entries = doc.get("arrows", [])
     if not isinstance(entries, list):
         raise ParseError("'arrows' must be a list of objects")
     arrows = []
-    seen = set()
     for entry in entries:
         if not isinstance(entry, dict):
             raise ParseError("each arrow must be an object with name/source/target")
@@ -114,11 +110,6 @@ def parse_quiver(doc):
             name, source, target = entry["name"], entry["source"], entry["target"]
         except KeyError as missing:
             raise ParseError(f"arrow entry is missing key {missing}") from None
-        if not isinstance(name, str):  # the rest of the grammar is checked by Quiver
-            _check_name("arrow", name)
-        if name in seen:
-            raise ParseError(f"duplicate arrow name {name!r}")
-        seen.add(name)
         for role, label in (("source", source), ("target", target)):
             if not isinstance(label, str) or label not in index:
                 raise ParseError(f"arrow {name!r} references unknown {role} vertex {label!r}")

@@ -13,8 +13,7 @@ from . import pathalg as pa
 from . import quiver as qv
 from . import wba
 from .errors import VerificationError
-from .linalg import (Subspace, apply_legs, bump, divided, int_row, int_where_integral,
-                     subspace_equal)
+from .linalg import Subspace, apply_legs, bump, divided, int_row, int_where_integral
 
 RESULT_SIDES = ("left", "right", "trans")
 
@@ -135,11 +134,7 @@ def build_uqsgd(q, relations, side, max_degree):
     kq_ideal = qd.ideal
     algebra_pieces = [wba.biideal_graded_pieces(kq_ideal, d) for d in range(max_degree + 1)]
     descent = _check_descent(pieces_h, algebra_pieces, gen_sides)
-    descent_report = {
-        "passed": not any(descent.values()),
-        "checks": [wba._row(f"coaction-descends-{s}", descent[s], key="check")
-                   for s in gen_sides],
-    }
+    descent_report = wba.report([(f"coaction-descends-{s}", descent[s]) for s in gen_sides])
     if not descent_report["passed"]:
         raise VerificationError("coaction does not descend to the quotient",
                                 descent_report)
@@ -235,6 +230,6 @@ def check_quadratic_dualities(qd, qdual, max_degree):
     rows = []
     for name, src, mapping, dst, detail in table:
         moved = _transport(pieces[src], mapping, ambient[dst[1]])
-        ok = subspace_equal(moved, pieces[dst]) and dims[src] == dims[dst]
-        rows.append(wba._row(name, [] if ok else [detail], key="check"))
-    return {"passed": all(r["status"] == "pass" for r in rows), "checks": rows}
+        ok = moved == pieces[dst] and dims[src] == dims[dst]
+        rows.append((name, [] if ok else [detail]))
+    return wba.report(rows)

@@ -33,6 +33,8 @@ from .errors import VerificationError
 from .linalg import Echelon, apply_legs, bump, divided, int_row
 
 _ONE = 1
+# witnesses kept per failing report row
+WITNESSES = 3
 
 
 class GradedAlgebra:
@@ -477,23 +479,26 @@ def check_axioms(w):
     """
     f12, f21 = _failures_counit_splits(w)
     g12, g21 = _failures_unit_splits(w)
-    rows = [
-        _row("delta-multiplicative",
-             multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)),
-        _row("counit-product-split-12", f12),
-        _row("counit-product-split-21", f21),
-        _row("unit-coproduct-split-12", g12),
-        _row("unit-coproduct-split-21", g21),
-    ]
-    return {"passed": all(r["status"] == "pass" for r in rows), "checks": rows}
+    return report([
+        ("delta-multiplicative",
+         multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)),
+        ("counit-product-split-12", f12),
+        ("counit-product-split-21", f21),
+        ("unit-coproduct-split-12", g12),
+        ("unit-coproduct-split-21", g21),
+    ], key="axiom")
 
 
-def _row(name, failures, key="axiom"):
-    return {
-        key: name,
-        "status": "pass" if not failures else "fail",
-        "witnesses": failures[:3],
-    }
+def report(rows, key="check"):
+    """The check report of a list of (name, failures) rows.
+
+    Each row is named under key and keeps the first WITNESSES failures, in
+    order, as its witnesses (every failure when WITNESSES is None); the
+    report passes iff no row has a failure.
+    """
+    checks = [{key: name, "status": "fail" if failures else "pass",
+               "witnesses": failures[:WITNESSES]} for name, failures in rows]
+    return {"passed": not any(failures for _, failures in rows), "checks": checks}
 
 
 def counital_subalgebra(w, side):
@@ -678,11 +683,7 @@ def check_biideal(b, max_degree):
             if (apply_legs(w.delta(d, lead), rows, rows)
                     != image_of(coset, d, {m: -a for m, a in rest.items()})):
                 delta_fails.append(f"degree {d}, piece row {r}")
-    rows = [
-        _row("counit-vanishes", eps_fails, key="check"),
-        _row("coproduct-descends", delta_fails, key="check"),
-    ]
-    return {"passed": not (eps_fails or delta_fails), "checks": rows}
+    return report([("counit-vanishes", eps_fails), ("coproduct-descends", delta_fails)])
 
 
 def quotient_wba(b, report=None):

@@ -194,11 +194,7 @@ def check_biideal_oracle(b, max_degree):
                         bump(image, (m, n), crm * cn)
             if image:
                 delta_fails.append(f"degree {d}, piece row {r}")
-    rows = [
-        wba._row("counit-vanishes", eps_fails, key="check"),
-        wba._row("coproduct-descends", delta_fails, key="check"),
-    ]
-    return {"passed": not (eps_fails or delta_fails), "checks": rows}
+    return wba.report([("counit-vanishes", eps_fails), ("coproduct-descends", delta_fails)])
 
 
 def check_descent_oracle(pieces_h, algebra_pieces, sides):
@@ -280,9 +276,8 @@ def induced_coefficients_oracle(b, algebra, max_degree):
 
 
 def full_witness_rows(mp):
-    """Make wba._row keep every witness, in order, under the MonkeyPatch mp."""
-    mp.setattr(wba, "_row", lambda name, failures, key="axiom": {
-        key: name, "status": "fail" if failures else "pass", "witnesses": list(failures)})
+    """Make wba.report keep every witness, in order, under the MonkeyPatch mp."""
+    mp.setattr(wba, "WITNESSES", None)
 
 
 def face_coaction_relations(qd, side):

@@ -16,7 +16,8 @@ and both weak-unit splits that wba's joins replaced, the reference for
 them; the dense two-leg map, the reference for linalg.apply_legs; and
 the double quiver and the preprojective relations of a cycle, which the
 tests build and the command line reads as plain quiver and relations
-documents.  Coefficients are Fractions.
+documents; and subspace_equal, Subspace equality that refuses subspaces
+of different ambient dimensions.  Coefficients are Fractions.
 """
 
 from itertools import permutations
@@ -651,3 +652,9 @@ def preprojective_relations(q):
         neg = qv.compose_paths(dbl, dbl.arrow_path(n + j), dbl.arrow_path(j))
         relations.append((2, {qv.path_index(dbl, pos): 1, qv.path_index(dbl, neg): -1}))
     return dbl, relations
+
+
+def subspace_equal(a, b):
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("subspaces live in different ambient dimensions")
+    return a == b

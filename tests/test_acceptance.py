@@ -19,13 +19,13 @@ from faceq import quiver as qv
 from faceq import uqsgd as uq
 from faceq import wba
 from faceq.errors import UnsupportedShapeError
-from faceq.linalg import Subspace, subspace_equal
+from faceq.linalg import Subspace
 
 from conftest import (commutator_relations, dd_coaction, face_coords, is_vertex_bimodule,
                       polynomial_families, preprojective_families,
                       quantum_plane_relations)
 from fleet import FLEET, three_cycle, three_loop, two_loop
-from oracle import double_quiver, preprojective_relations
+from oracle import double_quiver, preprojective_relations, subspace_equal
 
 
 @pytest.fixture(scope="session")

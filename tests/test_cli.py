@@ -869,6 +869,31 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
     assert proc.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_unexpected_exception_exits_4_with_an_error_report(tmp_path, monkeypatch, capsys,
+                                                           enabled):
+    """An exception that is not a verdict or a refusal of the input is an
+    internal error: exit 4, never 1, an error report naming the exception,
+    its traceback on stderr, and the caller's collector state restored."""
+    def broken(args):
+        raise RuntimeError("table went missing")
+
+    monkeypatch.setitem(cli.RUNNERS, "face", broken)
+    quiver = write_json(tmp_path / "q.json", Q_BULLETS_DOC)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code, doc = run_doc(tmp_path, ["face", "--quiver", quiver])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert code == cli.EXIT_INTERNAL == 4
+    assert doc == {"formatVersion": "faceq/1", "command": "face", "passed": False,
+                   "error": "internal error: RuntimeError: table went missing"}
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: table went missing" in err
+
+
 @pytest.mark.parametrize("argv, code", [
     (["face", "--max-degree", "1"], 0),
     (["face", "--side", "left"], 2),

@@ -393,13 +393,12 @@ def dense_comodule_algebra(c, host):
         if coeff and not counital.contains(coeff):
             unit_fails.append([algebra.label_of(0, k)])
 
-    rows = [
-        wba._row("coassociative", coassoc_fails, key="check"),
-        wba._row("counital", counit_fails, key="check"),
-        wba._row("multiplicative", mult_fails, key="check"),
-        wba._row("unit-membership", unit_fails, key="check"),
-    ]
-    return {"passed": all(r["status"] == "pass" for r in rows), "checks": rows}
+    return wba.report([
+        ("coassociative", coassoc_fails),
+        ("counital", counit_fails),
+        ("multiplicative", mult_fails),
+        ("unit-membership", unit_fails),
+    ])
 
 
 # Coaction truncation per fleet quiver for the dense oracle; the wider

@@ -17,14 +17,14 @@ from faceq import face as fc
 from faceq import quiver as qv
 from faceq import wba
 from faceq.errors import ParseError
-from faceq.linalg import Subspace, subspace_equal
+from faceq.linalg import Subspace
 
 from conftest import assert_reader_matches_oracle
 from fleet import FLEET, doubled_three_cycle, one_loop, q_bullets, three_cycle, two_loop
 from oracle import (FaceElement, PathElement, counital_map, double_quiver, element_rows,
                     face_coproduct, face_counit, face_element, face_multiply, face_unit,
                     format_element, monomial_degree, monomial_label, parse_face_element,
-                    path_text)
+                    path_text, subspace_equal)
 
 
 def mono(q, left, right):

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 import pytest
 
 from faceq import pathalg as pa
-from faceq.linalg import Echelon, Subspace, apply_legs, subspace_equal
+from faceq.linalg import Echelon, Subspace, apply_legs
 
 from conftest import null_space_oracle
-from oracle import apply_legs_dense
+from oracle import apply_legs_dense, subspace_equal
 
 
 def dense(rows):

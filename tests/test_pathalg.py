@@ -14,14 +14,15 @@ from faceq import pathalg as pa
 from faceq import quiver as qv
 from faceq import wba
 from faceq.errors import ParseError, UnsupportedShapeError
-from faceq.linalg import Echelon, Subspace, subspace_equal
+from faceq.linalg import Echelon, Subspace
 
 from conftest import (assert_reader_matches_oracle, commutator_relations, is_vertex_bimodule,
                       q_commutator_relations, quadratic_dual_oracle, quadratic_ideal_oracle,
                       quantum_plane_relations, relation_rows)
 from fleet import kronecker, three_cycle, three_loop, two_loop
 from oracle import (PathElement, double_quiver, element_rows, homogeneous_generators,
-                    multiply_path_elements, path_text, path_unit, preprojective_relations)
+                    multiply_path_elements, path_text, path_unit, preprojective_relations,
+                    subspace_equal)
 
 
 def brute_force_piece(q, relations, d):

@@ -64,6 +64,19 @@ def test_parse_duplicate_arrow_name():
             {"name": "a", "source": "v", "target": "v"}]})
 
 
+@pytest.mark.parametrize("vertices, arrows, error", [
+    (["v", "w", "v"], [], "duplicate vertex label 'v'"),
+    (["v"], [("a", 0, 0), ("b", 0, 0), ("a", 0, 0)], "duplicate arrow name 'a'"),
+])
+def test_quiver_names_the_duplicate(vertices, arrows, error):
+    with pytest.raises(ParseError, match=error):
+        qv.Quiver(vertices, arrows)
+    doc = {"vertices": vertices, "arrows": [
+        {"name": n, "source": vertices[s], "target": vertices[t]} for n, s, t in arrows]}
+    with pytest.raises(ParseError, match=error):
+        qv.parse_quiver(doc)
+
+
 BAD_NAMES = ["", "a.b", "x;y", "x[1", "y]", "a b", "a\tb", "e:a", "+", 7]
 
 

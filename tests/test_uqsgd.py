@@ -1,12 +1,16 @@
 """Quotient constructions for quadratic relation spaces and their dualities."""
 
+import json
+import tempfile
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from faceq import cli
 from faceq import coaction as co
 from faceq import face as fc
 from faceq import linalg
@@ -15,7 +19,7 @@ from faceq import quiver as qv
 from faceq import uqsgd as uq
 from faceq import wba
 from faceq.errors import UnsupportedShapeError
-from faceq.linalg import Subspace, subspace_equal
+from faceq.linalg import Subspace
 
 from conftest import (bracket, check_biideal_oracle, check_descent_oracle, commutator_relations,
                       face_coaction_relations, face_coords, full_witness_rows,
@@ -24,7 +28,8 @@ from conftest import (bracket, check_biideal_oracle, check_descent_oracle, commu
                       quantum_plane_relations, quotient_algebra_oracle, quotient_coalgebra_oracle,
                       relation_rows)
 from fleet import FLEET, HOST_DEGREE, kronecker, three_cycle, three_loop, two_loop
-from oracle import preprojective_relations, sum_of_pieces
+from oracle import preprojective_relations, subspace_equal, sum_of_pieces
+from test_face import named_quivers
 from test_golden import Q_COMMUTATORS, THREE_LOOP
 
 
@@ -426,3 +431,89 @@ def test_descent_fails_on_every_row_for_the_zero_biideal():
                  for d, piece in enumerate(algebra_pieces) for r in range(piece.dim)]
     assert every_row
     assert fails == oracle == {"left": every_row, "right": every_row}
+
+
+# Relation coefficients of the metamorphic test, integral and not.
+COEFFS = (1, -1, 2, "1/2", "-3/2")
+
+
+@st.composite
+def quadratic_relations(draw, q):
+    """One or two relations of q (none when q has no path of length 2), each
+    a combination of up to three distinct parallel paths of length 2, as a
+    relations document."""
+    parallel = {}
+    for p in qv.enumerate_paths(q, 2):
+        parallel.setdefault((p.start, q.path_target(p)), []).append(
+            [q.arrows[i].name for i in p.arrows])
+    if not parallel:
+        return []
+    groups = list(parallel.values())
+    relations = []
+    for _ in range(draw(st.integers(1, 2))):
+        paths = draw(st.sampled_from(groups))
+        picked = draw(st.lists(st.integers(0, len(paths) - 1), min_size=1, max_size=3,
+                               unique=True))
+        relations.append([{"coeff": draw(st.sampled_from(COEFFS)), "path": paths[k]}
+                          for k in picked])
+    return relations
+
+
+def verdicts(node, place=()):
+    """Every check row of a report as (place, name, status), witnesses left out."""
+    if isinstance(node, dict):
+        if "status" in node:
+            return [(place, node.get("check", node.get("axiom")), node["status"])]
+        return [row for k in sorted(node) for row in verdicts(node[k], place + (k,))]
+    if isinstance(node, list):
+        return [row for item in node for row in verdicts(item, place)]
+    return []
+
+
+def degree2_run(work, command, quiver, relations, side=None):
+    """Exit code, verdict, dims and check rows of one in-process CLI run at degree 2."""
+    paths = [work / "quiver.json", work / "relations.json", work / "report.json"]
+    paths[0].write_text(json.dumps(quiver))
+    paths[1].write_text(json.dumps(relations))
+    argv = [command, "--quiver", str(paths[0]), "--relations", str(paths[1]),
+            "--max-degree", "2", "--out", str(paths[2])]
+    code = cli.main(argv + (["--side", side] if side else []))
+    doc = json.loads(paths[2].read_text())
+    dims = {k: doc.get(k) for k in ("quotientDims", "algebraDims", "primalDims", "dualDims")}
+    return code, doc["passed"], dims, doc.get("transposed"), verdicts(doc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(named_quivers().flatmap(lambda q: st.tuples(
+    st.just(q), quadratic_relations(q), st.permutations(range(len(q.vertices))),
+    st.permutations(range(len(q.arrows))))))
+def test_uqsgd_and_dual_respect_relabelling_and_path_reversal(case):
+    """The paper's symmetries on random quadratic quotients kQ/I at degree 2.
+
+    Renaming and reordering vertices and arrows only permutes bases, so the
+    uqsgd (trans) and dual reports keep their dims and verdicts.  Path
+    reversal identifies kQ^op/I^op with (kQ/I)^op, and the left (and the
+    right) UQSGd of (Q, R) and of (Q^op, R^op) have the same dims and
+    verdicts.
+    """
+    q, relations, vertex_order, arrow_order = case
+    doc = cli._quiver_doc(q)
+    vname = {v: f"v{i}" for i, v in enumerate(q.vertices)}
+    aname = {a.name: f"a{i}" for i, a in enumerate(q.arrows)}
+    renamed = {"vertices": [vname[doc["vertices"][v]] for v in vertex_order],
+               "arrows": [{"name": aname[a["name"]], "source": vname[a["source"]],
+                           "target": vname[a["target"]]}
+                          for a in (doc["arrows"][i] for i in arrow_order)]}
+    renamed_relations = [[{"coeff": t["coeff"], "path": [aname[a] for a in t["path"]]}
+                          for t in rel] for rel in relations]
+    op = cli._quiver_doc(qv.opposite_quiver(q))
+    op_relations = [[{"coeff": t["coeff"], "path": [a + "*" for a in reversed(t["path"])]}
+                     for t in rel] for rel in relations]
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for command in ("uqsgd", "dual"):
+            assert (degree2_run(work, command, doc, relations)
+                    == degree2_run(work, command, renamed, renamed_relations))
+        for side in ("left", "right"):
+            assert (degree2_run(work, "uqsgd", doc, relations, side)
+                    == degree2_run(work, "uqsgd", op, op_relations, side))

@@ -15,7 +15,7 @@ from faceq import quiver as qv
 from faceq import uqsgd as uq
 from faceq import wba
 from faceq.errors import VerificationError
-from faceq.linalg import Echelon, Subspace, bump, int_row, subspace_equal
+from faceq.linalg import Echelon, Subspace, bump, int_row
 
 from conftest import (check_biideal_oracle, commutator_relations, face_coaction_relations,
                       full_witness_rows, quantum_plane_relations, quotient_coalgebra_oracle,
@@ -24,7 +24,7 @@ from fleet import (FLEET, doubled_three_cycle, kronecker, one_loop, q_bullets, t
                    three_loop, two_loop)
 from oracle import (FaceElement, bialgebra_d, counit_splits_scan, direct_sum, double_quiver,
                     face_coproduct, face_counit, face_multiply, face_unit, monomial_label,
-                    unit_splits_scan)
+                    subspace_equal, unit_splits_scan)
 
 ONE = Fraction(1)
 
@@ -774,6 +774,22 @@ def test_biideal_rank_is_the_dim_of_the_finalized_piece(b, data):
     assert [wba.biideal_rank(b, d) for d in range(top + 1)] == \
         [wba.biideal_graded_pieces(fresh, d).dim for d in range(top + 1)]
     assert piece == wba.biideal_graded_pieces(fresh, top)
+
+
+def test_report_keeps_the_first_witnesses_and_fails_on_any_failure():
+    assert wba.report([]) == {"passed": True, "checks": []}
+    assert wba.report([("a", []), ("b", [])]) == {"passed": True, "checks": [
+        {"check": "a", "status": "pass", "witnesses": []},
+        {"check": "b", "status": "pass", "witnesses": []}]}
+    rows = [("a", []), ("b", [[1], [2], [3], [4], [5]])]
+    assert wba.report(rows, key="axiom") == {"passed": False, "checks": [
+        {"axiom": "a", "status": "pass", "witnesses": []},
+        {"axiom": "b", "status": "fail", "witnesses": [[1], [2], [3]]}]}
+    with pytest.MonkeyPatch.context() as mp:
+        full_witness_rows(mp)
+        assert wba.report(rows)["checks"][1] == {
+            "check": "b", "status": "fail", "witnesses": [[1], [2], [3], [4], [5]]}
+    assert wba.WITNESSES == 3
 
 
 def assert_biideal_report_matches_oracle(b):
