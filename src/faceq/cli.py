@@ -9,7 +9,13 @@ a formatVersion field, rendered deterministically.  Exit codes: 0 all
 checks pass, 1 a verification failed, 2 malformed input or options,
 3 unsupported input shape, a window too large for the quiver among them,
 4 an internal error (any other exception, its traceback on stderr).
-A run makes no cyclic garbage, so main keeps the cycle collector off.
+
+A run makes no cyclic garbage, so main, the entry for library callers and
+tests, keeps the cycle collector off while it runs and gives the caller
+back the collector state it found.  script, the process entry of
+python -m faceq.cli and the faceq console script, runs main and then
+freezes the heap (gc.freeze), so the collections the interpreter makes at
+exit skip the objects the run leaves alive, none of them garbage.
 """
 
 import argparse
@@ -383,6 +389,13 @@ def main(argv=None):
             gc.enable()
 
 
+def script():
+    """The process entry: main's exit code, the heap frozen for the interpreter's exit."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 def _run(argv):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -408,4 +421,4 @@ def _run(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(script())

@@ -11,11 +11,10 @@ are exact rationals, never floats.
 
 import sys
 from collections import namedtuple
-from fractions import Fraction
 
 from . import pathalg as pa
 from . import quiver as qv
-from .errors import ParseError
+from .errors import ParseError, shown
 from .linalg import bump, int_where_integral
 from .quiver import Path
 
@@ -89,9 +88,9 @@ def parse_terms(q, text):
             try:
                 coeff = pa.parse_scalar(coeff_text.strip())
             except ParseError:
-                raise ParseError(f"bad coefficient {coeff_text.strip()!r}") from None
+                raise ParseError(f"bad coefficient {shown(coeff_text.strip())}") from None
         else:
-            coeff, mono_text = Fraction(1), part
+            coeff, mono_text = 1, part
         mono_text = mono_text.strip()
         if not (mono_text.startswith("x[") and mono_text.endswith("]")
                 and ";" in mono_text):

@@ -13,14 +13,21 @@ Internally, rows are scaled to integers and reduced by cross-multiplication
 int rows enter by add_ints, without the Fraction scan.  Back-substitution
 runs from the last pivot to the first, so every row used to clear a pivot
 column is already clean.  Fractions only reappear when a finished basis is
-normalized to pivot 1 and a lead does not divide its row.  A subspace's
-Projection onto its cosets (reduction, membership and, read by free column,
-the orthogonal complement) holds int rows over one denominator D: a zero
-test never divides, and a value divides once per output key.
+normalized to pivot 1 and a lead does not divide its row.  The library
+builds a Fraction from ints or text only by rational(), which imports the
+fractions module on its first call, so a run over integers never loads it.
+A subspace's Projection onto its cosets (reduction, membership and, read by
+free column, the orthogonal complement) holds int rows over one denominator
+D: a zero test never divides, and a value divides once per output key.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
+
+
+def rational(numerator, denominator=None):
+    """Fraction(numerator, denominator); fractions is imported on the first call."""
+    from fractions import Fraction
+    return Fraction(numerator, denominator)
 
 
 def bump(table, key, value):
@@ -72,7 +79,7 @@ def divided(table, denom):
     """table with each value divided by denom, ints where integral; table itself if denom is 1."""
     if denom == 1:
         return table
-    return {key: int_where_integral(Fraction(v, denom)) for key, v in table.items()}
+    return {key: int_where_integral(rational(v, denom)) for key, v in table.items()}
 
 
 def int_row(row):
@@ -154,7 +161,7 @@ class Echelon:
         for p in pivots:
             row = clean[p]
             lead = row[p]
-            basis.append({c: v // lead if v % lead == 0 else Fraction(v, lead)
+            basis.append({c: v // lead if v % lead == 0 else rational(v, lead)
                           for c, v in row.items()})
         return Subspace(self.ambient_dim, basis, pivots)
 

@@ -8,10 +8,8 @@ fixed path basis, spanned by the products e_u r e_w of the relations r
 with vertex idempotents and spread up the grading by the arrows.
 """
 
-from fractions import Fraction
-
-from .errors import ParseError, UnsupportedShapeError
-from .linalg import Subspace, bump, int_where_integral
+from .errors import ParseError, UnsupportedShapeError, shown
+from .linalg import Subspace, bump, int_where_integral, rational
 from . import quiver as qv
 from . import wba
 
@@ -106,19 +104,25 @@ def quadratic_dual(qd, max_degree=2):
 
 
 def parse_scalar(value):
-    """Accept ints and 'a/b' strings; reject floats (exactness contract),
-    exponents, which would make Fraction build 10**k from a few bytes, and
-    '_' digit separators, which Fraction reads only from Python 3.11 on."""
+    """Accept ints, returned as they are, and 'a/b' strings, read by
+    linalg.rational; reject floats (exactness contract), exponents, which
+    would make Fraction build 10**k from a few bytes, and '_' digit
+    separators, which Fraction reads only from Python 3.11 on.  An
+    over-long text is named by its first characters and its length."""
     if isinstance(value, bool) or isinstance(value, float):
         raise ParseError(f"coefficients must be integers or rational strings, got {value!r}")
+    if isinstance(value, int):
+        return value
     if isinstance(value, str) and "e" in value.lower():
-        raise ParseError(f"cannot read coefficient {value!r}: exponents are not accepted")
+        raise ParseError(f"cannot read coefficient {shown(value)}: exponents are not accepted")
     if isinstance(value, str) and "_" in value:
-        raise ParseError(f"cannot read coefficient {value!r}: digit separators are not accepted")
+        raise ParseError(f"cannot read coefficient {shown(value)}: "
+                         f"digit separators are not accepted")
     try:
-        return Fraction(value)
+        return rational(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ParseError(f"cannot read coefficient {value!r}: {exc}") from None
+        detail = str(exc).replace(repr(value), shown(value))
+        raise ParseError(f"cannot read coefficient {shown(value)}: {detail}") from None
 
 
 def parse_relations(doc, q):

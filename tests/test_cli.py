@@ -520,6 +520,24 @@ def test_json_integer_over_the_digit_limit_exits_2(tmp_path):
     assert "is not valid JSON" in doc["error"]
 
 
+def test_over_long_coefficient_is_named_by_its_first_characters(tmp_path):
+    """A coaction document entry with a 5,000-digit coefficient 1/3...3,
+    which the reader refuses on interpreters with a digit limit, exits 2
+    with an error naming its first 40 characters and its length, not all
+    5,002 of them."""
+    if not _int_digit_limit():
+        pytest.skip("the interpreter has no int-to-text digit limit")
+    coeff = "1/" + "3" * 5000
+    coaction = {"side": "right", "coefficients": [
+        [["x[e:v;e:v]"]],
+        [[f"{coeff} * x[t1;t1]", "x[t1;t2]"], ["x[t2;t1]", "x[t2;t2]"]]]}
+    code, text = run(tmp_path, ["coact", "--quiver", write_json(tmp_path / "q.json", TWO_LOOP_DOC),
+                                "--relations", write_json(tmp_path / "c.json", coaction)])
+    assert code == 2
+    assert json.loads(text)["error"] == f"bad coefficient {coeff[:40]!r}... (5002 characters)"
+    assert len(text) < 200
+
+
 def test_uqsgd_commutators_trans(tmp_path):
     quiver = write_json(tmp_path / "q.json", TWO_LOOP_DOC)
     rels = write_json(tmp_path / "r.json", COMMUTATOR_DOC)
@@ -846,27 +864,83 @@ def test_stdout_emission(tmp_path, capsys):
     assert doc["dims"] == [1, 1, 1]
 
 
-def test_subprocess_entry_point(tmp_path):
-    quiver = write_json(tmp_path / "q.json", Q_BULLETS_DOC)
+def test_subprocess_entry_point(tmp_path, capsys):
+    """python -m faceq.cli runs cli.script, which writes what main writes
+    in process, byte for byte, to stdout and to --out, and exits with the
+    code main returns: 0, 1 on a failing coaction document, 2 on an option
+    validate refuses and 3 on a window too large for the quiver."""
+    bullets = write_json(tmp_path / "q.json", Q_BULLETS_DOC)
+    failing = {"side": "left", "coefficients": [[["1 * x[e:1;e:1]", "0"],
+                                                 ["1 * x[e:2;e:1]", "1 * x[e:2;e:2]"]]]}
+    cases = [
+        (["face", "--quiver", bullets, "--max-degree", "2"], 0),
+        (["coact", "--quiver", bullets,
+          "--relations", write_json(tmp_path / "c.json", failing)], 1),
+        (["face", "--quiver", bullets, "--side", "left"], 2),
+        (["face", "--quiver", write_json(tmp_path / "l.json", THREE_LOOP_DOC),
+          "--max-degree", "9"], 3),
+    ]
+    for argv, code in cases:
+        assert cli.main(argv) == code
+        in_process = capsys.readouterr().out.encode()
+        proc = subprocess.run([sys.executable, "-m", "faceq.cli", *argv], capture_output=True)
+        assert (proc.returncode, proc.stdout) == (code, in_process)
+        outs = [tmp_path / "main.json", tmp_path / "script.json"]
+        assert cli.main(argv + ["--out", str(outs[0])]) == code
+        proc = subprocess.run([sys.executable, "-m", "faceq.cli", *argv, "--out", str(outs[1])],
+                              capture_output=True)
+        assert (proc.returncode, proc.stdout) == (code, b"")
+        assert outs[1].read_bytes() == outs[0].read_bytes() == in_process
+
+
+def test_script_freezes_the_heap_after_main(tmp_path):
+    """cli.script, run in a fresh interpreter, returns main's exit code and
+    leaves the objects alive after the run in the permanent generation."""
+    code = ("import gc, sys; from faceq import cli; "
+            "print(gc.get_freeze_count(), cli.script(), gc.get_freeze_count() > 0)")
     proc = subprocess.run(
-        [sys.executable, "-m", "faceq.cli", "face", "--quiver", quiver,
-         "--max-degree", "2"],
+        [sys.executable, "-c", code, "face", "--quiver",
+         write_json(tmp_path / "q.json", Q_BULLETS_DOC), "--out", str(tmp_path / "out.json")],
         capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["passed"] is True
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 0 True\n"
 
 
 def test_import_leaves_dataclasses_and_inspect_unloaded():
     """Importing the CLI pulls in neither dataclasses nor, through it,
     inspect, ast, dis and tokenize, nor typing: the library's record types
-    are collections.namedtuple subclasses.  -S keeps site packages out."""
+    are collections.namedtuple subclasses.  Nor does it load fractions, or
+    decimal and numbers through it: linalg.rational imports it on its
+    first call.  -S keeps site packages out."""
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import faceq.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'fractions', 'decimal', "
+            "'numbers'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code, src],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("command, relations, loaded", [
+    ("uqsgd", COMMUTATOR_DOC, False),
+    ("dual", [[{"coeff": 1, "path": ["t1", "t2"]}, {"coeff": "1/2", "path": ["t2", "t1"]}]],
+     True),
+], ids=["integer-uqsgd", "rational-dual"])
+def test_fractions_is_loaded_by_the_first_rational(tmp_path, command, relations, loaded):
+    """In a fresh interpreter, a uqsgd run on the two-loop commutator, all
+    of whose scalars are integers, never loads fractions; a dual run on a
+    relation with the coefficient "1/2" loads it when it reads it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from faceq import cli; "
+            "print(cli.main(sys.argv[2:]), 'fractions' in sys.modules)")
+    argv = [command, "--quiver", write_json(tmp_path / "q.json", TWO_LOOP_DOC),
+            "--relations", write_json(tmp_path / "r.json", relations), "--max-degree", "2",
+            "--out", str(tmp_path / "out.json")]
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"0 {loaded}\n"
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
@@ -902,15 +976,16 @@ def test_unexpected_exception_exits_4_with_an_error_report(tmp_path, monkeypatch
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
 def test_main_restores_the_cycle_collector_state(tmp_path, monkeypatch, argv, code, enabled):
     """main runs a command with the cycle collector off and leaves
-    gc.isenabled() as the caller had it: after a passing run, after an
-    option validate refuses (exit 2) and after the parser's own exit."""
+    gc.isenabled() as the caller had it, and gc.get_freeze_count() as it
+    found it (only cli.script freezes the heap): after a passing run, after
+    an option validate refuses (exit 2) and after the parser's own exit."""
     seen = []
     run_face = cli.RUNNERS["face"]
     monkeypatch.setitem(cli.RUNNERS, "face",
                         lambda args: seen.append(gc.isenabled()) or run_face(args))
     argv = argv + ["--quiver", write_json(tmp_path / "q.json", Q_BULLETS_DOC),
                    "--out", str(tmp_path / "out.json")]
-    was = gc.isenabled()
+    was, frozen = gc.isenabled(), gc.get_freeze_count()
     (gc.enable if enabled else gc.disable)()
     try:
         if code is None:
@@ -920,6 +995,7 @@ def test_main_restores_the_cycle_collector_state(tmp_path, monkeypatch, argv, co
         else:
             assert cli.main(argv) == code
         assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
     finally:
         (gc.enable if was else gc.disable)()
     assert seen == ([False] if code == 0 else [])

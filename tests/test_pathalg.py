@@ -4,6 +4,7 @@ path elements."""
 from fractions import Fraction
 from math import comb
 import random
+import sys
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -356,6 +357,24 @@ def test_parse_scalar_refuses_exponents_and_keeps_the_other_forms():
             pa.parse_scalar(text)
     assert [pa.parse_scalar(v) for v in (3, "-1/2", " 4/6 ", "0.25", "7")] == \
         [3, Fraction(-1, 2), Fraction(2, 3), Fraction(1, 4), 7]
+
+
+def test_parse_scalar_names_an_over_long_text_by_its_first_characters():
+    """A refused coefficient text past errors.SHOWN_CHARS characters is
+    named by its first ones and its length, in the message and in the
+    reader's own detail: an invalid literal, an exponent, and, where the
+    interpreter has a digit limit, a 5,000-digit denominator."""
+    bad = [("1/" + "3" * 5000 + "x", "Invalid literal for Fraction: "),
+           ("1e" + "3" * 5000, "exponents are not accepted")]
+    if hasattr(sys, "get_int_max_str_digits") and sys.get_int_max_str_digits():
+        bad.append(("1/" + "3" * 5000, "Exceeds the limit"))
+    for text, detail in bad:
+        with pytest.raises(ParseError) as exc:
+            pa.parse_scalar(text)
+        message = str(exc.value)
+        name = f"{text[:40]!r}... ({len(text)} characters)"
+        assert message.startswith(f"cannot read coefficient {name}: ")
+        assert detail in message and len(message) < 250
 
 
 def test_parse_relations_trivial_path_terms():

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import comb
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -30,7 +30,8 @@ from conftest import (bracket, check_biideal_oracle, check_descent_oracle, commu
 from fleet import FLEET, HOST_DEGREE, kronecker, three_cycle, three_loop, two_loop
 from oracle import preprojective_relations, subspace_equal, sum_of_pieces
 from test_face import named_quivers
-from test_golden import Q_COMMUTATORS, THREE_LOOP
+from test_golden import (DOUBLED_THREE_CYCLE, PREPROJECTIVE_THREE_CYCLE, Q_COMMUTATORS, THREE_LOOP,
+                         THREE_LOOP_COMMUTATORS)
 
 
 def piece2(result):
@@ -470,13 +471,14 @@ def verdicts(node, place=()):
     return []
 
 
-def degree2_run(work, command, quiver, relations, side=None):
-    """Exit code, verdict, dims and check rows of one in-process CLI run at degree 2."""
+def report_run(work, command, side, quiver, relations, degree):
+    """Exit code, verdict, dims and check rows of one in-process CLI run;
+    side None leaves --side out."""
     paths = [work / "quiver.json", work / "relations.json", work / "report.json"]
     paths[0].write_text(json.dumps(quiver))
     paths[1].write_text(json.dumps(relations))
     argv = [command, "--quiver", str(paths[0]), "--relations", str(paths[1]),
-            "--max-degree", "2", "--out", str(paths[2])]
+            "--max-degree", str(degree), "--out", str(paths[2])]
     code = cli.main(argv + (["--side", side] if side else []))
     doc = json.loads(paths[2].read_text())
     dims = {k: doc.get(k) for k in ("quotientDims", "algebraDims", "primalDims", "dualDims")}
@@ -486,17 +488,22 @@ def degree2_run(work, command, quiver, relations, side=None):
 @settings(max_examples=40, deadline=None)
 @given(named_quivers().flatmap(lambda q: st.tuples(
     st.just(q), quadratic_relations(q), st.permutations(range(len(q.vertices))),
-    st.permutations(range(len(q.arrows))))))
+    st.permutations(range(len(q.arrows))), st.just(2))))
+@example((qv.parse_quiver(THREE_LOOP), THREE_LOOP_COMMUTATORS, [0], [2, 0, 1], 3))
+@example((qv.parse_quiver(DOUBLED_THREE_CYCLE), PREPROJECTIVE_THREE_CYCLE, [2, 0, 1],
+          [4, 0, 5, 2, 1, 3], 3))
 def test_uqsgd_and_dual_respect_relabelling_and_path_reversal(case):
-    """The paper's symmetries on random quadratic quotients kQ/I at degree 2.
+    """The paper's symmetries on quadratic quotients kQ/I: random ones at
+    degree 2, and at degree 3 the three-loop commutators and the doubled
+    three-cycle's preprojective relations.
 
     Renaming and reordering vertices and arrows only permutes bases, so the
-    uqsgd (trans) and dual reports keep their dims and verdicts.  Path
-    reversal identifies kQ^op/I^op with (kQ/I)^op, and the left (and the
-    right) UQSGd of (Q, R) and of (Q^op, R^op) have the same dims and
-    verdicts.
+    uqsgd (left, right and trans) and dual reports keep their dims and
+    verdicts.  Path reversal identifies kQ^op/I^op with (kQ/I)^op, and the
+    left (and the right) UQSGd of (Q, R) and of (Q^op, R^op) have the same
+    dims and verdicts.
     """
-    q, relations, vertex_order, arrow_order = case
+    q, relations, vertex_order, arrow_order, degree = case
     doc = cli._quiver_doc(q)
     vname = {v: f"v{i}" for i, v in enumerate(q.vertices)}
     aname = {a.name: f"a{i}" for i, a in enumerate(q.arrows)}
@@ -509,11 +516,12 @@ def test_uqsgd_and_dual_respect_relabelling_and_path_reversal(case):
     op = cli._quiver_doc(qv.opposite_quiver(q))
     op_relations = [[{"coeff": t["coeff"], "path": [a + "*" for a in reversed(t["path"])]}
                      for t in rel] for rel in relations]
+    runs = (("uqsgd", "left"), ("uqsgd", "right"), ("uqsgd", "trans"), ("dual", None))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for command in ("uqsgd", "dual"):
-            assert (degree2_run(work, command, doc, relations)
-                    == degree2_run(work, command, renamed, renamed_relations))
+        own = {run: report_run(work, *run, doc, relations, degree) for run in runs}
+        for command, side in runs:
+            assert own[command, side] == report_run(work, command, side, renamed,
+                                                    renamed_relations, degree)
         for side in ("left", "right"):
-            assert (degree2_run(work, "uqsgd", doc, relations, side)
-                    == degree2_run(work, "uqsgd", op, op_relations, side))
+            assert own["uqsgd", side] == report_run(work, "uqsgd", side, op, op_relations, degree)
