@@ -4,23 +4,25 @@ Everything downstream (ideal graded pieces, biideals, quadratic duals, axiom
 checks) reduces to one type, the Subspace, built by row reduction.  Scalars
 are exact rationals: a Python int where the value is integral and a Fraction
 otherwise, never a float.  Vectors are sparse rows: plain dicts mapping
-column index to a nonzero scalar.  Subspaces are kept in reduced row echelon
-form, which is canonical, so two subspaces are equal iff their stored bases
-are identical.
-
-Internally, rows are scaled to integers and reduced by cross-multiplication
-(a fraction-free Gaussian elimination) with gcd cleanup after every step;
-int rows enter by add_ints, without the Fraction scan.  Back-substitution
-runs from the last pivot to the first, so every row used to clear a pivot
-column is already clean.  Fractions only reappear when a finished basis is
-normalized to pivot 1 and a lead does not divide its row.  The library
-builds a Fraction from ints or text only by rational(), which imports the
-fractions module on its first call, so a run over integers never loads it.
-A subspace's Projection onto its cosets (reduction, membership and, read by
-free column, the orthogonal complement) holds int rows over one denominator
-D: a zero test never divides, and a value divides once per output key.
+column index to a nonzero scalar.  Rows are scaled to integers and reduced
+by cross-multiplication (a fraction-free Gaussian elimination) with gcd
+cleanup after every step; int rows enter by add_ints, without the Fraction
+scan.  Back-substitution runs from the last pivot to the first, so every row
+used to clear a pivot column is already clean.  A Subspace keeps the result,
+primitive int rows with positive pivot entries, in reduced echelon form:
+that is canonical, so two subspaces are equal iff their int rows are.  Its
+Projection onto the cosets (reduction, membership and, read by free column,
+the orthogonal complement) scales those rows to one denominator D, the lcm
+of the pivot entries: a zero test never divides, and a value divides once
+per output key.  divided() is the one rule that divides: an int where the
+quotient is exact, else a Fraction by rational(), the library's one way to
+build a Fraction from ints or text, which imports fractions on its first
+call, so a run over integers never loads it.  The pivot-1 basis is divided
+from the int rows on first read, for the edges that read it: report text,
+the coaction relations, the quadratic dual's rows and base-iso candidates.
 """
 
+from functools import cached_property
 from math import gcd, lcm
 
 
@@ -79,7 +81,7 @@ def divided(table, denom):
     """table with each value divided by denom, ints where integral; table itself if denom is 1."""
     if denom == 1:
         return table
-    return {key: int_where_integral(rational(v, denom)) for key, v in table.items()}
+    return {key: v // denom if v % denom == 0 else rational(v, denom) for key, v in table.items()}
 
 
 def int_row(row):
@@ -112,8 +114,8 @@ def _combine(a, row, b, piv):
 class Echelon:
     """Incremental row echelon accumulator over integer-scaled rows.
 
-    add() keeps rows forward-reduced only; finalize() back-reduces and
-    normalizes pivots to 1, yielding a canonical Subspace.
+    add() keeps rows forward-reduced only; finalize() back-reduces, yielding
+    a canonical Subspace of primitive int rows with positive pivots.
     """
 
     def __init__(self, ambient_dim):
@@ -157,23 +159,23 @@ class Echelon:
                 piv = clean[q]
                 row = _combine(piv[q], row, row[q], piv)
             clean[p] = row
-        basis = []
-        for p in pivots:
-            row = clean[p]
-            lead = row[p]
-            basis.append({c: v // lead if v % lead == 0 else rational(v, lead)
-                          for c, v in row.items()})
-        return Subspace(self.ambient_dim, basis, pivots)
+        return Subspace(self.ambient_dim, [clean[p] for p in pivots], pivots)
 
 
 class Subspace:
-    """A subspace of k^n held as a canonical reduced-echelon basis."""
+    """A subspace of k^n as reduced-echelon int_rows: primitive, each with a
+    positive entry at its pivot and zeros at the other pivots."""
 
-    def __init__(self, ambient_dim, basis_rows, pivots):
+    def __init__(self, ambient_dim, int_rows, pivots):
         self.ambient_dim = ambient_dim
-        self.basis = tuple(basis_rows)
+        self.int_rows = tuple(int_rows)
         self.pivots = tuple(pivots)
         self._projection = None
+
+    @cached_property
+    def basis(self):
+        """int_rows divided by their pivot entries, built on first read and then kept."""
+        return tuple(divided(row, row[p]) for p, row in zip(self.pivots, self.int_rows))
 
     @classmethod
     def from_rows(cls, ambient_dim, rows):
@@ -184,7 +186,7 @@ class Subspace:
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.int_rows)
 
     def projection(self):
         """The Projection onto the cosets of this subspace, built on first use and then kept."""
@@ -206,7 +208,7 @@ class Subspace:
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+                and self.int_rows == other.int_rows)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
@@ -216,16 +218,16 @@ class Projection:
     """The projection of k^n onto the cosets of a subspace, in coset coordinates.
 
     cols lists the non-pivot columns, the coset basis; denom is the lcm of
-    the basis's denominators; rows is {m: int row denom * pi(e_m)} over all
-    m, for a pivot m -denom times row m without its pivot entry.  Read-only."""
+    the pivot entries a_m; rows is {m: int row denom * pi(e_m)} over all m,
+    for a pivot m -(denom // a_m) times int row m without a_m.  Read-only."""
 
     def __init__(self, subspace):
-        piv = dict(zip(subspace.pivots, subspace.basis))
+        piv = dict(zip(subspace.pivots, subspace.int_rows))
         self.cols = [m for m in range(subspace.ambient_dim) if m not in piv]
         pos = {m: k for k, m in enumerate(self.cols)}
-        denom = lcm(1, *{x.denominator for row in subspace.basis for x in row.values()})
-        self.rows = {m: {pos[c]: int(-x * denom) for c, x in piv[m].items() if c != m} if m in piv
-                     else {pos[m]: denom} for m in range(subspace.ambient_dim)}
+        denom = lcm(1, *(row[p] for p, row in piv.items()))
+        self.rows = {m: {pos[c]: -(denom // piv[m][m]) * x for c, x in piv[m].items() if c != m}
+                     if m in piv else {pos[m]: denom} for m in range(subspace.ambient_dim)}
         self.denom = denom
 
     def image(self, vec):

@@ -13,7 +13,7 @@ from . import pathalg as pa
 from . import quiver as qv
 from . import wba
 from .errors import VerificationError
-from .linalg import Subspace, apply_legs, bump, divided, int_row, int_where_integral
+from .linalg import Subspace, apply_legs, bump, divided, int_where_integral
 
 RESULT_SIDES = ("left", "right", "trans")
 
@@ -81,9 +81,8 @@ def _check_descent(pieces_h, algebra_pieces, sides):
         n = piece_a.ambient_dim
         proj_a = piece_a.projection()
         proj_h = pieces_h[d].projection()
-        rows = piece_a.basis if proj_a.denom == 1 else [int_row(row) for row in piece_a.basis]
         for side in sides:
-            for r, row in enumerate(rows):
+            for r, row in enumerate(piece_a.int_rows):
                 image = {(p * n + c if side == "left" else c * n + p, c): a
                          for p, a in row.items() for c in range(n)}
                 if apply_legs(image, proj_h.rows, proj_a.rows):
@@ -178,7 +177,7 @@ def _swap_index_map(q):
 
 
 def _transport(subspace, mapping, ambient):
-    rows = [{mapping[i]: c for i, c in row.items()} for row in subspace.basis]
+    rows = [{mapping[i]: c for i, c in row.items()} for row in subspace.int_rows]
     return Subspace.from_rows(ambient, rows)
 
 

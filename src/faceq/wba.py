@@ -566,7 +566,7 @@ def _spread(b, d):
     """The degree-d piece as a forward-reduced Echelon, kept on b until finalized.
 
     Adds the closure products z g z' of the degree-d generators and spreads
-    the finalized degree-(d-1) basis, as biideal_graded_pieces describes.
+    the finalized degree-(d-1) int rows, as biideal_graded_pieces describes.
     Each generator is scaled by int_row first, so on a host with int
     constants every product is an int row and enters by Echelon.add_ints.
     """
@@ -589,7 +589,7 @@ def _spread(b, d):
                     add(zgz)
     if d >= 1:
         prev = biideal_graded_pieces(b, d - 1)
-        for row in map(int_row, prev.basis):
+        for row in prev.int_rows:
             for a in range(w.dim(1)):
                 arrow = {a: _ONE}
                 left = w.multiply(1, arrow, d - 1, row)
@@ -657,8 +657,8 @@ def _coset_coproduct(b, d, m):
 def check_biideal(b, max_degree):
     """Counit vanishing and coproduct descent for every graded piece ≤ max_degree.
 
-    A canonical row, scaled by int_row to a_p e_p + sum_m a_m e_m with pivot
-    p and coset columns m, descends iff a_p P_p = -sum_m a_m P_m, where P_i
+    A canonical int row a_p e_p + sum_m a_m e_m of the piece, with pivot p
+    and coset columns m, descends iff a_p P_p = -sum_m a_m P_m, where P_i
     is (pi (x) pi)Delta(u_i) times D*D: an exact comparison of int tables.
     Each P_m comes from _coset_coproduct; P_p is projected here, once, since
     every pivot belongs to one row.
@@ -675,13 +675,11 @@ def check_biideal(b, max_degree):
         if not piece.dim:
             continue
         rows = piece.projection().rows
-        for r, (p, row) in enumerate(zip(piece.pivots, piece.basis)):
+        for r, (p, row) in enumerate(zip(piece.pivots, piece.int_rows)):
             if w.eps(d, row):
                 eps_fails.append(f"degree {d}, piece row {r}")
-            rest = int_row(row)
-            lead = {p: rest.pop(p)}
-            if (apply_legs(w.delta(d, lead), rows, rows)
-                    != image_of(coset, d, {m: -a for m, a in rest.items()})):
+            if (apply_legs(w.delta(d, {p: row[p]}), rows, rows)
+                    != image_of(coset, d, {m: -a for m, a in row.items() if m != p})):
                 delta_fails.append(f"degree {d}, piece row {r}")
     return report([("counit-vanishes", eps_fails), ("coproduct-descends", delta_fails)])
 

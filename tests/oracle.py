@@ -16,11 +16,14 @@ and both weak-unit splits that wba's joins replaced, the reference for
 them; the dense two-leg map, the reference for linalg.apply_legs; and
 the double quiver and the preprojective relations of a cycle, which the
 tests build and the command line reads as plain quiver and relations
-documents; and subspace_equal, Subspace equality that refuses subspaces
-of different ambient dimensions.  Coefficients are Fractions.
+documents; subspace_equal, Subspace equality that refuses subspaces
+of different ambient dimensions; and projection_oracle, a subspace's coset
+projection built from its pivot-1 basis in Fractions, the reference for
+linalg.Projection.  Coefficients are Fractions.
 """
 
 from itertools import permutations
+from math import lcm
 
 from fractions import Fraction
 
@@ -658,3 +661,17 @@ def subspace_equal(a, b):
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("subspaces live in different ambient dimensions")
     return a == b
+
+
+def projection_oracle(subspace):
+    """(cols, rows, denom) of the coset projection, from the pivot-1 basis:
+    denom is the lcm of the basis's denominators, and a pivot m's row is
+    -denom times basis row m without its pivot, each value a Fraction
+    product turned back into an int.  The reference for linalg.Projection."""
+    piv = dict(zip(subspace.pivots, subspace.basis))
+    cols = [m for m in range(subspace.ambient_dim) if m not in piv]
+    pos = {m: k for k, m in enumerate(cols)}
+    denom = lcm(1, *{Fraction(x).denominator for row in subspace.basis for x in row.values()})
+    rows = {m: {pos[c]: int(-Fraction(x) * denom) for c, x in piv[m].items() if c != m}
+            if m in piv else {pos[m]: denom} for m in range(subspace.ambient_dim)}
+    return cols, rows, denom

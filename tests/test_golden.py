@@ -1,8 +1,10 @@
 """Report bytes pinned for every subcommand on small fleet cases at degree 2,
 for verify on the doubled three-cycle and uqsgd --side trans on the
-three-loop commutators and q-commutators at degree 3, for dual on the
-three-loop q-commutators at degree 4, and for uqsgd --side trans and dual
-on the preprojective algebra of the three-cycle at degree 3.  A coact case
+three-loop commutators and q-commutators at degree 3, for uqsgd --side
+trans on the three-loop commutators and dual on the three-loop
+q-commutators at degree 4, the CLI's default --max-degree, and for uqsgd
+--side trans and dual on the preprojective algebra of the three-cycle at
+degree 3.  A coact case
 reads a coaction document whose entries are written unreduced (a bare
 monomial, a split coefficient, a sum with a repeated monomial), which pins
 the entry reader.
@@ -152,6 +154,9 @@ CASES = {
     "uqsgd-three-loop-q-commutators-trans-degree-3": (
         "uqsgd", THREE_LOOP, Q_COMMUTATORS, ["--side", "trans", "--max-degree", "3"],
         "a0092e8aa951735a00b954dde1d9b99a2d4d58dad6c6986a57ff18317730a084"),
+    "uqsgd-three-loop-commutators-trans-degree-4": (
+        "uqsgd", THREE_LOOP, THREE_LOOP_COMMUTATORS, ["--side", "trans", "--max-degree", "4"],
+        "342923d191e305df0ceb5563ba68bd0280f94353266ae895193d4bb2d73d55df"),
     "coact-two-loop-right-document": (
         "coact", TWO_LOOP, two_loop_right_coaction(), [],
         "6880ba62f5d40e3fb2748959ff034831302d419405aaa4f03098a6ddcb76c1c0"),

@@ -1,5 +1,6 @@
 """Exact sparse linear algebra: echelon forms, kernels, canonical subspaces."""
 
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -7,11 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
+from faceq import cli, linalg
 from faceq import pathalg as pa
-from faceq.linalg import Echelon, Subspace, apply_legs
+from faceq.linalg import Echelon, Subspace, apply_legs, divided, int_row
 
 from conftest import null_space_oracle
-from oracle import apply_legs_dense, subspace_equal
+from oracle import apply_legs_dense, projection_oracle, subspace_equal
+from test_golden import Q_COMMUTATORS, THREE_LOOP
 
 
 def dense(rows):
@@ -370,3 +373,57 @@ def test_projection_rows_cover_every_column(case):
     proj = Subspace.from_rows(cols, rows).projection()
     assert sorted(proj.rows) == list(range(cols))
     assert all(proj.rows[m] == {k: proj.denom} for k, m in enumerate(proj.cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(echelon_inputs())
+def test_int_rows_are_the_primitive_scaled_basis(case):
+    """A subspace keeps finalize's int rows: each is primitive with a
+    positive pivot entry and no entry at another pivot, int_row of its
+    pivot-1 basis row gives it back, and the projection built from them
+    equals the one built from the basis in Fractions."""
+    cols, rows = case
+    sub = Subspace.from_rows(cols, rows)
+    for p, row in zip(sub.pivots, sub.int_rows):
+        assert all(type(x) is int and x for x in row.values())
+        assert gcd(*row.values()) == 1 and row[p] > 0
+        assert not set(row) & set(sub.pivots) - {p}
+    assert [int_row(row) for row in sub.basis] == list(sub.int_rows)
+    proj = sub.projection()
+    assert (proj.cols, proj.rows, proj.denom) == projection_oracle(sub)
+
+
+@given(st.dictionaries(st.integers(0, 5), int_or_fraction.filter(bool), max_size=6),
+       st.integers(min_value=1, max_value=12))
+def test_divided_is_an_int_where_the_quotient_is_exact(table, denom):
+    """divided holds each quotient as an int where it is integral and as a
+    Fraction otherwise, for int and Fraction values; by 1 it returns the
+    table itself."""
+    got = divided(table, denom)
+    if denom == 1:
+        assert got is table
+        return
+    assert got == {key: Fraction(v) / denom for key, v in table.items()}
+    for key, v in got.items():
+        assert (type(v) is int) == ((Fraction(table[key]) / denom).denominator == 1)
+
+
+def test_dual_builds_fractions_only_for_the_pivot_one_rows_it_reads(tmp_path, monkeypatch):
+    """Fractions built inside linalg on dual, three-loop q-commutators,
+    degree 3: the subspaces keep their int rows, and only the pivot-1 rows
+    that quadratic_dual_rows and coaction_relations read are divided by
+    their leads, 8 values in all."""
+    calls = [0]
+    rational = linalg.rational
+
+    def counted(numerator, denominator=None):
+        calls[0] += 1
+        return rational(numerator, denominator)
+
+    monkeypatch.setattr(linalg, "rational", counted)
+    quiver, relations = tmp_path / "q.json", tmp_path / "r.json"
+    quiver.write_text(json.dumps(THREE_LOOP))
+    relations.write_text(json.dumps(Q_COMMUTATORS))
+    assert cli.main(["dual", "--quiver", str(quiver), "--relations", str(relations),
+                     "--max-degree", "3", "--out", str(tmp_path / "out.json")]) == 0
+    assert calls[0] == 8
