@@ -10,12 +10,14 @@ checks pass, 1 a verification failed, 2 malformed input or options,
 3 unsupported input shape, a window too large for the quiver among them,
 4 an internal error (any other exception, its traceback on stderr).
 
-A run makes no cyclic garbage, so main, the entry for library callers and
-tests, keeps the cycle collector off while it runs and gives the caller
-back the collector state it found.  script, the process entry of
-python -m faceq.cli and the faceq console script, runs main and then
-freezes the heap (gc.freeze), so the collections the interpreter makes at
-exit skip the objects the run leaves alive, none of them garbage.
+The runners and the text report make no reference cycles; argparse's
+parser makes about 175 cyclic objects per main call and
+json.dumps(..., indent=2) 33.  So main, the entry for library callers and
+tests, keeps the cycle collector off while it runs and leaves those to
+the collector, whose state it gives back to the caller.  script, the process
+entry of python -m faceq.cli and the faceq console script, runs main and
+then freezes the heap (gc.freeze), those objects with it, so the
+collections the interpreter makes at exit skip what the run leaves alive.
 """
 
 import argparse
@@ -328,6 +330,22 @@ RUNNERS = {
 }
 
 
+def _walk(node, path, lines):
+    """Append a line per check row under node, and one per witness, in key order."""
+    if isinstance(node, dict):
+        name = node.get("check", node.get("axiom"))
+        if "status" in node and name is not None:
+            lines.append(f"{path}{name}: {node['status']}")
+            for w in node.get("witnesses", []):
+                lines.append(f"  witness: {json.dumps(w)}")
+            return
+        for k in sorted(node):
+            _walk(node[k], f"{path}{k}.", lines)
+    elif isinstance(node, (list, tuple)):
+        for item in node:
+            _walk(item, path, lines)
+
+
 def _human_text(doc):
     lines = [f"faceq {doc.get('command', '?')} report"]
     if "error" in doc:
@@ -337,22 +355,7 @@ def _human_text(doc):
             lines.append(f"{key}: {' '.join(str(n) for n in doc[key])}")
     if "transposed" in doc:
         lines.append(f"transposed: {'yes' if doc['transposed'] else 'no'}")
-
-    def walk(node, path):
-        if isinstance(node, dict):
-            name = node.get("check", node.get("axiom"))
-            if "status" in node and name is not None:
-                lines.append(f"{path}{name}: {node['status']}")
-                for w in node.get("witnesses", []):
-                    lines.append(f"  witness: {json.dumps(w)}")
-                return
-            for k in sorted(node):
-                walk(node[k], f"{path}{k}.")
-        elif isinstance(node, (list, tuple)):
-            for item in node:
-                walk(item, path)
-
-    walk({k: v for k, v in doc.items() if k not in ("quiver", "dualQuiver")}, "")
+    _walk({k: v for k, v in doc.items() if k not in ("quiver", "dualQuiver")}, "", lines)
     lines.append(f"passed: {'yes' if doc.get('passed') else 'no'}")
     return "\n".join(lines) + "\n"
 

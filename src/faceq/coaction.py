@@ -251,12 +251,14 @@ def search_base_iso(c, host):
     here).  Then intertwining splits into one block per pair (k, j) of
     degree-0 basis elements: y0[k][j] (x) psi(e_j) (y0[j][k] on the right)
     against the terms of Delta(psi(e_k)) whose counital leg lies in the
-    support of psi(e_j).  Vertices are assigned depth first, each to the
-    lowest free counital basis row, so complete candidates come in
-    lexicographic order; an assignment is dropped once a block among its
-    assigned vertices fails, and verify_base_iso runs on each complete
-    survivor.  Returns the first passing candidate with its verify_base_iso
-    report, as (candidate, verification), or None.
+    support of psi(e_j).  Partial assignments of vertices to free counital
+    basis rows are walked depth first with an explicit stack; the children
+    of an assignment are pushed highest row first, so the lowest row is
+    tried first and complete candidates come in lexicographic order.  An
+    assignment is dropped once a block among its assigned vertices fails,
+    and verify_base_iso runs on each complete survivor.  Returns the first
+    passing candidate with its verify_base_iso report, as
+    (candidate, verification), or None.
     """
     algebra = c.algebra
     n0 = algebra.dim(0)
@@ -287,30 +289,23 @@ def search_base_iso(c, host):
                 bump(lhs, (m, h) if left else (h, m), cm * ch)
         return lhs == {key: x for key, x in deltas[a].items() if key[leg] in supports[b]}
 
-    assigned = []
-
-    def extend():
-        t = len(assigned)
-        if t == n0:
-            candidate = [basis[a] for a in assigned]
-            verification = verify_base_iso(c, host, candidate)
-            return (candidate, verification) if verification["passed"] else None
-        for a in range(n0):
-            if a in assigned:
-                continue
-            assigned.append(a)
-            if all(block_holds(k, t, b, a) and block_holds(t, k, a, b)
-                   for k, b in enumerate(assigned)):
-                found = extend()
-                if found is not None:
-                    return found
-            assigned.pop()
-        return None
-
-    try:
-        return extend()
-    finally:
-        del extend  # the recursive closure refers to itself: break the cycle
+    # assigned[k] is the row of vertex k; the newest vertex t is tested when popped
+    stack = [()]
+    while stack:
+        assigned = stack.pop()
+        t = len(assigned) - 1
+        if t >= 0 and not all(block_holds(k, t, b, assigned[t])
+                              and block_holds(t, k, assigned[t], b)
+                              for k, b in enumerate(assigned)):
+            continue
+        if t + 1 < n0:
+            stack += [assigned + (a,) for a in reversed(range(n0)) if a not in assigned]
+            continue
+        candidate = [basis[a] for a in assigned]
+        verification = verify_base_iso(c, host, candidate)
+        if verification["passed"]:
+            return candidate, verification
+    return None
 
 
 def check_structure_lemmas(c, host):

@@ -17,9 +17,10 @@ of the pivot entries: a zero test never divides, and a value divides once
 per output key.  divided() is the one rule that divides: an int where the
 quotient is exact, else a Fraction by rational(), the library's one way to
 build a Fraction from ints or text, which imports fractions on its first
-call, so a run over integers never loads it.  The pivot-1 basis is divided
-from the int rows on first read, for the edges that read it: report text,
-the coaction relations, the quadratic dual's rows and base-iso candidates.
+call, so a run over integers never loads it.  A Subspace never changes,
+so its Projection and its pivot-1 basis, divided from the int rows, are
+cached properties; only the edges read that basis: report text, the
+coaction relations, the quadratic dual's rows and base-iso candidates.
 """
 
 from functools import cached_property
@@ -170,11 +171,10 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.int_rows = tuple(int_rows)
         self.pivots = tuple(pivots)
-        self._projection = None
 
     @cached_property
     def basis(self):
-        """int_rows divided by their pivot entries, built on first read and then kept."""
+        """int_rows divided by their pivot entries."""
         return tuple(divided(row, row[p]) for p, row in zip(self.pivots, self.int_rows))
 
     @classmethod
@@ -188,11 +188,10 @@ class Subspace:
     def dim(self):
         return len(self.int_rows)
 
+    @cached_property
     def projection(self):
-        """The Projection onto the cosets of this subspace, built on first use and then kept."""
-        if self._projection is None:
-            self._projection = Projection(self)
-        return self._projection
+        """The Projection onto the cosets of this subspace."""
+        return Projection(self)
 
     def reduce(self, vec):
         """Canonical residue of vec modulo this subspace.
@@ -200,11 +199,11 @@ class Subspace:
         The result is supported on non-pivot columns; it is zero iff
         vec lies in the subspace.
         """
-        proj = self.projection()
+        proj = self.projection
         return {proj.cols[k]: x for k, x in proj.image(vec).items()}
 
     def contains(self, vec):
-        return not mat_vec(self.projection().rows, vec)
+        return not mat_vec(self.projection.rows, vec)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim

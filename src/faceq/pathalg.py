@@ -70,7 +70,7 @@ def quadratic_dual_rows(rel):
     Rows stay on the degree-2 paths of the original quiver; quadratic_dual
     transports them to the opposite quiver.
     """
-    proj = rel.projection()
+    proj = rel.projection
     kernel = [{f: proj.denom, **{p: proj.rows[p][k] for p in rel.pivots if k in proj.rows[p]}}
               for k, f in enumerate(proj.cols)]
     return Subspace.from_rows(rel.ambient_dim, kernel).basis
@@ -81,26 +81,20 @@ def quadratic_dual(qd, max_degree=2):
 
     The pairing identifies the opposite path (pq)* = q* p* with the dual
     basis vector of pq, so R^! is the complement R^⊥ (qd.dual_rows) moved
-    along path reversal (quiver.star_indices).  As in quadratic_data, R^!
-    is read as the degree-2 piece of the wba.BiidealGens its rows generate
-    over kQ^op truncated at max_degree, kept as the result's ideal.  The
-    vertex idempotents act on kQ_2 by self-adjoint coordinate projections,
-    so R^⊥ is a kQ_0-bimodule exactly when R is; then the products with
-    them add nothing, and otherwise the piece outgrows the independent
-    moved rows and UnsupportedShapeError is raised.
+    along path reversal (quiver.star_indices), read by quadratic_data over
+    kQ^op.  The vertex idempotents act on kQ_2 by self-adjoint coordinate
+    projections, so R^⊥ is a kQ_0-bimodule exactly when R is; then the
+    products with them add nothing, and otherwise the piece outgrows the
+    independent moved rows and UnsupportedShapeError is raised.
     """
-    q = qd.quiver
-    opp = qv.opposite_quiver(q)
-    star = qv.star_indices(q, 2)
-    moved = [{star[c]: x for c, x in row.items()} for row in qd.dual_rows]
-    b = wba.BiidealGens(wba.path_algebra_presentation(opp, max_degree),
-                        [(2, row) for row in moved])
-    piece = wba.biideal_graded_pieces(b, 2)
-    if piece.dim != len(moved):
+    star = qv.star_indices(qd.quiver, 2)
+    moved = [(2, {star[c]: x for c, x in row.items()}) for row in qd.dual_rows]
+    qdual = quadratic_data(qv.opposite_quiver(qd.quiver), moved, max_degree)
+    if qdual.relation_space.dim != len(moved):
         raise UnsupportedShapeError(
             "quadratic dual requires a relation space that is a kQ_0-bimodule, "
             "as I_2 of an ideal is")
-    return QuadraticData(opp, piece, b)
+    return qdual
 
 
 def parse_scalar(value):

@@ -118,24 +118,14 @@ def parse_quiver(doc):
 
 
 def enumerate_paths(q, length):
-    """All paths of the given length, lexicographic in the arrow sequence."""
+    """All paths of the given length, lexicographic in the arrow sequence: arrow
+    tuples grow one arrow at a time, by the ascending out_arrows of their target."""
     if length == 0:
         return [q.trivial_path(v) for v in range(len(q.vertices))]
-    paths = []
-
-    def extend(prefix, at):
-        if len(prefix) == length:
-            paths.append(Path(q.arrows[prefix[0]].source, tuple(prefix)))
-            return
-        for nxt in q.out_arrows[at]:
-            prefix.append(nxt)
-            extend(prefix, q.arrows[nxt].target)
-            prefix.pop()
-
-    for first in range(len(q.arrows)):
-        extend([first], q.arrows[first].target)
-    del extend  # the recursive closure refers to itself: break the cycle
-    return paths
+    seqs = [(a,) for a in range(len(q.arrows))]
+    for _ in range(length - 1):
+        seqs = [s + (b,) for s in seqs for b in q.out_arrows[q.arrows[s[-1]].target]]
+    return [Path(q.arrows[s[0]].source, s) for s in seqs]
 
 
 def _paths_from(q, length):

@@ -79,8 +79,8 @@ def _check_descent(pieces_h, algebra_pieces, sides):
         if not piece_a.dim:
             continue
         n = piece_a.ambient_dim
-        proj_a = piece_a.projection()
-        proj_h = pieces_h[d].projection()
+        proj_a = piece_a.projection
+        proj_h = pieces_h[d].projection
         for side in sides:
             for r, row in enumerate(piece_a.int_rows):
                 image = {(p * n + c if side == "left" else c * n + p, c): a
@@ -99,7 +99,7 @@ def _induced_coefficients(biideal, algebra, max_degree):
     """
     coefficients = []
     for d in range(max_degree + 1):
-        proj = wba.biideal_graded_pieces(biideal, d).projection()
+        proj = wba.biideal_graded_pieces(biideal, d).projection
         n = algebra.dim(d)
         mat = [[divided(proj.rows[r * n + c], proj.denom) for c in range(n)] for r in range(n)]
         coefficients.append(mat)

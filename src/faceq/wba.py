@@ -26,6 +26,7 @@ weak-counit splits, which read each basis element's coproduct once.  The
 weak-unit splits are a join that pairs only terms with a nonzero product.
 """
 
+from functools import cached_property
 from math import isqrt
 
 from . import quiver as qv
@@ -44,8 +45,8 @@ class GradedAlgebra:
     degree d+e; pairs that multiply to zero are absent, and entries are
     read-only (one may be shared by several keys).  unit is a degree-0
     coordinate dict.  The product table must not change once the object
-    is built: its index by left factor, products_by_left(), is built on
-    the first request and then kept, and so is int_products().
+    is built, so what is derived from it, its index by left factor
+    products_by_left and the flag int_products, are cached properties.
     """
 
     def __init__(self, max_degree, labels, product, unit):
@@ -53,8 +54,6 @@ class GradedAlgebra:
         self.labels = [list(row) for row in labels]
         self.product = product
         self.unit = dict(unit)
-        self._by_left = None
-        self._int_products = None
 
     def dim(self, d):
         return len(self.labels[d])
@@ -81,20 +80,15 @@ class GradedAlgebra:
                     bump(out, m, ab * c)
         return out
 
+    @cached_property
     def products_by_left(self):
-        """The product table as {(d, e): {i: {j: entry}}}, built once and kept.
+        """The product table as {(d, e): {i: {j: entry}}}; callers must not change it."""
+        return _products_by_left(self.product)
 
-        Callers must not change it.
-        """
-        if self._by_left is None:
-            self._by_left = _products_by_left(self.product)
-        return self._by_left
-
+    @cached_property
     def int_products(self):
-        """True iff every product constant is an int; found once and then kept."""
-        if self._int_products is None:
-            self._int_products = {type(c) for e in self.product.values() for c in e.values()} <= {int}
-        return self._int_products
+        """True iff every product constant is an int."""
+        return {type(c) for e in self.product.values() for c in e.values()} <= {int}
 
 
 class GradedWBA(GradedAlgebra):
@@ -103,20 +97,17 @@ class GradedWBA(GradedAlgebra):
     coproduct maps (d, i) to a dict {(j, k): scalar} describing a sum of
     u^d_j (x) u^d_k; counit maps (d, i) to its scalar value.  Both tables
     store nonzero data only.  The tables must not change once the object
-    is built: derived data is computed once and kept, the counital
-    subalgebras in counital_subalgebras, the eps(u_i u_j) table behind
-    eps_products(), and in coalgebra_rows the coassociativity and counit
-    witnesses of coaction coefficient arrays, which the coaction checks
-    key by degree and array content.
+    is built, so the eps(u_i u_j) table eps_products and the
+    counital_subalgebras are cached properties; coalgebra_rows keeps the
+    coassociativity and counit witnesses of coaction coefficient arrays,
+    which the coaction checks key by degree and array content.
     """
 
     def __init__(self, max_degree, labels, product, unit, coproduct, counit):
         super().__init__(max_degree, labels, product, unit)
         self.coproduct = coproduct
         self.counit = counit
-        self.counital_subalgebras = {}
         self.coalgebra_rows = {}
-        self._eps_products = None
 
     def coproduct_of(self, d, i):
         return self.coproduct.get((d, i), {})
@@ -139,15 +130,40 @@ class GradedWBA(GradedAlgebra):
     def delta_one(self):
         return self.delta(0, self.unit)
 
+    @cached_property
     def eps_products(self):
         """eps(u_i u_j) per degree pair, from one pass over the product table.
 
-        The table is {(d, e): {(i, j): scalar}} with nonzero values only,
-        built on the first request and then kept; callers must not change it.
+        The table is {(d, e): {(i, j): scalar}} with nonzero values only;
+        callers must not change it.
         """
-        if self._eps_products is None:
-            self._eps_products = _eps_matrices(self)
-        return self._eps_products
+        return _eps_matrices(self)
+
+    @cached_property
+    def counital_subalgebras(self):
+        """{side: canonical degree-0 subspace spanned by the side's counital images}.
+
+        With Delta(1) = sum c u_i (x) u_j, the source image of u_v is
+        sum c eps(u_v u_j) u_i and the target image is sum c eps(u_i u_v) u_j,
+        read off eps_products; both sides come from one Delta(1).
+        """
+        split = self.delta_one()
+        eps = self.eps_products
+        subspaces = {}
+        for source in (True, False):
+            ech = Echelon(self.dim(0))
+            for d in range(self.max_degree + 1):
+                table = eps.get((d, 0) if source else (0, d), {})
+                for v in sorted({key[0] if source else key[1] for key in table}):
+                    vec = {}
+                    for (i, j), c in split.items():
+                        val = table.get((v, j) if source else (i, v))
+                        if val:
+                            bump(vec, i if source else j, c * val)
+                    if vec:
+                        ech.add(vec)
+            subspaces["source" if source else "target"] = ech.finalize()
+        return subspaces
 
 
 def path_algebra_presentation(q, max_degree):
@@ -289,9 +305,9 @@ def multiplicative_failures(src, image, left, right, max_degree):
     comparison with image_of(f(u_i u_j)).  Each index lives for one degree
     pair, and nothing is kept on the presentations.
     """
-    src_rows = src.products_by_left()
-    left_rows = left.products_by_left()
-    right_rows = right.products_by_left()
+    src_rows = src.products_by_left
+    left_rows = left.products_by_left
+    right_rows = right.products_by_left
     fails = []
     degrees = [d for d in range(max_degree + 1) if src.dim(d)]
     for d in degrees:
@@ -347,11 +363,11 @@ def _failures_counit_splits(w):
     u_j (x) u_k of Delta(u_b).  Per degree e one pass over the coproducts
     keeps, for each u_b, the terms whose legs the eps tables read, with the
     legs swapped for split 21.  Each degree triple then takes
-    eps(u_a u_b u_c) from products_by_left() and each split from
+    eps(u_a u_b u_c) from products_by_left and each split from
     apply_legs over the eps columns of (d, e) and the eps rows of (e, f),
     and compares only the u_b that have a term on some side.
     """
-    eps = w.eps_products()
+    eps = w.eps_products
     by_col = {}
     by_row = {}
     # read_right[e] holds the u_j of degree e that some eps(u_a u_j) reads,
@@ -366,7 +382,7 @@ def _failures_counit_splits(w):
             row.setdefault(i, {})[j] = val
         read_right.setdefault(e, set()).update(col)
         read_left.setdefault(d, set()).update(row)
-    by_left = w.products_by_left()
+    by_left = w.products_by_left
     # a degree with no basis elements has nothing to check at any place of a triple
     degrees = [d for d in range(w.max_degree + 1) if w.dim(d)]
     # kept[e][b] is (split 12's terms c u_j (x) u_k of Delta(u_b), split 21's as c u_k (x) u_j)
@@ -428,7 +444,7 @@ def _failures_unit_splits(w):
     """Both weak-unit split failure lists: (Delta (x) id)Delta(1) against
     (Delta(1) (x) 1)(1 (x) Delta(1)) (split 12) and (1 (x) Delta(1))(Delta(1) (x) 1)
     (split 21).  A join: each term of Delta(1) meets, through
-    products_by_left(), only the terms of the other copy whose middle
+    products_by_left, only the terms of the other copy whose middle
     product is nonzero.
     """
     d1 = w.delta_one()
@@ -438,7 +454,7 @@ def _failures_unit_splits(w):
             bump(lhs, (m, n, k), c * cc)
     right_one = [w.multiply(0, {i: _ONE}, 0, w.unit) for i in range(w.dim(0))]
     left_one = [w.multiply(0, w.unit, 0, {i: _ONE}) for i in range(w.dim(0))]
-    rows = w.products_by_left().get((0, 0), {})
+    rows = w.products_by_left.get((0, 0), {})
     # by_first[k] lists (m, c) over the terms c u_k (x) u_m of Delta(1), by_second[m] (k, c)
     by_first = {}
     by_second = {}
@@ -502,31 +518,9 @@ def report(rows, key="check"):
 
 
 def counital_subalgebra(w, side):
-    """Canonical degree-0 subspace spanned by counital images of all basis elements.
-
-    With Delta(1) = sum c u_i (x) u_j, the source image of u_v is
-    sum c eps(u_v u_j) u_i and the target image is sum c eps(u_i u_v) u_j,
-    read off w.eps_products().  The first request computes both sides from
-    one Delta(1) and keeps them on w.
-    """
+    """w.counital_subalgebras[side], for the side 'source' or 'target'."""
     if side not in ("source", "target"):
         raise ValueError(f"side must be 'source' or 'target', got {side!r}")
-    if side not in w.counital_subalgebras:
-        split = w.delta_one()
-        eps = w.eps_products()
-        for source in (True, False):
-            ech = Echelon(w.dim(0))
-            for d in range(w.max_degree + 1):
-                table = eps.get((d, 0) if source else (0, d), {})
-                for v in sorted({key[0] if source else key[1] for key in table}):
-                    vec = {}
-                    for (i, j), c in split.items():
-                        val = table.get((v, j) if source else (i, v))
-                        if val:
-                            bump(vec, i if source else j, c * val)
-                    if vec:
-                        ech.add(vec)
-            w.counital_subalgebras["source" if source else "target"] = ech.finalize()
     return w.counital_subalgebras[side]
 
 
@@ -576,7 +570,7 @@ def _spread(b, d):
     if d > w.max_degree:
         raise ValueError(f"degree {d} exceeds the host truncation {w.max_degree}")
     ech = Echelon(w.dim(d))
-    add = ech.add_ints if w.int_products() else ech.add
+    add = ech.add_ints if w.int_products else ech.add
     basis0 = [{z: _ONE} for z in range(w.dim(0))]
     for g in [int_row(vec) for gd, vec in b.generators if gd == d]:
         for z in basis0:
@@ -649,7 +643,7 @@ def _coset_coproduct(b, d, m):
     memo = b._coset_coproducts.setdefault(d, {})
     table = memo.get(m)
     if table is None:
-        rows = biideal_graded_pieces(b, d).projection().rows
+        rows = biideal_graded_pieces(b, d).projection.rows
         table = memo[m] = apply_legs(b.host.coproduct_of(d, m), rows, rows)
     return table
 
@@ -674,7 +668,7 @@ def check_biideal(b, max_degree):
         piece = pieces[d]
         if not piece.dim:
             continue
-        rows = piece.projection().rows
+        rows = piece.projection.rows
         for r, (p, row) in enumerate(zip(piece.pivots, piece.int_rows)):
             if w.eps(d, row):
                 eps_fails.append(f"degree {d}, piece row {r}")
@@ -698,7 +692,7 @@ def quotient_wba(b, report=None):
     if not report["passed"]:
         raise VerificationError("biideal verification failed; not a quotient weak bialgebra",
                                 report)
-    projs = [biideal_graded_pieces(b, d).projection() for d in range(w.max_degree + 1)]
+    projs = [biideal_graded_pieces(b, d).projection for d in range(w.max_degree + 1)]
     labels = [[w.labels[d][m] for m in projs[d].cols] for d in range(w.max_degree + 1)]
     product = {}
     for d in range(w.max_degree + 1):

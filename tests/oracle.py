@@ -526,7 +526,7 @@ def counit_splits_scan(w):
     """Both weak-counit split failure lists of wba.check_axioms, by a scan:
     per degree triple and right factor u_b, every term of Delta(u_b) and
     every left factor of u_b.  The reference for wba's counit-split join."""
-    eps = w.eps_products()
+    eps = w.eps_products
     by_col = {}
     by_row = {}
     for (d, e), mat in eps.items():

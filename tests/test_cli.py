@@ -495,7 +495,7 @@ def test_coefficients_of_any_size_are_written_exactly(tmp_path, coeff):
         for side, spec in result.induced_coactions.items():
             written = doc["inducedCoactions"][side]["coefficients"]
             for d, mat in enumerate(spec.coefficients):
-                cols = wba.biideal_graded_pieces(result.biideal, d).projection().cols
+                cols = wba.biideal_graded_pieces(result.biideal, d).projection.cols
                 assert [[fc.parse_element(q, text, d) for text in row] for row in written[d]] == [
                     [{cols[k]: x for k, x in entry.items()} for entry in row] for row in mat]
         (d, relation), = result.relation_space.ideal.generators

@@ -589,7 +589,7 @@ def test_checks_visit_only_nonzero_structure_constants(monkeypatch):
     comodule checks on the doubled three-cycle at degree 3.  The loops over
     every basis pair made 83,826 and 16,920, and a unit-split check that
     scanned every pair of the 27 terms of Delta(1) made 2 * 27**2 more; the
-    unit-split join reads its middle products from products_by_left(), so
+    unit-split join reads its middle products from products_by_left, so
     what is left is its 2 * 9 multiplications by the unit."""
     host, lam, rho = canonical_pair(doubled_three_cycle(), 3)
     calls = {"product_of": 0, "multiply": 0}

@@ -32,8 +32,8 @@ a multi-vertex quiver.  A case's extra options come after the default
 Every report is also built in-process through cli.RUNNERS, and must hold
 only JSON's own types (dict, list, tuple, str, int, bool, None): reports
 write rationals as text, so json.dumps needs no default.  Built with the
-cycle collector off, as cli.main runs, it must leave no reference cycles
-behind.
+cycle collector off, as cli.main runs, and rendered as --human text, it
+must leave no reference cycles behind.
 """
 
 import gc
@@ -230,19 +230,19 @@ def test_reports_hold_only_json_types(tmp_path, case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_runners_leave_no_cyclic_garbage(tmp_path, case):
-    """cli.main keeps the cycle collector off, which is safe because a run
-    makes no reference cycles: with the collector disabled, the runner
-    leaves nothing for gc.collect() to free.  The recursive closures of
-    the path enumeration and the base-isomorphism search left 23,640
-    objects after the degree-3 verify case while they referred to
-    themselves."""
+    """cli.main keeps the cycle collector off, which is safe because the
+    runners and the --human text report make no reference cycles: with
+    the collector disabled, building the report and rendering it as text
+    leave nothing for gc.collect() to free.  A closure that calls itself
+    is such a cycle; the text report's walker was one, and left 5 objects
+    per report."""
     args = cli._build_parser().parse_args(cli_args(tmp_path, case))
     cli.validate(args)
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        cli.RUNNERS[args.command](args)
+        cli._human_text(cli.RUNNERS[args.command](args))
         assert gc.collect() == 0
     finally:
         if enabled:

@@ -370,7 +370,7 @@ def test_projection_rows_cover_every_column(case):
     """Projection.rows holds a row at every ambient column, the pivots'
     included, so apply_legs reads no column as missing."""
     cols, rows, _ = case
-    proj = Subspace.from_rows(cols, rows).projection()
+    proj = Subspace.from_rows(cols, rows).projection
     assert sorted(proj.rows) == list(range(cols))
     assert all(proj.rows[m] == {k: proj.denom} for k, m in enumerate(proj.cols))
 
@@ -389,7 +389,7 @@ def test_int_rows_are_the_primitive_scaled_basis(case):
         assert gcd(*row.values()) == 1 and row[p] > 0
         assert not set(row) & set(sub.pivots) - {p}
     assert [int_row(row) for row in sub.basis] == list(sub.int_rows)
-    proj = sub.projection()
+    proj = sub.projection
     assert (proj.cols, proj.rows, proj.denom) == projection_oracle(sub)
 
 

@@ -235,11 +235,21 @@ quiver_strategy = st.integers(min_value=1, max_value=3).flatmap(
 )
 
 
-@given(quiver_strategy, st.integers(min_value=0, max_value=3))
+@given(quiver_strategy, st.integers(min_value=0, max_value=4))
 def test_path_count_matches_enumeration(q, length):
+    """Every path, in order: as many as path_count, each composable, arrow
+    tuples strictly increasing (vertex indices at length 0), and the i-th
+    at path_index i."""
     paths = qv.enumerate_paths(q, length)
     assert len(paths) == qv.path_count(q, length)
-    assert len(set(paths)) == len(paths)
+    for p in paths:
+        steps = [q.arrows[a] for a in p.arrows]
+        assert len(steps) == length
+        assert all(s.target == t.source for s, t in zip(steps, steps[1:]))
+        assert not steps or steps[0].source == p.start
+    keys = [p.arrows if length else p.start for p in paths]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert [qv.path_index(q, p) for p in paths] == list(range(len(paths)))
 
 
 @given(quiver_strategy, st.integers(min_value=0, max_value=3))

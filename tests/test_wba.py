@@ -943,7 +943,7 @@ def test_coset_coproducts_are_projected_once():
 
     def projected(b):
         host = b.host
-        degree = {id(wba.biideal_graded_pieces(b, d).projection().rows): d for d in range(4)}
+        degree = {id(wba.biideal_graded_pieces(b, d).projection.rows): d for d in range(4)}
         basis = {(d, frozenset(host.coproduct_of(d, i))): i
                  for d in range(4) for i in range(host.dim(d))}
         return [(d, basis[(d, frozenset(element))])
@@ -969,7 +969,7 @@ def test_coset_coproducts_are_projected_once():
             calls.clear()
             quo = wba.quotient_wba(b, report=report)
         assert projected(b) == [(d, m) for d in range(4)
-                                for m in wba.biideal_graded_pieces(b, d).projection().cols
+                                for m in wba.biideal_graded_pieces(b, d).projection.cols
                                 if (d, m) not in held]
         assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
 
@@ -980,7 +980,7 @@ def test_quotient_releases_the_coset_coproducts():
     are new dicts, so the memo's would be held twice.  A second check
     projects again and gives the same report."""
     b = mixed_relation_biideal()
-    assert any(wba.biideal_graded_pieces(b, d).projection().denom > 1 for d in range(4))
+    assert any(wba.biideal_graded_pieces(b, d).projection.denom > 1 for d in range(4))
     with pytest.MonkeyPatch.context() as mp:
         full_witness_rows(mp)
         report = wba.check_biideal(b, 3)
@@ -1024,7 +1024,7 @@ def test_biideal_over_a_fraction_host_matches_saturation(fraction_host, data):
     """Products over a host with Fraction constants enter by add, never
     straight by add_ints, and the pieces match the saturation oracle."""
     host = fraction_host
-    assert not host.int_products()
+    assert not host.int_products
     degrees = [d for d in range(host.max_degree + 1) if host.dim(d)]
     gens = []
     for _ in range(data.draw(st.integers(1, 3))):
@@ -1054,8 +1054,8 @@ def test_int_products_of_the_presentations(fraction_host):
     q = three_cycle()
     for host in (wba.from_face_algebra(q, 2), wba.face_algebra(q, 2),
                  wba.path_algebra_presentation(q, 2), bialgebra_d(1)):
-        assert host.int_products()
-    assert not fraction_host.int_products()
+        assert host.int_products
+    assert not fraction_host.int_products
 
 
 def test_three_loop_commutator_biideal_add_count(monkeypatch):
