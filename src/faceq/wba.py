@@ -20,6 +20,14 @@ multiplicative_failures checks f(uv) = f(u)f(v), for the coproduct here and
 for a coaction in coaction.  It pre-joins its legs inside each call: every
 term of a left-leg product is paired once with the image terms that start
 at its right factor, so the inner loop is one membership test per miss.
+The algebras here are generated in degrees 0 and 1, so a passing map is
+proven on left factors of degree 0 and 1 alone once two premises hold on
+source and target, each computed once per presentation: every degree
+d >= 2 is spanned by the products of degree 1 and degree d-1, and
+(g x) y = g (x y) for every g of degree 1.  This associativity is a
+premise, not a report row; when it or the spanning fails, or a pair with a
+left factor of degree 0 or 1 fails, every pair is checked, so a failing
+report keeps every witness.
 Two-leg maps (L (x) R)(t) go through linalg.apply_legs: the projected
 coproducts (pi (x) pi)Delta of the biideal check and the quotient, and the
 weak-counit splits, which read each basis element's coproduct once.  The
@@ -46,7 +54,8 @@ class GradedAlgebra:
     read-only (one may be shared by several keys).  unit is a degree-0
     coordinate dict.  The product table must not change once the object
     is built, so what is derived from it, its index by left factor
-    products_by_left and the flag int_products, are cached properties.
+    products_by_left and the flags int_products and generator_reducible,
+    are cached properties.
     """
 
     def __init__(self, max_degree, labels, product, unit):
@@ -89,6 +98,16 @@ class GradedAlgebra:
     def int_products(self):
         """True iff every product constant is an int."""
         return {type(c) for e in self.product.values() for c in e.values()} <= {int}
+
+    @cached_property
+    def generator_reducible(self):
+        """True iff each degree d >= 2 is spanned by the products of degree 1
+        and degree d-1, and (g x) y = g (x y) for every g of degree 1.
+
+        Stores only the bool; multiplicative_failures reads it as the
+        premise of its early exit.
+        """
+        return _spanned_from_degree_one(self) and _generator_associative(self)
 
 
 class GradedWBA(GradedAlgebra):
@@ -263,6 +282,75 @@ def _products_by_left(product):
     return rows
 
 
+def _spanned_from_degree_one(alg):
+    """True iff each degree d >= 2 is spanned by the products of degree 1 and degree d-1.
+
+    One Echelon per degree takes the product entries until it reaches full rank.
+    """
+    rows = alg.products_by_left
+    for d in range(2, alg.max_degree + 1):
+        n = alg.dim(d)
+        ech = Echelon(n)
+        for row in rows.get((1, d - 1), {}).values():
+            for entry in row.values():
+                if ech.rank == n:
+                    break
+                ech.add(entry)
+        if ech.rank < n:
+            return False
+    return True
+
+
+def _generator_associative(alg):
+    """True iff (g x) y = g (x y) for every g of degree 1 and basis x, y in the window.
+
+    A join over the nonzero products: per degree pair (dx, dy) the terms
+    c u_n of the products u_x u_y are indexed by n, the right factor of
+    g u_n, so g (x y) visits only the nonzero g u_n, and (g x) y reads
+    products_by_left.  The index lives for one degree pair, the two sides
+    for one g.
+    """
+    rows = alg.products_by_left
+    for dx in range(alg.max_degree):
+        for dy in range(alg.max_degree - dx):
+            # by_right[n] lists (x, y, c) over the terms c u_n of the products u_x u_y
+            by_right = {}
+            for x, row in rows.get((dx, dy), {}).items():
+                for y, entry in row.items():
+                    for n, c in entry.items():
+                        by_right.setdefault(n, []).append((x, y, c))
+            gx_rows = rows.get((1, dx), {})
+            my_rows = rows.get((1 + dx, dy), {})
+            gn_rows = rows.get((1, dx + dy), {})
+            for g in range(alg.dim(1)):
+                lhs = {}
+                for x, entry in gx_rows.get(g, {}).items():
+                    for m, c in entry.items():
+                        for y, my in my_rows.get(m, {}).items():
+                            out = lhs.setdefault((x, y), {})
+                            for k, ck in my.items():
+                                out[k] = out.get(k, 0) + c * ck
+                rhs = {}
+                for n, gn in gn_rows.get(g, {}).items():
+                    for x, y, c in by_right.get(n, ()):
+                        out = rhs.setdefault((x, y), {})
+                        for k, ck in gn.items():
+                            out[k] = out.get(k, 0) + c * ck
+                if _nonzero(lhs) != _nonzero(rhs):
+                    return False
+    return True
+
+
+def _nonzero(table):
+    """A {key: coordinate dict} table without zero coefficients or empty dicts."""
+    out = {}
+    for key, vec in table.items():
+        vec = {k: c for k, c in vec.items() if c}
+        if vec:
+            out[key] = vec
+    return out
+
+
 def image_of(image, d, u):
     """f(u) for a coordinate dict u of degree d, as a read-only {(p, q): scalar}.
 
@@ -303,7 +391,17 @@ def multiplicative_failures(src, image, left, right, max_degree):
     of f(u_i) f(u_j).  Right-leg product entries are flattened to tuples
     once per degree pair, and cancelled terms are dropped before the
     comparison with image_of(f(u_i u_j)).  Each index lives for one degree
-    pair, and nothing is kept on the presentations.
+    pair, and nothing is kept on the presentations but the premise below.
+
+    Left factors of degree 0 and 1 come first.  If they give no failure,
+    and src, left and right are each generator_reducible, the pairs with
+    left factors of degree >= 2 hold as well and are not visited: writing
+    u = sum c g x with g of degree 1,
+    f(uv) = sum c f(g (x v)) = sum c f(g) (f(x) f(v)) = sum c (f(g) f(x)) f(v)
+    = f(u) f(v), by associativity of src on (g, x, v), the checked pair
+    (g, xv), induction on the degree of x, associativity of both target legs
+    on the legs of f(g), and the checked pair (g, x).  Otherwise every
+    degree is visited, so a failing map keeps every witness, in order.
     """
     src_rows = src.products_by_left
     left_rows = left.products_by_left
@@ -311,6 +409,9 @@ def multiplicative_failures(src, image, left, right, max_degree):
     fails = []
     degrees = [d for d in range(max_degree + 1) if src.dim(d)]
     for d in degrees:
+        if (d >= 2 and not fails
+                and all(alg.generator_reducible for alg in (src, left, right))):
+            return fails
         terms = [tuple(image(d, i).items()) for i in range(src.dim(d))]
         for e in [e for e in degrees if d + e <= max_degree]:
             f = d + e

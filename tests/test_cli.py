@@ -369,17 +369,25 @@ def test_face_visits_only_degrees_with_basis_elements(tmp_path, monkeypatch):
 
 def test_multiplicativity_flattens_right_legs_only(tmp_path, monkeypatch):
     """A degree-3 verify of the doubled three-cycle runs three
-    multiplicativity joins over the 10 degree pairs d + e <= 3 (Delta and the
-    two coactions) and flattens only each pair's right-leg products: 30
-    calls, where flattening the left legs too made 50."""
+    multiplicativity joins (Delta and the two coactions) and flattens only
+    each pair's right-leg products.  Each join passes on the 7 degree pairs
+    d + e <= 3 with d <= 1 and then stops on the generator premise: 21
+    calls, where visiting all 10 pairs made 30 and flattening the left legs
+    too made 50.  The premise's associativity join runs once per
+    presentation, for h(Q) and for kQ, and the three joins share them."""
     calls = []
     flatten = wba._flatten
     monkeypatch.setattr(wba, "_flatten", lambda rows: calls.append(rows) or flatten(rows))
+    checked = []
+    associative = wba._generator_associative
+    monkeypatch.setattr(wba, "_generator_associative",
+                        lambda alg: checked.append(alg.dims()) or associative(alg))
     quiver = write_json(tmp_path / "q.json", DOUBLED_THREE_CYCLE_DOC)
     code, doc = run_doc(tmp_path, ["verify", "--quiver", quiver, "--max-degree", "3"])
     assert code == 0
     assert doc["passed"] is True
-    assert len(calls) == 30
+    assert len(calls) == 21
+    assert checked == [[9, 36, 144, 576], [3, 6, 12, 24]]
 
 
 @pytest.mark.parametrize("command", ["verify", "coact", "uqsgd", "dual"])

@@ -509,6 +509,26 @@ def test_induced_coactions_match_dense_oracle():
         assert_reports_match(spec, host)
 
 
+def test_host_product_corrupted_at_left_degree_two_matches_dense_oracle():
+    """Scaling one host product whose left factor has degree 2 breaks the
+    host's associativity on generator triples, so both coactions'
+    multiplicativity visits every pair and finds the one failure, at a
+    left factor of degree 2, as the dense oracle does."""
+    host, lam, rho = canonical_pair(two_loop(), 3)
+    i = host.labels[2].index("x[t1.t2;t1.t2]")
+    j = host.labels[1].index("x[t1;t1]")
+    ((m, c),) = host.product[(2, i, 1, j)].items()
+    host.product[(2, i, 1, j)] = {m: 2 * c}
+    assert not host.generator_reducible
+    for spec in (lam, rho):
+        with pytest.MonkeyPatch.context() as mp:
+            full_witness_rows(mp)
+            report = co.check_comodule_algebra(spec, host)
+        assert [row["status"] for row in report["checks"]] == ["pass", "pass", "fail", "pass"]
+        assert report["checks"][2]["witnesses"] == [["t1.t2", "t1"]]
+        assert_reports_match(spec, host)
+
+
 def coalgebra_reports(spec, host):
     """The comodule report and the structure-lemma report, every witness kept."""
     with pytest.MonkeyPatch.context() as mp:

@@ -518,13 +518,29 @@ def counital_reference(w, side):
     return ech.finalize()
 
 
+@cache
+def quantum_plane_quotient():
+    """The trans UQSGd quotient of the two-loop quantum plane at degree 3,
+    whose products and coproducts are multi-term."""
+    q = two_loop()
+    return uq.build_uqsgd(q, quantum_plane_relations(q), "trans", 3).quotient
+
+
+def copied(w):
+    """A copy of w with its own product and coproduct tables and derived tables."""
+    return wba.GradedWBA(w.max_degree, w.labels, dict(w.product), w.unit,
+                         dict(w.coproduct), dict(w.counit))
+
+
 SMALL_PRESENTATIONS = [
     lambda: wba.from_face_algebra(one_loop(), 3),
     lambda: wba.from_face_algebra(two_loop(), 2),
+    lambda: wba.from_face_algebra(two_loop(), 3),
     lambda: wba.from_face_algebra(q_bullets(), 1),
     lambda: wba.from_face_algebra(kronecker(), 2),
     lambda: wba.from_face_algebra(three_cycle(), 2),
     lambda: direct_sum(bialgebra_d(1), bialgebra_d(1)),
+    lambda: copied(quantum_plane_quotient()),
 ]
 
 SCALARS = st.one_of(st.integers(-3, 3),
@@ -613,8 +629,7 @@ def corrupted_split_hosts(draw):
     """A copy of a split host with a few counit, coproduct or product entries
     overwritten; the copy builds its own derived tables."""
     w = draw(st.sampled_from(split_hosts()))
-    w = wba.GradedWBA(w.max_degree, w.labels, dict(w.product), w.unit,
-                      dict(w.coproduct), dict(w.counit))
+    w = copied(w)
     top = w.max_degree
     for _ in range(draw(st.integers(1, 4))):
         d = draw(st.integers(0, top))
@@ -661,6 +676,42 @@ def test_counit_splits_read_each_coproduct_once(monkeypatch):
     assert wba._failures_counit_splits(w) == ([], [])
     assert len(calls) == 765
     assert sorted(calls) == [(d, i) for d in range(4) for i in range(w.dim(d))]
+
+
+def test_product_corrupted_at_left_degree_two_takes_the_full_path():
+    """Scaling one product entry with a left factor of degree 2 breaks
+    associativity on generator triples, so the premise fails and every
+    degree pair is visited: the failures are the pairwise oracle's."""
+    w = wba.from_face_algebra(two_loop(), 3)
+    i = w.labels[2].index("x[t1.t2;t1.t2]")
+    j = w.labels[1].index("x[t1;t1]")
+    ((m, c),) = w.product[(2, i, 1, j)].items()
+    w.product[(2, i, 1, j)] = {m: 2 * c}
+    assert not w.generator_reducible
+    fails = wba.multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)
+    assert fails == pairwise_delta_multiplicative(w)
+    assert len(fails) == 15
+
+
+def test_unspanned_degree_two_takes_the_full_path():
+    """Degree 2 holds aa = a a and b, which no product of degree-1 elements
+    reaches, and b 1 = 2b is the one product that breaks Delta.  Every
+    pair with a left factor of degree 0 or 1 holds and so does
+    associativity on generator triples, but the span premise fails, so the
+    failure at the degree-2 left factor b is still reported."""
+    labels = [["1"], ["a"], ["aa", "b"]]
+    product = {(0, 0, 0, 0): {0: ONE}, (0, 0, 1, 0): {0: ONE}, (1, 0, 0, 0): {0: ONE},
+               (0, 0, 2, 0): {0: ONE}, (0, 0, 2, 1): {1: ONE}, (2, 0, 0, 0): {0: ONE},
+               (2, 1, 0, 0): {1: 2 * ONE}, (1, 0, 1, 0): {0: ONE}}
+    coproduct = {(0, 0): {(0, 0): ONE}, (1, 0): {(0, 0): ONE},
+                 (2, 0): {(0, 0): ONE}, (2, 1): {(1, 1): ONE}}
+    counit = {(d, i): ONE for d, row in enumerate(labels) for i in range(len(row))}
+    w = wba.GradedWBA(2, labels, product, {0: ONE}, coproduct, counit)
+    assert wba._generator_associative(w)
+    assert not wba._spanned_from_degree_one(w)
+    assert not w.generator_reducible
+    assert (wba.multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)
+            == pairwise_delta_multiplicative(w) == [["b", "1"]])
 
 
 def test_delta_multiplicative_terms_that_cancel():
