@@ -169,7 +169,7 @@ def _coaction_section(cspec, host):
 
 def run_face(args):
     q = _load_quiver(args)
-    w = wba.from_face_algebra(q, args.max_degree)
+    w = wba.from_face_algebra(wba.path_algebra_presentation(q, args.max_degree))
     axioms = wba.check_axioms(w)
     counital = {}
     for side in ("source", "target"):
@@ -193,11 +193,12 @@ def run_face(args):
 def run_verify(args):
     q = _load_quiver(args)
     m = args.max_degree
-    w = wba.from_face_algebra(q, m)
+    kq = wba.path_algebra_presentation(q, m)
+    w = wba.from_face_algebra(kq)
     axioms = wba.check_axioms(w)
     source_dim = wba.counital_subalgebra(w, "source").dim
     target_dim = wba.counital_subalgebra(w, "target").dim
-    specs = co.canonical_coactions(q, co.SIDES, m)
+    specs = co.canonical_coactions(kq, co.SIDES)
     sections = {s: _coaction_section(specs[s], w) for s in co.SIDES}
     transposed = co.check_transposed(specs["left"], specs["right"])
     passed = (axioms["passed"] and transposed
@@ -238,8 +239,7 @@ def _parse_coaction_doc(doc, q, cap, side_option):
                 or any(not isinstance(row, list) or len(row) != n for row in mat)):
             raise ParseError(f"degree-{d} coefficient matrix must be {n}x{n}")
         coefficients.append([[fc.parse_element(q, cell, d) for cell in row] for row in mat])
-    endpoints = [(a.source, a.target) for a in q.arrows]
-    return co.CoactionSpec(side, algebra, coefficients, endpoints), window
+    return co.CoactionSpec(side, algebra, coefficients), window
 
 
 def run_coact(args):
@@ -247,15 +247,16 @@ def run_coact(args):
     if args.relations is not None:
         cspec, window = _parse_coaction_doc(_load_json(args.relations), q,
                                             args.max_degree, args.side)
-        host = wba.from_face_algebra(q, window)
+        host = wba.from_face_algebra(cspec.algebra)
         sections = {cspec.side: _coaction_section(cspec, host)}
         transposed = None
         m = window
     else:
         m = args.max_degree
-        host = wba.from_face_algebra(q, m)
+        kq = wba.path_algebra_presentation(q, m)
+        host = wba.from_face_algebra(kq)
         sides = ("left", "right") if args.side == "trans" else (args.side,)
-        specs = co.canonical_coactions(q, sides, m)
+        specs = co.canonical_coactions(kq, sides)
         sections = {s: _coaction_section(specs[s], host) for s in sides}
         transposed = (co.check_transposed(specs["left"], specs["right"])
                       if args.side == "trans" else None)

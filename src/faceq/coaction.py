@@ -4,7 +4,8 @@ A coaction is stored by its coefficient arrays against fixed bases: one
 square array per degree whose entries are degree-matching host elements.
 The same array serves either side; only the reading changes
 (left: v_j ↦ Σ_k y[j][k] ⊗ v_k, right: v_j ↦ Σ_k v_k ⊗ y[k][j]), which is
-exactly what makes a transposed pair a literal array equality.
+exactly what makes a transposed pair a literal array equality.  The
+algebra is the kQ that h(Q) is squared from; arrows' endpoints are read there.
 
 Multiplicativity of a coaction is the identity that makes Delta
 multiplicative, so the comodule-algebra check runs wba.multiplicative_failures,
@@ -32,12 +33,10 @@ def _require_side(side):
 class CoactionSpec:
     """Coefficient arrays of a graded coaction on a graded algebra.
 
-    coefficients[d][r][c] is a host degree-d coordinate dict;
-    arrow_endpoints[p] gives the (source, target) degree-0 indices of the
-    p-th degree-1 basis element, used by the structure-lemma checks.
+    coefficients[d][r][c] is a host degree-d coordinate dict.
     """
 
-    def __init__(self, side, algebra, coefficients, arrow_endpoints):
+    def __init__(self, side, algebra, coefficients):
         _require_side(side)
         self.side = side
         self.algebra = algebra
@@ -48,30 +47,22 @@ class CoactionSpec:
             n = algebra.dim(d)
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise ValueError(f"degree-{d} coefficient array is not {n}x{n}")
-        self.arrow_endpoints = list(arrow_endpoints)
-        if len(self.coefficients) > 1 and len(self.arrow_endpoints) != algebra.dim(1):
-            raise ValueError("arrow endpoint list does not match the degree-1 basis")
 
     def degrees(self):
         return len(self.coefficients) - 1
 
 
-def canonical_coactions(q, sides, max_degree):
-    """Coactions of the face algebra on the path algebra, on path bases, by side.
+def canonical_coactions(kq, sides):
+    """Coactions of the face algebra on the path algebra kq, on path bases, by side.
 
-    The sides share one kQ presentation and one coefficient family, as a
-    transposed pair does.  Degree-0 and degree-1 coefficients are the
+    The sides share kq and one coefficient family up to kq's truncation,
+    as a transposed pair does.  Degree-0 and degree-1 coefficients are the
     defining ones; every higher degree is their multiplicative consequence,
     which on path bases is again a single face monomial per entry.
     """
-    algebra = wba.path_algebra_presentation(q, max_degree)
-    coefficients = []
-    for d in range(max_degree + 1):
-        n = algebra.dim(d)
-        mat = [[{r * n + c: _ONE} for c in range(n)] for r in range(n)]
-        coefficients.append(mat)
-    endpoints = [(a.source, a.target) for a in q.arrows]
-    return {side: CoactionSpec(side, algebra, coefficients, endpoints) for side in sides}
+    coefficients = [[[{r * n + c: _ONE} for c in range(n)] for r in range(n)]
+                    for n in kq.dims()]
+    return {side: CoactionSpec(side, kq, coefficients) for side in sides}
 
 
 def _matrix_failures(host, d, mat):
@@ -347,10 +338,14 @@ def check_structure_lemmas(c, host):
     if c.degrees() >= 1:
         y1 = c.coefficients[1]
         n1 = algebra.dim(1)
+        # the endpoints of arrow p: e_s p != 0 and p e_t != 0
+        by_left = algebra.products_by_left
+        source = {p: s for s, row in by_left.get((0, 1), {}).items() for p in row}
+        target = {p: t for p, row in by_left.get((1, 0), {}).items() for t in row}
         for p in range(n1):
-            sp, tp = c.arrow_endpoints[p]
+            sp, tp = source[p], target[p]
             for q in range(n1):
-                sq, tq = c.arrow_endpoints[q]
+                sq, tq = source[q], target[q]
                 left = host.multiply(0, y0[sp][sq], 1, y1[p][q])
                 if left != y1[p][q]:
                     absorb_fails.append(["source", f"({p},{q})"])

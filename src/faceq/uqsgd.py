@@ -113,13 +113,16 @@ def build_uqsgd(q, relations, side, max_degree):
     side takes the union of both), quotients the face algebra, induces the
     canonical coaction(s) on the quotient of kQ/I, and bundles all checks.
     kQ/I is the ideal that pa.quadratic_data reads R from: its pieces feed
-    the descent check and its host is the algebra the coactions act on.
+    the descent check, and its host, kQ, is squared into h(Q) and is the
+    algebra the coactions act on.
     Raises when a relation is not quadratic or when a soundness check fails.
     """
     if side not in RESULT_SIDES:
         raise ValueError(f"side must be one of {RESULT_SIDES}, got {side!r}")
     qd = pa.quadratic_data(q, relations, max_degree)
-    gen_sides, biideal = _relation_biideal(wba.from_face_algebra(q, max_degree), qd, side)
+    kq_ideal = qd.ideal
+    algebra = kq_ideal.host
+    gen_sides, biideal = _relation_biideal(wba.from_face_algebra(algebra), qd, side)
 
     breport = wba.check_biideal(biideal, max_degree)
     if not breport["passed"]:
@@ -130,7 +133,6 @@ def build_uqsgd(q, relations, side, max_degree):
         raise VerificationError("quotient failed the weak bialgebra axioms", axioms)
 
     pieces_h = [wba.biideal_graded_pieces(biideal, d) for d in range(max_degree + 1)]
-    kq_ideal = qd.ideal
     algebra_pieces = [wba.biideal_graded_pieces(kq_ideal, d) for d in range(max_degree + 1)]
     descent = _check_descent(pieces_h, algebra_pieces, gen_sides)
     descent_report = wba.report([(f"coaction-descends-{s}", descent[s]) for s in gen_sides])
@@ -138,14 +140,12 @@ def build_uqsgd(q, relations, side, max_degree):
         raise VerificationError("coaction does not descend to the quotient",
                                 descent_report)
 
-    algebra = kq_ideal.host
     coefficients = _induced_coefficients(biideal, algebra, max_degree)
-    endpoints = [(a.source, a.target) for a in q.arrows]
     induced = {}
     comodule_reports = {}
     lemma_reports = {}
     for s in gen_sides:
-        spec = induced[s] = co.CoactionSpec(s, algebra, coefficients, endpoints)
+        spec = induced[s] = co.CoactionSpec(s, algebra, coefficients)
         comodule_reports[s] = co.check_comodule_algebra(spec, quotient)
         lemma_reports[s] = co.check_structure_lemmas(spec, quotient)
     verification = {
@@ -171,8 +171,7 @@ def _star_index_map(q):
     return {a * n + b: star[a] * n + star[b] for a in range(n) for b in range(n)}
 
 
-def _swap_index_map(q):
-    n = len(qv.enumerate_paths(q, 2))
+def _swap_index_map(n):
     return {a * n + b: b * n + a for a in range(n) for b in range(n)}
 
 
@@ -190,23 +189,24 @@ def check_quadratic_dualities(qd, qdual, max_degree):
     the same algebra; (d) star matches the transposed sides.  Each row also
     compares graded quotient dimensions up to max_degree.
 
-    Only products are read, so the hosts come from wba.face_algebra, with no
-    coproduct or counit tables.  The transported degree-2 pieces are
-    canonical Subspaces; the dimensions come from wba.quotient_dims, so the
-    top degree is never finalized (lower degrees are, as spreading reads
-    their bases).  Every side's biideal is _relation_biideal's, as in
-    build_uqsgd: the transposed one spreads the union of both sides'
-    coaction relations.
+    Only products are read, so each host is wba.face_algebra of the kQ the
+    data's ideal lives in, with no coproduct or counit tables.  The
+    transported degree-2 pieces are canonical Subspaces; the dimensions
+    come from wba.quotient_dims, so the top degree is never finalized
+    (lower degrees are, as spreading reads their bases).  Every side's
+    biideal is _relation_biideal's, as in build_uqsgd: the transposed one
+    spreads the union of both sides' coaction relations.
     """
-    if max_degree < 2:
-        raise ValueError("duality checks need max_degree >= 2")
+    top = min(data.ideal.host.max_degree for data in (qd, qdual))
+    if not 2 <= max_degree <= top:
+        raise ValueError(f"duality checks need 2 <= max_degree <= {top}, the data's truncation")
     q = qd.quiver
 
     pieces = {}
     dims = {}
     ambient = {}
     for label, data in (("base", qd), ("dual", qdual)):
-        host = wba.face_algebra(data.quiver, max_degree)
+        host = wba.face_algebra(data.ideal.host)
         ambient[label] = host.dim(2)
         for side in RESULT_SIDES:
             b = _relation_biideal(host, data, side)[1]
@@ -214,7 +214,7 @@ def check_quadratic_dualities(qd, qdual, max_degree):
             pieces[(side, label)] = wba.biideal_graded_pieces(b, 2)
 
     star = _star_index_map(q)
-    swap = _swap_index_map(q)
+    swap = _swap_index_map(qd.ambient_dim)
     # (row, source piece, map, target piece, witness); the map lands on the target's host
     table = (
         ("a-star-left-onto-dual-right", ("left", "base"), star, ("right", "dual"),

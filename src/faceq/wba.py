@@ -7,8 +7,9 @@ window, so all verdicts are exact.  The coproducts handled here preserve
 degree in both tensor legs (matrix coalgebras per degree), which is what
 face algebras and their biideal quotients provide.
 
-In degree d the face algebra's basis element x[a;b] has index i_a*n + i_b,
-where i_a and i_b index the n paths of length d in enumeration order.  The
+h(Q) is the Segre square of kQ, the one table built from the quiver's
+paths: in degree d, x[a;b] has index i_a*n + i_b over the n paths of
+length d in kQ's order, and face_algebra squares kQ's products.  The
 product table stores nonzero products only, and the axiom and counital
 checks visit only those, reaching them through indexes (products by left
 factor, coproduct terms by first or second leg): they still quantify over
@@ -35,7 +36,6 @@ weak-unit splits are a join that pairs only terms with a nonzero product.
 """
 
 from functools import cached_property
-from math import isqrt
 
 from . import quiver as qv
 from .errors import VerificationError
@@ -204,32 +204,27 @@ def path_algebra_presentation(q, max_degree):
     return GradedAlgebra(max_degree, labels, product, unit)
 
 
-def face_algebra(q, max_degree):
-    """The face algebra's labels, product and unit on the faceBasis order.
-
-    Index arithmetic on x[a;b] -> i_a*n + i_b over one path-composition table
-    per pair of degrees that have paths, so only composable pairs are visited.
+def face_algebra(kq):
+    """The face algebra's labels, product and unit: x[a;b] x[c;k] = x[ac;bk],
+    by index arithmetic over kq's products by left factor, at kq's truncation.
     For the coproduct and counit as well, use from_face_algebra.
     """
-    paths = [qv.enumerate_paths(q, d) for d in range(max_degree + 1)]
-    sizes = [len(p) for p in paths]
+    max_degree = kq.max_degree
+    sizes = kq.dims()
     # keys reuse one int object per basis index instead of a fresh int per key
     ids = [list(range(n * n)) for n in sizes]
     # products landing on one basis element share its (read-only) unit vector
     units = [[{i: _ONE} for i in idd] for idd in ids]
-    labels = []
-    for d in range(max_degree + 1):
-        names = [q.path_label(p) for p in paths[d]]
-        labels.append([f"x[{a};{b}]" for a in names for b in names])
+    labels = [[f"x[{a};{b}]" for a in names for b in names] for names in kq.labels]
+    by_left = kq.products_by_left
     product = {}
     degrees = [d for d in range(max_degree + 1) if sizes[d]]
     for d in degrees:
         for e in [e for e in degrees if d + e <= max_degree]:
             nd, ne, nf = sizes[d], sizes[e], sizes[d + e]
-            target = {p: i for i, p in enumerate(paths[d + e])}
+            rows = by_left.get((d, e), {})
             # compose[a] lists (c, index of a.c) over the paths c that a composes with
-            compose = [[(c, target[ar]) for c, r in enumerate(paths[e])
-                        if (ar := qv.compose_paths(q, a, r)) is not None] for a in paths[d]]
+            compose = [[(c, *entry) for c, entry in rows.get(a, {}).items()] for a in range(nd)]
             for i in range(nd * nd):
                 left, right = compose[i // nd], compose[i % nd]
                 for c, ac in left:
@@ -239,18 +234,17 @@ def face_algebra(q, max_degree):
     return GradedAlgebra(max_degree, labels, product, unit)
 
 
-def from_face_algebra(q, max_degree):
-    """The face algebra of a quiver as a weak bialgebra.
+def from_face_algebra(kq):
+    """The face algebra of a quiver as a weak bialgebra, from its path algebra kq.
 
     face_algebra's labels, product and unit, plus the matrix coproduct
     Delta(x[a;b]) = sum_m x[a;m] (x) x[m;b] and the counit
-    eps(x[a;b]) = delta_ab, both by index arithmetic.
+    eps(x[a;b]) = delta_ab, both by index arithmetic over kQ's dims.
     """
-    alg = face_algebra(q, max_degree)
+    alg = face_algebra(kq)
     coproduct = {}
     counit = {}
-    for d in range(max_degree + 1):
-        n = isqrt(alg.dim(d))
+    for d, n in enumerate(kq.dims()):
         idd = list(range(n * n))  # one int object per basis index, as in face_algebra
         # rows[a] lists x[a;m] and cols[b] lists x[m;b], over m in order
         rows = [idd[a * n:(a + 1) * n] for a in range(n)]
@@ -261,7 +255,7 @@ def from_face_algebra(q, max_degree):
                 coproduct[(d, i)] = dict.fromkeys(zip(rows[a], cols[b]), _ONE)
                 if a == b:
                     counit[(d, i)] = _ONE
-    return GradedWBA(max_degree, alg.labels, alg.product, alg.unit, coproduct, counit)
+    return GradedWBA(kq.max_degree, alg.labels, alg.product, alg.unit, coproduct, counit)
 
 
 def _eps_matrices(w):

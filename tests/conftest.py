@@ -397,7 +397,7 @@ def dd_coaction(side):
     algebra = wba.path_algebra_presentation(q_bullets(), 0)
     x, y = {0: Fraction(1)}, {1: Fraction(1)}
     mat = [[x, y], [y, x]]
-    return dd, co.CoactionSpec(side, algebra, [mat], [])
+    return dd, co.CoactionSpec(side, algebra, [mat])
 
 
 @pytest.fixture(scope="session")
@@ -435,7 +435,7 @@ def duality_biideals():
         qd = pa.quadratic_data(q, relations)
         qdual = pa.quadratic_dual(qd)
         for label, quiver, data in (("base", q, qd), ("dual", qdual.quiver, qdual)):
-            host = wba.from_face_algebra(quiver, cap)
+            host = wba.from_face_algebra(wba.path_algebra_presentation(quiver, cap))
             for side in ("left", "right", "trans"):
                 if side == "trans":
                     gens = (face_coaction_relations(data, "left")

@@ -16,7 +16,8 @@ and both weak-unit splits that wba's joins replaced, the reference for
 them; the dense two-leg map, the reference for linalg.apply_legs; and
 the double quiver and the preprojective relations of a cycle, which the
 tests build and the command line reads as plain quiver and relations
-documents; subspace_equal, Subspace equality that refuses subspaces
+documents; the product quiver Q ⊠ Q, whose path algebra is h(Q), an
+independent presentation of the face algebra; subspace_equal, Subspace equality that refuses subspaces
 of different ambient dimensions; and projection_oracle, a subspace's coset
 projection built from its pivot-1 basis in Fractions, the reference for
 linalg.Projection.  Coefficients are Fractions.
@@ -631,6 +632,30 @@ def double_quiver(q):
     arrows = [tuple(a) for a in q.arrows]
     arrows += [(a.name + "*", a.target, a.source) for a in q.arrows]
     return qv.Quiver(q.vertices, arrows)
+
+
+def product_quiver(q):
+    """Q ⊠ Q: vertices Q0 × Q0 and arrows (α, β) from (sα, sβ) to (tα, tβ).
+
+    The pair (u, v) has index u·|Q0| + v and (α, β) index α·|Q1| + β, and
+    both are named by their indices, so no two names clash.  As a graded
+    algebra h(Q) is k(Q ⊠ Q), with x[a;b] the path of pairs (a, b).
+    """
+    nv = len(q.vertices)
+    vertices = [f"v{u}_{v}" for u in range(nv) for v in range(nv)]
+    arrows = [(f"a{i}_{j}", a.source * nv + b.source, a.target * nv + b.target)
+              for i, a in enumerate(q.arrows) for j, b in enumerate(q.arrows)]
+    return qv.Quiver(vertices, arrows)
+
+
+def product_path_indices(q, pq, d):
+    """index[i_a n + i_b] is the position of the path of pairs (a, b) among
+    the degree-d paths of pq = product_quiver(q): the map x[a;b] -> (a, b)."""
+    nv, na = len(q.vertices), len(q.arrows)
+    paths = qv.enumerate_paths(q, d)
+    return [qv.path_index(pq, qv.Path(a.start * nv + b.start,
+                                      tuple(x * na + y for x, y in zip(a.arrows, b.arrows))))
+            for a in paths for b in paths]
 
 
 def preprojective_relations(q):

@@ -34,8 +34,9 @@ def fleet_hosts():
     out = {}
     for name, make in FLEET.items():
         q = make()
-        host = wba.from_face_algebra(q, 3)
-        specs = co.canonical_coactions(q, co.SIDES, 3)
+        kq = wba.path_algebra_presentation(q, 3)
+        host = wba.from_face_algebra(kq)
+        specs = co.canonical_coactions(kq, co.SIDES)
         out[name] = (q, host, specs["left"], specs["right"])
     return out
 
@@ -43,7 +44,7 @@ def fleet_hosts():
 def test_01_face_algebra_axioms_hold_across_fleet():
     start = time.monotonic()
     for name, make in FLEET.items():
-        report = wba.check_axioms(wba.from_face_algebra(make(), 3))
+        report = wba.check_axioms(wba.from_face_algebra(wba.path_algebra_presentation(make(), 3)))
         assert report["passed"], (name, report)
         assert [row["axiom"] for row in report["checks"]] == [
             "delta-multiplicative",
@@ -103,7 +104,7 @@ def test_05_structure_lemmas_hold_for_canonical_and_induced_coactions(
 def test_06_zero_ideal_build_reproduces_face_algebra(trivial_results):
     for name, (q, degree, res) in trivial_results.items():
         assert len(res.biideal.generators) == 0, name
-        host = wba.from_face_algebra(q, degree)
+        host = wba.from_face_algebra(wba.path_algebra_presentation(q, degree))
         for field in ("max_degree", "labels", "product", "unit", "coproduct", "counit"):
             assert getattr(res.quotient, field) == getattr(host, field), (name, field)
 
@@ -161,8 +162,8 @@ def test_09_duality_transport_checks_pass():
         ("preprojective", dbl, prep, 2),
     ]
     for name, q, relations, degree in instances:
-        qd = pa.quadratic_data(q, relations)
-        report = uq.check_quadratic_dualities(qd, pa.quadratic_dual(qd), degree)
+        qd = pa.quadratic_data(q, relations, degree)
+        report = uq.check_quadratic_dualities(qd, pa.quadratic_dual(qd, degree), degree)
         assert report["passed"], (name, report)
         assert {row["check"]: row["status"] for row in report["checks"]} == {
             "a-star-left-onto-dual-right": "pass",

@@ -8,6 +8,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from faceq import cli
@@ -801,12 +803,24 @@ def test_coalgebra_rows_and_product_index_built_once(tmp_path, monkeypatch, comm
     assert len(indexed) == len({id(product) for product in indexed}) == presentations
 
 
+def two_loop_canonical_document(degree):
+    """The left canonical coaction of the two-loop quiver up to degree, as a
+    coaction document: entry (a, b) of degree d is x[a;b] over kQ's paths."""
+    labels = wba.path_algebra_presentation(qv.parse_quiver(TWO_LOOP_DOC), degree).labels
+    return {"side": "left",
+            "coefficients": [[[f"x[{a};{b}]" for b in row] for a in row] for row in labels]}
+
+
 @pytest.mark.parametrize("command, relations, presentations", [
-    ("verify", None, 1), ("uqsgd", COMMUTATOR_DOC, 1), ("dual", COMMUTATOR_DOC, 2)])
+    ("verify", None, 1), ("uqsgd", COMMUTATOR_DOC, 1), ("dual", COMMUTATOR_DOC, 2),
+    ("face", None, 1), ("coact", None, 1), ("coact", two_loop_canonical_document(3), 1)])
 def test_one_path_algebra_per_quiver(tmp_path, monkeypatch, command, relations, presentations):
-    """verify's two canonical coactions share one kQ; uqsgd and dual read R
-    from the ideal of kQ truncated at the job's degree, so R is eliminated
-    once, and dual adds kQ^op for the quadratic dual."""
+    """Every command builds kQ once per quiver: face, verify and coact square
+    it into h(Q), and verify's and canonical coact's two canonical coactions
+    share it; a coaction document's kQ is the one its entries are read on;
+    uqsgd and dual read R from the ideal of kQ truncated at the job's
+    degree, so R is eliminated once, and dual adds kQ^op for the quadratic
+    dual."""
     built = []
     presentation = wba.path_algebra_presentation
 
@@ -823,6 +837,63 @@ def test_one_path_algebra_per_quiver(tmp_path, monkeypatch, command, relations, 
     assert code == 0
     assert doc["passed"] is True
     assert built == [3] * presentations
+
+
+@pytest.mark.parametrize("command, relations", [
+    ("verify", None), ("uqsgd", COMMUTATOR_DOC), ("coact", None),
+    ("coact", two_loop_canonical_document(2))])
+def test_face_algebra_squares_the_algebra_the_coactions_act_on(tmp_path, monkeypatch, command,
+                                                               relations):
+    """The kQ that a job squares into h(Q) is the very object its coactions
+    act on (spec.algebra): the canonical ones of verify and coact, the
+    document's, and the induced ones of uqsgd."""
+    squared = []
+    acted_on = []
+    face_algebra = wba.face_algebra
+    check_comodule_algebra = co.check_comodule_algebra
+
+    def recorded_square(kq):
+        squared.append(kq)
+        return face_algebra(kq)
+
+    def recorded_check(spec, host):
+        acted_on.append(spec.algebra)
+        return check_comodule_algebra(spec, host)
+
+    monkeypatch.setattr(wba, "face_algebra", recorded_square)
+    monkeypatch.setattr(co, "check_comodule_algebra", recorded_check)
+    args = [command, "--quiver", write_json(tmp_path / "q.json", TWO_LOOP_DOC),
+            "--max-degree", "2"]
+    if relations is not None:
+        args += ["--relations", write_json(tmp_path / "r.json", relations)]
+    code, doc = run_doc(tmp_path, args)
+    assert code == 0
+    assert doc["passed"] is True
+    assert len(squared) == 1
+    assert acted_on and all(algebra is squared[0] for algebra in acted_on)
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool),
+                min_size=3, max_size=3))
+def test_dual_dims_satisfy_the_koszul_identity(tmp_path_factory, qs):
+    """A quantum affine space k_q[t1, t2, t3], t_i t_j + q_ij t_j t_i with
+    nonzero rational q_ij, has a PBW basis, so it is Koszul and its Hilbert
+    series satisfies h_A(t) h_{A!}(-t) = 1: the coefficients of t^k,
+    sum over i + j = k of (-1)^j h_A(i) h_{A!}(j), vanish for k = 1..4 on
+    the primal and dual dims that dual reports at degree 4."""
+    tmp_path = tmp_path_factory.mktemp("koszul")
+    relations = [[{"coeff": 1, "path": [f"t{i}", f"t{j}"]},
+                  {"coeff": str(q), "path": [f"t{j}", f"t{i}"]}]
+                 for (i, j), q in zip(((1, 2), (1, 3), (2, 3)), qs)]
+    quiver = write_json(tmp_path / "q.json", THREE_LOOP_DOC)
+    code, doc = run_doc(tmp_path, ["dual", "--quiver", quiver, "--relations",
+                                   write_json(tmp_path / "r.json", relations), "--max-degree", "4"])
+    assert code == 0
+    primal, dual = doc["primalDims"], doc["dualDims"]
+    assert primal[0] == dual[0] == 1
+    for k in range(1, 5):
+        assert sum((-1) ** j * primal[k - j] * dual[j] for j in range(k + 1)) == 0, (k, primal, dual)
 
 
 def test_output_bytes_identical_across_runs(tmp_path):

@@ -22,8 +22,9 @@ ONE = Fraction(1)
 
 
 def canonical_pair(q, max_degree):
-    host = wba.from_face_algebra(q, max_degree)
-    specs = co.canonical_coactions(q, co.SIDES, max_degree)
+    kq = wba.path_algebra_presentation(q, max_degree)
+    host = wba.from_face_algebra(kq)
+    specs = co.canonical_coactions(kq, co.SIDES)
     return host, specs["left"], specs["right"]
 
 
@@ -64,7 +65,7 @@ def test_zeroed_coefficient_fails_checks():
     host, lam, _ = canonical_pair(q, 2)
     broken = [[[dict(e) for e in row] for row in mat] for mat in lam.coefficients]
     broken[1][0][0] = {}
-    spec = co.CoactionSpec("left", lam.algebra, broken, lam.arrow_endpoints)
+    spec = co.CoactionSpec("left", lam.algebra, broken)
     report = co.check_comodule_algebra(spec, host)
     assert not report["passed"]
     failed = {row["check"] for row in report["checks"] if row["status"] == "fail"}
@@ -81,7 +82,7 @@ def test_transposed_rejects_mismatched_pairs():
         co.check_transposed(rho, rho)
     perturbed = [[[dict(e) for e in row] for row in mat] for mat in rho.coefficients]
     perturbed[1][0][0] = {}
-    rho2 = co.CoactionSpec("right", rho.algebra, perturbed, rho.arrow_endpoints)
+    rho2 = co.CoactionSpec("right", rho.algebra, perturbed)
     assert not co.check_transposed(lam, rho2)
 
 
@@ -175,7 +176,7 @@ def test_structure_lemmas_fail_on_scaled_coefficient():
     host, lam, _ = canonical_pair(q, 0)
     mutated = [[[dict(e) for e in row] for row in lam.coefficients[0]]]
     mutated[0][0][0] = {k: 2 * c for k, c in mutated[0][0][0].items()}
-    spec = co.CoactionSpec("left", lam.algebra, mutated, [])
+    spec = co.CoactionSpec("left", lam.algebra, mutated)
     report = co.check_structure_lemmas(spec, host)
     assert not report["passed"]
     failed = {row["check"] for row in report["checks"] if row["status"] == "fail"}
@@ -194,12 +195,13 @@ def test_orthogonality_witnesses_name_the_shared_column_or_row(side, entry, extr
     shared row: each side's orthogonality row fails on that pair of
     entries, both ways round, as (row,column) labels."""
     q = three_cycle()
-    host = wba.from_face_algebra(q, 0)
-    spec = co.canonical_coactions(q, (side,), 0)[side]
+    kq = wba.path_algebra_presentation(q, 0)
+    host = wba.from_face_algebra(kq)
+    spec = co.canonical_coactions(kq, (side,))[side]
     mat = [[dict(e) for e in row] for row in spec.coefficients[0]]
     r, c = entry
     mat[r][c] = {**mat[r][c], extra: 1}
-    spec = co.CoactionSpec(side, spec.algebra, [mat], [])
+    spec = co.CoactionSpec(side, spec.algebra, [mat])
     with pytest.MonkeyPatch.context() as mp:
         full_witness_rows(mp)
         rows = {row["check"]: row for row in co.check_structure_lemmas(spec, host)["checks"]}
@@ -223,8 +225,9 @@ def test_structure_lemma_matrix_rows_on_corrupted_coefficients(side, kind, degre
     entry y1[0][2] of a canonical coaction on the three-cycle are set to {},
     doubled, or given the extra term x[e:1;e:1] (resp. x[p1;p1])."""
     q = three_cycle()
-    host = wba.from_face_algebra(q, 1)
-    spec = co.canonical_coactions(q, (side,), 1)[side]
+    kq = wba.path_algebra_presentation(q, 1)
+    host = wba.from_face_algebra(kq)
+    spec = co.canonical_coactions(kq, (side,))[side]
     mats = [[[dict(e) for e in row] for row in mat] for mat in spec.coefficients]
     for d, j, k in ((0, 1, 1), (1, 0, 2)):
         if kind == "zero":
@@ -233,7 +236,7 @@ def test_structure_lemma_matrix_rows_on_corrupted_coefficients(side, kind, degre
             mats[d][j][k] = {h: 2 * c for h, c in mats[d][j][k].items()}
         else:
             mats[d][j][k] = {**mats[d][j][k], 0: 1}
-    spec = co.CoactionSpec(side, spec.algebra, mats, spec.arrow_endpoints)
+    spec = co.CoactionSpec(side, spec.algebra, mats)
     expected = [
         ("degree0-comultiplicative", DEGREE0_COMULT),
         ("degree0-counit", degree0_counit),
@@ -253,11 +256,46 @@ def test_structure_lemma_matrix_rows_on_corrupted_coefficients(side, kind, degre
                                   "witnesses": fails} for name, fails in expected]
 
 
+@pytest.mark.parametrize("make, witnesses", [
+    (kronecker, [["source", "(0,0)"], ["source", "(0,1)"], ["source", "(1,0)"],
+                 ["source", "(1,1)"]]),
+    (doubled_three_cycle, [["source", "(0,0)"], ["source", "(0,1)"], ["target", "(0,1)"],
+                           ["source", "(0,5)"], ["target", "(2,2)"], ["target", "(2,3)"],
+                           ["target", "(3,2)"], ["target", "(3,3)"], ["source", "(5,0)"],
+                           ["source", "(5,5)"]]),
+])
+def test_endpoint_absorption_witnesses_follow_the_arrow_endpoints(make, witnesses):
+    """The structure lemmas read each arrow's endpoints from kQ's products
+    with the vertex idempotents.  A left canonical coaction up to degree 1
+    with y0[0][0] doubled and the term x[a;a] of the last arrow a added to
+    y1[0][1] fails absorption exactly at the arrow pairs whose endpoints
+    meet the corruption.  On the Kronecker quiver every arrow runs from
+    vertex 1 to vertex 2, so every source fails, no target does, and
+    y1[0][1] stays absorbed.  On the doubled three-cycle p1 and p3* leave
+    vertex 1 and p3 and p1* enter it; the term x[p3*;p3*] added to the
+    entry of (p1, p2) matches neither p2's source nor p1's target, so that
+    pair fails at both ends."""
+    q = make()
+    kq = wba.path_algebra_presentation(q, 1)
+    host = wba.from_face_algebra(kq)
+    spec = co.canonical_coactions(kq, ("left",))["left"]
+    mats = [[[dict(e) for e in row] for row in mat] for mat in spec.coefficients]
+    mats[0][0][0] = {h: 2 * c for h, c in mats[0][0][0].items()}
+    n1 = kq.dim(1)
+    mats[1][0][1] = {**mats[1][0][1], n1 * n1 - 1: 1}
+    spec = co.CoactionSpec("left", kq, mats)
+    with pytest.MonkeyPatch.context() as mp:
+        full_witness_rows(mp)
+        rows = {row["check"]: row for row in co.check_structure_lemmas(spec, host)["checks"]}
+    assert rows["endpoint-absorption"] == {"check": "endpoint-absorption", "status": "fail",
+                                           "witnesses": witnesses}
+
+
 def test_search_base_iso_needs_idempotent_basis():
     host = bialgebra_d(0)
     algebra = wba.GradedAlgebra(0, [["u"]], {(0, 0, 0, 0): {0: Fraction(2)}},
                                 {0: ONE})
-    spec = co.CoactionSpec("left", algebra, [[[{0: ONE}]]], [])
+    spec = co.CoactionSpec("left", algebra, [[[{0: ONE}]]])
     with pytest.raises(UnsupportedShapeError, match="orthogonal idempotents"):
         co.search_base_iso(spec, host)
 
@@ -305,7 +343,7 @@ def test_search_base_iso_refuses_overlapping_supports():
     host.counital_subalgebras["target"] = Subspace.from_rows(3, rows)
     assert wba.counital_subalgebra(host, "target").basis == rows
     algebra = wba.path_algebra_presentation(q_bullets(), 0)
-    spec = co.CoactionSpec("left", algebra, [[[{}, {}], [{}, {}]]], [])
+    spec = co.CoactionSpec("left", algebra, [[[{}, {}], [{}, {}]]])
     with pytest.raises(UnsupportedShapeError, match="disjoint supports"):
         co.search_base_iso(spec, host)
 
@@ -314,9 +352,9 @@ def test_coaction_spec_validates_shapes():
     q = q_bullets()
     algebra = wba.path_algebra_presentation(q, 0)
     with pytest.raises(ValueError, match="not 2x2"):
-        co.CoactionSpec("left", algebra, [[[{0: ONE}]]], [])
+        co.CoactionSpec("left", algebra, [[[{0: ONE}]]])
     with pytest.raises(ValueError, match="side must be"):
-        co.CoactionSpec("middle", algebra, [[[{0: ONE}, {}], [{}, {0: ONE}]]], [])
+        co.CoactionSpec("middle", algebra, [[[{0: ONE}, {}], [{}, {0: ONE}]]])
 
 
 def dense_comodule_algebra(c, host):
@@ -453,7 +491,7 @@ def corrupt(draw, host, spec):
     for alg in (host, algebra):
         if alg.product and draw(st.booleans()):
             overwrite_product(draw, alg)
-    return host, co.CoactionSpec(spec.side, algebra, coefficients, spec.arrow_endpoints)
+    return host, co.CoactionSpec(spec.side, algebra, coefficients)
 
 
 @st.composite
@@ -543,7 +581,7 @@ def coalgebra_row_cases(draw):
     name = draw(st.sampled_from(sorted(FLEET)))
     q = FLEET[name]()
     degree = ORACLE_DEGREE.get(name, 3)
-    lam = co.canonical_coactions(q, ("left",), degree)["left"]
+    lam = co.canonical_coactions(wba.path_algebra_presentation(q, degree), ("left",))["left"]
     d = draw(st.sampled_from([d for d in range(degree + 1) if lam.algebra.dim(d)]))
     n = lam.algebra.dim(d)
     j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -553,7 +591,7 @@ def coalgebra_row_cases(draw):
     else:
         scale = draw(st.fractions(min_value=-2, max_value=2, max_denominator=4).filter(bool))
         mats[d][j][k] = {h: scale * c for h, c in mats[d][j][k].items()}
-    copy = co.CoactionSpec("left", lam.algebra, mats, lam.arrow_endpoints)
+    copy = co.CoactionSpec("left", lam.algebra, mats)
     return q, degree, lam, copy
 
 
@@ -564,10 +602,11 @@ def test_coalgebra_rows_are_shared_by_array_content(case):
     gets the coassociative, counital and degree{0,1} rows that a run on a
     host of its own gives, and that the oracle loop gives."""
     q, degree, lam, copy = case
-    host = wba.from_face_algebra(q, degree)
+    host = wba.from_face_algebra(wba.path_algebra_presentation(q, degree))
     shared = [coalgebra_reports(spec, host) for spec in (lam, copy)]
     for spec, (comodule, lemmas) in zip((lam, copy), shared):
-        assert (comodule, lemmas) == coalgebra_reports(spec, wba.from_face_algebra(q, degree))
+        fresh = wba.from_face_algebra(wba.path_algebra_presentation(q, degree))
+        assert (comodule, lemmas) == coalgebra_reports(spec, fresh)
         fails = [matrix_failures_oracle(host, spec.algebra, d, spec.coefficients[d])
                  for d in range(degree + 1)]
         assert comodule["checks"][0]["witnesses"] == [w for f in fails for w in f[0]]
@@ -587,7 +626,7 @@ def test_coalgebra_rows_drop_terms_that_cancel():
     coefficients 1 and -1, so it holds only once that key is dropped.  One
     entry scaled by 2 breaks it.  Both arrays get the oracle's witnesses."""
     q = two_loop()
-    host = wba.from_face_algebra(q, 1)
+    host = wba.from_face_algebra(wba.path_algebra_presentation(q, 1))
     algebra = wba.path_algebra_presentation(q, 1)
     x11, x12, x21, x22 = range(4)  # x[a;b] has index 2 * i_a + i_b
     conjugated = [[{x11: 1, x21: 1}, {x12: 1, x22: 1, x11: -1, x21: -1}],

@@ -363,7 +363,7 @@ def test_coordinate_text_round_trips_on_random_quivers(q, data):
     use, read back by parse_element, on q, its opposite and its double;
     values read back are ints wherever they are integral."""
     for v in codec_variants(q):
-        labels = wba.face_algebra(v, 2).labels
+        labels = wba.face_algebra(wba.path_algebra_presentation(v, 2)).labels
         d = data.draw(st.sampled_from([d for d in range(3) if labels[d]]))
         coords = data.draw(st.dictionaries(st.integers(0, len(labels[d]) - 1),
                                            nonzero_rationals, max_size=4))

@@ -39,8 +39,8 @@ def piece2(result):
 
 
 def dualities(q, relations, degree):
-    qd = pa.quadratic_data(q, relations)
-    return uq.check_quadratic_dualities(qd, pa.quadratic_dual(qd), degree)
+    qd = pa.quadratic_data(q, relations, degree)
+    return uq.check_quadratic_dualities(qd, pa.quadratic_dual(qd, degree), degree)
 
 
 def family_span(q, host, elems):
@@ -170,12 +170,13 @@ def test_verification_bundles(built_results):
 
 def test_trivial_ideal_reproduces_face_algebra(trivial_results):
     for name, (q, degree, res) in trivial_results.items():
-        host = wba.from_face_algebra(q, degree)
+        host = wba.from_face_algebra(wba.path_algebra_presentation(q, degree))
         for field in ("max_degree", "labels", "product", "unit", "coproduct", "counit"):
             assert getattr(res.quotient, field) == getattr(host, field), (name, field)
         assert len(res.biideal.generators) == 0
         for side, spec in res.induced_coactions.items():
-            canonical = co.canonical_coactions(q, (side,), degree)[side]
+            kq = wba.path_algebra_presentation(q, degree)
+            canonical = co.canonical_coactions(kq, (side,))[side]
             assert spec.coefficients == canonical.coefficients
 
 
@@ -219,13 +220,23 @@ def test_quadratic_dualities_preprojective():
     assert report["passed"], report
 
 
+def test_quadratic_dualities_refuse_a_window_outside_the_data():
+    """The hosts are squared from the data's kQ, so the window runs from
+    degree 2 to the truncation the quadratic data was built at."""
+    q = two_loop()
+    qd = pa.quadratic_data(q, commutator_relations(q))
+    for degree in (1, 3):
+        with pytest.raises(ValueError, match=r"need 2 <= max_degree <= 2, the data's truncation"):
+            uq.check_quadratic_dualities(qd, pa.quadratic_dual(qd), degree)
+
+
 def test_quadratic_dualities_fail_against_another_dual():
     """The polynomial ring's relations checked against the dual of the
     quantum plane: every row that reads the dual fails with its witness,
     and the swap row, which reads only the base, passes."""
     q = two_loop()
-    qd = pa.quadratic_data(q, commutator_relations(q))
-    other = pa.quadratic_dual(pa.quadratic_data(q, quantum_plane_relations(q)))
+    qd = pa.quadratic_data(q, commutator_relations(q), 3)
+    other = pa.quadratic_dual(pa.quadratic_data(q, quantum_plane_relations(q), 3), 3)
     report = uq.check_quadratic_dualities(qd, other, 3)
     assert report == {"passed": False, "checks": [
         {"check": "a-star-left-onto-dual-right", "status": "fail",
@@ -306,7 +317,7 @@ def test_transposed_pieces_are_the_sum_of_the_one_sided_ones(name):
     degree = min(3, HOST_DEGREE[name])
     qd = pa.quadratic_data(q, rational_relations(q), degree)
     for data in (qd, pa.quadratic_dual(qd)):
-        host = wba.face_algebra(data.quiver, degree)
+        host = wba.face_algebra(wba.path_algebra_presentation(data.quiver, degree))
         one_sided = [uq._relation_biideal(host, data, side)[1] for side in co.SIDES]
         for b in one_sided:
             wba.quotient_dims(b, degree)
@@ -337,7 +348,8 @@ def rational_relation_biideals(draw):
                                          min_size=1, max_size=3), min_size=1, max_size=2))
     qd = pa.quadratic_data(q, [(2, row) for row in rows], degree)
     side = draw(st.sampled_from(uq.RESULT_SIDES))
-    sides, b = uq._relation_biideal(wba.from_face_algebra(q, degree), qd, side)
+    host = wba.from_face_algebra(wba.path_algebra_presentation(q, degree))
+    sides, b = uq._relation_biideal(host, qd, side)
     return q, qd, sides, b
 
 
@@ -416,7 +428,8 @@ def test_descent_fails_on_the_side_the_relations_do_not_cover():
     the left coaction descends to and the right one does not."""
     q = two_loop()
     qd = pa.quadratic_data(q, quantum_plane_relations(q))
-    _, biideal = uq._relation_biideal(wba.from_face_algebra(q, 3), qd, "left")
+    host = wba.from_face_algebra(wba.path_algebra_presentation(q, 3))
+    _, biideal = uq._relation_biideal(host, qd, "left")
     fails, oracle, _ = descent_fails(biideal, qd, 3)
     assert fails == oracle
     assert fails["left"] == []
@@ -427,7 +440,7 @@ def test_descent_fails_on_every_row_for_the_zero_biideal():
     q = two_loop()
     qd = pa.quadratic_data(q, quantum_plane_relations(q))
     fails, oracle, algebra_pieces = descent_fails(
-        wba.BiidealGens(wba.from_face_algebra(q, 3), []), qd, 3)
+        wba.BiidealGens(wba.from_face_algebra(wba.path_algebra_presentation(q, 3)), []), qd, 3)
     every_row = [f"degree {d}, relation row {r}"
                  for d, piece in enumerate(algebra_pieces) for r in range(piece.dim)]
     assert every_row

@@ -24,7 +24,8 @@ from fleet import (FLEET, doubled_three_cycle, kronecker, one_loop, q_bullets, t
                    three_loop, two_loop)
 from oracle import (FaceElement, bialgebra_d, counit_splits_scan, direct_sum, double_quiver,
                     face_coproduct, face_counit, face_multiply, face_unit, monomial_label,
-                    subspace_equal, unit_splits_scan)
+                    product_path_indices, product_quiver, subspace_equal, unit_splits_scan)
+from test_face import codec_variants, named_quivers
 
 ONE = Fraction(1)
 
@@ -67,13 +68,44 @@ def sandwich_piece(host, q, gens, d):
 
 
 def test_from_face_algebra_dims():
-    assert wba.from_face_algebra(one_loop(), 3).dims() == [1, 1, 1, 1]
-    assert wba.from_face_algebra(two_loop(), 3).dims() == [1, 4, 16, 64]
-    assert wba.from_face_algebra(three_cycle(), 4).dims() == [9, 9, 9, 9, 9]
+    def face(q, d):
+        return wba.from_face_algebra(wba.path_algebra_presentation(q, d))
+
+    assert face(one_loop(), 3).dims() == [1, 1, 1, 1]
+    assert face(two_loop(), 3).dims() == [1, 4, 16, 64]
+    assert face(three_cycle(), 4).dims() == [9, 9, 9, 9, 9]
+
+
+# paths per degree above which the product-quiver test lowers its degree
+PRODUCT_QUIVER_PATHS = 16
+
+
+@settings(max_examples=100, deadline=None)
+@given(named_quivers(), st.integers(0, 3))
+def test_face_algebra_is_the_path_algebra_of_the_product_quiver(q, degree):
+    """h(Q) is k(Q ⊠ Q) as a graded algebra, a presentation built without
+    kQ's table: face_algebra(kQ) equals path_algebra_presentation(Q ⊠ Q)
+    entry for entry, unit included, after the index map x[a;b] -> (a, b),
+    on q, its opposite and its double.  The degree, at most 3, is lowered
+    while some degree has more than PRODUCT_QUIVER_PATHS paths."""
+    for v in codec_variants(q):
+        d = degree
+        while d and max(qv.path_count(v, e) for e in range(d + 1)) > PRODUCT_QUIVER_PATHS:
+            d -= 1
+        h = wba.face_algebra(wba.path_algebra_presentation(v, d))
+        pq = product_quiver(v)
+        kpq = wba.path_algebra_presentation(pq, d)
+        index = [product_path_indices(v, pq, e) for e in range(d + 1)]
+        assert h.dims() == kpq.dims()
+        moved = {(e, index[e][i], f, index[f][j]): {index[e + f][m]: c for m, c in entry.items()}
+                 for (e, i, f, j), entry in h.product.items()}
+        assert moved == kpq.product
+        assert {index[0][i]: c for i, c in h.unit.items()} == kpq.unit
 
 
 def test_face_algebra_axioms_pass():
-    report = wba.check_axioms(wba.from_face_algebra(three_cycle(), 3))
+    kq = wba.path_algebra_presentation(three_cycle(), 3)
+    report = wba.check_axioms(wba.from_face_algebra(kq))
     assert report["passed"]
     assert all(row["status"] == "pass" for row in report["checks"])
 
@@ -144,8 +176,8 @@ def check_associativity(w):
 
 def test_coalgebra_and_unit_invariants():
     hosts = [
-        wba.from_face_algebra(three_cycle(), 3),
-        wba.from_face_algebra(kronecker(), 3),
+        wba.from_face_algebra(wba.path_algebra_presentation(three_cycle(), 3)),
+        wba.from_face_algebra(wba.path_algebra_presentation(kronecker(), 3)),
         direct_sum(bialgebra_d(2), bialgebra_d(2)),
     ]
     for w in hosts:
@@ -176,7 +208,7 @@ def test_direct_sum_of_d_with_itself():
 
 
 def test_direct_sum_with_zero_summand():
-    h = wba.from_face_algebra(three_cycle(), 2)
+    h = wba.from_face_algebra(wba.path_algebra_presentation(three_cycle(), 2))
     zero = wba.GradedWBA(2, [[], [], []], {}, {}, {}, {})
     total = direct_sum(h, zero)
     assert total.dims() == h.dims()
@@ -192,7 +224,7 @@ def test_direct_sum_truncation_mismatch():
 
 
 def test_corrupted_counit_fails_axiom_checks():
-    w = wba.from_face_algebra(two_loop(), 2)
+    w = wba.from_face_algebra(wba.path_algebra_presentation(two_loop(), 2))
     labels = w.labels[1]
     bad = labels.index("x[t1;t2]")
     w.counit[(1, bad)] = ONE
@@ -207,7 +239,7 @@ def test_corrupted_counit_fails_axiom_checks():
 
 def test_counital_subalgebra_spans_vertex_idempotents():
     for q in (three_cycle(), q_bullets()):
-        w = wba.from_face_algebra(q, 2)
+        w = wba.from_face_algebra(wba.path_algebra_presentation(q, 2))
         for side, flavor in (("source", "source"), ("target", "target")):
             space = wba.counital_subalgebra(w, side)
             rows = fc.face_idempotents(q, flavor)
@@ -217,7 +249,7 @@ def test_counital_subalgebra_spans_vertex_idempotents():
 
 def test_commutator_biideal_piece_dims():
     q = two_loop()
-    host = wba.from_face_algebra(q, 3)
+    host = wba.from_face_algebra(wba.path_algebra_presentation(q, 3))
     b = face_commutator_biideal(host, q)
     assert wba.biideal_graded_pieces(b, 2).dim == 6
     assert wba.biideal_graded_pieces(b, 3).dim == 64 - comb(4 + 2, 3)
@@ -226,7 +258,7 @@ def test_commutator_biideal_piece_dims():
 
 
 def test_empty_generators_give_zero_pieces():
-    host = wba.from_face_algebra(three_cycle(), 3)
+    host = wba.from_face_algebra(wba.path_algebra_presentation(three_cycle(), 3))
     b = wba.BiidealGens(host, [])
     for d in range(4):
         assert wba.biideal_graded_pieces(b, d).dim == 0
@@ -235,7 +267,7 @@ def test_empty_generators_give_zero_pieces():
 
 def test_biideal_pieces_match_sandwich_oracle():
     q = two_loop()
-    host = wba.from_face_algebra(q, 3)
+    host = wba.from_face_algebra(wba.path_algebra_presentation(q, 3))
     b = face_commutator_biideal(host, q)
     monos = fc.face_basis(q, 1)
     gens = []
@@ -251,7 +283,7 @@ def test_biideal_pieces_match_sandwich_oracle():
 
 def test_ideal_pieces_respect_vertices():
     q = three_cycle()
-    host = wba.from_face_algebra(q, 3)
+    host = wba.from_face_algebra(wba.path_algebra_presentation(q, 3))
     g = FaceElement(q, {fc.FaceMonomial(q.arrow_path(0), q.arrow_path(1)): 1})
     b = wba.BiidealGens(host, [(1, face_coords(q, g, 1))])
     for d in range(4):
@@ -261,7 +293,7 @@ def test_ideal_pieces_respect_vertices():
 
 def test_commutator_biideal_passes_check():
     q = two_loop()
-    host = wba.from_face_algebra(q, 3)
+    host = wba.from_face_algebra(wba.path_algebra_presentation(q, 3))
     report = wba.check_biideal(face_commutator_biideal(host, q), 3)
     assert report["passed"]
     names = [row["check"] for row in report["checks"]]
@@ -271,7 +303,7 @@ def test_commutator_biideal_passes_check():
 
 def test_counit_check_fails_on_diagonal_generator():
     q = two_loop()
-    host = wba.from_face_algebra(q, 2)
+    host = wba.from_face_algebra(wba.path_algebra_presentation(q, 2))
     g = FaceElement(q, {fc.FaceMonomial(q.arrow_path(0), q.arrow_path(0)): 1})
     b = wba.BiidealGens(host, [(1, face_coords(q, g, 1))])
     report = wba.check_biideal(b, 2)
@@ -282,7 +314,7 @@ def test_counit_check_fails_on_diagonal_generator():
 
 def test_coproduct_check_fails_on_idempotent_difference():
     q = two_loop()
-    host = wba.from_face_algebra(q, 2)
+    host = wba.from_face_algebra(wba.path_algebra_presentation(q, 2))
     g = (FaceElement(q, {fc.FaceMonomial(q.arrow_path(0), q.arrow_path(0)): 1})
          - FaceElement(q, {fc.FaceMonomial(q.arrow_path(1), q.arrow_path(1)): 1}))
     b = wba.BiidealGens(host, [(1, face_coords(q, g, 1))])
@@ -312,7 +344,7 @@ def test_biideal_gens_refuse_rows_off_the_host_basis():
 
 
 def test_quotient_by_zero_biideal_is_host():
-    host = wba.from_face_algebra(three_cycle(), 3)
+    host = wba.from_face_algebra(wba.path_algebra_presentation(three_cycle(), 3))
     quo = wba.quotient_wba(wba.BiidealGens(host, []))
     for field in ("max_degree", "labels", "product", "unit", "coproduct", "counit"):
         assert getattr(quo, field) == getattr(host, field), field
@@ -322,7 +354,7 @@ def test_quotient_by_zero_biideal_is_host():
                                    commutator_relations], ids=["rational", "integer"])
 def test_quotient_coalgebra_tables_match_dense_oracle(ideal):
     q = two_loop()
-    host = wba.from_face_algebra(q, 3)
+    host = wba.from_face_algebra(wba.path_algebra_presentation(q, 3))
     _, b = uq._relation_biideal(host, pa.quadratic_data(q, ideal(q)), "trans")
     quo = wba.quotient_wba(b)
     assert quo.dims() != host.dims()
@@ -331,14 +363,14 @@ def test_quotient_coalgebra_tables_match_dense_oracle(ideal):
 
 def test_commutator_quotient_dims():
     q = two_loop()
-    host = wba.from_face_algebra(q, 3)
+    host = wba.from_face_algebra(wba.path_algebra_presentation(q, 3))
     quo = wba.quotient_wba(face_commutator_biideal(host, q))
     assert quo.dims() == [comb(4 + l - 1, l) for l in range(4)]
     assert wba.check_axioms(quo)["passed"]
 
 
 def test_check_biideal_rejects_degrees_beyond_truncation():
-    host = wba.from_face_algebra(two_loop(), 2)
+    host = wba.from_face_algebra(wba.path_algebra_presentation(two_loop(), 2))
     b = wba.BiidealGens(host, [])
     with pytest.raises(ValueError):
         wba.check_biideal(b, 3)
@@ -398,7 +430,7 @@ def test_from_face_algebra_matches_object_arithmetic(q):
     top = oracle_window(q)
     labels, product, coproduct, counit, unit = face_tables(q, top)
     for deg in range(top + 1):
-        w = wba.from_face_algebra(q, deg)
+        w = wba.from_face_algebra(wba.path_algebra_presentation(q, deg))
         assert w.labels == labels[:deg + 1]
         # item lists pin the (d, i, e, j) insertion order as well
         assert list(w.product.items()) == [(k, v) for k, v in product.items()
@@ -408,7 +440,7 @@ def test_from_face_algebra_matches_object_arithmetic(q):
         assert list(w.counit.items()) == [(k, v) for k, v in counit.items() if k[0] <= deg]
         assert w.unit == unit
         # the product-only build is the same tables without the coalgebra
-        alg = wba.face_algebra(q, deg)
+        alg = wba.face_algebra(wba.path_algebra_presentation(q, deg))
         assert type(alg) is wba.GradedAlgebra
         assert alg.labels == w.labels
         assert list(alg.product.items()) == list(w.product.items())
@@ -533,12 +565,12 @@ def copied(w):
 
 
 SMALL_PRESENTATIONS = [
-    lambda: wba.from_face_algebra(one_loop(), 3),
-    lambda: wba.from_face_algebra(two_loop(), 2),
-    lambda: wba.from_face_algebra(two_loop(), 3),
-    lambda: wba.from_face_algebra(q_bullets(), 1),
-    lambda: wba.from_face_algebra(kronecker(), 2),
-    lambda: wba.from_face_algebra(three_cycle(), 2),
+    lambda: wba.from_face_algebra(wba.path_algebra_presentation(one_loop(), 3)),
+    lambda: wba.from_face_algebra(wba.path_algebra_presentation(two_loop(), 2)),
+    lambda: wba.from_face_algebra(wba.path_algebra_presentation(two_loop(), 3)),
+    lambda: wba.from_face_algebra(wba.path_algebra_presentation(q_bullets(), 1)),
+    lambda: wba.from_face_algebra(wba.path_algebra_presentation(kronecker(), 2)),
+    lambda: wba.from_face_algebra(wba.path_algebra_presentation(three_cycle(), 2)),
     lambda: direct_sum(bialgebra_d(1), bialgebra_d(1)),
     lambda: copied(quantum_plane_quotient()),
 ]
@@ -594,7 +626,7 @@ def test_sparse_checks_match_pairwise_oracles(w):
 
 def test_checks_match_oracles_on_fleet_hosts():
     for make in FLEET.values():
-        w = wba.from_face_algebra(make(), 2)
+        w = wba.from_face_algebra(wba.path_algebra_presentation(make(), 2))
         assert (wba.multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)
                 == pairwise_delta_multiplicative(w) == [])
         assert wba._failures_counit_splits(w) == pairwise_counit_splits(w) == ([], [])
@@ -606,7 +638,7 @@ def test_counit_splits_visit_only_degrees_with_basis_elements(monkeypatch):
     """On an arrowless quiver only degree 0 has basis elements, so the
     counit splits read each of its 4 coproducts once; a loop over every
     degree triple up to 200 read them 81,204 times."""
-    w = wba.from_face_algebra(q_bullets(), 200)
+    w = wba.from_face_algebra(wba.path_algebra_presentation(q_bullets(), 200))
     calls = []
     coproduct_of = w.coproduct_of
     monkeypatch.setattr(w, "coproduct_of", lambda d, i: calls.append((d, i)) or coproduct_of(d, i))
@@ -618,7 +650,8 @@ def test_counit_splits_visit_only_degrees_with_basis_elements(monkeypatch):
 def split_hosts():
     """Fleet h(Q) hosts at degree 2 and the UQSGd quotient of the two-loop
     commutator at degree 2, whose tables corrupted_split_hosts copies."""
-    hosts = [wba.from_face_algebra(make(), 2) for make in FLEET.values()]
+    hosts = [wba.from_face_algebra(wba.path_algebra_presentation(make(), 2))
+             for make in FLEET.values()]
     q = two_loop()
     hosts.append(uq.build_uqsgd(q, commutator_relations(q), "trans", 2).quotient)
     return hosts
@@ -669,7 +702,7 @@ def test_counit_splits_read_each_coproduct_once(monkeypatch):
     """On the doubled three-cycle at degree 3 the counit splits read the
     coproduct of each of the 9 + 36 + 144 + 576 = 765 basis elements once;
     a pass per degree triple and right factor read 1,314."""
-    w = wba.from_face_algebra(doubled_three_cycle(), 3)
+    w = wba.from_face_algebra(wba.path_algebra_presentation(doubled_three_cycle(), 3))
     calls = []
     coproduct_of = w.coproduct_of
     monkeypatch.setattr(w, "coproduct_of", lambda d, i: calls.append((d, i)) or coproduct_of(d, i))
@@ -682,7 +715,7 @@ def test_product_corrupted_at_left_degree_two_takes_the_full_path():
     """Scaling one product entry with a left factor of degree 2 breaks
     associativity on generator triples, so the premise fails and every
     degree pair is visited: the failures are the pairwise oracle's."""
-    w = wba.from_face_algebra(two_loop(), 3)
+    w = wba.from_face_algebra(wba.path_algebra_presentation(two_loop(), 3))
     i = w.labels[2].index("x[t1.t2;t1.t2]")
     j = w.labels[1].index("x[t1;t1]")
     ((m, c),) = w.product[(2, i, 1, j)].items()
@@ -725,7 +758,7 @@ def test_delta_multiplicative_terms_that_cancel():
 
 
 def test_scaled_product_fails_delta_multiplicative():
-    w = wba.from_face_algebra(two_loop(), 2)
+    w = wba.from_face_algebra(wba.path_algebra_presentation(two_loop(), 2))
     i = w.labels[1].index("x[t1;t2]")
     j = w.labels[1].index("x[t2;t1]")
     ((m, c),) = w.product[(1, i, 1, j)].items()
@@ -790,7 +823,8 @@ def random_biideals(draw):
     """Generators in degrees 0-3 with int and Fraction coefficients, one to
     four per biideal, each in a degree where the fleet host is nonzero."""
     name = draw(st.sampled_from(sorted(FLEET)))
-    host = wba.from_face_algebra(FLEET[name](), PIECE_ORACLE_DEGREE.get(name, 3))
+    host = wba.from_face_algebra(wba.path_algebra_presentation(FLEET[name](),
+                                                               PIECE_ORACLE_DEGREE.get(name, 3)))
     degrees = [d for d in range(host.max_degree + 1) if host.dim(d)]
     gens = []
     for _ in range(draw(st.integers(1, 4))):
@@ -864,7 +898,7 @@ def test_streamed_biideal_check_matches_oracle_on_each_verdict():
     generates everything above degree 0, so nothing is left to descend to,
     while eps(x[t1;t1]) = 1."""
     q = two_loop()
-    host = wba.from_face_algebra(q, 3)
+    host = wba.from_face_algebra(wba.path_algebra_presentation(q, 3))
     loop = lambda i, j: FaceElement(q, {fc.FaceMonomial(q.arrow_path(i), q.arrow_path(j)): 1})
     cases = {
         "pass": face_commutator_biideal(host, q),
@@ -889,8 +923,8 @@ def mixed_relation_biideal(side="trans"):
     relations = relation_rows(q, [{qv.compose_paths(q, a, a): 1},
                                   {qv.compose_paths(q, a, b): 1,
                                    qv.compose_paths(q, b, a): Fraction(-1, 2)}])
-    return uq._relation_biideal(wba.from_face_algebra(q, 3), pa.quadratic_data(q, relations),
-                                side)[1]
+    host = wba.from_face_algebra(wba.path_algebra_presentation(q, 3))
+    return uq._relation_biideal(host, pa.quadratic_data(q, relations), side)[1]
 
 
 def row_shapes(b):
@@ -1047,7 +1081,7 @@ def test_quotient_releases_the_coset_coproducts():
 
 def test_biideal_pieces_match_oracle_on_mixed_degree_generators():
     q = three_cycle()
-    host = wba.from_face_algebra(q, 3)
+    host = wba.from_face_algebra(wba.path_algebra_presentation(q, 3))
     split = FaceElement(q, {fc.FaceMonomial(q.arrow_path(0), q.arrow_path(1)): 1,
                                fc.FaceMonomial(q.arrow_path(1), q.arrow_path(2)): Fraction(-2, 3)})
     idem = FaceElement(q, {fc.FaceMonomial(q.trivial_path(0), q.trivial_path(1)): 3,
@@ -1063,7 +1097,7 @@ def fraction_host():
     relation t1 t2 - 1/2 t2 t1), truncated at 3: a host with Fraction
     products."""
     q = two_loop()
-    _, b = uq._relation_biideal(wba.from_face_algebra(q, 3),
+    _, b = uq._relation_biideal(wba.from_face_algebra(wba.path_algebra_presentation(q, 3)),
                                 pa.quadratic_data(q, quantum_plane_relations(q, Fraction(1, 2))),
                                 "trans")
     return wba.quotient_wba(b)
@@ -1103,8 +1137,8 @@ def test_biideal_over_a_fraction_host_matches_saturation(fraction_host, data):
 
 def test_int_products_of_the_presentations(fraction_host):
     q = three_cycle()
-    for host in (wba.from_face_algebra(q, 2), wba.face_algebra(q, 2),
-                 wba.path_algebra_presentation(q, 2), bialgebra_d(1)):
+    kq = wba.path_algebra_presentation(q, 2)
+    for host in (wba.from_face_algebra(kq), wba.face_algebra(kq), kq, bialgebra_d(1)):
         assert host.int_products
     assert not fraction_host.int_products
 
@@ -1117,7 +1151,7 @@ def test_three_loop_commutator_biideal_add_count(monkeypatch):
     generator, so its one closure product z g z' is the scaled g."""
     q = three_loop()
     qd = pa.quadratic_data(q, commutator_relations(q))
-    host = wba.from_face_algebra(q, 3)
+    host = wba.from_face_algebra(wba.path_algebra_presentation(q, 3))
     gens = [(2, face_coords(q, g, 2)) for side in ("left", "right")
             for g in face_coaction_relations(qd, side)]
     assert [g for _, g in gens] == [g for side in ("left", "right")
