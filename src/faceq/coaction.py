@@ -12,8 +12,10 @@ multiplicative, so the comodule-algebra check runs wba.multiplicative_failures,
 the one join over nonzero coefficient entries, algebra products and host
 products, on the coaction's images with the host leg first.  The
 coassociativity and counit rows of one degree's array are computed once
-per host and array content, so the two sides of a transposed pair, which
-share one coefficient family, and the structure lemmas read one result.
+per host, row and array content, so the two sides of a transposed pair,
+which share one coefficient family, and the structure lemmas read one
+result.  Coassociativity above degree 1 is proven from generators when
+check_comodule_algebra's premises hold, and computed otherwise.
 """
 
 from . import wba
@@ -66,14 +68,12 @@ def canonical_coactions(kq, sides):
 
 
 def _matrix_failures(host, d, mat):
-    """Index pairs (j, l) failing Δ(y_jl) = Σ_k y_jk ⊗ y_kl, and those failing
-    ε(y_jl) = δ_jl, on one degree's coefficient array.  The sum visits only
-    nonzero entries, flattened to (m, c) tuples once: each term c u_m of
-    y_jk is joined once with row k's entries, and cancelled terms are
-    dropped once, before the comparison."""
+    """Index pairs (j, l) failing Δ(y_jl) = Σ_k y_jk ⊗ y_kl on one degree's
+    coefficient array.  The sum visits only nonzero entries, flattened to
+    (m, c) tuples once: each term c u_m of y_jk is joined once with row k's
+    entries, and cancelled terms are dropped once, before the comparison."""
     entries = [[(k, tuple(ent.items())) for k, ent in enumerate(row) if ent] for row in mat]
-    coassoc_fails = []
-    counit_fails = []
+    fails = []
     for j, row in enumerate(mat):
         rhs = {}
         # each term cm u_m of y_jk, joined with row k's entries
@@ -91,25 +91,35 @@ def _matrix_failures(host, d, mat):
             if not all(out.values()):
                 out = {key: c for key, c in out.items() if c}
             if host.delta(d, yjl) != out:
-                coassoc_fails.append((j, l))
-            if host.eps(d, yjl) != (_ONE if j == l else 0):
-                counit_fails.append((j, l))
-    return coassoc_fails, counit_fails
+                fails.append((j, l))
+    return fails
 
 
-def _coalgebra_rows(host, algebra, d, mat):
-    """_matrix_failures of one degree's array, as pairs of algebra labels.
+def _counit_failures(host, d, mat):
+    """Index pairs (j, l) failing ε(y_jl) = δ_jl on one degree's coefficient array."""
+    return [(j, l) for j, row in enumerate(mat) for l, yjl in enumerate(row)
+            if host.eps(d, yjl) != (_ONE if j == l else 0)]
 
-    The index pairs are kept in host.coalgebra_rows under the degree and
-    the array's content, so an equal array, on either side, is not checked
-    again.
+
+def _coalgebra_rows(host, algebra, d, mat, names=("coassociative", "counital")):
+    """The named rows of one degree's array, each as a list of pairs of
+    algebra labels: coassociative (_matrix_failures) and counital
+    (_counit_failures).
+
+    Each row's index pairs are kept in host.coalgebra_rows under its name,
+    the degree and the array's content, so an equal array, on either side,
+    is not checked again.
     """
-    key = (d, tuple(tuple(frozenset(ent.items()) for ent in row) for row in mat))
-    found = host.coalgebra_rows.get(key)
-    if found is None:
-        found = host.coalgebra_rows[key] = _matrix_failures(host, d, mat)
+    content = (d, tuple(tuple(frozenset(ent.items()) for ent in row) for row in mat))
     labels = algebra.labels[d]
-    return tuple([[labels[j], labels[l]] for j, l in fails] for fails in found)
+    rows = []
+    for name in names:
+        found = host.coalgebra_rows.get((name, content))
+        if found is None:
+            run = _matrix_failures if name == "coassociative" else _counit_failures
+            found = host.coalgebra_rows[name, content] = run(host, d, mat)
+        rows.append([[labels[j], labels[l]] for j, l in found])
+    return tuple(rows)
 
 
 def check_comodule_algebra(c, host):
@@ -121,17 +131,21 @@ def check_comodule_algebra(c, host):
     subalgebra).  Multiplicativity is wba.multiplicative_failures of the
     coaction, host leg first, so only nonzero coefficients, algebra
     products and host products are visited.
+
+    Coassociativity is computed on degrees 0 and 1 alone when they pass,
+    the coaction is multiplicative, the algebra is generator_reducible and
+    the host's Delta is known to be multiplicative (host.delta_failures
+    computed and empty; it is never computed here).  Then, for a left
+    coaction rho, (Delta (x) id)rho and (id (x) rho)rho are multiplicative
+    maps (on a right one, (rho (x) id)rho and (id (x) Delta)rho), and two
+    multiplicative maps that agree on degrees 0 and 1 agree on every
+    v = sum c g x with g of degree 1, by induction on the degree.  The
+    counit rows are computed on every degree, as the counit of a weak
+    bialgebra is not multiplicative.  Otherwise every degree is computed.
     """
     algebra = c.algebra
     max_degree = min(host.max_degree, algebra.max_degree, c.degrees())
     y = c.coefficients
-
-    coassoc_fails = []
-    counit_fails = []
-    for d in range(max_degree + 1):
-        coassoc, counit = _coalgebra_rows(host, algebra, d, y[d])
-        coassoc_fails += coassoc
-        counit_fails += counit
 
     # images[d][j] is the coaction of v_j as {(h, k): c}, the term c u_h (x) v_k:
     # sum_k y_jk (x) v_k on the left, sum_k y_kj (x) v_k on the right
@@ -142,6 +156,15 @@ def check_comodule_algebra(c, host):
     mult_fails = wba.multiplicative_failures(algebra, lambda d, j: images[d][j], host,
                                              algebra, max_degree)
 
+    rows = [_coalgebra_rows(host, algebra, d, y[d]) for d in range(min(max_degree, 1) + 1)]
+    proven = (not mult_fails and not any(coassoc for coassoc, _ in rows)
+              and host.delta_known_multiplicative() and algebra.generator_reducible)
+    for d in range(2, max_degree + 1):
+        if proven:
+            rows.append(([], *_coalgebra_rows(host, algebra, d, y[d], ("counital",))))
+        else:
+            rows.append(_coalgebra_rows(host, algebra, d, y[d]))
+
     unit_fails = []
     counital = wba.counital_subalgebra(host, "source" if left else "target")
     for k in range(algebra.dim(0)):
@@ -150,8 +173,8 @@ def check_comodule_algebra(c, host):
             unit_fails.append([algebra.label_of(0, k)])
 
     return wba.report([
-        ("coassociative", coassoc_fails),
-        ("counital", counit_fails),
+        ("coassociative", [w for coassoc, _ in rows for w in coassoc]),
+        ("counital", [w for _, counit in rows for w in counit]),
         ("multiplicative", mult_fails),
         ("unit-membership", unit_fails),
     ])

@@ -22,13 +22,15 @@ for a coaction in coaction.  It pre-joins its legs inside each call: every
 term of a left-leg product is paired once with the image terms that start
 at its right factor, so the inner loop is one membership test per miss.
 The algebras here are generated in degrees 0 and 1, so a passing map is
-proven on left factors of degree 0 and 1 alone once two premises hold on
-source and target, each computed once per presentation: every degree
-d >= 2 is spanned by the products of degree 1 and degree d-1, and
-(g x) y = g (x y) for every g of degree 1.  This associativity is a
-premise, not a report row; when it or the spanning fails, or a pair with a
-left factor of degree 0 or 1 fails, every pair is checked, so a failing
-report keeps every witness.
+proven on the generator pairs alone (left factors of degree 1, and of
+degree 0 with right factors of degree 0 or 1) once two premises hold on
+source and targets, computed once per presentation: every degree d >= 2
+is spanned by the products of degree 1 and degree d-1, and
+(g x) y = g (x y) for every g of degree 1 and (z g) x = z (g x) for every
+z of degree 0 and g of degree 1, with x of degree >= 1 (two inductions,
+see multiplicative_failures).  This associativity is a premise, not a report
+row; when it or the spanning fails, or a generator pair fails, every pair
+is checked, so a failing report keeps every witness.
 Two-leg maps (L (x) R)(t) go through linalg.apply_legs: the projected
 coproducts (pi (x) pi)Delta of the biideal check and the quotient, and the
 weak-counit splits, which read each basis element's coproduct once.  The
@@ -102,10 +104,12 @@ class GradedAlgebra:
     @cached_property
     def generator_reducible(self):
         """True iff each degree d >= 2 is spanned by the products of degree 1
-        and degree d-1, and (g x) y = g (x y) for every g of degree 1.
+        and degree d-1, (g x) y = g (x y) for every g of degree 1 and x of
+        degree >= 1, and (z g) x = z (g x) for every z of degree 0, g of
+        degree 1 and x of degree >= 1.
 
-        Stores only the bool; multiplicative_failures reads it as the
-        premise of its early exit.
+        Stores only the bool; multiplicative_failures and the comodule
+        check read it as the premise of their early exits.
         """
         return _spanned_from_degree_one(self) and _generator_associative(self)
 
@@ -116,10 +120,11 @@ class GradedWBA(GradedAlgebra):
     coproduct maps (d, i) to a dict {(j, k): scalar} describing a sum of
     u^d_j (x) u^d_k; counit maps (d, i) to its scalar value.  Both tables
     store nonzero data only.  The tables must not change once the object
-    is built, so the eps(u_i u_j) table eps_products and the
-    counital_subalgebras are cached properties; coalgebra_rows keeps the
+    is built, so the eps(u_i u_j) table eps_products, the
+    counital_subalgebras and the coproduct's multiplicativity failures
+    delta_failures are cached properties; coalgebra_rows keeps the
     coassociativity and counit witnesses of coaction coefficient arrays,
-    which the coaction checks key by degree and array content.
+    which the coaction checks key by row, degree and array content.
     """
 
     def __init__(self, max_degree, labels, product, unit, coproduct, counit):
@@ -148,6 +153,15 @@ class GradedWBA(GradedAlgebra):
 
     def delta_one(self):
         return self.delta(0, self.unit)
+
+    @cached_property
+    def delta_failures(self):
+        """The basis pairs where Delta is not multiplicative, as check_axioms reports them."""
+        return multiplicative_failures(self, self.coproduct_of, self, self, self.max_degree)
+
+    def delta_known_multiplicative(self):
+        """True iff delta_failures has been computed and is empty; never computes it."""
+        return self.__dict__.get("delta_failures") == []
 
     @cached_property
     def eps_products(self):
@@ -296,42 +310,49 @@ def _spanned_from_degree_one(alg):
 
 
 def _generator_associative(alg):
-    """True iff (g x) y = g (x y) for every g of degree 1 and basis x, y in the window.
+    """True iff (g x) y = g (x y) for every basis g, x, y in the window with
+    g of degree 1 and x of degree >= 1, or g of degree 0, x of degree 1 and
+    y of degree >= 1: the triples multiplicative_failures's inductions use.
 
     A join over the nonzero products: per degree pair (dx, dy) the terms
     c u_n of the products u_x u_y are indexed by n, the right factor of
     g u_n, so g (x y) visits only the nonzero g u_n, and (g x) y reads
-    products_by_left.  The index lives for one degree pair, the two sides
-    for one g.
+    products_by_left.  The index lives for one degree pair and serves both
+    degrees of g, the two sides for one g.
     """
     rows = alg.products_by_left
-    for dx in range(alg.max_degree):
-        for dy in range(alg.max_degree - dx):
+    top = alg.max_degree
+    for dx in range(1, top + 1):
+        for dy in range(top + 1 - dx):
+            gds = [gd for gd in ((0, 1) if dx == 1 and dy else (1,)) if gd + dx + dy <= top]
+            if not gds:
+                continue
             # by_right[n] lists (x, y, c) over the terms c u_n of the products u_x u_y
             by_right = {}
             for x, row in rows.get((dx, dy), {}).items():
                 for y, entry in row.items():
                     for n, c in entry.items():
                         by_right.setdefault(n, []).append((x, y, c))
-            gx_rows = rows.get((1, dx), {})
-            my_rows = rows.get((1 + dx, dy), {})
-            gn_rows = rows.get((1, dx + dy), {})
-            for g in range(alg.dim(1)):
-                lhs = {}
-                for x, entry in gx_rows.get(g, {}).items():
-                    for m, c in entry.items():
-                        for y, my in my_rows.get(m, {}).items():
-                            out = lhs.setdefault((x, y), {})
-                            for k, ck in my.items():
+            for gd in gds:
+                gx_rows = rows.get((gd, dx), {})
+                my_rows = rows.get((gd + dx, dy), {})
+                gn_rows = rows.get((gd, dx + dy), {})
+                for g in range(alg.dim(gd)):
+                    lhs = {}
+                    for x, entry in gx_rows.get(g, {}).items():
+                        for m, c in entry.items():
+                            for y, my in my_rows.get(m, {}).items():
+                                out = lhs.setdefault((x, y), {})
+                                for k, ck in my.items():
+                                    out[k] = out.get(k, 0) + c * ck
+                    rhs = {}
+                    for n, gn in gn_rows.get(g, {}).items():
+                        for x, y, c in by_right.get(n, ()):
+                            out = rhs.setdefault((x, y), {})
+                            for k, ck in gn.items():
                                 out[k] = out.get(k, 0) + c * ck
-                rhs = {}
-                for n, gn in gn_rows.get(g, {}).items():
-                    for x, y, c in by_right.get(n, ()):
-                        out = rhs.setdefault((x, y), {})
-                        for k, ck in gn.items():
-                            out[k] = out.get(k, 0) + c * ck
-                if _nonzero(lhs) != _nonzero(rhs):
-                    return False
+                    if _nonzero(lhs) != _nonzero(rhs):
+                        return False
     return True
 
 
@@ -374,78 +395,94 @@ def multiplicative_failures(src, image, left, right, max_degree):
     f is a degree-preserving map from src into left (x) right, given by
     image as in image_of: Delta is (w, w.coproduct_of, w, w), a coaction
     is (algebra, its images with the host leg first, host, algebra).
-    Visits only nonzero products, in the degrees where src has a basis: per
-    degree pair, f(u_i) f(u_j) is built for all j at once, and the legs are
-    pre-joined first: the image terms (r, s) of degree e are indexed by
-    first leg r, and each term c u_m of a left-leg product u_p u_r is paired
-    with the index's list for r.  So a term c1 of f(u_i) meets each image
-    term (r, s) of f(u_j) once per m, c1 c is multiplied once per term
-    rather than once per hit, a miss is one membership test on the
-    right-leg products of its second leg, and a hit adds to the accumulator
-    of f(u_i) f(u_j).  Right-leg product entries are flattened to tuples
-    once per degree pair, and cancelled terms are dropped before the
-    comparison with image_of(f(u_i u_j)).  Each index lives for one degree
-    pair, and nothing is kept on the presentations but the premise below.
+    Visits only nonzero products, in the degrees where src has a basis, one
+    degree pair (d, e) at a time (see _pair_failures).
 
-    Left factors of degree 0 and 1 come first.  If they give no failure,
-    and src, left and right are each generator_reducible, the pairs with
-    left factors of degree >= 2 hold as well and are not visited: writing
-    u = sum c g x with g of degree 1,
+    The generator pairs come first: left factors of degree 1, and of
+    degree 0 with right factors of degree 0 or 1.  If they give no failure,
+    and src, left and right are each generator_reducible, the other pairs
+    hold as well and are not visited.  A left factor u of degree >= 2 is a
+    sum of c g x with g of degree 1, and by induction on the degree of x
     f(uv) = sum c f(g (x v)) = sum c f(g) (f(x) f(v)) = sum c (f(g) f(x)) f(v)
     = f(u) f(v), by associativity of src on (g, x, v), the checked pair
-    (g, xv), induction on the degree of x, associativity of both target legs
-    on the legs of f(g), and the checked pair (g, x).  Otherwise every
-    degree is visited, so a failing map keeps every witness, in order.
+    (g, xv), associativity of both target legs on the legs of f(g), and the
+    checked pair (g, x).  For z of degree 0 and v = sum c g x of degree >= 2,
+    f(zv) = sum c f((zg) x) = sum c f(zg) f(x) = sum c (f(z) f(g)) f(x)
+    = sum c f(z) f(gx) = f(z) f(v), by the premise (z g) x = z (g x) on
+    src, the checked pairs (zg, x), (z, g) and (g, x), and the same premise
+    on both target legs.
+    Otherwise every pair is visited, so a failing map keeps every witness,
+    in (d, e) order.
     """
-    src_rows = src.products_by_left
-    left_rows = left.products_by_left
-    right_rows = right.products_by_left
-    fails = []
     degrees = [d for d in range(max_degree + 1) if src.dim(d)]
-    for d in degrees:
-        if (d >= 2 and not fails
-                and all(alg.generator_reducible for alg in (src, left, right))):
-            return fails
-        terms = [tuple(image(d, i).items()) for i in range(src.dim(d))]
-        for e in [e for e in degrees if d + e <= max_degree]:
-            f = d + e
-            prod = src_rows.get((d, e), {})
-            # legs[r] lists (j, s, c) over the terms c u_r (x) u_s of the images f(u_j)
-            legs = {}
-            for j in range(src.dim(e)):
-                for (r, s), c in image(e, j).items():
-                    legs.setdefault(r, []).append((j, s, c))
-            # lrows[p] lists (m, c, legs[r]) over the terms c u_m of the products u_p u_r
-            lrows = {p: [(m, c, legs[r]) for r, entry in row.items() if r in legs
-                         for m, c in entry.items()]
-                     for p, row in left_rows.get((d, e), {}).items()}
-            flat_r = _flatten(right_rows.get((d, e), {}))
-            for i in range(src.dim(d)):
-                rhs = {}
-                for (p, qq), c1 in terms[i]:
-                    lrow = lrows.get(p)
-                    right_row = flat_r.get(qq)
-                    if not lrow or not right_row:
+    pairs = [(d, e) for d in degrees for e in degrees if d + e <= max_degree]
+    first = [(d, e) for d, e in pairs if d == 1 or (d == 0 and e <= 1)]
+    rest = [pair for pair in pairs if pair not in first]
+    rows = (src.products_by_left, left.products_by_left, right.products_by_left)
+    fails = {pair: _pair_failures(src, image, rows, *pair) for pair in first}
+    if (rest and not any(fails.values())
+            and all(alg.generator_reducible for alg in (src, left, right))):
+        return []
+    fails.update((pair, _pair_failures(src, image, rows, *pair)) for pair in rest)
+    return [f for pair in pairs for f in fails[pair]]
+
+
+def _pair_failures(src, image, rows, d, e):
+    """multiplicative_failures on the pairs of degrees (d, e), in (i, j) order.
+
+    rows holds the products_by_left of src and the two target legs.
+    f(u_i) f(u_j) is built for all j at once, and the legs are pre-joined
+    first: the image terms (r, s) of degree e are indexed by first leg r,
+    and each term c u_m of a left-leg product u_p u_r is paired with the
+    index's list for r.  So a term c1 of f(u_i) meets each image term
+    (r, s) of f(u_j) once per m, c1 c is multiplied once per term rather
+    than once per hit, a miss is one membership test on the right-leg
+    products of its second leg, and a hit adds to the accumulator of
+    f(u_i) f(u_j).  Right-leg product entries are flattened to tuples once,
+    and cancelled terms are dropped before the comparison with
+    image_of(f(u_i u_j)).  The indexes live for one call.
+    """
+    src_rows, left_rows, right_rows = rows
+    f = d + e
+    terms = [tuple(image(d, i).items()) for i in range(src.dim(d))]
+    prod = src_rows.get((d, e), {})
+    # legs[r] lists (j, s, c) over the terms c u_r (x) u_s of the images f(u_j)
+    legs = {}
+    for j in range(src.dim(e)):
+        for (r, s), c in image(e, j).items():
+            legs.setdefault(r, []).append((j, s, c))
+    # lrows[p] lists (m, c, legs[r]) over the terms c u_m of the products u_p u_r
+    lrows = {p: [(m, c, legs[r]) for r, entry in row.items() if r in legs
+                 for m, c in entry.items()]
+             for p, row in left_rows.get((d, e), {}).items()}
+    flat_r = _flatten(right_rows.get((d, e), {}))
+    fails = []
+    for i in range(src.dim(d)):
+        rhs = {}
+        for (p, qq), c1 in terms[i]:
+            lrow = lrows.get(p)
+            right_row = flat_r.get(qq)
+            if not lrow or not right_row:
+                continue
+            for m, c, leg in lrow:
+                c1c = c1 * c
+                for j, s, c2 in leg:
+                    if s not in right_row:
                         continue
-                    for m, c, leg in lrow:
-                        c1c = c1 * c
-                        for j, s, c2 in leg:
-                            if s not in right_row:
-                                continue
-                            out = rhs.get(j)
-                            if out is None:
-                                out = rhs[j] = {}
-                            c12 = c1c * c2
-                            for n, cn in right_row[s]:
-                                key = (m, n)
-                                out[key] = out.get(key, 0) + c12 * cn
-                row = prod.get(i, {})
-                for j in sorted(row.keys() | rhs.keys()):
-                    out = rhs.get(j, {})
-                    if not all(out.values()):
-                        out = {key: c for key, c in out.items() if c}
-                    if image_of(image, f, row.get(j, {})) != out:
-                        fails.append([src.label_of(d, i), src.label_of(e, j)])
+                    out = rhs.get(j)
+                    if out is None:
+                        out = rhs[j] = {}
+                    c12 = c1c * c2
+                    for n, cn in right_row[s]:
+                        key = (m, n)
+                        out[key] = out.get(key, 0) + c12 * cn
+        row = prod.get(i, {})
+        for j in sorted(row.keys() | rhs.keys()):
+            out = rhs.get(j, {})
+            if not all(out.values()):
+                out = {key: c for key, c in out.items() if c}
+            if image_of(image, f, row.get(j, {})) != out:
+                fails.append([src.label_of(d, i), src.label_of(e, j)])
     return fails
 
 
@@ -591,8 +628,7 @@ def check_axioms(w):
     f12, f21 = _failures_counit_splits(w)
     g12, g21 = _failures_unit_splits(w)
     return report([
-        ("delta-multiplicative",
-         multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)),
+        ("delta-multiplicative", w.delta_failures),
         ("counit-product-split-12", f12),
         ("counit-product-split-21", f21),
         ("unit-coproduct-split-12", g12),

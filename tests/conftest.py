@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from hypothesis import strategies as st
 import pytest
 
 from faceq import coaction as co
@@ -89,6 +90,28 @@ def null_space_oracle(cols, rows):
                 vec[p] = -coeff
         vectors.append(vec)
     return Subspace.from_rows(cols, vectors)
+
+
+def degree_zero_associativity_keys(alg):
+    """Product keys (0, z, e, x) with e >= 2 whose z is killed from the left
+    by every degree-1 basis element.  Scaling such an entry by s != 1 breaks
+    (z g) x' = z (g x') wherever g x' reaches u_x, and no identity
+    (g x) y = g (x y) with g of degree 1: there g z = 0 makes both sides of
+    g (z y) = (g z) y vanish before and after."""
+    killed = [z for z in range(alg.dim(0))
+              if not any((1, g, 0, z) in alg.product for g in range(alg.dim(1)))]
+    return sorted(key for key in alg.product if key[0] == 0 and key[2] >= 2 and key[1] in killed)
+
+
+def break_degree_zero_associativity(draw, alg):
+    """Scale one entry of degree_zero_associativity_keys(alg), if there is
+    one, by a drawn s != 1, so (z g) x = z (g x) fails only for a z of
+    degree 0."""
+    keys = degree_zero_associativity_keys(alg)
+    if keys:
+        key = draw(st.sampled_from(keys))
+        scale = draw(st.sampled_from((2, -1, Fraction(1, 2))))
+        alg.product[key] = {m: scale * c for m, c in alg.product[key].items()}
 
 
 def matrix_failures_oracle(host, algebra, d, mat):

@@ -33,6 +33,23 @@ def doubled_three_cycle():
     return double_quiver(three_cycle())
 
 
+def linear_three():
+    """1 -> 2 -> 3, outside FLEET: vertex 1 has no incoming arrow and a path
+    of length 2 leaves it, so e_1 (and x[e:1;e:1] in h(Q)) multiplies a
+    degree-2 element from the left while every arrow kills it from the left."""
+    return qv.Quiver(["1", "2", "3"], [("a", 0, 1), ("b", 1, 2)])
+
+
+def arrow_into_loop():
+    """1 -> 2 with a loop at 2, outside FLEET: as in linear_three, vertex 1
+    has no incoming arrow, and paths of every length leave it."""
+    return qv.Quiver(["1", "2"], [("a", 0, 1), ("t", 1, 1)])
+
+
+# quivers on which (z g) x = z (g x) can fail for a z of degree 0 alone
+DEGREE_ZERO_SOURCES = {"linear-three": linear_three, "arrow-into-loop": arrow_into_loop}
+
+
 FLEET = {
     "one-loop": one_loop,
     "two-loop": two_loop,

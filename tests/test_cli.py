@@ -372,11 +372,13 @@ def test_face_visits_only_degrees_with_basis_elements(tmp_path, monkeypatch):
 def test_multiplicativity_flattens_right_legs_only(tmp_path, monkeypatch):
     """A degree-3 verify of the doubled three-cycle runs three
     multiplicativity joins (Delta and the two coactions) and flattens only
-    each pair's right-leg products.  Each join passes on the 7 degree pairs
-    d + e <= 3 with d <= 1 and then stops on the generator premise: 21
-    calls, where visiting all 10 pairs made 30 and flattening the left legs
-    too made 50.  The premise's associativity join runs once per
-    presentation, for h(Q) and for kQ, and the three joins share them."""
+    each pair's right-leg products.  Each join passes on the 5 generator
+    pairs, (0, 0), (0, 1), (1, 0), (1, 1) and (1, 2), and then stops on the
+    generator premise: 15 calls, where also visiting the left degree-0
+    pairs (0, 2) and (0, 3) made 21, visiting all 10 pairs made 30 and
+    flattening the left legs too made 50.  The premise's associativity join
+    runs once per presentation, for h(Q) and for kQ, and the three joins
+    share them."""
     calls = []
     flatten = wba._flatten
     monkeypatch.setattr(wba, "_flatten", lambda rows: calls.append(rows) or flatten(rows))
@@ -388,7 +390,7 @@ def test_multiplicativity_flattens_right_legs_only(tmp_path, monkeypatch):
     code, doc = run_doc(tmp_path, ["verify", "--quiver", quiver, "--max-degree", "3"])
     assert code == 0
     assert doc["passed"] is True
-    assert len(calls) == 21
+    assert len(calls) == 15
     assert checked == [[9, 36, 144, 576], [3, 6, 12, 24]]
 
 
@@ -773,8 +775,11 @@ def test_one_eps_table_per_presentation(tmp_path, monkeypatch, command, relation
 def test_coalgebra_rows_and_product_index_built_once(tmp_path, monkeypatch, command, quiver,
                                                      relations, extra, presentations):
     """At degree 3 the two coaction sides share one coefficient family, so
-    their comodule checks and structure lemmas read one coassociativity and
-    counit run per degree: 4 runs where unshared checks made 12.  Each
+    their comodule checks and structure lemmas read one coassociativity run
+    per degree it is computed on.  The host's Delta is checked before the
+    coactions and passes, and so do both coactions' multiplicativity, so
+    coassociativity is computed on degrees 0 and 1 alone: 2 runs, where
+    computing every degree made 4 and unshared checks made 12.  Each
     presentation indexes its products once: the face algebra (verify) or
     the quotient (uqsgd), and the one algebra both coactions act on."""
     runs = []
@@ -799,7 +804,7 @@ def test_coalgebra_rows_and_product_index_built_once(tmp_path, monkeypatch, comm
     code, doc = run_doc(tmp_path, args)
     assert code == 0
     assert doc["passed"] is True
-    assert runs == [0, 1, 2, 3]
+    assert runs == [0, 1]
     assert len(indexed) == len({id(product) for product in indexed}) == presentations
 
 
@@ -809,6 +814,33 @@ def two_loop_canonical_document(degree):
     labels = wba.path_algebra_presentation(qv.parse_quiver(TWO_LOOP_DOC), degree).labels
     return {"side": "left",
             "coefficients": [[[f"x[{a};{b}]" for b in row] for a in row] for row in labels]}
+
+
+@pytest.mark.parametrize("relations, extra", [
+    (None, ["--side", "trans"]), (two_loop_canonical_document(3), [])],
+    ids=["canonical", "document"])
+def test_coact_computes_coassociativity_on_every_degree(tmp_path, monkeypatch, relations,
+                                                        extra):
+    """coact checks no axiom of the host, so it never computes the host's
+    Delta failures, and without them the comodule check computes
+    coassociativity on every degree: one run per degree at degree 3, which
+    the two canonical sides share."""
+    runs = []
+    deltas = []
+    matrix_failures = co._matrix_failures
+    monkeypatch.setattr(co, "_matrix_failures",
+                        lambda host, d, mat: runs.append(d) or matrix_failures(host, d, mat))
+    monkeypatch.setattr(wba.GradedWBA, "delta_failures",
+                        property(lambda w: deltas.append(w) or []))
+    args = ["coact", "--quiver", write_json(tmp_path / "q.json", TWO_LOOP_DOC),
+            "--max-degree", "3"] + extra
+    if relations is not None:
+        args += ["--relations", write_json(tmp_path / "r.json", relations)]
+    code, doc = run_doc(tmp_path, args)
+    assert code == 0
+    assert doc["passed"] is True
+    assert runs == [0, 1, 2, 3]
+    assert deltas == []
 
 
 @pytest.mark.parametrize("command, relations, presentations", [

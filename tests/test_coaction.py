@@ -14,9 +14,12 @@ from faceq import wba
 from faceq.errors import UnsupportedShapeError
 from faceq.linalg import Subspace, bump
 
-from conftest import dd_coaction, full_witness_rows, matrix_failures_oracle, quantum_plane_relations
-from fleet import FLEET, doubled_three_cycle, kronecker, q_bullets, three_cycle, two_loop
+from conftest import (break_degree_zero_associativity, dd_coaction, full_witness_rows,
+                      matrix_failures_oracle, quantum_plane_relations)
+from fleet import (DEGREE_ZERO_SOURCES, FLEET, doubled_three_cycle, kronecker, q_bullets,
+                   three_cycle, two_loop)
 from oracle import bialgebra_d, search_base_iso_exhaustive
+from test_wba import _set_entry
 
 ONE = Fraction(1)
 
@@ -459,46 +462,85 @@ def overwrite_product(draw, alg):
         del alg.product[key]
 
 
-def corrupt(draw, host, spec):
-    """Copies of host and spec with one to three coefficient entries
-    replaced by {}, a Fraction multiple or a sum of two host basis
-    elements, and sometimes one host product and one algebra product
-    overwritten (see overwrite_product)."""
+def change_entry(draw, host, coefficients, d):
+    """Replace one degree-d coefficient entry by {}, a Fraction multiple or
+    a sum of two host basis elements."""
+    n = len(coefficients[d])
+    j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(("zero", "multiple", "sum")))
+    if kind == "zero":
+        coefficients[d][j][k] = {}
+    elif kind == "multiple":
+        scale = draw(st.fractions(min_value=-2, max_value=2, max_denominator=4).filter(bool))
+        coefficients[d][j][k] = {h: scale * c for h, c in coefficients[d][j][k].items()}
+    else:
+        a, b = (draw(st.integers(0, host.dim(d) - 1)) for _ in range(2))
+        entry = {}
+        bump(entry, a, 1)
+        bump(entry, b, 1)
+        coefficients[d][j][k] = entry
+
+
+CORRUPTIONS = ("entries", "coefficient of degree >= 2", "host coproduct of degree >= 2",
+               "host counit of degree >= 2", "degree-0 associativity")
+
+
+def corrupt(draw, host, spec, kind):
+    """Copies of host and spec with one of the CORRUPTIONS, by kind:
+    - one to three coefficient entries changed (see change_entry), and
+      sometimes one host product and one algebra product overwritten (see
+      overwrite_product);
+    - one coefficient entry of degree >= 2 changed;
+    - one host coproduct entry of degree >= 2 set to a drawn scalar;
+    - one host counit value of degree >= 2 set to a drawn scalar, which
+      neither Delta's nor the coaction's multiplicativity reads;
+    - (z g) x = z (g x) broken for a z of degree 0 only, in the host or in
+      the algebra (see break_degree_zero_associativity).
+    Half of the host copies have their Delta checked first, so the comodule
+    check may compute coassociativity on degrees 0 and 1 alone."""
     host = wba.GradedWBA(host.max_degree, host.labels, dict(host.product), host.unit,
-                         host.coproduct, host.counit)
+                         dict(host.coproduct), dict(host.counit))
     algebra = wba.GradedAlgebra(spec.algebra.max_degree, spec.algebra.labels,
                                 dict(spec.algebra.product), spec.algebra.unit)
     coefficients = [[list(row) for row in mat] for mat in spec.coefficients]
-    for _ in range(draw(st.integers(1, 3))):
-        d = draw(st.integers(0, spec.degrees()))
-        n = algebra.dim(d)
-        if not n:
-            continue
-        j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        kind = draw(st.sampled_from(("zero", "multiple", "sum")))
-        if kind == "zero":
-            coefficients[d][j][k] = {}
-        elif kind == "multiple":
-            scale = draw(st.fractions(min_value=-2, max_value=2, max_denominator=4)
-                         .filter(bool))
-            coefficients[d][j][k] = {h: scale * c for h, c in coefficients[d][j][k].items()}
-        else:
-            a, b = (draw(st.integers(0, host.dim(d) - 1)) for _ in range(2))
-            entry = {}
-            bump(entry, a, 1)
-            bump(entry, b, 1)
-            coefficients[d][j][k] = entry
-    for alg in (host, algebra):
-        if alg.product and draw(st.booleans()):
-            overwrite_product(draw, alg)
+    high = [d for d in range(2, min(spec.degrees(), host.max_degree) + 1) if algebra.dim(d)]
+    if kind == "entries":
+        for _ in range(draw(st.integers(1, 3))):
+            d = draw(st.integers(0, spec.degrees()))
+            if algebra.dim(d):
+                change_entry(draw, host, coefficients, d)
+        for alg in (host, algebra):
+            if alg.product and draw(st.booleans()):
+                overwrite_product(draw, alg)
+    elif kind == "degree-0 associativity":
+        break_degree_zero_associativity(draw, draw(st.sampled_from((host, algebra))))
+    elif high and kind == "coefficient of degree >= 2":
+        change_entry(draw, host, coefficients, draw(st.sampled_from(high)))
+    elif high and kind == "host counit of degree >= 2":
+        d = draw(st.sampled_from(high))
+        i = draw(st.integers(0, host.dim(d) - 1))
+        host.counit[(d, i)] = draw(st.sampled_from((0, 2, -1, Fraction(1, 2))))
+        if not host.counit[(d, i)]:
+            del host.counit[(d, i)]
+    elif high and kind == "host coproduct of degree >= 2":
+        d = draw(st.sampled_from(high))
+        i, j, k = (draw(st.integers(0, host.dim(d) - 1)) for _ in range(3))
+        value = draw(st.sampled_from((0, 2, -1, Fraction(1, 2))))
+        _set_entry(host.coproduct, (d, i), (j, k), value)
+    if draw(st.booleans()):
+        host.delta_failures
     return host, co.CoactionSpec(spec.side, algebra, coefficients)
 
 
 @st.composite
 def corrupted_canonical_coactions(draw):
-    name = draw(st.sampled_from(sorted(FLEET)))
-    host, lam, rho = canonical_pair(FLEET[name](), ORACLE_DEGREE.get(name, 3))
-    return corrupt(draw, host, draw(st.sampled_from((lam, rho))))
+    """A corrupted canonical coaction of a fleet quiver, or, for the
+    degree-0 associativity corruption, of a quiver where it can break."""
+    kind = draw(st.sampled_from(CORRUPTIONS))
+    quivers = DEGREE_ZERO_SOURCES if kind == "degree-0 associativity" else FLEET
+    name = draw(st.sampled_from(sorted(quivers)))
+    host, lam, rho = canonical_pair(quivers[name](), ORACLE_DEGREE.get(name, 3))
+    return corrupt(draw, host, draw(st.sampled_from((lam, rho))), kind)
 
 
 @lru_cache(maxsize=None)
@@ -511,7 +553,8 @@ def quantum_plane_result():
 def corrupted_induced_coactions(draw):
     result = quantum_plane_result()
     spec = result.induced_coactions[draw(st.sampled_from(("left", "right")))]
-    return corrupt(draw, result.quotient, spec)
+    # the quotient has one vertex, so degree-0 associativity cannot break there alone
+    return corrupt(draw, result.quotient, spec, draw(st.sampled_from(CORRUPTIONS[:-1])))
 
 
 def assert_reports_match(*args):
@@ -523,14 +566,14 @@ def assert_reports_match(*args):
         assert co.check_comodule_algebra(*args) == dense_comodule_algebra(*args)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(corrupted_canonical_coactions())
 def test_comodule_check_matches_dense_oracle(case):
     host, spec = case
     assert_reports_match(spec, host)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(corrupted_induced_coactions())
 def test_comodule_check_matches_dense_oracle_on_induced_coactions(case):
     host, spec = case
@@ -576,8 +619,9 @@ def coalgebra_reports(spec, host):
 
 @st.composite
 def coalgebra_row_cases(draw):
-    """A canonical left coaction and a copy with one entry set to {} or
-    scaled (by 1 too, which gives equal content)."""
+    """A canonical left coaction, a copy with one entry set to {} or scaled
+    (by 1 too, which gives equal content), and whether the hosts have their
+    Delta checked first."""
     name = draw(st.sampled_from(sorted(FLEET)))
     q = FLEET[name]()
     degree = ORACLE_DEGREE.get(name, 3)
@@ -592,7 +636,14 @@ def coalgebra_row_cases(draw):
         scale = draw(st.fractions(min_value=-2, max_value=2, max_denominator=4).filter(bool))
         mats[d][j][k] = {h: scale * c for h, c in mats[d][j][k].items()}
     copy = co.CoactionSpec("left", lam.algebra, mats)
-    return q, degree, lam, copy
+    return q, degree, lam, copy, draw(st.booleans())
+
+
+def face_host(q, degree, delta_known):
+    host = wba.from_face_algebra(wba.path_algebra_presentation(q, degree))
+    if delta_known:
+        assert host.delta_failures == []
+    return host
 
 
 @settings(max_examples=30, deadline=None)
@@ -600,12 +651,14 @@ def coalgebra_row_cases(draw):
 def test_coalgebra_rows_are_shared_by_array_content(case):
     """One host checks the canonical coaction and its altered copy: each
     gets the coassociative, counital and degree{0,1} rows that a run on a
-    host of its own gives, and that the oracle loop gives."""
-    q, degree, lam, copy = case
-    host = wba.from_face_algebra(wba.path_algebra_presentation(q, degree))
+    host of its own gives, and that the oracle loop gives, also when the
+    hosts' Delta is checked first and coassociativity of a multiplicative
+    coaction is computed on degrees 0 and 1 alone."""
+    q, degree, lam, copy, delta_known = case
+    host = face_host(q, degree, delta_known)
     shared = [coalgebra_reports(spec, host) for spec in (lam, copy)]
     for spec, (comodule, lemmas) in zip((lam, copy), shared):
-        fresh = wba.from_face_algebra(wba.path_algebra_presentation(q, degree))
+        fresh = face_host(q, degree, delta_known)
         assert (comodule, lemmas) == coalgebra_reports(spec, fresh)
         fails = [matrix_failures_oracle(host, spec.algebra, d, spec.coefficients[d])
                  for d in range(degree + 1)]
@@ -613,10 +666,15 @@ def test_coalgebra_rows_are_shared_by_array_content(case):
         assert comodule["checks"][1]["witnesses"] == [w for f in fails for w in f[1]]
         assert [row["witnesses"] for row in lemmas["checks"][:4]] == \
             [w for f in fails[:2] for w in f]
-    # one entry per degree and distinct array: a copy scaled by 1 shares the original's
+    # one entry per row (coassociative, counital), degree and distinct array:
+    # a copy scaled by 1 shares the original's; the counital row is computed
+    # on every degree, the coassociative one above degree 1 only off the short path
     distinct = sum(1 if lam.coefficients[d] == copy.coefficients[d] else 2
                    for d in range(degree + 1))
-    assert len(host.coalgebra_rows) == distinct
+    counital = [key for key in host.coalgebra_rows if key[0] == "counital"]
+    assert len(counital) == distinct
+    if not delta_known:
+        assert len(host.coalgebra_rows) == 2 * distinct
 
 
 def test_coalgebra_rows_drop_terms_that_cancel():

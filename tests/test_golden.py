@@ -1,6 +1,7 @@
 """Report bytes pinned for every subcommand on small fleet cases at degree 2,
-for verify on the doubled three-cycle and uqsgd --side trans on the
-three-loop commutators and q-commutators at degree 3, for uqsgd --side
+for verify on the doubled three-cycle, uqsgd --side trans on the
+three-loop commutators and q-commutators and uqsgd --side left on the
+three-loop commutators at degree 3, for uqsgd --side
 trans on the three-loop commutators and dual on the three-loop
 q-commutators at degree 4, the CLI's default --max-degree, and for uqsgd
 --side trans and dual on the preprojective algebra of the three-cycle at
@@ -154,6 +155,9 @@ CASES = {
     "uqsgd-three-loop-q-commutators-trans-degree-3": (
         "uqsgd", THREE_LOOP, Q_COMMUTATORS, ["--side", "trans", "--max-degree", "3"],
         "a0092e8aa951735a00b954dde1d9b99a2d4d58dad6c6986a57ff18317730a084"),
+    "uqsgd-three-loop-commutators-left-degree-3": (
+        "uqsgd", THREE_LOOP, THREE_LOOP_COMMUTATORS, ["--side", "left", "--max-degree", "3"],
+        "366a52c77642cc2adb8393160e46861fa057fd4852f5d8877cdb9d636226d7c4"),
     "uqsgd-three-loop-commutators-trans-degree-4": (
         "uqsgd", THREE_LOOP, THREE_LOOP_COMMUTATORS, ["--side", "trans", "--max-degree", "4"],
         "342923d191e305df0ceb5563ba68bd0280f94353266ae895193d4bb2d73d55df"),

@@ -28,10 +28,12 @@ from conftest import (bracket, check_biideal_oracle, check_descent_oracle, commu
                       quantum_plane_relations, quotient_algebra_oracle, quotient_coalgebra_oracle,
                       relation_rows)
 from fleet import FLEET, HOST_DEGREE, kronecker, three_cycle, three_loop, two_loop
-from oracle import preprojective_relations, subspace_equal, sum_of_pieces
+from oracle import (preprojective_relations, product_path_indices, product_quiver, subspace_equal,
+                    sum_of_pieces)
 from test_face import named_quivers
-from test_golden import (DOUBLED_THREE_CYCLE, PREPROJECTIVE_THREE_CYCLE, Q_COMMUTATORS, THREE_LOOP,
-                         THREE_LOOP_COMMUTATORS)
+from test_golden import (DOUBLED_THREE_CYCLE, PREPROJECTIVE_THREE_CYCLE, Q_COMMUTATORS,
+                         QUANTUM_PLANE, THREE_LOOP, THREE_LOOP_COMMUTATORS, TWO_LOOP)
+from test_wba import PRODUCT_QUIVER_PATHS
 
 
 def piece2(result):
@@ -471,6 +473,35 @@ def quadratic_relations(draw, q):
         relations.append([{"coeff": draw(st.sampled_from(COEFFS)), "path": paths[k]}
                           for k in picked])
     return relations
+
+
+@settings(max_examples=30, deadline=None)
+@given(named_quivers().filter(lambda q: qv.path_count(q, 2)).flatmap(
+    lambda q: st.tuples(st.just(q), quadratic_relations(q), st.integers(2, 3))))
+@example((qv.parse_quiver(TWO_LOOP), QUANTUM_PLANE, 3))
+@example((qv.parse_quiver(THREE_LOOP), Q_COMMUTATORS, 2))
+@example((qv.parse_quiver(DOUBLED_THREE_CYCLE), PREPROJECTIVE_THREE_CYCLE, 2))
+def test_uqsgd_dims_are_those_of_a_quadratic_algebra_on_the_product_quiver(case):
+    """h(Q) is k(Q ⊠ Q), so every UQSGd is the quadratic algebra
+    k(Q ⊠ Q)/(J) with J spanned by the biideal's degree-2 generators.  Its
+    quotientDims on every side equal those pathalg.quadratic_data gives on
+    product_quiver(Q), with the generators moved by x[a;b] -> (a, b) as
+    relations: a route that never spreads the biideal over h(Q).  The
+    degree, at most 3, is lowered to 2 while degree 3 has more than
+    PRODUCT_QUIVER_PATHS paths."""
+    q, relations, degree = case
+    if qv.path_count(q, 3) > PRODUCT_QUIVER_PATHS:
+        degree = 2
+    rows = pa.parse_relations(relations, q)
+    pq = product_quiver(q)
+    index = product_path_indices(q, pq, 2)
+    for side in uq.RESULT_SIDES:
+        result = uq.build_uqsgd(q, rows, side, degree)
+        moved = [(2, {index[i]: c for i, c in gen.items()})
+                 for d, gen in result.biideal.generators if d == 2]
+        assert all(d == 2 for d, _ in result.biideal.generators)
+        qd = pa.quadratic_data(pq, moved, degree)
+        assert result.quotient_dims == wba.quotient_dims(qd.ideal, degree)
 
 
 def verdicts(node, place=()):

@@ -17,11 +17,12 @@ from faceq import wba
 from faceq.errors import VerificationError
 from faceq.linalg import Echelon, Subspace, bump, int_row
 
-from conftest import (check_biideal_oracle, commutator_relations, face_coaction_relations,
-                      full_witness_rows, quantum_plane_relations, quotient_coalgebra_oracle,
-                      relation_rows)
-from fleet import (FLEET, doubled_three_cycle, kronecker, one_loop, q_bullets, three_cycle,
-                   three_loop, two_loop)
+from conftest import (break_degree_zero_associativity, check_biideal_oracle,
+                      commutator_relations, degree_zero_associativity_keys,
+                      face_coaction_relations, full_witness_rows, quantum_plane_relations,
+                      quotient_coalgebra_oracle, relation_rows)
+from fleet import (FLEET, arrow_into_loop, doubled_three_cycle, kronecker, linear_three,
+                   one_loop, q_bullets, three_cycle, three_loop, two_loop)
 from oracle import (FaceElement, bialgebra_d, counit_splits_scan, direct_sum, double_quiver,
                     face_coproduct, face_counit, face_multiply, face_unit, monomial_label,
                     product_path_indices, product_quiver, subspace_equal, unit_splits_scan)
@@ -575,6 +576,12 @@ SMALL_PRESENTATIONS = [
     lambda: copied(quantum_plane_quotient()),
 ]
 
+# presentations with a product (z g) x = z (g x) can be broken on for a z of degree 0 alone
+DEGREE_ZERO_PRESENTATIONS = [
+    lambda: wba.from_face_algebra(wba.path_algebra_presentation(linear_three(), 2)),
+    lambda: wba.from_face_algebra(wba.path_algebra_presentation(arrow_into_loop(), 3)),
+]
+
 SCALARS = st.one_of(st.integers(-3, 3),
                     st.fractions(min_value=-2, max_value=2, max_denominator=4))
 
@@ -593,12 +600,20 @@ def _set_entry(table, key, sub, value):
 
 @st.composite
 def corrupted_presentations(draw):
-    """A small presentation with a few product or coproduct entries overwritten."""
-    w = draw(st.sampled_from(SMALL_PRESENTATIONS))()
+    """A small presentation with one to four corruptions: a product or
+    coproduct entry overwritten, or (z g) x = z (g x) broken for a z of
+    degree 0 alone (see break_degree_zero_associativity).  When the first
+    is of the last kind, the presentation is one where it can break."""
+    kinds = draw(st.lists(st.sampled_from(("product", "coproduct", "degree-0 associativity")),
+                          min_size=1, max_size=4))
+    w = draw(st.sampled_from(DEGREE_ZERO_PRESENTATIONS
+                             if kinds[0] == "degree-0 associativity" else SMALL_PRESENTATIONS))()
     top = w.max_degree
-    for _ in range(draw(st.integers(1, 4))):
+    for kind in kinds:
         d = draw(st.integers(0, top))
-        if draw(st.booleans()):
+        if kind == "degree-0 associativity":
+            break_degree_zero_associativity(draw, w)
+        elif kind == "product":
             e = draw(st.integers(0, top - d))
             if not (w.dim(d) and w.dim(e) and w.dim(d + e)):
                 continue
@@ -745,6 +760,23 @@ def test_unspanned_degree_two_takes_the_full_path():
     assert not w.generator_reducible
     assert (wba.multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)
             == pairwise_delta_multiplicative(w) == [["b", "1"]])
+
+
+def test_degree_zero_left_factor_breaking_associativity_takes_the_full_path():
+    """On h(Q) of 1 -> 2 -> 3 at degree 2, x[e:1;e:1] x[a.b;a.b] scaled by 2
+    breaks (z g) x = z (g x) at z = x[e:1;e:1], and no identity with a
+    left factor of degree 1, as every arrow kills vertex 1 from the left.
+    Every generator pair holds, so only the degree-0 premise keeps the
+    failure at the pair (0, 2) in the report."""
+    w = wba.from_face_algebra(wba.path_algebra_presentation(linear_three(), 2))
+    assert degree_zero_associativity_keys(w) == [(0, 0, 2, 0)]
+    ((m, c),) = w.product[(0, 0, 2, 0)].items()
+    w.product[(0, 0, 2, 0)] = {m: 2 * c}
+    assert wba._spanned_from_degree_one(w)
+    assert not wba._generator_associative(w)
+    assert not w.generator_reducible
+    fails = wba.multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)
+    assert fails == pairwise_delta_multiplicative(w) == [["x[e:1;e:1]", "x[a.b;a.b]"]]
 
 
 def test_delta_multiplicative_terms_that_cancel():
