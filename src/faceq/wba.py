@@ -31,10 +31,14 @@ z of degree 0 and g of degree 1, with x of degree >= 1 (two inductions,
 see multiplicative_failures).  This associativity is a premise, not a report
 row; when it or the spanning fails, or a generator pair fails, every pair
 is checked, so a failing report keeps every witness.
-Two-leg maps (L (x) R)(t) go through linalg.apply_legs: the projected
-coproducts (pi (x) pi)Delta of the biideal check and the quotient, and the
-weak-counit splits, which read each basis element's coproduct once.  The
-weak-unit splits are a join that pairs only terms with a nonzero product.
+Two-leg maps (L (x) R)(t) go through linalg.apply_legs: the weak-counit
+splits, which read each basis element's coproduct once, and the projected
+coproducts (pi (x) pi)Delta of the biideal check and the quotient, through
+GradedWBA.projected_coproduct.  h(Q) (FaceWBA) overrides that by index
+arithmetic, Delta(x[a;b]) = sum_k x[a;k] (x) x[k;b], and builds its
+coproduct table only once something reads it, so the biideal check and the
+quotient never do.  The weak-unit splits are a join that pairs only terms
+with a nonzero product.
 """
 
 from functools import cached_property
@@ -142,6 +146,10 @@ class GradedWBA(GradedAlgebra):
     def delta(self, d, u):
         """Coproduct of a coordinate dict, as a read-only {(j, k): scalar}."""
         return image_of(self.coproduct_of, d, u)
+
+    def projected_coproduct(self, d, i, rows):
+        """(L (x) L)Delta(u^d_i), with L given by rows as linalg.apply_legs reads them."""
+        return apply_legs(self.coproduct_of(d, i), rows, rows)
 
     def eps(self, d, u):
         total = 0
@@ -253,23 +261,58 @@ def from_face_algebra(kq):
 
     face_algebra's labels, product and unit, plus the matrix coproduct
     Delta(x[a;b]) = sum_m x[a;m] (x) x[m;b] and the counit
-    eps(x[a;b]) = delta_ab, both by index arithmetic over kQ's dims.
+    eps(x[a;b]) = delta_ab, both by index arithmetic over kQ's dims (see
+    FaceWBA).
     """
-    alg = face_algebra(kq)
-    coproduct = {}
-    counit = {}
-    for d, n in enumerate(kq.dims()):
-        idd = list(range(n * n))  # one int object per basis index, as in face_algebra
-        # rows[a] lists x[a;m] and cols[b] lists x[m;b], over m in order
-        rows = [idd[a * n:(a + 1) * n] for a in range(n)]
-        cols = [idd[b::n] for b in range(n)]
-        for a in range(n):
-            for b in range(n):
-                i = idd[a * n + b]
-                coproduct[(d, i)] = dict.fromkeys(zip(rows[a], cols[b]), _ONE)
-                if a == b:
-                    counit[(d, i)] = _ONE
-    return GradedWBA(kq.max_degree, alg.labels, alg.product, alg.unit, coproduct, counit)
+    return FaceWBA(face_algebra(kq), kq.dims())
+
+
+class FaceWBA(GradedWBA):
+    """h(Q) as a GradedWBA; path_counts[d] is n_d, kQ's number of paths of length d.
+
+    The counit is a table from the start.  The coproduct table is a cached
+    property, built on its first read, and projected_coproduct never reads
+    it: Delta(x[a;b]) is index arithmetic over n_d.
+    """
+
+    def __init__(self, alg, path_counts):
+        GradedAlgebra.__init__(self, alg.max_degree, alg.labels, alg.product, alg.unit)
+        self.path_counts = path_counts
+        self.counit = {(d, a * n + a): _ONE for d, n in enumerate(path_counts) for a in range(n)}
+        self.coalgebra_rows = {}
+
+    @cached_property
+    def coproduct(self):
+        """Each Delta(x[a;b]) as a dict.fromkeys over the zipped index slices x[a;m] and x[m;b]."""
+        coproduct = {}
+        for d, n in enumerate(self.path_counts):
+            idd = list(range(n * n))  # one int object per basis index, as in face_algebra
+            # rows[a] lists x[a;m] and cols[b] lists x[m;b], over m in order
+            rows = [idd[a * n:(a + 1) * n] for a in range(n)]
+            cols = [idd[b::n] for b in range(n)]
+            for a in range(n):
+                for b in range(n):
+                    coproduct[(d, idd[a * n + b])] = dict.fromkeys(zip(rows[a], cols[b]), _ONE)
+        return coproduct
+
+    def projected_coproduct(self, d, i, rows):
+        """sum_m rows[x[a;m]] (x) rows[x[m;b]] for u^d_i = x[a;b], as apply_legs
+        would give it on Delta(x[a;b]), terms in the same order."""
+        n = self.path_counts[d]
+        a, b = divmod(i, n)
+        get = rows.get
+        out = {}
+        for m in range(n):
+            lx, ry = get(a * n + m), get(m * n + b)
+            if not lx or not ry:
+                continue
+            for s, cs in lx.items():
+                for t, ct in ry.items():
+                    key = (s, t)
+                    out[key] = out.get(key, 0) + cs * ct
+        if not all(out.values()):
+            out = {key: v for key, v in out.items() if v}
+        return out
 
 
 def _eps_matrices(w):
@@ -318,7 +361,8 @@ def _generator_associative(alg):
     c u_n of the products u_x u_y are indexed by n, the right factor of
     g u_n, so g (x y) visits only the nonzero g u_n, and (g x) y reads
     products_by_left.  The index lives for one degree pair and serves both
-    degrees of g, the two sides for one g.
+    degrees of g.  Per g, both sides go into one difference table, which
+    must be zero.
     """
     rows = alg.products_by_left
     top = alg.max_degree
@@ -338,32 +382,22 @@ def _generator_associative(alg):
                 my_rows = rows.get((gd + dx, dy), {})
                 gn_rows = rows.get((gd, dx + dy), {})
                 for g in range(alg.dim(gd)):
-                    lhs = {}
+                    # diff[(x, y, k)] is the u_k coefficient of (g x) y - g (x y)
+                    diff = {}
                     for x, entry in gx_rows.get(g, {}).items():
                         for m, c in entry.items():
                             for y, my in my_rows.get(m, {}).items():
-                                out = lhs.setdefault((x, y), {})
                                 for k, ck in my.items():
-                                    out[k] = out.get(k, 0) + c * ck
-                    rhs = {}
+                                    key = (x, y, k)
+                                    diff[key] = diff.get(key, 0) + c * ck
                     for n, gn in gn_rows.get(g, {}).items():
                         for x, y, c in by_right.get(n, ()):
-                            out = rhs.setdefault((x, y), {})
                             for k, ck in gn.items():
-                                out[k] = out.get(k, 0) + c * ck
-                    if _nonzero(lhs) != _nonzero(rhs):
+                                key = (x, y, k)
+                                diff[key] = diff.get(key, 0) - c * ck
+                    if any(diff.values()):
                         return False
     return True
-
-
-def _nonzero(table):
-    """A {key: coordinate dict} table without zero coefficients or empty dicts."""
-    out = {}
-    for key, vec in table.items():
-        vec = {k: c for k, c in vec.items() if c}
-        if vec:
-            out[key] = vec
-    return out
 
 
 def image_of(image, d, u):
@@ -766,8 +800,8 @@ def biideal_graded_pieces(b, d):
 def _coset_coproduct(b, d, m):
     """(pi (x) pi)Delta(u_m) for a coset column m of the degree-d piece, times D*D.
 
-    D is the piece's projection denominator; apply_legs over its rows on both
-    legs gives ints on an int host.  Projected on the first request and then
+    D is the piece's projection denominator; the host's projected_coproduct
+    over its rows gives ints on an int host.  Projected on the first request and then
     kept on b, so check_biideal and quotient_wba project each coset column
     once; quotient_wba drops a degree's tables once it has divided them.
     """
@@ -775,7 +809,7 @@ def _coset_coproduct(b, d, m):
     table = memo.get(m)
     if table is None:
         rows = biideal_graded_pieces(b, d).projection.rows
-        table = memo[m] = apply_legs(b.host.coproduct_of(d, m), rows, rows)
+        table = memo[m] = b.host.projected_coproduct(d, m, rows)
     return table
 
 
@@ -786,7 +820,8 @@ def check_biideal(b, max_degree):
     and coset columns m, descends iff a_p P_p = -sum_m a_m P_m, where P_i
     is (pi (x) pi)Delta(u_i) times D*D: an exact comparison of int tables.
     Each P_m comes from _coset_coproduct; P_p is projected here, once, since
-    every pivot belongs to one row.
+    every pivot belongs to one row.  Both are the host's projected_coproduct
+    over the piece's projection rows, so on h(Q) no coproduct table is read.
     """
     w = b.host
     if max_degree > w.max_degree:
@@ -803,8 +838,11 @@ def check_biideal(b, max_degree):
         for r, (p, row) in enumerate(zip(piece.pivots, piece.int_rows)):
             if w.eps(d, row):
                 eps_fails.append(f"degree {d}, piece row {r}")
-            if (apply_legs(w.delta(d, {p: row[p]}), rows, rows)
-                    != image_of(coset, d, {m: -a for m, a in row.items() if m != p})):
+            a_p = row[p]
+            pivot = w.projected_coproduct(d, p, rows)
+            if a_p != 1:
+                pivot = {key: a_p * v for key, v in pivot.items()}
+            if pivot != image_of(coset, d, {m: -a for m, a in row.items() if m != p}):
                 delta_fails.append(f"degree {d}, piece row {r}")
     return report([("counit-vanishes", eps_fails), ("coproduct-descends", delta_fails)])
 

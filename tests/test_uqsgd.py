@@ -182,6 +182,21 @@ def test_trivial_ideal_reproduces_face_algebra(trivial_results):
             assert spec.coefficients == canonical.coefficients
 
 
+@pytest.mark.parametrize("side", uq.RESULT_SIDES)
+def test_build_never_builds_the_face_coproduct_table(side):
+    """The biideal check and the quotient project h(Q)'s coproduct by
+    index arithmetic (FaceWBA.projected_coproduct), so a verified build
+    leaves h(Q)'s coproduct table unbuilt, on each side of the three-loop
+    commutators and of the preprojective three-cycle."""
+    q = three_loop()
+    dbl, prep = preprojective_relations(three_cycle())
+    for quiver, relations in ((q, commutator_relations(q)), (dbl, prep)):
+        result = uq.build_uqsgd(quiver, relations, side, 3)
+        assert result.verification["biideal"]["passed"]
+        assert isinstance(result.biideal.host, wba.FaceWBA)
+        assert "coproduct" not in result.biideal.host.__dict__
+
+
 def test_induced_coactions_transposed_for_trans(built_results):
     res = built_results["two-loop-commutator-trans"]
     assert co.check_transposed(res.induced_coactions["left"],
@@ -253,11 +268,12 @@ def test_quadratic_dualities_fail_against_another_dual():
 
 def test_quadratic_dualities_build_no_coproduct_tables(monkeypatch):
     """The transports read only products: no GradedWBA, so no coproduct or
-    counit table, is built."""
+    counit table, is built; a FaceWBA has its own constructor."""
     def refuse(*args):
         raise AssertionError("a coproduct table was built")
 
     monkeypatch.setattr(wba.GradedWBA, "__init__", refuse)
+    monkeypatch.setattr(wba.FaceWBA, "__init__", refuse)
     q = three_loop()
     report = dualities(q, q_commutator_relations(q, ["-2", "1/2", "-3/4"]), 3)
     assert report["passed"], report

@@ -15,7 +15,7 @@ from faceq import quiver as qv
 from faceq import uqsgd as uq
 from faceq import wba
 from faceq.errors import VerificationError
-from faceq.linalg import Echelon, Subspace, bump, int_row
+from faceq.linalg import Echelon, Subspace, apply_legs, bump, int_row
 
 from conftest import (break_degree_zero_associativity, check_biideal_oracle,
                       commutator_relations, degree_zero_associativity_keys,
@@ -973,11 +973,19 @@ def row_shapes(b):
     return shapes
 
 
+def on_copied_host(b):
+    """b's generators over copied(b.host), a plain GradedWBA with its own
+    tables, which a test may corrupt: a presentation never changes once it
+    is built, and h(Q)'s biideal check reads no coproduct table."""
+    return wba.BiidealGens(copied(b.host), b.generators)
+
+
 def test_coset_coproduct_check_matches_oracle_on_each_verdict():
-    """The mixed relation biideal as built, with the counit of a lone row's
-    pivot set to 1, and with a term u_m (x) u_m added to Delta(u_m) for a
-    coset column m of a degree-2 row: each fails only its own row, and
-    every witness equals the materializing oracle's."""
+    """The mixed relation biideal as built, and over a copy of its host
+    with the counit of a lone row's pivot set to 1, or with a term
+    u_m (x) u_m added to Delta(u_m) for a coset column m of a degree-2 row:
+    each fails only its own row, and every witness equals the
+    materializing oracle's."""
     assert row_shapes(mixed_relation_biideal()) >= {"lone", "multi", "binomial", "scaled-pivot"}
 
     def lone_pivot(b):
@@ -989,10 +997,10 @@ def test_coset_coproduct_check_matches_oracle_on_each_verdict():
         piece = wba.biideal_graded_pieces(b, 2)
         return next(m for p, row in zip(piece.pivots, piece.basis) for m in row if m != p)
 
-    counit_case = mixed_relation_biideal()
+    counit_case = on_copied_host(mixed_relation_biideal())
     d, p = lone_pivot(counit_case)
     counit_case.host.counit[(d, p)] = 1
-    coproduct_case = mixed_relation_biideal()
+    coproduct_case = on_copied_host(mixed_relation_biideal())
     m = coset_term(coproduct_case)
     _set_entry(coproduct_case.host.coproduct, (2, m), (m, m),
                coproduct_case.host.coproduct_of(2, m).get((m, m), 0) + 1)
@@ -1008,15 +1016,20 @@ def test_coset_coproduct_check_matches_oracle_on_each_verdict():
 @st.composite
 def corrupted_biideals(draw):
     """random_biideals or a relation biideal with lone-pivot rows, with up
-    to two coproduct or counit entries of its host overwritten before
-    anything is checked."""
+    to two coproduct or counit entries overwritten before anything is
+    checked, on a copy of its host (see on_copied_host); with none, the
+    biideal keeps h(Q) as its host."""
     if draw(st.booleans()):
         b = draw(random_biideals())
     else:
         b = mixed_relation_biideal(draw(st.sampled_from(["left", "right", "trans"])))
+    corruptions = draw(st.integers(0, 2))
+    if not corruptions:
+        return b
+    b = on_copied_host(b)
     w = b.host
     degrees = [d for d in range(w.max_degree + 1) if w.dim(d)]
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(corruptions):
         d = draw(st.sampled_from(degrees))
         i, j, k = (draw(st.integers(0, w.dim(d) - 1)) for _ in range(3))
         if draw(st.booleans()):
@@ -1047,34 +1060,36 @@ def test_coset_coproducts_are_projected_once():
     in the memo that the quotient's coproduct then reads and releases.  Given a report,
     the quotient projects only the coset columns that no checked row
     holds: all of degrees 0 and 1, whose pieces are zero.  Both match the
-    dense oracle.  A projection is a call of wba.apply_legs; it is traced
-    back to (d, i) by the degree whose projection rows it applies and the
-    host coproduct Delta(u_i) whose terms it reads (on h(Q) the terms of
-    Delta(x[a;b]) name a and b)."""
-    apply_legs = wba.apply_legs
-    calls = []
+    dense oracle.  A projection is a call of the host's
+    projected_coproduct(d, i, rows), each over the projection rows of its
+    own degree d; on h(Q) none reads the coproduct table."""
 
-    def counted(element, left, right):
-        calls.append((element, left))
-        return apply_legs(element, left, right)
-
-    def projected(b):
+    def projections(b, mp):
         host = b.host
-        degree = {id(wba.biideal_graded_pieces(b, d).projection.rows): d for d in range(4)}
-        basis = {(d, frozenset(host.coproduct_of(d, i))): i
-                 for d in range(4) for i in range(host.dim(d))}
-        return [(d, basis[(d, frozenset(element))])
-                for element, left in calls for d in [degree[id(left)]]]
+        project = host.projected_coproduct
+        calls = []
+
+        def counted(d, i, rows):
+            calls.append((d, i, rows))
+            return project(d, i, rows)
+        mp.setattr(host, "projected_coproduct", counted)
+        return calls
+
+    def projected(b, calls):
+        rows = [wba.biideal_graded_pieces(b, d).projection.rows for d in range(4)]
+        assert all(r is rows[d] for d, _, r in calls)
+        return [(d, i) for d, i, _ in calls]
 
     for side in ("left", "trans"):
         b = mixed_relation_biideal(side)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(wba, "apply_legs", counted)
-            calls.clear()
+            calls = projections(b, mp)
             quo = wba.quotient_wba(b)
         host = b.host
-        assert sorted(projected(b)) == [(d, i) for d in range(4) for i in range(host.dim(d))]
+        assert sorted(projected(b, calls)) == [(d, i) for d in range(4)
+                                               for i in range(host.dim(d))]
         assert b._coset_coproducts == {}
+        assert "coproduct" not in host.__dict__
         assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
 
         b = mixed_relation_biideal(side)
@@ -1082,12 +1097,11 @@ def test_coset_coproducts_are_projected_once():
         held = {(d, m) for d, memo in b._coset_coproducts.items() for m in memo}
         assert held and all(d >= 2 for d, _ in held)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(wba, "apply_legs", counted)
-            calls.clear()
+            calls = projections(b, mp)
             quo = wba.quotient_wba(b, report=report)
-        assert projected(b) == [(d, m) for d in range(4)
-                                for m in wba.biideal_graded_pieces(b, d).projection.cols
-                                if (d, m) not in held]
+        assert projected(b, calls) == [(d, m) for d in range(4)
+                                       for m in wba.biideal_graded_pieces(b, d).projection.cols
+                                       if (d, m) not in held]
         assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
 
 
@@ -1109,6 +1123,85 @@ def test_quotient_releases_the_coset_coproducts():
     assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
     assert wba.quotient_wba(b).coproduct == quo.coproduct
     assert b._coset_coproducts == {}
+
+
+@st.composite
+def face_host_biideals(draw, v, top):
+    """A biideal of h(Q) for the quiver v, truncated at top lowered while
+    some degree has more than PRODUCT_QUIVER_PATHS paths: the
+    coaction-relation biideal, on a drawn side, of one or two random
+    quadratic relations with int and Fraction coefficients, or one to four
+    random generators."""
+    while top and max(qv.path_count(v, e) for e in range(top + 1)) > PRODUCT_QUIVER_PATHS:
+        top -= 1
+    if top >= 2 and qv.path_count(v, 2) and draw(st.booleans()):
+        coeffs = SCALARS.filter(bool)
+        rows = draw(st.lists(st.dictionaries(st.integers(0, qv.path_count(v, 2) - 1), coeffs,
+                                             min_size=1, max_size=3), min_size=1, max_size=2))
+        qd = pa.quadratic_data(v, [(2, row) for row in rows], top)
+        side = draw(st.sampled_from(uq.RESULT_SIDES))
+        return uq._relation_biideal(wba.from_face_algebra(qd.ideal.host), qd, side)[1]
+    host = wba.from_face_algebra(wba.path_algebra_presentation(v, top))
+    degrees = [d for d in range(top + 1) if host.dim(d)]
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.sampled_from(degrees))
+        gens.append((d, draw(st.dictionaries(st.integers(0, host.dim(d) - 1), SCALARS,
+                                             min_size=1, max_size=3))))
+    return wba.BiidealGens(host, gens)
+
+
+def assert_face_projection_matches_the_table(b):
+    """check_biideal on h(Q), which reads no coproduct table, gives the
+    report, every witness included, that it gives over a plain-table copy
+    of the host; then, for every basis element, FaceWBA.projected_coproduct
+    equals apply_legs over the materialized table, terms in the same
+    order."""
+    host = b.host
+    assert isinstance(host, wba.FaceWBA)
+    top = host.max_degree
+    with pytest.MonkeyPatch.context() as mp:
+        full_witness_rows(mp)
+        report = wba.check_biideal(b, top)
+        assert "coproduct" not in host.__dict__
+        assert report == wba.check_biideal(on_copied_host(b), top)
+    for d in range(top + 1):
+        rows = wba.biideal_graded_pieces(b, d).projection.rows
+        for i in range(host.dim(d)):
+            assert (list(host.projected_coproduct(d, i, rows).items())
+                    == list(apply_legs(host.coproduct_of(d, i), rows, rows).items()))
+    return report
+
+
+@settings(max_examples=100, deadline=None)
+@given(named_quivers(), st.integers(1, 3), st.data())
+def test_face_projected_coproducts_match_the_table(q, degree, data):
+    """On q, its opposite and its double, at a degree of at most 3."""
+    for v in codec_variants(q):
+        assert_face_projection_matches_the_table(data.draw(face_host_biideals(v, degree)))
+
+
+def test_face_projected_coproducts_match_the_table_on_each_verdict():
+    """The two-loop biideals that pass, fail counit-vanishes only and fail
+    coproduct-descends only, and the mixed relation biideal on each side,
+    whose rows have pivot coefficients other than 1."""
+    q = two_loop()
+    host = lambda: wba.from_face_algebra(wba.path_algebra_presentation(q, 3))
+    loop = lambda i, j: FaceElement(q, {fc.FaceMonomial(q.arrow_path(i), q.arrow_path(j)): 1})
+    cases = {
+        "pass": face_commutator_biideal(host(), q),
+        "counit-vanishes": wba.BiidealGens(host(), [(1, {i: 1}) for i in range(host().dim(1))]),
+        "coproduct-descends": wba.BiidealGens(
+            host(), [(1, face_coords(q, loop(0, 0) - loop(1, 1), 1))]),
+    }
+    for failing, b in cases.items():
+        report = assert_face_projection_matches_the_table(b)
+        assert [row["check"] for row in report["checks"] if row["status"] == "fail"] == \
+            ([] if failing == "pass" else [failing])
+    for side in uq.RESULT_SIDES:
+        b = mixed_relation_biideal(side)
+        assert "scaled-pivot" in row_shapes(b)
+        assert assert_face_projection_matches_the_table(b)["passed"]
 
 
 def test_biideal_pieces_match_oracle_on_mixed_degree_generators():
