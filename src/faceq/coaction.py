@@ -135,7 +135,8 @@ def check_comodule_algebra(c, host):
     Coassociativity is computed on degrees 0 and 1 alone when they pass,
     the coaction is multiplicative, the algebra is generator_reducible and
     the host's Delta is known to be multiplicative (host.delta_failures
-    computed and empty; it is never computed here).  Then, for a left
+    computed and empty, as on h(Q) from construction; it is never computed
+    here).  Then, for a left
     coaction rho, (Delta (x) id)rho and (id (x) rho)rho are multiplicative
     maps (on a right one, (rho (x) id)rho and (id (x) Delta)rho), and two
     multiplicative maps that agree on degrees 0 and 1 agree on every

@@ -31,11 +31,14 @@ z of degree 0 and g of degree 1, with x of degree >= 1 (two inductions,
 see multiplicative_failures).  This associativity is a premise, not a report
 row; when it or the spanning fails, or a generator pair fails, every pair
 is checked, so a failing report keeps every witness.
+h(Q)'s own Delta needs no join: kQ's paths factor uniquely, which makes
+it multiplicative on the whole window (see FaceWBA), so h(Q) is born with
+delta_failures = [], while quotients and copies are checked by the join.
 Two-leg maps (L (x) R)(t) go through linalg.apply_legs: the weak-counit
 splits, which read each basis element's coproduct once, and the projected
 coproducts (pi (x) pi)Delta of the biideal check and the quotient, through
-GradedWBA.projected_coproduct.  h(Q) (FaceWBA) overrides that by index
-arithmetic, Delta(x[a;b]) = sum_k x[a;k] (x) x[k;b], and builds its
+GradedWBA.projected_coproduct.  h(Q) (FaceWBA) overrides that and delta by
+index arithmetic, Delta(x[a;b]) = sum_k x[a;k] (x) x[k;b], and builds its
 coproduct table only once something reads it, so the biideal check and the
 quotient never do.  The weak-unit splits are a join that pairs only terms
 with a nonzero product.
@@ -261,25 +264,70 @@ def from_face_algebra(kq):
 
     face_algebra's labels, product and unit, plus the matrix coproduct
     Delta(x[a;b]) = sum_m x[a;m] (x) x[m;b] and the counit
-    eps(x[a;b]) = delta_ab, both by index arithmetic over kQ's dims (see
-    FaceWBA).
+    eps(x[a;b]) = delta_ab, both by index arithmetic over kQ's dims, and
+    whether kQ's paths factor uniquely (_factors_uniquely), which proves
+    Delta multiplicative (see FaceWBA).
     """
-    return FaceWBA(face_algebra(kq), kq.dims())
+    return FaceWBA(face_algebra(kq), kq.dims(), _factors_uniquely(kq))
+
+
+def _factors_uniquely(kq):
+    """True iff for all degrees d, e with a basis and d + e in the window,
+    every nonzero product u_i u_j of degrees (d, e) is one basis element
+    with coefficient 1, and each degree-(d+e) basis element is the product
+    of exactly one such pair (i, j).
+
+    One pass over kq.products_by_left, at most sum n_d n_e entries.  It
+    holds on every path algebra: a path of length d + e is its first d
+    arrows times its last e, and nothing else.
+    """
+    rows = kq.products_by_left
+    degrees = [d for d in range(kq.max_degree + 1) if kq.dim(d)]
+    for d in degrees:
+        for e in [e for e in degrees if d + e <= kq.max_degree]:
+            hit = [False] * kq.dim(d + e)
+            for row in rows.get((d, e), {}).values():
+                for entry in row.values():
+                    if len(entry) != 1:
+                        return False
+                    (m, c), = entry.items()
+                    if c != 1 or hit[m]:
+                        return False
+                    hit[m] = True
+            if not all(hit):
+                return False
+    return True
 
 
 class FaceWBA(GradedWBA):
     """h(Q) as a GradedWBA; path_counts[d] is n_d, kQ's number of paths of length d.
 
     The counit is a table from the start.  The coproduct table is a cached
-    property, built on its first read, and projected_coproduct never reads
-    it: Delta(x[a;b]) is index arithmetic over n_d.
+    property, built on its first read; delta and projected_coproduct never
+    read it: Delta(x[a;b]) is index arithmetic over n_d.
+
+    When kQ's paths factor uniquely (factors_uniquely, from
+    _factors_uniquely), Delta is multiplicative on the whole window, and
+    delta_failures is [] from construction, without the join.  For
+    x[a;b] x[c;k] = x[ac;bk], with m, m' over kQ's bases of degrees d, e and
+    M, M' over degree d + e,
+        Delta(x[a;b]) Delta(x[c;k]) = sum_{m,m'} x[ac;mm'] (x) x[mm';bk]
+            = sum_{M,M'} (sum_{m,m'} [mm' = M][mm' = M']) x[ac;M] (x) x[M';bk],
+    and unique factorization makes the inner sum delta_{MM'}, which leaves
+    sum_M x[ac;M] (x) x[M;bk] = Delta(x[ac;bk]); where ac or bk is zero,
+    both sides are.  The proof reads the tables as from_face_algebra built
+    them, which a presentation never changes; a copy with its own tables
+    (a GradedWBA) is checked by the join, as every quotient is.
     """
 
-    def __init__(self, alg, path_counts):
+    def __init__(self, alg, path_counts, factors_uniquely):
         GradedAlgebra.__init__(self, alg.max_degree, alg.labels, alg.product, alg.unit)
         self.path_counts = path_counts
         self.counit = {(d, a * n + a): _ONE for d, n in enumerate(path_counts) for a in range(n)}
         self.coalgebra_rows = {}
+        if factors_uniquely:
+            # the cached property's value, proven above
+            self.delta_failures = []
 
     @cached_property
     def coproduct(self):
@@ -294,6 +342,19 @@ class FaceWBA(GradedWBA):
                 for b in range(n):
                     coproduct[(d, idd[a * n + b])] = dict.fromkeys(zip(rows[a], cols[b]), _ONE)
         return coproduct
+
+    def delta(self, d, u):
+        """Delta(u) = sum c x[a;m] (x) x[m;b] over the terms c x[a;b] of u, in
+        the coproduct table's order; distinct (a, b) give distinct terms."""
+        n = self.path_counts[d]
+        out = {}
+        for i, c in u.items():
+            if not c:
+                continue
+            a, b = divmod(i, n)
+            for m in range(n):
+                out[(a * n + m, m * n + b)] = c
+        return out
 
     def projected_coproduct(self, d, i, rows):
         """sum_m rows[x[a;m]] (x) rows[x[m;b]] for u^d_i = x[a;b], as apply_legs
@@ -697,7 +758,7 @@ class BiidealGens:
     in first-seen order.  Graded pieces and ranks need only the host's
     product (a GradedAlgebra will do); check_biideal and quotient_wba need
     a GradedWBA, and share the projected coproducts of the coset columns
-    (see _coset_coproduct).
+    that a full check made (see _coset_coproduct).
     """
 
     def __init__(self, host, generators):
@@ -721,21 +782,10 @@ class BiidealGens:
         self._coset_coproducts = {}  # degree -> {coset column m: (pi (x) pi)Delta(u_m)}
 
 
-def _spread(b, d):
-    """The degree-d piece as a forward-reduced Echelon, kept on b until finalized.
-
-    Adds the closure products z g z' of the degree-d generators and spreads
-    the finalized degree-(d-1) int rows, as biideal_graded_pieces describes.
-    Each generator is scaled by int_row first, so on a host with int
-    constants every product is an int row and enters by Echelon.add_ints.
-    """
-    if d in b._echelons:
-        return b._echelons[d]
+def _closure_products(b, d):
+    """The nonzero products z g z' of the degree-d generators g, with z and
+    z' over the degree-0 basis, in order; each g is scaled by int_row first."""
     w = b.host
-    if d > w.max_degree:
-        raise ValueError(f"degree {d} exceeds the host truncation {w.max_degree}")
-    ech = Echelon(w.dim(d))
-    add = ech.add_ints if w.int_products else ech.add
     basis0 = [{z: _ONE} for z in range(w.dim(0))]
     for g in [int_row(vec) for gd, vec in b.generators if gd == d]:
         for z in basis0:
@@ -745,7 +795,26 @@ def _spread(b, d):
             for z2 in basis0:
                 zgz = w.multiply(d, zg, 0, z2)
                 if zgz:
-                    add(zgz)
+                    yield zgz
+
+
+def _spread(b, d):
+    """The degree-d piece as a forward-reduced Echelon, kept on b until finalized.
+
+    Adds the closure products of the degree-d generators (_closure_products)
+    and spreads the finalized degree-(d-1) int rows, as
+    biideal_graded_pieces describes.  On a host with int constants every
+    product is an int row and enters by Echelon.add_ints.
+    """
+    if d in b._echelons:
+        return b._echelons[d]
+    w = b.host
+    if d > w.max_degree:
+        raise ValueError(f"degree {d} exceeds the host truncation {w.max_degree}")
+    ech = Echelon(w.dim(d))
+    add = ech.add_ints if w.int_products else ech.add
+    for zgz in _closure_products(b, d):
+        add(zgz)
     if d >= 1:
         prev = biideal_graded_pieces(b, d - 1)
         for row in prev.int_rows:
@@ -801,9 +870,9 @@ def _coset_coproduct(b, d, m):
     """(pi (x) pi)Delta(u_m) for a coset column m of the degree-d piece, times D*D.
 
     D is the piece's projection denominator; the host's projected_coproduct
-    over its rows gives ints on an int host.  Projected on the first request and then
-    kept on b, so check_biideal and quotient_wba project each coset column
-    once; quotient_wba drops a degree's tables once it has divided them.
+    over its rows gives ints on an int host.  Projected on the first request
+    and then kept on b, so a full check_biideal projects each coset column
+    once, and quotient_wba takes the kept tables instead of projecting again.
     """
     memo = b._coset_coproducts.setdefault(d, {})
     table = memo.get(m)
@@ -813,37 +882,64 @@ def _coset_coproduct(b, d, m):
     return table
 
 
+def _closure_descends(b, pieces):
+    """True iff (pi (x) pi)Delta(v) = 0 for every closure product v of the
+    generators in the degrees of pieces (_closure_products), each projected
+    at once from the host's delta."""
+    w = b.host
+    for d, piece in enumerate(pieces):
+        for v in _closure_products(b, d):
+            rows = piece.projection.rows
+            if apply_legs(w.delta(d, v), rows, rows):
+                return False
+    return True
+
+
 def check_biideal(b, max_degree):
     """Counit vanishing and coproduct descent for every graded piece ≤ max_degree.
 
-    A canonical int row a_p e_p + sum_m a_m e_m of the piece, with pivot p
+    The counit-vanishes row tests eps on every canonical row of every piece.
+
+    When the host's Delta is known to be multiplicative
+    (delta_known_multiplicative, which never computes it), descent is
+    first compared on the closure products z g z' of the generators alone
+    (_closure_descends).  If they all descend, every piece row does, by
+    induction on the degree: the degree-d piece I_d is spanned by the
+    closure products and by a r and r a with a of degree 1 and r in
+    I_{d-1}, and Delta(a r) = Delta(a) Delta(r) lies in
+    H_1 I_{d-1} (x) H_d + H_d (x) H_1 I_{d-1}, within I_d (x) H_d + H_d (x) I_d,
+    and the same on the right; so no piece row is projected and the
+    coproduct-descends row is empty.
+
+    Otherwise (or if some closure product fails) every row is compared: a
+    canonical int row a_p e_p + sum_m a_m e_m of the piece, with pivot p
     and coset columns m, descends iff a_p P_p = -sum_m a_m P_m, where P_i
     is (pi (x) pi)Delta(u_i) times D*D: an exact comparison of int tables.
     Each P_m comes from _coset_coproduct; P_p is projected here, once, since
     every pivot belongs to one row.  Both are the host's projected_coproduct
     over the piece's projection rows, so on h(Q) no coproduct table is read.
+    A failing report keeps every witness, in order.
     """
     w = b.host
     if max_degree > w.max_degree:
         raise ValueError(f"cannot check beyond the host truncation {w.max_degree}")
     pieces = [biideal_graded_pieces(b, d) for d in range(max_degree + 1)]
-    coset = lambda d, m: _coset_coproduct(b, d, m)
-    eps_fails = []
+    eps_fails = [f"degree {d}, piece row {r}" for d, piece in enumerate(pieces)
+                 for r, row in enumerate(piece.int_rows) if w.eps(d, row)]
     delta_fails = []
-    for d in range(max_degree + 1):
-        piece = pieces[d]
-        if not piece.dim:
-            continue
-        rows = piece.projection.rows
-        for r, (p, row) in enumerate(zip(piece.pivots, piece.int_rows)):
-            if w.eps(d, row):
-                eps_fails.append(f"degree {d}, piece row {r}")
-            a_p = row[p]
-            pivot = w.projected_coproduct(d, p, rows)
-            if a_p != 1:
-                pivot = {key: a_p * v for key, v in pivot.items()}
-            if pivot != image_of(coset, d, {m: -a for m, a in row.items() if m != p}):
-                delta_fails.append(f"degree {d}, piece row {r}")
+    if not (w.delta_known_multiplicative() and _closure_descends(b, pieces)):
+        coset = lambda d, m: _coset_coproduct(b, d, m)
+        for d, piece in enumerate(pieces):
+            if not piece.dim:
+                continue
+            rows = piece.projection.rows
+            for r, (p, row) in enumerate(zip(piece.pivots, piece.int_rows)):
+                a_p = row[p]
+                pivot = w.projected_coproduct(d, p, rows)
+                if a_p != 1:
+                    pivot = {key: a_p * v for key, v in pivot.items()}
+                if pivot != image_of(coset, d, {m: -a for m, a in row.items() if m != p}):
+                    delta_fails.append(f"degree {d}, piece row {r}")
     return report([("counit-vanishes", eps_fails), ("coproduct-descends", delta_fails)])
 
 
@@ -852,8 +948,10 @@ def quotient_wba(b, report=None):
 
     Refuses (with the failing report attached) unless the biideal check
     passes up to the host truncation.  Labels name coset representatives;
-    the coproduct divides _coset_coproduct's tables, which the check filled,
-    and then drops them from b: with D = 1 they are the quotient's own.
+    the coproduct of each coset column m is (pi (x) pi)Delta(u_m) divided
+    by D*D at once: the table a full check kept on b (_coset_coproduct),
+    dropped from b as it is read, or else the host's projected_coproduct,
+    so no degree's projected tables are held beside the quotient's.
     """
     w = b.host
     if report is None:
@@ -878,13 +976,16 @@ def quotient_wba(b, report=None):
     coproduct = {}
     counit = {}
     for d in range(w.max_degree + 1):
-        denom = projs[d].denom
+        rows, denom = projs[d].rows, projs[d].denom
+        kept = b._coset_coproducts.pop(d, {})
         for i, mi in enumerate(projs[d].cols):
-            entry = divided(_coset_coproduct(b, d, mi), denom * denom)
+            table = kept.pop(mi, None)
+            if table is None:
+                table = w.projected_coproduct(d, mi, rows)
+            entry = divided(table, denom * denom)
             if entry:
                 coproduct[(d, i)] = entry
             ev = w.counit_of(d, mi)
             if ev:
                 counit[(d, i)] = ev
-        b._coset_coproducts.pop(d, None)
     return GradedWBA(w.max_degree, labels, product, unit, coproduct, counit)

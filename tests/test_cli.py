@@ -22,6 +22,7 @@ from faceq import wba
 
 from oracle import search_base_iso_exhaustive
 from test_golden import cycle, cycle_left_coaction_off_by_one_term
+from test_wba import copied
 
 THREE_CYCLE_DOC = {"vertices": ["1", "2", "3"], "arrows": [
     {"name": "p1", "source": "1", "target": "2"},
@@ -356,8 +357,10 @@ def test_window_too_large_exits_3(tmp_path, quiver_doc, degree):
 
 def test_face_visits_only_degrees_with_basis_elements(tmp_path, monkeypatch):
     """On an arrowless quiver at degree 200 only degree 0 has basis
-    elements, so coproduct multiplicativity flattens one degree pair's
-    products; a loop over every degree pair flattened 20,301."""
+    elements.  face proves h(Q)'s Delta multiplicative from kQ's unique
+    factorization and runs no join; the join itself, on the same h(Q),
+    flattens one degree pair's products, where a loop over every degree
+    pair flattened 20,301."""
     calls = []
     flatten = wba._flatten
     monkeypatch.setattr(wba, "_flatten", lambda rows: calls.append(rows) or flatten(rows))
@@ -366,19 +369,23 @@ def test_face_visits_only_degrees_with_basis_elements(tmp_path, monkeypatch):
     assert code == 0
     assert doc["dims"] == [4] + [0] * 200
     assert doc["axioms"]["passed"] is True
+    assert calls == []
+    w = wba.from_face_algebra(wba.path_algebra_presentation(qv.parse_quiver(Q_BULLETS_DOC), 200))
+    assert wba.multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree) == []
     assert len(calls) == 1
 
 
 def test_multiplicativity_flattens_right_legs_only(tmp_path, monkeypatch):
-    """A degree-3 verify of the doubled three-cycle runs three
-    multiplicativity joins (Delta and the two coactions) and flattens only
-    each pair's right-leg products.  Each join passes on the 5 generator
-    pairs, (0, 0), (0, 1), (1, 0), (1, 1) and (1, 2), and then stops on the
-    generator premise: 15 calls, where also visiting the left degree-0
-    pairs (0, 2) and (0, 3) made 21, visiting all 10 pairs made 30 and
-    flattening the left legs too made 50.  The premise's associativity join
-    runs once per presentation, for h(Q) and for kQ, and the three joins
-    share them."""
+    """A degree-3 verify of the doubled three-cycle runs two
+    multiplicativity joins (the two coactions; h(Q)'s Delta is proven from
+    kQ's unique factorization) and flattens only each pair's right-leg
+    products.  Each join passes on the 5 generator pairs, (0, 0), (0, 1),
+    (1, 0), (1, 1) and (1, 2), and then stops on the generator premise:
+    10 calls, where also joining Delta made 15, also visiting the left
+    degree-0 pairs (0, 2) and (0, 3) made 21, visiting all 10 pairs made 30
+    and flattening the left legs too made 50.  The premise's associativity
+    join runs once per presentation, for kQ (the joins' source) and then
+    for h(Q), and the two joins share them."""
     calls = []
     flatten = wba._flatten
     monkeypatch.setattr(wba, "_flatten", lambda rows: calls.append(rows) or flatten(rows))
@@ -390,8 +397,8 @@ def test_multiplicativity_flattens_right_legs_only(tmp_path, monkeypatch):
     code, doc = run_doc(tmp_path, ["verify", "--quiver", quiver, "--max-degree", "3"])
     assert code == 0
     assert doc["passed"] is True
-    assert len(calls) == 15
-    assert checked == [[9, 36, 144, 576], [3, 6, 12, 24]]
+    assert len(calls) == 10
+    assert checked == [[3, 6, 12, 24], [9, 36, 144, 576]]
 
 
 @pytest.mark.parametrize("command", ["verify", "coact", "uqsgd", "dual"])
@@ -821,17 +828,27 @@ def two_loop_canonical_document(degree):
     ids=["canonical", "document"])
 def test_coact_computes_coassociativity_on_every_degree(tmp_path, monkeypatch, relations,
                                                         extra):
-    """coact checks no axiom of the host, so it never computes the host's
-    Delta failures, and without them the comodule check computes
-    coassociativity on every degree: one run per degree at degree 3, which
-    the two canonical sides share."""
+    """coact checks no axiom of the host and runs no join of the host's
+    Delta, but h(Q) is known to be multiplicative from construction (kQ's
+    paths factor uniquely), so the comodule check computes coassociativity
+    on degrees 0 and 1, which the two canonical sides share, and proves it
+    on degrees 2 and 3; the counit row is computed on every degree.  Over
+    a plain-table copy of h(Q), whose Delta is not known, the same
+    coaction is computed on every degree."""
     runs = []
-    deltas = []
+    counits = []
+    joins = []
     matrix_failures = co._matrix_failures
     monkeypatch.setattr(co, "_matrix_failures",
                         lambda host, d, mat: runs.append(d) or matrix_failures(host, d, mat))
-    monkeypatch.setattr(wba.GradedWBA, "delta_failures",
-                        property(lambda w: deltas.append(w) or []))
+    counit_failures = co._counit_failures
+    monkeypatch.setattr(co, "_counit_failures",
+                        lambda host, d, mat: counits.append(d) or counit_failures(host, d, mat))
+    multiplicative = wba.multiplicative_failures
+    # a join of Delta has the host as both source and left leg
+    monkeypatch.setattr(wba, "multiplicative_failures",
+                        lambda src, image, left, *rest:
+                        joins.append(src is left) or multiplicative(src, image, left, *rest))
     args = ["coact", "--quiver", write_json(tmp_path / "q.json", TWO_LOOP_DOC),
             "--max-degree", "3"] + extra
     if relations is not None:
@@ -839,8 +856,16 @@ def test_coact_computes_coassociativity_on_every_degree(tmp_path, monkeypatch, r
     code, doc = run_doc(tmp_path, args)
     assert code == 0
     assert doc["passed"] is True
+    assert runs == [0, 1]
+    assert counits == [0, 1, 2, 3]
+    assert joins and not any(joins)
+    kq = wba.path_algebra_presentation(qv.parse_quiver(TWO_LOOP_DOC), 3)
+    h = wba.from_face_algebra(kq)
+    plain = copied(h)
+    runs.clear()
+    report = co.check_comodule_algebra(co.canonical_coactions(kq, ("left",))["left"], plain)
+    assert report == doc["coactions"]["left"]["comodule"]
     assert runs == [0, 1, 2, 3]
-    assert deltas == []
 
 
 @pytest.mark.parametrize("command, relations, presentations", [

@@ -19,7 +19,7 @@ from conftest import (break_degree_zero_associativity, dd_coaction, full_witness
 from fleet import (DEGREE_ZERO_SOURCES, FLEET, doubled_three_cycle, kronecker, q_bullets,
                    three_cycle, two_loop)
 from oracle import bialgebra_d, search_base_iso_exhaustive
-from test_wba import _set_entry
+from test_wba import _set_entry, copied
 
 ONE = Fraction(1)
 
@@ -620,8 +620,8 @@ def coalgebra_reports(spec, host):
 @st.composite
 def coalgebra_row_cases(draw):
     """A canonical left coaction, a copy with one entry set to {} or scaled
-    (by 1 too, which gives equal content), and whether the hosts have their
-    Delta checked first."""
+    (by 1 too, which gives equal content), and whether the hosts' Delta is
+    known to be multiplicative (see face_host)."""
     name = draw(st.sampled_from(sorted(FLEET)))
     q = FLEET[name]()
     degree = ORACLE_DEGREE.get(name, 3)
@@ -640,9 +640,13 @@ def coalgebra_row_cases(draw):
 
 
 def face_host(q, degree, delta_known):
+    """h(Q), whose Delta is known to be multiplicative from construction,
+    or else a plain-table copy of it, whose Delta is not known."""
     host = wba.from_face_algebra(wba.path_algebra_presentation(q, degree))
-    if delta_known:
-        assert host.delta_failures == []
+    assert host.delta_known_multiplicative()
+    if not delta_known:
+        host = copied(host)
+        assert not host.delta_known_multiplicative()
     return host
 
 
@@ -651,9 +655,10 @@ def face_host(q, degree, delta_known):
 def test_coalgebra_rows_are_shared_by_array_content(case):
     """One host checks the canonical coaction and its altered copy: each
     gets the coassociative, counital and degree{0,1} rows that a run on a
-    host of its own gives, and that the oracle loop gives, also when the
-    hosts' Delta is checked first and coassociativity of a multiplicative
-    coaction is computed on degrees 0 and 1 alone."""
+    host of its own gives, and that the oracle loop gives, both on h(Q),
+    whose Delta is known to be multiplicative, so that coassociativity of a
+    multiplicative coaction is computed on degrees 0 and 1 alone, and on a
+    copy whose Delta is not known."""
     q, degree, lam, copy, delta_known = case
     host = face_host(q, degree, delta_known)
     shared = [coalgebra_reports(spec, host) for spec in (lam, copy)]

@@ -25,7 +25,8 @@ from fleet import (FLEET, arrow_into_loop, doubled_three_cycle, kronecker, linea
                    one_loop, q_bullets, three_cycle, three_loop, two_loop)
 from oracle import (FaceElement, bialgebra_d, counit_splits_scan, direct_sum, double_quiver,
                     face_coproduct, face_counit, face_multiply, face_unit, monomial_label,
-                    product_path_indices, product_quiver, subspace_equal, unit_splits_scan)
+                    preprojective_relations, product_path_indices, product_quiver,
+                    subspace_equal, unit_splits_scan)
 from test_face import codec_variants, named_quivers
 
 ONE = Fraction(1)
@@ -77,8 +78,15 @@ def test_from_face_algebra_dims():
     assert face(three_cycle(), 4).dims() == [9, 9, 9, 9, 9]
 
 
-# paths per degree above which the product-quiver test lowers its degree
+# paths per degree above which the tests over drawn quivers lower their degree
 PRODUCT_QUIVER_PATHS = 16
+
+
+def lowered_degree(v, degree):
+    """degree, lowered while some degree of v has more than PRODUCT_QUIVER_PATHS paths."""
+    while degree and max(qv.path_count(v, e) for e in range(degree + 1)) > PRODUCT_QUIVER_PATHS:
+        degree -= 1
+    return degree
 
 
 @settings(max_examples=100, deadline=None)
@@ -90,9 +98,7 @@ def test_face_algebra_is_the_path_algebra_of_the_product_quiver(q, degree):
     on q, its opposite and its double.  The degree, at most 3, is lowered
     while some degree has more than PRODUCT_QUIVER_PATHS paths."""
     for v in codec_variants(q):
-        d = degree
-        while d and max(qv.path_count(v, e) for e in range(d + 1)) > PRODUCT_QUIVER_PATHS:
-            d -= 1
+        d = lowered_degree(v, degree)
         h = wba.face_algebra(wba.path_algebra_presentation(v, d))
         pq = product_quiver(v)
         kpq = wba.path_algebra_presentation(pq, d)
@@ -790,7 +796,9 @@ def test_delta_multiplicative_terms_that_cancel():
 
 
 def test_scaled_product_fails_delta_multiplicative():
-    w = wba.from_face_algebra(wba.path_algebra_presentation(two_loop(), 2))
+    """On a copy of h(Q) with its own tables, as a presentation never changes
+    once built: h(Q)'s own Delta is proven multiplicative from kQ's table."""
+    w = copied(wba.from_face_algebra(wba.path_algebra_presentation(two_loop(), 2)))
     i = w.labels[1].index("x[t1;t2]")
     j = w.labels[1].index("x[t2;t1]")
     ((m, c),) = w.product[(1, i, 1, j)].items()
@@ -806,6 +814,46 @@ def test_scaled_product_fails_delta_multiplicative():
                       ["x[t1;t2]", "x[t1;t1]"]],
     }
     assert len(wba.multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)) == 7
+
+
+@settings(max_examples=60, deadline=None)
+@given(named_quivers(), st.integers(0, 3))
+def test_unique_factorization_proves_delta_multiplicative(q, degree):
+    """kQ's paths factor uniquely, so h(Q)'s Delta is known to be
+    multiplicative from construction, and the full join agrees: on q, its
+    opposite and its double, at a degree of at most 3 (lowered as in the
+    product-quiver test)."""
+    for v in codec_variants(q):
+        kq = wba.path_algebra_presentation(v, lowered_degree(v, degree))
+        h = wba.from_face_algebra(kq)
+        assert wba._factors_uniquely(kq)
+        assert h.delta_known_multiplicative() and h.delta_failures == []
+        assert (wba.multiplicative_failures(h, h.coproduct_of, h, h, h.max_degree)
+                == pairwise_delta_multiplicative(h) == [])
+
+
+def test_commuting_loops_do_not_factor_uniquely():
+    """A kQ-like table for k[t1, t2] at degree 2, where t1 t2 and t2 t1 land
+    on one basis element: the flag is off, h(Q)'s Delta is not known, and
+    the join computes every failure, as the pairwise oracle lists them.
+    Delta(x[t1;t1] x[t2;t2]) has x[t1t2;t1t2] (x) x[t1t2;t1t2] once, the
+    product of the coproducts twice."""
+    labels = [["1"], ["t1", "t2"], ["t1t1", "t1t2", "t2t2"]]
+    product = {(0, 0, 0, 0): {0: 1}}
+    for d in (1, 2):
+        for i in range(len(labels[d])):
+            product[(0, 0, d, i)] = product[(d, i, 0, 0)] = {i: 1}
+    for i in range(2):
+        for j in range(2):
+            product[(1, i, 1, j)] = {i + j: 1}
+    kq = wba.GradedAlgebra(2, labels, product, {0: 1})
+    assert not wba._factors_uniquely(kq)
+    h = wba.from_face_algebra(kq)
+    assert not h.delta_known_multiplicative()
+    fails = h.delta_failures
+    assert fails and fails == pairwise_delta_multiplicative(h)
+    assert ["x[t1;t1]", "x[t2;t2]"] in fails
+    assert not wba.check_axioms(h)["passed"]
 
 
 def saturated_pieces(b, max_degree):
@@ -1055,14 +1103,17 @@ def test_coset_coproduct_check_matches_oracle_on_corrupted_hosts(b):
 
 
 def test_coset_coproducts_are_projected_once():
-    """quotient_wba with no report runs the check, and the two project each
-    host basis element once: every pivot in the check, every coset column
-    in the memo that the quotient's coproduct then reads and releases.  Given a report,
-    the quotient projects only the coset columns that no checked row
-    holds: all of degrees 0 and 1, whose pieces are zero.  Both match the
-    dense oracle.  A projection is a call of the host's
-    projected_coproduct(d, i, rows), each over the projection rows of its
-    own degree d; on h(Q) none reads the coproduct table."""
+    """A projection is a call of the host's projected_coproduct(d, i, rows),
+    each over the projection rows of its own degree d.  On h(Q), whose
+    Delta is known to be multiplicative, the check projects nothing (the
+    closure products descend), and quotient_wba, with or without a report,
+    projects each coset column once and no pivot; none reads the coproduct
+    table.  Over a plain-table copy of the host the check runs in full, and
+    the two project each host basis element once: every pivot in the
+    check, every coset column in the memo that the quotient's coproduct
+    then reads and releases.  Given that report, the quotient projects only
+    the coset columns that no checked row holds: all of degrees 0 and 1,
+    whose pieces are zero.  All match the dense oracle."""
 
     def projections(b, mp):
         host = b.host
@@ -1080,8 +1131,23 @@ def test_coset_coproducts_are_projected_once():
         assert all(r is rows[d] for d, _, r in calls)
         return [(d, i) for d, i, _ in calls]
 
+    def coset_columns(b, skip=()):
+        return [(d, m) for d in range(4)
+                for m in wba.biideal_graded_pieces(b, d).projection.cols if (d, m) not in skip]
+
     for side in ("left", "trans"):
-        b = mixed_relation_biideal(side)
+        for given_report in (False, True):
+            b = mixed_relation_biideal(side)
+            with pytest.MonkeyPatch.context() as mp:
+                calls = projections(b, mp)
+                report = wba.check_biideal(b, 3) if given_report else None
+                assert calls == [] and b._coset_coproducts == {}
+                quo = wba.quotient_wba(b, report=report)
+            assert projected(b, calls) == coset_columns(b)
+            assert "coproduct" not in b.host.__dict__
+            assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
+
+        b = on_copied_host(mixed_relation_biideal(side))
         with pytest.MonkeyPatch.context() as mp:
             calls = projections(b, mp)
             quo = wba.quotient_wba(b)
@@ -1089,28 +1155,28 @@ def test_coset_coproducts_are_projected_once():
         assert sorted(projected(b, calls)) == [(d, i) for d in range(4)
                                                for i in range(host.dim(d))]
         assert b._coset_coproducts == {}
-        assert "coproduct" not in host.__dict__
         assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
 
-        b = mixed_relation_biideal(side)
+        b = on_copied_host(mixed_relation_biideal(side))
         report = wba.check_biideal(b, 3)
         held = {(d, m) for d, memo in b._coset_coproducts.items() for m in memo}
         assert held and all(d >= 2 for d, _ in held)
         with pytest.MonkeyPatch.context() as mp:
             calls = projections(b, mp)
             quo = wba.quotient_wba(b, report=report)
-        assert projected(b, calls) == [(d, m) for d in range(4)
-                                       for m in wba.biideal_graded_pieces(b, d).projection.cols
-                                       if (d, m) not in held]
+        assert projected(b, calls) == coset_columns(b, held)
+        assert b._coset_coproducts == {}
         assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
 
 
 def test_quotient_releases_the_coset_coproducts():
-    """After quotient_wba divides a degree's projected coproducts it drops
-    them from the biideal; on rational input (D > 1) the quotient's tables
-    are new dicts, so the memo's would be held twice.  A second check
-    projects again and gives the same report."""
-    b = mixed_relation_biideal()
+    """A full check (here over a plain-table copy of the host) keeps the
+    coset columns' projected coproducts on the biideal, and quotient_wba
+    drops each as it divides it; on rational input (D > 1) the quotient's
+    tables are new dicts, so the memo's would be held twice.  A second
+    check projects again and gives the same report.  On h(Q) the check
+    keeps nothing, and the quotient is the same."""
+    b = on_copied_host(mixed_relation_biideal())
     assert any(wba.biideal_graded_pieces(b, d).projection.denom > 1 for d in range(4))
     with pytest.MonkeyPatch.context() as mp:
         full_witness_rows(mp)
@@ -1123,6 +1189,10 @@ def test_quotient_releases_the_coset_coproducts():
     assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
     assert wba.quotient_wba(b).coproduct == quo.coproduct
     assert b._coset_coproducts == {}
+    face = mixed_relation_biideal()
+    assert wba.check_biideal(face, 3) == report
+    assert face._coset_coproducts == {}
+    assert wba.quotient_wba(face, report=report).coproduct == quo.coproduct
 
 
 @st.composite
@@ -1132,8 +1202,7 @@ def face_host_biideals(draw, v, top):
     coaction-relation biideal, on a drawn side, of one or two random
     quadratic relations with int and Fraction coefficients, or one to four
     random generators."""
-    while top and max(qv.path_count(v, e) for e in range(top + 1)) > PRODUCT_QUIVER_PATHS:
-        top -= 1
+    top = lowered_degree(v, top)
     if top >= 2 and qv.path_count(v, 2) and draw(st.booleans()):
         coeffs = SCALARS.filter(bool)
         rows = draw(st.lists(st.dictionaries(st.integers(0, qv.path_count(v, 2) - 1), coeffs,
@@ -1202,6 +1271,95 @@ def test_face_projected_coproducts_match_the_table_on_each_verdict():
         b = mixed_relation_biideal(side)
         assert "scaled-pivot" in row_shapes(b)
         assert assert_face_projection_matches_the_table(b)["passed"]
+
+
+def full_path_report(b, top):
+    """check_biideal over b's generators in a fresh BiidealGens, with the
+    host's Delta taken as not known to be multiplicative: every piece row
+    is compared."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(type(b.host), "delta_known_multiplicative", lambda self: False)
+        return wba.check_biideal(wba.BiidealGens(b.host, b.generators), top)
+
+
+def assert_descent_matches_the_full_path(b):
+    """check_biideal on h(Q), known to be multiplicative, gives the full
+    path's report and the materializing oracle's, every witness included."""
+    assert b.host.delta_known_multiplicative()
+    top = b.host.max_degree
+    report = wba.check_biideal(b, top)
+    assert report == full_path_report(b, top)
+    assert_biideal_report_matches_oracle(b)
+    with pytest.MonkeyPatch.context() as mp:
+        full_witness_rows(mp)
+        assert wba.check_biideal(b, top) == full_path_report(b, top)
+    return report
+
+
+@st.composite
+def low_degree_biideals(draw):
+    """One to four generators in degrees 1 and 2 (1 alone on the Kronecker
+    quiver), with int and Fraction coefficients, over a fleet h(Q) as built."""
+    name = draw(st.sampled_from([n for n in sorted(FLEET) if n != "q-bullets"]))
+    host = wba.from_face_algebra(wba.path_algebra_presentation(FLEET[name](),
+                                                               PIECE_ORACLE_DEGREE.get(name, 3)))
+    degrees = [d for d in (1, 2) if host.dim(d)]
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.sampled_from(degrees))
+        gens.append((d, draw(st.dictionaries(st.integers(0, host.dim(d) - 1), SCALARS,
+                                             min_size=1, max_size=3))))
+    return wba.BiidealGens(host, gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(low_degree_biideals())
+def test_descent_from_closure_products_matches_the_full_path(b):
+    assert_descent_matches_the_full_path(b)
+
+
+def test_descent_on_the_doubled_three_cycle():
+    """The preprojective relation biideals of the doubled three-cycle, on
+    each side, pass; neither the check nor the quotient projects a pivot
+    column, and the check projects nothing.  The sum of a side's
+    generators, as one generator, has as closure products z g z' (z, z'
+    over the nine degree-0 basis elements) its 27 vertex components, none
+    equal to it: on the left and right these are the generators again, so
+    the pieces are the same and the check passes, while on the
+    transposed side the 54 generators give only 45 components, and descent
+    fails with the full path's witnesses."""
+    dbl, prep = preprojective_relations(three_cycle())
+    qd = pa.quadratic_data(dbl, prep, 3)
+    for side in uq.RESULT_SIDES:
+        b = uq._relation_biideal(wba.from_face_algebra(qd.ideal.host), qd, side)[1]
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            project = b.host.projected_coproduct
+            mp.setattr(b.host, "projected_coproduct",
+                       lambda d, i, rows: calls.append((d, i)) or project(d, i, rows))
+            report = wba.check_biideal(b, 3)
+            assert report["passed"] and calls == []
+            quo = wba.quotient_wba(b, report=report)
+        assert assert_descent_matches_the_full_path(b) == report
+        pivots = {(d, p) for d in range(4) for p in wba.biideal_graded_pieces(b, d).pivots}
+        assert calls and not pivots & set(calls)
+        assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
+
+        merged = {}
+        for _, g in b.generators:
+            for i, c in g.items():
+                bump(merged, i, c)
+        m = wba.BiidealGens(b.host, [(2, merged)])
+        components = list(wba._closure_products(m, 2))
+        assert len(components) == (45 if side == "trans" else 27)
+        assert int_row(merged) not in components
+        dims = [wba.biideal_graded_pieces(x, d).dim for x in (m, b) for d in range(4)]
+        report = assert_descent_matches_the_full_path(m)
+        if side == "trans":
+            assert dims == [0, 0, 45, 342, 0, 0, 54, 396]
+            assert [row["status"] for row in report["checks"]] == ["pass", "fail"]
+        else:
+            assert dims[:4] == dims[4:] and report["passed"]
 
 
 def test_biideal_pieces_match_oracle_on_mixed_degree_generators():
