@@ -37,11 +37,10 @@ delta_failures = [], while quotients and copies are checked by the join.
 Two-leg maps (L (x) R)(t) go through linalg.apply_legs: the weak-counit
 splits, which read each basis element's coproduct once, and the projected
 coproducts (pi (x) pi)Delta of the biideal check and the quotient, through
-GradedWBA.projected_coproduct.  h(Q) (FaceWBA) overrides that and delta by
-index arithmetic, Delta(x[a;b]) = sum_k x[a;k] (x) x[k;b], and builds its
-coproduct table only once something reads it, so the biideal check and the
-quotient never do.  The weak-unit splits are a join that pairs only terms
-with a nonzero product.
+GradedWBA.projected_coproduct.  Every coproduct is read through
+coproduct_of, which h(Q) (FaceWBA) serves by index arithmetic,
+Delta(x[a;b]) = sum_k x[a;k] (x) x[k;b], with no table.  The weak-unit
+splits are a join that pairs only terms with a nonzero product.
 """
 
 from functools import cached_property
@@ -125,7 +124,8 @@ class GradedWBA(GradedAlgebra):
     """A graded algebra plus degree-preserving coproduct and counit tables.
 
     coproduct maps (d, i) to a dict {(j, k): scalar} describing a sum of
-    u^d_j (x) u^d_k; counit maps (d, i) to its scalar value.  Both tables
+    u^d_j (x) u^d_k, read through coproduct_of alone (which FaceWBA
+    computes instead); counit maps (d, i) to its scalar value.  Both tables
     store nonzero data only.  The tables must not change once the object
     is built, so the eps(u_i u_j) table eps_products, the
     counital_subalgebras and the coproduct's multiplicativity failures
@@ -302,9 +302,9 @@ def _factors_uniquely(kq):
 class FaceWBA(GradedWBA):
     """h(Q) as a GradedWBA; path_counts[d] is n_d, kQ's number of paths of length d.
 
-    The counit is a table from the start.  The coproduct table is a cached
-    property, built on its first read; delta and projected_coproduct never
-    read it: Delta(x[a;b]) is index arithmetic over n_d.
+    The counit is a table from the start.  The coproduct is not a table:
+    coproduct_of computes Delta(x[a;b]) from the index a n_d + b, and the
+    inherited delta and projected_coproduct read it there.
 
     When kQ's paths factor uniquely (factors_uniquely, from
     _factors_uniquely), Delta is multiplicative on the whole window, and
@@ -329,51 +329,11 @@ class FaceWBA(GradedWBA):
             # the cached property's value, proven above
             self.delta_failures = []
 
-    @cached_property
-    def coproduct(self):
-        """Each Delta(x[a;b]) as a dict.fromkeys over the zipped index slices x[a;m] and x[m;b]."""
-        coproduct = {}
-        for d, n in enumerate(self.path_counts):
-            idd = list(range(n * n))  # one int object per basis index, as in face_algebra
-            # rows[a] lists x[a;m] and cols[b] lists x[m;b], over m in order
-            rows = [idd[a * n:(a + 1) * n] for a in range(n)]
-            cols = [idd[b::n] for b in range(n)]
-            for a in range(n):
-                for b in range(n):
-                    coproduct[(d, idd[a * n + b])] = dict.fromkeys(zip(rows[a], cols[b]), _ONE)
-        return coproduct
-
-    def delta(self, d, u):
-        """Delta(u) = sum c x[a;m] (x) x[m;b] over the terms c x[a;b] of u, in
-        the coproduct table's order; distinct (a, b) give distinct terms."""
-        n = self.path_counts[d]
-        out = {}
-        for i, c in u.items():
-            if not c:
-                continue
-            a, b = divmod(i, n)
-            for m in range(n):
-                out[(a * n + m, m * n + b)] = c
-        return out
-
-    def projected_coproduct(self, d, i, rows):
-        """sum_m rows[x[a;m]] (x) rows[x[m;b]] for u^d_i = x[a;b], as apply_legs
-        would give it on Delta(x[a;b]), terms in the same order."""
+    def coproduct_of(self, d, i):
+        """Delta(x[a;b]) = sum_m x[a;m] (x) x[m;b] for u^d_i = x[a;b], m in order."""
         n = self.path_counts[d]
         a, b = divmod(i, n)
-        get = rows.get
-        out = {}
-        for m in range(n):
-            lx, ry = get(a * n + m), get(m * n + b)
-            if not lx or not ry:
-                continue
-            for s, cs in lx.items():
-                for t, ct in ry.items():
-                    key = (s, t)
-                    out[key] = out.get(key, 0) + cs * ct
-        if not all(out.values()):
-            out = {key: v for key, v in out.items() if v}
-        return out
+        return {(a * n + m, m * n + b): _ONE for m in range(n)}
 
 
 def _eps_matrices(w):
@@ -917,8 +877,8 @@ def check_biideal(b, max_degree):
     is (pi (x) pi)Delta(u_i) times D*D: an exact comparison of int tables.
     Each P_m comes from _coset_coproduct; P_p is projected here, once, since
     every pivot belongs to one row.  Both are the host's projected_coproduct
-    over the piece's projection rows, so on h(Q) no coproduct table is read.
-    A failing report keeps every witness, in order.
+    over the piece's projection rows.  A failing report keeps every witness,
+    in order.
     """
     w = b.host
     if max_degree > w.max_degree:

@@ -8,7 +8,8 @@ paths componentwise, with the coproduct Δ(x[a;b]) = Σ_m x[a;m] ⊗ x[m;b],
 the counit and the counital maps; path elements with their products, and
 the former reading of a relations document through them; and two small
 weak bialgebras built by hand, the two-idempotent bialgebra D and direct
-sums; and the sum of several biideals' graded pieces, the reference for
+sums; a presentation's coproduct as a table, which h(Q) does not keep;
+and the sum of several biideals' graded pieces, the reference for
 the transposed biideal that spreads both sides' relations together.  It
 also keeps the exhaustive base-isomorphism search, the reference for the
 pruned one in coaction.search_base_iso; the scans of both weak-counit
@@ -444,6 +445,12 @@ def bialgebra_d(max_degree):
     return wba.GradedWBA(max_degree, labels, product, unit, coproduct, counit)
 
 
+def coproduct_table(w):
+    """{(d, i): w.coproduct_of(d, i)} over the nonzero coproducts, in basis order."""
+    return {(d, i): entry for d in range(w.max_degree + 1) for i in range(w.dim(d))
+            if (entry := w.coproduct_of(d, i))}
+
+
 def direct_sum(h, k):
     """Componentwise product, summed unit, blockwise coproduct and counit."""
     if h.max_degree != k.max_degree:
@@ -461,9 +468,9 @@ def direct_sum(h, k):
     for i, c in k.unit.items():
         unit[i + off[0]] = c
     coproduct = {}
-    for (d, i), entry in h.coproduct.items():
+    for (d, i), entry in coproduct_table(h).items():
         coproduct[(d, i)] = dict(entry)
-    for (d, i), entry in k.coproduct.items():
+    for (d, i), entry in coproduct_table(k).items():
         coproduct[(d, i + off[d])] = {(j + off[d], m + off[d]): c for (j, m), c in entry.items()}
     counit = {}
     for (d, i), c in h.counit.items():

@@ -339,13 +339,16 @@ def window_error(m):
 
 
 @pytest.mark.parametrize("quiver_doc, degree", [
-    (THREE_LOOP_DOC, 9), (ONE_LOOP_DOC, 10 ** 12), (Q_BULLETS_DOC, 10 ** 12),
-    (Q_BULLETS_DOC, 300)], ids=["three-loop-9", "one-loop-huge", "arrowless-huge",
-                                "arrowless-300"])
+    (THREE_LOOP_DOC, 9), (THREE_LOOP_DOC, 5), (ONE_LOOP_DOC, 10 ** 12),
+    (Q_BULLETS_DOC, 10 ** 12), (Q_BULLETS_DOC, 300)],
+    ids=["three-loop-9", "three-loop-5", "one-loop-huge", "arrowless-huge", "arrowless-300"])
 def test_window_too_large_exits_3(tmp_path, quiver_doc, degree):
     """The size guard refuses before any table is built, at once.  Degree
     triples count too, so an arrowless quiver cannot ask for a window whose
-    degree loops alone grow with the cube of the degree."""
+    degree loops alone grow with the cube of the degree.  The three-loop
+    quiver at degree 5 is refused by its n_d^3 coproduct terms alone: its
+    product entries and degree triples stay under the bound, and left
+    uqsgd there would build a quotient coproduct of that order."""
     quiver = write_json(tmp_path / "q.json", quiver_doc)
     start = time.perf_counter()
     code, doc = run_doc(tmp_path, ["face", "--quiver", quiver, "--max-degree", str(degree)])

@@ -18,7 +18,7 @@ from conftest import (break_degree_zero_associativity, dd_coaction, full_witness
                       matrix_failures_oracle, quantum_plane_relations)
 from fleet import (DEGREE_ZERO_SOURCES, FLEET, doubled_three_cycle, kronecker, q_bullets,
                    three_cycle, two_loop)
-from oracle import bialgebra_d, search_base_iso_exhaustive
+from oracle import bialgebra_d, coproduct_table, search_base_iso_exhaustive
 from test_wba import _set_entry, copied
 
 ONE = Fraction(1)
@@ -499,7 +499,7 @@ def corrupt(draw, host, spec, kind):
     Half of the host copies have their Delta checked first, so the comodule
     check may compute coassociativity on degrees 0 and 1 alone."""
     host = wba.GradedWBA(host.max_degree, host.labels, dict(host.product), host.unit,
-                         dict(host.coproduct), dict(host.counit))
+                         coproduct_table(host), dict(host.counit))
     algebra = wba.GradedAlgebra(spec.algebra.max_degree, spec.algebra.labels,
                                 dict(spec.algebra.product), spec.algebra.unit)
     coefficients = [[list(row) for row in mat] for mat in spec.coefficients]

@@ -28,8 +28,8 @@ from conftest import (bracket, check_biideal_oracle, check_descent_oracle, commu
                       quantum_plane_relations, quotient_algebra_oracle, quotient_coalgebra_oracle,
                       relation_rows)
 from fleet import FLEET, HOST_DEGREE, kronecker, three_cycle, three_loop, two_loop
-from oracle import (preprojective_relations, product_path_indices, product_quiver, subspace_equal,
-                    sum_of_pieces)
+from oracle import (coproduct_table, preprojective_relations, product_path_indices,
+                    product_quiver, subspace_equal, sum_of_pieces)
 from test_face import named_quivers
 from test_golden import (DOUBLED_THREE_CYCLE, PREPROJECTIVE_THREE_CYCLE, Q_COMMUTATORS,
                          QUANTUM_PLANE, THREE_LOOP, THREE_LOOP_COMMUTATORS, TWO_LOOP)
@@ -173,28 +173,14 @@ def test_verification_bundles(built_results):
 def test_trivial_ideal_reproduces_face_algebra(trivial_results):
     for name, (q, degree, res) in trivial_results.items():
         host = wba.from_face_algebra(wba.path_algebra_presentation(q, degree))
-        for field in ("max_degree", "labels", "product", "unit", "coproduct", "counit"):
+        for field in ("max_degree", "labels", "product", "unit", "counit"):
             assert getattr(res.quotient, field) == getattr(host, field), (name, field)
+        assert res.quotient.coproduct == coproduct_table(host), name
         assert len(res.biideal.generators) == 0
         for side, spec in res.induced_coactions.items():
             kq = wba.path_algebra_presentation(q, degree)
             canonical = co.canonical_coactions(kq, (side,))[side]
             assert spec.coefficients == canonical.coefficients
-
-
-@pytest.mark.parametrize("side", uq.RESULT_SIDES)
-def test_build_never_builds_the_face_coproduct_table(side):
-    """The biideal check and the quotient project h(Q)'s coproduct by
-    index arithmetic (FaceWBA.projected_coproduct), so a verified build
-    leaves h(Q)'s coproduct table unbuilt, on each side of the three-loop
-    commutators and of the preprojective three-cycle."""
-    q = three_loop()
-    dbl, prep = preprojective_relations(three_cycle())
-    for quiver, relations in ((q, commutator_relations(q)), (dbl, prep)):
-        result = uq.build_uqsgd(quiver, relations, side, 3)
-        assert result.verification["biideal"]["passed"]
-        assert isinstance(result.biideal.host, wba.FaceWBA)
-        assert "coproduct" not in result.biideal.host.__dict__
 
 
 def test_induced_coactions_transposed_for_trans(built_results):
@@ -384,7 +370,7 @@ def policy_typed(table):
 
 def corrupted(host, d, i, scale):
     """host with the first term of the coproduct of u^d_i scaled."""
-    coproduct = dict(host.coproduct)
+    coproduct = coproduct_table(host)
     entry = dict(coproduct[(d, i)])
     first = next(iter(entry))
     entry[first] *= scale
