@@ -36,11 +36,11 @@ it multiplicative on the whole window (see FaceWBA), so h(Q) is born with
 delta_failures = [], while quotients and copies are checked by the join.
 Two-leg maps (L (x) R)(t) go through linalg.apply_legs: the weak-counit
 splits, which read each basis element's coproduct once, and the projected
-coproducts (pi (x) pi)Delta of the biideal check and the quotient, through
-GradedWBA.projected_coproduct.  Every coproduct is read through
-coproduct_of, which h(Q) (FaceWBA) serves by index arithmetic,
-Delta(x[a;b]) = sum_k x[a;k] (x) x[k;b], with no table.  The weak-unit
-splits are a join that pairs only terms with a nonzero product.
+coproducts (pi (x) pi)Delta of the biideal check (_descends) and the
+quotient.  Every coproduct is read through coproduct_of, which h(Q)
+(FaceWBA) serves by index arithmetic, Delta(x[a;b]) = sum_k x[a;k] (x) x[k;b],
+with no table.  The weak-unit splits are a join that pairs only terms with
+a nonzero product.
 """
 
 from functools import cached_property
@@ -149,10 +149,6 @@ class GradedWBA(GradedAlgebra):
     def delta(self, d, u):
         """Coproduct of a coordinate dict, as a read-only {(j, k): scalar}."""
         return image_of(self.coproduct_of, d, u)
-
-    def projected_coproduct(self, d, i, rows):
-        """(L (x) L)Delta(u^d_i), with L given by rows as linalg.apply_legs reads them."""
-        return apply_legs(self.coproduct_of(d, i), rows, rows)
 
     def eps(self, d, u):
         total = 0
@@ -304,7 +300,7 @@ class FaceWBA(GradedWBA):
 
     The counit is a table from the start.  The coproduct is not a table:
     coproduct_of computes Delta(x[a;b]) from the index a n_d + b, and the
-    inherited delta and projected_coproduct read it there.
+    inherited delta reads it there.
 
     When kQ's paths factor uniquely (factors_uniquely, from
     _factors_uniquely), Delta is multiplicative on the whole window, and
@@ -717,8 +713,7 @@ class BiidealGens:
     that degree, or ValueError; zero and repeated generators are dropped,
     in first-seen order.  Graded pieces and ranks need only the host's
     product (a GradedAlgebra will do); check_biideal and quotient_wba need
-    a GradedWBA, and share the projected coproducts of the coset columns
-    that a full check made (see _coset_coproduct).
+    a GradedWBA.
     """
 
     def __init__(self, host, generators):
@@ -739,7 +734,6 @@ class BiidealGens:
         self.generators = tuple(gens)
         self._pieces = {}
         self._echelons = {}  # forward-reduced pieces not yet finalized
-        self._coset_coproducts = {}  # degree -> {coset column m: (pi (x) pi)Delta(u_m)}
 
 
 def _closure_products(b, d):
@@ -826,44 +820,24 @@ def biideal_graded_pieces(b, d):
     return b._pieces[d]
 
 
-def _coset_coproduct(b, d, m):
-    """(pi (x) pi)Delta(u_m) for a coset column m of the degree-d piece, times D*D.
-
-    D is the piece's projection denominator; the host's projected_coproduct
-    over its rows gives ints on an int host.  Projected on the first request
-    and then kept on b, so a full check_biideal projects each coset column
-    once, and quotient_wba takes the kept tables instead of projecting again.
-    """
-    memo = b._coset_coproducts.setdefault(d, {})
-    table = memo.get(m)
-    if table is None:
-        rows = biideal_graded_pieces(b, d).projection.rows
-        table = memo[m] = b.host.projected_coproduct(d, m, rows)
-    return table
-
-
-def _closure_descends(b, pieces):
-    """True iff (pi (x) pi)Delta(v) = 0 for every closure product v of the
-    generators in the degrees of pieces (_closure_products), each projected
-    at once from the host's delta."""
-    w = b.host
-    for d, piece in enumerate(pieces):
-        for v in _closure_products(b, d):
-            rows = piece.projection.rows
-            if apply_legs(w.delta(d, v), rows, rows):
-                return False
-    return True
+def _descends(w, d, piece, v):
+    """True iff (pi (x) pi)Delta(v) = 0 for a degree-d coordinate dict v of
+    the host w, pi the projection onto the cosets of piece: apply_legs over
+    its int rows, so the test is exact and never divides."""
+    rows = piece.projection.rows
+    return not apply_legs(w.delta(d, v), rows, rows)
 
 
 def check_biideal(b, max_degree):
     """Counit vanishing and coproduct descent for every graded piece ≤ max_degree.
 
     The counit-vanishes row tests eps on every canonical row of every piece.
+    Descent is one test, _descends.
 
     When the host's Delta is known to be multiplicative
     (delta_known_multiplicative, which never computes it), descent is
-    first compared on the closure products z g z' of the generators alone
-    (_closure_descends).  If they all descend, every piece row does, by
+    first tested on the closure products z g z' of the generators alone
+    (_closure_products).  If they all descend, every piece row does, by
     induction on the degree: the degree-d piece I_d is spanned by the
     closure products and by a r and r a with a of degree 1 and r in
     I_{d-1}, and Delta(a r) = Delta(a) Delta(r) lies in
@@ -871,14 +845,9 @@ def check_biideal(b, max_degree):
     and the same on the right; so no piece row is projected and the
     coproduct-descends row is empty.
 
-    Otherwise (or if some closure product fails) every row is compared: a
-    canonical int row a_p e_p + sum_m a_m e_m of the piece, with pivot p
-    and coset columns m, descends iff a_p P_p = -sum_m a_m P_m, where P_i
-    is (pi (x) pi)Delta(u_i) times D*D: an exact comparison of int tables.
-    Each P_m comes from _coset_coproduct; P_p is projected here, once, since
-    every pivot belongs to one row.  Both are the host's projected_coproduct
-    over the piece's projection rows.  A failing report keeps every witness,
-    in order.
+    Otherwise (or if some closure product fails) every canonical int row
+    of every piece is tested, so a failing report keeps every witness, in
+    order.
     """
     w = b.host
     if max_degree > w.max_degree:
@@ -887,19 +856,11 @@ def check_biideal(b, max_degree):
     eps_fails = [f"degree {d}, piece row {r}" for d, piece in enumerate(pieces)
                  for r, row in enumerate(piece.int_rows) if w.eps(d, row)]
     delta_fails = []
-    if not (w.delta_known_multiplicative() and _closure_descends(b, pieces)):
-        coset = lambda d, m: _coset_coproduct(b, d, m)
-        for d, piece in enumerate(pieces):
-            if not piece.dim:
-                continue
-            rows = piece.projection.rows
-            for r, (p, row) in enumerate(zip(piece.pivots, piece.int_rows)):
-                a_p = row[p]
-                pivot = w.projected_coproduct(d, p, rows)
-                if a_p != 1:
-                    pivot = {key: a_p * v for key, v in pivot.items()}
-                if pivot != image_of(coset, d, {m: -a for m, a in row.items() if m != p}):
-                    delta_fails.append(f"degree {d}, piece row {r}")
+    if not (w.delta_known_multiplicative()
+            and all(_descends(w, d, piece, v) for d, piece in enumerate(pieces)
+                    for v in _closure_products(b, d))):
+        delta_fails = [f"degree {d}, piece row {r}" for d, piece in enumerate(pieces)
+                       for r, row in enumerate(piece.int_rows) if not _descends(w, d, piece, row)]
     return report([("counit-vanishes", eps_fails), ("coproduct-descends", delta_fails)])
 
 
@@ -908,10 +869,9 @@ def quotient_wba(b, report=None):
 
     Refuses (with the failing report attached) unless the biideal check
     passes up to the host truncation.  Labels name coset representatives;
-    the coproduct of each coset column m is (pi (x) pi)Delta(u_m) divided
-    by D*D at once: the table a full check kept on b (_coset_coproduct),
-    dropped from b as it is read, or else the host's projected_coproduct,
-    so no degree's projected tables are held beside the quotient's.
+    the coproduct of each coset column m is (pi (x) pi)Delta(u_m), projected
+    by apply_legs over the piece's int projection rows and divided by D*D
+    at once, so no degree's projected tables are held beside the quotient's.
     """
     w = b.host
     if report is None:
@@ -937,12 +897,8 @@ def quotient_wba(b, report=None):
     counit = {}
     for d in range(w.max_degree + 1):
         rows, denom = projs[d].rows, projs[d].denom
-        kept = b._coset_coproducts.pop(d, {})
         for i, mi in enumerate(projs[d].cols):
-            table = kept.pop(mi, None)
-            if table is None:
-                table = w.projected_coproduct(d, mi, rows)
-            entry = divided(table, denom * denom)
+            entry = divided(apply_legs(w.coproduct_of(d, mi), rows, rows), denom * denom)
             if entry:
                 coproduct[(d, i)] = entry
             ev = w.counit_of(d, mi)

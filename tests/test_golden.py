@@ -1,7 +1,7 @@
 """Report bytes pinned for every subcommand on small fleet cases at degree 2,
 for verify on the doubled three-cycle, uqsgd --side trans on the
 three-loop commutators and q-commutators and uqsgd --side left on the
-three-loop commutators at degree 3, for uqsgd --side
+three-loop commutators and q-commutators at degree 3, for uqsgd --side
 trans on the three-loop commutators and dual on the three-loop
 q-commutators at degree 4, the CLI's default --max-degree, and for uqsgd
 --side trans and dual on the preprojective algebra of the three-cycle at
@@ -23,7 +23,8 @@ biideal on degree-3 pieces.  The quantum-plane cases carry the non-integer
 coefficient -1/2, so the rational path is pinned as well as the integer
 one.  The three-loop q-commutators at degree 3 give uqsgd pieces whose
 projections have denominators, so the int-row projection over a common
-denominator is pinned too.  At degree 4 the dual's degree-3 biideal pieces
+denominator is pinned too, and on the left side the quotient coproduct's
+division by the square of that denominator.  At degree 4 the dual's degree-3 biideal pieces
 are both spread from and finalized, while degree 4 is only ranked.  The
 preprojective cases read a plain relations document on the doubled
 three-cycle, one relation per vertex, and run the checks on a quotient of
@@ -158,6 +159,9 @@ CASES = {
     "uqsgd-three-loop-commutators-left-degree-3": (
         "uqsgd", THREE_LOOP, THREE_LOOP_COMMUTATORS, ["--side", "left", "--max-degree", "3"],
         "366a52c77642cc2adb8393160e46861fa057fd4852f5d8877cdb9d636226d7c4"),
+    "uqsgd-three-loop-q-commutators-left-degree-3": (
+        "uqsgd", THREE_LOOP, Q_COMMUTATORS, ["--side", "left", "--max-degree", "3"],
+        "dc209e28b249eb291d827fe6288f73507b74803b9e55af974fd4260eb5106ee9"),
     "uqsgd-three-loop-commutators-trans-degree-4": (
         "uqsgd", THREE_LOOP, THREE_LOOP_COMMUTATORS, ["--side", "trans", "--max-degree", "4"],
         "342923d191e305df0ceb5563ba68bd0280f94353266ae895193d4bb2d73d55df"),

@@ -19,8 +19,8 @@ from faceq.linalg import Echelon, Subspace, bump, int_row
 
 from conftest import (break_degree_zero_associativity, check_biideal_oracle,
                       commutator_relations, degree_zero_associativity_keys,
-                      face_coaction_relations, full_witness_rows, quantum_plane_relations,
-                      quotient_coalgebra_oracle, relation_rows)
+                      face_coaction_relations, full_witness_rows, q_commutator_relations,
+                      quantum_plane_relations, quotient_coalgebra_oracle, relation_rows)
 from fleet import (FLEET, arrow_into_loop, doubled_three_cycle, kronecker, linear_three,
                    one_loop, q_bullets, three_cycle, three_loop, two_loop)
 from oracle import (FaceElement, bialgebra_d, coproduct_table, counit_splits_scan, direct_sum,
@@ -1031,12 +1031,20 @@ def on_copied_host(b):
     return wba.BiidealGens(copied(b.host), b.generators)
 
 
-def test_coset_coproduct_check_matches_oracle_on_each_verdict():
+def test_descent_check_matches_oracle_on_each_verdict():
     """The mixed relation biideal as built, and over a copy of its host
     with the counit of a lone row's pivot set to 1, or with a term
-    u_m (x) u_m added to Delta(u_m) for a coset column m of a degree-2 row:
-    each fails only its own row, and every witness equals the
-    materializing oracle's."""
+    u_m (x) u_m added to Delta(u_m) for a coset column m of a degree-2 or
+    a degree-3 row: each fails only its own row, and every witness equals
+    the materializing oracle's.  Every closure product (all of degree 2)
+    still descends on the degree-3 corruption, so only the test of every
+    piece row, taken because a copy's Delta is not known to be
+    multiplicative, finds it.  On the left and transposed sides the passing
+    biideal's quotient, over h(Q) and over a copy of its host (where the
+    check tests every piece row), with and without a given report, has the
+    dense oracle's coalgebra tables, and a repeated check gives an equal
+    report; some of its projections have a denominator D > 1, so the
+    coproduct's division by D*D is pinned."""
     assert row_shapes(mixed_relation_biideal()) >= {"lone", "multi", "binomial", "scaled-pivot"}
 
     def lone_pivot(b):
@@ -1044,24 +1052,38 @@ def test_coset_coproduct_check_matches_oracle_on_each_verdict():
                     for p, row in zip(wba.biideal_graded_pieces(b, d).pivots,
                                       wba.biideal_graded_pieces(b, d).basis) if len(row) == 1)
 
-    def coset_term(b):
-        piece = wba.biideal_graded_pieces(b, 2)
+    def coset_term(b, d):
+        piece = wba.biideal_graded_pieces(b, d)
         return next(m for p, row in zip(piece.pivots, piece.basis) for m in row if m != p)
 
     counit_case = on_copied_host(mixed_relation_biideal())
     d, p = lone_pivot(counit_case)
     counit_case.host.counit[(d, p)] = 1
-    coproduct_case = on_copied_host(mixed_relation_biideal())
-    m = coset_term(coproduct_case)
-    _set_entry(coproduct_case.host.coproduct, (2, m), (m, m),
-               coproduct_case.host.coproduct_of(2, m).get((m, m), 0) + 1)
-    cases = {"pass": mixed_relation_biideal(), "counit-vanishes": counit_case,
-             "coproduct-descends": coproduct_case}
-    for failing, b in cases.items():
+    cases = [("pass", mixed_relation_biideal()), ("counit-vanishes", counit_case)]
+    for d in (2, 3):
+        b = on_copied_host(mixed_relation_biideal())
+        m = coset_term(b, d)
+        _set_entry(b.host.coproduct, (d, m), (m, m), b.host.coproduct_of(d, m).get((m, m), 0) + 1)
+        cases.append(("coproduct-descends", b))
+    # b is the degree-3 corruption, which no closure product sees
+    assert all(wba._descends(b.host, d, wba.biideal_graded_pieces(b, d), v)
+               for d, v in closure_products(b, 3))
+    for failing, b in cases:
         report = wba.check_biideal(b, 3)
         assert [row["check"] for row in report["checks"] if row["status"] == "fail"] == \
             ([] if failing == "pass" else [failing])
         assert_biideal_report_matches_oracle(b)
+
+    for side in ("left", "trans"):
+        assert any(wba.biideal_graded_pieces(mixed_relation_biideal(side), d).projection.denom > 1
+                   for d in range(4))
+        for host in (lambda b: b, on_copied_host):
+            for given_report in (False, True):
+                b = host(mixed_relation_biideal(side))
+                report = wba.check_biideal(b, 3)
+                quo = wba.quotient_wba(b, report=report if given_report else None)
+                assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
+                assert report["passed"] and wba.check_biideal(b, 3) == report
 
 
 @st.composite
@@ -1094,108 +1116,15 @@ def corrupted_biideals(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(corrupted_biideals())
-def test_coset_coproduct_check_matches_oracle_on_corrupted_hosts(b):
-    """check_biideal compares int_row-scaled pivot images with the coset
-    columns' memoized ones; the oracle projects Delta(row) in Fractions.
-    When the check passes, the quotient's coalgebra tables, divided from
-    the same memo, equal the dense oracle's."""
+def test_descent_check_matches_oracle_on_corrupted_hosts(b):
+    """check_biideal tests the int projection of Delta(row) for zero; the
+    oracle projects Delta(row) in Fractions.  When the check passes, the
+    quotient's coalgebra tables, divided from the same int projections,
+    equal the dense oracle's."""
     assert_biideal_report_matches_oracle(b)
     if wba.check_biideal(b, b.host.max_degree)["passed"]:
         quo = wba.quotient_wba(b)
         assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
-
-
-def test_coset_coproducts_are_projected_once():
-    """A projection is a call of the host's projected_coproduct(d, i, rows),
-    each over the projection rows of its own degree d.  On h(Q), whose
-    Delta is known to be multiplicative, the check projects nothing (the
-    closure products descend), and quotient_wba, with or without a report,
-    projects each coset column once and no pivot.  Over a plain-table
-    copy of the host the check runs in full, and the two project each host
-    basis element once: every pivot in the check, every coset column in
-    the memo that the quotient's coproduct then reads and releases.  Given
-    that report, the quotient projects only the coset columns that no
-    checked row holds: all of degrees 0 and 1, whose pieces are zero.  All
-    match the dense oracle."""
-
-    def projections(b, mp):
-        host = b.host
-        project = host.projected_coproduct
-        calls = []
-
-        def counted(d, i, rows):
-            calls.append((d, i, rows))
-            return project(d, i, rows)
-        mp.setattr(host, "projected_coproduct", counted)
-        return calls
-
-    def projected(b, calls):
-        rows = [wba.biideal_graded_pieces(b, d).projection.rows for d in range(4)]
-        assert all(r is rows[d] for d, _, r in calls)
-        return [(d, i) for d, i, _ in calls]
-
-    def coset_columns(b, skip=()):
-        return [(d, m) for d in range(4)
-                for m in wba.biideal_graded_pieces(b, d).projection.cols if (d, m) not in skip]
-
-    for side in ("left", "trans"):
-        for given_report in (False, True):
-            b = mixed_relation_biideal(side)
-            with pytest.MonkeyPatch.context() as mp:
-                calls = projections(b, mp)
-                report = wba.check_biideal(b, 3) if given_report else None
-                assert calls == [] and b._coset_coproducts == {}
-                quo = wba.quotient_wba(b, report=report)
-            assert projected(b, calls) == coset_columns(b)
-            assert not hasattr(b.host, "coproduct")
-            assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
-
-        b = on_copied_host(mixed_relation_biideal(side))
-        with pytest.MonkeyPatch.context() as mp:
-            calls = projections(b, mp)
-            quo = wba.quotient_wba(b)
-        host = b.host
-        assert sorted(projected(b, calls)) == [(d, i) for d in range(4)
-                                               for i in range(host.dim(d))]
-        assert b._coset_coproducts == {}
-        assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
-
-        b = on_copied_host(mixed_relation_biideal(side))
-        report = wba.check_biideal(b, 3)
-        held = {(d, m) for d, memo in b._coset_coproducts.items() for m in memo}
-        assert held and all(d >= 2 for d, _ in held)
-        with pytest.MonkeyPatch.context() as mp:
-            calls = projections(b, mp)
-            quo = wba.quotient_wba(b, report=report)
-        assert projected(b, calls) == coset_columns(b, held)
-        assert b._coset_coproducts == {}
-        assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
-
-
-def test_quotient_releases_the_coset_coproducts():
-    """A full check (here over a plain-table copy of the host) keeps the
-    coset columns' projected coproducts on the biideal, and quotient_wba
-    drops each as it divides it; on rational input (D > 1) the quotient's
-    tables are new dicts, so the memo's would be held twice.  A second
-    check projects again and gives the same report.  On h(Q) the check
-    keeps nothing, and the quotient is the same."""
-    b = on_copied_host(mixed_relation_biideal())
-    assert any(wba.biideal_graded_pieces(b, d).projection.denom > 1 for d in range(4))
-    with pytest.MonkeyPatch.context() as mp:
-        full_witness_rows(mp)
-        report = wba.check_biideal(b, 3)
-        assert b._coset_coproducts
-        quo = wba.quotient_wba(b, report=report)
-        assert b._coset_coproducts == {}
-        assert report["passed"] and wba.check_biideal(b, 3) == report
-    assert b._coset_coproducts
-    assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
-    assert wba.quotient_wba(b).coproduct == quo.coproduct
-    assert b._coset_coproducts == {}
-    face = mixed_relation_biideal()
-    assert wba.check_biideal(face, 3) == report
-    assert face._coset_coproducts == {}
-    assert wba.quotient_wba(face, report=report).coproduct == quo.coproduct
 
 
 @st.composite
@@ -1314,10 +1243,28 @@ def test_descent_from_closure_products_matches_the_full_path(b):
     assert_descent_matches_the_full_path(b)
 
 
+def descends_calls(mp):
+    """The (degree, element) of each later wba._descends call, in order."""
+    calls = []
+    descends = wba._descends
+
+    def counted(w, d, piece, v):
+        calls.append((d, v))
+        return descends(w, d, piece, v)
+    mp.setattr(wba, "_descends", counted)
+    return calls
+
+
+def closure_products(b, top):
+    """(degree, z g z') over the closure products of b's generators up to top, in order."""
+    return [(d, v) for d in range(top + 1) for v in wba._closure_products(b, d)]
+
+
 def test_descent_on_the_doubled_three_cycle():
     """The preprojective relation biideals of the doubled three-cycle, on
-    each side, pass; neither the check nor the quotient projects a pivot
-    column, and the check projects nothing.  The sum of a side's
+    each side, pass.  The check tests descent on exactly the closure
+    products, never on a piece row, and the quotient reads the coproduct
+    of each coset column once, in order, and of no pivot.  The sum of a side's
     generators, as one generator, has as closure products z g z' (z, z'
     over the nine degree-0 basis elements) its 27 vertex components, none
     equal to it: on the left and right these are the generators again, so
@@ -1328,17 +1275,21 @@ def test_descent_on_the_doubled_three_cycle():
     qd = pa.quadratic_data(dbl, prep, 3)
     for side in uq.RESULT_SIDES:
         b = uq._relation_biideal(wba.from_face_algebra(qd.ideal.host), qd, side)[1]
-        calls = []
         with pytest.MonkeyPatch.context() as mp:
-            project = b.host.projected_coproduct
-            mp.setattr(b.host, "projected_coproduct",
-                       lambda d, i, rows: calls.append((d, i)) or project(d, i, rows))
+            calls = descends_calls(mp)
             report = wba.check_biideal(b, 3)
-            assert report["passed"] and calls == []
+        assert report["passed"] and calls == closure_products(b, 3)
+        with pytest.MonkeyPatch.context() as mp:
+            reads = []
+            coproduct_of = b.host.coproduct_of
+            mp.setattr(b.host, "coproduct_of",
+                       lambda d, i: reads.append((d, i)) or coproduct_of(d, i))
             quo = wba.quotient_wba(b, report=report)
         assert assert_descent_matches_the_full_path(b) == report
         pivots = {(d, p) for d in range(4) for p in wba.biideal_graded_pieces(b, d).pivots}
-        assert calls and not pivots & set(calls)
+        assert reads == [(d, m) for d in range(4)
+                         for m in wba.biideal_graded_pieces(b, d).projection.cols]
+        assert not pivots & set(reads)
         assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
 
         merged = {}
@@ -1467,3 +1418,20 @@ def test_three_loop_commutator_biideal_add_count(monkeypatch):
     assert saturation == [True] * 36 * 2
     monkeypatch.undo()
     assert_pieces_match(wba.BiidealGens(host, gens), 3)
+
+
+@pytest.mark.parametrize("side", uq.RESULT_SIDES)
+@pytest.mark.parametrize("family", ["commutators", "q-commutators"])
+def test_uqsgd_biideals_descend_on_closure_products(family, side):
+    """build_uqsgd at degree 3 on the three-loop commutators and
+    q-commutators (-2, 1/2, -3/4), the CLI's relation biideals, tests
+    descent on exactly the closure products of its generators and on no
+    piece row: the check's shortcut decides every passing report."""
+    q = three_loop()
+    relations = (commutator_relations(q) if family == "commutators" else
+                 q_commutator_relations(q, [-2, Fraction(1, 2), Fraction(-3, 4)]))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = descends_calls(mp)
+        res = uq.build_uqsgd(q, relations, side, 3)
+    assert res.verification["biideal"]["passed"]
+    assert calls == closure_products(res.biideal, 3)
