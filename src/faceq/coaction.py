@@ -11,10 +11,9 @@ Multiplicativity of a coaction is the identity that makes Delta
 multiplicative, so the comodule-algebra check runs wba.multiplicative_failures,
 the one join over nonzero coefficient entries, algebra products and host
 products, on the coaction's images with the host leg first.  The
-coassociativity and counit rows of one degree's array are computed once
-per host, row and array content, so the two sides of a transposed pair,
-which share one coefficient family, and the structure lemmas read one
-result.  Coassociativity above degree 1 is proven from generators when
+coassociativity and counit rows of one degree's array come from one pass,
+_coalgebra_rows, which each check runs for itself; no check writes to
+the host.  Coassociativity above degree 1 is proven from generators when
 check_comodule_algebra's premises hold, and computed otherwise.
 """
 
@@ -67,59 +66,41 @@ def canonical_coactions(kq, sides):
     return {side: CoactionSpec(side, kq, coefficients) for side in sides}
 
 
-def _matrix_failures(host, d, mat):
-    """Index pairs (j, l) failing Δ(y_jl) = Σ_k y_jk ⊗ y_kl on one degree's
-    coefficient array.  The sum visits only nonzero entries, flattened to
-    (m, c) tuples once: each term c u_m of y_jk is joined once with row k's
-    entries, and cancelled terms are dropped once, before the comparison."""
-    entries = [[(k, tuple(ent.items())) for k, ent in enumerate(row) if ent] for row in mat]
-    fails = []
+def _coalgebra_rows(host, algebra, d, mat, coassociative=True):
+    """Pairs of algebra labels (j, l) failing Δ(y_jl) = Σ_k y_jk ⊗ y_kl
+    (computed only when coassociative) and ε(y_jl) = δ_jl on one degree's
+    coefficient array, as (coassociative, counital), from one pass.  The
+    sum visits only nonzero entries, flattened to (m, c) tuples once: each
+    term c u_m of y_jk is joined once with row k's entries, and cancelled
+    terms are dropped once, before the comparison."""
+    labels = algebra.labels[d]
+    entries = [[(k, tuple(ent.items())) for k, ent in enumerate(row) if ent]
+               for row in mat] if coassociative else None
+    coassoc_fails = []
+    counit_fails = []
     for j, row in enumerate(mat):
         rhs = {}
-        # each term cm u_m of y_jk, joined with row k's entries
-        terms = [(m, cm, entries[k]) for k, ent in enumerate(row) for m, cm in ent.items()]
-        for m, cm, row_k in terms:
-            for l, ykl in row_k:
-                out = rhs.get(l)
-                if out is None:
-                    out = rhs[l] = {}
-                for nn, cn in ykl:
-                    key = (m, nn)
-                    out[key] = out.get(key, 0) + cm * cn
+        if coassociative:
+            # each term cm u_m of y_jk, joined with row k's entries
+            for k, yjk in enumerate(row):
+                for m, cm in yjk.items():
+                    for l, ykl in entries[k]:
+                        out = rhs.get(l)
+                        if out is None:
+                            out = rhs[l] = {}
+                        for nn, cn in ykl:
+                            key = (m, nn)
+                            out[key] = out.get(key, 0) + cm * cn
         for l, yjl in enumerate(row):
-            out = rhs.get(l, {})
-            if not all(out.values()):
-                out = {key: c for key, c in out.items() if c}
-            if host.delta(d, yjl) != out:
-                fails.append((j, l))
-    return fails
-
-
-def _counit_failures(host, d, mat):
-    """Index pairs (j, l) failing ε(y_jl) = δ_jl on one degree's coefficient array."""
-    return [(j, l) for j, row in enumerate(mat) for l, yjl in enumerate(row)
-            if host.eps(d, yjl) != (_ONE if j == l else 0)]
-
-
-def _coalgebra_rows(host, algebra, d, mat, names=("coassociative", "counital")):
-    """The named rows of one degree's array, each as a list of pairs of
-    algebra labels: coassociative (_matrix_failures) and counital
-    (_counit_failures).
-
-    Each row's index pairs are kept in host.coalgebra_rows under its name,
-    the degree and the array's content, so an equal array, on either side,
-    is not checked again.
-    """
-    content = (d, tuple(tuple(frozenset(ent.items()) for ent in row) for row in mat))
-    labels = algebra.labels[d]
-    rows = []
-    for name in names:
-        found = host.coalgebra_rows.get((name, content))
-        if found is None:
-            run = _matrix_failures if name == "coassociative" else _counit_failures
-            found = host.coalgebra_rows[name, content] = run(host, d, mat)
-        rows.append([[labels[j], labels[l]] for j, l in found])
-    return tuple(rows)
+            if coassociative:
+                out = rhs.get(l, {})
+                if not all(out.values()):
+                    out = {key: c for key, c in out.items() if c}
+                if host.delta(d, yjl) != out:
+                    coassoc_fails.append([labels[j], labels[l]])
+            if host.eps(d, yjl) != (_ONE if j == l else 0):
+                counit_fails.append([labels[j], labels[l]])
+    return coassoc_fails, counit_fails
 
 
 def check_comodule_algebra(c, host):
@@ -160,11 +141,8 @@ def check_comodule_algebra(c, host):
     rows = [_coalgebra_rows(host, algebra, d, y[d]) for d in range(min(max_degree, 1) + 1)]
     proven = (not mult_fails and not any(coassoc for coassoc, _ in rows)
               and host.delta_known_multiplicative() and algebra.generator_reducible)
-    for d in range(2, max_degree + 1):
-        if proven:
-            rows.append(([], *_coalgebra_rows(host, algebra, d, y[d], ("counital",))))
-        else:
-            rows.append(_coalgebra_rows(host, algebra, d, y[d]))
+    rows += [_coalgebra_rows(host, algebra, d, y[d], not proven)
+             for d in range(2, max_degree + 1)]
 
     unit_fails = []
     counital = wba.counital_subalgebra(host, "source" if left else "target")

@@ -129,16 +129,13 @@ class GradedWBA(GradedAlgebra):
     store nonzero data only.  The tables must not change once the object
     is built, so the eps(u_i u_j) table eps_products, the
     counital_subalgebras and the coproduct's multiplicativity failures
-    delta_failures are cached properties; coalgebra_rows keeps the
-    coassociativity and counit witnesses of coaction coefficient arrays,
-    which the coaction checks key by row, degree and array content.
+    delta_failures are cached properties.
     """
 
     def __init__(self, max_degree, labels, product, unit, coproduct, counit):
         super().__init__(max_degree, labels, product, unit)
         self.coproduct = coproduct
         self.counit = counit
-        self.coalgebra_rows = {}
 
     def coproduct_of(self, d, i):
         return self.coproduct.get((d, i), {})
@@ -300,7 +297,7 @@ class FaceWBA(GradedWBA):
 
     The counit is a table from the start.  The coproduct is not a table:
     coproduct_of computes Delta(x[a;b]) from the index a n_d + b, and the
-    inherited delta reads it there.
+    inherited delta reads it there, so __init__ skips GradedWBA's.
 
     When kQ's paths factor uniquely (factors_uniquely, from
     _factors_uniquely), Delta is multiplicative on the whole window, and
@@ -320,7 +317,6 @@ class FaceWBA(GradedWBA):
         GradedAlgebra.__init__(self, alg.max_degree, alg.labels, alg.product, alg.unit)
         self.path_counts = path_counts
         self.counit = {(d, a * n + a): _ONE for d, n in enumerate(path_counts) for a in range(n)}
-        self.coalgebra_rows = {}
         if factors_uniquely:
             # the cached property's value, proven above
             self.delta_failures = []

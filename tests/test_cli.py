@@ -784,28 +784,28 @@ def test_one_eps_table_per_presentation(tmp_path, monkeypatch, command, relation
     ("uqsgd", THREE_LOOP_DOC, THREE_LOOP_COMMUTATORS_DOC, ["--side", "trans"], 2)])
 def test_coalgebra_rows_and_product_index_built_once(tmp_path, monkeypatch, command, quiver,
                                                      relations, extra, presentations):
-    """At degree 3 the two coaction sides share one coefficient family, so
-    their comodule checks and structure lemmas read one coassociativity run
-    per degree it is computed on.  The host's Delta is checked before the
-    coactions and passes, and so do both coactions' multiplicativity, so
-    coassociativity is computed on degrees 0 and 1 alone: 2 runs, where
-    computing every degree made 4 and unshared checks made 12.  Each
-    presentation indexes its products once: the face algebra (verify) or
-    the quotient (uqsgd), and the one algebra both coactions act on."""
-    runs = []
+    """At degree 3 each coaction side's comodule check and structure lemmas
+    compute their own coalgebra rows.  The host's Delta is checked before
+    the coactions and passes, and so do both coactions' multiplicativity,
+    so each comodule check computes coassociativity on degrees 0 and 1
+    alone and the counit row on every degree, and the structure lemmas
+    compute both rows on degrees 0 and 1.  Each presentation indexes its
+    products once: the face algebra (verify) or the quotient (uqsgd), and
+    the one algebra both coactions act on."""
+    rows = []
     indexed = []
-    matrix_failures = co._matrix_failures
+    coalgebra_rows = co._coalgebra_rows
     products_by_left = wba._products_by_left
 
-    def counted_runs(host, d, mat):
-        runs.append(d)
-        return matrix_failures(host, d, mat)
+    def counted_rows(host, algebra, d, mat, coassociative=True):
+        rows.append((d, coassociative))
+        return coalgebra_rows(host, algebra, d, mat, coassociative)
 
     def counted_index(product):
         indexed.append(product)
         return products_by_left(product)
 
-    monkeypatch.setattr(co, "_matrix_failures", counted_runs)
+    monkeypatch.setattr(co, "_coalgebra_rows", counted_rows)
     monkeypatch.setattr(wba, "_products_by_left", counted_index)
     args = [command, "--quiver", write_json(tmp_path / "q.json", quiver),
             "--max-degree", "3"] + extra
@@ -814,7 +814,9 @@ def test_coalgebra_rows_and_product_index_built_once(tmp_path, monkeypatch, comm
     code, doc = run_doc(tmp_path, args)
     assert code == 0
     assert doc["passed"] is True
-    assert runs == [0, 1]
+    comodule = [(0, True), (1, True), (2, False), (3, False)]
+    lemmas = [(0, True), (1, True)]
+    assert rows == (comodule + lemmas) * 2
     assert len(indexed) == len({id(product) for product in indexed}) == presentations
 
 
@@ -833,20 +835,19 @@ def test_coact_computes_coassociativity_on_every_degree(tmp_path, monkeypatch, r
                                                         extra):
     """coact checks no axiom of the host and runs no join of the host's
     Delta, but h(Q) is known to be multiplicative from construction (kQ's
-    paths factor uniquely), so the comodule check computes coassociativity
-    on degrees 0 and 1, which the two canonical sides share, and proves it
-    on degrees 2 and 3; the counit row is computed on every degree.  Over
-    a plain-table copy of h(Q), whose Delta is not known, the same
-    coaction is computed on every degree."""
-    runs = []
-    counits = []
+    paths factor uniquely), so each comodule check computes coassociativity
+    on degrees 0 and 1 and proves it on degrees 2 and 3, and computes the
+    counit row on every degree.  Over a plain-table copy of h(Q), whose
+    Delta is not known, the same coaction is computed on every degree."""
+    rows = []
     joins = []
-    matrix_failures = co._matrix_failures
-    monkeypatch.setattr(co, "_matrix_failures",
-                        lambda host, d, mat: runs.append(d) or matrix_failures(host, d, mat))
-    counit_failures = co._counit_failures
-    monkeypatch.setattr(co, "_counit_failures",
-                        lambda host, d, mat: counits.append(d) or counit_failures(host, d, mat))
+    coalgebra_rows = co._coalgebra_rows
+
+    def counted_rows(host, algebra, d, mat, coassociative=True):
+        rows.append((d, coassociative))
+        return coalgebra_rows(host, algebra, d, mat, coassociative)
+
+    monkeypatch.setattr(co, "_coalgebra_rows", counted_rows)
     multiplicative = wba.multiplicative_failures
     # a join of Delta has the host as both source and left leg
     monkeypatch.setattr(wba, "multiplicative_failures",
@@ -859,16 +860,17 @@ def test_coact_computes_coassociativity_on_every_degree(tmp_path, monkeypatch, r
     code, doc = run_doc(tmp_path, args)
     assert code == 0
     assert doc["passed"] is True
-    assert runs == [0, 1]
-    assert counits == [0, 1, 2, 3]
+    comodule = [(0, True), (1, True), (2, False), (3, False)]
+    lemmas = [(0, True), (1, True)]
+    assert rows == (comodule + lemmas) * len(doc["coactions"])
     assert joins and not any(joins)
     kq = wba.path_algebra_presentation(qv.parse_quiver(TWO_LOOP_DOC), 3)
     h = wba.from_face_algebra(kq)
     plain = copied(h)
-    runs.clear()
+    rows.clear()
     report = co.check_comodule_algebra(co.canonical_coactions(kq, ("left",))["left"], plain)
     assert report == doc["coactions"]["left"]["comodule"]
-    assert runs == [0, 1, 2, 3]
+    assert rows == [(0, True), (1, True), (2, True), (3, True)]
 
 
 @pytest.mark.parametrize("command, relations, presentations", [

@@ -1,7 +1,8 @@
 """Coaction verification: comodule algebra axioms, transposedness, base isos."""
 
+from copy import deepcopy
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,15 +10,16 @@ import pytest
 
 from faceq import coaction as co
 from faceq import face as fc
+from faceq import pathalg as pa
 from faceq import uqsgd as uq
 from faceq import wba
 from faceq.errors import UnsupportedShapeError
 from faceq.linalg import Subspace, bump
 
-from conftest import (break_degree_zero_associativity, dd_coaction, full_witness_rows,
-                      matrix_failures_oracle, quantum_plane_relations)
+from conftest import (break_degree_zero_associativity, commutator_relations, dd_coaction,
+                      full_witness_rows, matrix_failures_oracle, quantum_plane_relations)
 from fleet import (DEGREE_ZERO_SOURCES, FLEET, doubled_three_cycle, kronecker, q_bullets,
-                   three_cycle, two_loop)
+                   three_cycle, three_loop, two_loop)
 from oracle import bialgebra_d, coproduct_table, search_base_iso_exhaustive
 from test_wba import _set_entry, copied
 
@@ -620,7 +622,7 @@ def coalgebra_reports(spec, host):
 @st.composite
 def coalgebra_row_cases(draw):
     """A canonical left coaction, a copy with one entry set to {} or scaled
-    (by 1 too, which gives equal content), and whether the hosts' Delta is
+    (by 1 too, which leaves it equal), and whether the hosts' Delta is
     known to be multiplicative (see face_host)."""
     name = draw(st.sampled_from(sorted(FLEET)))
     q = FLEET[name]()
@@ -652,7 +654,7 @@ def face_host(q, degree, delta_known):
 
 @settings(max_examples=30, deadline=None)
 @given(coalgebra_row_cases())
-def test_coalgebra_rows_are_shared_by_array_content(case):
+def test_coalgebra_rows_match_oracle_on_shared_and_fresh_hosts(case):
     """One host checks the canonical coaction and its altered copy: each
     gets the coassociative, counital and degree{0,1} rows that a run on a
     host of its own gives, and that the oracle loop gives, both on h(Q),
@@ -671,15 +673,31 @@ def test_coalgebra_rows_are_shared_by_array_content(case):
         assert comodule["checks"][1]["witnesses"] == [w for f in fails for w in f[1]]
         assert [row["witnesses"] for row in lemmas["checks"][:4]] == \
             [w for f in fails[:2] for w in f]
-    # one entry per row (coassociative, counital), degree and distinct array:
-    # a copy scaled by 1 shares the original's; the counital row is computed
-    # on every degree, the coassociative one above degree 1 only off the short path
-    distinct = sum(1 if lam.coefficients[d] == copy.coefficients[d] else 2
-                   for d in range(degree + 1))
-    counital = [key for key in host.coalgebra_rows if key[0] == "counital"]
-    assert len(counital) == distinct
-    if not delta_known:
-        assert len(host.coalgebra_rows) == 2 * distinct
+
+
+def test_comodule_checks_leave_the_host_unchanged():
+    """The comodule check and the structure lemmas write nothing to the
+    presentation they read.  A fresh h(Q) of the doubled three-cycle checked
+    with both canonical sides, and a fresh trans quotient of the three-loop
+    commutators checked with both induced sides before any other check,
+    keep every attribute they had, equal after the checks; each attribute
+    added names a cached property of the host's class."""
+    h, lam, rho = canonical_pair(doubled_three_cycle(), 3)
+    q = three_loop()
+    qd = pa.quadratic_data(q, commutator_relations(q), 3)
+    _, biideal = uq._relation_biideal(wba.from_face_algebra(qd.ideal.host), qd, "trans")
+    quotient = wba.quotient_wba(biideal, report=wba.check_biideal(biideal, 3))
+    coefficients = uq._induced_coefficients(biideal, qd.ideal.host, 3)
+    induced = [co.CoactionSpec(side, qd.ideal.host, coefficients) for side in co.SIDES]
+    for host, specs in ((h, (lam, rho)), (quotient, induced)):
+        before = deepcopy(vars(host))
+        for spec in specs:
+            assert co.check_comodule_algebra(spec, host)["passed"]
+            assert co.check_structure_lemmas(spec, host)["passed"]
+        after = vars(host)
+        assert {key: after[key] for key in before} == before
+        for key in after.keys() - before.keys():
+            assert isinstance(getattr(type(host), key, None), cached_property), key
 
 
 def test_coalgebra_rows_drop_terms_that_cancel():
