@@ -116,14 +116,16 @@ def check_comodule_algebra(c, host):
     Coassociativity is computed on degrees 0 and 1 alone when they pass,
     the coaction is multiplicative, the algebra is generator_reducible and
     the host's Delta is known to be multiplicative (host.delta_failures
-    computed and empty, as on h(Q) from construction; it is never computed
-    here).  Then, for a left
+    computed and empty, as on h(Q) and its quotients from construction,
+    see wba.quotient_wba; it is never computed here).  Then, for a left
     coaction rho, (Delta (x) id)rho and (id (x) rho)rho are multiplicative
     maps (on a right one, (rho (x) id)rho and (id (x) Delta)rho), and two
     multiplicative maps that agree on degrees 0 and 1 agree on every
     v = sum c g x with g of degree 1, by induction on the degree.  The
     counit rows are computed on every degree, as the counit of a weak
     bialgebra is not multiplicative.  Otherwise every degree is computed.
+    On h(Q) and its quotients the host's generator_reducible, which the
+    multiplicativity join reads, is known from construction too.
     """
     algebra = c.algebra
     max_degree = min(host.max_degree, algebra.max_degree, c.degrees())

@@ -31,9 +31,14 @@ z of degree 0 and g of degree 1, with x of degree >= 1 (two inductions,
 see multiplicative_failures).  This associativity is a premise, not a report
 row; when it or the spanning fails, or a generator pair fails, every pair
 is checked, so a failing report keeps every witness.
-h(Q)'s own Delta needs no join: kQ's paths factor uniquely, which makes
-it multiplicative on the whole window (see FaceWBA), so h(Q) is born with
-delta_failures = [], while quotients and copies are checked by the join.
+Some presentations are born with these facts, as plain values set at
+construction, never computed to find out.  h(Q)'s own Delta needs no join:
+kQ's paths factor uniquely, which makes it multiplicative on the whole
+window, and h(Q) is generator_reducible when kQ is, as its Segre square
+(see FaceWBA).  A quotient by a biideal inherits both from its host, as
+the image of an algebra map through which Delta descends (see
+quotient_wba).  Copies and hand-made presentations set neither, and are
+checked by the join.
 Two-leg maps (L (x) R)(t) go through linalg.apply_legs: the weak-counit
 splits, which read each basis element's coproduct once, and the projected
 coproducts (pi (x) pi)Delta of the biideal check (_descends) and the
@@ -115,7 +120,10 @@ class GradedAlgebra:
         degree 1 and x of degree >= 1.
 
         Stores only the bool; multiplicative_failures and the comodule
-        check read it as the premise of their early exits.
+        check read it as the premise of their early exits.  h(Q) and the
+        quotients of a host where it holds are born with it set to True
+        (see FaceWBA and quotient_wba), so it is computed for kQ, copies and
+        hand-made presentations alone.
         """
         return _spanned_from_degree_one(self) and _generator_associative(self)
 
@@ -258,10 +266,11 @@ def from_face_algebra(kq):
     face_algebra's labels, product and unit, plus the matrix coproduct
     Delta(x[a;b]) = sum_m x[a;m] (x) x[m;b] and the counit
     eps(x[a;b]) = delta_ab, both by index arithmetic over kQ's dims, and
-    whether kQ's paths factor uniquely (_factors_uniquely), which proves
-    Delta multiplicative (see FaceWBA).
+    two facts of kQ that FaceWBA turns into facts of h(Q): whether kQ's
+    paths factor uniquely (_factors_uniquely), which proves Delta
+    multiplicative, and kq.generator_reducible.
     """
-    return FaceWBA(face_algebra(kq), kq.dims(), _factors_uniquely(kq))
+    return FaceWBA(face_algebra(kq), kq.dims(), _factors_uniquely(kq), kq.generator_reducible)
 
 
 def _factors_uniquely(kq):
@@ -308,18 +317,32 @@ class FaceWBA(GradedWBA):
             = sum_{M,M'} (sum_{m,m'} [mm' = M][mm' = M']) x[ac;M] (x) x[M';bk],
     and unique factorization makes the inner sum delta_{MM'}, which leaves
     sum_M x[ac;M] (x) x[M;bk] = Delta(x[ac;bk]); where ac or bk is zero,
-    both sides are.  The proof reads the tables as from_face_algebra built
-    them, which a presentation never changes; a copy with its own tables
-    (a GradedWBA) is checked by the join, as every quotient is.
+    both sides are.
+
+    When kQ is generator_reducible (kq_generator_reducible), so is h(Q),
+    and generator_reducible is True from construction.  h(Q)_d is
+    kQ_d (x) kQ_d and x[a;b] x[c;k] = x[ac;bk] multiplies each component
+    in kQ: the products x[g;g'] x[x;x'] with g, g' of degree 1 and x, x' of
+    degree d-1 span kQ_1 kQ_{d-1} (x) kQ_1 kQ_{d-1}, which is h(Q)_d when
+    kQ_d is spanned by kQ_1 kQ_{d-1}; and (x[g;g'] x[a;a']) x[c;c'] is
+    x[(ga)c;(g'a')c'] while x[g;g'] (x[a;a'] x[c;c']) is x[g(ac);g'(a'c')],
+    so the two associativity premises, whose triples have the same degrees
+    in both components, hold on h(Q)'s basis when they hold on kQ's.
+
+    Both proofs read the tables as from_face_algebra built them, which a
+    presentation never changes, and neither stores kQ; a copy with its own
+    tables (a GradedWBA) sets no flag and is checked by the join.
     """
 
-    def __init__(self, alg, path_counts, factors_uniquely):
+    def __init__(self, alg, path_counts, factors_uniquely, kq_generator_reducible):
         GradedAlgebra.__init__(self, alg.max_degree, alg.labels, alg.product, alg.unit)
         self.path_counts = path_counts
         self.counit = {(d, a * n + a): _ONE for d, n in enumerate(path_counts) for a in range(n)}
+        # the cached properties' values, proven above
         if factors_uniquely:
-            # the cached property's value, proven above
             self.delta_failures = []
+        if kq_generator_reducible:
+            self.generator_reducible = True
 
     def coproduct_of(self, d, i):
         """Delta(x[a;b]) = sum_m x[a;m] (x) x[m;b] for u^d_i = x[a;b], m in order."""
@@ -868,6 +891,23 @@ def quotient_wba(b, report=None):
     the coproduct of each coset column m is (pi (x) pi)Delta(u_m), projected
     by apply_legs over the piece's int projection rows and divided by D*D
     at once, so no degree's projected tables are held beside the quotient's.
+
+    When the host's generator_reducible is known to be True (set at its
+    construction, as on h(Q); never computed here), so is the quotient's,
+    and if the host's Delta is known to be multiplicative
+    (delta_known_multiplicative) as well, the quotient's delta_failures is
+    [].  The host, h(Q) or a quotient of it, is an associative algebra
+    generated in degrees 0 and 1, so the spread makes I a two-sided ideal
+    (biideal_graded_pieces), and pi: H -> H/I, onto the coset basis, is a
+    surjective algebra map.
+    Spanning passes through pi, as pi(H_d) = pi(H_1) pi(H_{d-1}), and so
+    does each associativity premise, as ((pi g)(pi x))(pi y) = pi((g x) y)
+    = pi(g (x y)) = (pi g)((pi x)(pi y)).  Descent, which the check passed,
+    gives Delta'(pi x) = (pi (x) pi)Delta(x) for every x, so
+    Delta'(pi x pi y) = (pi (x) pi)(Delta(x) Delta(y))
+    = Delta'(pi x) Delta'(pi y), as pi (x) pi is an algebra map too.  A
+    host whose facts are not known (a copy, a hand-made presentation)
+    leaves both to be computed on the quotient by the join.
     """
     w = b.host
     if report is None:
@@ -900,4 +940,10 @@ def quotient_wba(b, report=None):
             ev = w.counit_of(d, mi)
             if ev:
                 counit[(d, i)] = ev
-    return GradedWBA(w.max_degree, labels, product, unit, coproduct, counit)
+    quotient = GradedWBA(w.max_degree, labels, product, unit, coproduct, counit)
+    # the cached properties' values, proven above from what the host knows
+    if w.__dict__.get("generator_reducible"):
+        quotient.generator_reducible = True
+        if w.delta_known_multiplicative():
+            quotient.delta_failures = []
+    return quotient

@@ -21,7 +21,7 @@ from conftest import (break_degree_zero_associativity, commutator_relations, dd_
 from fleet import (DEGREE_ZERO_SOURCES, FLEET, doubled_three_cycle, kronecker, q_bullets,
                    three_cycle, three_loop, two_loop)
 from oracle import bialgebra_d, coproduct_table, search_base_iso_exhaustive
-from test_wba import _set_entry, copied
+from test_wba import _set_entry, copied, on_copied_host
 
 ONE = Fraction(1)
 
@@ -596,8 +596,11 @@ def test_host_product_corrupted_at_left_degree_two_matches_dense_oracle():
     """Scaling one host product whose left factor has degree 2 breaks the
     host's associativity on generator triples, so both coactions'
     multiplicativity visits every pair and finds the one failure, at a
-    left factor of degree 2, as the dense oracle does."""
+    left factor of degree 2, as the dense oracle does.  On a copy of h(Q)
+    with its own tables, as a presentation never changes once built: h(Q)
+    is generator_reducible from construction."""
     host, lam, rho = canonical_pair(two_loop(), 3)
+    host = copied(host)
     i = host.labels[2].index("x[t1.t2;t1.t2]")
     j = host.labels[1].index("x[t1;t1]")
     ((m, c),) = host.product[(2, i, 1, j)].items()
@@ -698,6 +701,84 @@ def test_comodule_checks_leave_the_host_unchanged():
         assert {key: after[key] for key in before} == before
         for key in after.keys() - before.keys():
             assert isinstance(getattr(type(host), key, None), cached_property), key
+
+
+# (quiver, relations, side) of the UQSGd quotients that are born with their facts
+BORN_PROVEN = [(two_loop, quantum_plane_relations, side) for side in uq.RESULT_SIDES] + [
+    (three_loop, commutator_relations, "trans")]
+
+
+def join_calls(mp):
+    """The presentations that each later premise join (spanning or
+    associativity) runs on, and the sources of each later _pair_failures call."""
+    premises, sources = [], []
+    for name, log in (("_spanned_from_degree_one", premises),
+                      ("_generator_associative", premises)):
+        def counted(alg, _fn=getattr(wba, name), _log=log):
+            _log.append(alg)
+            return _fn(alg)
+        mp.setattr(wba, name, counted)
+    pair_failures = wba._pair_failures
+
+    def counted_pairs(src, *args):
+        sources.append(src)
+        return pair_failures(src, *args)
+    mp.setattr(wba, "_pair_failures", counted_pairs)
+    return premises, sources
+
+
+@pytest.mark.parametrize("make_quiver, make_relations, side", BORN_PROVEN)
+def test_quotient_of_face_algebra_is_born_with_its_facts(make_quiver, make_relations, side):
+    """A UQSGd quotient of h(Q) at degree 3 is born with Delta known to be
+    multiplicative and generator_reducible True, as plain values: while
+    it is built, and its axioms, comodule checks and structure lemmas run,
+    no join runs for its Delta or for either premise of h(Q) or of the
+    quotient.  Every multiplicativity join that runs is an induced
+    coaction's, whose source is kQ, and kQ's premise (spanning, then
+    associativity) runs once, for from_face_algebra."""
+    q = make_quiver()
+    with pytest.MonkeyPatch.context() as mp:
+        premises, sources = join_calls(mp)
+        result = uq.build_uqsgd(q, make_relations(q), side, 3)
+    kq = result.relation_space.ideal.host
+    assert vars(result.quotient)["delta_failures"] == []
+    assert vars(result.quotient)["generator_reducible"] is True
+    assert vars(result.biideal.host)["generator_reducible"] is True
+    assert [id(alg) for alg in premises] == [id(kq)] * 2
+    assert sources and all(src is kq for src in sources)
+    assert result.verification["axioms"]["passed"]
+
+
+@pytest.mark.parametrize("make_quiver, make_relations, side", BORN_PROVEN)
+def test_quotient_over_a_copied_host_runs_the_joins(make_quiver, make_relations, side):
+    """The same generators over a plain-table copy of h(Q) (see
+    on_copied_host), which knows neither fact, give a quotient with the same
+    tables that knows neither: its comodule checks, run first while its
+    Delta is not known, and its check_axioms run the Delta join and its
+    premise joins, and every report, every witness kept, is the one the
+    proven quotient gives."""
+    q = make_quiver()
+    result = uq.build_uqsgd(q, make_relations(q), side, 3)
+    proven = result.quotient
+    b = on_copied_host(result.biideal)
+    quotient = wba.quotient_wba(b)
+    assert "delta_failures" not in vars(quotient)
+    assert "generator_reducible" not in vars(quotient)
+    assert ((quotient.labels, quotient.product, quotient.unit, quotient.coproduct,
+             quotient.counit) == (proven.labels, proven.product, proven.unit,
+                                  proven.coproduct, proven.counit))
+    with pytest.MonkeyPatch.context() as mp:
+        full_witness_rows(mp)
+        premises, sources = join_calls(mp)
+        for spec in result.induced_coactions.values():
+            assert (coalgebra_reports(spec, quotient) == coalgebra_reports(spec, proven)
+                    == (result.verification["comodule"][spec.side],
+                        result.verification["structureLemmas"][spec.side]))
+        axioms = wba.check_axioms(quotient)
+        assert axioms == wba.check_axioms(proven) and axioms["passed"]
+    assert quotient in sources and proven not in sources
+    assert quotient in premises and proven not in premises
+    assert quotient.delta_known_multiplicative() and quotient.generator_reducible
 
 
 def test_coalgebra_rows_drop_terms_that_cancel():

@@ -5,7 +5,7 @@ from functools import cache
 from math import comb
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -738,8 +738,10 @@ def test_counit_splits_read_each_coproduct_once(monkeypatch):
 def test_product_corrupted_at_left_degree_two_takes_the_full_path():
     """Scaling one product entry with a left factor of degree 2 breaks
     associativity on generator triples, so the premise fails and every
-    degree pair is visited: the failures are the pairwise oracle's."""
-    w = wba.from_face_algebra(wba.path_algebra_presentation(two_loop(), 3))
+    degree pair is visited: the failures are the pairwise oracle's.  On a
+    copy of h(Q) with its own tables, as a presentation never changes once
+    built: h(Q) is generator_reducible from construction."""
+    w = copied(wba.from_face_algebra(wba.path_algebra_presentation(two_loop(), 3)))
     i = w.labels[2].index("x[t1.t2;t1.t2]")
     j = w.labels[1].index("x[t1;t1]")
     ((m, c),) = w.product[(2, i, 1, j)].items()
@@ -776,8 +778,9 @@ def test_degree_zero_left_factor_breaking_associativity_takes_the_full_path():
     breaks (z g) x = z (g x) at z = x[e:1;e:1], and no identity with a
     left factor of degree 1, as every arrow kills vertex 1 from the left.
     Every generator pair holds, so only the degree-0 premise keeps the
-    failure at the pair (0, 2) in the report."""
-    w = wba.from_face_algebra(wba.path_algebra_presentation(linear_three(), 2))
+    failure at the pair (0, 2) in the report.  On a copy of h(Q), which is
+    generator_reducible from construction."""
+    w = copied(wba.from_face_algebra(wba.path_algebra_presentation(linear_three(), 2)))
     assert degree_zero_associativity_keys(w) == [(0, 0, 2, 0)]
     ((m, c),) = w.product[(0, 0, 2, 0)].items()
     w.product[(0, 0, 2, 0)] = {m: 2 * c}
@@ -857,6 +860,89 @@ def test_commuting_loops_do_not_factor_uniquely():
     assert fails and fails == pairwise_delta_multiplicative(h)
     assert ["x[t1;t1]", "x[t2;t2]"] in fails
     assert not wba.check_axioms(h)["passed"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(named_quivers(), st.integers(0, 3))
+def test_segre_square_is_born_generator_reducible(q, degree):
+    """kQ is generator_reducible, so h(Q), its Segre square, is born so, and
+    both premises recomputed on a copy of h(Q) agree: on q, its opposite
+    and its double, at a degree of at most 3 (lowered as in the
+    product-quiver test)."""
+    for v in codec_variants(q):
+        kq = wba.path_algebra_presentation(v, lowered_degree(v, degree))
+        h = wba.from_face_algebra(kq)
+        assert kq.generator_reducible and vars(h)["generator_reducible"] is True
+        c = copied(h)
+        assert wba._spanned_from_degree_one(c) and wba._generator_associative(c)
+
+
+def test_face_algebra_over_a_non_associative_kq_is_not_born_generator_reducible():
+    """The two-loop's kQ at degree 3 with the products (t1.t2) t1 and
+    (t2.t1) t1 swapped: its paths still factor uniquely, so h(Q)'s Delta is
+    known to be multiplicative, but (t1 t2) t1 = t2.t1.t1 while
+    t1 (t2 t1) = t1.t2.t1, so kQ's associativity premise fails.  h(Q) is
+    not born generator_reducible, and the join finds that it is not.  A
+    quotient of it, here by the zero biideal, knows neither fact, whether
+    the host's premise is not yet computed or computed false; its Delta
+    join agrees with the pairwise oracle."""
+    kq = wba.path_algebra_presentation(two_loop(), 3)
+    product = dict(kq.product)
+    i, j = (kq.labels[2].index(p) for p in ("t1.t2", "t2.t1"))
+    t1 = kq.labels[1].index("t1")
+    product[(2, i, 1, t1)], product[(2, j, 1, t1)] = product[(2, j, 1, t1)], product[(2, i, 1, t1)]
+    bad = wba.GradedAlgebra(kq.max_degree, kq.labels, product, kq.unit)
+    assert wba._factors_uniquely(bad) and wba._spanned_from_degree_one(bad)
+    assert not wba._generator_associative(bad)
+    h = wba.from_face_algebra(bad)
+    assert h.delta_known_multiplicative()
+    assert "generator_reducible" not in vars(h)
+    quotients = [wba.quotient_wba(wba.BiidealGens(h, []))]
+    assert not h.generator_reducible
+    quotients.append(wba.quotient_wba(wba.BiidealGens(h, [])))
+    for quotient in quotients:
+        assert "delta_failures" not in vars(quotient)
+        assert "generator_reducible" not in vars(quotient)
+        assert not quotient.generator_reducible
+        assert quotient.delta_failures == pairwise_delta_multiplicative(quotient) == []
+
+
+@st.composite
+def passing_relation_quotients(draw):
+    """The quotient of h(Q) by the coaction-relation biideal, on a drawn
+    side, of one or two random quadratic relations with int and Fraction
+    coefficients on a fleet quiver with paths of length 2, at a degree of
+    2 or 3 (lowered as in the product-quiver test); drawings whose
+    biideal fails the check are rejected."""
+    q = FLEET[draw(st.sampled_from([n for n in sorted(FLEET) if qv.path_count(FLEET[n](), 2)]))]()
+    top = max(2, lowered_degree(q, draw(st.integers(2, 3))))
+    n = qv.path_count(q, 2)
+    coeffs = st.one_of(st.integers(-3, -1), st.integers(1, 3),
+                       st.fractions(min_value=-2, max_value=2, max_denominator=4).filter(bool))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, n - 1), coeffs,
+                                         min_size=1, max_size=3), min_size=1, max_size=2))
+    qd = pa.quadratic_data(q, [(2, row) for row in rows], top)
+    side = draw(st.sampled_from(uq.RESULT_SIDES))
+    b = uq._relation_biideal(wba.from_face_algebra(qd.ideal.host), qd, side)[1]
+    report = wba.check_biideal(b, top)
+    assume(report["passed"])
+    return wba.quotient_wba(b, report=report)
+
+
+@settings(max_examples=40, deadline=None)
+@given(passing_relation_quotients())
+def test_quotient_facts_hold_when_recomputed_on_a_copy(quotient):
+    """A quotient of h(Q) is born with Delta known to be multiplicative and
+    generator_reducible True; recomputed on a copy with its own tables,
+    which knows neither, the Delta join, the pairwise oracle and both
+    premises agree."""
+    assert vars(quotient)["delta_failures"] == []
+    assert vars(quotient)["generator_reducible"] is True
+    c = copied(quotient)
+    assert "delta_failures" not in vars(c) and "generator_reducible" not in vars(c)
+    assert c.generator_reducible is True
+    assert (wba.multiplicative_failures(c, c.coproduct_of, c, c, c.max_degree)
+            == pairwise_delta_multiplicative(c) == [])
 
 
 def saturated_pieces(b, max_degree):
