@@ -230,18 +230,23 @@ def path_algebra_presentation(q, max_degree):
     return GradedAlgebra(max_degree, labels, product, unit)
 
 
-def face_algebra(kq):
+def face_algebra(kq, max_degree=None):
     """The face algebra's labels, product and unit: x[a;b] x[c;k] = x[ac;bk],
-    by index arithmetic over kq's products by left factor, at kq's truncation.
+    by index arithmetic over kq's products by left factor, truncated at
+    max_degree (default: kq's truncation; ValueError above it).
     For the coproduct and counit as well, use from_face_algebra.
     """
-    max_degree = kq.max_degree
-    sizes = kq.dims()
+    if max_degree is None:
+        max_degree = kq.max_degree
+    if not 0 <= max_degree <= kq.max_degree:
+        raise ValueError(f"max_degree {max_degree} is outside kq's window 0..{kq.max_degree}")
+    sizes = kq.dims()[:max_degree + 1]
     # keys reuse one int object per basis index instead of a fresh int per key
     ids = [list(range(n * n)) for n in sizes]
     # products landing on one basis element share its (read-only) unit vector
     units = [[{i: _ONE} for i in idd] for idd in ids]
-    labels = [[f"x[{a};{b}]" for a in names for b in names] for names in kq.labels]
+    labels = [[f"x[{a};{b}]" for a in names for b in names]
+              for names in kq.labels[:max_degree + 1]]
     by_left = kq.products_by_left
     product = {}
     degrees = [d for d in range(max_degree + 1) if sizes[d]]

@@ -19,9 +19,12 @@ the double quiver and the preprojective relations of a cycle, which the
 tests build and the command line reads as plain quiver and relations
 documents; the product quiver Q ⊠ Q, whose path algebra is h(Q), an
 independent presentation of the face algebra; subspace_equal, Subspace equality that refuses subspaces
-of different ambient dimensions; and projection_oracle, a subspace's coset
+of different ambient dimensions; projection_oracle, a subspace's coset
 projection built from its pivot-1 basis in Fractions, the reference for
-linalg.Projection.  Coefficients are Fractions.
+linalg.Projection; and duality_report_with_dims, the duality transports
+by their former rule, which also compared graded quotient dimensions, the
+reference for the degree-2 rule of uqsgd.check_quadratic_dualities.
+Coefficients are Fractions.
 """
 
 from itertools import permutations
@@ -33,10 +36,11 @@ from faceq import coaction as co
 from faceq import face as fc
 from faceq import pathalg as pa
 from faceq import quiver as qv
+from faceq import uqsgd as uq
 from faceq import wba
 from faceq.errors import ParseError, UnsupportedShapeError
 from faceq.face import FaceMonomial
-from faceq.linalg import Echelon, bump
+from faceq.linalg import Echelon, Subspace, bump
 
 _ONE = 1
 
@@ -707,3 +711,42 @@ def projection_oracle(subspace):
     rows = {m: {pos[c]: int(-Fraction(x) * denom) for c, x in piv[m].items() if c != m}
             if m in piv else {pos[m]: denom} for m in range(subspace.ambient_dim)}
     return cols, rows, denom
+
+
+def duality_report_with_dims(qd, qdual, max_degree):
+    """uqsgd.check_quadratic_dualities by its former rule, every row tested
+    twice: the degree-2 piece moved along star or swap must equal the
+    target's, and the two biideals' graded quotient dimensions up to
+    max_degree must agree, each of the six spread to max_degree over h(Q)
+    squared from the data's kQ at its full truncation.  The moves are
+    written out here from quiver.star_indices; the biideals are
+    uqsgd._relation_biideal's."""
+    pieces, dims, ambient = {}, {}, {}
+    for label, data in (("base", qd), ("dual", qdual)):
+        host = wba.face_algebra(data.ideal.host)
+        ambient[label] = host.dim(2)
+        for side in uq.RESULT_SIDES:
+            b = uq._relation_biideal(host, data, side)[1]
+            dims[side, label] = wba.quotient_dims(b, max_degree)
+            pieces[side, label] = wba.biideal_graded_pieces(b, 2)
+    star = qv.star_indices(qd.quiver, 2)
+    n = len(star)
+    moves = {"star": lambda i: star[i // n] * n + star[i % n],
+             "swap": lambda i: i % n * n + i // n}
+    table = (
+        ("a-star-left-onto-dual-right", ("left", "base"), "star", ("right", "dual"),
+         "left piece of the base vs right piece of the dual"),
+        ("b-star-right-onto-dual-left", ("right", "base"), "star", ("left", "dual"),
+         "right piece of the base vs left piece of the dual"),
+        ("c-swap-left-onto-right", ("left", "base"), "swap", ("right", "base"),
+         "left piece vs right piece under swap"),
+        ("d-star-trans-onto-dual-trans", ("trans", "base"), "star", ("trans", "dual"),
+         "transposed piece of the base vs transposed piece of the dual"),
+    )
+    rows = []
+    for name, src, move, dst, detail in table:
+        moved = Subspace.from_rows(ambient[dst[1]], [{moves[move](i): c for i, c in row.items()}
+                                                     for row in pieces[src].int_rows])
+        ok = moved == pieces[dst] and dims[src] == dims[dst]
+        rows.append((name, [] if ok else [detail]))
+    return wba.report(rows)

@@ -24,8 +24,10 @@ coefficient -1/2, so the rational path is pinned as well as the integer
 one.  The three-loop q-commutators at degree 3 give uqsgd pieces whose
 projections have denominators, so the int-row projection over a common
 denominator is pinned too, and on the left side the quotient coproduct's
-division by the square of that denominator.  At degree 4 the dual's degree-3 biideal pieces
-are both spread from and finalized, while degree 4 is only ranked.  The
+division by the square of that denominator.  At degree 4 the dual
+compares only the degree-2 biideal pieces, over hosts truncated at degree
+2; its pin was recorded when each row also compared the graded quotient
+dimensions up to degree 4, so it holds the verdicts of both rules.  The
 preprojective cases read a plain relations document on the doubled
 three-cycle, one relation per vertex, and run the checks on a quotient of
 a multi-vertex quiver.  A case's extra options come after the default

@@ -28,8 +28,8 @@ from conftest import (bracket, check_biideal_oracle, check_descent_oracle, commu
                       quantum_plane_relations, quotient_algebra_oracle, quotient_coalgebra_oracle,
                       relation_rows)
 from fleet import FLEET, HOST_DEGREE, kronecker, three_cycle, three_loop, two_loop
-from oracle import (coproduct_table, preprojective_relations, product_path_indices,
-                    product_quiver, subspace_equal, sum_of_pieces)
+from oracle import (coproduct_table, duality_report_with_dims, preprojective_relations,
+                    product_path_indices, product_quiver, subspace_equal, sum_of_pieces)
 from test_face import named_quivers
 from test_golden import (DOUBLED_THREE_CYCLE, PREPROJECTIVE_THREE_CYCLE, Q_COMMUTATORS,
                          QUANTUM_PLANE, THREE_LOOP, THREE_LOOP_COMMUTATORS, TWO_LOOP)
@@ -269,10 +269,11 @@ def test_three_loop_q_commutator_dualities_combine_count(monkeypatch):
     """Elimination steps of the duality checks on the golden three-loop
     q-commutator documents at degree 4, a degree no benchmark workload
     reaches.  Each side's biideal spreads its own coaction relations, the
-    transposed one their union.  With the transposed pieces taken as the
-    oracle's sum of the one-sided ones, the checks take 122,546 steps: the
-    one-sided top-degree rows are only forward-reduced, and they fill in
-    when eliminated against each other."""
+    transposed one their union, and only to degree 2, on hosts truncated
+    there: the graded dimensions follow from the degree-2 pieces (see
+    check_quadratic_dualities), so the count is that of six degree-2
+    pieces, 49 steps, at any degree.  Spreading the six biideals to
+    degree 4 for their dimensions took 71,009."""
     q = qv.parse_quiver(THREE_LOOP)
     qd = pa.quadratic_data(q, pa.parse_relations(Q_COMMUTATORS, q), 4)
     qdual = pa.quadratic_dual(qd, 4)
@@ -285,7 +286,102 @@ def test_three_loop_q_commutator_dualities_combine_count(monkeypatch):
 
     monkeypatch.setattr(linalg, "_combine", counted)
     assert uq.check_quadratic_dualities(qd, qdual, 4)["passed"]
-    assert calls[0] == 71009
+    assert calls[0] == 49
+
+
+def test_quadratic_dualities_spread_no_biideal_past_degree_two(monkeypatch):
+    """The dimension laws are proved, not computed: on the golden three-loop
+    q-commutators at degree 4, every biideal piece the checks spread is of
+    degree 2 at most, over an h(Q) truncated at degree 2."""
+    q = qv.parse_quiver(THREE_LOOP)
+    qd = pa.quadratic_data(q, pa.parse_relations(Q_COMMUTATORS, q), 4)
+    qdual = pa.quadratic_dual(qd, 4)
+    spread = []
+    spread_piece = wba._spread
+
+    def recorded(b, d):
+        spread.append((b.host.max_degree, d))
+        return spread_piece(b, d)
+
+    monkeypatch.setattr(wba, "_spread", recorded)
+    assert uq.check_quadratic_dualities(qd, qdual, 4)["passed"]
+    assert sorted(set(spread)) == [(2, 0), (2, 1), (2, 2)]
+
+
+def test_quadratic_dualities_refuse_a_dual_over_another_quiver(monkeypatch):
+    """The transports are proved for data over Q and Q^op; data over any
+    other quiver is refused before a host is built, even where the degree-2
+    pieces could be compared: the two-loop data against itself, and
+    against its dual read over the opposite quiver with its arrows renamed."""
+    def refuse(*args):
+        raise AssertionError("a host was built")
+
+    q = two_loop()
+    qd = pa.quadratic_data(q, quantum_plane_relations(q), 3)
+    qdual = pa.quadratic_dual(qd, 3)
+    renamed = qv.Quiver(q.vertices, [(f"s{k}", a.source, a.target)
+                                     for k, a in enumerate(qdual.quiver.arrows)])
+    relabelled = pa.quadratic_data(renamed, [(2, row) for row in qdual.relation_space.int_rows],
+                                   3)
+    monkeypatch.setattr(wba, "face_algebra", refuse)
+    for other in (qd, relabelled):
+        with pytest.raises(ValueError, match="the dual data over the opposite quiver"):
+            uq.check_quadratic_dualities(qd, other, 3)
+
+
+def squared_map(perm):
+    """The index map of h(Q)_d induced by a map perm of kQ_d's indices:
+    x[a;b] -> x[perm(a);perm(b)], on the i_a*n + i_b indices."""
+    n = len(perm)
+    return [perm[i // n] * n + perm[i % n] for i in range(n * n)]
+
+
+def moved_product_failures(src, tgt, phi, reverse):
+    """Basis pairs (d, i, e, j), d + e within src's window, zero products
+    included, where phi(u_i u_j) is not phi(u_i) phi(u_j) in tgt, or
+    phi(u_j) phi(u_i) when reverse; phi[d] is the index map of degree d."""
+    fails = []
+    for d in range(src.max_degree + 1):
+        for e in range(src.max_degree + 1 - d):
+            for i in range(src.dim(d)):
+                for j in range(src.dim(e)):
+                    moved = {phi[d + e][m]: c for m, c in src.product_of(d, i, e, j).items()}
+                    target = (tgt.product_of(e, phi[e][j], d, phi[d][i]) if reverse
+                              else tgt.product_of(d, phi[d][i], e, phi[e][j]))
+                    if moved != target:
+                        fails.append((d, i, e, j))
+    return fails
+
+
+@pytest.mark.parametrize("name", sorted(FLEET))
+def test_star_and_swap_move_face_products(name):
+    """The premise of the duality lemma, on face_algebra's product tables up
+    to the quiver's HOST_DEGREE: star, x[a;b] -> x[a*;b*] with a* from
+    quiver.star_indices in every degree, reverses products from h(Q) to
+    h(Q^op), and swap, x[a;b] -> x[b;a], is multiplicative on h(Q).  Each
+    test catches a dropped product: any one for star, and one whose swapped
+    pair is another pair for swap."""
+    q = FLEET[name]()
+    degree = HOST_DEGREE[name]
+    h = wba.face_algebra(wba.path_algebra_presentation(q, degree))
+    hop = wba.face_algebra(wba.path_algebra_presentation(qv.opposite_quiver(q), degree))
+    star = [squared_map(qv.star_indices(q, d)) for d in range(degree + 1)]
+    swap = [[i % n * n + i // n for i in range(n * n)]
+            for n in (qv.path_count(q, d) for d in range(degree + 1))]
+    assert moved_product_failures(h, hop, star, reverse=True) == []
+    assert moved_product_failures(h, h, swap, reverse=False) == []
+
+    def dropped(key):
+        return wba.GradedAlgebra(degree, h.labels,
+                                 {k: v for k, v in h.product.items() if k != key}, h.unit)
+
+    if h.product:
+        assert moved_product_failures(dropped(max(h.product)), hop, star, reverse=True)
+    moving = [(d, i, e, j) for d, i, e, j in sorted(h.product)
+              if (swap[d][i], swap[e][j]) != (i, j)]
+    if moving:
+        broken = dropped(moving[-1])
+        assert moved_product_failures(broken, broken, swap, reverse=False)
 
 
 def test_quadratic_dualities_free_algebra():
@@ -315,8 +411,10 @@ def test_transposed_pieces_are_the_sum_of_the_one_sided_ones(name):
     """The transposed biideal, which spreads the union of both sides'
     relations, is the oracle's sum of the one-sided pieces: the ranks in
     every degree and the canonical degree-2 piece, for the base and the
-    dual.  The one-sided pieces enter as check_quadratic_dualities leaves
-    them, finalized below the top degree and only ranked in it."""
+    dual.  The one-sided pieces enter in both states a biideal holds a
+    piece in, as quotient_dims leaves them: finalized below the top degree
+    and only ranked in it.  check_quadratic_dualities itself leaves only
+    finalized pieces, of degree 2 at most."""
     q = FLEET[name]()
     degree = min(3, HOST_DEGREE[name])
     qd = pa.quadratic_data(q, rational_relations(q), degree)
@@ -355,6 +453,35 @@ def rational_relation_biideals(draw):
     host = wba.from_face_algebra(wba.path_algebra_presentation(q, degree))
     sides, b = uq._relation_biideal(host, qd, side)
     return q, qd, sides, b
+
+
+@st.composite
+def duality_data(draw):
+    """Quadratic data of random rational relations on a small fleet quiver,
+    at a degree from 2 to the quiver's RELATION_DEGREE, with its quadratic
+    dual or, as often, the dual of other random relations on the same
+    quiver, against which rows fail."""
+    name = draw(st.sampled_from(sorted(RELATION_DEGREE)))
+    q = FLEET[name]()
+    degree = draw(st.integers(2, RELATION_DEGREE[name]))
+    rows = st.lists(st.dictionaries(st.integers(0, qv.path_count(q, 2) - 1), RATIONALS,
+                                    min_size=1, max_size=3), max_size=2)
+    qd = pa.quadratic_data(q, [(2, row) for row in draw(rows)], degree)
+    other = draw(st.one_of(st.none(), rows))
+    source = qd if other is None else pa.quadratic_data(q, [(2, row) for row in other], degree)
+    return qd, pa.quadratic_dual(source, degree), degree
+
+
+@settings(max_examples=100, deadline=None)
+@given(duality_data())
+def test_dualities_match_the_oracle_that_compares_dimensions(data):
+    """Each row's degree-2 comparison decides it: the report equals the one
+    that also compares the six biideals' graded quotient dimensions up to
+    the degree (oracle.duality_report_with_dims), passing rows and failing
+    ones alike."""
+    qd, qdual, degree = data
+    report = uq.check_quadratic_dualities(qd, qdual, degree)
+    assert report == duality_report_with_dims(qd, qdual, degree)
 
 
 def typed(table):

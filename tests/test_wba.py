@@ -21,8 +21,8 @@ from conftest import (break_degree_zero_associativity, check_biideal_oracle,
                       commutator_relations, degree_zero_associativity_keys,
                       face_coaction_relations, full_witness_rows, q_commutator_relations,
                       quantum_plane_relations, quotient_coalgebra_oracle, relation_rows)
-from fleet import (FLEET, arrow_into_loop, doubled_three_cycle, kronecker, linear_three,
-                   one_loop, q_bullets, three_cycle, three_loop, two_loop)
+from fleet import (FLEET, HOST_DEGREE, arrow_into_loop, doubled_three_cycle, kronecker,
+                   linear_three, one_loop, q_bullets, three_cycle, three_loop, two_loop)
 from oracle import (FaceElement, bialgebra_d, coproduct_table, counit_splits_scan, direct_sum,
                     double_quiver, face_coproduct, face_counit, face_multiply, face_unit,
                     monomial_label, preprojective_relations, product_path_indices,
@@ -108,6 +108,25 @@ def test_face_algebra_is_the_path_algebra_of_the_product_quiver(q, degree):
                  for (e, i, f, j), entry in h.product.items()}
         assert moved == kpq.product
         assert {index[0][i]: c for i, c in h.unit.items()} == kpq.unit
+
+
+@pytest.mark.parametrize("name", sorted(FLEET))
+def test_face_algebra_at_a_top_degree_squares_the_truncated_kq(name):
+    """face_algebra(kq, m) is the face algebra of kQ truncated at m, entry
+    for entry, for every m in kq's window, and its default top degree is
+    kq's own; a top degree outside the window is refused."""
+    q = FLEET[name]()
+    kq = wba.path_algebra_presentation(q, HOST_DEGREE[name])
+    for m in range(kq.max_degree + 1):
+        h = wba.face_algebra(kq, m)
+        ref = wba.face_algebra(wba.path_algebra_presentation(q, m))
+        assert (h.max_degree, h.labels, h.product, h.unit) == (m, ref.labels, ref.product,
+                                                               ref.unit)
+    full = wba.face_algebra(kq)
+    assert vars(full) == vars(wba.face_algebra(kq, kq.max_degree))
+    for m in (-1, kq.max_degree + 1):
+        with pytest.raises(ValueError, match="outside kq's window"):
+            wba.face_algebra(kq, m)
 
 
 def test_face_algebra_axioms_pass():
