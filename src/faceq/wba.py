@@ -35,17 +35,19 @@ Some presentations are born with these facts, as plain values set at
 construction, never computed to find out.  h(Q)'s own Delta needs no join:
 kQ's paths factor uniquely, which makes it multiplicative on the whole
 window, and h(Q) is generator_reducible when kQ is, as its Segre square
-(see FaceWBA).  A quotient by a biideal inherits both from its host, as
-the image of an algebra map through which Delta descends (see
+(see from_face_algebra).  A quotient by a biideal inherits both from its
+host, as the image of an algebra map through which Delta descends (see
 quotient_wba).  Copies and hand-made presentations set neither, and are
 checked by the join.
 Two-leg maps (L (x) R)(t) go through linalg.apply_legs: the weak-counit
 splits, which read each basis element's coproduct once, and the projected
 coproducts (pi (x) pi)Delta of the biideal check (_descends) and the
-quotient.  Every coproduct is read through coproduct_of, which h(Q)
-(FaceWBA) serves by index arithmetic, Delta(x[a;b]) = sum_k x[a;k] (x) x[k;b],
-with no table.  The weak-unit splits are a join that pairs only terms with
-a nonzero product.
+quotient.  No coproduct is a table: every one is the function
+coproduct_of(d, i) that its GradedWBA is built with.  h(Q) computes
+Delta(x[a;b]) = sum_k x[a;k] (x) x[k;b] by index arithmetic, and a
+quotient computes (pi (x) pi)Delta(u_m) on demand, reading its host at
+call time, which is sound because a presentation never changes.  The
+weak-unit splits are a join that pairs only terms with a nonzero product.
 """
 
 from functools import cached_property
@@ -122,31 +124,27 @@ class GradedAlgebra:
         Stores only the bool; multiplicative_failures and the comodule
         check read it as the premise of their early exits.  h(Q) and the
         quotients of a host where it holds are born with it set to True
-        (see FaceWBA and quotient_wba), so it is computed for kQ, copies and
-        hand-made presentations alone.
+        (see from_face_algebra and quotient_wba), so it is computed for kQ,
+        copies and hand-made presentations alone.
         """
         return _spanned_from_degree_one(self) and _generator_associative(self)
 
 
 class GradedWBA(GradedAlgebra):
-    """A graded algebra plus degree-preserving coproduct and counit tables.
+    """A graded algebra plus a degree-preserving coproduct and a counit table.
 
-    coproduct maps (d, i) to a dict {(j, k): scalar} describing a sum of
-    u^d_j (x) u^d_k, read through coproduct_of alone (which FaceWBA
-    computes instead); counit maps (d, i) to its scalar value.  Both tables
-    store nonzero data only.  The tables must not change once the object
-    is built, so the eps(u_i u_j) table eps_products, the
-    counital_subalgebras and the coproduct's multiplicativity failures
-    delta_failures are cached properties.
+    coproduct_of(d, i) gives Delta(u^d_i) as a read-only dict
+    {(j, k): scalar} describing a sum of u^d_j (x) u^d_k, nonzero terms
+    only; counit maps (d, i) to its nonzero scalar value.  Neither may
+    change once the object is built, so the eps(u_i u_j) table
+    eps_products, the counital_subalgebras and the coproduct's
+    multiplicativity failures delta_failures are cached properties.
     """
 
-    def __init__(self, max_degree, labels, product, unit, coproduct, counit):
+    def __init__(self, max_degree, labels, product, unit, coproduct_of, counit):
         super().__init__(max_degree, labels, product, unit)
-        self.coproduct = coproduct
+        self.coproduct_of = coproduct_of
         self.counit = counit
-
-    def coproduct_of(self, d, i):
-        return self.coproduct.get((d, i), {})
 
     def counit_of(self, d, i):
         return self.counit.get((d, i), 0)
@@ -269,13 +267,50 @@ def from_face_algebra(kq):
     """The face algebra of a quiver as a weak bialgebra, from its path algebra kq.
 
     face_algebra's labels, product and unit, plus the matrix coproduct
-    Delta(x[a;b]) = sum_m x[a;m] (x) x[m;b] and the counit
-    eps(x[a;b]) = delta_ab, both by index arithmetic over kQ's dims, and
-    two facts of kQ that FaceWBA turns into facts of h(Q): whether kQ's
-    paths factor uniquely (_factors_uniquely), which proves Delta
-    multiplicative, and kq.generator_reducible.
+    Delta(x[a;b]) = sum_m x[a;m] (x) x[m;b], computed from the index
+    a n_d + b of x[a;b] (n_d paths of length d) on every call, and the
+    counit table eps(x[a;b]) = delta_ab.  Two facts of kQ become facts of
+    h(Q), set as the cached properties' values.
+
+    When kQ's paths factor uniquely (_factors_uniquely), Delta is
+    multiplicative on the whole window, and delta_failures is [] from
+    construction, without the join.  For x[a;b] x[c;k] = x[ac;bk], with
+    m, m' over kQ's bases of degrees d, e and M, M' over degree d + e,
+        Delta(x[a;b]) Delta(x[c;k]) = sum_{m,m'} x[ac;mm'] (x) x[mm';bk]
+            = sum_{M,M'} (sum_{m,m'} [mm' = M][mm' = M']) x[ac;M] (x) x[M';bk],
+    and unique factorization makes the inner sum delta_{MM'}, which leaves
+    sum_M x[ac;M] (x) x[M;bk] = Delta(x[ac;bk]); where ac or bk is zero,
+    both sides are.
+
+    When kq.generator_reducible, so is h(Q), and generator_reducible is
+    True from construction.  h(Q)_d is kQ_d (x) kQ_d and
+    x[a;b] x[c;k] = x[ac;bk] multiplies each component in kQ: the products
+    x[g;g'] x[x;x'] with g, g' of degree 1 and x, x' of degree d-1 span
+    kQ_1 kQ_{d-1} (x) kQ_1 kQ_{d-1}, which is h(Q)_d when kQ_d is spanned
+    by kQ_1 kQ_{d-1}; and (x[g;g'] x[a;a']) x[c;c'] is x[(ga)c;(g'a')c']
+    while x[g;g'] (x[a;a'] x[c;c']) is x[g(ac);g'(a'c')], so the two
+    associativity premises, whose triples have the same degrees in both
+    components, hold on h(Q)'s basis when they hold on kQ's.
+
+    Both proofs read the tables as built here, which a presentation never
+    changes, and neither stores kQ; a copy with its own tables sets no
+    flag and is checked by the join.
     """
-    return FaceWBA(face_algebra(kq), kq.dims(), _factors_uniquely(kq), kq.generator_reducible)
+    alg = face_algebra(kq)
+    sizes = kq.dims()
+
+    def coproduct_of(d, i):
+        n = sizes[d]
+        a, b = divmod(i, n)
+        return {(a * n + m, m * n + b): _ONE for m in range(n)}
+
+    counit = {(d, a * n + a): _ONE for d, n in enumerate(sizes) for a in range(n)}
+    h = GradedWBA(alg.max_degree, alg.labels, alg.product, alg.unit, coproduct_of, counit)
+    if _factors_uniquely(kq):
+        h.delta_failures = []
+    if kq.generator_reducible:
+        h.generator_reducible = True
+    return h
 
 
 def _factors_uniquely(kq):
@@ -304,56 +339,6 @@ def _factors_uniquely(kq):
             if not all(hit):
                 return False
     return True
-
-
-class FaceWBA(GradedWBA):
-    """h(Q) as a GradedWBA; path_counts[d] is n_d, kQ's number of paths of length d.
-
-    The counit is a table from the start.  The coproduct is not a table:
-    coproduct_of computes Delta(x[a;b]) from the index a n_d + b, and the
-    inherited delta reads it there, so __init__ skips GradedWBA's.
-
-    When kQ's paths factor uniquely (factors_uniquely, from
-    _factors_uniquely), Delta is multiplicative on the whole window, and
-    delta_failures is [] from construction, without the join.  For
-    x[a;b] x[c;k] = x[ac;bk], with m, m' over kQ's bases of degrees d, e and
-    M, M' over degree d + e,
-        Delta(x[a;b]) Delta(x[c;k]) = sum_{m,m'} x[ac;mm'] (x) x[mm';bk]
-            = sum_{M,M'} (sum_{m,m'} [mm' = M][mm' = M']) x[ac;M] (x) x[M';bk],
-    and unique factorization makes the inner sum delta_{MM'}, which leaves
-    sum_M x[ac;M] (x) x[M;bk] = Delta(x[ac;bk]); where ac or bk is zero,
-    both sides are.
-
-    When kQ is generator_reducible (kq_generator_reducible), so is h(Q),
-    and generator_reducible is True from construction.  h(Q)_d is
-    kQ_d (x) kQ_d and x[a;b] x[c;k] = x[ac;bk] multiplies each component
-    in kQ: the products x[g;g'] x[x;x'] with g, g' of degree 1 and x, x' of
-    degree d-1 span kQ_1 kQ_{d-1} (x) kQ_1 kQ_{d-1}, which is h(Q)_d when
-    kQ_d is spanned by kQ_1 kQ_{d-1}; and (x[g;g'] x[a;a']) x[c;c'] is
-    x[(ga)c;(g'a')c'] while x[g;g'] (x[a;a'] x[c;c']) is x[g(ac);g'(a'c')],
-    so the two associativity premises, whose triples have the same degrees
-    in both components, hold on h(Q)'s basis when they hold on kQ's.
-
-    Both proofs read the tables as from_face_algebra built them, which a
-    presentation never changes, and neither stores kQ; a copy with its own
-    tables (a GradedWBA) sets no flag and is checked by the join.
-    """
-
-    def __init__(self, alg, path_counts, factors_uniquely, kq_generator_reducible):
-        GradedAlgebra.__init__(self, alg.max_degree, alg.labels, alg.product, alg.unit)
-        self.path_counts = path_counts
-        self.counit = {(d, a * n + a): _ONE for d, n in enumerate(path_counts) for a in range(n)}
-        # the cached properties' values, proven above
-        if factors_uniquely:
-            self.delta_failures = []
-        if kq_generator_reducible:
-            self.generator_reducible = True
-
-    def coproduct_of(self, d, i):
-        """Delta(x[a;b]) = sum_m x[a;m] (x) x[m;b] for u^d_i = x[a;b], m in order."""
-        n = self.path_counts[d]
-        a, b = divmod(i, n)
-        return {(a * n + m, m * n + b): _ONE for m in range(n)}
 
 
 def _eps_matrices(w):
@@ -892,10 +877,13 @@ def quotient_wba(b, report=None):
     """Quotient presentation on the non-pivot coset basis of each graded piece.
 
     Refuses (with the failing report attached) unless the biideal check
-    passes up to the host truncation.  Labels name coset representatives;
-    the coproduct of each coset column m is (pi (x) pi)Delta(u_m), projected
-    by apply_legs over the piece's int projection rows and divided by D*D
-    at once, so no degree's projected tables are held beside the quotient's.
+    passes up to the host truncation.  Labels name coset representatives.
+    The coproduct is not a table: coproduct_of(d, i) computes
+    Delta'(u_i) = (pi (x) pi)Delta(u_m) for the i-th coset column m on
+    every call, by apply_legs over the piece's int projection rows, divided
+    by D*D at once.  It reads the host's coproduct_of at call time, which
+    is sound because a presentation never changes, so building the
+    quotient reads no host coproduct.
 
     When the host's generator_reducible is known to be True (set at its
     construction, as on h(Q); never computed here), so is the quotient's,
@@ -934,18 +922,14 @@ def quotient_wba(b, report=None):
                     if img:
                         product[(d, i, e, j)] = img
     unit = projs[0].image(w.unit)
-    coproduct = {}
-    counit = {}
-    for d in range(w.max_degree + 1):
-        rows, denom = projs[d].rows, projs[d].denom
-        for i, mi in enumerate(projs[d].cols):
-            entry = divided(apply_legs(w.coproduct_of(d, mi), rows, rows), denom * denom)
-            if entry:
-                coproduct[(d, i)] = entry
-            ev = w.counit_of(d, mi)
-            if ev:
-                counit[(d, i)] = ev
-    quotient = GradedWBA(w.max_degree, labels, product, unit, coproduct, counit)
+    counit = {(d, i): ev for d in range(w.max_degree + 1)
+              for i, m in enumerate(projs[d].cols) if (ev := w.counit_of(d, m))}
+
+    def coproduct_of(d, i):
+        p = projs[d]
+        return divided(apply_legs(w.coproduct_of(d, p.cols[i]), p.rows, p.rows), p.denom * p.denom)
+
+    quotient = GradedWBA(w.max_degree, labels, product, unit, coproduct_of, counit)
     # the cached properties' values, proven above from what the host knows
     if w.__dict__.get("generator_reducible"):
         quotient.generator_reducible = True

@@ -8,7 +8,9 @@ paths componentwise, with the coproduct Δ(x[a;b]) = Σ_m x[a;m] ⊗ x[m;b],
 the counit and the counital maps; path elements with their products, and
 the former reading of a relations document through them; and two small
 weak bialgebras built by hand, the two-idempotent bialgebra D and direct
-sums; a presentation's coproduct as a table, which h(Q) does not keep;
+sums; a presentation's coproduct as a table, which no presentation
+keeps, and a presentation whose coproduct reads such a table (tabled),
+which the tests build by hand, copy and corrupt;
 and the sum of several biideals' graded pieces, the reference for
 the transposed biideal that spreads both sides' relations together.  It
 also keeps the exhaustive base-isomorphism search, the reference for the
@@ -446,7 +448,16 @@ def bialgebra_d(max_degree):
         (0, 1): {(0, 1): _ONE, (1, 0): _ONE},
     }
     counit = {(0, 0): _ONE}
-    return wba.GradedWBA(max_degree, labels, product, unit, coproduct, counit)
+    return tabled(max_degree, labels, product, unit, coproduct, counit)
+
+
+def tabled(max_degree, labels, product, unit, coproduct, counit):
+    """A GradedWBA whose coproduct_of reads the table coproduct,
+    {(d, i): {(j, k): scalar}} with nonzero terms only.  The caller keeps
+    the dict, and a test that corrupts the presentation changes it before
+    anything reads it."""
+    return wba.GradedWBA(max_degree, labels, product, unit,
+                         lambda d, i: coproduct.get((d, i), {}), counit)
 
 
 def coproduct_table(w):
@@ -481,7 +492,7 @@ def direct_sum(h, k):
         counit[(d, i)] = c
     for (d, i), c in k.counit.items():
         counit[(d, i + off[d])] = c
-    return wba.GradedWBA(md, labels, product, unit, coproduct, counit)
+    return tabled(md, labels, product, unit, coproduct, counit)
 
 
 def sum_of_pieces(biideals, max_degree):

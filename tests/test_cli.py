@@ -347,8 +347,7 @@ def test_window_too_large_exits_3(tmp_path, quiver_doc, degree):
     triples count too, so an arrowless quiver cannot ask for a window whose
     degree loops alone grow with the cube of the degree.  The three-loop
     quiver at degree 5 is refused by its n_d^3 coproduct terms alone: its
-    product entries and degree triples stay under the bound, and left
-    uqsgd there would build a quotient coproduct of that order."""
+    product entries and degree triples stay under the bound."""
     quiver = write_json(tmp_path / "q.json", quiver_doc)
     start = time.perf_counter()
     code, doc = run_doc(tmp_path, ["face", "--quiver", quiver, "--max-degree", str(degree)])

@@ -29,7 +29,8 @@ from conftest import (bracket, check_biideal_oracle, check_descent_oracle, commu
                       relation_rows)
 from fleet import FLEET, HOST_DEGREE, kronecker, three_cycle, three_loop, two_loop
 from oracle import (coproduct_table, duality_report_with_dims, preprojective_relations,
-                    product_path_indices, product_quiver, subspace_equal, sum_of_pieces)
+                    product_path_indices, product_quiver, subspace_equal, sum_of_pieces,
+                    tabled)
 from test_face import named_quivers
 from test_golden import (DOUBLED_THREE_CYCLE, PREPROJECTIVE_THREE_CYCLE, Q_COMMUTATORS,
                          QUANTUM_PLANE, THREE_LOOP, THREE_LOOP_COMMUTATORS, TWO_LOOP)
@@ -175,7 +176,7 @@ def test_trivial_ideal_reproduces_face_algebra(trivial_results):
         host = wba.from_face_algebra(wba.path_algebra_presentation(q, degree))
         for field in ("max_degree", "labels", "product", "unit", "counit"):
             assert getattr(res.quotient, field) == getattr(host, field), (name, field)
-        assert res.quotient.coproduct == coproduct_table(host), name
+        assert coproduct_table(res.quotient) == coproduct_table(host), name
         assert len(res.biideal.generators) == 0
         for side, spec in res.induced_coactions.items():
             kq = wba.path_algebra_presentation(q, degree)
@@ -252,14 +253,46 @@ def test_quadratic_dualities_fail_against_another_dual():
     ]}
 
 
+def test_build_reads_each_quotient_coproduct_of_degree_two_and_up_once(monkeypatch):
+    """The quotient's Delta is computed on demand, never tabled:
+    quotient_wba reads no host coproduct while it builds, and during
+    build_uqsgd on the three-loop commutators (trans, degree 3) the
+    quotient's coproduct_of is called exactly once for each basis element
+    of degree >= 2, by the counit splits; only degrees 0 and 1 are read
+    more often."""
+    host_reads, reads, quotients = [], [], []
+    quotient_wba = wba.quotient_wba
+
+    def counted(b, report=None):
+        host, host_of = b.host, b.host.coproduct_of
+        host.coproduct_of = lambda d, i: host_reads.append((d, i)) or host_of(d, i)
+        try:
+            quo = quotient_wba(b, report=report)
+        finally:
+            host.coproduct_of = host_of
+        of = quo.coproduct_of
+        quo.coproduct_of = lambda d, i: reads.append((d, i)) or of(d, i)
+        quotients.append(quo)
+        return quo
+
+    monkeypatch.setattr(wba, "quotient_wba", counted)
+    q = three_loop()
+    result = uq.build_uqsgd(q, commutator_relations(q), "trans", 3)
+    assert quotients == [result.quotient] and result.verification["axioms"]["passed"]
+    assert host_reads == []
+    quo = result.quotient
+    assert sorted(r for r in reads if r[0] >= 2) == [(d, i) for d in (2, 3)
+                                                     for i in range(quo.dim(d))]
+    assert {d for d, _ in reads} == {0, 1, 2, 3}
+
+
 def test_quadratic_dualities_build_no_coproduct_tables(monkeypatch):
     """The transports read only products: no GradedWBA, so no coproduct or
-    counit table, is built; a FaceWBA has its own constructor."""
+    counit, is built; every presentation with a coproduct is a GradedWBA."""
     def refuse(*args):
-        raise AssertionError("a coproduct table was built")
+        raise AssertionError("a coproduct was built")
 
     monkeypatch.setattr(wba.GradedWBA, "__init__", refuse)
-    monkeypatch.setattr(wba.FaceWBA, "__init__", refuse)
     q = three_loop()
     report = dualities(q, q_commutator_relations(q, ["-2", "1/2", "-3/4"]), 3)
     assert report["passed"], report
@@ -502,8 +535,7 @@ def corrupted(host, d, i, scale):
     first = next(iter(entry))
     entry[first] *= scale
     coproduct[(d, i)] = entry
-    return wba.GradedWBA(host.max_degree, host.labels, host.product, host.unit, coproduct,
-                         host.counit)
+    return tabled(host.max_degree, host.labels, host.product, host.unit, coproduct, host.counit)
 
 
 @settings(max_examples=60, deadline=None)
@@ -533,7 +565,7 @@ def test_projections_match_the_fraction_oracle(case, data):
     quo = wba.quotient_wba(b)
     product, unit = quotient_algebra_oracle(b)
     coproduct, counit = quotient_coalgebra_oracle(b)
-    for new, old in ((quo.product, product), (quo.coproduct, coproduct)):
+    for new, old in ((quo.product, product), (coproduct_table(quo), coproduct)):
         assert new.keys() == old.keys()
         for key, entry in new.items():
             assert typed(entry) == policy_typed(old[key]), key

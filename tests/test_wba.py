@@ -26,7 +26,7 @@ from fleet import (FLEET, HOST_DEGREE, arrow_into_loop, doubled_three_cycle, kro
 from oracle import (FaceElement, bialgebra_d, coproduct_table, counit_splits_scan, direct_sum,
                     double_quiver, face_coproduct, face_counit, face_multiply, face_unit,
                     monomial_label, preprojective_relations, product_path_indices,
-                    product_quiver, subspace_equal, unit_splits_scan)
+                    product_quiver, subspace_equal, tabled, unit_splits_scan)
 from test_face import codec_variants, named_quivers
 
 ONE = Fraction(1)
@@ -235,11 +235,11 @@ def test_direct_sum_of_d_with_itself():
 
 def test_direct_sum_with_zero_summand():
     h = wba.from_face_algebra(wba.path_algebra_presentation(three_cycle(), 2))
-    zero = wba.GradedWBA(2, [[], [], []], {}, {}, {}, {})
+    zero = tabled(2, [[], [], []], {}, {}, {}, {})
     total = direct_sum(h, zero)
     assert total.dims() == h.dims()
     assert total.product == h.product
-    assert total.coproduct == coproduct_table(h)
+    assert coproduct_table(total) == coproduct_table(h)
     assert total.counit == h.counit
     assert total.unit == h.unit
 
@@ -374,7 +374,7 @@ def test_quotient_by_zero_biideal_is_host():
     quo = wba.quotient_wba(wba.BiidealGens(host, []))
     for field in ("max_degree", "labels", "product", "unit", "counit"):
         assert getattr(quo, field) == getattr(host, field), field
-    assert quo.coproduct == coproduct_table(host)
+    assert coproduct_table(quo) == coproduct_table(host)
 
 
 @pytest.mark.parametrize("ideal", [lambda q: quantum_plane_relations(q, Fraction(1, 2)),
@@ -385,7 +385,7 @@ def test_quotient_coalgebra_tables_match_dense_oracle(ideal):
     _, b = uq._relation_biideal(host, pa.quadratic_data(q, ideal(q)), "trans")
     quo = wba.quotient_wba(b)
     assert quo.dims() != host.dims()
-    assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
+    assert (coproduct_table(quo), quo.counit) == quotient_coalgebra_oracle(b)
 
 
 def test_commutator_quotient_dims():
@@ -585,10 +585,13 @@ def quantum_plane_quotient():
     return uq.build_uqsgd(q, quantum_plane_relations(q), "trans", 3).quotient
 
 
-def copied(w):
-    """A copy of w with its own product and coproduct tables and derived tables."""
-    return wba.GradedWBA(w.max_degree, w.labels, dict(w.product), w.unit,
-                         coproduct_table(w), dict(w.counit))
+def copied(w, coproduct=None):
+    """A copy of w with its own product, counit and derived tables, whose
+    coproduct reads the table coproduct, coproduct_table(w) if none is given
+    (see tabled): a test that corrupts the copy's coproduct keeps the table."""
+    if coproduct is None:
+        coproduct = coproduct_table(w)
+    return tabled(w.max_degree, w.labels, dict(w.product), w.unit, coproduct, dict(w.counit))
 
 
 SMALL_PRESENTATIONS = [
@@ -633,9 +636,11 @@ def corrupted_presentations(draw):
     the presentation is one where it can break."""
     kinds = draw(st.lists(st.sampled_from(("product", "coproduct", "degree-0 associativity")),
                           min_size=1, max_size=4))
-    w = copied(draw(st.sampled_from(DEGREE_ZERO_PRESENTATIONS
-                                    if kinds[0] == "degree-0 associativity"
-                                    else SMALL_PRESENTATIONS))())
+    source = draw(st.sampled_from(DEGREE_ZERO_PRESENTATIONS
+                                  if kinds[0] == "degree-0 associativity"
+                                  else SMALL_PRESENTATIONS))()
+    coproduct = coproduct_table(source)
+    w = copied(source, coproduct)
     top = w.max_degree
     for kind in kinds:
         d = draw(st.integers(0, top))
@@ -653,7 +658,7 @@ def corrupted_presentations(draw):
             if not w.dim(d):
                 continue
             i, j, k = (draw(st.integers(0, w.dim(d) - 1)) for _ in range(3))
-            _set_entry(w.coproduct, (d, i), (j, k), draw(SCALARS))
+            _set_entry(coproduct, (d, i), (j, k), draw(SCALARS))
     return w
 
 
@@ -704,8 +709,9 @@ def split_hosts():
 def corrupted_split_hosts(draw):
     """A copy of a split host with a few counit, coproduct or product entries
     overwritten; the copy builds its own derived tables."""
-    w = draw(st.sampled_from(split_hosts()))
-    w = copied(w)
+    source = draw(st.sampled_from(split_hosts()))
+    coproduct = coproduct_table(source)
+    w = copied(source, coproduct)
     top = w.max_degree
     for _ in range(draw(st.integers(1, 4))):
         d = draw(st.integers(0, top))
@@ -721,7 +727,7 @@ def corrupted_split_hosts(draw):
                 w.counit.pop((d, i), None)
         elif table == "coproduct":
             j, k = (draw(st.integers(0, w.dim(d) - 1)) for _ in range(2))
-            _set_entry(w.coproduct, (d, i), (j, k), draw(SCALARS))
+            _set_entry(coproduct, (d, i), (j, k), draw(SCALARS))
         else:
             e = draw(st.integers(0, top - d))
             if not (w.dim(e) and w.dim(d + e)):
@@ -784,7 +790,7 @@ def test_unspanned_degree_two_takes_the_full_path():
     coproduct = {(0, 0): {(0, 0): ONE}, (1, 0): {(0, 0): ONE},
                  (2, 0): {(0, 0): ONE}, (2, 1): {(1, 1): ONE}}
     counit = {(d, i): ONE for d, row in enumerate(labels) for i in range(len(row))}
-    w = wba.GradedWBA(2, labels, product, {0: ONE}, coproduct, counit)
+    w = tabled(2, labels, product, {0: ONE}, coproduct, counit)
     assert wba._generator_associative(w)
     assert not wba._spanned_from_degree_one(w)
     assert not w.generator_reducible
@@ -815,7 +821,7 @@ def test_delta_multiplicative_terms_that_cancel():
     and u1 u1 = u2 u1 = u1, sums to u1 (x) u1 - u1 (x) u1: no failure."""
     product = {(0, 1, 0, 1): {1: ONE}, (0, 2, 0, 1): {1: ONE}}
     coproduct = {(0, 0): {(1, 1): ONE, (2, 1): -ONE}}
-    w = wba.GradedWBA(0, [["u0", "u1", "u2"]], product, {1: ONE}, coproduct, {})
+    w = tabled(0, [["u0", "u1", "u2"]], product, {1: ONE}, coproduct, {})
     assert (wba.multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)
             == pairwise_delta_multiplicative(w) == [])
 
@@ -1129,11 +1135,11 @@ def row_shapes(b):
     return shapes
 
 
-def on_copied_host(b):
-    """b's generators over copied(b.host), a plain GradedWBA with its own
-    tables, which a test may corrupt: a presentation never changes once it
-    is built, and h(Q) keeps no coproduct table."""
-    return wba.BiidealGens(copied(b.host), b.generators)
+def on_copied_host(b, coproduct=None):
+    """b's generators over copied(b.host, coproduct), a presentation with
+    its own tables, which a test may corrupt: a presentation never changes
+    once it is built, and h(Q) keeps no coproduct table."""
+    return wba.BiidealGens(copied(b.host, coproduct), b.generators)
 
 
 def test_descent_check_matches_oracle_on_each_verdict():
@@ -1166,9 +1172,11 @@ def test_descent_check_matches_oracle_on_each_verdict():
     counit_case.host.counit[(d, p)] = 1
     cases = [("pass", mixed_relation_biideal()), ("counit-vanishes", counit_case)]
     for d in (2, 3):
-        b = on_copied_host(mixed_relation_biideal())
+        base = mixed_relation_biideal()
+        coproduct = coproduct_table(base.host)
+        b = on_copied_host(base, coproduct)
         m = coset_term(b, d)
-        _set_entry(b.host.coproduct, (d, m), (m, m), b.host.coproduct_of(d, m).get((m, m), 0) + 1)
+        _set_entry(coproduct, (d, m), (m, m), coproduct.get((d, m), {}).get((m, m), 0) + 1)
         cases.append(("coproduct-descends", b))
     # b is the degree-3 corruption, which no closure product sees
     assert all(wba._descends(b.host, d, wba.biideal_graded_pieces(b, d), v)
@@ -1187,7 +1195,7 @@ def test_descent_check_matches_oracle_on_each_verdict():
                 b = host(mixed_relation_biideal(side))
                 report = wba.check_biideal(b, 3)
                 quo = wba.quotient_wba(b, report=report if given_report else None)
-                assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
+                assert (coproduct_table(quo), quo.counit) == quotient_coalgebra_oracle(b)
                 assert report["passed"] and wba.check_biideal(b, 3) == report
 
 
@@ -1204,14 +1212,15 @@ def corrupted_biideals(draw):
     corruptions = draw(st.integers(0, 2))
     if not corruptions:
         return b
-    b = on_copied_host(b)
+    coproduct = coproduct_table(b.host)
+    b = on_copied_host(b, coproduct)
     w = b.host
     degrees = [d for d in range(w.max_degree + 1) if w.dim(d)]
     for _ in range(corruptions):
         d = draw(st.sampled_from(degrees))
         i, j, k = (draw(st.integers(0, w.dim(d) - 1)) for _ in range(3))
         if draw(st.booleans()):
-            _set_entry(w.coproduct, (d, i), (j, k), draw(SCALARS))
+            _set_entry(coproduct, (d, i), (j, k), draw(SCALARS))
         else:
             w.counit[(d, i)] = draw(SCALARS)
             if not w.counit[(d, i)]:
@@ -1229,7 +1238,7 @@ def test_descent_check_matches_oracle_on_corrupted_hosts(b):
     assert_biideal_report_matches_oracle(b)
     if wba.check_biideal(b, b.host.max_degree)["passed"]:
         quo = wba.quotient_wba(b)
-        assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
+        assert (coproduct_table(quo), quo.counit) == quotient_coalgebra_oracle(b)
 
 
 @st.composite
@@ -1262,7 +1271,7 @@ def assert_face_report_matches_a_copied_host(b):
     report, every witness included, that it gives over a plain-table copy
     of the host."""
     host = b.host
-    assert isinstance(host, wba.FaceWBA)
+    assert host.delta_known_multiplicative()
     top = host.max_degree
     with pytest.MonkeyPatch.context() as mp:
         full_witness_rows(mp)
@@ -1368,8 +1377,9 @@ def closure_products(b, top):
 def test_descent_on_the_doubled_three_cycle():
     """The preprojective relation biideals of the doubled three-cycle, on
     each side, pass.  The check tests descent on exactly the closure
-    products, never on a piece row, and the quotient reads the coproduct
-    of each coset column once, in order, and of no pivot.  The sum of a side's
+    products, never on a piece row.  Building the quotient reads no host
+    coproduct, and reading the quotient's whole coproduct reads the host's
+    coproduct of each coset column once, in order, and of no pivot.  The sum of a side's
     generators, as one generator, has as closure products z g z' (z, z'
     over the nine degree-0 basis elements) its 27 vertex components, none
     equal to it: on the left and right these are the generators again, so
@@ -1390,12 +1400,14 @@ def test_descent_on_the_doubled_three_cycle():
             mp.setattr(b.host, "coproduct_of",
                        lambda d, i: reads.append((d, i)) or coproduct_of(d, i))
             quo = wba.quotient_wba(b, report=report)
+            assert reads == []
+            table = coproduct_table(quo)
         assert assert_descent_matches_the_full_path(b) == report
         pivots = {(d, p) for d in range(4) for p in wba.biideal_graded_pieces(b, d).pivots}
         assert reads == [(d, m) for d in range(4)
                          for m in wba.biideal_graded_pieces(b, d).projection.cols]
         assert not pivots & set(reads)
-        assert (quo.coproduct, quo.counit) == quotient_coalgebra_oracle(b)
+        assert (table, quo.counit) == quotient_coalgebra_oracle(b)
 
         merged = {}
         for _, g in b.generators:
