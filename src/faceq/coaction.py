@@ -115,17 +115,18 @@ def check_comodule_algebra(c, host):
 
     Coassociativity is computed on degrees 0 and 1 alone when they pass,
     the coaction is multiplicative, the algebra is generator_reducible and
-    the host's Delta is known to be multiplicative (host.delta_failures
-    computed and empty, as on h(Q) and its quotients from construction,
-    see wba.quotient_wba; it is never computed here).  Then, for a left
-    coaction rho, (Delta (x) id)rho and (id (x) rho)rho are multiplicative
-    maps (on a right one, (rho (x) id)rho and (id (x) Delta)rho), and two
+    the host's Delta is known to be multiplicative, two facts set at
+    construction (host.delta_multiplicative holds on h(Q) and its
+    quotients, see wba.quotient_wba; it is never computed here).  Then,
+    for a left coaction rho, (Delta (x) id)rho and (id (x) rho)rho are
+    multiplicative maps (on a right one, (rho (x) id)rho and
+    (id (x) Delta)rho), and two
     multiplicative maps that agree on degrees 0 and 1 agree on every
     v = sum c g x with g of degree 1, by induction on the degree.  The
     counit rows are computed on every degree, as the counit of a weak
     bialgebra is not multiplicative.  Otherwise every degree is computed.
-    On h(Q) and its quotients the host's generator_reducible, which the
-    multiplicativity join reads, is known from construction too.
+    kQ, h(Q) and its quotients are born generator_reducible, the premise
+    that the multiplicativity join reads.
     """
     algebra = c.algebra
     max_degree = min(host.max_degree, algebra.max_degree, c.degrees())
@@ -142,7 +143,7 @@ def check_comodule_algebra(c, host):
 
     rows = [_coalgebra_rows(host, algebra, d, y[d]) for d in range(min(max_degree, 1) + 1)]
     proven = (not mult_fails and not any(coassoc for coassoc, _ in rows)
-              and host.delta_known_multiplicative() and algebra.generator_reducible)
+              and host.delta_multiplicative and algebra.generator_reducible)
     rows += [_coalgebra_rows(host, algebra, d, y[d], not proven)
              for d in range(2, max_degree + 1)]
 

@@ -23,22 +23,24 @@ term of a left-leg product is paired once with the image terms that start
 at its right factor, so the inner loop is one membership test per miss.
 The algebras here are generated in degrees 0 and 1, so a passing map is
 proven on the generator pairs alone (left factors of degree 1, and of
-degree 0 with right factors of degree 0 or 1) once two premises hold on
-source and targets, computed once per presentation: every degree d >= 2
-is spanned by the products of degree 1 and degree d-1, and
-(g x) y = g (x y) for every g of degree 1 and (z g) x = z (g x) for every
-z of degree 0 and g of degree 1, with x of degree >= 1 (two inductions,
-see multiplicative_failures).  This associativity is a premise, not a report
-row; when it or the spanning fails, or a generator pair fails, every pair
-is checked, so a failing report keeps every witness.
-Some presentations are born with these facts, as plain values set at
-construction, never computed to find out.  h(Q)'s own Delta needs no join:
-kQ's paths factor uniquely, which makes it multiplicative on the whole
-window, and h(Q) is generator_reducible when kQ is, as its Segre square
+degree 0 with right factors of degree 0 or 1) when source and targets are
+generator_reducible: every degree d >= 2 is spanned by the products of
+degree 1 and degree d-1, and (g x) y = g (x y) for every g of degree 1
+and (z g) x = z (g x) for every z of degree 0 and g of degree 1, with x
+of degree >= 1 (two inductions, see multiplicative_failures).  When a
+generator pair fails, or a presentation is not known to be
+generator_reducible, every pair is checked, so a failing report keeps
+every witness.
+A presentation knows two facts, generator_reducible and (on a GradedWBA)
+delta_multiplicative, as plain bools that its constructor sets when it
+has proven them; they are never computed, and False means unknown.
+path_algebra_presentation proves kQ generator_reducible from how its
+paths compose.  h(Q)'s Delta is multiplicative because kQ's paths factor
+uniquely, and h(Q) is generator_reducible when kQ is, as its Segre square
 (see from_face_algebra).  A quotient by a biideal inherits both from its
 host, as the image of an algebra map through which Delta descends (see
-quotient_wba).  Copies and hand-made presentations set neither, and are
-checked by the join.
+quotient_wba).  Copies and hand-made presentations know neither, and are
+checked by the joins.
 Two-leg maps (L (x) R)(t) go through linalg.apply_legs: the weak-counit
 splits, which read each basis element's coproduct once, and the projected
 coproducts (pi (x) pi)Delta of the biideal check (_descends) and the
@@ -69,9 +71,19 @@ class GradedAlgebra:
     read-only (one may be shared by several keys).  unit is a degree-0
     coordinate dict.  The product table must not change once the object
     is built, so what is derived from it, its index by left factor
-    products_by_left and the flags int_products and generator_reducible,
-    are cached properties.
+    products_by_left and the flag int_products, are cached properties.
+
+    generator_reducible is a fact, not derived: True when each degree
+    d >= 2 is spanned by the products of degree 1 and degree d-1,
+    (g x) y = g (x y) for every g of degree 1 and x of degree >= 1, and
+    (z g) x = z (g x) for every z of degree 0, g of degree 1 and x of
+    degree >= 1.  It is False, meaning unknown, unless the constructor
+    proved it: path_algebra_presentation for kQ, from_face_algebra and
+    quotient_wba from their argument's.  multiplicative_failures and the
+    comodule check read it as the premise of their early exits.
     """
+
+    generator_reducible = False
 
     def __init__(self, max_degree, labels, product, unit):
         self.max_degree = max_degree
@@ -114,21 +126,6 @@ class GradedAlgebra:
         """True iff every product constant is an int."""
         return {type(c) for e in self.product.values() for c in e.values()} <= {int}
 
-    @cached_property
-    def generator_reducible(self):
-        """True iff each degree d >= 2 is spanned by the products of degree 1
-        and degree d-1, (g x) y = g (x y) for every g of degree 1 and x of
-        degree >= 1, and (z g) x = z (g x) for every z of degree 0, g of
-        degree 1 and x of degree >= 1.
-
-        Stores only the bool; multiplicative_failures and the comodule
-        check read it as the premise of their early exits.  h(Q) and the
-        quotients of a host where it holds are born with it set to True
-        (see from_face_algebra and quotient_wba), so it is computed for kQ,
-        copies and hand-made presentations alone.
-        """
-        return _spanned_from_degree_one(self) and _generator_associative(self)
-
 
 class GradedWBA(GradedAlgebra):
     """A graded algebra plus a degree-preserving coproduct and a counit table.
@@ -137,9 +134,14 @@ class GradedWBA(GradedAlgebra):
     {(j, k): scalar} describing a sum of u^d_j (x) u^d_k, nonzero terms
     only; counit maps (d, i) to its nonzero scalar value.  Neither may
     change once the object is built, so the eps(u_i u_j) table
-    eps_products, the counital_subalgebras and the coproduct's
-    multiplicativity failures delta_failures are cached properties.
+    eps_products and the counital_subalgebras are cached properties.
+
+    delta_multiplicative is a fact: True when Delta is proven
+    multiplicative on the whole window, set by from_face_algebra and
+    quotient_wba; False means unknown, and check_axioms runs the join.
     """
+
+    delta_multiplicative = False
 
     def __init__(self, max_degree, labels, product, unit, coproduct_of, counit):
         super().__init__(max_degree, labels, product, unit)
@@ -163,15 +165,6 @@ class GradedWBA(GradedAlgebra):
 
     def delta_one(self):
         return self.delta(0, self.unit)
-
-    @cached_property
-    def delta_failures(self):
-        """The basis pairs where Delta is not multiplicative, as check_axioms reports them."""
-        return multiplicative_failures(self, self.coproduct_of, self, self, self.max_degree)
-
-    def delta_known_multiplicative(self):
-        """True iff delta_failures has been computed and is empty; never computes it."""
-        return self.__dict__.get("delta_failures") == []
 
     @cached_property
     def eps_products(self):
@@ -210,7 +203,13 @@ class GradedWBA(GradedAlgebra):
 
 
 def path_algebra_presentation(q, max_degree):
-    """kQ as a graded algebra on the per-degree path bases, degrees without paths skipped."""
+    """kQ as a graded algebra on the per-degree path bases, degrees without paths skipped.
+
+    kQ is born generator_reducible.  Every path of length d >= 2 is an
+    arrow times a path of length d-1, so the products of degree 1 and
+    degree d-1 span degree d; and concatenation is associative, so both
+    associativity premises hold on every triple of paths.
+    """
     bases = [qv.enumerate_paths(q, d) for d in range(max_degree + 1)]
     index = [{p: i for i, p in enumerate(b)} for b in bases]
     labels = [[q.path_label(p) for p in b] for b in bases]
@@ -225,7 +224,9 @@ def path_algebra_presentation(q, max_degree):
                     if pr is not None:
                         product[(d, i, e, j)] = {tgt[pr]: _ONE}
     unit = {i: _ONE for i in range(len(bases[0]))}
-    return GradedAlgebra(max_degree, labels, product, unit)
+    kq = GradedAlgebra(max_degree, labels, product, unit)
+    kq.generator_reducible = True
+    return kq
 
 
 def face_algebra(kq, max_degree=None):
@@ -270,11 +271,11 @@ def from_face_algebra(kq):
     Delta(x[a;b]) = sum_m x[a;m] (x) x[m;b], computed from the index
     a n_d + b of x[a;b] (n_d paths of length d) on every call, and the
     counit table eps(x[a;b]) = delta_ab.  Two facts of kQ become facts of
-    h(Q), set as the cached properties' values.
+    h(Q), set here.
 
     When kQ's paths factor uniquely (_factors_uniquely), Delta is
-    multiplicative on the whole window, and delta_failures is [] from
-    construction, without the join.  For x[a;b] x[c;k] = x[ac;bk], with
+    multiplicative on the whole window, and delta_multiplicative is True
+    from construction, without the join.  For x[a;b] x[c;k] = x[ac;bk], with
     m, m' over kQ's bases of degrees d, e and M, M' over degree d + e,
         Delta(x[a;b]) Delta(x[c;k]) = sum_{m,m'} x[ac;mm'] (x) x[mm';bk]
             = sum_{M,M'} (sum_{m,m'} [mm' = M][mm' = M']) x[ac;M] (x) x[M';bk],
@@ -282,19 +283,20 @@ def from_face_algebra(kq):
     sum_M x[ac;M] (x) x[M;bk] = Delta(x[ac;bk]); where ac or bk is zero,
     both sides are.
 
-    When kq.generator_reducible, so is h(Q), and generator_reducible is
-    True from construction.  h(Q)_d is kQ_d (x) kQ_d and
-    x[a;b] x[c;k] = x[ac;bk] multiplies each component in kQ: the products
-    x[g;g'] x[x;x'] with g, g' of degree 1 and x, x' of degree d-1 span
+    h(Q) is generator_reducible when kq is, and copies kq's value.
+    h(Q)_d is kQ_d (x) kQ_d and x[a;b] x[c;k] = x[ac;bk] multiplies each
+    component in kQ: the products x[g;g'] x[x;x'] with g, g' of degree 1
+    and x, x' of degree d-1 span
     kQ_1 kQ_{d-1} (x) kQ_1 kQ_{d-1}, which is h(Q)_d when kQ_d is spanned
     by kQ_1 kQ_{d-1}; and (x[g;g'] x[a;a']) x[c;c'] is x[(ga)c;(g'a')c']
     while x[g;g'] (x[a;a'] x[c;c']) is x[g(ac);g'(a'c')], so the two
     associativity premises, whose triples have the same degrees in both
     components, hold on h(Q)'s basis when they hold on kQ's.
 
-    Both proofs read the tables as built here, which a presentation never
-    changes, and neither stores kQ; a copy with its own tables sets no
-    flag and is checked by the join.
+    The factorization is read from kq's table, as built, since a
+    presentation never changes; generator_reducible is kq's own fact.
+    Neither stores kQ; a copy with its own tables knows neither fact and
+    is checked by the join.
     """
     alg = face_algebra(kq)
     sizes = kq.dims()
@@ -306,10 +308,8 @@ def from_face_algebra(kq):
 
     counit = {(d, a * n + a): _ONE for d, n in enumerate(sizes) for a in range(n)}
     h = GradedWBA(alg.max_degree, alg.labels, alg.product, alg.unit, coproduct_of, counit)
-    if _factors_uniquely(kq):
-        h.delta_failures = []
-    if kq.generator_reducible:
-        h.generator_reducible = True
+    h.generator_reducible = kq.generator_reducible
+    h.delta_multiplicative = _factors_uniquely(kq)
     return h
 
 
@@ -359,73 +359,6 @@ def _products_by_left(product):
     return rows
 
 
-def _spanned_from_degree_one(alg):
-    """True iff each degree d >= 2 is spanned by the products of degree 1 and degree d-1.
-
-    One Echelon per degree takes the product entries until it reaches full rank.
-    """
-    rows = alg.products_by_left
-    for d in range(2, alg.max_degree + 1):
-        n = alg.dim(d)
-        ech = Echelon(n)
-        for row in rows.get((1, d - 1), {}).values():
-            for entry in row.values():
-                if ech.rank == n:
-                    break
-                ech.add(entry)
-        if ech.rank < n:
-            return False
-    return True
-
-
-def _generator_associative(alg):
-    """True iff (g x) y = g (x y) for every basis g, x, y in the window with
-    g of degree 1 and x of degree >= 1, or g of degree 0, x of degree 1 and
-    y of degree >= 1: the triples multiplicative_failures's inductions use.
-
-    A join over the nonzero products: per degree pair (dx, dy) the terms
-    c u_n of the products u_x u_y are indexed by n, the right factor of
-    g u_n, so g (x y) visits only the nonzero g u_n, and (g x) y reads
-    products_by_left.  The index lives for one degree pair and serves both
-    degrees of g.  Per g, both sides go into one difference table, which
-    must be zero.
-    """
-    rows = alg.products_by_left
-    top = alg.max_degree
-    for dx in range(1, top + 1):
-        for dy in range(top + 1 - dx):
-            gds = [gd for gd in ((0, 1) if dx == 1 and dy else (1,)) if gd + dx + dy <= top]
-            if not gds:
-                continue
-            # by_right[n] lists (x, y, c) over the terms c u_n of the products u_x u_y
-            by_right = {}
-            for x, row in rows.get((dx, dy), {}).items():
-                for y, entry in row.items():
-                    for n, c in entry.items():
-                        by_right.setdefault(n, []).append((x, y, c))
-            for gd in gds:
-                gx_rows = rows.get((gd, dx), {})
-                my_rows = rows.get((gd + dx, dy), {})
-                gn_rows = rows.get((gd, dx + dy), {})
-                for g in range(alg.dim(gd)):
-                    # diff[(x, y, k)] is the u_k coefficient of (g x) y - g (x y)
-                    diff = {}
-                    for x, entry in gx_rows.get(g, {}).items():
-                        for m, c in entry.items():
-                            for y, my in my_rows.get(m, {}).items():
-                                for k, ck in my.items():
-                                    key = (x, y, k)
-                                    diff[key] = diff.get(key, 0) + c * ck
-                    for n, gn in gn_rows.get(g, {}).items():
-                        for x, y, c in by_right.get(n, ()):
-                            for k, ck in gn.items():
-                                key = (x, y, k)
-                                diff[key] = diff.get(key, 0) - c * ck
-                    if any(diff.values()):
-                        return False
-    return True
-
-
 def image_of(image, d, u):
     """f(u) for a coordinate dict u of degree d, as a read-only {(p, q): scalar}.
 
@@ -460,8 +393,9 @@ def multiplicative_failures(src, image, left, right, max_degree):
 
     The generator pairs come first: left factors of degree 1, and of
     degree 0 with right factors of degree 0 or 1.  If they give no failure,
-    and src, left and right are each generator_reducible, the other pairs
-    hold as well and are not visited.  A left factor u of degree >= 2 is a
+    and src, left and right each know they are generator_reducible (a
+    fact set at construction, see GradedAlgebra), the other pairs hold as
+    well and are not visited.  A left factor u of degree >= 2 is a
     sum of c g x with g of degree 1, and by induction on the degree of x
     f(uv) = sum c f(g (x v)) = sum c f(g) (f(x) f(v)) = sum c (f(g) f(x)) f(v)
     = f(u) f(v), by associativity of src on (g, x, v), the checked pair
@@ -471,8 +405,8 @@ def multiplicative_failures(src, image, left, right, max_degree):
     = sum c f(z) f(gx) = f(z) f(v), by the premise (z g) x = z (g x) on
     src, the checked pairs (zg, x), (z, g) and (g, x), and the same premise
     on both target legs.
-    Otherwise every pair is visited, so a failing map keeps every witness,
-    in (d, e) order.
+    Otherwise, a generator pair failing or a premise not known, every
+    pair is visited, so a failing map keeps every witness, in (d, e) order.
     """
     degrees = [d for d in range(max_degree + 1) if src.dim(d)]
     pairs = [(d, e) for d in degrees for e in degrees if d + e <= max_degree]
@@ -683,12 +617,15 @@ def check_axioms(w):
 
     Covers coproduct multiplicativity, the two weak counit identities, and
     the two split forms of coassociativity of the unit.  Failures carry up
-    to three witness tuples of basis labels.
+    to three witness tuples of basis labels.  Multiplicativity is [] when
+    w.delta_multiplicative, proven at construction, and the join otherwise.
     """
     f12, f21 = _failures_counit_splits(w)
     g12, g21 = _failures_unit_splits(w)
+    delta_fails = [] if w.delta_multiplicative else multiplicative_failures(
+        w, w.coproduct_of, w, w, w.max_degree)
     return report([
-        ("delta-multiplicative", w.delta_failures),
+        ("delta-multiplicative", delta_fails),
         ("counit-product-split-12", f12),
         ("counit-product-split-21", f21),
         ("unit-coproduct-split-12", g12),
@@ -843,9 +780,9 @@ def check_biideal(b, max_degree):
     The counit-vanishes row tests eps on every canonical row of every piece.
     Descent is one test, _descends.
 
-    When the host's Delta is known to be multiplicative
-    (delta_known_multiplicative, which never computes it), descent is
-    first tested on the closure products z g z' of the generators alone
+    When the host's Delta is known to be multiplicative (its
+    delta_multiplicative, set at construction), descent is first tested
+    on the closure products z g z' of the generators alone
     (_closure_products).  If they all descend, every piece row does, by
     induction on the degree: the degree-d piece I_d is spanned by the
     closure products and by a r and r a with a of degree 1 and r in
@@ -865,7 +802,7 @@ def check_biideal(b, max_degree):
     eps_fails = [f"degree {d}, piece row {r}" for d, piece in enumerate(pieces)
                  for r, row in enumerate(piece.int_rows) if w.eps(d, row)]
     delta_fails = []
-    if not (w.delta_known_multiplicative()
+    if not (w.delta_multiplicative
             and all(_descends(w, d, piece, v) for d, piece in enumerate(pieces)
                     for v in _closure_products(b, d))):
         delta_fails = [f"degree {d}, piece row {r}" for d, piece in enumerate(pieces)
@@ -885,11 +822,9 @@ def quotient_wba(b, report=None):
     is sound because a presentation never changes, so building the
     quotient reads no host coproduct.
 
-    When the host's generator_reducible is known to be True (set at its
-    construction, as on h(Q); never computed here), so is the quotient's,
-    and if the host's Delta is known to be multiplicative
-    (delta_known_multiplicative) as well, the quotient's delta_failures is
-    [].  The host, h(Q) or a quotient of it, is an associative algebra
+    The quotient copies the host's generator_reducible, and its
+    delta_multiplicative is True when the host knows both facts, as h(Q)
+    does.  The host, h(Q) or a quotient of it, is an associative algebra
     generated in degrees 0 and 1, so the spread makes I a two-sided ideal
     (biideal_graded_pieces), and pi: H -> H/I, onto the coset basis, is a
     surjective algebra map.
@@ -900,7 +835,7 @@ def quotient_wba(b, report=None):
     Delta'(pi x pi y) = (pi (x) pi)(Delta(x) Delta(y))
     = Delta'(pi x) Delta'(pi y), as pi (x) pi is an algebra map too.  A
     host whose facts are not known (a copy, a hand-made presentation)
-    leaves both to be computed on the quotient by the join.
+    gives a quotient that knows neither, and is checked by the joins.
     """
     w = b.host
     if report is None:
@@ -930,9 +865,6 @@ def quotient_wba(b, report=None):
         return divided(apply_legs(w.coproduct_of(d, p.cols[i]), p.rows, p.rows), p.denom * p.denom)
 
     quotient = GradedWBA(w.max_degree, labels, product, unit, coproduct_of, counit)
-    # the cached properties' values, proven above from what the host knows
-    if w.__dict__.get("generator_reducible"):
-        quotient.generator_reducible = True
-        if w.delta_known_multiplicative():
-            quotient.delta_failures = []
+    quotient.generator_reducible = w.generator_reducible
+    quotient.delta_multiplicative = w.generator_reducible and w.delta_multiplicative
     return quotient

@@ -25,7 +25,10 @@ of different ambient dimensions; projection_oracle, a subspace's coset
 projection built from its pivot-1 basis in Fractions, the reference for
 linalg.Projection; and duality_report_with_dims, the duality transports
 by their former rule, which also compared graded quotient dimensions, the
-reference for the degree-2 rule of uqsgd.check_quadratic_dualities.
+reference for the degree-2 rule of uqsgd.check_quadratic_dualities;
+and generator_reducible, the spanning and generator-associativity joins
+that prove the premise wba.GradedAlgebra.generator_reducible asserts, the
+reference for the fact that path_algebra_presentation sets at birth.
 Coefficients are Fractions.
 """
 
@@ -761,3 +764,74 @@ def duality_report_with_dims(qd, qdual, max_degree):
         ok = moved == pieces[dst] and dims[src] == dims[dst]
         rows.append((name, [] if ok else [detail]))
     return wba.report(rows)
+
+
+def generator_reducible(alg):
+    """The premise that wba.GradedAlgebra.generator_reducible asserts, by
+    the joins that once computed it: spanned_from_degree_one and
+    generator_associative.  The reference for the born fact."""
+    return spanned_from_degree_one(alg) and generator_associative(alg)
+
+
+def spanned_from_degree_one(alg):
+    """True iff each degree d >= 2 is spanned by the products of degree 1 and degree d-1.
+
+    One Echelon per degree takes the product entries until it reaches full rank.
+    """
+    rows = alg.products_by_left
+    for d in range(2, alg.max_degree + 1):
+        n = alg.dim(d)
+        ech = Echelon(n)
+        for row in rows.get((1, d - 1), {}).values():
+            for entry in row.values():
+                if ech.rank == n:
+                    break
+                ech.add(entry)
+        if ech.rank < n:
+            return False
+    return True
+
+
+def generator_associative(alg):
+    """True iff (g x) y = g (x y) for every basis g, x, y in the window with
+    g of degree 1 and x of degree >= 1, or g of degree 0, x of degree 1 and
+    y of degree >= 1: the triples wba.multiplicative_failures's inductions use.
+
+    A join over the nonzero products: per degree pair (dx, dy) the terms
+    c u_n of the products u_x u_y are indexed by n, the right factor of
+    g u_n, so g (x y) visits only the nonzero g u_n, and (g x) y reads
+    products_by_left.  Per g, both sides go into one difference table,
+    which must be zero.
+    """
+    rows = alg.products_by_left
+    top = alg.max_degree
+    for dx in range(1, top + 1):
+        for dy in range(top + 1 - dx):
+            gds = [gd for gd in ((0, 1) if dx == 1 and dy else (1,)) if gd + dx + dy <= top]
+            if not gds:
+                continue
+            # by_right[n] lists (x, y, c) over the terms c u_n of the products u_x u_y
+            by_right = {}
+            for x, row in rows.get((dx, dy), {}).items():
+                for y, entry in row.items():
+                    for n, c in entry.items():
+                        by_right.setdefault(n, []).append((x, y, c))
+            for gd in gds:
+                gx_rows = rows.get((gd, dx), {})
+                my_rows = rows.get((gd + dx, dy), {})
+                gn_rows = rows.get((gd, dx + dy), {})
+                for g in range(alg.dim(gd)):
+                    # diff[(x, y, k)] is the u_k coefficient of (g x) y - g (x y)
+                    diff = {}
+                    for x, entry in gx_rows.get(g, {}).items():
+                        for m, c in entry.items():
+                            for y, my in my_rows.get(m, {}).items():
+                                for k, ck in my.items():
+                                    bump(diff, (x, y, k), c * ck)
+                    for n, gn in gn_rows.get(g, {}).items():
+                        for x, y, c in by_right.get(n, ()):
+                            for k, ck in gn.items():
+                                bump(diff, (x, y, k), -c * ck)
+                    if diff:
+                        return False
+    return True

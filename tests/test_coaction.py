@@ -20,7 +20,8 @@ from conftest import (break_degree_zero_associativity, commutator_relations, dd_
                       full_witness_rows, matrix_failures_oracle, quantum_plane_relations)
 from fleet import (DEGREE_ZERO_SOURCES, FLEET, doubled_three_cycle, kronecker, q_bullets,
                    three_cycle, three_loop, two_loop)
-from oracle import bialgebra_d, coproduct_table, search_base_iso_exhaustive, tabled
+from oracle import (bialgebra_d, coproduct_table, generator_reducible,
+                    search_base_iso_exhaustive, tabled)
 from test_wba import _set_entry, copied, on_copied_host
 
 ONE = Fraction(1)
@@ -498,8 +499,13 @@ def corrupt(draw, host, spec, kind):
       neither Delta's nor the coaction's multiplicativity reads;
     - (z g) x = z (g x) broken for a z of degree 0 only, in the host or in
       the algebra (see break_degree_zero_associativity).
-    Half of the host copies have their Delta checked first, so the comodule
-    check may compute coassociativity on degrees 0 and 1 alone."""
+    The copies are then given the facts that a constructor sets once it
+    has proven them: the host and the algebra the premise
+    generator_reducible as the oracle computes it, and half of the host
+    copies delta_multiplicative as Delta's join finds it.  So both short
+    paths of the comodule check run on corrupted presentations whose
+    premises hold, and coassociativity may be computed on degrees 0 and 1
+    alone."""
     coproduct = coproduct_table(host)
     host = copied(host, coproduct)
     algebra = wba.GradedAlgebra(spec.algebra.max_degree, spec.algebra.labels,
@@ -529,8 +535,11 @@ def corrupt(draw, host, spec, kind):
         i, j, k = (draw(st.integers(0, host.dim(d) - 1)) for _ in range(3))
         value = draw(st.sampled_from((0, 2, -1, Fraction(1, 2))))
         _set_entry(coproduct, (d, i), (j, k), value)
+    for alg in (host, algebra):
+        alg.generator_reducible = generator_reducible(alg)
     if draw(st.booleans()):
-        host.delta_failures
+        host.delta_multiplicative = not wba.multiplicative_failures(
+            host, host.coproduct_of, host, host, host.max_degree)
     return host, co.CoactionSpec(spec.side, algebra, coefficients)
 
 
@@ -598,14 +607,14 @@ def test_host_product_corrupted_at_left_degree_two_matches_dense_oracle():
     multiplicativity visits every pair and finds the one failure, at a
     left factor of degree 2, as the dense oracle does.  On a copy of h(Q)
     with its own tables, as a presentation never changes once built: h(Q)
-    is generator_reducible from construction."""
+    is generator_reducible from construction, and a copy knows no fact."""
     host, lam, rho = canonical_pair(two_loop(), 3)
     host = copied(host)
     i = host.labels[2].index("x[t1.t2;t1.t2]")
     j = host.labels[1].index("x[t1;t1]")
     ((m, c),) = host.product[(2, i, 1, j)].items()
     host.product[(2, i, 1, j)] = {m: 2 * c}
-    assert not host.generator_reducible
+    assert not host.generator_reducible and not generator_reducible(host)
     for spec in (lam, rho):
         with pytest.MonkeyPatch.context() as mp:
             full_witness_rows(mp)
@@ -648,10 +657,10 @@ def face_host(q, degree, delta_known):
     """h(Q), whose Delta is known to be multiplicative from construction,
     or else a plain-table copy of it, whose Delta is not known."""
     host = wba.from_face_algebra(wba.path_algebra_presentation(q, degree))
-    assert host.delta_known_multiplicative()
+    assert host.delta_multiplicative
     if not delta_known:
         host = copied(host)
-        assert not host.delta_known_multiplicative()
+        assert not host.delta_multiplicative
     return host
 
 
@@ -711,43 +720,37 @@ BORN_PROVEN = [(two_loop, quantum_plane_relations, side) for side in uq.RESULT_S
     (three_loop, commutator_relations, "trans")]
 
 
-def join_calls(mp):
-    """The presentations that each later premise join (spanning or
-    associativity) runs on, and the sources of each later _pair_failures call."""
-    premises, sources = [], []
-    for name, log in (("_spanned_from_degree_one", premises),
-                      ("_generator_associative", premises)):
-        def counted(alg, _fn=getattr(wba, name), _log=log):
-            _log.append(alg)
-            return _fn(alg)
-        mp.setattr(wba, name, counted)
+def join_sources(mp):
+    """The sources of each later _pair_failures call, the one
+    multiplicativity join."""
+    sources = []
     pair_failures = wba._pair_failures
 
     def counted_pairs(src, *args):
         sources.append(src)
         return pair_failures(src, *args)
     mp.setattr(wba, "_pair_failures", counted_pairs)
-    return premises, sources
+    return sources
 
 
 @pytest.mark.parametrize("make_quiver, make_relations, side", BORN_PROVEN)
 def test_quotient_of_face_algebra_is_born_with_its_facts(make_quiver, make_relations, side):
     """A UQSGd quotient of h(Q) at degree 3 is born with Delta known to be
-    multiplicative and generator_reducible True, as plain values: while
-    it is built, and its axioms, comodule checks and structure lemmas run,
-    no join runs for its Delta or for either premise of h(Q) or of the
-    quotient.  Every multiplicativity join that runs is an induced
-    coaction's, whose source is kQ, and kQ's premise (spanning, then
-    associativity) runs once, for from_face_algebra."""
+    multiplicative and generator_reducible True, as plain values, and so
+    are h(Q) and kQ: while the quotient is built, and its axioms, comodule
+    checks and structure lemmas run, no join runs for its Delta.  Every
+    multiplicativity join that runs is an induced coaction's, whose
+    source is kQ."""
     q = make_quiver()
     with pytest.MonkeyPatch.context() as mp:
-        premises, sources = join_calls(mp)
+        sources = join_sources(mp)
         result = uq.build_uqsgd(q, make_relations(q), side, 3)
     kq = result.relation_space.ideal.host
-    assert vars(result.quotient)["delta_failures"] == []
-    assert vars(result.quotient)["generator_reducible"] is True
-    assert vars(result.biideal.host)["generator_reducible"] is True
-    assert [id(alg) for alg in premises] == [id(kq)] * 2
+    assert result.quotient.delta_multiplicative is True
+    assert result.quotient.generator_reducible is True
+    assert result.biideal.host.delta_multiplicative is True
+    assert result.biideal.host.generator_reducible is True
+    assert kq.generator_reducible is True
     assert sources and all(src is kq for src in sources)
     assert result.verification["axioms"]["passed"]
 
@@ -756,23 +759,23 @@ def test_quotient_of_face_algebra_is_born_with_its_facts(make_quiver, make_relat
 def test_quotient_over_a_copied_host_runs_the_joins(make_quiver, make_relations, side):
     """The same generators over a plain-table copy of h(Q) (see
     on_copied_host), which knows neither fact, give a quotient with the same
-    tables that knows neither: its comodule checks, run first while its
-    Delta is not known, and its check_axioms run the Delta join and its
-    premise joins, and every report, every witness kept, is the one the
-    proven quotient gives."""
+    tables that knows neither: its comodule checks and its check_axioms
+    run the Delta join over every degree pair, and every report, every
+    witness kept, is the one the proven quotient gives.  No check sets a
+    fact: the copy's quotient still knows neither after them."""
     q = make_quiver()
     result = uq.build_uqsgd(q, make_relations(q), side, 3)
     proven = result.quotient
     b = on_copied_host(result.biideal)
     quotient = wba.quotient_wba(b)
-    assert "delta_failures" not in vars(quotient)
-    assert "generator_reducible" not in vars(quotient)
+    assert quotient.delta_multiplicative is False
+    assert quotient.generator_reducible is False
     assert ((quotient.labels, quotient.product, quotient.unit, coproduct_table(quotient),
              quotient.counit) == (proven.labels, proven.product, proven.unit,
                                   coproduct_table(proven), proven.counit))
     with pytest.MonkeyPatch.context() as mp:
         full_witness_rows(mp)
-        premises, sources = join_calls(mp)
+        sources = join_sources(mp)
         for spec in result.induced_coactions.values():
             assert (coalgebra_reports(spec, quotient) == coalgebra_reports(spec, proven)
                     == (result.verification["comodule"][spec.side],
@@ -780,8 +783,7 @@ def test_quotient_over_a_copied_host_runs_the_joins(make_quiver, make_relations,
         axioms = wba.check_axioms(quotient)
         assert axioms == wba.check_axioms(proven) and axioms["passed"]
     assert quotient in sources and proven not in sources
-    assert quotient in premises and proven not in premises
-    assert quotient.delta_known_multiplicative() and quotient.generator_reducible
+    assert not quotient.delta_multiplicative and not quotient.generator_reducible
 
 
 def test_coalgebra_rows_drop_terms_that_cancel():

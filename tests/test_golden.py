@@ -33,6 +33,13 @@ three-cycle, one relation per vertex, and run the checks on a quotient of
 a multi-vertex quiver.  A case's extra options come after the default
 --max-degree 2 and override it.
 
+Every case also runs in-process through cli.main with every born fact
+unknown: class-level descriptors make GradedAlgebra.generator_reducible
+and GradedWBA.delta_multiplicative read False and ignore the
+assignments of the constructors that prove them, so every shortcut that
+rests on a fact takes its full join, and each report must still match
+its pin.
+
 Every report is also built in-process through cli.RUNNERS, and must hold
 only JSON's own types (dict, list, tuple, str, int, bool, None): reports
 write rationals as text, so json.dumps needs no default.  Built with the
@@ -51,6 +58,8 @@ from pathlib import Path
 import pytest
 
 from faceq import cli
+from faceq import quiver as qv
+from faceq import wba
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -257,3 +266,55 @@ def test_runners_leave_no_cyclic_garbage(tmp_path, case):
     finally:
         if enabled:
             gc.enable()
+
+
+class Unknown:
+    """A data descriptor for a born fact that reads False and ignores
+    assignment, so no constructor can set the fact on an instance."""
+
+    def __get__(self, obj, owner=None):
+        return False
+
+    def __set__(self, obj, value):
+        pass
+
+
+def in_process_digests(tmp_path):
+    """{case: sha256 of the report that cli.main writes in-process}, each
+    case's exit code checked, with the calls of the Delta and coaction
+    join (wba._pair_failures) and of the descent test (wba._descends)
+    counted over all cases."""
+    calls = {"_pair_failures": 0, "_descends": 0}
+    digests = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            def counted(*args, _fn=getattr(wba, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            mp.setattr(wba, name, counted)
+        for case in sorted(CASES):
+            case_dir = tmp_path / case
+            case_dir.mkdir(parents=True)
+            out = case_dir / "report"
+            assert cli.main(cli_args(case_dir, case) + ["--out", str(out)]) == \
+                EXIT_CODES.get(case, 0)
+            digests[case] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests, calls
+
+
+def test_reports_hold_with_every_born_fact_unknown(tmp_path, monkeypatch):
+    """With both facts unknown on every presentation, kQ, h(Q) and each
+    quotient, every case's report is its pinned bytes, and the full paths
+    ran: the multiplicativity join visits every degree pair, check_axioms
+    runs Delta's join, and the biideal check tests every piece row."""
+    pinned = {case: spec[-1] for case, spec in CASES.items()}
+    digests, born = in_process_digests(tmp_path / "born")
+    assert digests == pinned
+    monkeypatch.setattr(wba.GradedAlgebra, "generator_reducible", Unknown())
+    monkeypatch.setattr(wba.GradedWBA, "delta_multiplicative", Unknown())
+    kq = wba.path_algebra_presentation(qv.parse_quiver(THREE_CYCLE), 2)
+    assert not kq.generator_reducible and not wba.from_face_algebra(kq).delta_multiplicative
+    digests, unknown = in_process_digests(tmp_path / "unknown")
+    assert digests == pinned
+    assert born == {"_pair_failures": 97, "_descends": 207}
+    assert unknown == {"_pair_failures": 276, "_descends": 9029}

@@ -25,8 +25,9 @@ from fleet import (FLEET, HOST_DEGREE, arrow_into_loop, doubled_three_cycle, kro
                    linear_three, one_loop, q_bullets, three_cycle, three_loop, two_loop)
 from oracle import (FaceElement, bialgebra_d, coproduct_table, counit_splits_scan, direct_sum,
                     double_quiver, face_coproduct, face_counit, face_multiply, face_unit,
-                    monomial_label, preprojective_relations, product_path_indices,
-                    product_quiver, subspace_equal, tabled, unit_splits_scan)
+                    generator_associative, generator_reducible, monomial_label,
+                    preprojective_relations, product_path_indices, product_quiver,
+                    spanned_from_degree_one, subspace_equal, tabled, unit_splits_scan)
 from test_face import codec_variants, named_quivers
 
 ONE = Fraction(1)
@@ -765,13 +766,14 @@ def test_product_corrupted_at_left_degree_two_takes_the_full_path():
     associativity on generator triples, so the premise fails and every
     degree pair is visited: the failures are the pairwise oracle's.  On a
     copy of h(Q) with its own tables, as a presentation never changes once
-    built: h(Q) is generator_reducible from construction."""
+    built: h(Q) is generator_reducible from construction, and a copy
+    knows no fact."""
     w = copied(wba.from_face_algebra(wba.path_algebra_presentation(two_loop(), 3)))
     i = w.labels[2].index("x[t1.t2;t1.t2]")
     j = w.labels[1].index("x[t1;t1]")
     ((m, c),) = w.product[(2, i, 1, j)].items()
     w.product[(2, i, 1, j)] = {m: 2 * c}
-    assert not w.generator_reducible
+    assert not w.generator_reducible and not generator_reducible(w)
     fails = wba.multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)
     assert fails == pairwise_delta_multiplicative(w)
     assert len(fails) == 15
@@ -791,8 +793,8 @@ def test_unspanned_degree_two_takes_the_full_path():
                  (2, 0): {(0, 0): ONE}, (2, 1): {(1, 1): ONE}}
     counit = {(d, i): ONE for d, row in enumerate(labels) for i in range(len(row))}
     w = tabled(2, labels, product, {0: ONE}, coproduct, counit)
-    assert wba._generator_associative(w)
-    assert not wba._spanned_from_degree_one(w)
+    assert generator_associative(w)
+    assert not spanned_from_degree_one(w)
     assert not w.generator_reducible
     assert (wba.multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)
             == pairwise_delta_multiplicative(w) == [["b", "1"]])
@@ -804,13 +806,13 @@ def test_degree_zero_left_factor_breaking_associativity_takes_the_full_path():
     left factor of degree 1, as every arrow kills vertex 1 from the left.
     Every generator pair holds, so only the degree-0 premise keeps the
     failure at the pair (0, 2) in the report.  On a copy of h(Q), which is
-    generator_reducible from construction."""
+    generator_reducible from construction, while a copy knows no fact."""
     w = copied(wba.from_face_algebra(wba.path_algebra_presentation(linear_three(), 2)))
     assert degree_zero_associativity_keys(w) == [(0, 0, 2, 0)]
     ((m, c),) = w.product[(0, 0, 2, 0)].items()
     w.product[(0, 0, 2, 0)] = {m: 2 * c}
-    assert wba._spanned_from_degree_one(w)
-    assert not wba._generator_associative(w)
+    assert spanned_from_degree_one(w)
+    assert not generator_associative(w)
     assert not w.generator_reducible
     fails = wba.multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)
     assert fails == pairwise_delta_multiplicative(w) == [["x[e:1;e:1]", "x[a.b;a.b]"]]
@@ -858,7 +860,9 @@ def test_unique_factorization_proves_delta_multiplicative(q, degree):
         kq = wba.path_algebra_presentation(v, lowered_degree(v, degree))
         h = wba.from_face_algebra(kq)
         assert wba._factors_uniquely(kq)
-        assert h.delta_known_multiplicative() and h.delta_failures == []
+        assert h.delta_multiplicative is True
+        assert wba.check_axioms(h)["checks"][0] == {
+            "axiom": "delta-multiplicative", "status": "pass", "witnesses": []}
         assert (wba.multiplicative_failures(h, h.coproduct_of, h, h, h.max_degree)
                 == pairwise_delta_multiplicative(h) == [])
 
@@ -880,36 +884,37 @@ def test_commuting_loops_do_not_factor_uniquely():
     kq = wba.GradedAlgebra(2, labels, product, {0: 1})
     assert not wba._factors_uniquely(kq)
     h = wba.from_face_algebra(kq)
-    assert not h.delta_known_multiplicative()
-    fails = h.delta_failures
+    assert not h.delta_multiplicative
+    fails = wba.multiplicative_failures(h, h.coproduct_of, h, h, h.max_degree)
     assert fails and fails == pairwise_delta_multiplicative(h)
     assert ["x[t1;t1]", "x[t2;t2]"] in fails
-    assert not wba.check_axioms(h)["passed"]
+    report = wba.check_axioms(h)
+    assert not report["passed"]
+    assert report["checks"][0]["witnesses"] == fails[:wba.WITNESSES]
 
 
 @settings(max_examples=40, deadline=None)
 @given(named_quivers(), st.integers(0, 3))
 def test_segre_square_is_born_generator_reducible(q, degree):
-    """kQ is generator_reducible, so h(Q), its Segre square, is born so, and
-    both premises recomputed on a copy of h(Q) agree: on q, its opposite
-    and its double, at a degree of at most 3 (lowered as in the
-    product-quiver test)."""
+    """kQ is born generator_reducible, so h(Q), its Segre square, is born
+    so: on q, its opposite and its double, at a degree of at most 3
+    (lowered as in the product-quiver test).  The oracle test below
+    recomputes the premise on copies."""
     for v in codec_variants(q):
         kq = wba.path_algebra_presentation(v, lowered_degree(v, degree))
         h = wba.from_face_algebra(kq)
-        assert kq.generator_reducible and vars(h)["generator_reducible"] is True
-        c = copied(h)
-        assert wba._spanned_from_degree_one(c) and wba._generator_associative(c)
+        assert kq.generator_reducible is True and h.generator_reducible is True
 
 
 def test_face_algebra_over_a_non_associative_kq_is_not_born_generator_reducible():
     """The two-loop's kQ at degree 3 with the products (t1.t2) t1 and
     (t2.t1) t1 swapped: its paths still factor uniquely, so h(Q)'s Delta is
     known to be multiplicative, but (t1 t2) t1 = t2.t1.t1 while
-    t1 (t2 t1) = t1.t2.t1, so kQ's associativity premise fails.  h(Q) is
-    not born generator_reducible, and the join finds that it is not.  A
-    quotient of it, here by the zero biideal, knows neither fact, whether
-    the host's premise is not yet computed or computed false; its Delta
+    t1 (t2 t1) = t1.t2.t1, so kQ's associativity premise fails.  A
+    hand-made table knows no fact, so h(Q) is not born
+    generator_reducible, and the oracle finds that it is not.  A quotient
+    of it, here by the zero biideal, knows neither fact: its Delta is
+    proven multiplicative only over a host that knows both.  Its Delta
     join agrees with the pairwise oracle."""
     kq = wba.path_algebra_presentation(two_loop(), 3)
     product = dict(kq.product)
@@ -917,19 +922,19 @@ def test_face_algebra_over_a_non_associative_kq_is_not_born_generator_reducible(
     t1 = kq.labels[1].index("t1")
     product[(2, i, 1, t1)], product[(2, j, 1, t1)] = product[(2, j, 1, t1)], product[(2, i, 1, t1)]
     bad = wba.GradedAlgebra(kq.max_degree, kq.labels, product, kq.unit)
-    assert wba._factors_uniquely(bad) and wba._spanned_from_degree_one(bad)
-    assert not wba._generator_associative(bad)
+    assert wba._factors_uniquely(bad) and spanned_from_degree_one(bad)
+    assert not generator_associative(bad)
+    assert not bad.generator_reducible
     h = wba.from_face_algebra(bad)
-    assert h.delta_known_multiplicative()
-    assert "generator_reducible" not in vars(h)
-    quotients = [wba.quotient_wba(wba.BiidealGens(h, []))]
-    assert not h.generator_reducible
-    quotients.append(wba.quotient_wba(wba.BiidealGens(h, [])))
-    for quotient in quotients:
-        assert "delta_failures" not in vars(quotient)
-        assert "generator_reducible" not in vars(quotient)
-        assert not quotient.generator_reducible
-        assert quotient.delta_failures == pairwise_delta_multiplicative(quotient) == []
+    assert h.delta_multiplicative is True
+    assert h.generator_reducible is False
+    quotient = wba.quotient_wba(wba.BiidealGens(h, []))
+    assert quotient.delta_multiplicative is False
+    assert quotient.generator_reducible is False
+    assert (wba.multiplicative_failures(quotient, quotient.coproduct_of, quotient, quotient,
+                                        quotient.max_degree)
+            == pairwise_delta_multiplicative(quotient) == [])
+    assert wba.check_axioms(quotient)["passed"]
 
 
 @st.composite
@@ -958,16 +963,33 @@ def passing_relation_quotients(draw):
 @given(passing_relation_quotients())
 def test_quotient_facts_hold_when_recomputed_on_a_copy(quotient):
     """A quotient of h(Q) is born with Delta known to be multiplicative and
-    generator_reducible True; recomputed on a copy with its own tables,
-    which knows neither, the Delta join, the pairwise oracle and both
-    premises agree."""
-    assert vars(quotient)["delta_failures"] == []
-    assert vars(quotient)["generator_reducible"] is True
+    generator_reducible True; on a copy with its own tables, which knows
+    neither, the Delta join and the pairwise oracle agree that Delta is
+    multiplicative.  The oracle test below recomputes the premise."""
+    assert quotient.delta_multiplicative is True
+    assert quotient.generator_reducible is True
     c = copied(quotient)
-    assert "delta_failures" not in vars(c) and "generator_reducible" not in vars(c)
-    assert c.generator_reducible is True
     assert (wba.multiplicative_failures(c, c.coproduct_of, c, c, c.max_degree)
             == pairwise_delta_multiplicative(c) == [])
+
+
+@settings(max_examples=40, deadline=None)
+@given(named_quivers(), st.integers(0, 3), st.data())
+def test_born_generator_reducible_agrees_with_the_oracle(q, degree, data):
+    """kQ's born generator_reducible is what the premise oracle computes
+    (spanning, then associativity on generator triples), on q, its
+    opposite and its double, at a degree of at most 3 (lowered as in the
+    product-quiver test).  The oracle holds on a copy of h(Q) and on a
+    copy of a passing quotient too, and each copy knows neither fact."""
+    for v in codec_variants(q):
+        kq = wba.path_algebra_presentation(v, lowered_degree(v, degree))
+        assert kq.generator_reducible is generator_reducible(kq) is True
+        c = copied(wba.from_face_algebra(kq))
+        assert generator_reducible(c)
+        assert c.generator_reducible is False and c.delta_multiplicative is False
+    c = copied(data.draw(passing_relation_quotients()))
+    assert generator_reducible(c)
+    assert c.generator_reducible is False and c.delta_multiplicative is False
 
 
 def saturated_pieces(b, max_degree):
@@ -1271,7 +1293,7 @@ def assert_face_report_matches_a_copied_host(b):
     report, every witness included, that it gives over a plain-table copy
     of the host."""
     host = b.host
-    assert host.delta_known_multiplicative()
+    assert host.delta_multiplicative
     top = host.max_degree
     with pytest.MonkeyPatch.context() as mp:
         full_witness_rows(mp)
@@ -1317,14 +1339,14 @@ def full_path_report(b, top):
     host's Delta taken as not known to be multiplicative: every piece row
     is compared."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(type(b.host), "delta_known_multiplicative", lambda self: False)
+        mp.setattr(b.host, "delta_multiplicative", False)
         return wba.check_biideal(wba.BiidealGens(b.host, b.generators), top)
 
 
 def assert_descent_matches_the_full_path(b):
     """check_biideal on h(Q), known to be multiplicative, gives the full
     path's report and the materializing oracle's, every witness included."""
-    assert b.host.delta_known_multiplicative()
+    assert b.host.delta_multiplicative
     top = b.host.max_degree
     report = wba.check_biideal(b, top)
     assert report == full_path_report(b, top)
