@@ -72,9 +72,9 @@ def check_window(q, m):
     1,996, h(Q) is under 2,000,000 cells but the triples are C(1999, 3).
     The count stops once it passes the bound.  The n_d^3 coproduct terms
     are counted for every command, although no command builds a coproduct
-    as a table (each Delta(u_b) is computed when it is read): the counit
-    splits still read every Delta(u_b), and one bound for every command
-    means no window changes its exit code.
+    as a table and the counit splits compute only the terms whose legs an
+    eps table reads (GradedWBA.coproducts_on): the term is kept only so
+    that no window changes its exit code.
     """
     cells = (m + 1) * (m + 2) * (m + 3) // 6
     if cells <= MAX_TABLE_CELLS:

@@ -42,14 +42,17 @@ host, as the image of an algebra map through which Delta descends (see
 quotient_wba).  Copies and hand-made presentations know neither, and are
 checked by the joins.
 Two-leg maps (L (x) R)(t) go through linalg.apply_legs: the weak-counit
-splits, which read each basis element's coproduct once, and the projected
-coproducts (pi (x) pi)Delta of the biideal check (_descends) and the
-quotient.  No coproduct is a table: every one is the function
-coproduct_of(d, i) that its GradedWBA is built with.  h(Q) computes
-Delta(x[a;b]) = sum_k x[a;k] (x) x[k;b] by index arithmetic, and a
-quotient computes (pi (x) pi)Delta(u_m) on demand, reading its host at
-call time, which is sound because a presentation never changes.  The
-weak-unit splits are a join that pairs only terms with a nonzero product.
+splits, and the projected coproducts (pi (x) pi)Delta of the biideal
+check (_descends) and the quotient.  No coproduct is a table: every one
+is the two functions its GradedWBA is built with, coproduct_of(d, i) for
+one Delta(u_i), and coproducts_on(d, first, second) for only the terms
+whose legs lie in two given index sets, which is all the weak-counit
+splits read.  h(Q) computes Delta(x[a;b]) = sum_k x[a;k] (x) x[k;b], and
+those terms, by index arithmetic, and a quotient projects its host's on
+demand, through projection rows restricted to the kept legs, reading
+its host at call time, which is sound because a presentation never
+changes.  The weak-unit splits are a join that pairs only terms with a
+nonzero product.
 """
 
 from functools import cached_property
@@ -132,9 +135,12 @@ class GradedWBA(GradedAlgebra):
 
     coproduct_of(d, i) gives Delta(u^d_i) as a read-only dict
     {(j, k): scalar} describing a sum of u^d_j (x) u^d_k, nonzero terms
-    only; counit maps (d, i) to its nonzero scalar value.  Neither may
-    change once the object is built, so the eps(u_i u_j) table
-    eps_products and the counital_subalgebras are cached properties.
+    only; coproducts_on(d, first, second) gives, for sets of degree-d
+    indices, {i: the terms of coproduct_of(d, i) with j in first and k in
+    second} over the i with such a term, computed without the other terms;
+    counit maps (d, i) to its nonzero scalar value.  None may change once
+    the object is built, so the eps(u_i u_j) table eps_products and the
+    counital_subalgebras are cached properties.
 
     delta_multiplicative is a fact: True when Delta is proven
     multiplicative on the whole window, set by from_face_algebra and
@@ -143,9 +149,10 @@ class GradedWBA(GradedAlgebra):
 
     delta_multiplicative = False
 
-    def __init__(self, max_degree, labels, product, unit, coproduct_of, counit):
+    def __init__(self, max_degree, labels, product, unit, coproduct_of, coproducts_on, counit):
         super().__init__(max_degree, labels, product, unit)
         self.coproduct_of = coproduct_of
+        self.coproducts_on = coproducts_on
         self.counit = counit
 
     def counit_of(self, d, i):
@@ -270,7 +277,11 @@ def from_face_algebra(kq):
     face_algebra's labels, product and unit, plus the matrix coproduct
     Delta(x[a;b]) = sum_m x[a;m] (x) x[m;b], computed from the index
     a n_d + b of x[a;b] (n_d paths of length d) on every call, and the
-    counit table eps(x[a;b]) = delta_ab.  Two facts of kQ become facts of
+    counit table eps(x[a;b]) = delta_ab.  coproducts_on(d, first, second)
+    finds the terms x[a;m] (x) x[m;b] with both legs kept by the same
+    arithmetic: it indexes second by middle path m once and pairs each
+    x[a;m] in first with the x[m;b] of that index, in
+    O(|first| + |second| + terms kept).  Two facts of kQ become facts of
     h(Q), set here.
 
     When kQ's paths factor uniquely (_factors_uniquely), Delta is
@@ -306,8 +317,23 @@ def from_face_algebra(kq):
         a, b = divmod(i, n)
         return {(a * n + m, m * n + b): _ONE for m in range(n)}
 
+    def coproducts_on(d, first, second):
+        n = sizes[d]
+        # ends[m] lists (b, index of x[m;b]) over the x[m;b] in second
+        ends = {}
+        for k in second:
+            m, b = divmod(k, n)
+            ends.setdefault(m, []).append((b, k))
+        out = {}
+        for j in first:
+            a, m = divmod(j, n)
+            for b, k in ends.get(m, ()):
+                out.setdefault(a * n + b, {})[(j, k)] = _ONE
+        return out
+
     counit = {(d, a * n + a): _ONE for d, n in enumerate(sizes) for a in range(n)}
-    h = GradedWBA(alg.max_degree, alg.labels, alg.product, alg.unit, coproduct_of, counit)
+    h = GradedWBA(alg.max_degree, alg.labels, alg.product, alg.unit, coproduct_of, coproducts_on,
+                  counit)
     h.generator_reducible = kq.generator_reducible
     h.delta_multiplicative = _factors_uniquely(kq)
     return h
@@ -486,9 +512,11 @@ def _failures_counit_splits(w):
     Over basis triples (u_a, u_b, u_c) of degrees (d, e, f), compares
     eps(u_a u_b u_c) with eps(u_a u_j) eps(u_k u_c) (split 12) and with
     eps(u_a u_k) eps(u_j u_c) (split 21), summed over the terms
-    u_j (x) u_k of Delta(u_b).  Per degree e one pass over the coproducts
-    keeps, for each u_b, the terms whose legs the eps tables read, with the
-    legs swapped for split 21.  Each degree triple then takes
+    u_j (x) u_k of Delta(u_b).  Per degree e two coproducts_on calls ask
+    only for the terms whose legs the eps tables read, u_j of some
+    eps(u_a u_j) and u_k of some eps(u_k u_c), the second with the legs
+    in the other order and swapped back for split 21; no other term of any
+    Delta(u_b) is computed.  Each degree triple then takes
     eps(u_a u_b u_c) from products_by_left and each split from
     apply_legs over the eps columns of (d, e) and the eps rows of (e, f),
     and compares only the u_b that have a term on some side.
@@ -511,20 +539,13 @@ def _failures_counit_splits(w):
     by_left = w.products_by_left
     # a degree with no basis elements has nothing to check at any place of a triple
     degrees = [d for d in range(w.max_degree + 1) if w.dim(d)]
-    # kept[e][b] is (split 12's terms c u_j (x) u_k of Delta(u_b), split 21's as c u_k (x) u_j)
+    # kept[e] is ({b: split 12's terms c u_j (x) u_k of Delta(u_b)}, {b: split 21's, c u_k (x) u_j})
     kept = {}
     for e in degrees:
-        right, left = read_right.get(e, ()), read_left.get(e, ())
-        kept_e = kept[e] = {}
-        for b in range(w.dim(e)):
-            legs12, legs21 = {}, {}
-            for (j, k), c in w.coproduct_of(e, b).items():
-                if j in right and k in left:
-                    legs12[(j, k)] = c
-                if k in right and j in left:
-                    legs21[(k, j)] = c
-            if legs12 or legs21:
-                kept_e[b] = (legs12, legs21)
+        right, left = read_right.get(e, set()), read_left.get(e, set())
+        swapped = w.coproducts_on(e, left, right)
+        kept[e] = (w.coproducts_on(e, right, left),
+                   {b: {(k, j): c for (j, k), c in terms.items()} for b, terms in swapped.items()})
     fails12 = []
     fails21 = []
     for d in degrees:
@@ -548,10 +569,11 @@ def _failures_counit_splits(w):
                                 out = lhs.setdefault(b, {})
                                 for c, vc in crow.items():
                                     bump(out, (a, c), cm * vc)
-                for b in sorted(lhs.keys() | kept[e].keys()):
+                legs12, legs21 = kept[e]
+                for b in sorted(lhs.keys() | legs12.keys() | legs21.keys()):
                     out = lhs.get(b, {})
-                    for legs, fails in zip(kept[e].get(b, ({}, {})), (fails12, fails21)):
-                        split = apply_legs(legs, e1col, e2row)
+                    for legs, fails in ((legs12, fails12), (legs21, fails21)):
+                        split = apply_legs(legs.get(b, {}), e1col, e2row)
                         if out != split:
                             a, c = _first_mismatch(out, split)
                             fails.append([w.label_of(d, a), w.label_of(e, b), w.label_of(f, c)])
@@ -818,9 +840,15 @@ def quotient_wba(b, report=None):
     The coproduct is not a table: coproduct_of(d, i) computes
     Delta'(u_i) = (pi (x) pi)Delta(u_m) for the i-th coset column m on
     every call, by apply_legs over the piece's int projection rows, divided
-    by D*D at once.  It reads the host's coproduct_of at call time, which
-    is sound because a presentation never changes, so building the
-    quotient reads no host coproduct.
+    by D*D at once.  coproducts_on(d, first, second) restricts the
+    projection rows to the first and second coset columns inside the call,
+    asks the host's coproducts_on for the host legs the restricted rows
+    reach, and divides once per kept key: the term at (j, k) of
+    (pi (x) pi)Delta(u_m) reads only column j of its first legs' rows and
+    column k of its second legs', so the result is exact, and no other term
+    is computed.  Both read the host at call time, which is sound because
+    a presentation never changes, so building the quotient reads no host
+    coproduct.
 
     The quotient copies the host's generator_reducible, and its
     delta_multiplicative is True when the host knows both facts, as h(Q)
@@ -864,7 +892,19 @@ def quotient_wba(b, report=None):
         p = projs[d]
         return divided(apply_legs(w.coproduct_of(d, p.cols[i]), p.rows, p.rows), p.denom * p.denom)
 
-    quotient = GradedWBA(w.max_degree, labels, product, unit, coproduct_of, counit)
+    def coproducts_on(d, first, second):
+        p = projs[d]
+        left, right = ({m: kept for m, row in p.rows.items()
+                        if (kept := {k: c for k, c in row.items() if k in legs})}
+                       for legs in (first, second))
+        host = w.coproducts_on(d, left.keys(), right.keys())
+        out = {}
+        for i, m in enumerate(p.cols):
+            if m in host and (terms := apply_legs(host[m], left, right)):
+                out[i] = divided(terms, p.denom * p.denom)
+        return out
+
+    quotient = GradedWBA(w.max_degree, labels, product, unit, coproduct_of, coproducts_on, counit)
     quotient.generator_reducible = w.generator_reducible
     quotient.delta_multiplicative = w.generator_reducible and w.delta_multiplicative
     return quotient

@@ -10,7 +10,9 @@ the former reading of a relations document through them; and two small
 weak bialgebras built by hand, the two-idempotent bialgebra D and direct
 sums; a presentation's coproduct as a table, which no presentation
 keeps, and a presentation whose coproduct reads such a table (tabled),
-which the tests build by hand, copy and corrupt;
+which the tests build by hand, copy and corrupt, and whose restricted
+coproduct read filters that table, the reference for the restricted reads
+of h(Q) and of a quotient;
 and the sum of several biideals' graded pieces, the reference for
 the transposed biideal that spreads both sides' relations together.  It
 also keeps the exhaustive base-isomorphism search, the reference for the
@@ -456,11 +458,22 @@ def bialgebra_d(max_degree):
 
 def tabled(max_degree, labels, product, unit, coproduct, counit):
     """A GradedWBA whose coproduct_of reads the table coproduct,
-    {(d, i): {(j, k): scalar}} with nonzero terms only.  The caller keeps
-    the dict, and a test that corrupts the presentation changes it before
-    anything reads it."""
+    {(d, i): {(j, k): scalar}} with nonzero terms only, and whose
+    coproducts_on filters it: the generic restricted read, the reference
+    for the index arithmetic of h(Q) and the restricted rows of a quotient.
+    The caller keeps the dict, and a test that corrupts the presentation
+    changes it before anything reads it."""
+    def coproducts_on(d, first, second):
+        out = {}
+        for i in range(len(labels[d])):
+            kept = {(j, k): c for (j, k), c in coproduct.get((d, i), {}).items()
+                    if j in first and k in second}
+            if kept:
+                out[i] = kept
+        return out
+
     return wba.GradedWBA(max_degree, labels, product, unit,
-                         lambda d, i: coproduct.get((d, i), {}), counit)
+                         lambda d, i: coproduct.get((d, i), {}), coproducts_on, counit)
 
 
 def coproduct_table(w):

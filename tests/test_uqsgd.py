@@ -33,7 +33,7 @@ from oracle import (coproduct_table, duality_report_with_dims, preprojective_rel
                     tabled)
 from test_face import named_quivers
 from test_golden import (DOUBLED_THREE_CYCLE, PREPROJECTIVE_THREE_CYCLE, Q_COMMUTATORS,
-                         QUANTUM_PLANE, THREE_LOOP, THREE_LOOP_COMMUTATORS, TWO_LOOP)
+                         QUANTUM_PLANE, THREE_LOOP, THREE_LOOP_COMMUTATORS, TWO_LOOP, Unknown)
 from test_wba import PRODUCT_QUIVER_PATHS
 
 
@@ -253,25 +253,39 @@ def test_quadratic_dualities_fail_against_another_dual():
     ]}
 
 
-def test_build_reads_each_quotient_coproduct_of_degree_two_and_up_once(monkeypatch):
-    """The quotient's Delta is computed on demand, never tabled:
-    quotient_wba reads no host coproduct while it builds, and during
-    build_uqsgd on the three-loop commutators (trans, degree 3) the
-    quotient's coproduct_of is called exactly once for each basis element
-    of degree >= 2, by the counit splits; only degrees 0 and 1 are read
-    more often."""
-    host_reads, reads, quotients = [], [], []
-    quotient_wba = wba.quotient_wba
+def test_build_computes_no_quotient_coproduct_term_outside_the_kept_legs(monkeypatch):
+    """The quotient's Delta is computed on demand, never tabled, and only
+    where it is read: quotient_wba reads no host coproduct while it builds,
+    and during build_uqsgd on the three-loop commutators (trans, degree 3)
+    the counit splits call the quotient's coproducts_on twice per degree,
+    each result the full coproducts filtered to the legs asked for; each
+    call reads the host through its coproducts_on alone, never its
+    coproduct_of, and every table it divides holds only terms on those
+    legs, as many as it returns.  The quotient's coproduct_of is called
+    only in degrees 0 and 1."""
+    host_reads, reads, calls, quotients = [], [], [], []
+    quotient_wba, divided = wba.quotient_wba, wba.divided
+    tables = []
+    monkeypatch.setattr(wba, "divided", lambda table, denom: tables.append(table)
+                        or divided(table, denom))
 
     def counted(b, report=None):
-        host, host_of = b.host, b.host.coproduct_of
-        host.coproduct_of = lambda d, i: host_reads.append((d, i)) or host_of(d, i)
-        try:
-            quo = quotient_wba(b, report=report)
-        finally:
-            host.coproduct_of = host_of
-        of = quo.coproduct_of
+        host_of = b.host.coproduct_of
+        monkeypatch.setattr(b.host, "coproduct_of",
+                            lambda d, i: host_reads.append((d, i)) or host_of(d, i))
+        quo = quotient_wba(b, report=report)
+        assert host_reads == []
+        of, on = quo.coproduct_of, quo.coproducts_on
+
+        def counted_on(d, first, second):
+            tables.clear()
+            before = len(host_reads)
+            out = on(d, first, second)
+            calls.append((d, set(first), set(second), out, list(tables), host_reads[before:]))
+            return out
+
         quo.coproduct_of = lambda d, i: reads.append((d, i)) or of(d, i)
+        quo.coproducts_on = counted_on
         quotients.append(quo)
         return quo
 
@@ -279,11 +293,18 @@ def test_build_reads_each_quotient_coproduct_of_degree_two_and_up_once(monkeypat
     q = three_loop()
     result = uq.build_uqsgd(q, commutator_relations(q), "trans", 3)
     assert quotients == [result.quotient] and result.verification["axioms"]["passed"]
-    assert host_reads == []
-    quo = result.quotient
-    assert sorted(r for r in reads if r[0] >= 2) == [(d, i) for d in (2, 3)
-                                                     for i in range(quo.dim(d))]
-    assert {d for d, _ in reads} == {0, 1, 2, 3}
+    assert {d for d, _ in reads} == {0, 1}
+    assert [d for d, *_ in calls] == [0, 0, 1, 1, 2, 2, 3, 3]
+    full = coproduct_table(result.quotient)
+    for d, first, second, out, divided_tables, call_host_reads in calls:
+        filtered = {}
+        for (e, i), terms in full.items():
+            kept = {(j, k): c for (j, k), c in terms.items() if j in first and k in second}
+            if e == d and kept:
+                filtered[i] = kept
+        assert out == filtered and call_host_reads == []
+        assert all(j in first and k in second for table in divided_tables for j, k in table)
+        assert sum(map(len, divided_tables)) == sum(map(len, out.values()))
 
 
 def test_quadratic_dualities_build_no_coproduct_tables(monkeypatch):
@@ -730,3 +751,40 @@ def test_uqsgd_and_dual_respect_relabelling_and_path_reversal(case):
                                                     renamed_relations, degree)
         for side in ("left", "right"):
             assert own["uqsgd", side] == report_run(work, "uqsgd", side, op, op_relations, degree)
+
+
+def report_bytes(work, argv):
+    """Exit code and report bytes of one in-process CLI run."""
+    out = work / "report.json"
+    code = cli.main(argv + ["--out", str(out)])
+    return code, out.read_bytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(named_quivers().filter(lambda q: qv.path_count(q, 2)).flatmap(
+    lambda q: st.tuples(st.just(q), quadratic_relations(q), st.integers(2, 3),
+                        st.sampled_from(uq.RESULT_SIDES))))
+def test_reports_are_the_same_with_every_born_fact_unknown(case):
+    """The born facts only let a check skip joins whose result they prove.
+    On random quadratic relations of random quivers, at degree 2 or 3
+    (lowered to 2 where degree 3 has more than PRODUCT_QUIVER_PATHS paths),
+    the verify report and the uqsgd report of a drawn side, exit codes
+    included, are byte-equal with both facts unknown on every presentation
+    (test_golden's Unknown descriptors), where every shortcut takes its
+    full join."""
+    q, relations, degree, side = case
+    if qv.path_count(q, 3) > PRODUCT_QUIVER_PATHS:
+        degree = 2
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "quiver.json").write_text(json.dumps(cli._quiver_doc(q)))
+        (work / "relations.json").write_text(json.dumps(relations))
+        common = ["--quiver", str(work / "quiver.json"), "--max-degree", str(degree)]
+        runs = (["verify", *common],
+                ["uqsgd", *common, "--relations", str(work / "relations.json"), "--side", side])
+        born = [report_bytes(work, argv) for argv in runs]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wba.GradedAlgebra, "generator_reducible", Unknown())
+            mp.setattr(wba.GradedWBA, "delta_multiplicative", Unknown())
+            assert not wba.path_algebra_presentation(q, 1).generator_reducible
+            assert [report_bytes(work, argv) for argv in runs] == born

@@ -683,16 +683,31 @@ def test_checks_match_oracles_on_fleet_hosts():
             assert wba.counital_subalgebra(w, side) == counital_reference(w, side)
 
 
+def counted_reads(monkeypatch, w):
+    """The coproduct_of and coproducts_on calls made on w from now on, as
+    two lists: (d, i) and (d, first, second, the result)."""
+    reads, calls = [], []
+    coproduct_of, coproducts_on = w.coproduct_of, w.coproducts_on
+
+    def counted_on(d, first, second):
+        out = coproducts_on(d, first, second)
+        calls.append((d, set(first), set(second), out))
+        return out
+
+    monkeypatch.setattr(w, "coproduct_of", lambda d, i: reads.append((d, i)) or coproduct_of(d, i))
+    monkeypatch.setattr(w, "coproducts_on", counted_on)
+    return reads, calls
+
+
 def test_counit_splits_visit_only_degrees_with_basis_elements(monkeypatch):
     """On an arrowless quiver only degree 0 has basis elements, so the
-    counit splits read each of its 4 coproducts once; a loop over every
-    degree triple up to 200 read them 81,204 times."""
+    counit splits ask for the kept coproduct terms of degree 0 alone, once
+    per split, and call coproduct_of on none; a loop over every degree
+    triple up to 200 read the 4 coproducts of degree 0 81,204 times."""
     w = wba.from_face_algebra(wba.path_algebra_presentation(q_bullets(), 200))
-    calls = []
-    coproduct_of = w.coproduct_of
-    monkeypatch.setattr(w, "coproduct_of", lambda d, i: calls.append((d, i)) or coproduct_of(d, i))
+    reads, calls = counted_reads(monkeypatch, w)
     assert wba._failures_counit_splits(w) == ([], [])
-    assert sorted(calls) == [(0, i) for i in range(4)]
+    assert reads == [] and [d for d, *_ in calls] == [0, 0]
 
 
 @cache
@@ -748,17 +763,24 @@ def test_split_joins_match_the_scans(w):
     assert wba._failures_unit_splits(w) == unit_splits_scan(w)
 
 
-def test_counit_splits_read_each_coproduct_once(monkeypatch):
-    """On the doubled three-cycle at degree 3 the counit splits read the
-    coproduct of each of the 9 + 36 + 144 + 576 = 765 basis elements once;
-    a pass per degree triple and right factor read 1,314."""
+def test_counit_splits_read_only_the_kept_coproduct_terms(monkeypatch):
+    """On the doubled three-cycle at degree 3 the counit splits never call
+    coproduct_of: per degree they call coproducts_on twice, once per split,
+    on the diagonal x[m;m], the only legs an eps table of h(Q) reads, and
+    each split gets back the 3 + 6 + 12 + 24 = 45 terms x[m;m] (x) x[m;m].  A pass
+    over every Delta(u_b) read 765 coproducts, 15,795 terms, and a pass per
+    degree triple and right factor 1,314 coproducts."""
     w = wba.from_face_algebra(wba.path_algebra_presentation(doubled_three_cycle(), 3))
-    calls = []
-    coproduct_of = w.coproduct_of
-    monkeypatch.setattr(w, "coproduct_of", lambda d, i: calls.append((d, i)) or coproduct_of(d, i))
+    reads, calls = counted_reads(monkeypatch, w)
     assert wba._failures_counit_splits(w) == ([], [])
-    assert len(calls) == 765
-    assert sorted(calls) == [(d, i) for d in range(4) for i in range(w.dim(d))]
+    assert reads == []
+    assert [d for d, *_ in calls] == [0, 0, 1, 1, 2, 2, 3, 3]
+    for d, first, second, out in calls:
+        n = qv.path_count(doubled_three_cycle(), d)
+        diagonal = {m * n + m for m in range(n)}
+        assert first == second == diagonal
+        assert out == {i: {(i, i): 1} for i in sorted(diagonal)}
+    assert sum(len(terms) for *_, out in calls[::2] for terms in out.values()) == 45
 
 
 def test_product_corrupted_at_left_degree_two_takes_the_full_path():
@@ -938,11 +960,11 @@ def test_face_algebra_over_a_non_associative_kq_is_not_born_generator_reducible(
 
 
 @st.composite
-def passing_relation_quotients(draw):
-    """The quotient of h(Q) by the coaction-relation biideal, on a drawn
-    side, of one or two random quadratic relations with int and Fraction
-    coefficients on a fleet quiver with paths of length 2, at a degree of
-    2 or 3 (lowered as in the product-quiver test); drawings whose
+def passing_relation_biideals(draw):
+    """The coaction-relation biideal in h(Q), on a drawn side, of one or
+    two random quadratic relations with int and Fraction coefficients on a
+    fleet quiver with paths of length 2, at a degree of 2 or 3 (lowered as
+    in the product-quiver test), with its passing report; drawings whose
     biideal fails the check are rejected."""
     q = FLEET[draw(st.sampled_from([n for n in sorted(FLEET) if qv.path_count(FLEET[n](), 2)]))]()
     top = max(2, lowered_degree(q, draw(st.integers(2, 3))))
@@ -956,7 +978,71 @@ def passing_relation_quotients(draw):
     b = uq._relation_biideal(wba.from_face_algebra(qd.ideal.host), qd, side)[1]
     report = wba.check_biideal(b, top)
     assume(report["passed"])
+    return b, report
+
+
+@st.composite
+def passing_relation_quotients(draw):
+    """The quotient of h(Q) by a passing_relation_biideals biideal."""
+    b, report = draw(passing_relation_biideals())
     return wba.quotient_wba(b, report=report)
+
+
+def assert_restricted_reads_are_the_filtered_coproducts(w, data):
+    """In every degree, coproducts_on(d, first, second) is
+    {i: coproduct_of(d, i) filtered to the terms with first leg in first
+    and second leg in second}, non-empty entries only: on the two sets the
+    counit splits ask for (the u_j of some eps(u_a u_j), the u_k of some
+    eps(u_k u_c)) in both orders, on the whole basis, and on two drawn
+    subsets."""
+    eps = w.eps_products
+    for d in range(w.max_degree + 1):
+        n = w.dim(d)
+        right = {j for (_, e), mat in eps.items() if e == d for _, j in mat}
+        left = {i for (e, _), mat in eps.items() if e == d for i, _ in mat}
+        drawn = st.sets(st.integers(0, max(n - 1, 0)), max_size=n)
+        for first, second in ((right, left), (left, right), (set(range(n)), set(range(n))),
+                              (data.draw(drawn), data.draw(drawn))):
+            filtered = {}
+            for i in range(n):
+                terms = {(j, k): c for (j, k), c in w.coproduct_of(d, i).items()
+                         if j in first and k in second}
+                if terms:
+                    filtered[i] = terms
+            assert w.coproducts_on(d, first, second) == filtered
+
+
+@settings(max_examples=40, deadline=None)
+@given(named_quivers(), st.integers(0, 3), st.data())
+def test_face_algebra_restricted_reads_are_the_filtered_coproducts(q, degree, data):
+    """h(Q)'s index arithmetic finds exactly the coproduct terms on the legs
+    asked for, on q, its opposite and its double, at a degree of at most 3
+    (lowered as in the product-quiver test)."""
+    for v in codec_variants(q):
+        kq = wba.path_algebra_presentation(v, lowered_degree(v, degree))
+        assert_restricted_reads_are_the_filtered_coproducts(wba.from_face_algebra(kq), data)
+
+
+@settings(max_examples=30, deadline=None)
+@given(passing_relation_biideals(), st.data())
+def test_quotient_restricted_reads_are_the_filtered_coproducts(case, data):
+    """A quotient's restricted projection rows give exactly the projected
+    coproduct terms on the legs asked for, on the left, right and trans
+    quotients of random relations.  So does the quotient over a tabled
+    copy of the host, whose coproducts_on is the generic filter, with up
+    to two coproduct entries of the copy overwritten: the restricted read
+    is exact whether or not Delta descends."""
+    b, report = case
+    quotient = wba.quotient_wba(b, report=report)
+    assert_restricted_reads_are_the_filtered_coproducts(quotient, data)
+    coproduct = coproduct_table(b.host)
+    host = copied(b.host, coproduct)
+    for _ in range(data.draw(st.integers(0, 2))):
+        d = data.draw(st.sampled_from([d for d in range(host.max_degree + 1) if host.dim(d)]))
+        i, j, k = (data.draw(st.integers(0, host.dim(d) - 1)) for _ in range(3))
+        _set_entry(coproduct, (d, i), (j, k), data.draw(SCALARS))
+    copy_quotient = wba.quotient_wba(wba.BiidealGens(host, b.generators), report=report)
+    assert_restricted_reads_are_the_filtered_coproducts(copy_quotient, data)
 
 
 @settings(max_examples=40, deadline=None)
