@@ -313,14 +313,14 @@ def run_dual(args):
     relations = pa.parse_relations(_load_json(args.relations), q)
     qd = pa.quadratic_data(q, relations, m)
     qdual = pa.quadratic_dual(qd, m)
-    report = uq.check_quadratic_dualities(qd, qdual, m)
+    report = uq.check_quadratic_dualities(qd, qdual)
     return {
         "quiver": _quiver_doc(q),
         "maxDegree": m,
         "dualQuiver": _quiver_doc(qdual.quiver),
         "dualRelations": _subspace_text(qdual.ideal.host.labels[2], qdual.relation_space),
-        "primalDims": wba.quotient_dims(qd.ideal, m),
-        "dualDims": wba.quotient_dims(qdual.ideal, m),
+        "primalDims": wba.quotient_dims(qd.ideal),
+        "dualDims": wba.quotient_dims(qdual.ideal),
         "dualities": report,
         "passed": report["passed"],
     }

@@ -90,7 +90,7 @@ def _check_descent(pieces_h, algebra_pieces, sides):
     return fails
 
 
-def _induced_coefficients(biideal, algebra, max_degree):
+def _induced_coefficients(biideal, algebra):
     """Canonical coefficients pushed through the biideal quotient projection.
 
     The arrays stay indexed by the path basis, so they are the one
@@ -98,7 +98,7 @@ def _induced_coefficients(biideal, algebra, max_degree):
     coordinates.
     """
     coefficients = []
-    for d in range(max_degree + 1):
+    for d in range(algebra.max_degree + 1):
         proj = wba.biideal_graded_pieces(biideal, d).projection
         n = algebra.dim(d)
         mat = [[divided(proj.rows[r * n + c], proj.denom) for c in range(n)] for r in range(n)]
@@ -124,7 +124,7 @@ def build_uqsgd(q, relations, side, max_degree):
     algebra = kq_ideal.host
     gen_sides, biideal = _relation_biideal(wba.from_face_algebra(algebra), qd, side)
 
-    breport = wba.check_biideal(biideal, max_degree)
+    breport = wba.check_biideal(biideal)
     if not breport["passed"]:
         raise VerificationError("coaction relations did not generate a biideal", breport)
     quotient = wba.quotient_wba(biideal, report=breport)
@@ -140,7 +140,7 @@ def build_uqsgd(q, relations, side, max_degree):
         raise VerificationError("coaction does not descend to the quotient",
                                 descent_report)
 
-    coefficients = _induced_coefficients(biideal, algebra, max_degree)
+    coefficients = _induced_coefficients(biideal, algebra)
     induced = {}
     comodule_reports = {}
     lemma_reports = {}
@@ -161,7 +161,7 @@ def build_uqsgd(q, relations, side, max_degree):
     return UQSGdResult(side=side, quiver=q, relation_space=qd, biideal=biideal,
                        quotient=quotient, induced_coactions=induced,
                        verification=verification, quotient_dims=quotient.dims(),
-                       algebra_dims=wba.quotient_dims(kq_ideal, max_degree))
+                       algebra_dims=wba.quotient_dims(kq_ideal))
 
 
 def _star_index_map(q):
@@ -180,17 +180,17 @@ def _transport(subspace, mapping, ambient):
     return Subspace.from_rows(ambient, rows)
 
 
-def check_quadratic_dualities(qd, qdual, max_degree):
+def check_quadratic_dualities(qd, qdual):
     """Transport checks for the four duality statements.
 
     qd is the quadratic data of kQ/I and qdual = pa.quadratic_dual(qd), over
-    the opposite quiver (ValueError otherwise, and for a max_degree outside
-    2..the data's truncation).  (a) star carries the left biideal piece of
-    kQ/I onto the right piece of the quadratic dual; (b) the mirror; (c)
-    swap exchanges left and right on the same algebra; (d) star matches the
-    transposed sides.  Each row compares the transported degree-2 piece with
-    the target's, exactly, and that comparison is the whole row: by the
-    lemma below, the graded quotient dimensions up to max_degree then agree.
+    the opposite quiver (ValueError otherwise).  (a) star carries the left
+    biideal piece of kQ/I onto the right piece of the quadratic dual; (b)
+    the mirror; (c) swap exchanges left and right on the same algebra; (d)
+    star matches the transposed sides.  Each row compares the transported
+    degree-2 piece with the target's, exactly, and that comparison is the
+    whole row: by the lemma below, the graded quotient dimensions then
+    agree in every degree of the data's window.
 
     Let phi be star, x[p;q] -> x[p*;q*] from h(Q) to h(Q^op), which reverses
     products (x[a;b] x[c;k] = x[ac;bk] goes to x[c*;k*] x[a*;b*]), or swap,
@@ -205,16 +205,12 @@ def check_quadratic_dualities(qd, qdual, max_degree):
     already, whatever the dimensions.
 
     Only products are read, and only in degrees up to 2: each host is
-    wba.face_algebra of the kQ the data's ideal lives in, truncated at
-    degree 2, with no coproduct or counit tables, and no biideal is spread
-    past degree 2.  The transported degree-2 pieces are canonical
-    Subspaces.  Every side's biideal is _relation_biideal's, as in
-    build_uqsgd: the transposed one spreads the union of both sides'
-    coaction relations.
+    wba.face_algebra of the data's kQ truncated at degree 2, with no
+    coproduct or counit tables, so no biideal is spread past degree 2.
+    The transported degree-2 pieces are canonical Subspaces.  Every side's
+    biideal is _relation_biideal's, as in build_uqsgd: the transposed one
+    spreads the union of both sides' coaction relations.
     """
-    top = min(data.ideal.host.max_degree for data in (qd, qdual))
-    if not 2 <= max_degree <= top:
-        raise ValueError(f"duality checks need 2 <= max_degree <= {top}, the data's truncation")
     q = qd.quiver
     if qdual.quiver != qv.opposite_quiver(q):
         raise ValueError("duality checks need the dual data over the opposite quiver")
@@ -222,7 +218,7 @@ def check_quadratic_dualities(qd, qdual, max_degree):
     pieces = {}
     ambient = {}
     for label, data in (("base", qd), ("dual", qdual)):
-        host = wba.face_algebra(data.ideal.host, 2)
+        host = wba.face_algebra(wba.path_algebra_presentation(data.quiver, 2))
         ambient[label] = host.dim(2)
         for side in RESULT_SIDES:
             b = _relation_biideal(host, data, side)[1]

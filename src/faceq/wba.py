@@ -69,12 +69,14 @@ WITNESSES = 3
 class GradedAlgebra:
     """Structure constants of a graded algebra, truncated at max_degree.
 
-    product maps (d, i, e, j) to the coordinate dict of u^d_i u^e_j in
-    degree d+e; pairs that multiply to zero are absent, and entries are
-    read-only (one may be shared by several keys).  unit is a degree-0
-    coordinate dict.  The product table must not change once the object
-    is built, so what is derived from it, its index by left factor
-    products_by_left and the flag int_products, are cached properties.
+    labels has one row of basis labels per degree of the window, so
+    max_degree is len(labels) - 1.  product maps (d, i, e, j) to the
+    coordinate dict of u^d_i u^e_j in degree d+e; pairs that multiply to
+    zero are absent, and entries are read-only (one may be shared by
+    several keys).  unit is a degree-0 coordinate dict.  The product table
+    must not change once the object is built, so what is derived from it,
+    its index by left factor products_by_left and the flag int_products,
+    are cached properties.
 
     generator_reducible is a fact, not derived: True when each degree
     d >= 2 is spanned by the products of degree 1 and degree d-1,
@@ -88,9 +90,9 @@ class GradedAlgebra:
 
     generator_reducible = False
 
-    def __init__(self, max_degree, labels, product, unit):
-        self.max_degree = max_degree
+    def __init__(self, labels, product, unit):
         self.labels = [list(row) for row in labels]
+        self.max_degree = len(self.labels) - 1
         self.product = product
         self.unit = dict(unit)
 
@@ -149,8 +151,8 @@ class GradedWBA(GradedAlgebra):
 
     delta_multiplicative = False
 
-    def __init__(self, max_degree, labels, product, unit, coproduct_of, coproducts_on, counit):
-        super().__init__(max_degree, labels, product, unit)
+    def __init__(self, labels, product, unit, coproduct_of, coproducts_on, counit):
+        super().__init__(labels, product, unit)
         self.coproduct_of = coproduct_of
         self.coproducts_on = coproducts_on
         self.counit = counit
@@ -231,28 +233,23 @@ def path_algebra_presentation(q, max_degree):
                     if pr is not None:
                         product[(d, i, e, j)] = {tgt[pr]: _ONE}
     unit = {i: _ONE for i in range(len(bases[0]))}
-    kq = GradedAlgebra(max_degree, labels, product, unit)
+    kq = GradedAlgebra(labels, product, unit)
     kq.generator_reducible = True
     return kq
 
 
-def face_algebra(kq, max_degree=None):
+def face_algebra(kq):
     """The face algebra's labels, product and unit: x[a;b] x[c;k] = x[ac;bk],
-    by index arithmetic over kq's products by left factor, truncated at
-    max_degree (default: kq's truncation; ValueError above it).
+    by index arithmetic over kq's products by left factor, over kq's window.
     For the coproduct and counit as well, use from_face_algebra.
     """
-    if max_degree is None:
-        max_degree = kq.max_degree
-    if not 0 <= max_degree <= kq.max_degree:
-        raise ValueError(f"max_degree {max_degree} is outside kq's window 0..{kq.max_degree}")
-    sizes = kq.dims()[:max_degree + 1]
+    max_degree = kq.max_degree
+    sizes = kq.dims()
     # keys reuse one int object per basis index instead of a fresh int per key
     ids = [list(range(n * n)) for n in sizes]
     # products landing on one basis element share its (read-only) unit vector
     units = [[{i: _ONE} for i in idd] for idd in ids]
-    labels = [[f"x[{a};{b}]" for a in names for b in names]
-              for names in kq.labels[:max_degree + 1]]
+    labels = [[f"x[{a};{b}]" for a in names for b in names] for names in kq.labels]
     by_left = kq.products_by_left
     product = {}
     degrees = [d for d in range(max_degree + 1) if sizes[d]]
@@ -268,7 +265,7 @@ def face_algebra(kq, max_degree=None):
                     for k, bk in right:
                         product[(d, ids[d][i], e, ids[e][c * ne + k])] = units[d + e][ac * nf + bk]
     unit = {i: _ONE for i in ids[0]}
-    return GradedAlgebra(max_degree, labels, product, unit)
+    return GradedAlgebra(labels, product, unit)
 
 
 def from_face_algebra(kq):
@@ -332,8 +329,7 @@ def from_face_algebra(kq):
         return out
 
     counit = {(d, a * n + a): _ONE for d, n in enumerate(sizes) for a in range(n)}
-    h = GradedWBA(alg.max_degree, alg.labels, alg.product, alg.unit, coproduct_of, coproducts_on,
-                  counit)
+    h = GradedWBA(alg.labels, alg.product, alg.unit, coproduct_of, coproducts_on, counit)
     h.generator_reducible = kq.generator_reducible
     h.delta_multiplicative = _factors_uniquely(kq)
     return h
@@ -679,9 +675,10 @@ class BiidealGens:
 
     Generators are (degree, coordinate dict) pairs on the host's basis of
     that degree, or ValueError; zero and repeated generators are dropped,
-    in first-seen order.  Graded pieces and ranks need only the host's
-    product (a GradedAlgebra will do); check_biideal and quotient_wba need
-    a GradedWBA.
+    in first-seen order.  Graded pieces and quotient dimensions need only
+    the host's product (a GradedAlgebra will do); check_biideal and
+    quotient_wba need a GradedWBA.  Each graded piece is computed once, by
+    biideal_graded_pieces, and kept finalized on the object.
     """
 
     def __init__(self, host, generators):
@@ -701,7 +698,6 @@ class BiidealGens:
             gens.append((d, vec))
         self.generators = tuple(gens)
         self._pieces = {}
-        self._echelons = {}  # forward-reduced pieces not yet finalized
 
 
 def _closure_products(b, d):
@@ -720,55 +716,6 @@ def _closure_products(b, d):
                     yield zgz
 
 
-def _spread(b, d):
-    """The degree-d piece as a forward-reduced Echelon, kept on b until finalized.
-
-    Adds the closure products of the degree-d generators (_closure_products)
-    and spreads the finalized degree-(d-1) int rows, as
-    biideal_graded_pieces describes.  On a host with int constants every
-    product is an int row and enters by Echelon.add_ints.
-    """
-    if d in b._echelons:
-        return b._echelons[d]
-    w = b.host
-    if d > w.max_degree:
-        raise ValueError(f"degree {d} exceeds the host truncation {w.max_degree}")
-    ech = Echelon(w.dim(d))
-    add = ech.add_ints if w.int_products else ech.add
-    for zgz in _closure_products(b, d):
-        add(zgz)
-    if d >= 1:
-        prev = biideal_graded_pieces(b, d - 1)
-        for row in prev.int_rows:
-            for a in range(w.dim(1)):
-                arrow = {a: _ONE}
-                left = w.multiply(1, arrow, d - 1, row)
-                if left:
-                    add(left)
-                right = w.multiply(d - 1, row, 1, arrow)
-                if right:
-                    add(right)
-    b._echelons[d] = ech
-    return ech
-
-
-def biideal_rank(b, d):
-    """Dimension of the degree-d piece, from forward elimination alone.
-
-    The Echelon stays on b, so a later biideal_graded_pieces(b, d)
-    finalizes it instead of eliminating again.  Degrees below d are
-    finalized, since spreading reads their canonical bases.
-    """
-    if d in b._pieces:
-        return b._pieces[d].dim
-    return _spread(b, d).rank
-
-
-def quotient_dims(b, max_degree):
-    """dim H_d - dim I_d for d = 0..max_degree, from biideal_rank."""
-    return [b.host.dim(d) - biideal_rank(b, d) for d in range(max_degree + 1)]
-
-
 def biideal_graded_pieces(b, d):
     """Degree-d piece of the two-sided ideal generated by b, as a Subspace.
 
@@ -779,13 +726,36 @@ def biideal_graded_pieces(b, d):
     the products z g z' over the degree-0 basis, taken once each, and it
     contains g.  The spread part H_1 I_{d-1} + I_{d-1} H_1 is already
     H_0-stable, as z(ar) = (za)r and z(ra) = (zr)a with za in H_1 and zr in
-    I_{d-1}, and likewise on the right.  Finalizes the Echelon that
-    biideal_rank(b, d) left on b, if there is one, and keeps the piece on b.
+    I_{d-1}, and likewise on the right.  On a host with int constants every
+    product is an int row and enters by Echelon.add_ints.  The piece is
+    finalized and kept on b; ValueError above the host truncation.
     """
-    if d not in b._pieces:
-        b._pieces[d] = _spread(b, d).finalize()
-        del b._echelons[d]
-    return b._pieces[d]
+    if d in b._pieces:
+        return b._pieces[d]
+    w = b.host
+    if d > w.max_degree:
+        raise ValueError(f"degree {d} exceeds the host truncation {w.max_degree}")
+    ech = Echelon(w.dim(d))
+    add = ech.add_ints if w.int_products else ech.add
+    for zgz in _closure_products(b, d):
+        add(zgz)
+    if d >= 1:
+        for row in biideal_graded_pieces(b, d - 1).int_rows:
+            for a in range(w.dim(1)):
+                arrow = {a: _ONE}
+                left = w.multiply(1, arrow, d - 1, row)
+                if left:
+                    add(left)
+                right = w.multiply(d - 1, row, 1, arrow)
+                if right:
+                    add(right)
+    piece = b._pieces[d] = ech.finalize()
+    return piece
+
+
+def quotient_dims(b):
+    """dim H_d - dim I_d over the host's window, from the finalized pieces."""
+    return [b.host.dim(d) - biideal_graded_pieces(b, d).dim for d in range(b.host.max_degree + 1)]
 
 
 def _descends(w, d, piece, v):
@@ -796,8 +766,8 @@ def _descends(w, d, piece, v):
     return not apply_legs(w.delta(d, v), rows, rows)
 
 
-def check_biideal(b, max_degree):
-    """Counit vanishing and coproduct descent for every graded piece ≤ max_degree.
+def check_biideal(b):
+    """Counit vanishing and coproduct descent for every graded piece of the host's window.
 
     The counit-vanishes row tests eps on every canonical row of every piece.
     Descent is one test, _descends.
@@ -818,9 +788,7 @@ def check_biideal(b, max_degree):
     order.
     """
     w = b.host
-    if max_degree > w.max_degree:
-        raise ValueError(f"cannot check beyond the host truncation {w.max_degree}")
-    pieces = [biideal_graded_pieces(b, d) for d in range(max_degree + 1)]
+    pieces = [biideal_graded_pieces(b, d) for d in range(w.max_degree + 1)]
     eps_fails = [f"degree {d}, piece row {r}" for d, piece in enumerate(pieces)
                  for r, row in enumerate(piece.int_rows) if w.eps(d, row)]
     delta_fails = []
@@ -867,7 +835,7 @@ def quotient_wba(b, report=None):
     """
     w = b.host
     if report is None:
-        report = check_biideal(b, w.max_degree)
+        report = check_biideal(b)
     if not report["passed"]:
         raise VerificationError("biideal verification failed; not a quotient weak bialgebra",
                                 report)
@@ -904,7 +872,7 @@ def quotient_wba(b, report=None):
                 out[i] = divided(terms, p.denom * p.denom)
         return out
 
-    quotient = GradedWBA(w.max_degree, labels, product, unit, coproduct_of, coproducts_on, counit)
+    quotient = GradedWBA(labels, product, unit, coproduct_of, coproducts_on, counit)
     quotient.generator_reducible = w.generator_reducible
     quotient.delta_multiplicative = w.generator_reducible and w.delta_multiplicative
     return quotient

@@ -453,10 +453,10 @@ def bialgebra_d(max_degree):
         (0, 1): {(0, 1): _ONE, (1, 0): _ONE},
     }
     counit = {(0, 0): _ONE}
-    return tabled(max_degree, labels, product, unit, coproduct, counit)
+    return tabled(labels, product, unit, coproduct, counit)
 
 
-def tabled(max_degree, labels, product, unit, coproduct, counit):
+def tabled(labels, product, unit, coproduct, counit):
     """A GradedWBA whose coproduct_of reads the table coproduct,
     {(d, i): {(j, k): scalar}} with nonzero terms only, and whose
     coproducts_on filters it: the generic restricted read, the reference
@@ -472,7 +472,7 @@ def tabled(max_degree, labels, product, unit, coproduct, counit):
                 out[i] = kept
         return out
 
-    return wba.GradedWBA(max_degree, labels, product, unit,
+    return wba.GradedWBA(labels, product, unit,
                          lambda d, i: coproduct.get((d, i), {}), coproducts_on, counit)
 
 
@@ -508,22 +508,19 @@ def direct_sum(h, k):
         counit[(d, i)] = c
     for (d, i), c in k.counit.items():
         counit[(d, i + off[d])] = c
-    return tabled(md, labels, product, unit, coproduct, counit)
+    return tabled(labels, product, unit, coproduct, counit)
 
 
-def sum_of_pieces(biideals, max_degree):
-    """Echelons, degrees 0..max_degree, of the ideal that the biideals'
-    generators generate together in their one host: each the sum of their
-    pieces as each biideal holds them, finalized or only ranked."""
-    sums = [Echelon(biideals[0].host.dim(d)) for d in range(max_degree + 1)]
+def sum_of_pieces(biideals):
+    """Echelons, one per degree of the host's window, of the ideal that the
+    biideals' generators generate together in their one host: each the sum
+    of their finalized pieces."""
+    host = biideals[0].host
+    sums = [Echelon(host.dim(d)) for d in range(host.max_degree + 1)]
     for b in biideals:
         for d, ech in enumerate(sums):
-            if d in b._pieces:
-                rows, add = b._pieces[d].basis, ech.add
-            else:  # a ranked piece holds int rows
-                rows, add = list(wba._spread(b, d).pivot_rows.values()), ech.add_ints
-            for row in rows:
-                add(row)
+            for row in wba.biideal_graded_pieces(b, d).basis:
+                ech.add(row)
     return sums
 
 
@@ -744,8 +741,8 @@ def duality_report_with_dims(qd, qdual, max_degree):
     """uqsgd.check_quadratic_dualities by its former rule, every row tested
     twice: the degree-2 piece moved along star or swap must equal the
     target's, and the two biideals' graded quotient dimensions up to
-    max_degree must agree, each of the six spread to max_degree over h(Q)
-    squared from the data's kQ at its full truncation.  The moves are
+    max_degree must agree, each of the six spread over h(Q) squared from
+    the data's kQ at its full truncation.  The moves are
     written out here from quiver.star_indices; the biideals are
     uqsgd._relation_biideal's."""
     pieces, dims, ambient = {}, {}, {}
@@ -754,7 +751,7 @@ def duality_report_with_dims(qd, qdual, max_degree):
         ambient[label] = host.dim(2)
         for side in uq.RESULT_SIDES:
             b = uq._relation_biideal(host, data, side)[1]
-            dims[side, label] = wba.quotient_dims(b, max_degree)
+            dims[side, label] = wba.quotient_dims(b)[:max_degree + 1]
             pieces[side, label] = wba.biideal_graded_pieces(b, 2)
     star = qv.star_indices(qd.quiver, 2)
     n = len(star)

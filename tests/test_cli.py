@@ -877,12 +877,13 @@ def test_coact_computes_coassociativity_on_every_degree(tmp_path, monkeypatch, r
     ("verify", None, 1), ("uqsgd", COMMUTATOR_DOC, 1), ("dual", COMMUTATOR_DOC, 2),
     ("face", None, 1), ("coact", None, 1), ("coact", two_loop_canonical_document(3), 1)])
 def test_one_path_algebra_per_quiver(tmp_path, monkeypatch, command, relations, presentations):
-    """Every command builds kQ once per quiver: face, verify and coact square
-    it into h(Q), and verify's and canonical coact's two canonical coactions
-    share it; a coaction document's kQ is the one its entries are read on;
-    uqsgd and dual read R from the ideal of kQ truncated at the job's
-    degree, so R is eliminated once, and dual adds kQ^op for the quadratic
-    dual."""
+    """Every command builds kQ once per quiver and window: face, verify and
+    coact square it into h(Q), and verify's and canonical coact's two
+    canonical coactions share it; a coaction document's kQ is the one its
+    entries are read on; uqsgd and dual read R from the ideal of kQ
+    truncated at the job's degree, so R is eliminated once, and dual adds
+    kQ^op for the quadratic dual, then squares kQ and kQ^op truncated at
+    degree 2 for the duality transports."""
     built = []
     presentation = wba.path_algebra_presentation
 
@@ -898,7 +899,8 @@ def test_one_path_algebra_per_quiver(tmp_path, monkeypatch, command, relations, 
     code, doc = run_doc(tmp_path, args)
     assert code == 0
     assert doc["passed"] is True
-    assert built == [3] * presentations
+    transports = [2] * presentations if command == "dual" else []
+    assert built == [3] * presentations + transports
 
 
 @pytest.mark.parametrize("command, relations", [

@@ -299,8 +299,7 @@ def test_endpoint_absorption_witnesses_follow_the_arrow_endpoints(make, witnesse
 
 def test_search_base_iso_needs_idempotent_basis():
     host = bialgebra_d(0)
-    algebra = wba.GradedAlgebra(0, [["u"]], {(0, 0, 0, 0): {0: Fraction(2)}},
-                                {0: ONE})
+    algebra = wba.GradedAlgebra([["u"]], {(0, 0, 0, 0): {0: Fraction(2)}}, {0: ONE})
     spec = co.CoactionSpec("left", algebra, [[[{0: ONE}]]])
     with pytest.raises(UnsupportedShapeError, match="orthogonal idempotents"):
         co.search_base_iso(spec, host)
@@ -344,7 +343,7 @@ def test_search_base_iso_refuses_overlapping_supports():
     basis element c, so the search cannot split intertwining by supports."""
     product = {(0, 0, 0, 0): {0: ONE, 2: 2 * ONE}, (0, 0, 0, 2): {2: -ONE},
                (0, 2, 0, 0): {2: -ONE}, (0, 1, 0, 1): {1: ONE}, (0, 2, 0, 2): {2: ONE}}
-    host = tabled(0, [["a-c", "b", "c"]], product, {0: ONE, 1: ONE, 2: 2 * ONE}, {}, {})
+    host = tabled([["a-c", "b", "c"]], product, {0: ONE, 1: ONE, 2: 2 * ONE}, {}, {})
     rows = ({0: ONE, 2: ONE}, {1: ONE, 2: ONE})
     host.counital_subalgebras["target"] = Subspace.from_rows(3, rows)
     assert wba.counital_subalgebra(host, "target").basis == rows
@@ -508,8 +507,7 @@ def corrupt(draw, host, spec, kind):
     alone."""
     coproduct = coproduct_table(host)
     host = copied(host, coproduct)
-    algebra = wba.GradedAlgebra(spec.algebra.max_degree, spec.algebra.labels,
-                                dict(spec.algebra.product), spec.algebra.unit)
+    algebra = wba.GradedAlgebra(spec.algebra.labels, dict(spec.algebra.product), spec.algebra.unit)
     coefficients = [[list(row) for row in mat] for mat in spec.coefficients]
     high = [d for d in range(2, min(spec.degrees(), host.max_degree) + 1) if algebra.dim(d)]
     if kind == "entries":
@@ -700,8 +698,8 @@ def test_comodule_checks_leave_the_host_unchanged():
     q = three_loop()
     qd = pa.quadratic_data(q, commutator_relations(q), 3)
     _, biideal = uq._relation_biideal(wba.from_face_algebra(qd.ideal.host), qd, "trans")
-    quotient = wba.quotient_wba(biideal, report=wba.check_biideal(biideal, 3))
-    coefficients = uq._induced_coefficients(biideal, qd.ideal.host, 3)
+    quotient = wba.quotient_wba(biideal, report=wba.check_biideal(biideal))
+    coefficients = uq._induced_coefficients(biideal, qd.ideal.host)
     induced = [co.CoactionSpec(side, qd.ideal.host, coefficients) for side in co.SIDES]
     for host, specs in ((h, (lam, rho)), (quotient, induced)):
         before = deepcopy(vars(host))

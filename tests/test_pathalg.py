@@ -65,7 +65,7 @@ def endpoint_mixing():
 
 def quotient_dims(q, relations, top):
     """dim kQ_d - dim I_d for d = 0..top, through the quadratic data."""
-    return wba.quotient_dims(pa.quadratic_data(q, relations, top).ideal, top)
+    return wba.quotient_dims(pa.quadratic_data(q, relations, top).ideal)
 
 
 def test_multiply_unit_decomposition():
@@ -214,7 +214,7 @@ def test_quadratic_dual_of_polynomial_ring():
         {3: Fraction(1)},
     ])
     assert subspace_equal(dual.relation_space, expected)
-    assert wba.quotient_dims(dual.ideal, 3) == [1, 2, 1, 0]
+    assert wba.quotient_dims(dual.ideal) == [1, 2, 1, 0]
 
 
 def test_quadratic_dual_of_zero_is_full():
@@ -292,7 +292,7 @@ def test_quadratic_dual_matches_the_former_three_eliminations():
         space, old_ideal = quadratic_dual_oracle(qd, 3)
         assert dual.relation_space == space
         assert dual.relation_space.pivots == space.pivots
-        assert wba.quotient_dims(dual.ideal, 3) == wba.quotient_dims(old_ideal, 3)
+        assert wba.quotient_dims(dual.ideal) == wba.quotient_dims(old_ideal)
 
 
 def test_preprojective_relations_display():

@@ -43,7 +43,7 @@ def piece2(result):
 
 def dualities(q, relations, degree):
     qd = pa.quadratic_data(q, relations, degree)
-    return uq.check_quadratic_dualities(qd, pa.quadratic_dual(qd, degree), degree)
+    return uq.check_quadratic_dualities(qd, pa.quadratic_dual(qd, degree))
 
 
 def family_span(q, host, elems):
@@ -224,16 +224,6 @@ def test_quadratic_dualities_preprojective():
     assert report["passed"], report
 
 
-def test_quadratic_dualities_refuse_a_window_outside_the_data():
-    """The hosts are squared from the data's kQ, so the window runs from
-    degree 2 to the truncation the quadratic data was built at."""
-    q = two_loop()
-    qd = pa.quadratic_data(q, commutator_relations(q))
-    for degree in (1, 3):
-        with pytest.raises(ValueError, match=r"need 2 <= max_degree <= 2, the data's truncation"):
-            uq.check_quadratic_dualities(qd, pa.quadratic_dual(qd), degree)
-
-
 def test_quadratic_dualities_fail_against_another_dual():
     """The polynomial ring's relations checked against the dual of the
     quantum plane: every row that reads the dual fails with its witness,
@@ -241,7 +231,7 @@ def test_quadratic_dualities_fail_against_another_dual():
     q = two_loop()
     qd = pa.quadratic_data(q, commutator_relations(q), 3)
     other = pa.quadratic_dual(pa.quadratic_data(q, quantum_plane_relations(q), 3), 3)
-    report = uq.check_quadratic_dualities(qd, other, 3)
+    report = uq.check_quadratic_dualities(qd, other)
     assert report == {"passed": False, "checks": [
         {"check": "a-star-left-onto-dual-right", "status": "fail",
          "witnesses": ["left piece of the base vs right piece of the dual"]},
@@ -339,7 +329,7 @@ def test_three_loop_q_commutator_dualities_combine_count(monkeypatch):
         return combine(a, row, b, piv)
 
     monkeypatch.setattr(linalg, "_combine", counted)
-    assert uq.check_quadratic_dualities(qd, qdual, 4)["passed"]
+    assert uq.check_quadratic_dualities(qd, qdual)["passed"]
     assert calls[0] == 49
 
 
@@ -351,14 +341,14 @@ def test_quadratic_dualities_spread_no_biideal_past_degree_two(monkeypatch):
     qd = pa.quadratic_data(q, pa.parse_relations(Q_COMMUTATORS, q), 4)
     qdual = pa.quadratic_dual(qd, 4)
     spread = []
-    spread_piece = wba._spread
+    spread_piece = wba.biideal_graded_pieces
 
     def recorded(b, d):
         spread.append((b.host.max_degree, d))
         return spread_piece(b, d)
 
-    monkeypatch.setattr(wba, "_spread", recorded)
-    assert uq.check_quadratic_dualities(qd, qdual, 4)["passed"]
+    monkeypatch.setattr(wba, "biideal_graded_pieces", recorded)
+    assert uq.check_quadratic_dualities(qd, qdual)["passed"]
     assert sorted(set(spread)) == [(2, 0), (2, 1), (2, 2)]
 
 
@@ -380,7 +370,7 @@ def test_quadratic_dualities_refuse_a_dual_over_another_quiver(monkeypatch):
     monkeypatch.setattr(wba, "face_algebra", refuse)
     for other in (qd, relabelled):
         with pytest.raises(ValueError, match="the dual data over the opposite quiver"):
-            uq.check_quadratic_dualities(qd, other, 3)
+            uq.check_quadratic_dualities(qd, other)
 
 
 def squared_map(perm):
@@ -426,7 +416,7 @@ def test_star_and_swap_move_face_products(name):
     assert moved_product_failures(h, h, swap, reverse=False) == []
 
     def dropped(key):
-        return wba.GradedAlgebra(degree, h.labels,
+        return wba.GradedAlgebra(h.labels,
                                  {k: v for k, v in h.product.items() if k != key}, h.unit)
 
     if h.product:
@@ -463,28 +453,20 @@ def rational_relations(q):
 @pytest.mark.parametrize("name", sorted(FLEET))
 def test_transposed_pieces_are_the_sum_of_the_one_sided_ones(name):
     """The transposed biideal, which spreads the union of both sides'
-    relations, is the oracle's sum of the one-sided pieces: the ranks in
-    every degree and the canonical degree-2 piece, for the base and the
-    dual.  The one-sided pieces enter in both states a biideal holds a
-    piece in, as quotient_dims leaves them: finalized below the top degree
-    and only ranked in it.  check_quadratic_dualities itself leaves only
-    finalized pieces, of degree 2 at most."""
+    relations, is the oracle's sum of the one-sided finalized pieces in
+    every degree of the host's window, canonical rows and pivots alike, for
+    the base and the dual."""
     q = FLEET[name]()
     degree = min(3, HOST_DEGREE[name])
     qd = pa.quadratic_data(q, rational_relations(q), degree)
     for data in (qd, pa.quadratic_dual(qd)):
         host = wba.face_algebra(wba.path_algebra_presentation(data.quiver, degree))
         one_sided = [uq._relation_biideal(host, data, side)[1] for side in co.SIDES]
-        for b in one_sided:
-            wba.quotient_dims(b, degree)
-            wba.biideal_graded_pieces(b, 2)
-        sums = sum_of_pieces(one_sided, degree)
+        sums = [ech.finalize() for ech in sum_of_pieces(one_sided)]
         _, union = uq._relation_biideal(host, data, "trans")
-        assert [ech.rank for ech in sums] == [wba.biideal_rank(union, d)
-                                              for d in range(degree + 1)]
-        piece = sums[2].finalize()
-        assert piece == wba.biideal_graded_pieces(union, 2)
-        assert piece.pivots == wba.biideal_graded_pieces(union, 2).pivots
+        pieces = [wba.biideal_graded_pieces(union, d) for d in range(degree + 1)]
+        assert sums == pieces
+        assert [piece.pivots for piece in sums] == [piece.pivots for piece in pieces]
 
 
 # Small fleet quivers with degree-2 paths, and the host truncation for each.
@@ -534,7 +516,7 @@ def test_dualities_match_the_oracle_that_compares_dimensions(data):
     the degree (oracle.duality_report_with_dims), passing rows and failing
     ones alike."""
     qd, qdual, degree = data
-    report = uq.check_quadratic_dualities(qd, qdual, degree)
+    report = uq.check_quadratic_dualities(qd, qdual)
     assert report == duality_report_with_dims(qd, qdual, degree)
 
 
@@ -556,7 +538,7 @@ def corrupted(host, d, i, scale):
     first = next(iter(entry))
     entry[first] *= scale
     coproduct[(d, i)] = entry
-    return tabled(host.max_degree, host.labels, host.product, host.unit, coproduct, host.counit)
+    return tabled(host.labels, host.product, host.unit, coproduct, host.counit)
 
 
 @settings(max_examples=60, deadline=None)
@@ -581,7 +563,7 @@ def test_projections_match_the_fraction_oracle(case, data):
     with pytest.MonkeyPatch.context() as mp:
         full_witness_rows(mp)
         for biideal in (b, bad):
-            assert wba.check_biideal(biideal, top) == check_biideal_oracle(biideal, top)
+            assert wba.check_biideal(biideal) == check_biideal_oracle(biideal, top)
 
     quo = wba.quotient_wba(b)
     product, unit = quotient_algebra_oracle(b)
@@ -593,7 +575,7 @@ def test_projections_match_the_fraction_oracle(case, data):
     assert typed(quo.unit) == policy_typed(unit)
     assert quo.counit == counit
     oracle = induced_coefficients_oracle(b, qd.ideal.host, top)
-    coefficients = uq._induced_coefficients(b, qd.ideal.host, top)
+    coefficients = uq._induced_coefficients(b, qd.ideal.host)
     assert [[[typed(e) for e in row] for row in mat] for mat in coefficients] == \
         [[[policy_typed(e) for e in row] for row in mat] for mat in oracle]
 
@@ -683,7 +665,7 @@ def test_uqsgd_dims_are_those_of_a_quadratic_algebra_on_the_product_quiver(case)
                  for d, gen in result.biideal.generators if d == 2]
         assert all(d == 2 for d, _ in result.biideal.generators)
         qd = pa.quadratic_data(pq, moved, degree)
-        assert result.quotient_dims == wba.quotient_dims(qd.ideal, degree)
+        assert result.quotient_dims == wba.quotient_dims(qd.ideal)
 
 
 def verdicts(node, place=()):

@@ -113,21 +113,16 @@ def test_face_algebra_is_the_path_algebra_of_the_product_quiver(q, degree):
 
 @pytest.mark.parametrize("name", sorted(FLEET))
 def test_face_algebra_at_a_top_degree_squares_the_truncated_kq(name):
-    """face_algebra(kq, m) is the face algebra of kQ truncated at m, entry
-    for entry, for every m in kq's window, and its default top degree is
-    kq's own; a top degree outside the window is refused."""
+    """face_algebra of kQ truncated at m is the degree <= m part of
+    face_algebra(kq), entry for entry, for every m in kq's window: its
+    labels, the products landing at degree m at most, and the unit."""
     q = FLEET[name]()
-    kq = wba.path_algebra_presentation(q, HOST_DEGREE[name])
-    for m in range(kq.max_degree + 1):
-        h = wba.face_algebra(kq, m)
-        ref = wba.face_algebra(wba.path_algebra_presentation(q, m))
-        assert (h.max_degree, h.labels, h.product, h.unit) == (m, ref.labels, ref.product,
-                                                               ref.unit)
-    full = wba.face_algebra(kq)
-    assert vars(full) == vars(wba.face_algebra(kq, kq.max_degree))
-    for m in (-1, kq.max_degree + 1):
-        with pytest.raises(ValueError, match="outside kq's window"):
-            wba.face_algebra(kq, m)
+    full = wba.face_algebra(wba.path_algebra_presentation(q, HOST_DEGREE[name]))
+    for m in range(full.max_degree + 1):
+        h = wba.face_algebra(wba.path_algebra_presentation(q, m))
+        low = {key: entry for key, entry in full.product.items() if key[0] + key[2] <= m}
+        assert (h.max_degree, h.labels, h.product, h.unit) == (m, full.labels[:m + 1], low,
+                                                               full.unit)
 
 
 def test_face_algebra_axioms_pass():
@@ -236,7 +231,7 @@ def test_direct_sum_of_d_with_itself():
 
 def test_direct_sum_with_zero_summand():
     h = wba.from_face_algebra(wba.path_algebra_presentation(three_cycle(), 2))
-    zero = tabled(2, [[], [], []], {}, {}, {}, {})
+    zero = tabled([[], [], []], {}, {}, {}, {})
     total = direct_sum(h, zero)
     assert total.dims() == h.dims()
     assert total.product == h.product
@@ -289,7 +284,7 @@ def test_empty_generators_give_zero_pieces():
     b = wba.BiidealGens(host, [])
     for d in range(4):
         assert wba.biideal_graded_pieces(b, d).dim == 0
-    assert wba.check_biideal(b, 3)["passed"]
+    assert wba.check_biideal(b)["passed"]
 
 
 def test_biideal_pieces_match_sandwich_oracle():
@@ -321,7 +316,7 @@ def test_ideal_pieces_respect_vertices():
 def test_commutator_biideal_passes_check():
     q = two_loop()
     host = wba.from_face_algebra(wba.path_algebra_presentation(q, 3))
-    report = wba.check_biideal(face_commutator_biideal(host, q), 3)
+    report = wba.check_biideal(face_commutator_biideal(host, q))
     assert report["passed"]
     names = [row["check"] for row in report["checks"]]
     assert "counit-vanishes" in names
@@ -333,7 +328,7 @@ def test_counit_check_fails_on_diagonal_generator():
     host = wba.from_face_algebra(wba.path_algebra_presentation(q, 2))
     g = FaceElement(q, {fc.FaceMonomial(q.arrow_path(0), q.arrow_path(0)): 1})
     b = wba.BiidealGens(host, [(1, face_coords(q, g, 1))])
-    report = wba.check_biideal(b, 2)
+    report = wba.check_biideal(b)
     assert not report["passed"]
     fails = {row["check"] for row in report["checks"] if row["status"] == "fail"}
     assert "counit-vanishes" in fails
@@ -345,7 +340,7 @@ def test_coproduct_check_fails_on_idempotent_difference():
     g = (FaceElement(q, {fc.FaceMonomial(q.arrow_path(0), q.arrow_path(0)): 1})
          - FaceElement(q, {fc.FaceMonomial(q.arrow_path(1), q.arrow_path(1)): 1}))
     b = wba.BiidealGens(host, [(1, face_coords(q, g, 1))])
-    report = wba.check_biideal(b, 2)
+    report = wba.check_biideal(b)
     assert not report["passed"]
     fails = {row["check"] for row in report["checks"] if row["status"] == "fail"}
     assert "coproduct-descends" in fails
@@ -395,13 +390,6 @@ def test_commutator_quotient_dims():
     quo = wba.quotient_wba(face_commutator_biideal(host, q))
     assert quo.dims() == [comb(4 + l - 1, l) for l in range(4)]
     assert wba.check_axioms(quo)["passed"]
-
-
-def test_check_biideal_rejects_degrees_beyond_truncation():
-    host = wba.from_face_algebra(wba.path_algebra_presentation(two_loop(), 2))
-    b = wba.BiidealGens(host, [])
-    with pytest.raises(ValueError):
-        wba.check_biideal(b, 3)
 
 
 def face_tables(q, max_degree):
@@ -592,7 +580,7 @@ def copied(w, coproduct=None):
     (see tabled): a test that corrupts the copy's coproduct keeps the table."""
     if coproduct is None:
         coproduct = coproduct_table(w)
-    return tabled(w.max_degree, w.labels, dict(w.product), w.unit, coproduct, dict(w.counit))
+    return tabled(w.labels, dict(w.product), w.unit, coproduct, dict(w.counit))
 
 
 SMALL_PRESENTATIONS = [
@@ -814,7 +802,7 @@ def test_unspanned_degree_two_takes_the_full_path():
     coproduct = {(0, 0): {(0, 0): ONE}, (1, 0): {(0, 0): ONE},
                  (2, 0): {(0, 0): ONE}, (2, 1): {(1, 1): ONE}}
     counit = {(d, i): ONE for d, row in enumerate(labels) for i in range(len(row))}
-    w = tabled(2, labels, product, {0: ONE}, coproduct, counit)
+    w = tabled(labels, product, {0: ONE}, coproduct, counit)
     assert generator_associative(w)
     assert not spanned_from_degree_one(w)
     assert not w.generator_reducible
@@ -845,7 +833,7 @@ def test_delta_multiplicative_terms_that_cancel():
     and u1 u1 = u2 u1 = u1, sums to u1 (x) u1 - u1 (x) u1: no failure."""
     product = {(0, 1, 0, 1): {1: ONE}, (0, 2, 0, 1): {1: ONE}}
     coproduct = {(0, 0): {(1, 1): ONE, (2, 1): -ONE}}
-    w = tabled(0, [["u0", "u1", "u2"]], product, {1: ONE}, coproduct, {})
+    w = tabled([["u0", "u1", "u2"]], product, {1: ONE}, coproduct, {})
     assert (wba.multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)
             == pairwise_delta_multiplicative(w) == [])
 
@@ -903,7 +891,7 @@ def test_commuting_loops_do_not_factor_uniquely():
     for i in range(2):
         for j in range(2):
             product[(1, i, 1, j)] = {i + j: 1}
-    kq = wba.GradedAlgebra(2, labels, product, {0: 1})
+    kq = wba.GradedAlgebra(labels, product, {0: 1})
     assert not wba._factors_uniquely(kq)
     h = wba.from_face_algebra(kq)
     assert not h.delta_multiplicative
@@ -943,7 +931,7 @@ def test_face_algebra_over_a_non_associative_kq_is_not_born_generator_reducible(
     i, j = (kq.labels[2].index(p) for p in ("t1.t2", "t2.t1"))
     t1 = kq.labels[1].index("t1")
     product[(2, i, 1, t1)], product[(2, j, 1, t1)] = product[(2, j, 1, t1)], product[(2, i, 1, t1)]
-    bad = wba.GradedAlgebra(kq.max_degree, kq.labels, product, kq.unit)
+    bad = wba.GradedAlgebra(kq.labels, product, kq.unit)
     assert wba._factors_uniquely(bad) and spanned_from_degree_one(bad)
     assert not generator_associative(bad)
     assert not bad.generator_reducible
@@ -976,7 +964,7 @@ def passing_relation_biideals(draw):
     qd = pa.quadratic_data(q, [(2, row) for row in rows], top)
     side = draw(st.sampled_from(uq.RESULT_SIDES))
     b = uq._relation_biideal(wba.from_face_algebra(qd.ideal.host), qd, side)[1]
-    report = wba.check_biideal(b, top)
+    report = wba.check_biideal(b)
     assume(report["passed"])
     return b, report
 
@@ -1144,23 +1132,24 @@ def test_biideal_pieces_match_saturate_every_degree(b):
 
 
 @settings(max_examples=60, deadline=None)
-@given(random_biideals(), st.data())
-def test_biideal_rank_is_the_dim_of_the_finalized_piece(b, data):
-    top = data.draw(st.integers(0, b.host.max_degree))
-    rank = wba.biideal_rank(b, top)
-    # spreading finalized every degree below top; top is forward-reduced only
-    assert sorted(b._pieces) == list(range(top))
-    assert list(b._echelons) == [top]
+@given(random_biideals())
+def test_quotient_dims_leave_every_piece_finalized(b):
+    """quotient_dims(b) covers the host's window from finalized pieces:
+    afterwards every degree of the window sits on b as a Subspace, the
+    dims are those of a fresh BiidealGens' pieces, and a second call
+    eliminates nothing."""
+    dims = wba.quotient_dims(b)
+    top = b.host.max_degree
+    assert sorted(b._pieces) == list(range(top + 1))
+    assert all(type(piece) is Subspace for piece in b._pieces.values())
+    fresh = wba.BiidealGens(b.host, b.generators)
+    assert dims == [b.host.dim(d) - wba.biideal_graded_pieces(fresh, d).dim
+                    for d in range(top + 1)]
     again = AssertionError("eliminated again")
     with mock.patch.object(Echelon, "add", side_effect=again), \
-            mock.patch.object(Echelon, "add_ints", side_effect=again):
-        piece = wba.biideal_graded_pieces(b, top)
-    assert piece.dim == rank
-    assert not b._echelons
-    fresh = wba.BiidealGens(b.host, b.generators)
-    assert [wba.biideal_rank(b, d) for d in range(top + 1)] == \
-        [wba.biideal_graded_pieces(fresh, d).dim for d in range(top + 1)]
-    assert piece == wba.biideal_graded_pieces(fresh, top)
+            mock.patch.object(Echelon, "add_ints", side_effect=again), \
+            mock.patch.object(Echelon, "finalize", side_effect=again):
+        assert wba.quotient_dims(b) == dims
 
 
 def test_report_keeps_the_first_witnesses_and_fails_on_any_failure():
@@ -1182,10 +1171,10 @@ def test_report_keeps_the_first_witnesses_and_fails_on_any_failure():
 def assert_biideal_report_matches_oracle(b):
     """Both rows, every witness in order, equal the materializing oracle's."""
     top = b.host.max_degree
-    assert wba.check_biideal(b, top) == check_biideal_oracle(b, top)
+    assert wba.check_biideal(b) == check_biideal_oracle(b, top)
     with pytest.MonkeyPatch.context() as mp:
         full_witness_rows(mp)
-        assert wba.check_biideal(b, top) == check_biideal_oracle(b, top)
+        assert wba.check_biideal(b) == check_biideal_oracle(b, top)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1209,7 +1198,7 @@ def test_streamed_biideal_check_matches_oracle_on_each_verdict():
             host, [(1, face_coords(q, loop(0, 0) - loop(1, 1), 1))]),
     }
     for failing, b in cases.items():
-        report = wba.check_biideal(b, 3)
+        report = wba.check_biideal(b)
         assert [row["check"] for row in report["checks"] if row["status"] == "fail"] == \
             ([] if failing == "pass" else [failing])
         assert_biideal_report_matches_oracle(b)
@@ -1290,7 +1279,7 @@ def test_descent_check_matches_oracle_on_each_verdict():
     assert all(wba._descends(b.host, d, wba.biideal_graded_pieces(b, d), v)
                for d, v in closure_products(b, 3))
     for failing, b in cases:
-        report = wba.check_biideal(b, 3)
+        report = wba.check_biideal(b)
         assert [row["check"] for row in report["checks"] if row["status"] == "fail"] == \
             ([] if failing == "pass" else [failing])
         assert_biideal_report_matches_oracle(b)
@@ -1301,10 +1290,10 @@ def test_descent_check_matches_oracle_on_each_verdict():
         for host in (lambda b: b, on_copied_host):
             for given_report in (False, True):
                 b = host(mixed_relation_biideal(side))
-                report = wba.check_biideal(b, 3)
+                report = wba.check_biideal(b)
                 quo = wba.quotient_wba(b, report=report if given_report else None)
                 assert (coproduct_table(quo), quo.counit) == quotient_coalgebra_oracle(b)
-                assert report["passed"] and wba.check_biideal(b, 3) == report
+                assert report["passed"] and wba.check_biideal(b) == report
 
 
 @st.composite
@@ -1344,7 +1333,7 @@ def test_descent_check_matches_oracle_on_corrupted_hosts(b):
     quotient's coalgebra tables, divided from the same int projections,
     equal the dense oracle's."""
     assert_biideal_report_matches_oracle(b)
-    if wba.check_biideal(b, b.host.max_degree)["passed"]:
+    if wba.check_biideal(b)["passed"]:
         quo = wba.quotient_wba(b)
         assert (coproduct_table(quo), quo.counit) == quotient_coalgebra_oracle(b)
 
@@ -1383,9 +1372,9 @@ def assert_face_report_matches_a_copied_host(b):
     top = host.max_degree
     with pytest.MonkeyPatch.context() as mp:
         full_witness_rows(mp)
-        report = wba.check_biideal(b, top)
+        report = wba.check_biideal(b)
         assert not hasattr(host, "coproduct")
-        assert report == wba.check_biideal(on_copied_host(b), top)
+        assert report == wba.check_biideal(on_copied_host(b))
     return report
 
 
@@ -1426,7 +1415,7 @@ def full_path_report(b, top):
     is compared."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(b.host, "delta_multiplicative", False)
-        return wba.check_biideal(wba.BiidealGens(b.host, b.generators), top)
+        return wba.check_biideal(wba.BiidealGens(b.host, b.generators))
 
 
 def assert_descent_matches_the_full_path(b):
@@ -1434,12 +1423,12 @@ def assert_descent_matches_the_full_path(b):
     path's report and the materializing oracle's, every witness included."""
     assert b.host.delta_multiplicative
     top = b.host.max_degree
-    report = wba.check_biideal(b, top)
+    report = wba.check_biideal(b)
     assert report == full_path_report(b, top)
     assert_biideal_report_matches_oracle(b)
     with pytest.MonkeyPatch.context() as mp:
         full_witness_rows(mp)
-        assert wba.check_biideal(b, top) == full_path_report(b, top)
+        assert wba.check_biideal(b) == full_path_report(b, top)
     return report
 
 
@@ -1500,7 +1489,7 @@ def test_descent_on_the_doubled_three_cycle():
         b = uq._relation_biideal(wba.from_face_algebra(qd.ideal.host), qd, side)[1]
         with pytest.MonkeyPatch.context() as mp:
             calls = descends_calls(mp)
-            report = wba.check_biideal(b, 3)
+            report = wba.check_biideal(b)
         assert report["passed"] and calls == closure_products(b, 3)
         with pytest.MonkeyPatch.context() as mp:
             reads = []
