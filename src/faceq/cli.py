@@ -236,38 +236,32 @@ def _parse_coaction_doc(doc, q, cap, side_option):
     check_window(q, window)
     algebra = wba.path_algebra_presentation(q, window)
     coefficients = []
-    for d in range(window + 1):
+    for d, n in enumerate(algebra.dims()):
         mat = mats[d]
-        n = algebra.dim(d)
         if (not isinstance(mat, list) or len(mat) != n
                 or any(not isinstance(row, list) or len(row) != n for row in mat)):
             raise ParseError(f"degree-{d} coefficient matrix must be {n}x{n}")
         coefficients.append([[fc.parse_element(q, cell, d) for cell in row] for row in mat])
-    return co.CoactionSpec(side, algebra, coefficients), window
+    return co.CoactionSpec(side, algebra, coefficients)
 
 
 def run_coact(args):
     q = _load_quiver(args)
     if args.relations is not None:
-        cspec, window = _parse_coaction_doc(_load_json(args.relations), q,
-                                            args.max_degree, args.side)
-        host = wba.from_face_algebra(cspec.algebra)
-        sections = {cspec.side: _coaction_section(cspec, host)}
-        transposed = None
-        m = window
+        cspec = _parse_coaction_doc(_load_json(args.relations), q, args.max_degree, args.side)
+        specs = {cspec.side: cspec}
     else:
-        m = args.max_degree
-        kq = wba.path_algebra_presentation(q, m)
-        host = wba.from_face_algebra(kq)
-        sides = ("left", "right") if args.side == "trans" else (args.side,)
-        specs = co.canonical_coactions(kq, sides)
-        sections = {s: _coaction_section(specs[s], host) for s in sides}
-        transposed = (co.check_transposed(specs["left"], specs["right"])
-                      if args.side == "trans" else None)
+        sides = co.SIDES if args.side == "trans" else (args.side,)
+        specs = co.canonical_coactions(wba.path_algebra_presentation(q, args.max_degree), sides)
+    kq = next(iter(specs.values())).algebra
+    host = wba.from_face_algebra(kq)
+    sections = {s: _coaction_section(spec, host) for s, spec in specs.items()}
+    # only the canonical pair of a trans run is compared
+    transposed = co.check_transposed(specs["left"], specs["right"]) if len(specs) == 2 else None
     passed = transposed is not False and all(s["passed"] for s in sections.values())
     doc = {
         "quiver": _quiver_doc(q),
-        "maxDegree": m,
+        "maxDegree": kq.max_degree,
         "coactions": sections,
         "passed": passed,
     }
@@ -283,7 +277,7 @@ def run_uqsgd(args):
     host = result.biideal.host
     gens = [fc.format_coords(host.labels[d], coords)
             for d, coords in result.biideal.generators]
-    kq_ideal = result.relation_space.ideal
+    kq_ideal = result.data.ideal
     relation_text = [fc.format_coords(kq_ideal.host.labels[d], coords)
                      for d, coords in kq_ideal.generators]
     # the sides of a transposed pair share one coefficient family: its text is written once
@@ -312,7 +306,7 @@ def run_dual(args):
     m = args.max_degree
     relations = pa.parse_relations(_load_json(args.relations), q)
     qd = pa.quadratic_data(q, relations, m)
-    qdual = pa.quadratic_dual(qd, m)
+    qdual = pa.quadratic_dual(qd)
     report = uq.check_quadratic_dualities(qd, qdual)
     return {
         "quiver": _quiver_doc(q),

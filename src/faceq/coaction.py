@@ -34,7 +34,8 @@ def _require_side(side):
 class CoactionSpec:
     """Coefficient arrays of a graded coaction on a graded algebra.
 
-    coefficients[d][r][c] is a host degree-d coordinate dict.
+    coefficients[d][r][c] is a host degree-d coordinate dict, with one
+    array per degree of the algebra's window (ValueError otherwise).
     """
 
     def __init__(self, side, algebra, coefficients):
@@ -44,13 +45,12 @@ class CoactionSpec:
         self.coefficients = [
             [[dict(entry) for entry in row] for row in mat] for mat in coefficients
         ]
+        if len(self.coefficients) != algebra.max_degree + 1:
+            raise ValueError(f"need one coefficient array per degree 0..{algebra.max_degree}")
         for d, mat in enumerate(self.coefficients):
             n = algebra.dim(d)
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise ValueError(f"degree-{d} coefficient array is not {n}x{n}")
-
-    def degrees(self):
-        return len(self.coefficients) - 1
 
 
 def canonical_coactions(kq, sides):
@@ -107,7 +107,8 @@ def check_comodule_algebra(c, host):
     """Comodule and comodule-algebra axioms for one coaction, exactly.
 
     Verifies coassociativity and counitality per degree, multiplicativity
-    over all algebra basis pairs inside the window, and the unit condition
+    over all algebra basis pairs inside the algebra's window, which must
+    be the host's (ValueError otherwise), and the unit condition
     (membership of the unit's coefficients in the appropriate counital
     subalgebra).  Multiplicativity is wba.multiplicative_failures of the
     coaction, host leg first, so only nonzero coefficients, algebra
@@ -129,7 +130,9 @@ def check_comodule_algebra(c, host):
     that the multiplicativity join reads.
     """
     algebra = c.algebra
-    max_degree = min(host.max_degree, algebra.max_degree, c.degrees())
+    max_degree = algebra.max_degree
+    if host.max_degree != max_degree:
+        raise ValueError(f"host truncated at {host.max_degree}, algebra at {max_degree}")
     y = c.coefficients
 
     # images[d][j] is the coaction of v_j as {(h, k): c}, the term c u_h (x) v_k:
@@ -137,9 +140,8 @@ def check_comodule_algebra(c, host):
     left = c.side == "left"
     images = [[{(h, k): ch for k in range(len(mat))
                 for h, ch in (mat[j][k] if left else mat[k][j]).items() if ch}
-               for j in range(len(mat))] for mat in y[:max_degree + 1]]
-    mult_fails = wba.multiplicative_failures(algebra, lambda d, j: images[d][j], host,
-                                             algebra, max_degree)
+               for j in range(len(mat))] for mat in y]
+    mult_fails = wba.multiplicative_failures(algebra, lambda d, j: images[d][j], host, algebra)
 
     rows = [_coalgebra_rows(host, algebra, d, y[d]) for d in range(min(max_degree, 1) + 1)]
     proven = (not mult_fails and not any(coassoc for coassoc, _ in rows)
@@ -168,8 +170,6 @@ def check_transposed(lam, rho):
         raise ValueError("expected a (left, right) pair of coactions")
     if lam.algebra.labels != rho.algebra.labels:
         raise ValueError("coactions are over different algebra bases")
-    if lam.degrees() != rho.degrees():
-        return False
     return lam.coefficients == rho.coefficients
 
 
@@ -319,7 +319,7 @@ def check_structure_lemmas(c, host):
     n0 = algebra.dim(0)
     rows = []
 
-    for d in range(min(c.degrees(), 1) + 1):
+    for d in range(min(algebra.max_degree, 1) + 1):
         comult_fails, counit_fails = _coalgebra_rows(host, algebra, d, c.coefficients[d])
         rows.append((f"degree{d}-comultiplicative", comult_fails))
         rows.append((f"degree{d}-counit", counit_fails))
@@ -340,7 +340,7 @@ def check_structure_lemmas(c, host):
     rows.append(("column-orthogonality" if shared_column else "row-orthogonality", ortho_fails))
 
     absorb_fails = []
-    if c.degrees() >= 1:
+    if algebra.max_degree >= 1:
         y1 = c.coefficients[1]
         n1 = algebra.dim(1)
         # the endpoints of arrow p: e_s p != 0 and p e_t != 0

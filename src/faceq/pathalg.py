@@ -76,20 +76,21 @@ def quadratic_dual_rows(rel):
     return Subspace.from_rows(rel.ambient_dim, kernel).basis
 
 
-def quadratic_dual(qd, max_degree=2):
+def quadratic_dual(qd):
     """Quadratic dual relation space R^!, on the opposite quiver.
 
     The pairing identifies the opposite path (pq)* = q* p* with the dual
     basis vector of pq, so R^! is the complement R^⊥ (qd.dual_rows) moved
     along path reversal (quiver.star_indices), read by quadratic_data over
-    kQ^op.  The vertex idempotents act on kQ_2 by self-adjoint coordinate
-    projections, so R^⊥ is a kQ_0-bimodule exactly when R is; then the
-    products with them add nothing, and otherwise the piece outgrows the
-    independent moved rows and UnsupportedShapeError is raised.
+    kQ^op truncated where qd's kQ is.  The vertex idempotents act on kQ_2
+    by self-adjoint coordinate projections, so R^⊥ is a kQ_0-bimodule
+    exactly when R is; then the products with them add nothing, and
+    otherwise the piece outgrows the independent moved rows and
+    UnsupportedShapeError is raised.
     """
     star = qv.star_indices(qd.quiver, 2)
     moved = [(2, {star[c]: x for c, x in row.items()}) for row in qd.dual_rows]
-    qdual = quadratic_data(qv.opposite_quiver(qd.quiver), moved, max_degree)
+    qdual = quadratic_data(qv.opposite_quiver(qd.quiver), moved, qd.ideal.host.max_degree)
     if qdual.relation_space.dim != len(moved):
         raise UnsupportedShapeError(
             "quadratic dual requires a relation space that is a kQ_0-bimodule, "

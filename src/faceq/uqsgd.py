@@ -44,11 +44,10 @@ def coaction_relations(qd, side):
 class UQSGdResult:
     """One verified UQSGd presentation and the objects it was built from."""
 
-    def __init__(self, side, quiver, relation_space, biideal, quotient,
+    def __init__(self, side, data, biideal, quotient,
                  induced_coactions, verification, quotient_dims, algebra_dims):
         self.side = side
-        self.quiver = quiver
-        self.relation_space = relation_space
+        self.data = data
         self.biideal = biideal
         self.quotient = quotient
         self.induced_coactions = induced_coactions
@@ -158,7 +157,7 @@ def build_uqsgd(q, relations, side, max_degree):
     if side == "trans":
         verification["transposed"] = co.check_transposed(induced["left"],
                                                          induced["right"])
-    return UQSGdResult(side=side, quiver=q, relation_space=qd, biideal=biideal,
+    return UQSGdResult(side=side, data=qd, biideal=biideal,
                        quotient=quotient, induced_coactions=induced,
                        verification=verification, quotient_dims=quotient.dims(),
                        algebra_dims=wba.quotient_dims(kq_ideal))

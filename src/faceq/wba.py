@@ -31,16 +31,16 @@ of degree >= 1 (two inductions, see multiplicative_failures).  When a
 generator pair fails, or a presentation is not known to be
 generator_reducible, every pair is checked, so a failing report keeps
 every witness.
-A presentation knows two facts, generator_reducible and (on a GradedWBA)
-delta_multiplicative, as plain bools that its constructor sets when it
-has proven them; they are never computed, and False means unknown.
-path_algebra_presentation proves kQ generator_reducible from how its
-paths compose.  h(Q)'s Delta is multiplicative because kQ's paths factor
+A presentation knows three facts, generator_reducible, factors_uniquely
+and (on a GradedWBA) delta_multiplicative, as plain bools that its
+constructor sets when it has proven them; False means unknown.
+path_algebra_presentation proves both of kQ's from how its paths
+compose.  h(Q)'s Delta is multiplicative because kQ's paths factor
 uniquely, and h(Q) is generator_reducible when kQ is, as its Segre square
-(see from_face_algebra).  A quotient by a biideal inherits both from its
-host, as the image of an algebra map through which Delta descends (see
-quotient_wba).  Copies and hand-made presentations know neither, and are
-checked by the joins.
+(see from_face_algebra).  A quotient by a biideal inherits h(Q)'s two
+from its host, as the image of an algebra map through which Delta
+descends (see quotient_wba).  Copies and hand-made presentations know no
+fact, and are checked by the joins.
 Two-leg maps (L (x) R)(t) go through linalg.apply_legs: the weak-counit
 splits, and the projected coproducts (pi (x) pi)Delta of the biideal
 check (_descends) and the quotient.  No coproduct is a table: every one
@@ -86,9 +86,14 @@ class GradedAlgebra:
     proved it: path_algebra_presentation for kQ, from_face_algebra and
     quotient_wba from their argument's.  multiplicative_failures and the
     comodule check read it as the premise of their early exits.
+
+    factors_uniquely, a fact set only by path_algebra_presentation, is
+    True when each basis element of degree d + e is u_i u_j for exactly one
+    pair (i, j) of degrees (d, e), and every other such product is 0.
     """
 
     generator_reducible = False
+    factors_uniquely = False
 
     def __init__(self, labels, product, unit):
         self.labels = [list(row) for row in labels]
@@ -214,10 +219,12 @@ class GradedWBA(GradedAlgebra):
 def path_algebra_presentation(q, max_degree):
     """kQ as a graded algebra on the per-degree path bases, degrees without paths skipped.
 
-    kQ is born generator_reducible.  Every path of length d >= 2 is an
-    arrow times a path of length d-1, so the products of degree 1 and
-    degree d-1 span degree d; and concatenation is associative, so both
-    associativity premises hold on every triple of paths.
+    kQ is born generator_reducible and factors_uniquely.  Every path of
+    length d >= 2 is an arrow times a path of length d-1, so the products
+    of degree 1 and degree d-1 span degree d; concatenation is
+    associative, so both associativity premises hold on every triple of
+    paths; and a path of length d + e is, with coefficient 1, its first d
+    arrows times its last e, and nothing else.
     """
     bases = [qv.enumerate_paths(q, d) for d in range(max_degree + 1)]
     index = [{p: i for i, p in enumerate(b)} for b in bases]
@@ -235,6 +242,7 @@ def path_algebra_presentation(q, max_degree):
     unit = {i: _ONE for i in range(len(bases[0]))}
     kq = GradedAlgebra(labels, product, unit)
     kq.generator_reducible = True
+    kq.factors_uniquely = True
     return kq
 
 
@@ -281,10 +289,11 @@ def from_face_algebra(kq):
     O(|first| + |second| + terms kept).  Two facts of kQ become facts of
     h(Q), set here.
 
-    When kQ's paths factor uniquely (_factors_uniquely), Delta is
-    multiplicative on the whole window, and delta_multiplicative is True
-    from construction, without the join.  For x[a;b] x[c;k] = x[ac;bk], with
-    m, m' over kQ's bases of degrees d, e and M, M' over degree d + e,
+    When kQ's paths factor uniquely (kq.factors_uniquely, born on every
+    path algebra), Delta is multiplicative on the whole window, and
+    delta_multiplicative is True from construction, without the join.
+    For x[a;b] x[c;k] = x[ac;bk], with m, m' over kQ's bases of degrees
+    d, e and M, M' over degree d + e,
         Delta(x[a;b]) Delta(x[c;k]) = sum_{m,m'} x[ac;mm'] (x) x[mm';bk]
             = sum_{M,M'} (sum_{m,m'} [mm' = M][mm' = M']) x[ac;M] (x) x[M';bk],
     and unique factorization makes the inner sum delta_{MM'}, which leaves
@@ -301,10 +310,9 @@ def from_face_algebra(kq):
     associativity premises, whose triples have the same degrees in both
     components, hold on h(Q)'s basis when they hold on kQ's.
 
-    The factorization is read from kq's table, as built, since a
-    presentation never changes; generator_reducible is kq's own fact.
-    Neither stores kQ; a copy with its own tables knows neither fact and
-    is checked by the join.
+    Both facts are kq's own, set when kq was built; h(Q) does not store
+    kQ.  A hand-made table knows neither fact, so its h(Q) is checked by
+    the joins.
     """
     alg = face_algebra(kq)
     sizes = kq.dims()
@@ -331,36 +339,8 @@ def from_face_algebra(kq):
     counit = {(d, a * n + a): _ONE for d, n in enumerate(sizes) for a in range(n)}
     h = GradedWBA(alg.labels, alg.product, alg.unit, coproduct_of, coproducts_on, counit)
     h.generator_reducible = kq.generator_reducible
-    h.delta_multiplicative = _factors_uniquely(kq)
+    h.delta_multiplicative = kq.factors_uniquely
     return h
-
-
-def _factors_uniquely(kq):
-    """True iff for all degrees d, e with a basis and d + e in the window,
-    every nonzero product u_i u_j of degrees (d, e) is one basis element
-    with coefficient 1, and each degree-(d+e) basis element is the product
-    of exactly one such pair (i, j).
-
-    One pass over kq.products_by_left, at most sum n_d n_e entries.  It
-    holds on every path algebra: a path of length d + e is its first d
-    arrows times its last e, and nothing else.
-    """
-    rows = kq.products_by_left
-    degrees = [d for d in range(kq.max_degree + 1) if kq.dim(d)]
-    for d in degrees:
-        for e in [e for e in degrees if d + e <= kq.max_degree]:
-            hit = [False] * kq.dim(d + e)
-            for row in rows.get((d, e), {}).values():
-                for entry in row.values():
-                    if len(entry) != 1:
-                        return False
-                    (m, c), = entry.items()
-                    if c != 1 or hit[m]:
-                        return False
-                    hit[m] = True
-            if not all(hit):
-                return False
-    return True
 
 
 def _eps_matrices(w):
@@ -404,14 +384,14 @@ def _flatten(rows):
     return {p: {r: tuple(entry.items()) for r, entry in row.items()} for p, row in rows.items()}
 
 
-def multiplicative_failures(src, image, left, right, max_degree):
+def multiplicative_failures(src, image, left, right):
     """Basis pairs (u_i, u_j) of src with f(u_i u_j) != f(u_i) f(u_j).
 
     f is a degree-preserving map from src into left (x) right, given by
     image as in image_of: Delta is (w, w.coproduct_of, w, w), a coaction
     is (algebra, its images with the host leg first, host, algebra).
-    Visits only nonzero products, in the degrees where src has a basis, one
-    degree pair (d, e) at a time (see _pair_failures).
+    Visits only nonzero products, in the degrees of src's window where it
+    has a basis, one degree pair (d, e) at a time (see _pair_failures).
 
     The generator pairs come first: left factors of degree 1, and of
     degree 0 with right factors of degree 0 or 1.  If they give no failure,
@@ -430,8 +410,8 @@ def multiplicative_failures(src, image, left, right, max_degree):
     Otherwise, a generator pair failing or a premise not known, every
     pair is visited, so a failing map keeps every witness, in (d, e) order.
     """
-    degrees = [d for d in range(max_degree + 1) if src.dim(d)]
-    pairs = [(d, e) for d in degrees for e in degrees if d + e <= max_degree]
+    degrees = [d for d in range(src.max_degree + 1) if src.dim(d)]
+    pairs = [(d, e) for d in degrees for e in degrees if d + e <= src.max_degree]
     first = [(d, e) for d, e in pairs if d == 1 or (d == 0 and e <= 1)]
     rest = [pair for pair in pairs if pair not in first]
     rows = (src.products_by_left, left.products_by_left, right.products_by_left)
@@ -641,7 +621,7 @@ def check_axioms(w):
     f12, f21 = _failures_counit_splits(w)
     g12, g21 = _failures_unit_splits(w)
     delta_fails = [] if w.delta_multiplicative else multiplicative_failures(
-        w, w.coproduct_of, w, w, w.max_degree)
+        w, w.coproduct_of, w, w)
     return report([
         ("delta-multiplicative", delta_fails),
         ("counit-product-split-12", f12),

@@ -145,6 +145,14 @@ def quadratic_ideal_oracle(qd, max_degree):
     return wba.BiidealGens(algebra, [(2, row) for row in qd.relation_space.basis])
 
 
+def quadratic_data_of_space(q, space):
+    """QuadraticData of a relation space R given as a subspace of kQ_2, which
+    need not be a kQ_0-bimodule, with the ideal R's basis generates over kQ
+    truncated at degree 2, the window pathalg.quadratic_dual reads."""
+    algebra = wba.path_algebra_presentation(q, 2)
+    return pa.QuadraticData(q, space, wba.BiidealGens(algebra, [(2, row) for row in space.basis]))
+
+
 def quadratic_dual_oracle(qd, max_degree):
     """(R^!, its ideal) by the former three eliminations: the complement rows
     finalized, finalized again after the move along path reversal, and

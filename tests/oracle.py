@@ -29,8 +29,10 @@ linalg.Projection; and duality_report_with_dims, the duality transports
 by their former rule, which also compared graded quotient dimensions, the
 reference for the degree-2 rule of uqsgd.check_quadratic_dualities;
 and generator_reducible, the spanning and generator-associativity joins
-that prove the premise wba.GradedAlgebra.generator_reducible asserts, the
-reference for the fact that path_algebra_presentation sets at birth.
+that prove the premise wba.GradedAlgebra.generator_reducible asserts, and
+factors_uniquely, the scan of the products that proves
+wba.GradedAlgebra.factors_uniquely, the references for the facts that
+path_algebra_presentation sets at birth.
 Coefficients are Fractions.
 """
 
@@ -844,4 +846,31 @@ def generator_associative(alg):
                                 bump(diff, (x, y, k), -c * ck)
                     if diff:
                         return False
+    return True
+
+
+def factors_uniquely(alg):
+    """True iff for all degrees d, e with a basis and d + e in the window,
+    every nonzero product u_i u_j of degrees (d, e) is one basis element
+    with coefficient 1, and each degree-(d+e) basis element is the product
+    of exactly one such pair (i, j).
+
+    One pass over alg.products_by_left, at most sum n_d n_e entries.  The
+    reference for the fact wba.GradedAlgebra.factors_uniquely.
+    """
+    rows = alg.products_by_left
+    degrees = [d for d in range(alg.max_degree + 1) if alg.dim(d)]
+    for d in degrees:
+        for e in [e for e in degrees if d + e <= alg.max_degree]:
+            hit = [False] * alg.dim(d + e)
+            for row in rows.get((d, e), {}).values():
+                for entry in row.values():
+                    if len(entry) != 1:
+                        return False
+                    (m, c), = entry.items()
+                    if c != 1 or hit[m]:
+                        return False
+                    hit[m] = True
+            if not all(hit):
+                return False
     return True

@@ -22,7 +22,7 @@ from faceq.errors import UnsupportedShapeError
 from faceq.linalg import Subspace
 
 from conftest import (commutator_relations, dd_coaction, face_coords, is_vertex_bimodule,
-                      polynomial_families, preprojective_families,
+                      polynomial_families, preprojective_families, quadratic_data_of_space,
                       quantum_plane_relations)
 from fleet import FLEET, three_cycle, three_loop, two_loop
 from oracle import coproduct_table, double_quiver, preprojective_relations, subspace_equal
@@ -125,7 +125,7 @@ def test_07_commutative_polynomial_quotients_match_matrix_coordinates(built_resu
 
 
 def test_08_quadratic_dual_gives_exterior_algebra_and_is_involutive():
-    dual = pa.quadratic_dual(pa.quadratic_data(two_loop(), commutator_relations(two_loop())), 3)
+    dual = pa.quadratic_dual(pa.quadratic_data(two_loop(), commutator_relations(two_loop()), 3))
     assert wba.quotient_dims(dual.ideal) == [1, 2, 1, 0]
 
     rng = random.Random(917)
@@ -146,9 +146,9 @@ def test_08_quadratic_dual_gives_exterior_algebra_and_is_involutive():
         if not is_vertex_bimodule(q, space):
             refused += 1
             with pytest.raises(UnsupportedShapeError):
-                pa.quadratic_dual(pa.QuadraticData(q, space, None))
+                pa.quadratic_dual(quadratic_data_of_space(q, space))
             continue
-        first = pa.quadratic_dual(pa.QuadraticData(q, space, None))
+        first = pa.quadratic_dual(quadratic_data_of_space(q, space))
         assert space.dim + first.relation_space.dim == ambient
         double = pa.quadratic_dual(first)
         assert subspace_equal(double.relation_space, space)
@@ -164,7 +164,7 @@ def test_09_duality_transport_checks_pass():
     ]
     for name, q, relations, degree in instances:
         qd = pa.quadratic_data(q, relations, degree)
-        report = uq.check_quadratic_dualities(qd, pa.quadratic_dual(qd, degree))
+        report = uq.check_quadratic_dualities(qd, pa.quadratic_dual(qd))
         assert report["passed"], (name, report)
         assert {row["check"]: row["status"] for row in report["checks"]} == {
             "a-star-left-onto-dual-right": "pass",

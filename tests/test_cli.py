@@ -374,7 +374,7 @@ def test_face_visits_only_degrees_with_basis_elements(tmp_path, monkeypatch):
     assert doc["axioms"]["passed"] is True
     assert calls == []
     w = wba.from_face_algebra(wba.path_algebra_presentation(qv.parse_quiver(Q_BULLETS_DOC), 200))
-    assert wba.multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree) == []
+    assert wba.multiplicative_failures(w, w.coproduct_of, w, w) == []
     assert len(calls) == 1
 
 
@@ -520,7 +520,7 @@ def test_coefficients_of_any_size_are_written_exactly(tmp_path, coeff):
                 cols = wba.biideal_graded_pieces(result.biideal, d).projection.cols
                 assert [[fc.parse_element(q, text, d) for text in row] for row in written[d]] == [
                     [{cols[k]: x for k, x in entry.items()} for entry in row] for row in mat]
-        (d, relation), = result.relation_space.ideal.generators
+        (d, relation), = result.data.ideal.generators
         assert [Fraction(term.partition(" * ")[0]) for term in doc["relations"][0].split(" + ")
                 ] == [relation[i] for i in sorted(relation)]
     finally:

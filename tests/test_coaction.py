@@ -362,6 +362,35 @@ def test_coaction_spec_validates_shapes():
         co.CoactionSpec("middle", algebra, [[[{0: ONE}, {}], [{}, {0: ONE}]]])
 
 
+def test_coaction_spec_refuses_a_family_off_its_algebras_window():
+    """A coaction's window is its algebra's: the canonical family on the
+    three-cycle up to degree 2, one degree short of kQ truncated at degree
+    3 and one degree past kQ truncated at degree 1, is refused over both,
+    and accepted over kQ truncated at degree 2."""
+    q = three_cycle()
+    coefficients = co.canonical_coactions(wba.path_algebra_presentation(q, 2),
+                                          ("left",))["left"].coefficients
+    for degree in (3, 1):
+        with pytest.raises(ValueError, match="one coefficient array per degree"):
+            co.CoactionSpec("left", wba.path_algebra_presentation(q, degree), coefficients)
+    assert co.CoactionSpec("left", wba.path_algebra_presentation(q, 2),
+                           coefficients).coefficients == coefficients
+
+
+def test_comodule_check_refuses_a_host_with_another_window():
+    """check_comodule_algebra reads the window from the coaction's algebra
+    and refuses a host truncated elsewhere, above or below, rather than
+    checking the degrees the two share."""
+    q = three_cycle()
+    spec = co.canonical_coactions(wba.path_algebra_presentation(q, 2), ("right",))["right"]
+    for degree in (1, 3):
+        host = wba.from_face_algebra(wba.path_algebra_presentation(q, degree))
+        with pytest.raises(ValueError, match="host truncated at"):
+            co.check_comodule_algebra(spec, host)
+    host = wba.from_face_algebra(spec.algebra)
+    assert co.check_comodule_algebra(spec, host)["passed"]
+
+
 def dense_comodule_algebra(c, host):
     """check_comodule_algebra over every basis pair and quadruple: the
     reference loop.
@@ -372,7 +401,7 @@ def dense_comodule_algebra(c, host):
     subalgebra).
     """
     algebra = c.algebra
-    max_degree = min(host.max_degree, algebra.max_degree, c.degrees())
+    max_degree = algebra.max_degree
     y = c.coefficients
 
     coassoc_fails = []
@@ -509,10 +538,10 @@ def corrupt(draw, host, spec, kind):
     host = copied(host, coproduct)
     algebra = wba.GradedAlgebra(spec.algebra.labels, dict(spec.algebra.product), spec.algebra.unit)
     coefficients = [[list(row) for row in mat] for mat in spec.coefficients]
-    high = [d for d in range(2, min(spec.degrees(), host.max_degree) + 1) if algebra.dim(d)]
+    high = [d for d in range(2, algebra.max_degree + 1) if algebra.dim(d)]
     if kind == "entries":
         for _ in range(draw(st.integers(1, 3))):
-            d = draw(st.integers(0, spec.degrees()))
+            d = draw(st.integers(0, algebra.max_degree))
             if algebra.dim(d):
                 change_entry(draw, host, coefficients, d)
         for alg in (host, algebra):
@@ -537,7 +566,7 @@ def corrupt(draw, host, spec, kind):
         alg.generator_reducible = generator_reducible(alg)
     if draw(st.booleans()):
         host.delta_multiplicative = not wba.multiplicative_failures(
-            host, host.coproduct_of, host, host, host.max_degree)
+            host, host.coproduct_of, host, host)
     return host, co.CoactionSpec(spec.side, algebra, coefficients)
 
 
@@ -743,7 +772,7 @@ def test_quotient_of_face_algebra_is_born_with_its_facts(make_quiver, make_relat
     with pytest.MonkeyPatch.context() as mp:
         sources = join_sources(mp)
         result = uq.build_uqsgd(q, make_relations(q), side, 3)
-    kq = result.relation_space.ideal.host
+    kq = result.data.ideal.host
     assert result.quotient.delta_multiplicative is True
     assert result.quotient.generator_reducible is True
     assert result.biideal.host.delta_multiplicative is True

@@ -34,11 +34,11 @@ a multi-vertex quiver.  A case's extra options come after the default
 --max-degree 2 and override it.
 
 Every case also runs in-process through cli.main with every born fact
-unknown: class-level descriptors make GradedAlgebra.generator_reducible
-and GradedWBA.delta_multiplicative read False and ignore the
-assignments of the constructors that prove them, so every shortcut that
-rests on a fact takes its full join, and each report must still match
-its pin.
+unknown: class-level descriptors make GradedAlgebra.generator_reducible,
+GradedAlgebra.factors_uniquely and GradedWBA.delta_multiplicative read
+False and ignore the assignments of the constructors that prove them, so
+every shortcut that rests on a fact takes its full join, and each report
+must still match its pin.
 
 Every report is also built in-process through cli.RUNNERS, and must hold
 only JSON's own types (dict, list, tuple, str, int, bool, None): reports
@@ -303,7 +303,7 @@ def in_process_digests(tmp_path):
 
 
 def test_reports_hold_with_every_born_fact_unknown(tmp_path, monkeypatch):
-    """With both facts unknown on every presentation, kQ, h(Q) and each
+    """With every fact unknown on every presentation, kQ, h(Q) and each
     quotient, every case's report is its pinned bytes, and the full paths
     ran: the multiplicativity join visits every degree pair, check_axioms
     runs Delta's join, and the biideal check tests every piece row."""
@@ -311,9 +311,11 @@ def test_reports_hold_with_every_born_fact_unknown(tmp_path, monkeypatch):
     digests, born = in_process_digests(tmp_path / "born")
     assert digests == pinned
     monkeypatch.setattr(wba.GradedAlgebra, "generator_reducible", Unknown())
+    monkeypatch.setattr(wba.GradedAlgebra, "factors_uniquely", Unknown())
     monkeypatch.setattr(wba.GradedWBA, "delta_multiplicative", Unknown())
     kq = wba.path_algebra_presentation(qv.parse_quiver(THREE_CYCLE), 2)
-    assert not kq.generator_reducible and not wba.from_face_algebra(kq).delta_multiplicative
+    assert not kq.generator_reducible and not kq.factors_uniquely
+    assert not wba.from_face_algebra(kq).delta_multiplicative
     digests, unknown = in_process_digests(tmp_path / "unknown")
     assert digests == pinned
     assert born == {"_pair_failures": 97, "_descends": 207}

@@ -18,8 +18,8 @@ from faceq.errors import ParseError, UnsupportedShapeError
 from faceq.linalg import Echelon, Subspace
 
 from conftest import (assert_reader_matches_oracle, commutator_relations, is_vertex_bimodule,
-                      q_commutator_relations, quadratic_dual_oracle, quadratic_ideal_oracle,
-                      quantum_plane_relations, relation_rows)
+                      q_commutator_relations, quadratic_data_of_space, quadratic_dual_oracle,
+                      quadratic_ideal_oracle, quantum_plane_relations, relation_rows)
 from fleet import kronecker, three_cycle, three_loop, two_loop
 from oracle import (PathElement, double_quiver, element_rows, homogeneous_generators,
                     multiply_path_elements, path_text, path_unit, preprojective_relations,
@@ -204,8 +204,8 @@ def test_quadratic_data_rejects_cubic():
 
 
 def test_quadratic_dual_of_polynomial_ring():
-    qd = pa.quadratic_data(two_loop(), commutator_relations(two_loop()))
-    dual = pa.quadratic_dual(qd, 3)
+    qd = pa.quadratic_data(two_loop(), commutator_relations(two_loop()), 3)
+    dual = pa.quadratic_dual(qd)
     opp = dual.quiver
     assert [a.name for a in opp.arrows] == ["t1*", "t2*"]
     expected = Subspace.from_rows(4, [
@@ -253,7 +253,7 @@ def test_dual_dimension_law_and_double_dual():
             if row:
                 rows.append(row)
         space = Subspace.from_rows(ambient, rows)
-        qd = pa.QuadraticData(q, space, None)
+        qd = quadratic_data_of_space(q, space)
         if not is_vertex_bimodule(q, space):
             refused += 1
             with pytest.raises(UnsupportedShapeError, match="kQ_0-bimodule"):
@@ -288,7 +288,7 @@ def test_quadratic_dual_matches_the_former_three_eliminations():
     ideals += [random_quadratic_relations(rng, quivers[k % len(quivers)]()) for k in range(40)]
     for q, relations in ideals:
         qd = pa.quadratic_data(q, relations, 3)
-        dual = pa.quadratic_dual(qd, 3)
+        dual = pa.quadratic_dual(qd)
         space, old_ideal = quadratic_dual_oracle(qd, 3)
         assert dual.relation_space == space
         assert dual.relation_space.pivots == space.pivots

@@ -43,7 +43,7 @@ def piece2(result):
 
 def dualities(q, relations, degree):
     qd = pa.quadratic_data(q, relations, degree)
-    return uq.check_quadratic_dualities(qd, pa.quadratic_dual(qd, degree))
+    return uq.check_quadratic_dualities(qd, pa.quadratic_dual(qd))
 
 
 def family_span(q, host, elems):
@@ -230,7 +230,7 @@ def test_quadratic_dualities_fail_against_another_dual():
     and the swap row, which reads only the base, passes."""
     q = two_loop()
     qd = pa.quadratic_data(q, commutator_relations(q), 3)
-    other = pa.quadratic_dual(pa.quadratic_data(q, quantum_plane_relations(q), 3), 3)
+    other = pa.quadratic_dual(pa.quadratic_data(q, quantum_plane_relations(q), 3))
     report = uq.check_quadratic_dualities(qd, other)
     assert report == {"passed": False, "checks": [
         {"check": "a-star-left-onto-dual-right", "status": "fail",
@@ -320,7 +320,7 @@ def test_three_loop_q_commutator_dualities_combine_count(monkeypatch):
     degree 4 for their dimensions took 71,009."""
     q = qv.parse_quiver(THREE_LOOP)
     qd = pa.quadratic_data(q, pa.parse_relations(Q_COMMUTATORS, q), 4)
-    qdual = pa.quadratic_dual(qd, 4)
+    qdual = pa.quadratic_dual(qd)
     calls = [0]
     combine = linalg._combine
 
@@ -339,7 +339,7 @@ def test_quadratic_dualities_spread_no_biideal_past_degree_two(monkeypatch):
     degree 2 at most, over an h(Q) truncated at degree 2."""
     q = qv.parse_quiver(THREE_LOOP)
     qd = pa.quadratic_data(q, pa.parse_relations(Q_COMMUTATORS, q), 4)
-    qdual = pa.quadratic_dual(qd, 4)
+    qdual = pa.quadratic_dual(qd)
     spread = []
     spread_piece = wba.biideal_graded_pieces
 
@@ -362,7 +362,7 @@ def test_quadratic_dualities_refuse_a_dual_over_another_quiver(monkeypatch):
 
     q = two_loop()
     qd = pa.quadratic_data(q, quantum_plane_relations(q), 3)
-    qdual = pa.quadratic_dual(qd, 3)
+    qdual = pa.quadratic_dual(qd)
     renamed = qv.Quiver(q.vertices, [(f"s{k}", a.source, a.target)
                                      for k, a in enumerate(qdual.quiver.arrows)])
     relabelled = pa.quadratic_data(renamed, [(2, row) for row in qdual.relation_space.int_rows],
@@ -505,7 +505,7 @@ def duality_data(draw):
     qd = pa.quadratic_data(q, [(2, row) for row in draw(rows)], degree)
     other = draw(st.one_of(st.none(), rows))
     source = qd if other is None else pa.quadratic_data(q, [(2, row) for row in other], degree)
-    return qd, pa.quadratic_dual(source, degree), degree
+    return qd, pa.quadratic_dual(source), degree
 
 
 @settings(max_examples=100, deadline=None)
@@ -751,7 +751,7 @@ def test_reports_are_the_same_with_every_born_fact_unknown(case):
     On random quadratic relations of random quivers, at degree 2 or 3
     (lowered to 2 where degree 3 has more than PRODUCT_QUIVER_PATHS paths),
     the verify report and the uqsgd report of a drawn side, exit codes
-    included, are byte-equal with both facts unknown on every presentation
+    included, are byte-equal with every fact unknown on every presentation
     (test_golden's Unknown descriptors), where every shortcut takes its
     full join."""
     q, relations, degree, side = case
@@ -767,6 +767,8 @@ def test_reports_are_the_same_with_every_born_fact_unknown(case):
         born = [report_bytes(work, argv) for argv in runs]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(wba.GradedAlgebra, "generator_reducible", Unknown())
+            mp.setattr(wba.GradedAlgebra, "factors_uniquely", Unknown())
             mp.setattr(wba.GradedWBA, "delta_multiplicative", Unknown())
-            assert not wba.path_algebra_presentation(q, 1).generator_reducible
+            kq = wba.path_algebra_presentation(q, 1)
+            assert not kq.generator_reducible and not kq.factors_uniquely
             assert [report_bytes(work, argv) for argv in runs] == born

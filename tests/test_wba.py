@@ -25,7 +25,7 @@ from fleet import (FLEET, HOST_DEGREE, arrow_into_loop, doubled_three_cycle, kro
                    linear_three, one_loop, q_bullets, three_cycle, three_loop, two_loop)
 from oracle import (FaceElement, bialgebra_d, coproduct_table, counit_splits_scan, direct_sum,
                     double_quiver, face_coproduct, face_counit, face_multiply, face_unit,
-                    generator_associative, generator_reducible, monomial_label,
+                    factors_uniquely, generator_associative, generator_reducible, monomial_label,
                     preprojective_relations, product_path_indices, product_quiver,
                     spanned_from_degree_one, subspace_equal, tabled, unit_splits_scan)
 from test_face import codec_variants, named_quivers
@@ -654,7 +654,7 @@ def corrupted_presentations(draw):
 @settings(max_examples=80, deadline=None)
 @given(corrupted_presentations())
 def test_sparse_checks_match_pairwise_oracles(w):
-    assert (wba.multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)
+    assert (wba.multiplicative_failures(w, w.coproduct_of, w, w)
             == pairwise_delta_multiplicative(w))
     assert wba._failures_counit_splits(w) == pairwise_counit_splits(w)
     for side in ("source", "target"):
@@ -664,7 +664,7 @@ def test_sparse_checks_match_pairwise_oracles(w):
 def test_checks_match_oracles_on_fleet_hosts():
     for make in FLEET.values():
         w = wba.from_face_algebra(wba.path_algebra_presentation(make(), 2))
-        assert (wba.multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)
+        assert (wba.multiplicative_failures(w, w.coproduct_of, w, w)
                 == pairwise_delta_multiplicative(w) == [])
         assert wba._failures_counit_splits(w) == pairwise_counit_splits(w) == ([], [])
         for side in ("source", "target"):
@@ -784,7 +784,7 @@ def test_product_corrupted_at_left_degree_two_takes_the_full_path():
     ((m, c),) = w.product[(2, i, 1, j)].items()
     w.product[(2, i, 1, j)] = {m: 2 * c}
     assert not w.generator_reducible and not generator_reducible(w)
-    fails = wba.multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)
+    fails = wba.multiplicative_failures(w, w.coproduct_of, w, w)
     assert fails == pairwise_delta_multiplicative(w)
     assert len(fails) == 15
 
@@ -806,7 +806,7 @@ def test_unspanned_degree_two_takes_the_full_path():
     assert generator_associative(w)
     assert not spanned_from_degree_one(w)
     assert not w.generator_reducible
-    assert (wba.multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)
+    assert (wba.multiplicative_failures(w, w.coproduct_of, w, w)
             == pairwise_delta_multiplicative(w) == [["b", "1"]])
 
 
@@ -824,7 +824,7 @@ def test_degree_zero_left_factor_breaking_associativity_takes_the_full_path():
     assert spanned_from_degree_one(w)
     assert not generator_associative(w)
     assert not w.generator_reducible
-    fails = wba.multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)
+    fails = wba.multiplicative_failures(w, w.coproduct_of, w, w)
     assert fails == pairwise_delta_multiplicative(w) == [["x[e:1;e:1]", "x[a.b;a.b]"]]
 
 
@@ -834,7 +834,7 @@ def test_delta_multiplicative_terms_that_cancel():
     product = {(0, 1, 0, 1): {1: ONE}, (0, 2, 0, 1): {1: ONE}}
     coproduct = {(0, 0): {(1, 1): ONE, (2, 1): -ONE}}
     w = tabled([["u0", "u1", "u2"]], product, {1: ONE}, coproduct, {})
-    assert (wba.multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)
+    assert (wba.multiplicative_failures(w, w.coproduct_of, w, w)
             == pairwise_delta_multiplicative(w) == [])
 
 
@@ -856,7 +856,7 @@ def test_scaled_product_fails_delta_multiplicative():
         "witnesses": [["x[t1;t1]", "x[t2;t1]"], ["x[t1;t1]", "x[t2;t2]"],
                       ["x[t1;t2]", "x[t1;t1]"]],
     }
-    assert len(wba.multiplicative_failures(w, w.coproduct_of, w, w, w.max_degree)) == 7
+    assert len(wba.multiplicative_failures(w, w.coproduct_of, w, w)) == 7
 
 
 @settings(max_examples=60, deadline=None)
@@ -869,18 +869,38 @@ def test_unique_factorization_proves_delta_multiplicative(q, degree):
     for v in codec_variants(q):
         kq = wba.path_algebra_presentation(v, lowered_degree(v, degree))
         h = wba.from_face_algebra(kq)
-        assert wba._factors_uniquely(kq)
+        assert factors_uniquely(kq)
         assert h.delta_multiplicative is True
         assert wba.check_axioms(h)["checks"][0] == {
             "axiom": "delta-multiplicative", "status": "pass", "witnesses": []}
-        assert (wba.multiplicative_failures(h, h.coproduct_of, h, h, h.max_degree)
+        assert (wba.multiplicative_failures(h, h.coproduct_of, h, h)
                 == pairwise_delta_multiplicative(h) == [])
+
+
+@settings(max_examples=40, deadline=None)
+@given(named_quivers(), st.integers(0, 3))
+def test_born_factors_uniquely_agrees_with_the_oracle(q, degree):
+    """kQ's born factors_uniquely is what the oracle's scan of its products
+    computes, and h(Q) is born with delta_multiplicative equal to it, on q,
+    its opposite and its double, at a degree of at most 3 (lowered as in
+    the product-quiver test).  A copy of kQ with its own table knows no
+    fact, so its h(Q) is not born delta_multiplicative, though the scan
+    holds on it."""
+    for v in codec_variants(q):
+        kq = wba.path_algebra_presentation(v, lowered_degree(v, degree))
+        assert kq.factors_uniquely is factors_uniquely(kq) is True
+        assert wba.from_face_algebra(kq).delta_multiplicative is kq.factors_uniquely
+        copy = wba.GradedAlgebra(kq.labels, dict(kq.product), kq.unit)
+        assert copy.factors_uniquely is False and factors_uniquely(copy)
+        assert wba.from_face_algebra(copy).delta_multiplicative is False
 
 
 def test_commuting_loops_do_not_factor_uniquely():
     """A kQ-like table for k[t1, t2] at degree 2, where t1 t2 and t2 t1 land
-    on one basis element: the flag is off, h(Q)'s Delta is not known, and
-    the join computes every failure, as the pairwise oracle lists them.
+    on one basis element: the oracle's scan finds that its products do not
+    factor uniquely, the hand-made table knows no fact, h(Q)'s Delta is not
+    known, and the join computes every failure, as the pairwise oracle
+    lists them.
     Delta(x[t1;t1] x[t2;t2]) has x[t1t2;t1t2] (x) x[t1t2;t1t2] once, the
     product of the coproducts twice."""
     labels = [["1"], ["t1", "t2"], ["t1t1", "t1t2", "t2t2"]]
@@ -892,10 +912,10 @@ def test_commuting_loops_do_not_factor_uniquely():
         for j in range(2):
             product[(1, i, 1, j)] = {i + j: 1}
     kq = wba.GradedAlgebra(labels, product, {0: 1})
-    assert not wba._factors_uniquely(kq)
+    assert not factors_uniquely(kq) and not kq.factors_uniquely
     h = wba.from_face_algebra(kq)
     assert not h.delta_multiplicative
-    fails = wba.multiplicative_failures(h, h.coproduct_of, h, h, h.max_degree)
+    fails = wba.multiplicative_failures(h, h.coproduct_of, h, h)
     assert fails and fails == pairwise_delta_multiplicative(h)
     assert ["x[t1;t1]", "x[t2;t2]"] in fails
     report = wba.check_axioms(h)
@@ -918,31 +938,32 @@ def test_segre_square_is_born_generator_reducible(q, degree):
 
 def test_face_algebra_over_a_non_associative_kq_is_not_born_generator_reducible():
     """The two-loop's kQ at degree 3 with the products (t1.t2) t1 and
-    (t2.t1) t1 swapped: its paths still factor uniquely, so h(Q)'s Delta is
-    known to be multiplicative, but (t1 t2) t1 = t2.t1.t1 while
-    t1 (t2 t1) = t1.t2.t1, so kQ's associativity premise fails.  A
-    hand-made table knows no fact, so h(Q) is not born
-    generator_reducible, and the oracle finds that it is not.  A quotient
-    of it, here by the zero biideal, knows neither fact: its Delta is
-    proven multiplicative only over a host that knows both.  Its Delta
-    join agrees with the pairwise oracle."""
+    (t2.t1) t1 swapped: its paths still factor uniquely, as the oracle's
+    scan finds, but (t1 t2) t1 = t2.t1.t1 while t1 (t2 t1) = t1.t2.t1, so
+    kQ's associativity premise fails.  A hand-made table knows no fact, so
+    h(Q) is born neither generator_reducible, which the oracle finds it is
+    not, nor delta_multiplicative, which its Delta join, agreeing with the
+    pairwise oracle, finds it is.  A quotient of it, here by the zero
+    biideal, knows neither fact either, and its Delta join agrees with the
+    pairwise oracle too."""
     kq = wba.path_algebra_presentation(two_loop(), 3)
     product = dict(kq.product)
     i, j = (kq.labels[2].index(p) for p in ("t1.t2", "t2.t1"))
     t1 = kq.labels[1].index("t1")
     product[(2, i, 1, t1)], product[(2, j, 1, t1)] = product[(2, j, 1, t1)], product[(2, i, 1, t1)]
     bad = wba.GradedAlgebra(kq.labels, product, kq.unit)
-    assert wba._factors_uniquely(bad) and spanned_from_degree_one(bad)
+    assert factors_uniquely(bad) and spanned_from_degree_one(bad)
     assert not generator_associative(bad)
-    assert not bad.generator_reducible
+    assert not bad.generator_reducible and not bad.factors_uniquely
     h = wba.from_face_algebra(bad)
-    assert h.delta_multiplicative is True
+    assert h.delta_multiplicative is False
     assert h.generator_reducible is False
+    assert (wba.multiplicative_failures(h, h.coproduct_of, h, h)
+            == pairwise_delta_multiplicative(h) == [])
     quotient = wba.quotient_wba(wba.BiidealGens(h, []))
     assert quotient.delta_multiplicative is False
     assert quotient.generator_reducible is False
-    assert (wba.multiplicative_failures(quotient, quotient.coproduct_of, quotient, quotient,
-                                        quotient.max_degree)
+    assert (wba.multiplicative_failures(quotient, quotient.coproduct_of, quotient, quotient)
             == pairwise_delta_multiplicative(quotient) == [])
     assert wba.check_axioms(quotient)["passed"]
 
@@ -1043,7 +1064,7 @@ def test_quotient_facts_hold_when_recomputed_on_a_copy(quotient):
     assert quotient.delta_multiplicative is True
     assert quotient.generator_reducible is True
     c = copied(quotient)
-    assert (wba.multiplicative_failures(c, c.coproduct_of, c, c, c.max_degree)
+    assert (wba.multiplicative_failures(c, c.coproduct_of, c, c)
             == pairwise_delta_multiplicative(c) == [])
 
 
